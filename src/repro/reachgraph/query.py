@@ -138,11 +138,11 @@ class _VertexCache:
             cached = shared.lookup(partition_id)
             if cached is not None:
                 for loaded in cached:
-                    self._records[loaded.node_id] = loaded
+                    self._records[loaded[0]] = loaded
                 return self._records[node_id]
         records = tuple(self._index.read_partition(partition_id))
         for loaded in records:
-            self._records[loaded.node_id] = loaded
+            self._records[loaded[0]] = loaded
         self.partitions_read += 1
         if shared is not None:
             shared.insert(partition_id, records)
@@ -313,27 +313,27 @@ class ReachGraphQueryProcessor:
         labels: Optional[ReachLabelIndex],
         target_vertex: int,
     ) -> Tuple[bool, int]:
-        node_id = queue.popleft()
-        record = cache.get(node_id)
+        # One positional unpack per visit: namedtuple attribute reads are not
+        # specialised by the interpreter and this is the traversal hot path.
+        _, start, _, members, successors, _, long_successors = cache.get(
+            queue.popleft()
+        )
         visited += 1
-        own_objects.update(record.members)
-        if other_objects.intersection(record.members):
+        own_objects.update(members)
+        if other_objects.intersection(members):
             return True, visited
 
         children: List[int] = []
         if use_long_edges:
             # Highest-resolution long edges whose window fits before the
             # interval midpoint are taken first; they let the traversal leap
-            # over long stretches of the first half-interval.
-            for resolution in sorted(self.index.config.sorted_resolutions, reverse=True):
-                if record.start + resolution > mid:
-                    continue
-                for target_id in record.long_successors_at(resolution):
-                    children.append(target_id)
-                if children:
+            # over long stretches of the first half-interval.  The record
+            # stores its (non-empty) groups ascending by resolution.
+            for resolution, targets in reversed(long_successors):
+                if start + resolution <= mid:
+                    children.extend(targets)
                     break
-        for target_id in record.successors:
-            children.append(target_id)
+        children.extend(successors)
 
         for target_id in children:
             if target_id in seen:
@@ -344,8 +344,7 @@ class ReachGraphQueryProcessor:
             if labels is not None and labels.rejects(target_id, target_vertex):
                 self.label_frontier_prunes += 1
                 continue
-            target = cache.get(target_id)
-            if target.start > mid:
+            if cache.get(target_id)[1] > mid:  # [1] is ``start``
                 continue
             seen.add(target_id)
             queue.append(target_id)
@@ -364,14 +363,13 @@ class ReachGraphQueryProcessor:
         labels: Optional[ReachLabelIndex],
         source_vertex: int,
     ) -> Tuple[bool, int]:
-        node_id = queue.popleft()
-        record = cache.get(node_id)
+        _, _, _, members, _, predecessors, _ = cache.get(queue.popleft())
         visited += 1
-        own_objects.update(record.members)
-        if other_objects.intersection(record.members):
+        own_objects.update(members)
+        if other_objects.intersection(members):
             return True, visited
 
-        for source_id in record.predecessors:
+        for source_id in predecessors:
             if source_id in seen:
                 continue
             # Mirror of the forward prune: every vertex of a v1→v2 path is
@@ -382,8 +380,9 @@ class ReachGraphQueryProcessor:
                 continue
             source = cache.get(source_id)
             # The backward traversal covers components that can still pass the
-            # item onwards during the second half of the query interval.
-            if source.end < mid or source.start > t2:
+            # item onwards during the second half of the query interval
+            # (positional reads: [1] is ``start``, [2] is ``end``).
+            if source[2] < mid or source[1] > t2:
                 continue
             seen.add(source_id)
             queue.append(source_id)

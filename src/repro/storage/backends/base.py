@@ -29,10 +29,26 @@ from ..stats import IOStats
 
 __all__ = [
     "StorageBackend",
+    "decode_payload",
+    "encode_payload",
     "load_manifest_sidecar",
     "redo_reclaim_swap",
     "write_manifest_sidecar",
 ]
+
+
+def encode_payload(payload: Any) -> bytes:
+    """Serialize one block payload into the bytes a persistent device stores.
+
+    With :func:`decode_payload`, the one boundary between Python objects and
+    device bytes that every persistent backend goes through.
+    """
+    return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def decode_payload(blob: bytes | memoryview) -> Any:
+    """Rebuild the payload :func:`encode_payload` serialized into ``blob``."""
+    return pickle.loads(blob)
 
 
 def write_manifest_sidecar(path: str, manifest: Dict[str, Any]) -> None:

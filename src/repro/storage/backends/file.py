@@ -23,7 +23,6 @@ manifest rewrite are recovered rather than lost.
 from __future__ import annotations
 
 import os
-import pickle
 import struct
 from collections import OrderedDict
 from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple
@@ -32,6 +31,8 @@ from ...core.errors import StorageError
 from ...testing.faults import crash_point
 from .base import (
     StorageBackend,
+    decode_payload,
+    encode_payload,
     load_manifest_sidecar,
     redo_reclaim_swap,
     write_manifest_sidecar,
@@ -88,7 +89,7 @@ class FileBackend(StorageBackend):
         pass  # allocation is pure bookkeeping; the log grows on first write
 
     def _store(self, block_id: int, payload: Any) -> None:
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = encode_payload(payload)
         self._handle.seek(self._tail)
         self._handle.write(_HEADER.pack(block_id, len(blob)))
         self._handle.write(blob)
@@ -105,7 +106,7 @@ class FileBackend(StorageBackend):
             return None  # allocated but never written
         offset, length = located
         self._handle.seek(offset)
-        payload = pickle.loads(self._handle.read(length))
+        payload = decode_payload(self._handle.read(length))
         self._cache_put(block_id, payload)
         return payload
 

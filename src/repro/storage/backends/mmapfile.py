@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import mmap
 import os
-import pickle
 import struct
 from typing import Any, ClassVar, Dict, Mapping, Optional
 
@@ -29,6 +28,8 @@ from ...core.errors import StorageError
 from ...testing.faults import crash_point
 from .base import (
     StorageBackend,
+    decode_payload,
+    encode_payload,
     load_manifest_sidecar,
     redo_reclaim_swap,
     write_manifest_sidecar,
@@ -112,7 +113,7 @@ class MmapBackend(StorageBackend):
         self._map = mmap.mmap(self._file.fileno(), 0)
 
     def _store(self, block_id: int, payload: Any) -> None:
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = encode_payload(payload)
         offset = self._slot_offset(block_id)
         if len(blob) <= self._slot_bytes - _SLOT_HEADER.size:
             self._overflow.pop(block_id, None)
@@ -129,9 +130,7 @@ class MmapBackend(StorageBackend):
 
     def _load(self, block_id: int) -> Any:
         offset = self._slot_offset(block_id)
-        flag, length = _SLOT_HEADER.unpack(
-            self._map[offset : offset + _SLOT_HEADER.size]
-        )
+        flag, length = _SLOT_HEADER.unpack_from(self._map, offset)
         if flag == _FLAG_EMPTY:
             return None  # allocated but never written
         if flag == _FLAG_OVERFLOW:
@@ -145,9 +144,12 @@ class MmapBackend(StorageBackend):
                     "slot capacity and its overflow payload was lost — the "
                     "device was not flushed before reopening"
                 )
-            return pickle.loads(blob)
+            return decode_payload(blob)
         start = offset + _SLOT_HEADER.size
-        return pickle.loads(self._map[start : start + length])
+        # Decode straight out of the mapping (no copy of the slot); the views
+        # are released before returning so the map can still grow or close.
+        with memoryview(self._map) as mapped, mapped[start : start + length] as blob:
+            return decode_payload(blob)
 
     # ------------------------------------------------------------------
     # durability

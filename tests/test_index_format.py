@@ -1,0 +1,286 @@
+"""The ReachGraph on-device shapes: tuple vertex records, packed object index.
+
+What a partition block and an object-index bucket hold is decided in
+:mod:`repro.reachgraph.index` and decoded by ``pickle`` alone, so the shapes
+are pinned here: a vertex record must stay a tuple that pickles without the
+``dataclasses`` slow path, the packed ``(starts, nodes)`` assignment history
+must answer ``find_vertex_id`` exactly as a scan of the DAG's segments does at
+every stage of an index's life, restore must reconcile a bucket that got
+durably ahead of the graph, and a device in another format must be refused
+before a single partition is read.
+"""
+
+from __future__ import annotations
+
+import io
+import pickle
+import pickletools
+from array import array
+
+import pytest
+
+from equivalence import EQUIVALENCE_BACKENDS, backend_storage_config
+from repro.core import (
+    IndexConstructionError,
+    ReachGraphConfig,
+    StorageConfig,
+    StreamingConfig,
+)
+from repro.reachgraph import ReachGraphIndex, VertexRecord
+from repro.storage import StorageSystem
+from repro.streaming import (
+    DatasetReplaySource,
+    SnapshotQueryService,
+    StreamingReachabilityService,
+)
+
+RECORD = VertexRecord(
+    node_id=7,
+    start=3,
+    end=9,
+    members=(1, 4, 6),
+    successors=(8, 9),
+    predecessors=(2,),
+    long_successors=((4, (11,)), (8, (15, 16))),
+)
+
+
+# ----------------------------------------------------------------------
+# record shape
+# ----------------------------------------------------------------------
+class TestVertexRecordShape:
+    def test_round_trips_through_pickle_equal_and_hashable(self):
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            restored = pickle.loads(pickle.dumps(RECORD, protocol=protocol))
+            assert type(restored) is VertexRecord
+            assert restored == RECORD
+            assert hash(restored) == hash(RECORD)
+        assert len({RECORD, pickle.loads(pickle.dumps(RECORD))}) == 1
+
+    def test_is_immutable(self):
+        with pytest.raises(AttributeError):
+            RECORD.end = 10  # type: ignore[misc]
+        with pytest.raises(AttributeError):
+            RECORD.extra = 1  # type: ignore[attr-defined]
+
+    def test_field_order_is_the_positional_contract(self):
+        # query.py unpacks records positionally; reordering fields would
+        # silently swap what the traversal reads.
+        assert VertexRecord._fields == (
+            "node_id",
+            "start",
+            "end",
+            "members",
+            "successors",
+            "predecessors",
+            "long_successors",
+        )
+        assert tuple(RECORD) == (
+            7, 3, 9, (1, 4, 6), (8, 9), (2,), ((4, (11,)), (8, (15, 16)))
+        )
+
+    def test_keeps_its_helpers(self):
+        assert (RECORD.interval.start, RECORD.interval.end) == (3, 9)
+        assert RECORD.long_successors_at(8) == (15, 16)
+        assert RECORD.long_successors_at(2) == ()
+
+    def test_dumped_block_names_no_dataclasses_global(self):
+        block = [RECORD._replace(node_id=node_id) for node_id in range(8)]
+        blob = pickle.dumps(block, protocol=pickle.HIGHEST_PROTOCOL)
+        listing = io.StringIO()
+        pickletools.dis(blob, out=listing)
+        assert "dataclasses" not in listing.getvalue()
+        assert "VertexRecord" in listing.getvalue()
+
+
+# ----------------------------------------------------------------------
+# packed buckets answer exactly as the DAG's segments do
+# ----------------------------------------------------------------------
+def assert_object_index_matches_dag(index: ReachGraphIndex, context: str) -> None:
+    """``find_vertex_id`` against a brute-force scan, every object and tick."""
+    dag = index.dag
+    for object_id in index.dataset.object_ids:
+        segments = dag.assignment_segments(object_id)
+        first_start = segments[0][0]
+        with pytest.raises(IndexConstructionError):
+            index.find_vertex_id(object_id, first_start - 1)
+        for start, node_id in segments:
+            assert index.find_vertex_id(object_id, start) == node_id, context
+        for t in range(first_start, dag.horizon.end + 1):
+            expected = [node_id for start, node_id in segments if start <= t][-1]
+            assert index.find_vertex_id(object_id, t) == expected, (
+                f"{context}: object {object_id} at t={t}"
+            )
+
+
+def live_index(service) -> ReachGraphIndex:
+    return service.overlay.snapshot_processor.index
+
+
+def make_service(dataset, contact_config, storage_config):
+    service = StreamingReachabilityService.for_dataset(
+        dataset,
+        contact_config=contact_config,
+        streaming_config=StreamingConfig(
+            graph_mode="incremental", graph_repack_min_partitions=2
+        ),
+        storage_config=storage_config,
+    )
+    service.auto_merge = False
+    return service
+
+
+class TestPackedObjectIndex:
+    def test_batch_build_stores_parallel_int64_arrays(self, tiny_reachgraph):
+        object_id = tiny_reachgraph.dataset.object_ids[0]
+        starts, nodes = tiny_reachgraph._object_index.get(object_id)
+        assert isinstance(starts, array) and isinstance(nodes, array)
+        assert starts.typecode == nodes.typecode == "q"
+        assert list(zip(starts, nodes)) == tiny_reachgraph.dag.assignment_segments(
+            object_id
+        )
+        assert_object_index_matches_dag(tiny_reachgraph, "batch build")
+
+    @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
+    def test_matches_the_dag_through_increments_repack_and_reopen(
+        self, backend, tmp_path, tiny_dataset, tiny_contact_config
+    ):
+        storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
+        service = make_service(tiny_dataset, tiny_contact_config, storage_config)
+        segments_after_build = None
+        for position, batch in enumerate(
+            DatasetReplaySource(tiny_dataset, batch_ticks=8).batches()
+        ):
+            service.ingest(batch)
+            if position % 3 != 2:
+                continue
+            service.merge()
+            index = live_index(service)
+            assert_object_index_matches_dag(
+                index, f"backend={backend}, increments={index.num_increments}"
+            )
+            if segments_after_build is None:
+                assert index.num_increments == 0
+                segments_after_build = {
+                    object_id: len(index.dag.assignment_segments(object_id))
+                    for object_id in tiny_dataset.object_ids
+                }
+        service.merge()
+        index = live_index(service)
+        assert index.num_increments >= 3
+        assert index.num_repacks >= 1, "the stream must exercise a frontier repack"
+        assert any(
+            len(index.dag.assignment_segments(object_id)) > count
+            for object_id, count in segments_after_build.items()
+        ), "the increments must have split a component (appended segments)"
+        assert_object_index_matches_dag(index, f"backend={backend}, final")
+        service.close()
+
+        reopened = SnapshotQueryService.open(storage_config, name=service.name)
+        assert_object_index_matches_dag(
+            live_index(reopened), f"backend={backend}, reopened"
+        )
+        reopened.close()
+
+    def test_increment_leaves_the_previous_arrays_untouched(
+        self, tiny_dataset, tiny_contact_config
+    ):
+        """The sim backend hands out the stored objects themselves, so an
+        increment must append to copies, never to the arrays a reader holds."""
+        service = make_service(tiny_dataset, tiny_contact_config, None)
+        batches = list(DatasetReplaySource(tiny_dataset, batch_ticks=8).batches())
+        for batch in batches[:5]:
+            service.ingest(batch)
+        service.merge()
+        index = live_index(service)
+        held = {
+            object_id: index._object_index.get(object_id)
+            for object_id in tiny_dataset.object_ids
+        }
+        before = {
+            object_id: (list(starts), list(nodes))
+            for object_id, (starts, nodes) in held.items()
+        }
+        for batch in batches[5:]:
+            service.ingest(batch)
+        service.merge()
+        assert index.num_increments == 1
+        assert any(
+            len(index._object_index.get(object_id)[0]) > len(before[object_id][0])
+            for object_id in tiny_dataset.object_ids
+        )
+        for object_id, (starts, nodes) in held.items():
+            assert (list(starts), list(nodes)) == before[object_id]
+
+    def test_restore_drops_a_phantom_trailing_segment(
+        self, tmp_path, tiny_dataset, tiny_contact_config
+    ):
+        """Bucket rewrites go through the buffer pool in place, so a crash
+        can leave a bucket durably ahead of the cataloged graph; restore
+        must rewrite it from the partition extents' truth."""
+        storage_config = backend_storage_config("file", storage_dir=str(tmp_path))
+        service = make_service(tiny_dataset, tiny_contact_config, storage_config)
+        service.drain(tiny_dataset)
+        service.merge()
+        index = live_index(service)
+        table_name = f"{index.name}-object-index"
+        victim = tiny_dataset.object_ids[3]
+        truth = index.dag.assignment_segments(victim)
+        phantom_node = index.num_vertices  # a vertex the catalog never saw
+        service.close()
+
+        storage = StorageSystem(storage_config, name=f"{service.name}-overlay")
+        table = storage.hashtable(table_name)
+        starts, nodes = table.get(victim)
+        assert list(zip(starts, nodes)) == truth
+        table.update(
+            victim,
+            (
+                starts + array("q", [tiny_dataset.horizon.end + 1]),
+                nodes + array("q", [phantom_node]),
+            ),
+        )
+        storage.close()
+
+        reopened = SnapshotQueryService.open(storage_config, name=service.name)
+        restored = live_index(reopened)
+        starts, nodes = restored._object_index.get(victim)
+        assert list(zip(starts, nodes)) == truth
+        assert phantom_node not in nodes
+        assert_object_index_matches_dag(restored, "after reconciliation")
+        reopened.close()
+
+
+# ----------------------------------------------------------------------
+# another on-device format is refused up front
+# ----------------------------------------------------------------------
+class TestFormatGate:
+    def test_catalog_names_the_format(self, tiny_reachgraph):
+        assert tiny_reachgraph.catalog()["format"] == 2
+
+    @pytest.mark.parametrize("found", [None, 1, 3])
+    def test_restore_refuses_before_reading_any_block(
+        self, found, tmp_path, tiny_dataset, tiny_network, tiny_contact_config
+    ):
+        storage = StorageSystem(
+            StorageConfig(backend="file", storage_dir=str(tmp_path)), name="gate"
+        )
+        index = ReachGraphIndex(
+            tiny_dataset,
+            ReachGraphConfig(),
+            tiny_contact_config,
+            contact_network=tiny_network,
+            storage=storage,
+        ).build()
+        catalog = index.catalog()
+        if found is None:
+            del catalog["format"]
+        else:
+            catalog["format"] = found
+        reads_before = storage.stats.total_reads
+        with pytest.raises(IndexConstructionError) as error:
+            ReachGraphIndex.restore(storage, catalog, tiny_dataset, tiny_network)
+        assert f"format {found!r}" in str(error.value)
+        assert "expected format 2" in str(error.value)
+        assert storage.stats.total_reads == reads_before
+        storage.close()

@@ -27,6 +27,7 @@ from equivalence import (
 )
 from repro.core import (
     ContactConfig,
+    IndexConstructionError,
     ReachGraphConfig,
     ReachGridConfig,
     StreamingConfig,
@@ -332,6 +333,43 @@ class TestCorruptManifestRestore:
         fds_before = open_fds()
         with pytest.raises(KeyError):
             SnapshotQueryService.open(storage_config, name="broken")
+        assert open_fds() == fds_before, "reopen failure leaked a device handle"
+        assert sorted(p.name for p in tmp_path.iterdir()) == files_before
+
+    @pytest.mark.parametrize("found", [None, 1])
+    @pytest.mark.parametrize(
+        "reopen", [SnapshotQueryService.open, StreamingReachabilityService.open]
+    )
+    def test_graph_in_another_format_fails_loudly_and_closes_the_device(
+        self, reopen, found, tmp_path, dataset
+    ):
+        """A device flushed before the index format was cataloged (or under
+        another format) holds vertex records and buckets this build would
+        mis-decode: the reopen must name both formats instead, and release
+        every handle it probed."""
+        storage_config = backend_storage_config("file", storage_dir=str(tmp_path))
+        service = make_service(dataset, storage_config, max_delta_contacts=10_000)
+        service.auto_merge = False
+        service.drain(dataset)
+        service.merge()
+        service.close()
+
+        overlay = StorageSystem(storage_config, name=f"{service.name}-overlay")
+        manifest = overlay.get_metadata("overlay-manifest")
+        assert manifest["graph"]["index"]["format"] == 2
+        if found is None:
+            del manifest["graph"]["index"]["format"]
+        else:
+            manifest["graph"]["index"]["format"] = found
+        overlay.put_metadata("overlay-manifest", manifest)
+        overlay.close()
+
+        files_before = sorted(p.name for p in tmp_path.iterdir())
+        fds_before = open_fds()
+        with pytest.raises(
+            IndexConstructionError, match=f"format {found!r}, expected format 2"
+        ):
+            reopen(storage_config, name=service.name)
         assert open_fds() == fds_before, "reopen failure leaked a device handle"
         assert sorted(p.name for p in tmp_path.iterdir()) == files_before
 

@@ -12,12 +12,16 @@ persistence half (reopen-after-close) runs only on the backends that claim
 
 from __future__ import annotations
 
+import gc
 import os
+import sys
+from array import array
 
 import pytest
 
 from repro.core import ConfigurationError, StorageConfig, StorageError
 from repro.core.errors import BlockOutOfRangeError
+from repro.reachgraph import VertexRecord
 from repro.storage import (
     STORAGE_BACKENDS,
     BufferPool,
@@ -338,6 +342,93 @@ class TestMmapBackendSpecifics:
         with pytest.raises(StorageError, match="overflow payload was lost"):
             reopened.read(spilled)
         reopened.close()
+
+
+def python_level_calls(operation):
+    """The ``(file, function)`` of every Python-level call ``operation`` makes."""
+    calls = []
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            calls.append((frame.f_code.co_filename, frame.f_code.co_name))
+
+    # A cyclic collection landing inside the window would run unrelated
+    # finalizers (and count them); the operation itself frees by refcount.
+    gc.disable()
+    sys.setprofile(profiler)
+    try:
+        operation()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls
+
+
+class TestDecodeStaysInC:
+    """Decoding an index block makes no Python-level call per record.
+
+    The deterministic form of "block decode is C-speed": the Python-level
+    calls of one cold ``read`` are the backend's own fixed handful, whatever
+    the block holds — and none of them lands in ``dataclasses``, the
+    per-record slow path vertex records used to unpickle through.
+    """
+
+    @pytest.fixture(params=PERSISTENT_BACKENDS)
+    def cold_read_calls(self, request, tmp_path):
+        def measure(stem, payload):
+            # Slots roomy enough that the mmap read takes its mapped path.
+            config = StorageConfig(backend=request.param, mmap_slot_bytes=1 << 16)
+            suffix = {"file": ".blocks", "mmap": ".mmap"}[request.param]
+            path = str(tmp_path / f"{stem}{suffix}")
+            disk = make_backend(config, path=path)
+            block = disk.allocate(payload)
+            disk.close()
+            # A fresh attach starts with an empty page cache: a real decode.
+            reopened = make_backend(config, path=path)
+            try:
+                calls = python_level_calls(lambda: reopened.read(block))
+                assert reopened.read(block) == payload
+            finally:
+                reopened.close()
+            return calls
+
+        return measure
+
+    @staticmethod
+    def records(count):
+        return [
+            VertexRecord(
+                node_id=node_id,
+                start=node_id,
+                end=node_id + 5,
+                members=(node_id, node_id + 1, node_id + 2),
+                successors=(node_id + 1, node_id + 2),
+                predecessors=(node_id - 1,),
+                long_successors=((8, (node_id + 9,)),),
+            )
+            for node_id in range(count)
+        ]
+
+    @staticmethod
+    def bucket(count):
+        return {
+            object_id: (
+                array("q", range(0, 40, 2)),
+                array("q", range(object_id, object_id + 20)),
+            )
+            for object_id in range(count)
+        }
+
+    @pytest.mark.parametrize("shape", ["records", "bucket"])
+    def test_python_calls_do_not_grow_with_the_block(self, cold_read_calls, shape):
+        build = getattr(self, shape)
+        small = cold_read_calls(f"{shape}-8", build(8))
+        large = cold_read_calls(f"{shape}-64", build(64))
+        assert not [call for call in large if "dataclasses" in call[0]]
+        assert len(large) == len(small), (
+            f"decoding 64 entries made {len(large)} Python-level calls, "
+            f"8 entries made {len(small)}: {sorted(set(large) - set(small))}"
+        )
 
 
 class TestStorageSystemPersistence:
