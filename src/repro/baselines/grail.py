@@ -230,16 +230,17 @@ class GrailIndex:
         target_vertex = self.dag.node_of(query.destination, interval.end)
         target_labels = self._labels[target_vertex]
 
-        record_cache: Dict[int, _GrailVertexRecord] = {}
+        # Extents hold a fixed number of vertices in id order, so a vertex is
+        # addressed inside its extent; nothing is done per record read.
+        per_extent = self._records_per_extent
+        extents: Dict[int, List[_GrailVertexRecord]] = {}
 
         def fetch(node_id: int) -> _GrailVertexRecord:
-            record = record_cache.get(node_id)
-            if record is not None:
-                return record
-            extent_key = node_id // self._records_per_extent
-            for loaded in self._vertex_file.read_extent(extent_key):
-                record_cache[loaded.node_id] = loaded
-            return record_cache[node_id]
+            extent_key, slot = divmod(node_id, per_extent)
+            records = extents.get(extent_key)
+            if records is None:
+                records = extents[extent_key] = self._vertex_file.read_extent(extent_key)
+            return records[slot]
 
         visited = 0
         stack = [source_vertex]

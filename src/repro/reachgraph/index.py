@@ -291,6 +291,7 @@ class ReachGraphIndex:
         self.partitioning: Optional[Partitioning] = None
         self.build_report: Optional[ReachGraphBuildReport] = None
         self._partition_of_vertex: Dict[int, int] = {}
+        self._slot_of_vertex: Dict[int, int] = {}
         # GRAIL-style interval labels (the query fast path); built alongside
         # the graph when the config enables them and patched per increment.
         self._labels: Optional[ReachLabelIndex] = None
@@ -348,11 +349,7 @@ class ReachGraphIndex:
         )
         self.hypergraph = hypergraph
         partitioning = partition_hypergraph(hypergraph, self.config.partition_depth)
-        self.partitioning = partitioning
-        # Shared deliberately, not copied: extend_partitioning assigns fresh
-        # vertices into this same dict, so partition_of() lookups can never
-        # drift from the partition extents an increment writes.
-        self._partition_of_vertex = partitioning.partition_of
+        self._adopt_partitioning(partitioning)
         self._window_cursors = {
             resolution: next_window_start(
                 dag.horizon.start, dag.horizon.end, resolution
@@ -401,6 +398,14 @@ class ReachGraphIndex:
         self._attach_files(storage, create=True)
         self._write_partitions()
         self._build_object_index()
+
+    def _adopt_partitioning(self, partitioning: Partitioning) -> None:
+        self.partitioning = partitioning
+        # Shared deliberately, not copied: increments and repacks assign
+        # vertices into these same dicts (``Partitioning.add_partition``), so
+        # locate() can never drift from the extents they write.
+        self._partition_of_vertex = partitioning.partition_of
+        self._slot_of_vertex = partitioning.slot_of
 
     def _write_partitions(self) -> None:
         """Write every partition as one contiguous extent, in generation order."""
@@ -725,10 +730,7 @@ class ReachGraphIndex:
             for partition_id in group:
                 self._partitions_file.drop_extent(partition_id)
                 self.partitioning.members[partition_id] = []
-            for node_id in merged:
-                self.partitioning.partition_of[node_id] = packed_id
-            self.partitioning.members.append(merged)
-            self._packed_partitions.add(packed_id)
+            self._packed_partitions.add(self.partitioning.add_partition(merged))
             self._records_written += len(records)
             records_written += len(records)
             self._repacks += 1
@@ -819,8 +821,8 @@ class ReachGraphIndex:
         records: List[VertexRecord] = []
         for key in self._partitions_file.extent_keys():
             partition_id = int(key)
-            extent_records: List[VertexRecord] = list(
-                self._partitions_file.read_extent(partition_id)
+            extent_records: List[VertexRecord] = self._partitions_file.read_extent(
+                partition_id
             )
             partition_members[partition_id] = [
                 record.node_id for record in extent_records
@@ -857,23 +859,12 @@ class ReachGraphIndex:
         # 3. Partitioning from the extent directory.  Ids are append-ordered
         #    but may be sparse — a frontier repack retires fragment ids,
         #    leaving tombstones — so missing ids restore as empty lists.
-        max_id = max(partition_members, default=-1)
-        members: List[List[int]] = [
-            partition_members.get(partition_id, [])
-            for partition_id in range(max_id + 1)
-        ]
         partitioning = Partitioning(
-            partition_of={
-                node_id: partition_id
-                for partition_id, member_ids in enumerate(members)
-                for node_id in member_ids
-            },
-            members=members,
-            depth=self.config.partition_depth,
+            partition_of={}, slot_of={}, members=[], depth=self.config.partition_depth
         )
-        self.partitioning = partitioning
-        # Shared, not copied — the same invariant build() establishes.
-        self._partition_of_vertex = partitioning.partition_of
+        for partition_id in range(max(partition_members, default=-1) + 1):
+            partitioning.add_partition(partition_members.get(partition_id, []))
+        self._adopt_partitioning(partitioning)
 
         # 4. Maintenance state and the write-amplification ledger.
         self._window_cursors = {
@@ -953,11 +944,31 @@ class ReachGraphIndex:
         self._require_built()
         return self._partition_of_vertex[node_id]
 
+    def locate(self, node_id: int) -> Tuple[int, int]:
+        """``(partition_id, slot)`` of vertex ``node_id`` (in-memory directory).
+
+        ``read_partition(partition_id)[slot]`` is the vertex's record: a
+        partition's record order is its member order, fixed once written.
+        """
+        return self._partition_of_vertex[node_id], self._slot_of_vertex[node_id]
+
     def read_partition(self, partition_id: int) -> List[VertexRecord]:
-        """Read every vertex record of one partition from disk (charged IO)."""
+        """Read every vertex record of one partition from disk (charged IO).
+
+        The records come back in member order, so a :meth:`locate` slot
+        indexes them directly; an extent holding another number of records
+        than the partition has members is refused rather than mis-addressed.
+        """
         self._require_built()
-        assert self._partitions_file is not None
-        return list(self._partitions_file.read_extent(partition_id))
+        assert self._partitions_file is not None and self.partitioning is not None
+        records: List[VertexRecord] = self._partitions_file.read_extent(partition_id)
+        expected = len(self.partitioning.members[partition_id])
+        if len(records) != expected:
+            raise IndexConstructionError(
+                f"partition {partition_id} holds {len(records)} records on the "
+                f"device, its directory lists {expected} members"
+            )
+        return records
 
     # ------------------------------------------------------------------
     # introspection

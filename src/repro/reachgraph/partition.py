@@ -28,6 +28,9 @@ class Partitioning:
     ----------
     partition_of:
         ``partition_of[node_id]`` is the partition holding that vertex.
+    slot_of:
+        ``slot_of[node_id]`` is the vertex's position inside that partition:
+        ``members[partition_of[v]][slot_of[v]] == v`` for every vertex.
     members:
         ``members[p]`` lists the vertex ids of partition ``p`` in the order
         they should be written inside the extent.  An empty list is a
@@ -39,8 +42,24 @@ class Partitioning:
     """
 
     partition_of: Dict[int, int]
+    slot_of: Dict[int, int]
     members: List[List[int]]
     depth: int
+
+    def add_partition(self, member_ids: List[int]) -> int:
+        """Append a partition holding ``member_ids`` in extent order; returns its id.
+
+        The one place a vertex's ``(partition, slot)`` is assigned, so the
+        directory cannot drift from the member lists.  A vertex placed before
+        moves here (a frontier repack folding its old partition); the member
+        order of an existing partition never changes.
+        """
+        partition_id = len(self.members)
+        for slot, node_id in enumerate(member_ids):
+            self.partition_of[node_id] = partition_id
+            self.slot_of[node_id] = slot
+        self.members.append(member_ids)
+        return partition_id
 
     @property
     def num_partitions(self) -> int:
@@ -62,19 +81,15 @@ class Partitioning:
 def partition_hypergraph(graph: HyperGraph, depth: int) -> Partitioning:
     """Partition the hyper graph with the paper's depth-``dp`` scheme."""
     dag = graph.dag
-    partition_of: Dict[int, int] = {}
-    members: List[List[int]] = []
-
+    partitioning = Partitioning(partition_of={}, slot_of={}, members=[], depth=depth)
     for root_id in dag.topological_order():
-        if root_id in partition_of:
-            continue
-        partition_id = len(members)
-        collected = _collect_unassigned_within_depth(dag, root_id, depth, partition_of)
-        for node_id in collected:
-            partition_of[node_id] = partition_id
-        members.append(collected)
-
-    return Partitioning(partition_of=partition_of, members=members, depth=depth)
+        if root_id not in partitioning.partition_of:
+            partitioning.add_partition(
+                _collect_unassigned_within_depth(
+                    dag, root_id, depth, partitioning.partition_of
+                )
+            )
+    return partitioning
 
 
 def extend_partitioning(
@@ -91,8 +106,7 @@ def extend_partitioning(
     already assigned stay exactly where they are — their extents on disk are
     immutable except for record rewrites — so only new vertices join (new)
     partitions.  Returns the ids of the partitions created, in creation
-    order; ``partitioning.partition_of`` and ``partitioning.members`` are
-    updated in place.
+    order; the partitioning is updated in place.
     """
     if depth != partitioning.depth:
         raise IndexConstructionError(
@@ -101,16 +115,14 @@ def extend_partitioning(
         )
     created: List[int] = []
     for root_id in sorted(new_node_ids):
-        if root_id in partitioning.partition_of:
-            continue
-        partition_id = len(partitioning.members)
-        collected = _collect_unassigned_within_depth(
-            dag, root_id, depth, partitioning.partition_of
-        )
-        for node_id in collected:
-            partitioning.partition_of[node_id] = partition_id
-        partitioning.members.append(collected)
-        created.append(partition_id)
+        if root_id not in partitioning.partition_of:
+            created.append(
+                partitioning.add_partition(
+                    _collect_unassigned_within_depth(
+                        dag, root_id, depth, partitioning.partition_of
+                    )
+                )
+            )
     return created
 
 

@@ -29,9 +29,9 @@ accelerations sit in front of the traversal:
   source component provably cannot reach (both exact: labels only ever
   reject provable negatives, so answers are bit-identical to pure
   traversal);
-* an optional cross-query :class:`PartitionCache` — a generation-stamped
-  shared LRU owned by the serving layer — short-circuits partition reads
-  that any earlier query on the same graph generation already paid for.
+* an optional cross-query :class:`PartitionCache` — a shared LRU owned by
+  the serving layer, emptied whenever the graph mutates — short-circuits
+  partition reads that an earlier query on the same graph already paid for.
 """
 
 from __future__ import annotations
@@ -57,19 +57,21 @@ class PartitionCache:
 
     Owned by the serving layer (one per delta overlay) and handed to every
     :class:`ReachGraphQueryProcessor` it creates, so sync, async, and
-    parallel-worker queries against the same graph all share one cache.  The
-    cache is generation-stamped: :meth:`invalidate` empties it and bumps the
-    generation whenever the underlying graph mutates (merge adoption,
-    frontier repack, rebuild swap) — the same bump discipline the
-    parallel query fleet uses for its reopened snapshots.  Thread-safe; a
-    capacity of ``0`` disables caching (every lookup misses).
+    parallel-worker queries against the same graph all share one cache.
+    :meth:`invalidate` empties it and bumps :attr:`generation` whenever the
+    underlying graph mutates (merge adoption, frontier repack, rebuild swap).
+    Lookups are not keyed by generation: queries and adoption run on the
+    same owning thread, so none spans an invalidation; the counter is the
+    witness that one happened.  Entries are the record lists
+    :meth:`ReachGraphIndex.read_partition` returned, shared read-only.
+    Thread-safe; a capacity of ``0`` disables caching (every lookup misses).
     """
 
     def __init__(self, capacity: int = 64) -> None:
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.capacity = capacity
-        self._entries: "OrderedDict[int, Tuple[VertexRecord, ...]]" = OrderedDict()
+        self._entries: "OrderedDict[int, List[VertexRecord]]" = OrderedDict()
         self._lock = threading.Lock()
         self._generation = 1
         self.hits = 0
@@ -80,8 +82,8 @@ class PartitionCache:
         """The current cache generation (bumped by :meth:`invalidate`)."""
         return self._generation
 
-    def lookup(self, partition_id: int) -> Optional[Tuple[VertexRecord, ...]]:
-        """The cached records of a partition, or ``None`` on a miss."""
+    def lookup(self, partition_id: int) -> Optional[List[VertexRecord]]:
+        """The cached records of a partition (shared: read-only), or ``None``."""
         with self._lock:
             records = self._entries.get(partition_id)
             if records is None:
@@ -91,7 +93,7 @@ class PartitionCache:
             self.hits += 1
             return records
 
-    def insert(self, partition_id: int, records: Tuple[VertexRecord, ...]) -> None:
+    def insert(self, partition_id: int, records: List[VertexRecord]) -> None:
         """Remember a partition's records, evicting the LRU entry when full."""
         if self.capacity == 0:
             return
@@ -113,11 +115,13 @@ class PartitionCache:
 
 
 class _VertexCache:
-    """Per-query cache of vertex records, filled one partition at a time.
+    """Per-query view of the partitions a traversal has touched.
 
-    Consults the shared :class:`PartitionCache` (when one is attached)
-    before paying a partition read; partitions loaded from disk are
-    published back so later queries skip the IO.
+    A vertex is addressed as ``records[slot]`` of its partition
+    (:meth:`ReachGraphIndex.locate`), so loading a partition — from the
+    shared :class:`PartitionCache` when one is attached and holds it, from
+    disk otherwise (then published back so later queries skip the IO) —
+    costs nothing per record the traversal never asks for.
     """
 
     def __init__(
@@ -125,28 +129,24 @@ class _VertexCache:
     ) -> None:
         self._index = index
         self._shared = shared
-        self._records: Dict[int, VertexRecord] = {}
-        self.partitions_read = 0
+        self._partitions: Dict[int, List[VertexRecord]] = {}
 
     def get(self, node_id: int) -> VertexRecord:
-        record = self._records.get(node_id)
-        if record is not None:
-            return record
-        partition_id = self._index.partition_of(node_id)
+        partition_id, slot = self._index.locate(node_id)
+        records = self._partitions.get(partition_id)
+        if records is None:
+            records = self._load(partition_id)
+        return records[slot]
+
+    def _load(self, partition_id: int) -> List[VertexRecord]:
         shared = self._shared
-        if shared is not None:
-            cached = shared.lookup(partition_id)
-            if cached is not None:
-                for loaded in cached:
-                    self._records[loaded[0]] = loaded
-                return self._records[node_id]
-        records = tuple(self._index.read_partition(partition_id))
-        for loaded in records:
-            self._records[loaded[0]] = loaded
-        self.partitions_read += 1
-        if shared is not None:
-            shared.insert(partition_id, records)
-        return self._records[node_id]
+        records = shared.lookup(partition_id) if shared is not None else None
+        if records is None:
+            records = self._index.read_partition(partition_id)
+            if shared is not None:
+                shared.insert(partition_id, records)
+        self._partitions[partition_id] = records
+        return records
 
 
 class ReachGraphQueryProcessor:

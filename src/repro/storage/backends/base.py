@@ -157,6 +157,18 @@ class StorageBackend(ABC):
         """Return the payload of allocated block ``block_id`` (``None`` when
         the block was allocated but never written)."""
 
+    def _load_run(self, first_block: int, num_blocks: int) -> List[Any]:
+        """Payloads of ``num_blocks`` consecutive allocated blocks, in order.
+
+        Defaults to one :meth:`_load` per block, which keeps a backend's
+        decode cache in per-block order; a backend whose blocks are already
+        Python objects overrides it with a single bulk operation.
+        """
+        return [
+            self._load(block_id)
+            for block_id in range(first_block, first_block + num_blocks)
+        ]
+
     def _flush_device(self) -> None:
         """Make every stored payload (and the metadata) durable."""
 
@@ -229,6 +241,23 @@ class StorageBackend(ABC):
         self._check(block_id)
         self.stats.record_read(block_id)
         return self._load(block_id)
+
+    def read_run(self, first_block: int, num_blocks: int) -> List[Any]:
+        """Read ``num_blocks`` consecutive blocks starting at ``first_block``.
+
+        Returns the payloads :meth:`read` would return for the same blocks in
+        ascending order and charges the same IO, through one open check, one
+        range check of both ends, and one
+        :meth:`~repro.storage.stats.IOStats.record_read_run`.  A run reaching
+        past the device raises before anything is charged.
+        """
+        self._ensure_open()
+        if num_blocks <= 0:
+            return []
+        self._check(first_block)
+        self._check(first_block + num_blocks - 1)
+        self.stats.record_read_run(first_block, num_blocks)
+        return self._load_run(first_block, num_blocks)
 
     def peek(self, block_id: int) -> Any:
         """Read a block without charging IO.

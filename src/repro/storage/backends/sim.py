@@ -37,6 +37,9 @@ class SimulatedBackend(StorageBackend):
     def _load(self, block_id: int) -> Any:
         return self._blocks[block_id]
 
+    def _load_run(self, first_block: int, num_blocks: int) -> List[Any]:
+        return self._blocks[first_block : first_block + num_blocks]
+
     def _reclaim_device(self, remap: Mapping[int, int], new_num_blocks: int) -> None:
         compacted: List[Any] = [None] * new_num_blocks
         for old_id, new_id in remap.items():

@@ -12,6 +12,7 @@ cell/partition while the IO accountant observes the real block access pattern
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Dict, Iterator, List, Sequence
 
 from ..core.errors import StorageError
@@ -202,10 +203,8 @@ class BlockFile:
     def read_extent(self, key: Any) -> List[Any]:
         """Read every record of extent ``key`` (charges IO for all its blocks)."""
         extent = self.extent(key)
-        records: List[Any] = []
-        for block_id in extent.block_ids:
-            records.extend(self._buffer.read(block_id))
-        return records
+        blocks = self._buffer.read_run(extent.first_block, extent.num_blocks)
+        return list(chain.from_iterable(blocks))
 
     def iter_extent_records(self, key: Any) -> Iterator[Any]:
         """Yield the records of extent ``key`` block by block.
@@ -218,11 +217,6 @@ class BlockFile:
         for block_id in extent.block_ids:
             for record in self._buffer.read(block_id):
                 yield record
-
-    def prefetch_extent(self, key: Any) -> None:
-        """Bring every block of extent ``key`` into the buffer pool."""
-        extent = self.extent(key)
-        self._buffer.prefetch(extent.block_ids)
 
     # ------------------------------------------------------------------
     # introspection

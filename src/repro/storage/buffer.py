@@ -19,7 +19,7 @@ a real buffer manager pays the write IO when the page leaves memory.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Iterable, Optional, Set
+from typing import Any, List, Optional, Set
 
 from ..core.errors import BufferPoolError
 from .backends.base import StorageBackend
@@ -92,14 +92,27 @@ class BufferPool:
         self._insert(block_id, payload)
         return payload
 
-    def read_many(self, block_ids: Iterable[int]) -> list:
-        """Read several blocks in the given order and return their payloads."""
-        return [self.read(block_id) for block_id in block_ids]
+    def read_run(self, first_block: int, num_blocks: int) -> List[Any]:
+        """Payloads of ``num_blocks`` consecutive blocks from ``first_block``.
 
-    def prefetch(self, block_ids: Iterable[int]) -> None:
-        """Fetch blocks into the pool without returning their payloads."""
-        for block_id in block_ids:
-            self.read(block_id)
+        Equivalent to :meth:`read` over the same blocks in ascending order —
+        same payloads, IO charges, hit/miss counts, LRU order and evictions.
+        When no frame is dirty and no block of the run is resident (every
+        block misses and every eviction is a plain drop — the state of any
+        query after ``reset_for_query()``) that equivalence is immediate, so
+        the whole run is fetched with one device call; otherwise the blocks
+        are read one by one.
+        """
+        run = range(first_block, first_block + num_blocks)
+        frames = self._frames
+        if self._dirty or not frames.keys().isdisjoint(run):
+            return [self.read(block_id) for block_id in run]
+        payloads = self._disk.read_run(first_block, num_blocks)
+        self.misses += len(payloads)
+        frames.update(zip(run, payloads))
+        for _ in range(len(frames) - self._capacity):
+            frames.popitem(last=False)
+        return payloads
 
     def write(self, block_id: int, payload: Any) -> None:
         """Stage a write: the frame turns dirty, the device write is deferred.

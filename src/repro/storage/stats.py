@@ -64,6 +64,20 @@ class IOStats:
             self.random_reads += 1
         self._last_block = block_id
 
+    def record_read_run(self, first_block: int, num_blocks: int) -> None:
+        """Record physical reads of ``num_blocks`` (>= 1) consecutive blocks.
+
+        Charges exactly what :meth:`record_read` charges over the same blocks
+        in ascending order: the first is classified against the previously
+        accessed block, every later one follows its predecessor.
+        """
+        if self._last_block is not None and first_block == self._last_block + 1:
+            self.sequential_reads += num_blocks
+        else:
+            self.random_reads += 1
+            self.sequential_reads += num_blocks - 1
+        self._last_block = first_block + num_blocks - 1
+
     def record_write(self, block_id: int) -> None:
         """Record a physical write of ``block_id``."""
         self.writes += 1

@@ -15,10 +15,17 @@ from __future__ import annotations
 import pytest
 
 from repro.contacts import build_contact_network
-from repro.core import ContactConfig, Point, ReachGraphConfig, ReachGridConfig
+from repro.core import (
+    ContactConfig,
+    Point,
+    ReachGraphConfig,
+    ReachGridConfig,
+    StorageConfig,
+)
 from repro.generators import RandomWaypointGenerator, RoadNetworkGenerator
 from repro.reachgraph import ReachGraphIndex, reduce_contact_network
 from repro.reachgrid import ReachGridIndex
+from repro.storage import STORAGE_BACKENDS, make_backend
 from repro.trajectory import Trajectory, TrajectoryDataset, TrajectoryStore
 
 
@@ -86,6 +93,32 @@ def pytest_generate_tests(metafunc):
         chosen = metafunc.config.getoption("labels", default=None)
         label_modes = (chosen == "on",) if chosen else (True, False)
         metafunc.parametrize("graph_labels", label_modes)
+
+
+# ----------------------------------------------------------------------
+# Backend-conformance matrix (every block-device backend)
+# ----------------------------------------------------------------------
+@pytest.fixture(params=STORAGE_BACKENDS)
+def backend_name(request):
+    return request.param
+
+
+@pytest.fixture()
+def make(backend_name, tmp_path):
+    """A factory creating (and re-opening) the parametrized backend.
+
+    Successive calls with the same ``stem`` target the same backing file,
+    which is how the persistence tests model a close/reopen cycle.
+    """
+
+    def factory(stem="device", **config_kwargs):
+        config = StorageConfig(backend=backend_name, **config_kwargs)
+        suffix = {"file": ".blocks", "mmap": ".mmap"}.get(backend_name, "")
+        return make_backend(config, path=str(tmp_path / f"{stem}{suffix}"))
+
+    factory.backend_name = backend_name
+    return factory
+
 
 # ----------------------------------------------------------------------
 # Figure 1 scenario (ground truth from the paper)

@@ -5,9 +5,10 @@ What a partition block and an object-index bucket hold is decided in
 are pinned here: a vertex record must stay a tuple that pickles without the
 ``dataclasses`` slow path, the packed ``(starts, nodes)`` assignment history
 must answer ``find_vertex_id`` exactly as a scan of the DAG's segments does at
-every stage of an index's life, restore must reconcile a bucket that got
-durably ahead of the graph, and a device in another format must be refused
-before a single partition is read.
+every stage of an index's life, the slot directory must address every vertex
+inside its partition extent at those same stages, restore must reconcile a
+bucket that got durably ahead of the graph, and a device in another format
+must be refused before a single partition is read.
 """
 
 from __future__ import annotations
@@ -22,11 +23,13 @@ import pytest
 from equivalence import EQUIVALENCE_BACKENDS, backend_storage_config
 from repro.core import (
     IndexConstructionError,
+    ReachabilityQuery,
     ReachGraphConfig,
     StorageConfig,
     StreamingConfig,
+    TimeInterval,
 )
-from repro.reachgraph import ReachGraphIndex, VertexRecord
+from repro.reachgraph import ReachGraphIndex, ReachGraphQueryProcessor, VertexRecord
 from repro.storage import StorageSystem
 from repro.streaming import (
     DatasetReplaySource,
@@ -113,6 +116,34 @@ def assert_object_index_matches_dag(index: ReachGraphIndex, context: str) -> Non
             )
 
 
+def assert_slot_directory_matches_extents(
+    index: ReachGraphIndex, member_orders: dict, context: str
+) -> None:
+    """``locate`` addresses every vertex's own record; no partition reorders.
+
+    ``member_orders`` remembers each partition id's member order from the
+    first time it was seen (earlier calls, earlier processes): a partition
+    may be tombstoned later, never rearranged.
+    """
+    partitions = {}
+    for node_id in range(index.num_vertices):
+        partition_id, slot = index.locate(node_id)
+        assert partition_id == index.partition_of(node_id), context
+        if partition_id not in partitions:
+            partitions[partition_id] = index.read_partition(partition_id)
+        assert partitions[partition_id][slot][0] == node_id, (
+            f"{context}: vertex {node_id} is not at slot {slot} of "
+            f"partition {partition_id}"
+        )
+    members = index.partitioning.members
+    assert sorted(partitions) == [p for p, ids in enumerate(members) if ids], context
+    for partition_id, member_ids in enumerate(members):
+        first_seen = member_orders.setdefault(partition_id, list(member_ids))
+        assert member_ids in (first_seen, []), (
+            f"{context}: partition {partition_id} was reordered"
+        )
+
+
 def live_index(service) -> ReachGraphIndex:
     return service.overlay.snapshot_processor.index
 
@@ -148,6 +179,7 @@ class TestPackedObjectIndex:
         storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
         service = make_service(tiny_dataset, tiny_contact_config, storage_config)
         segments_after_build = None
+        member_orders: dict = {}
         for position, batch in enumerate(
             DatasetReplaySource(tiny_dataset, batch_ticks=8).batches()
         ):
@@ -156,9 +188,9 @@ class TestPackedObjectIndex:
                 continue
             service.merge()
             index = live_index(service)
-            assert_object_index_matches_dag(
-                index, f"backend={backend}, increments={index.num_increments}"
-            )
+            context = f"backend={backend}, increments={index.num_increments}"
+            assert_object_index_matches_dag(index, context)
+            assert_slot_directory_matches_extents(index, member_orders, context)
             if segments_after_build is None:
                 assert index.num_increments == 0
                 segments_after_build = {
@@ -173,12 +205,20 @@ class TestPackedObjectIndex:
             len(index.dag.assignment_segments(object_id)) > count
             for object_id, count in segments_after_build.items()
         ), "the increments must have split a component (appended segments)"
+        assert any(
+            not ids for ids in index.partitioning.members
+        ), "the repack must have tombstoned a partition"
         assert_object_index_matches_dag(index, f"backend={backend}, final")
+        assert_slot_directory_matches_extents(
+            index, member_orders, f"backend={backend}, final"
+        )
         service.close()
 
         reopened = SnapshotQueryService.open(storage_config, name=service.name)
-        assert_object_index_matches_dag(
-            live_index(reopened), f"backend={backend}, reopened"
+        context = f"backend={backend}, reopened"
+        assert_object_index_matches_dag(live_index(reopened), context)
+        assert_slot_directory_matches_extents(
+            live_index(reopened), member_orders, context
         )
         reopened.close()
 
@@ -249,6 +289,40 @@ class TestPackedObjectIndex:
         assert phantom_node not in nodes
         assert_object_index_matches_dag(restored, "after reconciliation")
         reopened.close()
+
+
+class TestSlotDirectory:
+    def test_batch_build_addresses_every_vertex(self, tiny_reachgraph):
+        assert_slot_directory_matches_extents(tiny_reachgraph, {}, "batch build")
+
+    def test_truncated_extent_is_refused_at_load(
+        self, tiny_dataset, tiny_network, tiny_contact_config
+    ):
+        """A slot must never resolve to a neighbour's record: an extent that
+        lost (or gained) records fails the one check a partition load makes."""
+        index = ReachGraphIndex(
+            tiny_dataset,
+            ReachGraphConfig(),
+            tiny_contact_config,
+            contact_network=tiny_network,
+        ).build()
+        partition_id, records = next(
+            (partition_id, index.read_partition(partition_id))
+            for partition_id, ids in enumerate(index.partitioning.members)
+            if len(ids) > 1
+        )
+        index._partitions_file.replace_extent(partition_id, records[1:])
+        with pytest.raises(IndexConstructionError, match="records on the device"):
+            index.read_partition(partition_id)
+        # The same refusal reaches a query whose source vertex lives there.
+        victim = records[0]
+        source = victim.members[0]
+        destination = next(o for o in tiny_dataset.object_ids if o != source)
+        query = ReachabilityQuery(
+            source, destination, TimeInterval(victim.start, tiny_dataset.horizon.end)
+        )
+        with pytest.raises(IndexConstructionError, match="records on the device"):
+            ReachGraphQueryProcessor(index, use_labels=False).evaluate(query)
 
 
 # ----------------------------------------------------------------------

@@ -19,9 +19,15 @@ from array import array
 
 import pytest
 
-from repro.core import ConfigurationError, StorageConfig, StorageError
+from repro.core import (
+    ConfigurationError,
+    ReachGraphConfig,
+    StorageConfig,
+    StorageError,
+)
 from repro.core.errors import BlockOutOfRangeError
-from repro.reachgraph import VertexRecord
+from repro.reachgraph import ReachGraphIndex, VertexRecord
+from repro.reachgraph.query import _VertexCache
 from repro.storage import (
     STORAGE_BACKENDS,
     BufferPool,
@@ -44,28 +50,6 @@ PAYLOADS = [
     [],
     0,
 ]
-
-
-@pytest.fixture(params=STORAGE_BACKENDS)
-def backend_name(request):
-    return request.param
-
-
-@pytest.fixture()
-def make(backend_name, tmp_path):
-    """A factory creating (and re-opening) the parametrized backend.
-
-    Successive calls with the same ``stem`` target the same backing file,
-    which is how the persistence tests model a close/reopen cycle.
-    """
-
-    def factory(stem="device", **config_kwargs):
-        config = StorageConfig(backend=backend_name, **config_kwargs)
-        suffix = {"file": ".blocks", "mmap": ".mmap"}.get(backend_name, "")
-        return make_backend(config, path=str(tmp_path / f"{stem}{suffix}"))
-
-    factory.backend_name = backend_name
-    return factory
 
 
 class TestConformanceBattery:
@@ -429,6 +413,64 @@ class TestDecodeStaysInC:
             f"decoding 64 entries made {len(large)} Python-level calls, "
             f"8 entries made {len(small)}: {sorted(set(large) - set(small))}"
         )
+
+
+class TestReadsArePerExtent:
+    """A cold read costs Python-level calls per extent, not per block or record.
+
+    The deterministic form of "pay per page fetched, never per node the page
+    happens to hold": on the sim backend the calls of one cold
+    ``read_extent`` do not grow with the extent's blocks, and those of one
+    cold vertex lookup do not grow with the partition's records.
+    """
+
+    def test_read_extent_calls_do_not_grow_with_the_blocks(self):
+        storage = StorageSystem(StorageConfig(block_size=4, buffer_blocks=16))
+        blockfile = storage.new_blockfile("cells")
+        for blocks in (8, 64):
+            blockfile.append_extent(blocks, list(range(4 * blocks)))
+
+        def cold_read_calls(blocks):
+            storage.reset_for_query()
+            calls = python_level_calls(lambda: blockfile.read_extent(blocks))
+            assert storage.stats._last_block == blockfile.extent(blocks).block_ids[-1]
+            return calls
+
+        small, large = cold_read_calls(8), cold_read_calls(64)
+        assert len(large) == len(small), sorted(set(large) - set(small))
+
+    def test_vertex_lookup_calls_do_not_grow_with_the_partition(
+        self, tiny_dataset, tiny_network, tiny_contact_config
+    ):
+        index = ReachGraphIndex(
+            tiny_dataset,
+            ReachGraphConfig(),
+            tiny_contact_config,
+            contact_network=tiny_network,
+        ).build()
+
+        def grow_partition(count):
+            """A synthetic partition of ``count`` fresh vertices, as an increment
+            would add one: directory entry first, then its extent."""
+            first = max(index.partitioning.partition_of) + 1
+            node_ids = list(range(first, first + count))
+            partition_id = index.partitioning.add_partition(node_ids)
+            index._partitions_file.append_extent(
+                partition_id,
+                [TestDecodeStaysInC.records(1)[0]._replace(node_id=n) for n in node_ids],
+            )
+            return node_ids
+
+        def cold_lookup_calls(node_ids):
+            index.storage.reset_for_query()
+            cache = _VertexCache(index)
+            calls = python_level_calls(lambda: cache.get(node_ids[-1]))
+            assert cache.get(node_ids[0]).node_id == node_ids[0]
+            return calls
+
+        small = cold_lookup_calls(grow_partition(64))
+        large = cold_lookup_calls(grow_partition(2048))
+        assert len(large) == len(small), sorted(set(large) - set(small))
 
 
 class TestStorageSystemPersistence:

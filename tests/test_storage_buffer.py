@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
-import pytest
+import dataclasses
+import itertools
 
-from repro.core.errors import BufferPoolError
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from repro.core import StorageError
+from repro.core.errors import BlockOutOfRangeError, BufferPoolError
 from repro.storage import BufferPool, SimulatedDisk
 
 
@@ -52,15 +58,27 @@ class TestBufferPool:
             pool.read(block)
         assert pool.resident_blocks <= 3
 
-    def test_read_many_preserves_order(self, disk_with_blocks):
+    def test_read_run_preserves_order(self, disk_with_blocks):
         pool = BufferPool(disk_with_blocks, capacity=5)
-        values = pool.read_many([4, 1, 2])
-        assert values == ["payload-4", "payload-1", "payload-2"]
+        assert pool.read_run(4, 3) == ["payload-4", "payload-5", "payload-6"]
+        assert pool.read_run(2, 0) == []
 
-    def test_prefetch_populates_pool(self, disk_with_blocks):
+    def test_read_run_populates_pool_and_charges_one_seek(self, disk_with_blocks):
         pool = BufferPool(disk_with_blocks, capacity=5)
-        pool.prefetch([5, 6])
+        pool.read_run(5, 2)
         assert pool.contains(5) and pool.contains(6)
+        assert (pool.misses, pool.hits) == (2, 0)
+        stats = disk_with_blocks.stats
+        assert (stats.random_reads, stats.sequential_reads) == (1, 1)
+        assert pool.read_run(5, 2) == ["payload-5", "payload-6"]
+        assert (pool.misses, pool.hits) == (2, 2)
+        assert stats.total_reads == 2
+
+    def test_read_run_longer_than_the_pool_keeps_its_tail(self, disk_with_blocks):
+        pool = BufferPool(disk_with_blocks, capacity=3)
+        pool.read(9)
+        assert pool.read_run(0, 5) == [f"payload-{block}" for block in range(5)]
+        assert [block for block in range(10) if pool.contains(block)] == [2, 3, 4]
 
     def test_invalidate_single_and_all(self, disk_with_blocks):
         pool = BufferPool(disk_with_blocks, capacity=5)
@@ -151,3 +169,122 @@ class TestWriteBack:
         pool.flush()
         assert disk_with_blocks.peek(4) == "v2"
         assert disk_with_blocks.stats.writes == 1
+
+
+# ----------------------------------------------------------------------
+# read_run charges, caches and evicts exactly as the per-block loop does
+# ----------------------------------------------------------------------
+DEVICE_BLOCKS = 12
+
+#: What happened before the run: reads and staged writes through the pool
+#: (resident and dirty subsets), reads and writes straight at the device (the
+#: last accessed block moves without residency).
+preludes = st.lists(
+    st.tuples(
+        st.sampled_from(["pool-read", "pool-write", "device-read", "device-write"]),
+        st.integers(min_value=0, max_value=DEVICE_BLOCKS - 1),
+    ),
+    max_size=10,
+)
+runs = st.integers(min_value=0, max_value=DEVICE_BLOCKS - 1).flatmap(
+    lambda first: st.tuples(
+        st.just(first), st.integers(min_value=1, max_value=DEVICE_BLOCKS - first)
+    )
+)
+
+
+def observable_state(disk, pool):
+    """Everything a caller or a later query could tell two pools apart by."""
+    return {
+        "stats": dataclasses.asdict(disk.stats),
+        "hits": pool.hits,
+        "misses": pool.misses,
+        "lru": list(pool._frames.items()),
+        "dirty": sorted(pool._dirty),
+        "device": [disk.peek(block) for block in range(disk.num_blocks)],
+    }
+
+
+class TestReadRunLedgerEquivalence:
+    """``read_run`` against the loop it replaces, on every backend."""
+
+    @pytest.fixture()
+    def twin_pools(self, make):
+        serial = itertools.count()
+        opened = []
+
+        def build(capacity, prelude):
+            pools = []
+            for side in "ab":
+                disk = make(stem=f"twin-{next(serial)}-{side}")
+                opened.append(disk)
+                for block in range(DEVICE_BLOCKS):
+                    disk.allocate([("record", block)])
+                pool = BufferPool(disk, capacity=capacity)
+                for kind, block in prelude:
+                    if kind == "pool-read":
+                        pool.read(block)
+                    elif kind == "pool-write":
+                        pool.write(block, [("staged", block)])
+                    elif kind == "device-read":
+                        disk.read(block)
+                    else:
+                        disk.write(block, [("rewritten", block)])
+                pools.append((disk, pool))
+            return pools
+
+        yield build
+        for disk in opened:
+            disk.close()
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        capacity=st.integers(min_value=1, max_value=8), prelude=preludes, run=runs
+    )
+    @example(capacity=4, prelude=[], run=(2, 7))  # cold pool: the bulk path
+    @example(capacity=4, prelude=[("device-read", 1)], run=(2, 3))  # sequential start
+    @example(capacity=2, prelude=[("pool-write", 9)], run=(0, 5))  # dirty eviction
+    @example(capacity=8, prelude=[("pool-read", 4)], run=(3, 3))  # a resident block
+    def test_same_payloads_ledger_and_pool_state(
+        self, twin_pools, capacity, prelude, run
+    ):
+        first, count = run
+        (run_disk, run_pool), (loop_disk, loop_pool) = twin_pools(capacity, prelude)
+        assert observable_state(run_disk, run_pool) == observable_state(
+            loop_disk, loop_pool
+        )
+        got = run_pool.read_run(first, count)
+        expected = [loop_pool.read(block) for block in range(first, first + count)]
+        assert got == expected
+        assert observable_state(run_disk, run_pool) == observable_state(
+            loop_disk, loop_pool
+        )
+
+    def test_run_past_the_device_raises_and_charges_nothing(self, make):
+        disk = make()
+        for block in range(4):
+            disk.allocate([block])
+        pool = BufferPool(disk, capacity=8)
+        pool.read(0)
+        before = observable_state(disk, pool)
+        for first, count in [(2, 3), (4, 1), (-1, 2)]:
+            with pytest.raises(BlockOutOfRangeError):
+                pool.read_run(first, count)
+            with pytest.raises(BlockOutOfRangeError):
+                disk.read_run(first, count)
+        assert observable_state(disk, pool) == before
+        disk.close()
+
+    def test_closed_backend_raises(self, make):
+        disk = make()
+        disk.allocate(["payload"])
+        pool = BufferPool(disk, capacity=2)
+        disk.close()
+        with pytest.raises(StorageError):
+            disk.read_run(0, 1)
+        with pytest.raises(StorageError):
+            pool.read_run(0, 1)
