@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from .augmentation import (
     AugmentationReport,
+    WindowSweep,
     augment_dag,
     build_layer,
     next_window_start,
-    window_edges,
 )
 from .dag import (
     ComponentNode,
@@ -51,7 +51,7 @@ __all__ = [
     "augment_dag",
     "build_layer",
     "next_window_start",
-    "window_edges",
+    "WindowSweep",
     "AugmentationReport",
     "partition_hypergraph",
     "extend_partitioning",

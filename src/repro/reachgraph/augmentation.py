@@ -11,32 +11,42 @@ window that propagates bitmasks of the window-start components along DN_1
 edges (vertices are already in topological/creation order), which is far
 cheaper than one BFS per start component.
 
-The per-window sweep (:func:`window_edges`) operates on plain vertex views —
-``(node_id, start, end)`` triples plus a successor lookup — rather than on a
-:class:`~repro.reachgraph.dag.ContactDag` directly, so the same sweep serves
-the batch build *and* the incremental merge path, which runs it over a
-captured frontier while the live DAG keeps serving queries.  Windows are
-strictly append-processed: a window is swept exactly once, when the horizon
-first reaches its end, and appended ticks can never change an already swept
-window (new vertices always start past the old horizon end, so no DN_1 path
-confined to an old window can reach them).
+:class:`WindowSweep` runs those windows.  It is built once per view list over
+plain vertex views — ``(node_id, start, end)`` triples plus a successor
+mapping — rather than over a :class:`~repro.reachgraph.dag.ContactDag`, so
+the same sweep serves the batch build *and* the incremental merge path, which
+runs it over a captured frontier while the live DAG keeps serving queries.
+Its cost is per *window*, not per graph: consecutive windows of a resolution
+carry the id-ordered list of vertices still alive forward, so a window touches
+the vertices whose interval intersects it (plus the ones that just ended) and
+nothing else — a vertex costs one visit per window it lives through, however
+long the horizon grows.  A ``(source, target)`` pair belongs to exactly one
+window of a resolution (the source ends before the target starts, which pins
+the one boundary pair they can straddle), so the sweep never emits a
+duplicate.
+
+Windows are strictly append-processed: a window is swept exactly once, when
+the horizon first reaches its end, and appended ticks can never change an
+already swept window (new vertices always start past the old horizon end, so
+no DN_1 path confined to an old window can reach them).
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from ..core.types import TimeInstant
 from .dag import ContactDag, HyperGraph, LongEdgeLayer
 
 __all__ = [
     "AugmentationReport",
+    "WindowSweep",
     "augment_dag",
     "build_layer",
     "next_window_start",
-    "window_edges",
 ]
 
 #: A vertex as the window sweep sees it: ``(node_id, start, end)``.  Views
@@ -79,17 +89,13 @@ def next_window_start(
 def build_layer(dag: ContactDag, resolution: int) -> LongEdgeLayer:
     """Build the ``DN_L`` long-edge layer for one resolution ``L``."""
     layer = LongEdgeLayer(resolution)
-    horizon = dag.horizon
-    views: List[NodeView] = [
-        (node.node_id, node.interval.start, node.interval.end) for node in dag.nodes
-    ]
-    ta = horizon.start
-    while ta + resolution <= horizon.end:
-        for source_id, target_id in window_edges(
-            views, dag.successors, ta, ta + resolution
-        ):
-            layer.add_edge(source_id, target_id)
-        ta += resolution
+    sweep = WindowSweep(
+        [(node.node_id, node.interval.start, node.interval.end) for node in dag.nodes],
+        dag.forward,
+    )
+    edges, _ = sweep.edges_through(resolution, dag.horizon.start, dag.horizon.end)
+    for source_id, target_id in edges:
+        layer.add_edge(source_id, target_id)
     return layer
 
 
@@ -113,63 +119,98 @@ def augment_dag(
     return hypergraph, report
 
 
-def window_edges(
-    views: Sequence[NodeView],
-    successors_of: Callable[[int], List[int]],
-    ta: TimeInstant,
-    tb: TimeInstant,
-) -> List[Tuple[int, int]]:
-    """Long edges of one window: components at ``ta`` reaching ones at ``tb``.
+class WindowSweep:
+    """The per-window long-edge sweep over one id-ordered list of vertex views.
 
-    A forward sweep over the vertices that intersect ``[ta, tb]`` (``views``
-    must be in creation = topological order) propagates, for every vertex, the
-    bitmask of window-start vertices that can reach it without leaving the
-    window.  Returned pairs preserve the sweep's deterministic order; callers
-    deduplicate via :meth:`LongEdgeLayer.add_edge`.
+    Built once per view list (a layer build, or one
+    :func:`~repro.reachgraph.index.compute_graph_patch`); every resolution
+    then runs its windows through :meth:`edges_through`.  ``views`` must be in
+    ascending node-id order with nondecreasing starts and must include every
+    vertex whose interval reaches the first window swept; ``successors`` maps
+    a vertex to its DN_1 successors (vertices without any may be absent).
     """
-    start_nodes = [node_id for node_id, start, end in views if start <= ta <= end]
-    if not start_nodes:
-        return []
-    bit_of = {node_id: 1 << position for position, node_id in enumerate(start_nodes)}
 
-    # Reachability masks; a start vertex reaches itself.
-    masks: Dict[int, int] = dict(bit_of)
-    starts: Dict[int, TimeInstant] = {node_id: start for node_id, start, _ in views}
+    def __init__(
+        self, views: Sequence[NodeView], successors: Mapping[int, Sequence[int]]
+    ) -> None:
+        self._views = views
+        self._starts: List[TimeInstant] = []
+        self._start_of: Dict[int, TimeInstant] = {}
+        for node_id, start, _ in views:
+            self._starts.append(start)
+            self._start_of[node_id] = start
+        self._successors_of = successors.get
 
-    for node_id, start, end in views:
-        if start > tb:
-            break
-        if end < ta:
-            continue
-        mask = masks.get(node_id, 0)
-        if not mask:
-            continue
-        for successor_id in successors_of(node_id):
-            # The connecting edge happens at the successor's start; it must
-            # stay inside the window.  A successor beyond the captured views
-            # cannot start inside the window (views cover every vertex whose
-            # interval reaches past ta, and successors start after their
-            # source ends).
-            successor_start = starts.get(successor_id)
-            if successor_start is None or successor_start > tb:
+    def edges_through(
+        self, resolution: int, ta: TimeInstant, through: TimeInstant
+    ) -> Tuple[List[Tuple[int, int]], TimeInstant]:
+        """Long edges of every window ``[ta, ta + L]`` ending by ``through``.
+
+        Sweeps the windows from the cursor ``ta`` in order and returns their
+        edges — window by window, each in the sweep's deterministic order —
+        together with the next cursor (the first window start not swept).
+        """
+        edges: List[Tuple[int, int]] = []
+        alive: List[NodeView] = []
+        taken = 0
+        while ta + resolution <= through:
+            tb = ta + resolution
+            # Vertices intersecting [ta, tb], in id order: the survivors of
+            # the previous window plus the ones that started since.
+            started = bisect_right(self._starts, tb)
+            alive.extend(self._views[taken:started])
+            taken = started
+            alive = [view for view in alive if view[2] >= ta]
+            self._window_edges(alive, ta, tb, edges)
+            ta = tb
+        return edges, ta
+
+    def _window_edges(
+        self,
+        alive: List[NodeView],
+        ta: TimeInstant,
+        tb: TimeInstant,
+        edges: List[Tuple[int, int]],
+    ) -> None:
+        """Append one window's edges: components at ``ta`` reaching ones at ``tb``.
+
+        A forward sweep over ``alive`` — the vertices that intersect
+        ``[ta, tb]``, in creation = topological order — propagates, for every
+        vertex, the bitmask of window-start vertices that can reach it without
+        leaving the window.
+        """
+        start_nodes = [node_id for node_id, start, _ in alive if start <= ta]
+        if not start_nodes:
+            return
+        # Reachability masks; a start vertex reaches itself.
+        masks: Dict[int, int] = {
+            node_id: 1 << position for position, node_id in enumerate(start_nodes)
+        }
+        start_of = self._start_of.get
+        successors_of = self._successors_of
+
+        for node_id, _, _ in alive:
+            mask = masks.get(node_id)
+            if not mask:
                 continue
-            masks[successor_id] = masks.get(successor_id, 0) | mask
+            for successor_id in successors_of(node_id, ()):
+                # The connecting edge happens at the successor's start; it must
+                # stay inside the window.  A successor beyond the captured views
+                # cannot start inside the window (views cover every vertex whose
+                # interval reaches past ta, and successors start after their
+                # source ends).
+                successor_start = start_of(successor_id)
+                if successor_start is None or successor_start > tb:
+                    continue
+                masks[successor_id] = masks.get(successor_id, 0) | mask
 
-    index_of = {bit_of[node_id]: node_id for node_id in start_nodes}
-    edges: List[Tuple[int, int]] = []
-    for node_id, start, end in views:
-        if start > tb:
-            break
-        if not (start <= tb <= end):
-            continue
-        mask = masks.get(node_id, 0)
-        if not mask:
-            continue
-        remaining = mask
-        while remaining:
-            lowest_bit = remaining & (-remaining)
-            source_id = index_of[lowest_bit]
-            if source_id != node_id:
-                edges.append((source_id, node_id))
-            remaining ^= lowest_bit
-    return edges
+        for node_id, _, end in alive:
+            if end < tb:
+                continue
+            remaining = masks.get(node_id, 0)
+            while remaining:
+                lowest_bit = remaining & (-remaining)
+                source_id = start_nodes[lowest_bit.bit_length() - 1]
+                if source_id != node_id:
+                    edges.append((source_id, node_id))
+                remaining ^= lowest_bit

@@ -48,9 +48,9 @@ from ..trajectory.model import TrajectoryDataset
 from .augmentation import (
     AugmentationReport,
     NodeView,
+    WindowSweep,
     augment_dag,
     next_window_start,
-    window_edges,
 )
 from .dag import ContactDag, DagPatch, DagPatchBuilder, HyperGraph, LongEdgeLayer
 from .labels import ReachLabelIndex
@@ -215,22 +215,11 @@ def compute_graph_patch(
     for source_id, target_id in builder.new_edges:
         successors.setdefault(source_id, []).append(target_id)
 
+    sweep = WindowSweep(views, successors)
     new_long_edges: List[Tuple[int, Tuple[Tuple[int, int], ...]]] = []
     cursors: List[Tuple[int, TimeInstant]] = []
     for resolution, ta in frontier.window_cursors:
-        edges: List[Tuple[int, int]] = []
-        seen: Set[Tuple[int, int]] = set()
-        while ta + resolution <= through:
-            for edge in window_edges(
-                views, lambda node_id: successors.get(node_id, []), ta, ta + resolution
-            ):
-                # Within one patch the layer's deduplication is not in the
-                # loop yet; drop repeats here so the patch stays minimal
-                # (application deduplicates against the live layer anyway).
-                if edge not in seen:
-                    seen.add(edge)
-                    edges.append(edge)
-            ta += resolution
+        edges, ta = sweep.edges_through(resolution, ta, through)
         if edges:
             new_long_edges.append((resolution, tuple(edges)))
         cursors.append((resolution, ta))
@@ -338,9 +327,11 @@ class ReachGraphIndex:
             raise IndexConstructionError("ReachGraph index already built")
         started = time.perf_counter()
 
-        network = self._provided_network or build_contact_network(
-            self.dataset, self.contact_config.distance_threshold
-        )
+        network = self._provided_network
+        if network is None:  # an empty provided network is falsy, and still provided
+            network = build_contact_network(
+                self.dataset, self.contact_config.distance_threshold
+            )
         self.network = network
         dag, reduction_report = reduce_contact_network(network)
         self.dag = dag
@@ -409,31 +400,38 @@ class ReachGraphIndex:
 
     def _write_partitions(self) -> None:
         """Write every partition as one contiguous extent, in generation order."""
-        assert self.partitioning is not None and self.hypergraph is not None
-        assert self._partitions_file is not None
-        dag = self.hypergraph.dag
+        assert self.partitioning is not None and self._partitions_file is not None
         for partition_id, member_ids in enumerate(self.partitioning.members):
-            records = [self._make_record(dag, node_id) for node_id in member_ids]
+            records = self._make_records(member_ids)
             self._partitions_file.append_extent(partition_id, records)
             self._records_written += len(records)
 
-    def _make_record(self, dag: ContactDag, node_id: int) -> VertexRecord:
+    def _make_records(self, node_ids: Sequence[int]) -> List[VertexRecord]:
         assert self.hypergraph is not None
-        node = dag.node(node_id)
-        long_successors = tuple(
-            (resolution, tuple(self.hypergraph.layer(resolution).successors(node_id)))
+        dag = self.hypergraph.dag
+        layers = [
+            (resolution, self.hypergraph.layer(resolution).forward)
             for resolution in self.hypergraph.resolutions
-            if self.hypergraph.layer(resolution).successors(node_id)
-        )
-        return VertexRecord(
-            node_id=node_id,
-            start=node.interval.start,
-            end=node.interval.end,
-            members=tuple(sorted(node.members)),
-            successors=tuple(dag.successors(node_id)),
-            predecessors=tuple(dag.predecessors(node_id)),
-            long_successors=long_successors,
-        )
+        ]
+        records: List[VertexRecord] = []
+        for node_id in node_ids:
+            node = dag.node(node_id)
+            records.append(
+                VertexRecord(
+                    node_id=node_id,
+                    start=node.interval.start,
+                    end=node.interval.end,
+                    members=tuple(sorted(node.members)),
+                    successors=tuple(dag.successors(node_id)),
+                    predecessors=tuple(dag.predecessors(node_id)),
+                    long_successors=tuple(
+                        (resolution, tuple(targets))
+                        for resolution, forward in layers
+                        if (targets := forward.get(node_id))
+                    ),
+                )
+            )
+        return records
 
     def _build_object_index(self) -> None:
         """Build the external hash table: object → (start, vertex) assignment history."""
@@ -597,8 +595,7 @@ class ReachGraphIndex:
         )
         records_written = 0
         for partition_id in new_partition_ids:
-            member_ids = self.partitioning.members[partition_id]
-            records = [self._make_record(dag, node_id) for node_id in member_ids]
+            records = self._make_records(self.partitioning.members[partition_id])
             self._partitions_file.append_extent(partition_id, records)
             records_written += len(records)
 
@@ -607,10 +604,7 @@ class ReachGraphIndex:
             {self._partition_of_vertex[node_id] for node_id in dirty}
         )
         for partition_id in dirty_partitions:
-            records = [
-                self._make_record(dag, node_id)
-                for node_id in self.partitioning.members[partition_id]
-            ]
+            records = self._make_records(self.partitioning.members[partition_id])
             self._partitions_file.replace_extent(partition_id, records)
             records_written += len(records)
 
@@ -720,7 +714,7 @@ class ReachGraphIndex:
                 for node_id in self.partitioning.members[partition_id]
             ]
             packed_id = len(self.partitioning.members)
-            records = [self._make_record(dag, node_id) for node_id in merged]
+            records = self._make_records(merged)
             self._partitions_file.append_extent(packed_id, records)
             # The packed extent is written but the fragments are still the
             # cataloged truth: a crash here reopens through the previous

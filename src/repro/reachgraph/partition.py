@@ -6,13 +6,23 @@ roots a new partition containing every unassigned vertex within DN_1 distance
 ``dp`` of it.  Long edges are ignored while partitioning so that each
 partition preserves temporal locality.  Partitions are written to disk in the
 order they are generated, each as one contiguous extent.
+
+The batch build and every streaming increment place vertices through one
+loop, :func:`extend_partitioning` (a batch build is the increment that starts
+from nothing), and its cost is per *vertex*, not per root: roots share a
+*cleared radius* per vertex — the largest remaining depth with which an
+earlier root already expanded it — and a root that reaches a vertex with no
+more depth left than that does not expand it again, because everything that
+close behind it has been collected before and is therefore assigned.  A vertex
+is re-expanded only by a root that reaches strictly farther past it than any
+before, so the depth-``dp`` searches of neighbouring roots no longer re-walk
+one another's neighbourhoods.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 from ..core.errors import IndexConstructionError
 from .dag import ContactDag, HyperGraph
@@ -80,15 +90,8 @@ class Partitioning:
 
 def partition_hypergraph(graph: HyperGraph, depth: int) -> Partitioning:
     """Partition the hyper graph with the paper's depth-``dp`` scheme."""
-    dag = graph.dag
     partitioning = Partitioning(partition_of={}, slot_of={}, members=[], depth=depth)
-    for root_id in dag.topological_order():
-        if root_id not in partitioning.partition_of:
-            partitioning.add_partition(
-                _collect_unassigned_within_depth(
-                    dag, root_id, depth, partitioning.partition_of
-                )
-            )
+    extend_partitioning(partitioning, graph.dag, graph.dag.topological_order(), depth)
     return partitioning
 
 
@@ -114,12 +117,15 @@ def extend_partitioning(
             f"with depth {depth}"
         )
     created: List[int] = []
+    # Cleared radii are only valid while the DAG stands still: appended ticks
+    # put unassigned vertices behind old ones, so every call starts afresh.
+    cleared: Dict[int, int] = {}
     for root_id in sorted(new_node_ids):
         if root_id not in partitioning.partition_of:
             created.append(
                 partitioning.add_partition(
                     _collect_unassigned_within_depth(
-                        dag, root_id, depth, partitioning.partition_of
+                        dag.forward, root_id, depth, partitioning.partition_of, cleared
                     )
                 )
             )
@@ -127,29 +133,44 @@ def extend_partitioning(
 
 
 def _collect_unassigned_within_depth(
-    dag: ContactDag,
+    forward: Mapping[int, Sequence[int]],
     root_id: int,
     depth: int,
-    partition_of: Dict[int, int],
+    partition_of: Mapping[int, int],
+    cleared: Dict[int, int],
 ) -> List[int]:
     """Unassigned vertices within DN_1 distance ``depth`` of ``root_id``.
 
-    The root itself is always included.  Already-assigned vertices are passed
+    A breadth-first search, level by level, in first-in-first-out order.  The
+    root itself is always included.  Already-assigned vertices are passed
     through (they do not join the partition) but do not block deeper
     unassigned vertices, mirroring the paper's "create a partition rooted at u
     if u is not already assigned" iteration.
+
+    ``cleared[v]`` is the largest remaining depth with which a root has
+    expanded ``v``; once that root has been placed, every vertex within that
+    distance of ``v`` is assigned.  A vertex reached with no more depth than
+    its cleared radius is therefore not expanded.  The result is the one the
+    unpruned search returns, order included: an unassigned vertex in range
+    cannot lie within the cleared radius of a vertex on a shortest path to it,
+    so every such path is walked at its true level, and the vertices that
+    discover the collected ones keep their relative order.
     """
     collected: List[int] = []
     seen = {root_id}
-    queue = deque([(root_id, 0)])
-    while queue:
-        node_id, distance = queue.popleft()
-        if node_id not in partition_of:
-            collected.append(node_id)
-        if distance >= depth:
-            continue
-        for successor_id in dag.successors(node_id):
-            if successor_id not in seen:
-                seen.add(successor_id)
-                queue.append((successor_id, distance + 1))
+    level = [root_id]
+    remaining = depth
+    while level:
+        next_level: List[int] = []
+        for node_id in level:
+            if node_id not in partition_of:
+                collected.append(node_id)
+            if remaining > cleared.get(node_id, 0):
+                cleared[node_id] = remaining
+                for successor_id in forward[node_id]:
+                    if successor_id not in seen:
+                        seen.add(successor_id)
+                        next_level.append(successor_id)
+        level = next_level
+        remaining -= 1
     return collected

@@ -250,6 +250,29 @@ class TestCli:
         assert document["results"][0]["experiment"] == "table1"
         assert len(document["results"][0]["rows"]) == 3
 
+    def test_quick_construction_columns_are_pinned(self, tmp_path, capsys):
+        """The deterministic columns of the two construction experiments, at
+        experiment scale: long edges per resolution (augmentation), partitions
+        and IO per depth (placement).  Captured before construction became
+        per-window / per-vertex; a faster build must not move any of them."""
+        import json
+
+        rows = {}
+        for name in ("table4", "figure12"):
+            target = tmp_path / f"{name}.json"
+            assert main([name, "--quick", "--json", str(target)]) == 0
+            rows[name] = json.loads(target.read_text())["results"][0]["rows"]
+        capsys.readouterr()
+        long_edges = {}
+        for row in rows["table4"]:
+            long_edges.setdefault(row["dataset"], []).append(row["long_edges"])
+        assert long_edges == {
+            "rwp-tiny": [970, 921, 890, 1000, 1343],
+            "vn-tiny": [682, 603, 528, 552, 611],
+        }
+        assert [row["partitions"] for row in rows["figure12"]] == [448, 124, 42, 37]
+        assert [row["mean_io"] for row in rows["figure12"]] == [20.994, 12.344, 6.612, 5.469]
+
     def test_json_dash_prints_to_stdout(self, capsys):
         import json
 

@@ -7,18 +7,30 @@ over [2, 3] (the paper's merged c5/c7), and the resulting vertex count.
 
 from __future__ import annotations
 
-import pytest
+from collections.abc import Sequence
 
-from repro.core import IndexConstructionError, TimeInterval
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import construction_reference as reference
+from repro.contacts import Contact, ContactNetwork, build_contact_network
+from repro.core import IndexConstructionError, Point, ReachGraphConfig, TimeInterval
+from repro.generators import RandomWaypointGenerator
 from repro.reachgraph import (
     ContactDag,
     LongEdgeLayer,
+    ReachGraphIndex,
+    WindowSweep,
     augment_dag,
     build_layer,
+    compute_graph_patch,
+    next_window_start,
     partition_hypergraph,
     reduce_contact_network,
 )
 from repro.reachgraph.dag import HyperGraph
+from repro.trajectory import Trajectory, TrajectoryDataset
 
 
 class TestReductionOnFigure1:
@@ -222,3 +234,277 @@ class TestPartitioning:
         hypergraph, _ = augment_dag(figure1_dag, (2,))
         partitioning = partition_hypergraph(hypergraph, depth=2)
         assert sum(partitioning.partition_sizes()) == figure1_dag.num_nodes
+
+
+# ----------------------------------------------------------------------
+# Construction oracles: the per-window sweep and the cleared-radius placement
+# against the rescanning implementations kept in construction_reference.py.
+# ----------------------------------------------------------------------
+SWEEP_RESOLUTIONS = (2, 3, 4, 8)
+PLACEMENT_DEPTHS = (1, 2, 3, 8, 32)
+
+
+@st.composite
+def contact_worlds(draw, min_ticks=4):
+    """A small random contact network: ``(dataset, contacts)``.
+
+    Positions are irrelevant (the network is built from the drawn contacts
+    directly), so every object sits still.
+    """
+    num_objects = draw(st.integers(min_value=2, max_value=6))
+    ticks = draw(st.integers(min_value=min_ticks, max_value=26))
+    dataset = TrajectoryDataset(
+        [Trajectory(object_id, [Point(0.0, 0.0)] * ticks) for object_id in range(num_objects)],
+        environment_size=(1.0, 1.0),
+        name="drawn",
+    )
+    raw = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, num_objects - 1),
+                st.integers(0, num_objects - 1),
+                st.integers(0, ticks - 1),
+                st.integers(0, 5),
+            ).filter(lambda contact: contact[0] != contact[1]),
+            max_size=30,
+        )
+    )
+    contacts = [
+        Contact.between(a, b, TimeInterval(start, min(start + extra, ticks - 1)))
+        for a, b, start, extra in raw
+    ]
+    return dataset, contacts
+
+
+def _network(dataset, contacts, ticks=None):
+    """The contact network of the first ``ticks`` instants (all by default)."""
+    if ticks is not None:
+        dataset = dataset.restricted(ticks)
+        end = dataset.horizon.end
+        contacts = [c.clipped(0, end) for c in contacts if c.validity.start <= end]
+    return ContactNetwork(dataset, contacts, distance_threshold=1.0)
+
+
+def _views(dag):
+    return [(node.node_id, node.interval.start, node.interval.end) for node in dag.nodes]
+
+
+def _assert_directory_matches_members(partitioning, num_nodes):
+    assert set(partitioning.partition_of) == set(range(num_nodes))
+    for partition_id, members in enumerate(partitioning.members):
+        for slot, node_id in enumerate(members):
+            assert partitioning.partition_of[node_id] == partition_id
+            assert partitioning.slot_of[node_id] == slot
+
+
+class CountingViews(Sequence):
+    """A view list counting every element handed out (slices by their length)."""
+
+    def __init__(self, views):
+        self._views = views
+        self.accesses = 0
+
+    def __len__(self):
+        return len(self._views)
+
+    def __getitem__(self, index):
+        result = self._views[index]
+        self.accesses += len(result) if isinstance(index, slice) else 1
+        return result
+
+
+class CountingForward(dict):
+    """``dag.forward`` counting every successor-list read."""
+
+    reads = 0
+
+    def __getitem__(self, node_id):
+        self.reads += 1
+        return super().__getitem__(node_id)
+
+
+class TestWindowSweepOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(contact_worlds())
+    def test_edges_equal_the_rescanning_sweep_in_order(self, world):
+        dag, _ = reduce_contact_network(_network(*world))
+        views, horizon = _views(dag), dag.horizon
+        sweep = WindowSweep(views, dag.forward)
+        for resolution in SWEEP_RESOLUTIONS:
+            edges, cursor = sweep.edges_through(resolution, horizon.start, horizon.end)
+            assert edges == reference.windows_edges(
+                views, dag.successors, resolution, horizon.start, horizon.end
+            )
+            assert cursor == next_window_start(horizon.start, horizon.end, resolution)
+            # A pair straddles one window boundary pair only: never emitted twice.
+            assert len(set(edges)) == len(edges)
+            assert build_layer(dag, resolution).num_edges == len(edges)
+
+    @settings(max_examples=60, deadline=None)
+    @given(contact_worlds())
+    def test_every_window_is_complete_and_sound(self, world):
+        """Each window's edge set equals one confined BFS per start component."""
+        dag, _ = reduce_contact_network(_network(*world))
+        horizon = dag.horizon
+        sweep = WindowSweep(_views(dag), dag.forward)
+        for resolution in SWEEP_RESOLUTIONS:
+            for ta in range(horizon.start, horizon.end - resolution + 1, resolution):
+                tb = ta + resolution
+                expected = set()
+                for source in dag.nodes_active_at(ta):
+                    reached, stack = set(), [source.node_id]
+                    while stack:
+                        for successor_id in dag.successors(stack.pop()):
+                            if (
+                                successor_id not in reached
+                                and dag.node(successor_id).interval.start <= tb
+                            ):
+                                reached.add(successor_id)
+                                stack.append(successor_id)
+                    expected.update(
+                        (source.node_id, node_id)
+                        for node_id in reached
+                        if dag.node(node_id).active_at(tb)
+                    )
+                # A one-window sweep, started cold at this window's cursor.
+                edges, cursor = sweep.edges_through(resolution, ta, tb)
+                assert set(edges) == expected
+                assert cursor == tb
+
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.data_too_large]
+    )
+    @given(contact_worlds(min_ticks=8), st.data())
+    def test_incremental_patches_sweep_what_the_batch_build_sweeps(self, world, data):
+        """Windows completed by >= 3 increments add up to the batch layers."""
+        *_, (index, _, _, _) = _grow_index(world, data, partition_depth=4)
+        rebuilt, _ = augment_dag(
+            reduce_contact_network(_network(*world))[0], SWEEP_RESOLUTIONS
+        )
+        for resolution in SWEEP_RESOLUTIONS:
+            assert (
+                index.hypergraph.layer(resolution).forward
+                == rebuilt.layer(resolution).forward
+            )
+
+    def test_sweep_cost_is_per_window_not_per_graph(self, tiny_network):
+        """Doubling the stream doubles the views touched; rescanning squares it."""
+        dag, _ = reduce_contact_network(tiny_network)
+        once = _views(dag)
+        shift, offset = dag.horizon.end + 1 - dag.horizon.start, dag.num_nodes
+        twice = once + [
+            (node_id + offset, start + shift, end + shift) for node_id, start, end in once
+        ]
+        forward = dict(dag.forward)
+        forward.update(
+            (node_id + offset, [target + offset for target in targets])
+            for node_id, targets in dag.forward.items()
+        )
+
+        def accesses(sweep_windows, views):
+            counted = CountingViews(views)
+            through = views[-1][2]
+            for resolution in (2, 4, 8, 16, 32):
+                sweep_windows(counted, resolution, dag.horizon.start, through)
+            return counted.accesses
+
+        def swept(counted, resolution, ta, through):
+            # One sweep per resolution charges the column build five times,
+            # which is what build_layer does.
+            WindowSweep(counted, forward).edges_through(resolution, ta, through)
+
+        def rescanned(counted, resolution, ta, through):
+            reference.windows_edges(counted, forward.__getitem__, resolution, ta, through)
+
+        assert accesses(swept, twice) <= 2.5 * accesses(swept, once)
+        assert accesses(swept, once) <= 3 * len(once) * 5
+        # The pin discriminates: the rescanning sweep fails it.
+        assert accesses(rescanned, twice) > 3.5 * accesses(rescanned, once)
+
+
+def _grow_index(world, data, partition_depth):
+    """Build an index over a prefix, then grow it to the full horizon in >= 3 increments.
+
+    Yields ``(index, fresh vertex ids, member lists of the partitions created,
+    vertices assigned before)`` right after each increment is applied.
+    """
+    dataset, contacts = world
+    ticks = dataset.num_instants
+    cuts = sorted(
+        data.draw(
+            st.sets(st.integers(min_value=2, max_value=ticks - 1), min_size=3, max_size=5),
+            label="prefix lengths",
+        )
+    )
+    config = ReachGraphConfig(
+        resolutions=SWEEP_RESOLUTIONS, partition_depth=partition_depth
+    )
+    network = _network(dataset, contacts, cuts[0])
+    index = ReachGraphIndex(network.dataset, config, contact_network=network).build()
+    for length in cuts[1:] + [ticks]:
+        network = _network(dataset, contacts, length)
+        patch = compute_graph_patch(index.frontier(), contacts, network.dataset.horizon.end)
+        assigned = set(index.partitioning.partition_of)
+        placed = len(index.partitioning.members)
+        index.apply_increment(patch, network.dataset, contact_network=network)
+        fresh = [node_id for node_id, _, _, _ in patch.new_nodes]
+        yield index, fresh, index.partitioning.members[placed:], assigned
+
+
+def test_empty_provided_network_is_used_not_rejoined():
+    """Two objects on one spot never met when the provided network says so."""
+    dataset = TrajectoryDataset(
+        [Trajectory(object_id, [Point(0.0, 0.0)] * 4) for object_id in range(2)],
+        environment_size=(1.0, 1.0),
+    )
+    network = ContactNetwork(dataset, [], distance_threshold=1.0)
+    index = ReachGraphIndex(dataset, contact_network=network).build()
+    assert index.network is network
+    assert index.num_vertices == 2
+
+
+class TestPlacementOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(contact_worlds())
+    def test_batch_members_equal_the_unpruned_search(self, world):
+        dag, _ = reduce_contact_network(_network(*world))
+        for depth in PLACEMENT_DEPTHS:
+            partitioning = partition_hypergraph(HyperGraph(dag), depth)
+            assert partitioning.members == reference.place(
+                dag, dag.topological_order(), depth, set()
+            )
+            _assert_directory_matches_members(partitioning, dag.num_nodes)
+
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.data_too_large]
+    )
+    @given(contact_worlds(min_ticks=8), st.sampled_from(PLACEMENT_DEPTHS), st.data())
+    def test_increments_place_what_the_resumed_reference_places(self, world, depth, data):
+        increments = 0
+        for index, fresh, created, assigned in _grow_index(world, data, depth):
+            assert created == reference.place(index.dag, fresh, depth, assigned)
+            _assert_directory_matches_members(index.partitioning, index.dag.num_nodes)
+            increments += 1
+        assert increments >= 3
+
+    @pytest.mark.parametrize("depth", (1, 2, 4, 8, 32, 64))
+    def test_generated_network_members_equal_the_unpruned_search(self, tiny_network, depth):
+        dag, _ = reduce_contact_network(tiny_network)
+        partitioning = partition_hypergraph(HyperGraph(dag), depth)
+        assert partitioning.members == reference.place(
+            dag, dag.topological_order(), depth, set()
+        )
+
+    def test_placement_cost_is_per_vertex_not_per_root(self):
+        """Successor-list reads at depth 32: a few per vertex, not one per root in range."""
+        dataset = RandomWaypointGenerator(
+            num_objects=48, horizon=200, environment_size=(700.0, 700.0), seed=7
+        ).generate()
+        dag, _ = reduce_contact_network(build_contact_network(dataset, threshold=30.0))
+        dag.forward = counted = CountingForward(dag.forward)
+        partition_hypergraph(HyperGraph(dag), 32)
+        assert counted.reads <= 8 * dag.num_nodes
+        # The pin discriminates: the unpruned search fails it on this network.
+        counted.reads = 0
+        reference.place(dag, dag.topological_order(), 32, set())
+        assert counted.reads > 20 * dag.num_nodes
