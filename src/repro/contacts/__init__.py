@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from .join import (
+    SpatialHash,
     build_contact_network,
     join_at_instant,
     pairs_within_distance,
-    sweep_join,
 )
 from .network import Contact, ContactNetwork
 from .ten import TENVertex, TimeExpandedNetwork
@@ -18,6 +18,6 @@ __all__ = [
     "TENVertex",
     "build_contact_network",
     "join_at_instant",
-    "sweep_join",
     "pairs_within_distance",
+    "SpatialHash",
 ]

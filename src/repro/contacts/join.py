@@ -2,23 +2,25 @@
 
 Contacts are extracted from trajectories by a self-join: for every time
 instance, find all pairs of objects within distance ``dT`` of each other
-(Section 4: ``R(Tp) ⋈_dT R(Tp)``).  A uniform grid hash with cell side ``dT``
-turns the quadratic all-pairs test into a neighbourhood test over 9 cells,
-which is the standard plane-sweep/grid approach used by CPA-style joins.
+(Section 4: ``R(Tp) ⋈_dT R(Tp)``).  One kernel does the spatial part for every
+caller: :class:`SpatialHash` unpacks each position into an ``(object, x, y)``
+entry of a uniform grid hash with bucket side ``dT`` — once — so that a pair
+can only be within ``dT`` if its members sit in the same or in adjacent
+buckets.  The hash answers two questions:
 
-Two entry points are provided:
-
-* :func:`join_at_instant` — the per-tick join used when building the full
-  contact network offline.
-* :func:`sweep_join` — the time-sweeping join used by ReachGrid's online
-  query processing, which scans a window tick by tick and can stop as soon as
-  a new reachable object is found.
+* :meth:`SpatialHash.pairs` — every unordered pair within ``dT`` (each pair of
+  adjacent buckets visited once).  :func:`pairs_within_distance` wraps it for
+  a ``{object: Point}`` snapshot and is the per-tick join of the offline
+  builder (:func:`build_contact_network`), of streaming ingest, of the
+  cross-shard join and of the SPJ baseline.
+* :meth:`SpatialHash.within` — the objects within ``dT`` of one point (its
+  3x3 buckets).  ReachGrid's query processor probes it from the seed frontier
+  instead of enumerating every pair of a tick.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.errors import ContactNetworkError
 from ..core.types import ObjectId, Point, TimeInstant, TimeInterval
@@ -26,57 +28,102 @@ from ..trajectory.model import TrajectoryDataset
 from .network import Contact, ContactNetwork
 
 __all__ = [
-    "join_at_instant",
-    "sweep_join",
-    "build_contact_network",
+    "SpatialHash",
     "pairs_within_distance",
+    "join_at_instant",
+    "build_contact_network",
 ]
 
+#: One hashed position: ``(object_id, x, y)``.
+HashEntry = Tuple[ObjectId, float, float]
 
-def _grid_key(position: Point, cell_size: float) -> Tuple[int, int]:
-    return (int(position.x // cell_size), int(position.y // cell_size))
+
+class SpatialHash:
+    """A uniform grid hash of ``(object, x, y)`` entries with bucket side ``side``.
+
+    Buckets and their members keep insertion order, which is what fixes the
+    order of :meth:`pairs`.
+    """
+
+    __slots__ = ("side", "buckets")
+
+    def __init__(self, side: float) -> None:
+        if side <= 0:
+            raise ContactNetworkError("distance threshold must be positive")
+        self.side = side
+        self.buckets: Dict[Tuple[int, int], List[HashEntry]] = {}
+
+    def insert(self, entries: Iterable[HashEntry]) -> None:
+        """Hash every ``(object, x, y)`` entry into its bucket."""
+        side = self.side
+        buckets = self.buckets
+        for entry in entries:
+            key = (int(entry[1] // side), int(entry[2] // side))
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [entry]
+            else:
+                bucket.append(entry)
+
+    def within(self, x: float, y: float) -> List[ObjectId]:
+        """Objects hashed within ``side`` of ``(x, y)`` (one test per 3x3 occupant)."""
+        side = self.side
+        limit = side * side
+        get = self.buckets.get
+        cx = int(x // side)
+        cy = int(y // side)
+        hits: List[ObjectId] = []
+        for key in (
+            (cx - 1, cy - 1), (cx - 1, cy), (cx - 1, cy + 1),
+            (cx, cy - 1), (cx, cy), (cx, cy + 1),
+            (cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1),
+        ):
+            bucket = get(key)
+            if bucket:
+                for object_id, ox, oy in bucket:
+                    dx = ox - x
+                    dy = oy - y
+                    if dx * dx + dy * dy <= limit:
+                        hits.append(object_id)
+        return hits
+
+    def pairs(self) -> List[Tuple[ObjectId, ObjectId]]:
+        """All unordered pairs of entries within ``side``, smaller id first."""
+        limit = self.side * self.side
+        get = self.buckets.get
+        pairs: List[Tuple[ObjectId, ObjectId]] = []
+        for (cx, cy), members in self.buckets.items():
+            # Pairs inside the same bucket.
+            if len(members) > 1:
+                for i, (a, ax, ay) in enumerate(members, 1):
+                    for b, bx, by in members[i:]:
+                        dx = ax - bx
+                        dy = ay - by
+                        if dx * dx + dy * dy <= limit:
+                            pairs.append((a, b) if a < b else (b, a))
+            # Pairs with forward neighbour buckets (each bucket pair once).
+            for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1)):
+                neighbour = get(key)
+                if not neighbour:
+                    continue
+                for a, ax, ay in members:
+                    for b, bx, by in neighbour:
+                        dx = ax - bx
+                        dy = ay - by
+                        if dx * dx + dy * dy <= limit:
+                            pairs.append((a, b) if a < b else (b, a))
+        return pairs
 
 
 def pairs_within_distance(
     positions: Dict[ObjectId, Point], threshold: float
 ) -> List[Tuple[ObjectId, ObjectId]]:
-    """All unordered pairs of objects within ``threshold`` of each other.
-
-    Uses a uniform grid hash with cell side ``threshold`` so that only the 3x3
-    neighbourhood of each cell needs to be examined.
-    """
-    if threshold <= 0:
-        raise ContactNetworkError("distance threshold must be positive")
-    cells: Dict[Tuple[int, int], List[ObjectId]] = defaultdict(list)
-    for object_id, position in positions.items():
-        cells[_grid_key(position, threshold)].append(object_id)
-
-    threshold_sq = threshold * threshold
-    pairs: List[Tuple[ObjectId, ObjectId]] = []
-    for (cx, cy), members in cells.items():
-        # Pairs inside the same cell.
-        for i, a in enumerate(members):
-            pa = positions[a]
-            for b in members[i + 1 :]:
-                pb = positions[b]
-                dx = pa.x - pb.x
-                dy = pa.y - pb.y
-                if dx * dx + dy * dy <= threshold_sq:
-                    pairs.append((a, b) if a < b else (b, a))
-        # Pairs with forward neighbour cells (each unordered cell pair once).
-        for dx_cell, dy_cell in ((1, -1), (1, 0), (1, 1), (0, 1)):
-            neighbour = cells.get((cx + dx_cell, cy + dy_cell))
-            if not neighbour:
-                continue
-            for a in members:
-                pa = positions[a]
-                for b in neighbour:
-                    pb = positions[b]
-                    dx = pa.x - pb.x
-                    dy = pa.y - pb.y
-                    if dx * dx + dy * dy <= threshold_sq:
-                        pairs.append((a, b) if a < b else (b, a))
-    return pairs
+    """All unordered pairs of objects within ``threshold`` of each other."""
+    grid = SpatialHash(threshold)
+    grid.insert(
+        [(object_id, position.x, position.y) for object_id, position in positions.items()]
+    )
+    return grid.pairs()
 
 
 def join_at_instant(
@@ -84,27 +131,6 @@ def join_at_instant(
 ) -> List[Tuple[ObjectId, ObjectId]]:
     """Pairs of objects of ``dataset`` within ``threshold`` at tick ``t``."""
     return pairs_within_distance(dataset.positions_at(t), threshold)
-
-
-def sweep_join(
-    positions_by_tick: Iterable[Tuple[TimeInstant, Dict[ObjectId, Point]]],
-    threshold: float,
-    left: Optional[Set[ObjectId]] = None,
-) -> Iterator[Tuple[TimeInstant, ObjectId, ObjectId]]:
-    """Sweep a window in time order, yielding contact events as they occur.
-
-    ``positions_by_tick`` provides, for each tick of the window in increasing
-    order, the positions of the candidate objects.  When ``left`` is given,
-    only pairs with at least one member in ``left`` are reported (ReachGrid
-    joins seeds against candidates).  Each event is ``(t, a, b)`` with
-    ``a < b``; the caller can stop consuming the iterator as soon as it has
-    what it needs (early termination).
-    """
-    for t, positions in positions_by_tick:
-        for a, b in pairs_within_distance(positions, threshold):
-            if left is not None and a not in left and b not in left:
-                continue
-            yield (t, a, b)
 
 
 def build_contact_network(
@@ -118,8 +144,7 @@ def build_contact_network(
     the same pair stays within ``threshold`` are merged into a single contact
     with a continuous validity interval, as required by Section 3.1.
     """
-    horizon = window or dataset.horizon
-    horizon = horizon.intersection(dataset.horizon)
+    horizon = (window or dataset.horizon).intersection(dataset.horizon)
     if horizon is None:
         raise ContactNetworkError("join window does not overlap the dataset horizon")
 

@@ -6,20 +6,25 @@ each, and a spatial grid of square cells of side ``RS`` that partitions the
 environment within each temporal interval.  This module holds the pure
 geometry: mapping times to temporal intervals, positions to spatial cells, and
 rectangles to the set of cells they intersect.  No IO happens here.
+
+The spatial half is :class:`SpatialGrid` — the one definition of the
+column/row counts and of which cell a position falls in, shared by the batch
+:class:`GridGeometry`, the streaming ingestor and the spatial shard router, so
+the layouts can never diverge.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, List, Tuple
 
 from ..core.config import ReachGridConfig
 from ..core.errors import ConfigurationError
 from ..core.types import Point, TimeInstant, TimeInterval
 from ..trajectory.mbr import MBR
 
-__all__ = ["CellKey", "GridGeometry", "grid_axis_cells", "clamped_spatial_cell"]
+__all__ = ["CellKey", "GridGeometry", "SpatialGrid", "grid_axis_cells"]
 
 #: A grid cell is identified by (temporal interval index, column, row).
 CellKey = Tuple[int, int, int]
@@ -28,26 +33,53 @@ CellKey = Tuple[int, int, int]
 def grid_axis_cells(extent: float, resolution: float) -> int:
     """Number of grid cells of side ``resolution`` covering ``extent`` metres.
 
-    Shared by the batch :class:`GridGeometry` and the streaming ingestor so
-    the two layouts can never diverge; float-safe, so fractional resolutions
-    (including values below one metre) produce the correct cell count.
+    Float-safe, so fractional resolutions (including values below one metre)
+    produce the correct cell count.
     """
     if resolution <= 0:
         raise ConfigurationError("spatial resolution must be positive")
     return max(1, math.ceil(extent / resolution))
 
 
-def clamped_spatial_cell(
-    position: Point, resolution: float, num_columns: int, num_rows: int
-) -> Tuple[int, int]:
-    """``(column, row)`` of the cell containing ``position``.
+class SpatialGrid:
+    """Square cells of side ``resolution`` laid over the environment.
 
-    Positions outside the environment are clamped to the border cells so that
-    numerical jitter at the boundary never produces invalid keys.
+    The column and row counts are computed once, here; assigning positions to
+    cells afterwards costs two floor divisions and two clamps per position.
     """
-    col = min(max(int(position.x // resolution), 0), num_columns - 1)
-    row = min(max(int(position.y // resolution), 0), num_rows - 1)
-    return (col, row)
+
+    __slots__ = ("resolution", "num_columns", "num_rows")
+
+    def __init__(self, environment_size: Tuple[float, float], resolution: float) -> None:
+        if environment_size[0] <= 0 or environment_size[1] <= 0:
+            raise ConfigurationError("environment dimensions must be positive")
+        self.resolution = resolution
+        self.num_columns = grid_axis_cells(environment_size[0], resolution)
+        self.num_rows = grid_axis_cells(environment_size[1], resolution)
+
+    def cells_of(self, positions: Iterable[Point]) -> List[Tuple[int, int]]:
+        """``(column, row)`` of the cell containing each of ``positions``.
+
+        Positions outside the environment are clamped to the border cells so
+        that numerical jitter at the boundary never produces invalid keys.
+        """
+        resolution = self.resolution
+        last_column = self.num_columns - 1
+        last_row = self.num_rows - 1
+        cells: List[Tuple[int, int]] = []
+        for position in positions:
+            column = int(position.x // resolution)
+            if column < 0:
+                column = 0
+            elif column > last_column:
+                column = last_column
+            row = int(position.y // resolution)
+            if row < 0:
+                row = 0
+            elif row > last_row:
+                row = last_row
+            cells.append((column, row))
+        return cells
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,15 +95,21 @@ class GridGeometry:
     config:
         Temporal resolution ``RT`` (ticks per interval) and spatial resolution
         ``RS`` (metres per cell side).
+    spatial:
+        The spatial grid derived from the two fields above.
     """
 
     horizon: TimeInterval
     environment_size: Tuple[float, float]
     config: ReachGridConfig
+    spatial: SpatialGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.environment_size[0] <= 0 or self.environment_size[1] <= 0:
-            raise ConfigurationError("environment dimensions must be positive")
+        object.__setattr__(
+            self,
+            "spatial",
+            SpatialGrid(self.environment_size, self.config.spatial_resolution),
+        )
 
     # ------------------------------------------------------------------
     # temporal grid
@@ -117,22 +155,16 @@ class GridGeometry:
     @property
     def num_columns(self) -> int:
         """Number of spatial grid columns."""
-        return grid_axis_cells(self.environment_size[0], self.config.spatial_resolution)
+        return self.spatial.num_columns
 
     @property
     def num_rows(self) -> int:
         """Number of spatial grid rows."""
-        return grid_axis_cells(self.environment_size[1], self.config.spatial_resolution)
+        return self.spatial.num_rows
 
     def spatial_cell(self, position: Point) -> Tuple[int, int]:
-        """``(column, row)`` of the spatial cell containing ``position``.
-
-        Positions outside the environment are clamped to the border cells so
-        that numerical jitter at the boundary never produces invalid keys.
-        """
-        return clamped_spatial_cell(
-            position, self.config.spatial_resolution, self.num_columns, self.num_rows
-        )
+        """``(column, row)`` of the spatial cell containing ``position`` (clamped)."""
+        return self.spatial.cells_of((position,))[0]
 
     def cell_key(self, t: TimeInstant, position: Point) -> CellKey:
         """Full spatiotemporal cell key for a sample at ``(t, position)``."""

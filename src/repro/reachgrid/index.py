@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Set, Tuple
 
 from ..core.config import ContactConfig, ReachGridConfig, StorageConfig
@@ -82,28 +83,35 @@ class ReachGridIndex:
 
         # Pass 1: bucket every sample into its spatiotemporal cell, and record
         # which cells each object touches during each temporal interval.
+        # Every trajectory covers the dataset horizon, so a sample's temporal
+        # interval follows from its offset alone.
+        rt = self.config.temporal_resolution
         cell_records: Dict[CellKey, List[SampleRecord]] = {}
         object_cells: Dict[ObjectId, Dict[int, Set[Tuple[int, int]]]] = {}
         for trajectory in self.dataset:
             object_id = trajectory.object_id
+            start = trajectory.start_time
+            positions = trajectory.positions
+            cells = geometry.spatial.cells_of(positions)
             per_interval = object_cells.setdefault(object_id, {})
-            for sample in trajectory.samples():
-                key = geometry.cell_key(sample.time, sample.position)
-                record = (
-                    object_id,
-                    sample.time,
-                    sample.position.x,
-                    sample.position.y,
-                )
-                cell_records.setdefault(key, []).append(record)
-                per_interval.setdefault(key[0], set()).add(key[1:])
+            for first in range(0, len(positions), rt):
+                interval_index = first // rt
+                touched = per_interval.setdefault(interval_index, set())
+                for offset in range(first, min(first + rt, len(positions))):
+                    col_row = cells[offset]
+                    position = positions[offset]
+                    touched.add(col_row)
+                    cell_records.setdefault((interval_index, *col_row), []).append(
+                        (object_id, start + offset, position.x, position.y)
+                    )
 
         # Pass 2: disk placement.  Cells of earlier temporal intervals are
         # written first; within one interval cells follow (col, row) order, and
         # within one cell records are ordered by timestamp.
+        by_time_then_object = itemgetter(1, 0)
         num_records = 0
         for key in sorted(cell_records):
-            records = sorted(cell_records[key], key=lambda r: (r[1], r[0]))
+            records = sorted(cell_records[key], key=by_time_then_object)
             self._cells_file.append_extent(key, records)
             num_records += len(records)
 

@@ -32,7 +32,7 @@ from ..core.errors import StreamingError, WatermarkRegressionError
 from ..core.types import ObjectId, Point, TimeInstant, TimeInterval
 from ..contacts.join import pairs_within_distance
 from ..contacts.network import Contact
-from ..reachgrid.cells import clamped_spatial_cell, grid_axis_cells
+from ..reachgrid.cells import CellKey, SpatialGrid
 from ..storage import StorageSystem
 from ..testing.faults import crash_point
 from ..trajectory.model import Trajectory, TrajectoryDataset
@@ -46,9 +46,6 @@ _INGEST_CHECKPOINT_KEY = "ingest-checkpoint"
 #: On-disk record of one streamed sample: (object_id, t, x, y) — identical to
 #: the batch ReachGrid record layout so readers need not care who wrote it.
 SampleRecord = Tuple[ObjectId, TimeInstant, float, float]
-
-#: A streamed grid cell key: (temporal interval index, column, row).
-CellKey = Tuple[int, int, int]
 
 
 class StreamIngestor:
@@ -68,6 +65,9 @@ class StreamIngestor:
         self.environment_size = (float(environment_size[0]), float(environment_size[1]))
         self.contact_config = contact_config or ContactConfig()
         self.grid_config = grid_config or ReachGridConfig()
+        self._grid = SpatialGrid(
+            self.environment_size, self.grid_config.spatial_resolution
+        )
         self.name = name
         if storage is not None:
             # The resume path (:meth:`restore`): reattach to the previous
@@ -114,33 +114,11 @@ class StreamIngestor:
     # ------------------------------------------------------------------
     # grid geometry (streaming variant: origin-anchored, horizon-free)
     # ------------------------------------------------------------------
-    @property
-    def num_columns(self) -> int:
-        """Number of spatial grid columns."""
-        return grid_axis_cells(
-            self.environment_size[0], self.grid_config.spatial_resolution
-        )
-
-    @property
-    def num_rows(self) -> int:
-        """Number of spatial grid rows."""
-        return grid_axis_cells(
-            self.environment_size[1], self.grid_config.spatial_resolution
-        )
-
     def temporal_index(self, t: TimeInstant) -> int:
         """Index of the temporal grid interval containing tick ``t``."""
         if self._origin is None:
             raise StreamingError("no batch ingested yet; the grid has no origin")
         return (t - self._origin) // self.grid_config.temporal_resolution
-
-    def _spatial_cell(self, position: Point) -> Tuple[int, int]:
-        return clamped_spatial_cell(
-            position,
-            self.grid_config.spatial_resolution,
-            self.num_columns,
-            self.num_rows,
-        )
 
     # ------------------------------------------------------------------
     # ingestion
@@ -247,10 +225,13 @@ class StreamIngestor:
         # Grid memtable append (current temporal interval's cells).
         interval_index = self.temporal_index(t)
         cells = self._memtable.setdefault(interval_index, {})
-        for object_id in sorted(positions):
-            position = positions[object_id]
+        object_ids = sorted(positions)
+        ordered = [positions[object_id] for object_id in object_ids]
+        for object_id, position, col_row in zip(
+            object_ids, ordered, self._grid.cells_of(ordered)
+        ):
             record: SampleRecord = (object_id, t, position.x, position.y)
-            cells.setdefault(self._spatial_cell(position), []).append(record)
+            cells.setdefault(col_row, []).append(record)
         # Incremental contact join at tick t.
         current = set(pairs_within_distance(positions, self.contact_config.distance_threshold)) if positions else set()
         for pair in self._previous_pairs - current:

@@ -23,7 +23,7 @@ from typing import Dict, Optional, Tuple
 
 from ..core.config import SHARD_ROUTERS
 from ..core.errors import ConfigurationError
-from ..reachgrid.cells import clamped_spatial_cell, grid_axis_cells
+from ..reachgrid.cells import SpatialGrid
 from ..core.types import ObjectId
 from .events import SampleEvent
 
@@ -97,24 +97,17 @@ class SpatialCellRouter(ShardRouter):
         spatial_resolution: float,
     ) -> None:
         super().__init__(num_shards)
-        if environment_size[0] <= 0 or environment_size[1] <= 0:
-            raise ConfigurationError("environment size must be positive in both axes")
-        if spatial_resolution <= 0:
-            raise ConfigurationError("spatial_resolution must be positive")
         self.environment_size = environment_size
         self.spatial_resolution = spatial_resolution
-        self._columns = grid_axis_cells(environment_size[0], spatial_resolution)
-        self._rows = grid_axis_cells(environment_size[1], spatial_resolution)
+        self._grid = SpatialGrid(environment_size, spatial_resolution)
         self._assignments: Dict[ObjectId, int] = {}
 
     def assign(self, event: SampleEvent) -> int:
         """The shard for ``event``, pinned at the object's first observed cell."""
         shard = self._assignments.get(event.object_id)
         if shard is None:
-            column, row = clamped_spatial_cell(
-                event.position, self.spatial_resolution, self._columns, self._rows
-            )
-            shard = (row * self._columns + column) % self.num_shards
+            ((column, row),) = self._grid.cells_of((event.position,))
+            shard = (row * self._grid.num_columns + column) % self.num_shards
             self._assignments[event.object_id] = shard
         return shard
 

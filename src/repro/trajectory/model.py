@@ -109,14 +109,24 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self._positions)
 
+    @property
+    def positions(self) -> Tuple[Point, ...]:
+        """The stored positions, one per tick from ``start_time`` (not a copy)."""
+        return self._positions
+
+    def _offset(self, t: TimeInstant) -> int:
+        """Index of tick ``t`` in the position tuple (the one bounds check)."""
+        offset = t - self.start_time
+        if 0 <= offset < len(self._positions):
+            return offset
+        raise TrajectoryError(
+            f"time {t} outside trajectory horizon {self.horizon} "
+            f"of object {self.object_id}"
+        )
+
     def position_at(self, t: TimeInstant) -> Point:
         """Position of the object at time instance ``t``."""
-        if not self.horizon.contains(t):
-            raise TrajectoryError(
-                f"time {t} outside trajectory horizon {self.horizon} "
-                f"of object {self.object_id}"
-            )
-        return self._positions[t - self.start_time]
+        return self._positions[self._offset(t)]
 
     def sample_at(self, t: TimeInstant) -> TrajectorySample:
         """The full sample (object, time, position) at instance ``t``."""
@@ -230,8 +240,10 @@ class TrajectoryDataset:
     # ------------------------------------------------------------------
     def positions_at(self, t: TimeInstant) -> Dict[ObjectId, Point]:
         """All object positions at time instance ``t``."""
+        # Every trajectory shares the horizon, so one bounds check serves all.
+        offset = next(iter(self._trajectories.values()))._offset(t)
         return {
-            object_id: trajectory.position_at(t)
+            object_id: trajectory._positions[offset]
             for object_id, trajectory in self._trajectories.items()
         }
 

@@ -6,8 +6,13 @@ c1..c4 with validity intervals [0,0], [1,1], [1,2], [2,3].
 
 from __future__ import annotations
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from reachgrid_reference import reference_pairs_within_distance
 from repro.contacts import (
     Contact,
     ContactNetwork,
@@ -15,7 +20,6 @@ from repro.contacts import (
     build_contact_network,
     join_at_instant,
     pairs_within_distance,
-    sweep_join,
 )
 from repro.core import ContactNetworkError, Point, TimeInterval
 
@@ -53,6 +57,46 @@ class TestPairsWithinDistance:
     def test_rejects_non_positive_threshold(self):
         with pytest.raises(ContactNetworkError):
             pairs_within_distance({0: Point(0, 0)}, 0.0)
+
+
+class TestPairsKeepTheOldKernelsOrder:
+    """The list — not just the set — of pairs equals the kernel it replaced.
+
+    Streaming ingest closes contacts in the order the pairs of a tick come
+    out, so the order decides the bytes of every contact run on the device.
+    """
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=-40, max_value=40),
+                st.integers(min_value=-40, max_value=40),
+            ),
+            max_size=40,
+        ),
+        st.sampled_from([1.0, 5.0, 13.0]),
+    )
+    def test_lattice_points_including_negative_and_exactly_at_threshold(
+        self, cells, threshold
+    ):
+        # Integer coordinates put many pairs at distance exactly 5 or 13
+        # (3-4-5, 5-12-13), and negative ones floor away from zero.
+        positions = {i: Point(float(x), float(y)) for i, (x, y) in enumerate(cells)}
+        assert pairs_within_distance(positions, threshold) == (
+            reference_pairs_within_distance(positions, threshold)
+        )
+
+    def test_random_clouds_in_shuffled_id_order(self):
+        rng = random.Random(21)
+        for _ in range(50):
+            ids = rng.sample(range(200), rng.randint(0, 60))
+            positions = {
+                i: Point(rng.uniform(-150, 150), rng.uniform(-150, 150)) for i in ids
+            }
+            threshold = rng.choice([7.5, 25.0, 90.0])
+            assert pairs_within_distance(positions, threshold) == (
+                reference_pairs_within_distance(positions, threshold)
+            )
 
 
 class TestContact:
@@ -161,31 +205,25 @@ class TestBuildContactNetworkValidation:
             assert pairs == {c.objects for c in figure1_network.contacts_at(t)}
 
 
-class TestSweepJoin:
-    def test_sweep_join_reports_events_in_time_order(self, figure1_dataset):
-        events = list(
-            sweep_join(
-                (
-                    (t, figure1_dataset.positions_at(t))
-                    for t in range(4)
-                ),
-                FIGURE1_THRESHOLD,
-            )
-        )
-        times = [t for t, _, _ in events]
-        assert times == sorted(times)
-        assert (0, 1, 2) in events  # c1 at t=0
+class TestJoinCostIsPerContact:
+    def test_interval_objects_scale_with_contacts_not_samples(
+        self, tiny_dataset, monkeypatch
+    ):
+        """``build_contact_network`` makes a ``TimeInterval`` per contact it
+        emits (plus a handful for the horizon) — none per sample looked up."""
+        made = 0
+        validate = TimeInterval.__post_init__
 
-    def test_sweep_join_filters_by_left_set(self, figure1_dataset):
-        events = list(
-            sweep_join(
-                ((t, figure1_dataset.positions_at(t)) for t in range(4)),
-                FIGURE1_THRESHOLD,
-                left={3},
-            )
-        )
-        assert all(3 in (a, b) for _, a, b in events)
-        assert {(a, b) for _, a, b in events} == {(3, 4)}
+        def counting_post_init(self):
+            nonlocal made
+            made += 1
+            validate(self)
+
+        monkeypatch.setattr(TimeInterval, "__post_init__", counting_post_init)
+        network = build_contact_network(tiny_dataset, 30.0)
+        samples = tiny_dataset.num_objects * tiny_dataset.num_instants
+        assert network.num_contacts < samples // 4
+        assert made <= network.num_contacts + 8
 
 
 class TestTimeExpandedNetwork:

@@ -273,6 +273,51 @@ class TestCli:
         assert [row["partitions"] for row in rows["figure12"]] == [448, 124, 42, 37]
         assert [row["mean_io"] for row in rows["figure12"]] == [20.994, 12.344, 6.612, 5.469]
 
+    def test_quick_reachgrid_columns_are_pinned(self, tmp_path, capsys):
+        """The deterministic columns of the three ReachGrid experiments, at
+        experiment scale: IOs per query by grid resolution (figure 8), against
+        SPJ, and against ReachGraph by interval length (figure 14).  Captured
+        before Algorithm 1 became a frontier join and the join kernel was
+        shared; a cheaper query must read exactly the same blocks."""
+        import json
+
+        rows = {}
+        for name in ("figure8", "spj", "figure14"):
+            target = tmp_path / f"{name}.json"
+            assert main([name, "--quick", "--json", str(target)]) == 0
+            rows[name] = json.loads(target.read_text())["results"][0]["rows"]
+        capsys.readouterr()
+        assert [
+            (row["panel"], row["spatial_resolution_m"], row["temporal_resolution"], row["mean_io"])
+            for row in rows["figure8"]
+        ] == [
+            ("a", 100.0, 10, 55.837),
+            ("a", 200.0, 10, 27.012),
+            ("a", 400.0, 10, 14.094),
+            ("a", 800.0, 10, 11.662),
+            ("a", 1600.0, 10, 11.662),
+            ("b", 100.0, 5, 79.006),
+            ("b", 100.0, 10, 55.837),
+            ("b", 100.0, 20, 41.294),
+            ("b", 100.0, 40, 41.956),
+            ("b", 100.0, 80, 43.631),
+        ]
+        assert [
+            (row["dataset"], row["reachgrid_mean_io"], row["spj_mean_io"], row["improvement_pct"])
+            for row in rows["spj"]
+        ] == [("rwp-tiny", 60.11, 20.39, -194.8), ("vn-tiny", 11.95, 13.57, 11.9)]
+        assert [
+            (row["dataset"], row["query_length"], row["reachgrid_mean_io"], row["reachgraph_mean_io"])
+            for row in rows["figure14"]
+        ] == [
+            ("rwp-tiny", 50, 32.958, 3.958),
+            ("rwp-tiny", 100, 25.658, 5.092),
+            ("rwp-tiny", 200, 71.208, 7.142),
+            ("vn-tiny", 50, 7.667, 3.175),
+            ("vn-tiny", 100, 10.975, 3.75),
+            ("vn-tiny", 200, 10.725, 5.308),
+        ]
+
     def test_json_dash_prints_to_stdout(self, capsys):
         import json
 

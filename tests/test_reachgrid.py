@@ -5,8 +5,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.baselines import evaluate_reachability
+from reachgrid_reference import ReferenceReachGridQueryProcessor
+from repro.baselines import earliest_arrival, evaluate_reachability
+from repro.contacts import SpatialHash, build_contact_network
 from repro.core import (
     ConfigurationError,
     ContactConfig,
@@ -20,7 +24,12 @@ from repro.core import (
     UnknownObjectError,
 )
 from repro.reachgrid import GridGeometry, ReachGridIndex, ReachGridQueryProcessor
+from repro.reachgrid import cells as cells_module
+from repro.reachgrid import query as query_module
+from repro.streaming import StreamIngestor, replay
+from repro.trajectory import Trajectory, TrajectoryDataset
 from repro.trajectory.mbr import MBR
+from repro.workloads.datasets import DATASETS
 
 
 class TestGridGeometry:
@@ -241,3 +250,341 @@ class TestReachGridQueryProcessing:
             if other not in contact.objects
         )
         assert easy.io <= hard_io
+
+
+# ----------------------------------------------------------------------
+# The frontier join against the all-pairs oracle (tests/reachgrid_reference.py)
+# ----------------------------------------------------------------------
+RESULT_FIELDS = (
+    "reachable",
+    "earliest_time",
+    "visited",
+    "random_ios",
+    "sequential_ios",
+    "io",
+)
+
+
+def _fields(result):
+    return tuple(getattr(result, name) for name in RESULT_FIELDS)
+
+
+def _assert_equivalent(index, network, queries):
+    """Frontier join == oracle on the six result fields, both == the evaluator."""
+    frontier = ReachGridQueryProcessor(index)
+    oracle = ReferenceReachGridQueryProcessor(index)
+    for query in queries:
+        actual = frontier.evaluate(query)
+        assert _fields(actual) == _fields(oracle.evaluate(query)), query
+        expected = evaluate_reachability(network, query)
+        assert actual.reachable == expected.reachable, query
+        if expected.reachable:
+            assert actual.earliest_time == expected.earliest_time, query
+
+
+@pytest.fixture(scope="module", params=["rwp-tiny", "vn-tiny"])
+def canned(request):
+    spec = DATASETS[request.param]
+    dataset = spec.generate()
+    return spec, dataset, build_contact_network(dataset, spec.contact_threshold)
+
+
+def _grid_configs(spec, dataset):
+    """The canned grid plus the degenerate corners of both resolutions."""
+    threshold = spec.contact_threshold
+    return {
+        "canned": spec.grid_config,
+        "RS<dT,RT=1": ReachGridConfig(
+            temporal_resolution=1, spatial_resolution=threshold / 2
+        ),
+        "RS>E,RT>T": ReachGridConfig(
+            temporal_resolution=dataset.num_instants + 50,
+            spatial_resolution=2 * max(dataset.environment_size),
+        ),
+        "odd": ReachGridConfig(
+            temporal_resolution=7,
+            spatial_resolution=2.5 * spec.grid_config.spatial_resolution,
+        ),
+    }
+
+
+class TestFrontierJoinEqualsOracle:
+    @pytest.mark.parametrize("grid", ["canned", "RS<dT,RT=1", "RS>E,RT>T", "odd"])
+    def test_result_and_io_ledger_identical(self, canned, grid):
+        spec, dataset, network = canned
+        index = ReachGridIndex(
+            dataset,
+            _grid_configs(spec, dataset)[grid],
+            ContactConfig(distance_threshold=spec.contact_threshold),
+        ).build()
+        rng = random.Random(f"{spec.name}/{grid}")
+        last = dataset.horizon.end
+        queries = [ReachabilityQuery(3, 3, TimeInterval(5, 50))]
+        for _ in range(10):
+            source, destination = rng.sample(dataset.object_ids, 2)
+            start = rng.randint(0, last - 60)
+            queries.append(  # the paper-default shape: a long interval
+                ReachabilityQuery(
+                    source,
+                    destination,
+                    TimeInterval(start, min(last, start + rng.randint(50, 150))),
+                )
+            )
+            for length in (40, 1):
+                start = rng.randint(0, last - length + 1)
+                queries.append(
+                    ReachabilityQuery(
+                        source, destination, TimeInterval(start, start + length - 1)
+                    )
+                )
+        _assert_equivalent(index, network, queries)
+
+
+def _line_world(columns, threshold):
+    """Objects on a line: ``columns[t][i]`` is object ``i``'s x at tick ``t``."""
+    num_objects = len(columns[0])
+    trajectories = [
+        Trajectory(i, [Point(column[i], 1.0) for column in columns])
+        for i in range(num_objects)
+    ]
+    width = max(max(column) for column in columns) + 1.0
+    dataset = TrajectoryDataset(trajectories, (width, 2.0), name="line")
+    return dataset, build_contact_network(dataset, threshold)
+
+
+class TestLateLoadedCells:
+    THRESHOLD = 10.0
+
+    def test_chain_through_cells_only_a_newcomer_brings_in(self):
+        """0-1-2-3 stand 9 m apart on 5 m cells.  Object 0's ``N_i`` stops at
+        x = 12, so the cell of object 2 arrives only with newcomer 1's ``N_i``
+        load (and object 3's with 2's) — mid fixed point, at the tick being
+        swept; the chain must still close at that very tick."""
+        dataset, network = _line_world([[2.0, 11.0, 20.0, 29.0]] * 3, self.THRESHOLD)
+        config = ReachGridConfig(temporal_resolution=2, spatial_resolution=5.0)
+        index = ReachGridIndex(
+            dataset, config, ContactConfig(distance_threshold=self.THRESHOLD)
+        ).build()
+        start_cells = set(
+            index.geometry.cells_intersecting(
+                MBR(2.0, 1.0, 2.0, 1.0).expanded(self.THRESHOLD), 0
+            )
+        )
+        assert (0, 4, 0) not in start_cells  # object 2's cell is not in N_0
+        query = ReachabilityQuery(0, 3, TimeInterval(1, 2))
+        result = ReachGridQueryProcessor(index).evaluate(query)
+        assert (result.reachable, result.earliest_time) == (True, 1)
+        _assert_equivalent(index, network, [query])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.floats(min_value=3.0, max_value=16.0), min_size=5, max_size=5
+            ),
+            min_size=2,
+            max_size=6,
+        ),
+        st.sampled_from([3.0, 5.0, 8.0, 40.0]),
+        st.sampled_from([1, 2, 10]),
+    )
+    def test_random_chains_on_cells_smaller_than_the_contact_range(
+        self, gaps, spatial_resolution, temporal_resolution
+    ):
+        # Per tick, object i stands at the running sum of that tick's gaps: a
+        # neighbour is in contact when its gap is <= 10, and usually sits in
+        # a cell outside the N_i of everything but its other neighbour.
+        columns = []
+        for tick_gaps in gaps:
+            x, column = 0.0, []
+            for gap in tick_gaps:
+                x += gap
+                column.append(x)
+            columns.append(column)
+        dataset, network = _line_world(columns, self.THRESHOLD)
+        index = ReachGridIndex(
+            dataset,
+            ReachGridConfig(
+                temporal_resolution=temporal_resolution,
+                spatial_resolution=spatial_resolution,
+            ),
+            ContactConfig(distance_threshold=self.THRESHOLD),
+        ).build()
+        whole = dataset.horizon
+        queries = [
+            ReachabilityQuery(source, destination, interval)
+            for source, destination in ((0, 4), (4, 0), (2, 0), (1, 3))
+            for interval in (whole, TimeInterval(whole.end, whole.end))
+        ]
+        _assert_equivalent(index, network, queries)
+
+
+# ----------------------------------------------------------------------
+# Work counts: what the join is allowed to cost
+# ----------------------------------------------------------------------
+class CountingHash(SpatialHash):
+    """A ``SpatialHash`` counting hashes built, probes, and distance tests."""
+
+    built = 0
+    probes = 0
+    distance_tests = 0
+    late_entries = 0  # hashed into a tick's buckets after its first pass began
+
+    def __init__(self, side):
+        super().__init__(side)
+        CountingHash.built += 1
+
+    def insert(self, entries):
+        if self.buckets:
+            CountingHash.late_entries += len(entries)
+        super().insert(entries)
+
+    def within(self, x, y):
+        CountingHash.probes += 1
+        cx, cy = int(x // self.side), int(y // self.side)
+        CountingHash.distance_tests += sum(
+            len(self.buckets.get((cx + dx, cy + dy), ()))
+            for dx in (-1, 0, 1)
+            for dy in (-1, 0, 1)
+        )
+        return super().within(x, y)
+
+
+@pytest.fixture()
+def counting_hash(monkeypatch):
+    monkeypatch.setattr(query_module, "SpatialHash", CountingHash)
+    CountingHash.built = CountingHash.probes = 0
+    CountingHash.distance_tests = CountingHash.late_entries = 0
+    return CountingHash
+
+
+def _static_world(points, ticks, threshold, cell):
+    dataset = TrajectoryDataset(
+        [Trajectory(i, [Point(x, y)] * ticks) for i, (x, y) in enumerate(points)],
+        (200.0, 200.0),
+        name="static",
+    )
+    config = ReachGridConfig(temporal_resolution=ticks, spatial_resolution=cell)
+    index = ReachGridIndex(
+        dataset, config, ContactConfig(distance_threshold=threshold)
+    ).build()
+    return ReachGridQueryProcessor(index)
+
+
+class TestDistanceTestsPerQuery:
+    TICKS = 6
+
+    def test_one_seed_among_many_costs_one_probe_per_tick(self, counting_hash):
+        """Thirty bystanders in the source's cell, some of them in contact
+        with each other, none with the source: every tick costs one probe of
+        the source's 3x3 buckets — the all-pairs join tested every bystander
+        pair, at every tick."""
+        bystanders = [(40.0 + 12 * (i % 6), 40.0 + 12 * (i // 6)) for i in range(30)]
+        processor = _static_world([(5.0, 5.0)] + bystanders, self.TICKS, 15.0, 200.0)
+        result = processor.evaluate(ReachabilityQuery(0, 7, TimeInterval(0, 5)))
+        assert not result.reachable
+        assert counting_hash.probes == self.TICKS
+        assert counting_hash.distance_tests == self.TICKS  # the source itself
+
+    def test_one_unreached_among_many_seeds_costs_one_probe_per_tick(
+        self, counting_hash
+    ):
+        """A clique of twelve reached at the first tick and one loner far off:
+        from then on a tick probes from the loner's side, once."""
+        clique = [(50.0 + (i % 4), 50.0 + (i // 4)) for i in range(12)]
+        processor = _static_world(clique + [(150.0, 150.0)], self.TICKS, 15.0, 200.0)
+        result = processor.evaluate(ReachabilityQuery(0, 12, TimeInterval(0, 5)))
+        assert not result.reachable
+        # Tick 0: the source finds the clique (1 probe), then the loner is
+        # cheaper to probe from than the eleven newcomers (1 probe).
+        assert counting_hash.probes == 2 + (self.TICKS - 1)
+
+    def test_no_work_on_ticks_where_every_loaded_object_is_a_seed(
+        self, counting_hash
+    ):
+        """Two objects in contact in one cell, the destination alone in a cell
+        no seed ever comes near: after the first tick there is nothing left
+        to test, and nothing is even hashed."""
+        processor = _static_world(
+            [(5.0, 5.0), (9.0, 5.0), (150.0, 150.0)], self.TICKS, 15.0, 50.0
+        )
+        result = processor.evaluate(ReachabilityQuery(0, 2, TimeInterval(0, 5)))
+        assert not result.reachable
+        assert result.visited == 1
+        assert counting_hash.built == 1
+        assert counting_hash.probes == 1
+        assert counting_hash.distance_tests == 2
+
+    def test_probes_stay_under_the_smaller_side_of_every_pass(
+        self, counting_hash, tiny_reachgrid, tiny_dataset, tiny_network
+    ):
+        """On generated data, per query: probes <= the sum over swept ticks of
+        min(seeds, unreached) for the tick's first pass, plus one probe per
+        object reached (it is the frontier of exactly one later pass) and one
+        per position that arrived mid-tick.  The all-pairs join tested every
+        pair of loaded neighbours, at every pass."""
+        processor = ReachGridQueryProcessor(tiny_reachgrid)
+        rng = random.Random(5)
+        objects = tiny_dataset.num_objects
+        for _ in range(20):
+            source, destination = rng.sample(tiny_dataset.object_ids, 2)
+            start = rng.randint(0, 60)
+            interval = TimeInterval(start, start + 59)
+            probes, late = counting_hash.probes, counting_hash.late_entries
+            processor.evaluate(ReachabilityQuery(source, destination, interval))
+            arrival = earliest_arrival(tiny_network.contacts, source, interval)
+            last_tick = arrival.get(destination, interval.end)
+            bound = 0
+            for t in range(interval.start, last_tick + 1):
+                seeds = sum(1 for o, at in arrival.items() if at < t or o == source)
+                bound += min(seeds, objects - seeds)
+            bound += sum(1 for at in arrival.values() if at <= last_tick) - 1
+            bound += counting_hash.late_entries - late
+            assert counting_hash.probes - probes <= bound
+        # A probe tests the occupants of 3x3 buckets of side dT, no more.
+        assert counting_hash.distance_tests <= 3 * counting_hash.probes
+
+
+class TestCellAssignmentIsComputedOnce:
+    @pytest.fixture()
+    def axis_calls(self, monkeypatch):
+        calls = []
+        real = cells_module.grid_axis_cells
+
+        def counting(extent, resolution):
+            calls.append((extent, resolution))
+            return real(extent, resolution)
+
+        monkeypatch.setattr(cells_module, "grid_axis_cells", counting)
+        return calls
+
+    def test_index_build_derives_the_grid_once(
+        self, axis_calls, tiny_dataset, tiny_contact_config
+    ):
+        config = ReachGridConfig(temporal_resolution=10, spatial_resolution=100.0)
+        ReachGridIndex(tiny_dataset, config, tiny_contact_config).build()
+        assert axis_calls == [(700.0, 100.0), (700.0, 100.0)]
+
+    def test_stream_drain_derives_the_grid_once(
+        self, axis_calls, tiny_dataset, tiny_contact_config
+    ):
+        config = ReachGridConfig(temporal_resolution=10, spatial_resolution=100.0)
+        ingestor = StreamIngestor(
+            tiny_dataset.environment_size, tiny_contact_config, config
+        )
+        events = ingestor.ingest_all(replay(tiny_dataset, batch_ticks=8))
+        assert events == tiny_dataset.num_objects * tiny_dataset.num_instants
+        assert len(axis_calls) == 2
+
+    def test_batch_and_streamed_cells_are_the_same_bytes(
+        self, tiny_reachgrid, tiny_dataset, tiny_contact_config
+    ):
+        """One assignment path: the ingestor's flushed cells equal the batch
+        index's, key for key and record for record."""
+        ingestor = StreamIngestor(
+            tiny_dataset.environment_size, tiny_contact_config, tiny_reachgrid.config
+        )
+        ingestor.ingest_all(replay(tiny_dataset, batch_ticks=8))
+        keys = ingestor.flushed_cell_keys()
+        assert keys == tiny_reachgrid._cells_file.extent_keys()
+        assert all(ingestor.read_cell(k) == tiny_reachgrid.read_cell(k) for k in keys)

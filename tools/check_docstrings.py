@@ -28,13 +28,17 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: The gated module set: the streaming subsystem (including the parallel
 #: executors), the storage substrate and the ReachGraph layer under it (the
-#: read path: ``read_run``, ``record_read_run``, ``locate``), the engine
-#: facade, the observability hooks, and the fault registry whose point names
-#: double as recovery documentation.
+#: read path: ``read_run``, ``record_read_run``, ``locate``), ReachGrid and
+#: the contact join and trajectory model it shares its per-sample paths
+#: with, the engine facade, the observability hooks, and the fault registry
+#: whose point names double as recovery documentation.
 DEFAULT_TARGETS = (
     "src/repro/streaming",
     "src/repro/storage",
     "src/repro/reachgraph",
+    "src/repro/reachgrid",
+    "src/repro/contacts",
+    "src/repro/trajectory/model.py",
     "src/repro/core/engine.py",
     "src/repro/core/config.py",
     "src/repro/obs",
