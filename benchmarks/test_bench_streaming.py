@@ -283,9 +283,12 @@ def test_query_latency(benchmark):
     # The Bloom layer answers unknown-endpoint queries regardless of labels.
     assert negative_on["bloom_rejections"] > 0
     assert negative_off["bloom_rejections"] > 0
-    # The shared partition cache pays across queries within a pass.
-    for row in result.rows:
-        assert row["cache_hit_rate"] > 0
+    # The shared partition cache pays across queries within a pass — where
+    # queries traverse.  A negative-heavy query answered by the traversal
+    # alone reads its two endpoint partitions and little else (a rejected
+    # DN_1 neighbour costs no read), too few for any to repeat.
+    for labels in ("on", "off"):
+        assert by_cell[("positive-heavy", labels)]["cache_hit_rate"] > 0
     # The zone-map probe must have skipped disjoint runs without IO.
     probe_notes = [note for note in result.notes if "zone-map probe" in note]
     assert probe_notes and "skipped 0 run(s)" not in probe_notes[0]

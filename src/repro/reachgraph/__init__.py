@@ -18,6 +18,7 @@ from .dag import (
     LongEdgeLayer,
 )
 from .index import (
+    GraphDomain,
     GraphFrontier,
     GraphIncrementReport,
     ReachGraphBuildReport,
@@ -58,6 +59,7 @@ __all__ = [
     "Partitioning",
     "ReachGraphIndex",
     "ReachGraphBuildReport",
+    "GraphDomain",
     "GraphFrontier",
     "GraphIncrementReport",
     "compute_graph_patch",

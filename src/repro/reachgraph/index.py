@@ -27,6 +27,16 @@ edges and newly complete augmentation windows are added, fresh vertices are
 partitioned, and only *dirty* partitions (those holding a changed record) are
 rewritten on disk, with :attr:`~ReachGraphIndex.records_written` /
 :attr:`~ReachGraphIndex.superseded_blocks` as the write-amplification ledger.
+
+What the index holds in memory is two things with two lifetimes.  The
+*serving state* is all a query reads: the catalog fields, the slot directory
+(:meth:`~ReachGraphIndex.locate`), the interval labels, the object index and
+the :class:`GraphDomain` (which objects, which ticks).
+:meth:`ReachGraphIndex.restore` rebuilds exactly that from the device.  The
+*maintenance graph* — ``dag`` and ``hypergraph`` — is only ever read by a
+writer (``frontier``, ``apply_increment``, ``repack_frontier``, record
+encoding); a restored index materialises it from its partition extents the
+first time one of those asks, so a read-only reopen never builds it.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ import time
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..core.config import ContactConfig, ReachGraphConfig, StorageConfig
@@ -63,6 +74,7 @@ from .reduction import (
 )
 
 __all__ = [
+    "GraphDomain",
     "GraphFrontier",
     "GraphIncrementReport",
     "ReachGraphBuildReport",
@@ -84,6 +96,30 @@ def _pack_segments(segments: Iterable[Tuple[TimeInstant, int]]) -> AssignmentHis
     """Pack a non-empty run of ``(start, node)`` segments for the object index."""
     starts, nodes = zip(*segments)
     return array("q", starts), array("q", nodes)
+
+
+class GraphDomain:
+    """Which objects over which ticks an index answers for.
+
+    Everything serving reads of the indexed prefix: a query's endpoints must
+    be ``in`` the domain and its interval must meet ``horizon``.  A batch
+    build takes both from its dataset; a restored index reads the ids off
+    its vertex records and is told the horizon its owner committed; an
+    increment moves ``horizon`` forward in place.
+    """
+
+    __slots__ = ("object_ids", "horizon", "_known")
+
+    def __init__(self, object_ids: Iterable[ObjectId], horizon: TimeInterval) -> None:
+        self.object_ids: Tuple[ObjectId, ...] = tuple(sorted(object_ids))
+        self.horizon = horizon
+        self._known = frozenset(self.object_ids)
+
+    def __contains__(self, object_id: object) -> bool:
+        return object_id in self._known
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"GraphDomain(objects={len(self.object_ids)}, horizon={self.horizon})"
 
 
 class VertexRecord(NamedTuple):
@@ -237,7 +273,7 @@ class ReachGraphIndex:
 
     def __init__(
         self,
-        dataset: TrajectoryDataset,
+        dataset: Optional[TrajectoryDataset],
         config: ReachGraphConfig | None = None,
         contact_config: ContactConfig | None = None,
         storage_config: StorageConfig | None = None,
@@ -246,7 +282,15 @@ class ReachGraphIndex:
         name: str = "reachgraph",
         defer_placement: bool = False,
     ) -> None:
+        # ``dataset`` (and ``network`` below) are what :meth:`build` reduces;
+        # ``None`` on a restored index, and released once increments grow the
+        # index past them — serving reads :attr:`domain` instead.
         self.dataset = dataset
+        self.domain: Optional[GraphDomain] = (
+            GraphDomain(dataset.object_ids, dataset.horizon)
+            if dataset is not None
+            else None
+        )
         self.config = config or ReachGraphConfig()
         self.contact_config = contact_config or ContactConfig()
         self.name = name
@@ -273,10 +317,11 @@ class ReachGraphIndex:
             )
         self._built = False
 
-        # Populated by build().
+        # Populated by build().  ``_hypergraph`` (with its ``dag``) is the
+        # maintenance graph: read through :attr:`hypergraph` / :attr:`dag`,
+        # which materialise it on a restored index.
         self.network: Optional[ContactNetwork] = None
-        self.dag: Optional[ContactDag] = None
-        self.hypergraph: Optional[HyperGraph] = None
+        self._hypergraph: Optional[HyperGraph] = None
         self.partitioning: Optional[Partitioning] = None
         self.build_report: Optional[ReachGraphBuildReport] = None
         self._partition_of_vertex: Dict[int, int] = {}
@@ -318,6 +363,23 @@ class ReachGraphIndex:
         """True once the index lives on a storage system."""
         return self._storage is not None
 
+    @property
+    def hypergraph(self) -> HyperGraph:
+        """``HN`` in memory: the maintenance graph (see the module docstring).
+
+        A built index holds it from the start; a restored one rebuilds it
+        here, once, from its partition extents (charged reads).
+        """
+        if self._hypergraph is None:
+            self._require_built()
+            self._hypergraph = self._materialize_graph()
+        return self._hypergraph
+
+    @property
+    def dag(self) -> ContactDag:
+        """``DN_1`` in memory: the base DAG of :attr:`hypergraph`."""
+        return self.hypergraph.dag
+
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
@@ -325,6 +387,10 @@ class ReachGraphIndex:
         """Construct the index end to end and place it on the simulated disk."""
         if self._built:
             raise IndexConstructionError("ReachGraph index already built")
+        if self.dataset is None:
+            raise IndexConstructionError(
+                "a restored index has no dataset to build from"
+            )
         started = time.perf_counter()
 
         network = self._provided_network
@@ -334,11 +400,10 @@ class ReachGraphIndex:
             )
         self.network = network
         dag, reduction_report = reduce_contact_network(network)
-        self.dag = dag
         hypergraph, augmentation_report = augment_dag(
             dag, self.config.sorted_resolutions
         )
-        self.hypergraph = hypergraph
+        self._hypergraph = hypergraph
         partitioning = partition_hypergraph(hypergraph, self.config.partition_depth)
         self._adopt_partitioning(partitioning)
         self._window_cursors = {
@@ -407,11 +472,11 @@ class ReachGraphIndex:
             self._records_written += len(records)
 
     def _make_records(self, node_ids: Sequence[int]) -> List[VertexRecord]:
-        assert self.hypergraph is not None
-        dag = self.hypergraph.dag
+        hypergraph = self.hypergraph
+        dag = hypergraph.dag
         layers = [
-            (resolution, self.hypergraph.layer(resolution).forward)
-            for resolution in self.hypergraph.resolutions
+            (resolution, hypergraph.layer(resolution).forward)
+            for resolution in hypergraph.resolutions
         ]
         records: List[VertexRecord] = []
         for node_id in node_ids:
@@ -435,11 +500,11 @@ class ReachGraphIndex:
 
     def _build_object_index(self) -> None:
         """Build the external hash table: object → (start, vertex) assignment history."""
-        assert self.dag is not None
-        assert self._object_index is not None
+        assert self._object_index is not None and self.domain is not None
+        dag = self.dag
         entries: List[Tuple[ObjectId, AssignmentHistory]] = []
-        for object_id in self.dataset.object_ids:
-            segments = self.dag.assignment_segments(object_id)
+        for object_id in self.domain.object_ids:
+            segments = dag.assignment_segments(object_id)
             if not segments:
                 raise IndexConstructionError(
                     f"object {object_id} received no component assignments"
@@ -459,15 +524,15 @@ class ReachGraphIndex:
         applied in between (application validates the base and refuses a
         stale patch).
         """
-        self._require_built()
-        assert self.dag is not None
+        assert self.domain is not None
         dag = self.dag
         horizon = dag.horizon
+        object_ids = self.domain.object_ids
 
         assignments: List[Tuple[ObjectId, int]] = []
         open_ids: List[int] = []
         open_seen: Set[int] = set()
-        for object_id in self.dataset.object_ids:
+        for object_id in object_ids:
             node_id = dag.node_of(object_id, horizon.end)
             assignments.append((object_id, node_id))
             if node_id not in open_seen:
@@ -481,7 +546,7 @@ class ReachGraphIndex:
             start=horizon.start,
             end=horizon.end,
             num_nodes=dag.num_nodes,
-            object_ids=tuple(self.dataset.object_ids),
+            object_ids=object_ids,
             assignments=tuple(assignments),
             open_members=open_members,
         )
@@ -512,12 +577,7 @@ class ReachGraphIndex:
             recent_edges=recent_edges,
         )
 
-    def apply_increment(
-        self,
-        patch: DagPatch,
-        dataset: TrajectoryDataset,
-        contact_network: Optional[ContactNetwork] = None,
-    ) -> GraphIncrementReport:
+    def apply_increment(self, patch: DagPatch) -> GraphIncrementReport:
         """Apply a :class:`DagPatch`, rewriting only what the patch dirtied.
 
         The in-place counterpart of a full rebuild: the DAG and hyper graph
@@ -530,15 +590,14 @@ class ReachGraphIndex:
         atomic adoption step, where no concurrent reader can observe a
         half-applied state.
 
-        ``dataset`` is the extended prefix the index now covers (its horizon
-        must end at ``patch.new_end``); ``contact_network`` optionally
-        replaces the stored network alongside.
+        The patch alone says how far the index now reaches: the domain's
+        horizon moves to ``patch.new_end``, and the dataset and network the
+        index was built from — a shorter prefix from here on — are released.
         """
-        self._require_built()
-        assert self.dag is not None and self.hypergraph is not None
-        assert self.partitioning is not None
+        hypergraph = self.hypergraph
+        dag = hypergraph.dag
+        assert self.partitioning is not None and self.domain is not None
         assert self._partitions_file is not None and self._object_index is not None
-        dag = self.dag
         started = time.perf_counter()
 
         if dag.num_nodes != patch.base_nodes or dag.horizon.end != patch.base_end:
@@ -547,12 +606,6 @@ class ReachGraphIndex:
                 f"through t={patch.base_end}, index has {dag.num_nodes} "
                 f"through t={dag.horizon.end}"
             )
-        if dataset.horizon.end != patch.new_end:
-            raise IndexConstructionError(
-                f"dataset horizon ends at {dataset.horizon.end}, "
-                f"patch extends through {patch.new_end}"
-            )
-
         dirty: Set[int] = set()
 
         # 1. Reduction operations: extensions, fresh vertices, DN_1 edges.
@@ -574,7 +627,7 @@ class ReachGraphIndex:
         # 2. Augmentation: long edges of the newly completed windows.
         new_long_edges = 0
         for resolution, edges in patch.new_long_edges:
-            layer = self.hypergraph.layer(resolution)
+            layer = hypergraph.layer(resolution)
             for source_id, target_id in edges:
                 layer.add_edge(source_id, target_id)
                 new_long_edges += 1
@@ -628,9 +681,9 @@ class ReachGraphIndex:
                 object_id, (starts + new_starts, nodes + new_nodes)
             )
 
-        self.dataset = dataset
-        if contact_network is not None:
-            self.network = contact_network
+        self.domain.horizon = dag.horizon
+        self.dataset = None
+        self.network = None
         self._records_written += records_written
         self._increments += 1
         return GraphIncrementReport(
@@ -674,8 +727,7 @@ class ReachGraphIndex:
             )
         if self._storage is None:
             return 0
-        assert self.dag is not None and self.partitioning is not None
-        assert self._partitions_file is not None
+        assert self.partitioning is not None and self._partitions_file is not None
         dag = self.dag
         # A partition is cold when no member can be extended (closed before
         # the horizon end) and none can still gain a long edge (closed
@@ -762,21 +814,21 @@ class ReachGraphIndex:
         cls,
         storage: StorageSystem,
         catalog: Dict[str, object],
-        dataset: TrajectoryDataset,
-        contact_network: ContactNetwork,
+        horizon: TimeInterval,
     ) -> "ReachGraphIndex":
         """Reattach an index to its partition extents on a reopened device.
 
         ``storage`` must already hold the cataloged block file and hash table
-        (the storage system's durable catalog restored them); ``dataset`` and
-        ``contact_network`` are the prefix the index covered when the catalog
-        was written.  The DAG, hyper graph, and partitioning are rebuilt from
-        the vertex records — every structural fact lives in them — and the
-        object-index buckets are *reconciled* against the rebuilt DAG: bucket
-        rewrites go through the buffer pool in place, so a crash can leave a
-        bucket durably ahead of the cataloged graph (phantom trailing
-        assignment segments); reconciliation restores the exact pairing.  A
-        catalog naming another on-device format is refused before any read.
+        (the storage system's durable catalog restored them); ``horizon`` is
+        the prefix the index covered when the catalog was written.  Only the
+        serving state is rebuilt, all of it from this device: every extent is
+        read once — the slot directory is the extents' own record order, the
+        object ids are the records' members — and the object-index buckets
+        are *reconciled* against the records: bucket rewrites go through the
+        buffer pool in place, so a crash can leave a bucket durably ahead of
+        the cataloged graph (phantom trailing assignment segments);
+        reconciliation restores the exact pairing.  A catalog naming another
+        on-device format is refused before any read.
         """
         found = catalog.get("format")
         if found != INDEX_FORMAT:
@@ -795,62 +847,42 @@ class ReachGraphIndex:
             interval_labels=catalog.get("labels") is not None,
         )
         index = cls(
-            dataset,
-            config=config,
-            contact_network=contact_network,
-            name=str(catalog["name"]),
-            defer_placement=True,
+            None, config=config, name=str(catalog["name"]), defer_placement=True
         )
         index._attach_files(storage, create=False)
-        index._restore_structures(catalog)
+        index._restore_serving_state(catalog, horizon)
         return index
 
-    def _restore_structures(self, catalog: Dict[str, object]) -> None:
-        assert self._partitions_file is not None and self._object_index is not None
+    def _read_graph_records(self) -> Tuple[Dict[int, List[int]], List[VertexRecord]]:
+        """Every live extent read once: members per partition, records by id.
 
-        # 1. Read every partition extent back.  The extent key is the
-        #    partition id; record order inside an extent is the member write
-        #    order, so the extents are the authoritative partitioning too.
+        The extent key is the partition id and record order inside an extent
+        is the member write order, so the extents are the authoritative
+        partitioning too.  Vertex ids are dense (a vertex is numbered by
+        creation order), which is the check that no extent lost a record.
+        """
+        assert self._partitions_file is not None
         partition_members: Dict[int, List[int]] = {}
         records: List[VertexRecord] = []
         for key in self._partitions_file.extent_keys():
-            partition_id = int(key)
-            extent_records: List[VertexRecord] = self._partitions_file.read_extent(
-                partition_id
-            )
-            partition_members[partition_id] = [
-                record.node_id for record in extent_records
-            ]
+            extent_records: List[VertexRecord] = self._partitions_file.read_extent(key)
+            partition_members[int(key)] = [record[0] for record in extent_records]
             records.extend(extent_records)
-        records.sort(key=lambda record: record.node_id)
-
-        # 2. Rebuild the DAG in id order — reproducing vertex ids and each
-        #    object's assignment-segment order — then edges and long-edge
-        #    layers (predecessors are re-derived by add_edge).
-        dag = ContactDag(self.dataset.horizon, len(self.dataset.object_ids))
-        for record in records:
-            node = dag.add_node(
-                TimeInterval(record.start, record.end), frozenset(record.members)
-            )
-            if node.node_id != record.node_id:
+        records.sort(key=itemgetter(0))
+        for expected_id, record in enumerate(records):
+            if record[0] != expected_id:
                 raise IndexConstructionError(
-                    f"partition extents are missing vertex {node.node_id}"
+                    f"partition extents are missing vertex {expected_id}"
                 )
-        for record in records:
-            for successor_id in record.successors:
-                dag.add_edge(record.node_id, successor_id)
-        layers: List[LongEdgeLayer] = []
-        for resolution in self.config.sorted_resolutions:
-            layer = LongEdgeLayer(resolution)
-            for record in records:
-                for target_id in record.long_successors_at(resolution):
-                    layer.add_edge(record.node_id, target_id)
-            layers.append(layer)
-        self.dag = dag
-        self.hypergraph = HyperGraph(dag, layers)
-        self.network = self._provided_network
+        return partition_members, records
 
-        # 3. Partitioning from the extent directory.  Ids are append-ordered
+    def _restore_serving_state(
+        self, catalog: Dict[str, object], horizon: TimeInterval
+    ) -> None:
+        assert self._object_index is not None
+        partition_members, records = self._read_graph_records()
+
+        # 1. Partitioning from the extent directory.  Ids are append-ordered
         #    but may be sparse — a frontier repack retires fragment ids,
         #    leaving tombstones — so missing ids restore as empty lists.
         partitioning = Partitioning(
@@ -860,7 +892,7 @@ class ReachGraphIndex:
             partitioning.add_partition(partition_members.get(partition_id, []))
         self._adopt_partitioning(partitioning)
 
-        # 4. Maintenance state and the write-amplification ledger.
+        # 2. Maintenance state and the write-amplification ledger.
         self._window_cursors = {
             int(resolution): int(cursor)
             for resolution, cursor in catalog["window_cursors"]  # type: ignore[union-attr]
@@ -875,32 +907,63 @@ class ReachGraphIndex:
         labels_catalog = catalog.get("labels")
         if labels_catalog is not None:
             labels = ReachLabelIndex.restore(labels_catalog)  # type: ignore[arg-type]
-            if labels.num_labels != dag.num_nodes:
+            if labels.num_labels != len(records):
                 raise IndexConstructionError(
                     f"label catalog covers {labels.num_labels} vertices, "
-                    f"restored DAG has {dag.num_nodes}"
+                    f"the partition extents hold {len(records)}"
                 )
             self._labels = labels
+
+        # 3. Each object's assignment history as the records tell it: one
+        #    ``(start, vertex)`` segment per vertex it belongs to, in vertex
+        #    (= creation) order.  Its keys are the domain's objects.
+        truth: Dict[ObjectId, List[Tuple[TimeInstant, int]]] = {}
+        for node_id, start, _, members, _, _, _ in records:
+            segment = (start, node_id)
+            for member in members:
+                truth.setdefault(member, []).append(segment)
+        self.domain = GraphDomain(truth, horizon)
         self._built = True
 
-        # 5. Reconcile the object-index buckets against the rebuilt DAG.
-        #    Doubles as the structural verification of the restored index: a
-        #    bucket that disagrees with the partition extents is rewritten
-        #    from graph truth.
-        for object_id in self.dataset.object_ids:
-            truth = dag.assignment_segments(object_id)
-            if not truth:
-                raise IndexConstructionError(
-                    f"object {object_id} has no assignments in the restored graph"
-                )
+        # 4. Reconcile the object-index buckets against that truth.  Doubles
+        #    as the structural verification of the restored index: a bucket
+        #    that disagrees with the partition extents is rewritten from them.
+        for object_id in self.domain.object_ids:
             stored = self._object_index.get(object_id)
             if stored is None:
                 raise IndexConstructionError(
                     f"object {object_id} is missing from the restored object index"
                 )
-            packed = _pack_segments(truth)
+            packed = _pack_segments(truth[object_id])
             if stored != packed:
                 self._object_index.update(object_id, packed)
+
+    def _materialize_graph(self) -> HyperGraph:
+        """Rebuild the maintenance graph of a restored index from its extents.
+
+        Vertices are added in id order — reproducing vertex ids and each
+        object's assignment-segment order — then edges and long-edge layers
+        (predecessors are re-derived by ``add_edge``), so the result equals,
+        dict order included, the graph the writer held when it flushed.
+        """
+        assert self.domain is not None
+        _, records = self._read_graph_records()
+        dag = ContactDag(self.domain.horizon, len(self.domain.object_ids))
+        for record in records:
+            dag.add_node(
+                TimeInterval(record.start, record.end), frozenset(record.members)
+            )
+        for record in records:
+            for successor_id in record.successors:
+                dag.add_edge(record.node_id, successor_id)
+        layers: List[LongEdgeLayer] = []
+        for resolution in self.config.sorted_resolutions:
+            layer = LongEdgeLayer(resolution)
+            for record in records:
+                for target_id in record.long_successors_at(resolution):
+                    layer.add_edge(record.node_id, target_id)
+            layers.append(layer)
+        return HyperGraph(dag, layers)
 
     # ------------------------------------------------------------------
     # state checks
@@ -969,10 +1032,9 @@ class ReachGraphIndex:
     # ------------------------------------------------------------------
     @property
     def num_vertices(self) -> int:
-        """Number of ``HN`` vertices."""
+        """Number of ``HN`` vertices (every one has a slot in the directory)."""
         self._require_built()
-        assert self.dag is not None
-        return self.dag.num_nodes
+        return len(self._partition_of_vertex)
 
     @property
     def num_partitions(self) -> int:
@@ -1018,7 +1080,7 @@ class ReachGraphIndex:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         status = "built" if self._built else "not built"
         return (
-            f"ReachGraphIndex(dataset={self.dataset.name!r}, "
+            f"ReachGraphIndex({self.domain!r}, "
             f"resolutions={self.config.sorted_resolutions}, "
             f"dp={self.config.partition_depth}, {status})"
         )

@@ -186,16 +186,17 @@ class ReachGraphQueryProcessor:
             raise QueryError(
                 f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
             )
-        dataset = self.index.dataset
-        if query.source not in dataset:
+        domain = self.index.domain
+        assert domain is not None, "a built index has a domain"
+        if query.source not in domain:
             raise UnknownObjectError(query.source)
-        if query.destination not in dataset:
+        if query.destination not in domain:
             raise UnknownObjectError(query.destination)
-        interval = query.interval.intersection(dataset.horizon)
+        interval = query.interval.intersection(domain.horizon)
         if interval is None:
             raise QueryError(
                 f"query interval {query.interval} does not overlap the horizon "
-                f"{dataset.horizon}"
+                f"{domain.horizon}"
             )
 
         storage = self.index.storage
@@ -240,10 +241,9 @@ class ReachGraphQueryProcessor:
         cache: _VertexCache,
         use_long_edges: bool,
     ) -> Tuple[bool, int]:
-        t1, t2 = interval.start, interval.end
         mid = interval.midpoint
-        v1 = self.index.find_vertex_id(query.source, t1)
-        v2 = self.index.find_vertex_id(query.destination, t2)
+        v1 = self.index.find_vertex_id(query.source, interval.start)
+        v2 = self.index.find_vertex_id(query.destination, interval.end)
 
         labels = self._labels()
         if labels is not None and labels.rejects(v1, v2):
@@ -291,7 +291,6 @@ class ReachGraphQueryProcessor:
                     objects_forward,
                     cache,
                     mid,
-                    t2,
                     visited,
                     labels,
                     v1,
@@ -315,7 +314,7 @@ class ReachGraphQueryProcessor:
     ) -> Tuple[bool, int]:
         # One positional unpack per visit: namedtuple attribute reads are not
         # specialised by the interpreter and this is the traversal hot path.
-        _, start, _, members, successors, _, long_successors = cache.get(
+        _, start, end, members, successors, _, long_successors = cache.get(
             queue.popleft()
         )
         visited += 1
@@ -333,9 +332,14 @@ class ReachGraphQueryProcessor:
                 if start + resolution <= mid:
                     children.extend(targets)
                     break
+        long_targets = len(children)
         children.extend(successors)
+        # A DN_1 edge joins a vertex ending at ``t - 1`` to one starting at
+        # ``t`` (ReductionCursor.advance): every successor starts at
+        # ``end + 1``, so whether it lies past the midpoint needs no read.
+        successors_fit = end < mid
 
-        for target_id in children:
+        for position, target_id in enumerate(children):
             if target_id in seen:
                 continue
             # Every vertex of a v1→v2 path reaches v2, so a child the labels
@@ -344,7 +348,13 @@ class ReachGraphQueryProcessor:
             if labels is not None and labels.rejects(target_id, target_vertex):
                 self.label_frontier_prunes += 1
                 continue
-            if cache.get(target_id)[1] > mid:  # [1] is ``start``
+            if position < long_targets:
+                # A long edge lands anywhere inside its window; only the
+                # target's own record says where ([1] is ``start``) — the one
+                # neighbour test left that can be a charged partition read.
+                if cache.get(target_id)[1] > mid:
+                    continue
+            elif not successors_fit:
                 continue
             seen.add(target_id)
             queue.append(target_id)
@@ -358,17 +368,21 @@ class ReachGraphQueryProcessor:
         other_objects: Set[ObjectId],
         cache: _VertexCache,
         mid: TimeInstant,
-        t2: TimeInstant,
         visited: int,
         labels: Optional[ReachLabelIndex],
         source_vertex: int,
     ) -> Tuple[bool, int]:
-        _, _, _, members, _, predecessors, _ = cache.get(queue.popleft())
+        _, start, _, members, _, predecessors, _ = cache.get(queue.popleft())
         visited += 1
         own_objects.update(members)
         if other_objects.intersection(members):
             return True, visited
 
+        # The backward traversal covers components that can still pass the
+        # item onwards during the second half of the query interval.  Every
+        # DN_1 predecessor ends at ``start - 1`` (and so starts before ``t2``,
+        # as this vertex does): no read decides whether it qualifies.
+        predecessors_fit = start > mid
         for source_id in predecessors:
             if source_id in seen:
                 continue
@@ -378,11 +392,7 @@ class ReachGraphQueryProcessor:
             if labels is not None and labels.rejects(source_vertex, source_id):
                 self.label_frontier_prunes += 1
                 continue
-            source = cache.get(source_id)
-            # The backward traversal covers components that can still pass the
-            # item onwards during the second half of the query interval
-            # (positional reads: [1] is ``start``, [2] is ``end``).
-            if source[2] < mid or source[1] > t2:
+            if not predecessors_fit:
                 continue
             seen.add(source_id)
             queue.append(source_id)

@@ -142,7 +142,7 @@ class ObjectBloomFilter:
 
 @dataclass(frozen=True, slots=True)
 class SnapshotArtifacts:
-    """The query-side structures a merge rebuilds over the frozen prefix.
+    """The query-side structures a merge builds for the frozen prefix.
 
     Produced purely from captured :class:`~repro.streaming.service.MergeInputs`
     by :func:`~repro.streaming.service.build_snapshot_artifacts` (safe to run
@@ -160,7 +160,6 @@ class SnapshotArtifacts:
     ``None`` for services that skip the fast path.
     """
 
-    network: ContactNetwork
     processor: Optional["ReachGraphQueryProcessor"]
     graph_patch: Optional["DagPatch"] = None
     pending_index: Optional["ReachGraphIndex"] = None
@@ -423,6 +422,11 @@ class ContactSnapshotStore:
     # introspection
     # ------------------------------------------------------------------
     @property
+    def origin(self) -> TimeInstant:
+        """First tick of the stream: extent ``i`` starts at ``origin + i * rt``."""
+        return self._origin
+
+    @property
     def num_contacts(self) -> int:
         """Number of contacts held by the live runs."""
         return sum(run.num_contacts for run in self._runs)
@@ -611,7 +615,6 @@ class ReachGraphDeltaOverlay:
         self._storage = storage
         self._delta = DeltaGraph()
         self._store: Optional[ContactSnapshotStore] = None
-        self._network: Optional[ContactNetwork] = None
         self._processor = None  # ReachGraphQueryProcessor over the snapshot
         self._snapshot_watermark: Optional[TimeInstant] = None
         self._version = 0
@@ -679,7 +682,6 @@ class ReachGraphDeltaOverlay:
             name=f"snapshot-contacts-v{self._version}",
             contacts=contacts,
         )
-        self._network = ContactNetwork(dataset, contacts, distance_threshold)
         self._retire_processor()
         if build_reachgraph:
             from ..reachgraph import ReachGraphIndex, ReachGraphQueryProcessor
@@ -692,7 +694,7 @@ class ReachGraphDeltaOverlay:
                 dataset,
                 config=graph_config,
                 contact_config=None,
-                contact_network=self._network,
+                contact_network=ContactNetwork(dataset, contacts, distance_threshold),
                 storage=self._storage,
                 name=f"graph-v{self._graph_version}",
             ).build()
@@ -718,9 +720,9 @@ class ReachGraphDeltaOverlay:
         ``new_contacts`` is the freshly frozen slice of the prefix — every
         contact of ``[origin, watermark]`` clipped past the current snapshot
         watermark (clipping is re-applied here to defend the partition
-        invariant).  ``artifacts`` carries the purely rebuilt query-side
-        structures (contact network, and either a fresh ReachGraph processor
-        or a :class:`~repro.reachgraph.DagPatch` for the live one), which is
+        invariant).  ``artifacts`` carries the purely built query-side
+        structures (either a fresh ReachGraph index or a
+        :class:`~repro.reachgraph.DagPatch` for the live one), which is
         what keeps the expensive half of a merge off-thread-safe while this
         method — the only part touching live state — stays cheap: one run
         append, a few assignments, and (in incremental graph mode) a patch
@@ -729,19 +731,15 @@ class ReachGraphDeltaOverlay:
         """
         # The graph half goes first: apply_increment validates the patch
         # against the live index (a stale patch raises) before anything else
-        # mutates, so a rejected adoption leaves the store, network, delta,
-        # and watermark exactly as they were.
+        # mutates, so a rejected adoption leaves the store, delta, and
+        # watermark exactly as they were.
         if artifacts.graph_patch is not None:
             if self._processor is None:
                 raise StreamingError(
                     "a graph patch was built but no live ReachGraph index "
                     "exists to apply it to"
                 )
-            report = self._processor.index.apply_increment(
-                artifacts.graph_patch,
-                artifacts.network.dataset,
-                contact_network=artifacts.network,
-            )
+            report = self._processor.index.apply_increment(artifacts.graph_patch)
             self._graph_records_written += report.records_written
         elif artifacts.pending_index is not None:
             from ..reachgraph import ReachGraphQueryProcessor
@@ -783,7 +781,6 @@ class ReachGraphDeltaOverlay:
             if clipped is not None
         ]
         appended = self._store.append_run(frozen)
-        self._network = artifacts.network
         self._snapshot_watermark = watermark
         self._delta.clear()
         return appended
@@ -901,21 +898,16 @@ class ReachGraphDeltaOverlay:
         return {"index": index.catalog(), "version": self._graph_version}
 
     def attach_graph(
-        self,
-        processor: "ReachGraphQueryProcessor",
-        network: ContactNetwork,
-        version: int,
+        self, processor: "ReachGraphQueryProcessor", version: int
     ) -> None:
         """Adopt a restored graph fast path (reopen path).
 
-        ``network`` is the snapshot prefix's contact network — the fast-path
-        applicability check reads its dataset — and ``version`` resumes the
-        graph file-name counter so later rebuilds never collide on a name.
+        ``version`` resumes the graph file-name counter so later rebuilds
+        never collide on a name.
         """
         self._processor = processor
         processor.partition_cache = self._partition_cache
         self._partition_cache.invalidate()
-        self._network = network
         self._graph_version = version
 
     # ------------------------------------------------------------------
@@ -1050,11 +1042,6 @@ class ReachGraphDeltaOverlay:
     def amplification(self) -> float:
         """Delta size relative to the snapshot size (the merge trigger ratio)."""
         return self.delta_size / max(1, self.snapshot_size)
-
-    @property
-    def snapshot_network(self) -> Optional[ContactNetwork]:
-        """The snapshot's contact network (for inspection)."""
-        return self._network
 
     @property
     def has_reachgraph(self) -> bool:
@@ -1199,12 +1186,12 @@ class ReachGraphDeltaOverlay:
         return False
 
     def _fast_path_applicable(self, query: ReachabilityQuery) -> bool:
-        dataset = self._network.dataset if self._network is not None else None
+        domain = self._processor.index.domain
         return (
-            dataset is not None
-            and query.source in dataset
-            and query.destination in dataset
-            and query.interval.intersection(dataset.horizon) is not None
+            domain is not None
+            and query.source in domain
+            and query.destination in domain
+            and query.interval.intersection(domain.horizon) is not None
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -523,7 +523,12 @@ class StreamIngestor:
         """
         return self._closed + self.open_contacts()
 
-    def contacts_through(self, through: TimeInstant) -> List[Contact]:
+    def contacts_through(
+        self,
+        through: TimeInstant,
+        after: TimeInstant | None = None,
+        closed_from: int = 0,
+    ) -> List[Contact]:
         """Every contact of the bounded prefix ``[origin, through]``.
 
         Like :meth:`contacts_through_watermark` but clipped at ``through``
@@ -532,14 +537,24 @@ class StreamIngestor:
         clipped to ``min(watermark, through)``.  Splitting at the bound is
         lossless for reachability, so this equals the contact network of a
         batch build over ``[origin, through]`` up to interval splitting.
+
+        With ``after`` the result is the slice ``(after, through]`` of that
+        set, same order — what a merge at ``through`` freezes past a snapshot
+        at ``after``.  Closed contacts are emitted in non-decreasing end
+        order, so a caller that knows the first ``closed_from`` of them end
+        at or before ``after`` passes that position and only the tail is
+        looked at: the slice then costs what was closed since, plus the open
+        runs, whatever the length of the prefix.
         """
-        clipped: List[Contact] = []
-        for contact in self._closed:
-            bounded = contact.clipped(contact.validity.start, through)
-            if bounded is not None:
-                clipped.append(bounded)
-        clipped.extend(self.open_contacts(through=through))
-        return clipped
+        if self._origin is None:
+            return []
+        floor = self._origin if after is None else after + 1
+        candidates = self._closed[closed_from:] + self.open_contacts(through=through)
+        return [
+            bounded
+            for bounded in (contact.clipped(floor, through) for contact in candidates)
+            if bounded is not None
+        ]
 
     # ------------------------------------------------------------------
     # grid introspection (used by tests and the benchmark)

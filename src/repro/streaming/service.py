@@ -137,12 +137,17 @@ class MergeInputs:
     background thread while the ingestor keeps moving (the asyncio service
     does exactly that).
 
-    ``contacts`` is the complete contact set of the prefix ``[origin, bound]``;
-    ``new_contacts`` is its freshly frozen slice — the same contacts clipped
-    past the previous snapshot watermark — which is all the LSM write path
-    appends to the snapshot store (empty in rebuild mode, which rewrites the
-    full prefix and never reads the slice).  ``mode`` records which write
-    path the service's config selected when the inputs were captured.
+    ``new_contacts`` is the freshly frozen slice — the contacts of
+    ``(snapshot watermark, bound]`` — which is all the LSM write path appends
+    to the snapshot store and all a graph patch replays (empty in rebuild
+    mode, which rewrites the full prefix and never reads the slice).
+    ``prefix`` and ``contacts`` — the trajectories and the complete contact
+    set of ``[origin, bound]`` — are materialised only for a build that
+    starts from nothing: a rebuild-mode merge, or a ReachGraph build with no
+    frontier to patch (the first merge, or graph-rebuild mode); every other
+    merge carries ``None`` and ``()`` and costs what the increment costs.
+    ``mode`` records which write path the service's config selected when the
+    inputs were captured.
 
     ``graph_mode`` records the ReachGraph maintenance mode, and
     ``graph_frontier`` carries the live index's captured resumable state when
@@ -154,9 +159,10 @@ class MergeInputs:
     change between prepare and adopt cannot split-brain the build).
     """
 
-    prefix: TrajectoryDataset
+    prefix: Optional[TrajectoryDataset]
     contacts: Tuple[Contact, ...]
     new_contacts: Tuple[Contact, ...]
+    origin: TimeInstant
     bound: TimeInstant
     temporal_resolution: int
     distance_threshold: float
@@ -198,6 +204,7 @@ def build_snapshot_overlay(
         storage_config, name=f"overlay-rebuild-{next(_REBUILD_NAMES)}", attach=False
     )
     overlay = ReachGraphDeltaOverlay(storage)
+    assert inputs.prefix is not None, "a rebuild-mode merge captures the prefix"
     overlay.install_snapshot(
         inputs.prefix,
         inputs.contacts,
@@ -221,17 +228,16 @@ def _graph_config(inputs: MergeInputs) -> ReachGraphConfig:
 def build_snapshot_artifacts(inputs: MergeInputs) -> SnapshotArtifacts:
     """Rebuild the query-side snapshot structures from captured merge inputs.
 
-    The pure (off-thread-safe) half of an LSM-mode merge: the contact network
-    over the full prefix and, when configured, the ReachGraph fast path.  In
-    incremental graph mode (a :attr:`MergeInputs.graph_frontier` was
-    captured) the fast path is *not* rebuilt — the frozen slice is replayed
-    over the frontier into a :class:`~repro.reachgraph.DagPatch` whose cost
-    is proportional to the appended ticks, and the live index is patched at
-    adoption time.  No storage the service owns is touched here — the
-    snapshot store append (and the patch application) happen later, inside
-    :meth:`StreamingReachabilityService.adopt_merge`.
+    The pure (off-thread-safe) half of an LSM-mode merge: when configured,
+    the ReachGraph fast path.  In incremental graph mode (a
+    :attr:`MergeInputs.graph_frontier` was captured) the fast path is *not*
+    rebuilt — the frozen slice is replayed over the frontier into a
+    :class:`~repro.reachgraph.DagPatch` whose cost is proportional to the
+    appended ticks, and the live index is patched at adoption time; only a
+    build from nothing reads the whole prefix.  No storage the service owns
+    is touched here — the snapshot store append (and the patch application)
+    happen later, inside :meth:`StreamingReachabilityService.adopt_merge`.
     """
-    network = ContactNetwork(inputs.prefix, inputs.contacts, inputs.distance_threshold)
     pending_index = None
     graph_patch = None
     if inputs.build_reachgraph:
@@ -244,6 +250,7 @@ def build_snapshot_artifacts(inputs: MergeInputs) -> SnapshotArtifacts:
         else:
             from ..reachgraph import ReachGraphIndex
 
+            assert inputs.prefix is not None, "a full build captures the prefix"
             # Deferred placement: the build runs in memory (possibly on a
             # background thread); the adopting thread later writes it onto
             # the overlay's own device, where close/reopen can find it.
@@ -251,11 +258,12 @@ def build_snapshot_artifacts(inputs: MergeInputs) -> SnapshotArtifacts:
                 inputs.prefix,
                 config=_graph_config(inputs),
                 contact_config=None,
-                contact_network=network,
+                contact_network=ContactNetwork(
+                    inputs.prefix, inputs.contacts, inputs.distance_threshold
+                ),
                 defer_placement=True,
             ).build()
     return SnapshotArtifacts(
-        network=network,
         processor=None,
         graph_patch=graph_patch,
         pending_index=pending_index,
@@ -433,11 +441,13 @@ class StreamingReachabilityService:
 
         The full-resume counterpart of the read-only
         :meth:`SnapshotQueryService.open`: the overlay (snapshot runs, graph
-        fast path) is restored from the overlay device, the ingestor replays
-        its WAL from the grid device — rebuilding the open-contact join,
-        position buffers, and grid memtable — and the delta is rebuilt from
-        the replayed closed contacts, so the service continues ingesting and
-        merging from the recovered watermark.  The WAL is authoritative: a
+        fast path) is restored from the overlay device alone, the ingestor
+        is restored — once — from the grid device (checkpointed state plus
+        any WAL tail: the open-contact join, position buffers, and grid
+        memtable) and the delta is rebuilt from its closed contacts, so the
+        service continues ingesting and merging from the recovered
+        watermark.  The graph's in-memory maintenance half is rebuilt by the
+        first merge that needs it, not here.  The WAL is authoritative: a
         crash between the ingestor flush and the overlay (manifest) flush
         leaves the WAL ahead, and resuming recovers those batches too.
         """
@@ -568,63 +578,64 @@ class StreamingReachabilityService:
         self.adopt_merge(build, inputs)
 
     def prepare_merge(self, through: Optional[TimeInstant] = None) -> MergeInputs:
-        """Capture the frozen prefix a merge would fold into a snapshot.
+        """Capture what a merge through ``min(through, watermark)`` folds in.
 
-        Synchronous and cheap relative to the build: materializes the prefix
-        dataset and its contact set through ``min(through, watermark)``, plus
-        the freshly frozen slice (clipped past the current snapshot
-        watermark) the LSM path appends.  The returned :class:`MergeInputs`
-        shares no mutable state with the ingestor, so a :func:`build_merge`
-        over it may run concurrently with further ingestion.
+        Synchronous and cheap relative to the build.  The freshly frozen
+        slice is read off the tail of the closed-contact list past the
+        restage cursor (everything before it was frozen by an earlier merge)
+        plus the open runs, so with a graph frontier to patch the capture
+        costs what the increment costs; only a build from nothing — rebuild
+        mode, or a ReachGraph build with no frontier yet — materialises the
+        prefix dataset and its complete contact set.  The returned
+        :class:`MergeInputs` shares no mutable state with the ingestor, so a
+        :func:`build_merge` over it may run concurrently with further
+        ingestion.
         """
         self._ensure_open()
         watermark = self._ingestor.watermark
-        if watermark is None:
+        origin = self._ingestor.origin
+        if watermark is None or origin is None:
             raise StreamingError("nothing to merge: no batch ingested yet")
         bound = watermark if through is None else min(through, watermark)
         self._sync_delta()
-        contacts = tuple(self._ingestor.contacts_through(bound))
-        snapshot_watermark = self._overlay.snapshot_watermark
-        mode = self.streaming_config.snapshot_mode
-        if mode == "rebuild":
-            # The rebuild path rewrites the full prefix and never reads the
-            # frozen slice; skip the per-contact clipping pass.
-            new_contacts: Tuple[Contact, ...] = ()
-        elif snapshot_watermark is None:
-            new_contacts = contacts
-        else:
-            new_contacts = tuple(
-                clipped
-                for clipped in (
-                    contact.clipped(snapshot_watermark + 1, contact.validity.end)
-                    for contact in contacts
-                )
-                if clipped is not None
-            )
-        graph_mode = self.streaming_config.graph_mode
+        config = self.streaming_config
+        mode = config.snapshot_mode
+        new_contacts: Tuple[Contact, ...] = ()
         graph_frontier = None
-        if (
-            mode != "rebuild"
-            and graph_mode == "incremental"
-            and self.streaming_config.build_reachgraph_on_merge
+        if mode != "rebuild":
+            new_contacts = tuple(
+                self._ingestor.contacts_through(
+                    bound,
+                    after=self._overlay.snapshot_watermark,
+                    closed_from=self._restage_cursor,
+                )
+            )
+            if config.graph_mode == "incremental" and config.build_reachgraph_on_merge:
+                # Capture the live index's resumable state on this (owning)
+                # thread; None before the first fast-path build, which makes
+                # the first merge a full build and every later one a patch.
+                graph_frontier = self._overlay.graph_frontier()
+        prefix = None
+        contacts: Tuple[Contact, ...] = ()
+        if mode == "rebuild" or (
+            config.build_reachgraph_on_merge and graph_frontier is None
         ):
-            # Capture the live index's resumable state on this (owning)
-            # thread; None before the first fast-path build, which makes the
-            # first merge a full build and every later one a patch.
-            graph_frontier = self._overlay.graph_frontier()
+            prefix = self._ingestor.prefix_dataset(through=bound)
+            contacts = tuple(self._ingestor.contacts_through(bound))
         return MergeInputs(
-            prefix=self._ingestor.prefix_dataset(through=bound),
+            prefix=prefix,
             contacts=contacts,
             new_contacts=new_contacts,
+            origin=origin,
             bound=bound,
             temporal_resolution=self.grid_config.temporal_resolution,
             distance_threshold=self.contact_config.distance_threshold,
-            build_reachgraph=self.streaming_config.build_reachgraph_on_merge,
+            build_reachgraph=config.build_reachgraph_on_merge,
             mode=mode,
-            graph_mode=graph_mode,
+            graph_mode=config.graph_mode,
             graph_frontier=graph_frontier,
-            graph_labels=self.streaming_config.graph_labels,
-            label_dirty_ratio=self.streaming_config.label_dirty_ratio,
+            graph_labels=config.graph_labels,
+            label_dirty_ratio=config.label_dirty_ratio,
         )
 
     def adopt_merge(self, build: MergeBuild, inputs: MergeInputs) -> None:
@@ -649,7 +660,7 @@ class StreamingReachabilityService:
             build.artifacts,
             inputs.new_contacts,
             inputs.bound,
-            origin=inputs.prefix.horizon.start,
+            origin=inputs.origin,
             temporal_resolution=inputs.temporal_resolution,
         )
         self._graph_records_written += (
@@ -1027,7 +1038,11 @@ class SnapshotQueryService:
     and queries the fast path can serve (no delta or open contact overlaps
     the interval) run through the restored ReachGraph index — the rest take
     the overlay union path (snapshot runs read from the reopened device, IO
-    charged as usual).  To *resume ingesting* instead of just querying, use
+    charged as usual).  Everything is read off the ``<name>-overlay`` device:
+    the ingestor's ``<name>-grid`` device is never opened, and of the graph
+    only what serving reads is rebuilt (see
+    :meth:`~repro.reachgraph.ReachGraphIndex.restore`).  To *resume
+    ingesting* instead of just querying, use
     :meth:`StreamingReachabilityService.open`.
     """
 
@@ -1094,59 +1109,28 @@ class SnapshotQueryService:
                 Contact(first, second, TimeInterval(start, end))
                 for first, second, start, end in manifest["open"]
             ]
-            if manifest.get("graph") is not None:
-                cls._restore_graph(
-                    storage_config, name, storage, overlay, manifest["graph"]
+            graph = manifest.get("graph")
+            if graph is not None:
+                from ..reachgraph import ReachGraphIndex, ReachGraphQueryProcessor
+
+                # The graph rides the same commit as the store and the
+                # watermark, and those two say which ticks it covers: nothing
+                # outside this device is opened to serve from it.
+                if store is None:
+                    raise StreamingError(
+                        f"overlay manifest of {name!r} names a graph but no "
+                        "snapshot store"
+                    )
+                index = ReachGraphIndex.restore(
+                    storage,
+                    graph["index"],
+                    TimeInterval(store.origin, manifest["snapshot_watermark"]),
                 )
+                overlay.attach_graph(ReachGraphQueryProcessor(index), graph["version"])
             return cls(storage, overlay, open_contacts, manifest["watermark"])
         except BaseException:
             storage.release()
             raise
-
-    @staticmethod
-    def _restore_graph(
-        storage_config: StorageConfig,
-        name: str,
-        storage: StorageSystem,
-        overlay: ReachGraphDeltaOverlay,
-        catalog: dict,
-    ) -> None:
-        """Reattach the persisted ReachGraph fast path to ``overlay``.
-
-        The graph's partition extents live on the overlay device; the prefix
-        dataset and contact network they describe are rebuilt by replaying
-        the ingestor's WAL up to the snapshot watermark (both are pure
-        in-memory structures, so the grid device is closed again afterwards).
-        Skipped silently when the grid device was never flushed — the union
-        path still answers correctly without the fast path.
-        """
-        suffix = BACKEND_FILE_SUFFIX[storage_config.backend]
-        assert storage_config.storage_dir is not None
-        grid_path = os.path.join(
-            storage_config.storage_dir, f"{name}-grid{suffix}.manifest"
-        )
-        if not os.path.exists(grid_path):
-            return
-        from ..reachgraph import ReachGraphIndex, ReachGraphQueryProcessor
-
-        snapshot_watermark = overlay.snapshot_watermark
-        ingestor = StreamIngestor.restore(storage_config, name)
-        try:
-            prefix = ingestor.prefix_dataset(through=snapshot_watermark)
-            network = ContactNetwork(
-                prefix,
-                tuple(ingestor.contacts_through(snapshot_watermark)),
-                ingestor.contact_config.distance_threshold,
-            )
-        finally:
-            # release(), not close(): this restore is a pure read, and a
-            # flush here would rewrite the grid manifest — racing any other
-            # process (a parallel query worker) reopening the same state.
-            ingestor.storage.release()
-        index = ReachGraphIndex.restore(storage, catalog["index"], prefix, network)
-        overlay.attach_graph(
-            ReachGraphQueryProcessor(index), network, catalog["version"]
-        )
 
     def query(self, query: ReachabilityQuery) -> QueryResult:
         """Answer a query over the persisted prefix (union path, IO charged)."""

@@ -9,7 +9,9 @@ the exact earliest reach time) on every query — collecting all disagreements
 before failing so a mismatch report shows the full picture.
 
 Used by ``test_streaming.py``, ``test_integration_equivalence.py``, and the
-sharded-ingestion property suite in ``test_sharding.py``.
+sharded-ingestion property suite in ``test_sharding.py``.  ``CallCounter``,
+the helper behind the suites' count gates (calls, never clocks), is shared
+from here too.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro.core import (
 from repro.trajectory.model import TrajectoryDataset
 
 __all__ = [
+    "CallCounter",
     "EQUIVALENCE_BACKENDS",
     "EQUIVALENCE_GRAPH_MODES",
     "EQUIVALENCE_LABEL_MODES",
@@ -66,6 +69,32 @@ EQUIVALENCE_MERGE_EXECUTORS = MERGE_EXECUTORS
 #: filter whose ``True`` verdicts are provably exact, so both settings answer
 #: bit-identically at every watermark.
 EQUIVALENCE_LABEL_MODES = (True, False)
+
+
+class CallCounter:
+    """Counts calls of ``owner.name`` (patched on the class) without changing them."""
+
+    def __init__(self, monkeypatch, *targets):
+        self.calls = {}
+        for owner, name in targets:
+            self._patch(monkeypatch, owner, name)
+
+    def _patch(self, monkeypatch, owner, name):
+        key = f"{owner.__name__}.{name}"
+        self.calls[key] = 0
+        descriptor = owner.__dict__[name]
+        real = getattr(descriptor, "__func__", descriptor)
+
+        def counted(*args, **kwargs):
+            self.calls[key] += 1
+            return real(*args, **kwargs)
+
+        wrapped = classmethod(counted) if isinstance(descriptor, classmethod) else counted
+        monkeypatch.setattr(owner, name, wrapped)
+
+    def reset(self):
+        for key in self.calls:
+            self.calls[key] = 0
 
 
 def backend_storage_config(

@@ -102,7 +102,7 @@ class TestVertexRecordShape:
 def assert_object_index_matches_dag(index: ReachGraphIndex, context: str) -> None:
     """``find_vertex_id`` against a brute-force scan, every object and tick."""
     dag = index.dag
-    for object_id in index.dataset.object_ids:
+    for object_id in index.domain.object_ids:
         segments = dag.assignment_segments(object_id)
         first_start = segments[0][0]
         with pytest.raises(IndexConstructionError):
@@ -325,6 +325,37 @@ class TestSlotDirectory:
             ReachGraphQueryProcessor(index, use_labels=False).evaluate(query)
 
 
+    @pytest.mark.parametrize(
+        "reopen", [SnapshotQueryService.open, StreamingReachabilityService.open]
+    )
+    def test_truncated_extent_is_refused_at_restore_before_any_query(
+        self, reopen, tmp_path, tiny_dataset, tiny_contact_config
+    ):
+        """The restore reads every extent once, and the dense vertex ids are
+        its proof that none lost a record: a reopen over a shortened extent
+        fails there, not at whichever query first lands on the partition."""
+        storage_config = backend_storage_config("file", storage_dir=str(tmp_path))
+        service = make_service(tiny_dataset, tiny_contact_config, storage_config)
+        service.drain(tiny_dataset)
+        service.merge()
+        index = live_index(service)
+        partition_id = next(
+            partition_id
+            for partition_id, ids in enumerate(index.partitioning.members)
+            if len(ids) > 1
+        )
+        lost = index.partitioning.members[partition_id][0]
+        service.close()
+
+        storage = StorageSystem(storage_config, name=f"{service.name}-overlay")
+        partitions = storage.blockfile(f"{index.name}-partitions")
+        partitions.replace_extent(partition_id, partitions.read_extent(partition_id)[1:])
+        storage.close()
+
+        with pytest.raises(IndexConstructionError, match=f"missing vertex {lost}$"):
+            reopen(storage_config, name=service.name)
+
+
 # ----------------------------------------------------------------------
 # another on-device format is refused up front
 # ----------------------------------------------------------------------
@@ -353,7 +384,7 @@ class TestFormatGate:
             catalog["format"] = found
         reads_before = storage.stats.total_reads
         with pytest.raises(IndexConstructionError) as error:
-            ReachGraphIndex.restore(storage, catalog, tiny_dataset, tiny_network)
+            ReachGraphIndex.restore(storage, catalog, tiny_dataset.horizon)
         assert f"format {found!r}" in str(error.value)
         assert "expected format 2" in str(error.value)
         assert storage.stats.total_reads == reads_before

@@ -446,9 +446,60 @@ def _grow_index(world, data, partition_depth):
         patch = compute_graph_patch(index.frontier(), contacts, network.dataset.horizon.end)
         assigned = set(index.partitioning.partition_of)
         placed = len(index.partitioning.members)
-        index.apply_increment(patch, network.dataset, contact_network=network)
+        index.apply_increment(patch)
         fresh = [node_id for node_id, _, _, _ in patch.new_nodes]
         yield index, fresh, index.partitioning.members[placed:], assigned
+
+
+def _assert_dn1_edges_join_adjacent_ticks(index):
+    """Every stored DN_1 edge ``u -> w`` has ``w.start == u.end + 1``, both ways."""
+    records = {
+        record.node_id: record
+        for partition_id, members in enumerate(index.partitioning.members)
+        if members
+        for record in index.read_partition(partition_id)
+    }
+    assert len(records) == index.num_vertices
+    edges = 0
+    for record in records.values():
+        for successor_id in record.successors:
+            assert records[successor_id].start == record.end + 1
+            assert record.node_id in records[successor_id].predecessors
+            edges += 1
+        for predecessor_id in record.predecessors:
+            assert records[predecessor_id].end == record.start - 1
+    return edges
+
+
+class TestDn1EdgesJoinAdjacentTicks:
+    """The invariant BM-BFS leans on to bound a DN_1 neighbour without reading
+    it: the reduction only ever connects a vertex that ended at ``t - 1`` to
+    one created at ``t``, and an increment extends a vertex only while it has
+    no successor, so no later rewrite of a record can break it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(contact_worlds())
+    def test_batch_build(self, world):
+        network = _network(*world)
+        index = ReachGraphIndex(
+            network.dataset,
+            ReachGraphConfig(resolutions=SWEEP_RESOLUTIONS, partition_depth=2),
+            contact_network=network,
+        ).build()
+        assert _assert_dn1_edges_join_adjacent_ticks(index) == index.dag.num_edges
+
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.data_too_large]
+    )
+    @given(contact_worlds(min_ticks=8), st.data())
+    def test_build_grown_by_increments_and_repacked(self, world, data):
+        for index, _, _, _ in _grow_index(world, data, partition_depth=1):
+            _assert_dn1_edges_join_adjacent_ticks(index)
+            index.repack_frontier(min_partitions=2)
+            assert _assert_dn1_edges_join_adjacent_ticks(index) == index.dag.num_edges
+
+    def test_generated_network(self, tiny_reachgraph):
+        assert _assert_dn1_edges_join_adjacent_ticks(tiny_reachgraph) > 0
 
 
 def test_empty_provided_network_is_used_not_rejoined():

@@ -7,17 +7,21 @@ import random
 import pytest
 
 from repro.baselines import evaluate_reachability
+from repro.contacts import Contact, ContactNetwork
 from repro.core import (
     ContactConfig,
     IndexConstructionError,
     IndexNotBuiltError,
+    Point,
     QueryError,
     ReachabilityQuery,
     ReachGraphConfig,
     TimeInterval,
     UnknownObjectError,
 )
+from reachgraph_query_reference import ReferenceReachGraphQueryProcessor
 from repro.reachgraph import ReachGraphIndex, ReachGraphQueryProcessor, STRATEGIES
+from repro.trajectory import Trajectory, TrajectoryDataset
 
 
 @pytest.fixture(scope="module")
@@ -196,3 +200,128 @@ class TestReachGraphQueryProcessing:
             total_bm += processor.evaluate(query, strategy="bm-bfs").visited
             total_dfs += processor.evaluate(query, strategy="e-dfs").visited
         assert total_bm <= total_dfs
+
+
+# ----------------------------------------------------------------------
+# BM-BFS bounds a DN_1 neighbour from the record in hand (ISSUE 24): against
+# the read-every-neighbour loops kept in tests/reachgraph_query_reference.py.
+# ----------------------------------------------------------------------
+def _traced(processor_class, index, use_labels):
+    """A processor logging its two queues after every step and every partition read."""
+
+    class Traced(processor_class):
+        def _process_forward(self, queue, *rest):
+            result = super()._process_forward(queue, *rest)
+            self.steps.append(("forward", tuple(queue)))
+            return result
+
+        def _process_backward(self, queue, *rest):
+            result = super()._process_backward(queue, *rest)
+            self.steps.append(("backward", tuple(queue)))
+            return result
+
+    processor = Traced(index, use_labels=use_labels)
+    processor.steps = []
+    return processor
+
+
+def _evaluate_recording_reads(processor, query, strategy):
+    """``(result, queue log, partitions read)`` of one query, ledgers untouched."""
+    index = processor.index
+    read = []
+    original = index.read_partition
+
+    def recording(partition_id):
+        read.append(partition_id)
+        return original(partition_id)
+
+    index.read_partition = recording
+    processor.steps = []
+    try:
+        result = processor.evaluate(query, strategy=strategy)
+    finally:
+        del index.read_partition
+    return result, processor.steps, read
+
+
+@pytest.fixture(scope="module")
+def vn_tiny_reachgraph(vn_tiny_dataset, vn_tiny_network):
+    return ReachGraphIndex(
+        vn_tiny_dataset, ReachGraphConfig(), contact_network=vn_tiny_network
+    ).build()
+
+
+class TestNeighbourBoundsNeedNoRead:
+    @pytest.mark.parametrize("use_labels", (True, False))
+    @pytest.mark.parametrize("strategy", ("bm-bfs", "b-bfs"))
+    @pytest.mark.parametrize("world", ("tiny_reachgraph", "vn_tiny_reachgraph"))
+    def test_same_traversal_fewer_partitions_than_the_reading_loops(
+        self, request, world, strategy, use_labels
+    ):
+        index = request.getfixturevalue(world)
+        production = _traced(ReachGraphQueryProcessor, index, use_labels)
+        oracle = _traced(ReferenceReachGraphQueryProcessor, index, use_labels)
+        rng = random.Random(41)
+        horizon = index.domain.horizon
+        production_reads = oracle_reads = 0
+        for _ in range(60):
+            source, destination = rng.sample(index.domain.object_ids, 2)
+            start = rng.randint(horizon.start, horizon.end - 10)
+            end = min(start + rng.choice((3, 10, 40, 150)), horizon.end)
+            query = ReachabilityQuery(source, destination, TimeInterval(start, end))
+            mine, my_steps, my_reads = _evaluate_recording_reads(
+                production, query, strategy
+            )
+            theirs, their_steps, their_reads = _evaluate_recording_reads(
+                oracle, query, strategy
+            )
+            assert (mine.reachable, mine.visited) == (theirs.reachable, theirs.visited)
+            assert my_steps == their_steps, "a vertex was enqueued elsewhere or not at all"
+            assert set(my_reads) <= set(their_reads)
+            assert len(my_reads) == len(set(my_reads)), "a partition was read twice"
+            # Blocks, not normalized IO: skipping a read can turn the next
+            # one from sequential into random, so one query's ``io`` may rise.
+            assert (
+                mine.random_ios + mine.sequential_ios
+                <= theirs.random_ios + theirs.sequential_ios
+            )
+            production_reads += len(my_reads)
+            oracle_reads += len(their_reads)
+        assert (production.label_rejections, production.label_frontier_prunes) == (
+            oracle.label_rejections,
+            oracle.label_frontier_prunes,
+        )
+        # The pin discriminates: the reading loops pay for neighbours they reject.
+        assert production_reads < oracle_reads
+
+    def test_rejecting_a_dn1_neighbour_reads_nothing(self):
+        """Objects 0 and 1 meet at every even tick, object 2 never meets
+        anyone: at depth 1 each meeting and the two singletons after it share
+        a partition.  Asking 0 -> 2 over [0, 7] walks the first two meetings
+        and must reject the third (tick 4, past the midpoint): the reading
+        loops load its partition to find that out, production does not."""
+        dataset = TrajectoryDataset(
+            [Trajectory(object_id, [Point(0.0, 0.0)] * 8) for object_id in range(3)],
+            environment_size=(1.0, 1.0),
+        )
+        network = ContactNetwork(
+            dataset,
+            [Contact(0, 1, TimeInterval(t, t)) for t in (0, 2, 4, 6)],
+            distance_threshold=1.0,
+        )
+        index = ReachGraphIndex(
+            dataset,
+            ReachGraphConfig(resolutions=(2,), partition_depth=1),
+            contact_network=network,
+        ).build()
+        assert index.num_partitions == 5
+        query = ReachabilityQuery(0, 2, TimeInterval(0, 7))
+        for processor_class, expected in (
+            (ReachGraphQueryProcessor, 3),
+            (ReferenceReachGraphQueryProcessor, 4),
+        ):
+            processor = _traced(processor_class, index, use_labels=False)
+            result, _, read = _evaluate_recording_reads(processor, query, "b-bfs")
+            assert not result.reachable
+            assert result.visited == 9  # both endpoints, then 6 + 1 pops
+            assert len(read) == expected

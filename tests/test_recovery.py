@@ -19,6 +19,7 @@ import pytest
 
 from equivalence import (
     EQUIVALENCE_BACKENDS,
+    CallCounter,
     assert_methods_agree,
     assert_reopened_matches_prefix,
     backend_storage_config,
@@ -478,6 +479,214 @@ class TestGraphPathRestore:
             fresh.catalog()["window_cursors"]
         )
         reopened.close()
+
+
+# ----------------------------------------------------------------------
+# serving from the overlay device alone (ISSUE 24): counts, not clocks
+# ----------------------------------------------------------------------
+def maintenance_and_writer_calls(monkeypatch):
+    """Everything a read-only reopen must never call."""
+    from repro.contacts.network import ContactNetwork
+    from repro.reachgraph import ContactDag, LongEdgeLayer
+    from repro.streaming import StreamIngestor
+
+    return CallCounter(
+        monkeypatch,
+        (ContactDag, "add_node"),
+        (ContactDag, "add_edge"),
+        (LongEdgeLayer, "add_edge"),
+        (ContactNetwork, "__init__"),
+        (StreamIngestor, "restore"),
+    )
+
+
+def eagerly_restored_graph(index):
+    """The maintenance graph as the restore built it before ISSUE 24: every
+    record in id order into a fresh DAG, then the edges, then one layer per
+    resolution — ``(nodes, forward, backward, assignments, layers)``."""
+    from repro.core import TimeInterval
+    from repro.reachgraph import ContactDag, LongEdgeLayer
+
+    records = sorted(
+        (
+            record
+            for partition_id, members in enumerate(index.partitioning.members)
+            if members
+            for record in index.read_partition(partition_id)
+        ),
+        key=lambda record: record.node_id,
+    )
+    dag = ContactDag(index.domain.horizon, len(index.domain.object_ids))
+    for record in records:
+        node = dag.add_node(
+            TimeInterval(record.start, record.end), frozenset(record.members)
+        )
+        assert node.node_id == record.node_id
+    for record in records:
+        for successor_id in record.successors:
+            dag.add_edge(record.node_id, successor_id)
+    layers = []
+    for resolution in index.config.sorted_resolutions:
+        layer = LongEdgeLayer(resolution)
+        for record in records:
+            for target_id in record.long_successors_at(resolution):
+                layer.add_edge(record.node_id, target_id)
+        layers.append(layer)
+    return graph_shape(dag, layers, index.domain.object_ids)
+
+
+def graph_shape(dag, layers, object_ids):
+    """A graph as plain data, dict and list orders included."""
+    return (
+        [(node.node_id, node.interval, node.members) for node in dag.nodes],
+        list(dag.forward.items()),
+        list(dag.backward.items()),
+        [(object_id, dag.assignment_segments(object_id)) for object_id in object_ids],
+        [(layer.resolution, list(layer.forward.items())) for layer in layers],
+    )
+
+
+class TestOverlayOnlyReopen:
+    def _closed_service(self, dataset, storage_config, **overrides):
+        """A multi-merge incremental stream with a repack, drained and closed."""
+        service = make_service(
+            dataset,
+            storage_config,
+            max_delta_contacts=8,
+            graph_repack_min_partitions=2,
+            **overrides,
+        )
+        service.drain(dataset)
+        index = service.overlay.snapshot_processor.index
+        assert index.num_increments >= 3 and index.num_repacks >= 1
+        service.close()
+        return service
+
+    @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
+    def test_read_only_open_needs_no_grid_device(
+        self, backend, tmp_path, dataset, monkeypatch
+    ):
+        storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
+        service = self._closed_service(dataset, storage_config)
+        grid_files = [p for p in tmp_path.iterdir() if f"{service.name}-grid" in p.name]
+        assert grid_files, "the closed service left a grid device to delete"
+        for path in grid_files:
+            path.unlink()
+
+        from repro.storage.backends.file import FileBackend
+        from repro.storage.backends.mmapfile import MmapBackend
+
+        calls = maintenance_and_writer_calls(monkeypatch)
+        loads = []
+        for backend_class in (FileBackend, MmapBackend):
+            real_load = backend_class._load
+
+            def counting_load(device, block_id, real_load=real_load):
+                loads.append(block_id)
+                return real_load(device, block_id)
+
+            monkeypatch.setattr(backend_class, "_load", counting_load)
+
+        files_before = sorted(p.name for p in tmp_path.iterdir())
+        reopened = SnapshotQueryService.open(storage_config, name=service.name)
+        assert reopened.overlay.has_reachgraph, "the graph path needs no grid device"
+        assert len(loads) == len(set(loads)), "a block was decoded twice by the open"
+        assert len(loads) <= reopened.storage.live_blocks
+        index = reopened.overlay.snapshot_processor.index
+        assert index._hypergraph is None, "a read-only open built the maintenance graph"
+        assert index.dataset is None and index.network is None
+        assert index.domain.object_ids == tuple(dataset.object_ids)
+        assert index.domain.horizon.start == dataset.horizon.start
+        assert index.domain.horizon.end == reopened.overlay.snapshot_watermark
+
+        queries = list(random_queries(dataset, count=25, seed=19))
+        for query in queries:
+            reopened.query(query)
+        assert index._hypergraph is None, "a query built the maintenance graph"
+        assert calls.calls == dict.fromkeys(calls.calls, 0)
+        # (The reference evaluator builds a contact network of its own.)
+        assert_reopened_matches_prefix(
+            reopened,
+            dataset,
+            THRESHOLD,
+            queries,
+            context=f"overlay-only reopen on {backend}",
+        )
+        reopened.close()
+        assert sorted(p.name for p in tmp_path.iterdir()) == files_before
+
+    def test_resuming_restores_the_ingestor_exactly_once(
+        self, tmp_path, dataset, monkeypatch
+    ):
+        from repro.streaming import StreamIngestor
+
+        storage_config = backend_storage_config("file", storage_dir=str(tmp_path))
+        service = self._closed_service(dataset, storage_config)
+        calls = CallCounter(monkeypatch, (StreamIngestor, "restore"))
+        resumed = StreamingReachabilityService.open(storage_config, name=service.name)
+        assert calls.calls == {"StreamIngestor.restore": 1}
+        assert resumed.overlay.snapshot_processor.index._hypergraph is None
+        resumed.close()
+
+    @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
+    def test_first_merge_of_a_resumed_writer_materialises_the_eager_graph(
+        self, backend, tmp_path, dataset, monkeypatch
+    ):
+        """What the writer rebuilds lazily equals — node for node, dict order
+        for dict order — what the restore used to build up front; the merge
+        then grows it exactly as it grows a writer that never closed."""
+        storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
+        batches = list(DatasetReplaySource(dataset, batch_ticks=8).batches())
+        half = len(batches) // 2
+        config = dict(max_delta_contacts=8, graph_repack_min_partitions=2)
+        service = make_service(dataset, storage_config, **config)
+        twin = make_service(dataset, None, **config)
+        for batch in batches[:half]:
+            service.ingest(batch)
+            twin.ingest(batch)
+        assert service.overlay.snapshot_processor.index.num_increments >= 1
+        service.close()
+
+        resumed = StreamingReachabilityService.open(
+            storage_config, name=service.name, streaming_config=StreamingConfig(**config)
+        )
+        index = resumed.overlay.snapshot_processor.index
+        expected = eagerly_restored_graph(index)
+        assert index._hypergraph is None
+        calls = maintenance_and_writer_calls(monkeypatch)
+        frontier = resumed.overlay.graph_frontier()
+        assert calls.calls["ContactDag.add_node"] == index.num_vertices
+        hypergraph = index.hypergraph
+        assert graph_shape(
+            hypergraph.dag,
+            [hypergraph.layer(r) for r in hypergraph.resolutions],
+            index.domain.object_ids,
+        ) == expected
+        assert frontier == twin.overlay.graph_frontier()
+
+        for batch in batches[half:]:
+            resumed.ingest(batch)
+            twin.ingest(batch)
+        resumed.merge()
+        twin.merge()
+        mine = resumed.overlay.snapshot_processor.index
+        theirs = twin.overlay.snapshot_processor.index
+        assert mine is index, "the resumed index is patched in place"
+        assert mine.num_increments > 1
+        assert mine.catalog() == {**theirs.catalog(), "name": mine.name}
+        assert mine.partitioning.members == theirs.partitioning.members
+        def normalised(records):
+            # A restore re-derives predecessor lists in source-id order; a
+            # writer that never closed keeps them in discovery order.
+            return [r._replace(predecessors=tuple(sorted(r.predecessors))) for r in records]
+
+        for partition_id, members in enumerate(mine.partitioning.members):
+            if members:
+                assert normalised(mine.read_partition(partition_id)) == normalised(
+                    theirs.read_partition(partition_id)
+                )
+        resumed.close()
+        twin.close()
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 
 from equivalence import (
     EQUIVALENCE_BACKENDS,
+    CallCounter,
     EQUIVALENCE_GRAPH_MODES,
     assert_methods_agree,
     backend_storage_config,
@@ -1207,3 +1208,224 @@ class TestMergeRestageRegression:
                     f"delta holds {contact} entirely at or before the "
                     f"snapshot watermark {frozen}"
                 )
+
+
+# ----------------------------------------------------------------------
+# a merge captures the increment, not the prefix (ISSUE 24)
+# ----------------------------------------------------------------------
+def whole_prefix_slice(ingestor, snapshot_watermark, bound):
+    """The frozen slice as it was computed before ISSUE 24: every contact of
+    ``[origin, bound]`` clipped at the bound, then clipped again past the
+    snapshot watermark."""
+    contacts = ingestor.contacts_through(bound)
+    if snapshot_watermark is None:
+        return tuple(contacts)
+    return tuple(
+        clipped
+        for clipped in (
+            contact.clipped(snapshot_watermark + 1, contact.validity.end)
+            for contact in contacts
+        )
+        if clipped is not None
+    )
+
+
+@pytest.fixture()
+def checked_merges(monkeypatch):
+    """Hold every merge made while the fixture is live to the whole-prefix slice.
+
+    ``prepare_merge`` must capture it, and the same contacts in the same
+    order must then reach ``compute_graph_patch`` (patch merges) and
+    ``ContactSnapshotStore.append_run`` (every LSM merge).  Adoptions follow
+    preparations in order — also under the sharded coordinator, which
+    prepares every due shard, builds, then adopts serially — so two queues
+    pair them up.  Returns the list of ``MergeInputs`` checked.
+    """
+    import collections
+
+    import repro.reachgraph
+    from repro.streaming.delta import ContactSnapshotStore
+
+    checked = []
+    awaiting_patch = collections.deque()
+    awaiting_append = collections.deque()
+    real_prepare = StreamingReachabilityService.prepare_merge
+    real_patch = repro.reachgraph.compute_graph_patch
+    real_append = ContactSnapshotStore.append_run
+
+    def prepare_merge(service, through=None):
+        watermark = service.ingestor.watermark
+        bound = watermark if through is None else min(through, watermark)
+        service._sync_delta()
+        expected = whole_prefix_slice(
+            service.ingestor, service.overlay.snapshot_watermark, bound
+        )
+        inputs = real_prepare(service, through=through)
+        assert inputs.mode == "lsm"
+        assert inputs.new_contacts == expected
+        assert inputs.origin == service.ingestor.origin
+        if inputs.graph_frontier is not None:
+            assert inputs.prefix is None and inputs.contacts == ()
+            awaiting_patch.append(expected)
+        awaiting_append.append(expected)
+        checked.append(inputs)
+        return inputs
+
+    def compute_graph_patch(frontier, contacts, through):
+        assert tuple(contacts) == awaiting_patch.popleft()
+        return real_patch(frontier, contacts, through)
+
+    def append_run(store, contacts):
+        contacts = list(contacts)
+        assert tuple(contacts) == awaiting_append.popleft()
+        return real_append(store, contacts)
+
+    monkeypatch.setattr(StreamingReachabilityService, "prepare_merge", prepare_merge)
+    monkeypatch.setattr(repro.reachgraph, "compute_graph_patch", compute_graph_patch)
+    monkeypatch.setattr(ContactSnapshotStore, "append_run", append_run)
+    yield checked
+    assert not awaiting_patch and not awaiting_append, "a prepared merge never adopted"
+
+
+class TestMergeCapturesTheIncrement:
+    def _service(self, dataset, contact_config, storage_config=None, **overrides):
+        return StreamingReachabilityService.for_dataset(
+            dataset,
+            contact_config=contact_config,
+            streaming_config=StreamingConfig(max_delta_contacts=24, **overrides),
+            storage_config=storage_config,
+        )
+
+    @pytest.mark.parametrize("backend", ("sim",) + EQUIVALENCE_BACKENDS)
+    def test_slice_equals_the_whole_prefix_slice_at_every_merge(
+        self, backend, graph_mode, tmp_path, checked_merges, tiny_dataset,
+        tiny_network, tiny_contact_config,
+    ):
+        service = self._service(
+            tiny_dataset,
+            tiny_contact_config,
+            backend_storage_config(backend, storage_dir=str(tmp_path)),
+            graph_mode=graph_mode,
+        )
+        batches = list(DatasetReplaySource(tiny_dataset, batch_ticks=6).batches())
+        for position, batch in enumerate(batches):
+            service.ingest(batch)
+            if position == len(batches) // 2:
+                # Bounded below the watermark, as the sharded coordinator merges.
+                service.merge(through=service.watermark - 4)
+        service.merge()
+        patched = [inputs for inputs in checked_merges if inputs.graph_frontier]
+        assert len(checked_merges) >= 6
+        if graph_mode == "incremental":
+            assert len(patched) == len(checked_merges) - 1, "only the first merge builds"
+            assert checked_merges[0].prefix is not None
+        else:
+            assert not patched
+            assert all(inputs.prefix is not None for inputs in checked_merges)
+        assert_methods_agree(
+            reference_evaluator(tiny_network),
+            {"service": service.query},
+            random_queries(tiny_dataset, count=15, seed=3),
+        )
+        service.close()
+
+    def test_sharded_coordinator_merges_at_the_low_watermark(
+        self, checked_merges, tiny_dataset, tiny_contact_config
+    ):
+        engine = ReachabilityEngine(tiny_dataset, contact_config=tiny_contact_config)
+        service = engine.streaming(
+            streaming_config=StreamingConfig(
+                shards=2, max_delta_contacts=12, batch_ticks=6
+            )
+        )
+        service.drain(tiny_dataset)
+        assert len(checked_merges) >= 4
+        # Shards keep no graph (the coordinator unions their contacts), so no
+        # shard merge has anything to build from the whole prefix.
+        assert all(
+            inputs.prefix is None and inputs.contacts == () for inputs in checked_merges
+        )
+        bounds = [inputs.bound for inputs in checked_merges]
+        assert min(bounds) < tiny_dataset.horizon.end, "a merge ran below the watermark"
+
+    def test_first_merge_after_open(
+        self, tmp_path, checked_merges, tiny_dataset, tiny_network, tiny_contact_config
+    ):
+        storage_config = backend_storage_config("file", storage_dir=str(tmp_path))
+        service = self._service(tiny_dataset, tiny_contact_config, storage_config)
+        batches = list(DatasetReplaySource(tiny_dataset, batch_ticks=6).batches())
+        half = len(batches) // 2
+        for batch in batches[:half]:
+            service.ingest(batch)
+        assert service.overlay.delta_size > 0, "the close must leave an unfrozen tail"
+        service.close()
+        before = len(checked_merges)
+
+        resumed = StreamingReachabilityService.open(
+            storage_config,
+            name=service.name,
+            streaming_config=StreamingConfig(max_delta_contacts=24),
+        )
+        resumed.merge()
+        first = checked_merges[before]
+        assert first.graph_frontier is not None and first.new_contacts
+        for batch in batches[half:]:
+            resumed.ingest(batch)
+        resumed.merge()
+        assert_methods_agree(
+            reference_evaluator(tiny_network),
+            {"resumed": resumed.query},
+            random_queries(tiny_dataset, count=15, seed=5),
+        )
+        resumed.close()
+
+    def test_patch_merge_touches_the_tail_not_the_prefix(
+        self, monkeypatch, tiny_dataset, tiny_contact_config
+    ):
+        """Counts, not clocks: with a frontier to patch, ``prepare_merge``
+        clips the contacts closed since the last merge plus the open runs —
+        however long the prefix — and neither it nor the build materialises
+        a prefix dataset or a contact network."""
+        from repro.contacts.network import Contact, ContactNetwork
+        from repro.streaming import build_merge
+
+        service = self._service(tiny_dataset, tiny_contact_config)
+        service.auto_merge = False
+        counter = CallCounter(
+            monkeypatch,
+            (Contact, "clipped"),
+            (ContactNetwork, "__init__"),
+            (StreamIngestor, "prefix_dataset"),
+        )
+        calls = counter.calls
+
+        ingestor = service.ingestor
+        frozen_before = 0
+        merges = 0
+        for position, batch in enumerate(
+            DatasetReplaySource(tiny_dataset, batch_ticks=6).batches()
+        ):
+            service.ingest(batch)
+            if position % 4 != 3:
+                continue
+            first = service.overlay.snapshot_watermark is None
+            tail = ingestor.num_closed_contacts - service._restage_cursor
+            budget = tail + len(ingestor.open_contacts())
+            counter.reset()
+            inputs = service.prepare_merge()
+            build = build_merge(inputs, None)
+            if first:
+                assert calls["ContactNetwork.__init__"] == 1
+                assert calls["StreamIngestor.prefix_dataset"] == 1
+            else:
+                assert calls["Contact.clipped"] <= budget
+                assert calls["ContactNetwork.__init__"] == 0
+                assert calls["StreamIngestor.prefix_dataset"] == 0
+                assert service._restage_cursor >= frozen_before
+            frozen_before = service._restage_cursor
+            service.adopt_merge(build, inputs)
+            merges += 1
+        assert merges >= 4
+        # The budget is the increment's: a fraction of the closed history.
+        assert service._restage_cursor > 0
+        assert budget < ingestor.num_closed_contacts / 2
