@@ -25,6 +25,7 @@ keeps ingestion strictly append-only.
 from __future__ import annotations
 
 import time
+from itertools import chain
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.config import ContactConfig, ReachGridConfig, StorageConfig
@@ -95,9 +96,9 @@ class StreamIngestor:
         self._watermark: Optional[TimeInstant] = None
         self._pending: Dict[TimeInstant, Dict[ObjectId, Point]] = {}
 
-        # Dense per-object position buffers for prefix materialization.
-        self._positions: Dict[ObjectId, List[Point]] = {}
+        # Per-object dense horizons [start, next tick); samples live in the cells.
         self._starts: Dict[ObjectId, TimeInstant] = {}
+        self._next_time: Dict[ObjectId, TimeInstant] = {}
 
         # Grid memtable: cells of temporal intervals not yet flushed.
         self._memtable: Dict[int, Dict[Tuple[int, int], List[SampleRecord]]] = {}
@@ -179,9 +180,7 @@ class StreamIngestor:
                 )
             next_time = expected.get(event.object_id)
             if next_time is None:
-                positions = self._positions.get(event.object_id)
-                if positions is not None:
-                    next_time = self._starts[event.object_id] + len(positions)
+                next_time = self._next_time.get(event.object_id)
             if next_time is not None and event.time != next_time:
                 raise StreamingError(
                     f"object {event.object_id} sample at t={event.time} breaks "
@@ -198,12 +197,8 @@ class StreamIngestor:
 
     def _buffer_sample(self, event: SampleEvent) -> None:
         # Contract checks already ran in validate_batch; this is pure mutation.
-        positions = self._positions.get(event.object_id)
-        if positions is None:
-            self._positions[event.object_id] = [event.position]
-            self._starts[event.object_id] = event.time
-        else:
-            positions.append(event.position)
+        self._starts.setdefault(event.object_id, event.time)
+        self._next_time[event.object_id] = event.time + 1
         self._pending.setdefault(event.time, {})[event.object_id] = event.position
 
     def _advance_watermark(self, watermark: TimeInstant) -> None:
@@ -283,12 +278,13 @@ class StreamIngestor:
         }
 
     def _state_snapshot(self) -> Dict[str, object]:
-        """The complete in-memory ingest state, as plain picklable structures.
+        """The in-memory ingest state, as plain picklable structures.
 
         What makes WAL truncation sound: once the checkpoint carries this,
-        :meth:`restore` no longer needs the journaled prefix — the snapshot
-        *is* the replay result — so :meth:`flush` may drop every checkpointed
-        journal extent instead of letting the journal grow with the stream.
+        :meth:`restore` no longer needs the journaled prefix — this plus the
+        grid cells flushed beside it *is* the replay result (flushed samples
+        live only in the cells) — so :meth:`flush` may drop every
+        checkpointed journal extent instead of letting the journal grow.
         """
         return {
             "origin": self._origin,
@@ -297,11 +293,8 @@ class StreamIngestor:
                 t: {obj: (p.x, p.y) for obj, p in positions.items()}
                 for t, positions in self._pending.items()
             },
-            "positions": {
-                obj: [(p.x, p.y) for p in positions]
-                for obj, positions in self._positions.items()
-            },
             "starts": dict(self._starts),
+            "next_time": dict(self._next_time),
             "memtable": {
                 interval: {col_row: list(records) for col_row, records in cells.items()}
                 for interval, cells in self._memtable.items()
@@ -324,11 +317,12 @@ class StreamIngestor:
             t: {obj: Point(x, y) for obj, (x, y) in positions.items()}
             for t, positions in state["pending"].items()
         }
-        self._positions = {
-            obj: [Point(x, y) for x, y in positions]
+        self._starts = dict(state["starts"])
+        self._next_time = dict(state["next_time"]) if "next_time" in state else {
+            # a checkpoint written while the ingestor still buffered positions
+            obj: self._starts[obj] + len(positions)
             for obj, positions in state["positions"].items()
         }
-        self._starts = dict(state["starts"])
         self._memtable = {
             interval: {col_row: list(records) for col_row, records in cells.items()}
             for interval, cells in state["memtable"].items()
@@ -351,15 +345,15 @@ class StreamIngestor:
         """Make everything ingested so far durable (no-op on the sim backend).
 
         Writes the WAL checkpoint — the grid geometry, the journal/interval
-        counters, and a complete state snapshot — into the device metadata
-        and flushes the device.  Because the snapshot subsumes the journaled
-        prefix, every journal extent is *dropped* first (WAL truncation): the
-        blocks become reclaimable garbage instead of growing with the
-        stream.  The truncation, the checkpoint, and the storage catalog all
-        land in the same atomic manifest write, so a crash on either side is
-        clean — before the commit the old manifest still names the old
-        journal extents and the old checkpoint replays them; after it the
-        new checkpoint's snapshot stands alone.
+        counters, and the state snapshot — into the device metadata and
+        flushes the device.  Because snapshot and grid cells subsume the
+        journaled prefix, every journal extent is *dropped* first (WAL
+        truncation): the blocks become reclaimable garbage instead of growing
+        with the stream.  The truncation, the checkpoint, and the storage
+        catalog all land in the same atomic manifest write, so a crash on
+        either side is clean — before the commit the old manifest still names
+        the old journal extents and the old checkpoint replays them; after it
+        the new checkpoint and the cells it names stand alone.
         """
         for key in self._journal.extent_keys():
             self._journal.drop_extent(key)
@@ -375,7 +369,7 @@ class StreamIngestor:
 
         Reopens ``<name>-grid`` from ``storage_config``, reads the checkpoint
         written by :meth:`flush`, and re-ingests every journaled batch it
-        names — rebuilding the open-contact join state, the position buffers,
+        names — rebuilding the open-contact join state, the horizon bounds,
         and the grid memtable exactly as they were at the checkpoint.  Raises
         :class:`~repro.core.errors.StreamingError` when no checkpoint exists
         (the service never flushed).
@@ -612,26 +606,45 @@ class StreamIngestor:
         bounds the materialized prefix at an earlier instant — the sharded
         coordinator merges each shard at the global low-watermark, which may
         trail this shard's own watermark.
+
+        The samples are read back from the cells of every interval starting
+        by the bound, plus the memtable; an ``(object, tick)`` of the prefix
+        no cell holds (a lost extent) raises :class:`StreamingError`.
         """
         if self._watermark is None or self._origin is None:
             raise StreamingError("cannot materialize an empty stream prefix")
+        origin = self._origin
         end = self._watermark if through is None else min(self._watermark, through)
-        if end < self._origin:
+        if end < origin:
             raise StreamingError(
-                f"prefix bound {end} lies before the stream origin {self._origin}"
+                f"prefix bound {end} lies before the stream origin {origin}"
             )
-        expected_length = end - self._origin + 1
-        trajectories = []
-        for object_id in sorted(self._positions):
-            start = self._starts[object_id]
-            positions = self._positions[object_id]
-            if start != self._origin or len(positions) < expected_length:
+        for object_id, start in self._starts.items():
+            if start != origin or self._next_time[object_id] <= end:
                 raise StreamingError(
-                    f"object {object_id} does not cover the prefix "
-                    f"[{self._origin}, {end}]"
+                    f"object {object_id} does not cover the prefix [{origin}, {end}]"
+                )
+        # Raw (x, y) slots: a sample no cell holds stays None.
+        slots: Dict[ObjectId, List[Any]] = {
+            object_id: [None] * (end - origin + 1) for object_id in self._starts
+        }
+        last = self.temporal_index(end)
+        flushed = [key for key in self._cells_file.extent_keys() if key[0] <= last]
+        staged = (records for cells in self._memtable.values() for records in cells.values())
+        for records in chain(map(self.read_cell, flushed), staged):
+            for object_id, t, x, y in records:
+                if t <= end:
+                    slots[object_id][t - origin] = (x, y)
+        trajectories = []
+        for object_id in sorted(slots):
+            row = slots[object_id]
+            if None in row:
+                raise StreamingError(
+                    f"object {object_id} has no sample at t={origin + row.index(None)} "
+                    "in the grid cells"
                 )
             trajectories.append(
-                Trajectory(object_id, positions[:expected_length], start_time=start)
+                Trajectory(object_id, [Point(x, y) for x, y in row], start_time=origin)
             )
         return TrajectoryDataset(
             trajectories,

@@ -2,8 +2,8 @@
 
 A :class:`ShardRouter` maps every :class:`~repro.streaming.events.SampleEvent`
 to one of ``num_shards`` ingestion shards.  Routing must be *sticky per
-object*: each :class:`~repro.streaming.ingest.StreamIngestor` maintains dense
-per-object position buffers, so an object that hopped between shards would
+object*: each :class:`~repro.streaming.ingest.StreamIngestor` enforces a dense
+per-object horizon, so an object that hopped between shards would
 tear a hole in both shards' horizons.  Both built-in routers guarantee
 stickiness:
 

@@ -443,8 +443,8 @@ class StreamingReachabilityService:
         :meth:`SnapshotQueryService.open`: the overlay (snapshot runs, graph
         fast path) is restored from the overlay device alone, the ingestor
         is restored — once — from the grid device (checkpointed state plus
-        any WAL tail: the open-contact join, position buffers, and grid
-        memtable) and the delta is rebuilt from its closed contacts, so the
+        any WAL tail: the open-contact join, per-object horizon bounds, and
+        grid memtable) and the delta is rebuilt from its closed contacts, so the
         service continues ingesting and merging from the recovered
         watermark.  The graph's in-memory maintenance half is rebuilt by the
         first merge that needs it, not here.  The WAL is authoritative: a

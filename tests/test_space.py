@@ -20,17 +20,19 @@ import pytest
 
 from equivalence import (
     EQUIVALENCE_BACKENDS,
+    CallCounter,
     assert_methods_agree,
     assert_reopened_matches_prefix,
     backend_storage_config,
     prefix_network,
     reference_evaluator,
 )
-from repro.core import ContactConfig, ReachGridConfig, StreamingConfig
+from repro.core import ContactConfig, Point, ReachGridConfig, StreamingConfig
 from repro.generators import RandomWaypointGenerator
 from repro.streaming import (
     DatasetReplaySource,
     SnapshotQueryService,
+    StreamIngestor,
     StreamingReachabilityService,
 )
 from repro.workloads.queries import random_queries
@@ -89,6 +91,20 @@ def garbage_blocks(service):
         service.overlay.storage.garbage_blocks
         + service.ingestor.storage.garbage_blocks
     )
+
+
+def checkpoint_state(ingestor):
+    return ingestor.storage.get_metadata("ingest-checkpoint")["state"]
+
+
+def checkpoint_samples(state):
+    """Sample records a checkpoint state carries: memtable, pending, history."""
+    memtable = sum(
+        len(records) for cells in state["memtable"].values() for records in cells.values()
+    )
+    pending = sum(len(samples) for samples in state["pending"].values())
+    history = sum(len(positions) for positions in state.get("positions", {}).values())
+    return memtable + pending + history
 
 
 def assert_no_stray_gc_files(storage_dir):
@@ -291,6 +307,54 @@ class TestJournalBound:
         # blocks, never the 50-batch stream.
         assert peak_between_flushes <= 4
         service.close()
+
+    def test_checkpoint_carries_only_unflushed_samples(self, tmp_path):
+        """Counts, not clocks: flushed samples live only in the grid cells.
+
+        At every flush of a fifty-flush stream the checkpoint carries no
+        position history and at most a temporal interval plus a batch of
+        samples per object; a restore from it builds a ``Point`` only per
+        pending sample, and a resumed incremental-graph service never
+        materialises the prefix to merge.
+        """
+        dataset = RandomWaypointGenerator(
+            num_objects=8, horizon=60, environment_size=(300.0, 300.0), seed=9
+        ).generate()
+        storage_config = backend_storage_config("file", storage_dir=str(tmp_path))
+        service = make_service(dataset, storage_config)
+        batch_ticks = 1
+        bound = dataset.num_objects * (GRID.temporal_resolution + batch_ticks)
+        batches = list(DatasetReplaySource(dataset, batch_ticks=batch_ticks).batches())
+        for batch in batches[:50]:
+            service.ingest(batch)
+            service.flush()
+            state = checkpoint_state(service.ingestor)
+            assert "positions" not in state
+            assert checkpoint_samples(state) <= bound
+        service.merge()  # the graph exists: later merges patch it
+        service.close()
+
+        with pytest.MonkeyPatch.context() as patch:
+            counter = CallCounter(patch, (Point, "__init__"))
+            restored = StreamIngestor.restore(storage_config, service.name)
+        pending = sum(len(samples) for samples in checkpoint_state(restored)["pending"].values())
+        restored.storage.release()
+        assert counter.calls["Point.__init__"] <= pending
+
+        with pytest.MonkeyPatch.context() as patch:
+            counter = CallCounter(patch, (StreamIngestor, "prefix_dataset"))
+            resumed = StreamingReachabilityService.open(
+                storage_config,
+                name=service.name,
+                streaming_config=StreamingConfig(max_delta_contacts=24),
+            )
+            merges = resumed.num_merges
+            for batch in batches[50:]:
+                resumed.ingest(batch)
+            resumed.merge()
+            assert resumed.num_merges > merges
+            assert counter.calls["StreamIngestor.prefix_dataset"] == 0
+        resumed.close()
 
     def test_truncated_journal_blocks_are_reclaimable(self, tmp_path, dataset):
         """The dropped WAL extents land in the garbage ledger and a device
