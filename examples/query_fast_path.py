@@ -89,9 +89,10 @@ def main() -> None:
     assert answers[True] == truth, "labels-on answers must match the reference"
     assert answers[False] == truth, "labels-off answers must match the reference"
     store = service.overlay.snapshot_store
-    store.read_overlapping(TimeInterval(horizon.start, horizon.start + 2))
+    records = store.read_overlapping(TimeInterval(horizon.start, horizon.start + 2))
     print(
-        f"zone maps: a one-tick read over {store.num_runs} run(s) skipped "
+        f"zone maps: a one-tick read over {store.num_runs} run(s) returned "
+        f"{len(records)} (first, second, start, end) record(s) and skipped "
         f"{store.runs_skipped} run(s) / {store.blocks_skipped} block(s) "
         "without touching the device"
     )

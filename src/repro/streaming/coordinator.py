@@ -9,10 +9,10 @@ tracks per-shard watermarks, and joins cross-shard contacts through the
 global low-watermark.
 
 A query fans out across every shard overlay: each contributes its snapshot ∪
-delta ∪ open contacts overlapping the query interval (IO charged per shard
-and summed), the coordinator adds the cross-shard contacts, clips everything
+delta ∪ open records overlapping the query interval (IO charged per shard
+and summed), the coordinator adds the cross-shard records, clips everything
 at the low-watermark — beyond it some shard's data is still incomplete — and
-runs the earliest-arrival sweep over the union.  Merges are triggered per
+runs the earliest-arrival kernel over the union.  Merges are triggered per
 shard by the configured merge policy, always freezing the prefix at the
 global low-watermark so a snapshot never claims instants another shard has
 not yet delivered.
@@ -38,11 +38,16 @@ from ..core.config import (
 )
 from ..core.errors import StreamingError
 from ..core.types import QueryResult, ReachabilityQuery, TimeInstant, TimeInterval
-from ..baselines.reference import earliest_arrival
 from ..contacts.network import Contact
 from ..storage import BACKEND_FILE_SUFFIX, StorageSystem
 from ..testing.faults import crash_point
 from ..trajectory.model import TrajectoryDataset
+from .delta import (
+    ContactRecord,
+    OpenRunView,
+    ReachGraphDeltaOverlay,
+    earliest_arrival_time,
+)
 from .events import SampleEvent, StreamBatch
 from .parallel import MergeExecutor, make_merge_executor
 from .policy import make_policy
@@ -64,6 +69,71 @@ __all__ = [
 #: Metadata key under which the coordinator persists its own manifest
 #: (shard count, router, committed low-watermark, cross-shard tracker log).
 _COORDINATOR_MANIFEST_KEY = "coordinator-manifest"
+
+
+def _clip(
+    records: Iterable[ContactRecord], low: TimeInstant, interval: TimeInterval
+) -> List[ContactRecord]:
+    """Records overlapping ``interval`` that start by the low-watermark.
+
+    Their ends need no clip: the kernel's window already stops at ``low``.
+    """
+    if low < interval.start:
+        return []
+    end = min(interval.end, low)
+    return [r for r in records if r[2] <= end and r[3] >= interval.start]
+
+
+def _union_query(
+    query: ReachabilityQuery,
+    shards: Iterable[Tuple[ReachGraphDeltaOverlay, OpenRunView]],
+    cross: Iterable[ContactRecord],
+    low: Optional[TimeInstant],
+) -> QueryResult:
+    """The sharded union path over ``(overlay, open-run view)`` per shard.
+
+    Every overlay contributes its records overlapping the interval (IO
+    charged per shard and summed), ``cross`` adds the cross-shard records,
+    and :func:`~repro.streaming.delta.earliest_arrival_time` runs over the
+    union clipped at ``low``.  Self-queries read nothing.
+    """
+    interval = query.interval
+    if query.source == query.destination:
+        return QueryResult(reachable=True, earliest_time=interval.start)
+    cpu_started = time.process_time()
+    records: List[ContactRecord] = []
+    io_total = 0.0
+    random_ios = 0
+    sequential_ios = 0
+    earliest = None
+    if low is not None:
+        for overlay, open_runs in shards:
+            storage = overlay.storage
+            storage.reset_for_query()
+            io_before = storage.snapshot()
+            collected = overlay.collect_records(interval, open_runs)
+            io_delta = storage.charge_since(io_before)
+            io_total += io_delta.normalized(storage.config.sequential_cost)
+            random_ios += io_delta.random_reads
+            sequential_ios += io_delta.sequential_reads
+            records.extend(_clip(collected, low, interval))
+        records.extend(_clip(cross, low, interval))
+        earliest = earliest_arrival_time(
+            records,
+            query.source,
+            query.destination,
+            interval.start,
+            min(interval.end, low),
+        )
+    return QueryResult(
+        reachable=earliest is not None,
+        earliest_time=earliest,
+        io=io_total,
+        random_ios=random_ios,
+        sequential_ios=sequential_ios,
+        cpu_seconds=time.process_time() - cpu_started,
+        visited=len(records),
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -341,66 +411,17 @@ class ShardedReachabilityService:
         cached = self._cache.get(query)
         if cached is not None:
             return cached
-        result = self._evaluate(query)
+        result = _union_query(
+            query,
+            ((shard.overlay, shard.ingestor.open_runs) for shard in self._shards),
+            (
+                (c.first, c.second, c.validity.start, c.validity.end)
+                for c in self._ingestor.cross_shard_contacts()
+            ),
+            self._ingestor.low_watermark,
+        )
         self._cache.put(query, result)
         return result
-
-    def _evaluate(self, query: ReachabilityQuery) -> QueryResult:
-        cpu_started = time.process_time()
-        interval = query.interval
-        low = self._ingestor.low_watermark
-        contacts: List[Contact] = []
-        io_total = 0.0
-        random_ios = 0
-        sequential_ios = 0
-        if low is not None:
-            for shard in self._shards:
-                overlay = shard.overlay
-                storage = overlay.storage
-                storage.reset_for_query()
-                io_before = storage.snapshot()
-                collected = overlay.collect_contacts(
-                    interval, open_contacts=shard.ingestor.open_contacts()
-                )
-                io_delta = storage.charge_since(io_before)
-                io_total += io_delta.normalized(storage.config.sequential_cost)
-                random_ios += io_delta.random_reads
-                sequential_ios += io_delta.sequential_reads
-                contacts.extend(self._clip(collected, low, interval))
-            contacts.extend(
-                self._clip(self._ingestor.cross_shard_contacts(), low, interval)
-            )
-
-        if query.source == query.destination:
-            reachable, earliest = True, interval.start
-        else:
-            arrival = earliest_arrival(
-                contacts, query.source, interval, destination=query.destination
-            )
-            earliest = arrival.get(query.destination)
-            reachable = earliest is not None
-
-        return QueryResult(
-            reachable=reachable,
-            earliest_time=earliest,
-            io=io_total,
-            random_ios=random_ios,
-            sequential_ios=sequential_ios,
-            cpu_seconds=time.process_time() - cpu_started,
-            visited=len(contacts),
-        )
-
-    @staticmethod
-    def _clip(
-        contacts: Sequence[Contact], low: TimeInstant, interval: TimeInterval
-    ) -> List[Contact]:
-        """Clip contacts at the low-watermark, keeping interval-relevant ones."""
-        clipped: List[Contact] = []
-        for contact in contacts:
-            bounded = contact.clipped(contact.validity.start, low)
-            if bounded is not None and bounded.validity.overlaps(interval):
-                clipped.append(bounded)
-        return clipped
 
     # ------------------------------------------------------------------
     # durability (persistent backends)
@@ -567,13 +588,13 @@ class ShardedSnapshotQueryService:
         self,
         storage: StorageSystem,
         shards: Sequence[SnapshotQueryService],
-        cross_contacts: Sequence[Contact],
+        cross_records: Sequence[ContactRecord],
         low_watermark: Optional[TimeInstant],
         watermarks: Tuple[Optional[TimeInstant], ...],
     ) -> None:
         self._storage = storage
         self._shards = list(shards)
-        self._cross_contacts = list(cross_contacts)
+        self._cross_records = list(cross_records)
         self._low_watermark = low_watermark
         self._watermarks = watermarks
         self._queries = 0
@@ -616,14 +637,11 @@ class ShardedSnapshotQueryService:
                     SnapshotQueryService.open(storage_config, f"{name}-shard{index}")
                 )
             tracker = manifest["tracker"]
-            cross: List[Contact] = [
-                Contact(first, second, TimeInterval(start, end))
-                for first, second, start, end in tracker["closed"]
-            ]
+            cross: List[ContactRecord] = list(tracker["closed"])
             processed = tracker["processed"]
             if processed is not None:
                 cross.extend(
-                    Contact(first, second, TimeInterval(start, processed))
+                    (first, second, start, processed)
                     for first, second, start in tracker["open"]
                 )
             return cls(
@@ -642,51 +660,11 @@ class ShardedSnapshotQueryService:
     def query(self, query: ReachabilityQuery) -> QueryResult:
         """Answer a query over the committed globally complete prefix."""
         self._queries += 1
-        cpu_started = time.process_time()
-        interval = query.interval
-        low = self._low_watermark
-        contacts: List[Contact] = []
-        io_total = 0.0
-        random_ios = 0
-        sequential_ios = 0
-        if low is not None:
-            for shard in self._shards:
-                shard_storage = shard.storage
-                shard_storage.reset_for_query()
-                io_before = shard_storage.snapshot()
-                collected = shard.overlay.collect_contacts(
-                    interval, open_contacts=shard.open_contacts
-                )
-                io_delta = shard_storage.charge_since(io_before)
-                io_total += io_delta.normalized(shard_storage.config.sequential_cost)
-                random_ios += io_delta.random_reads
-                sequential_ios += io_delta.sequential_reads
-                contacts.extend(
-                    ShardedReachabilityService._clip(collected, low, interval)
-                )
-            contacts.extend(
-                ShardedReachabilityService._clip(
-                    self._cross_contacts, low, interval
-                )
-            )
-
-        if query.source == query.destination:
-            reachable, earliest = True, interval.start
-        else:
-            arrival = earliest_arrival(
-                contacts, query.source, interval, destination=query.destination
-            )
-            earliest = arrival.get(query.destination)
-            reachable = earliest is not None
-
-        return QueryResult(
-            reachable=reachable,
-            earliest_time=earliest,
-            io=io_total,
-            random_ios=random_ios,
-            sequential_ios=sequential_ios,
-            cpu_seconds=time.process_time() - cpu_started,
-            visited=len(contacts),
+        return _union_query(
+            query,
+            ((shard.overlay, shard.open_runs) for shard in self._shards),
+            self._cross_records,
+            self._low_watermark,
         )
 
     @property
@@ -702,7 +680,10 @@ class ShardedSnapshotQueryService:
     @property
     def cross_shard_contacts(self) -> List[Contact]:
         """The restored cross-shard contacts (committed prefix only)."""
-        return list(self._cross_contacts)
+        return [
+            Contact(first, second, TimeInterval(start, end))
+            for first, second, start, end in self._cross_records
+        ]
 
     @property
     def low_watermark(self) -> Optional[TimeInstant]:

@@ -7,13 +7,16 @@ disk-placed :class:`ContactSnapshotStore` (interval-ordered contact extents
 with real IO accounting) plus, optionally, a ReachGraph index rebuilt over the
 snapshot prefix for the paper's fast query path.
 
-A query is answered one of two ways:
+A query is answered one of two ways, chosen in one place
+(:meth:`ReachGraphDeltaOverlay.evaluate`):
 
 * **fast path** — no delta or open contact overlaps the query interval, so
   the frozen ReachGraph processor alone is authoritative;
-* **overlay path** — the earliest-arrival sweep runs over the union of the
-  snapshot contacts overlapping the interval (read from disk, charged IO) and
-  the relevant delta/open contacts (in memory, free).
+* **union path** — the earliest-arrival kernel
+  (:func:`earliest_arrival_time`) runs over the plain
+  ``(first, second, start, end)`` records of the snapshot extents overlapping
+  the interval (read from disk, charged IO) and of the relevant delta/open
+  runs (in memory, free).
 
 Contacts are clipped at the snapshot watermark when they enter the delta, so
 the snapshot and the delta partition every validity interval without overlap;
@@ -24,8 +27,20 @@ transmission happens at single instants.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from heapq import heappop, heappush
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..core.errors import StreamingError
 from ..core.types import (
@@ -35,7 +50,6 @@ from ..core.types import (
     TimeInstant,
     TimeInterval,
 )
-from ..baselines.reference import earliest_arrival
 from ..contacts.network import Contact, ContactNetwork
 from ..storage import BlockFile, StorageSystem
 from ..testing.faults import crash_point
@@ -57,10 +71,67 @@ __all__ = [
     "ObjectBloomFilter",
     "ReachGraphDeltaOverlay",
     "SnapshotArtifacts",
+    "earliest_arrival_time",
 ]
 
 #: On-disk record of one snapshot contact: (first, second, start, end).
 ContactRecord = Tuple[ObjectId, ObjectId, TimeInstant, TimeInstant]
+
+#: A still-open contact run: its object pair and the tick it opened at.
+OpenRun = Tuple[Tuple[ObjectId, ObjectId], TimeInstant]
+
+#: How a caller hands its open runs to a query, lazily: called only when the
+#: route needs them, it returns the runs and the tick they are clipped at
+#: (``None`` when nothing is open yet).
+OpenRunView = Callable[[], Tuple[Iterable[OpenRun], Optional[TimeInstant]]]
+
+
+def earliest_arrival_time(
+    records: Iterable[ContactRecord],
+    source: ObjectId,
+    destination: ObjectId,
+    start: TimeInstant,
+    end: TimeInstant,
+) -> Optional[TimeInstant]:
+    """Earliest instant in ``[start, end]`` at which ``source``'s item reaches ``destination``.
+
+    The union path's kernel: the temporal Dijkstra with early termination of
+    :func:`repro.baselines.reference.earliest_arrival` — objects settle in
+    arrival order, a record ``(a, b, s, e)`` carries the item across at
+    ``max(s, start, arrival)`` when that is ``<= min(e, end)`` — run over
+    plain records.  A record missing ``[start, end]`` has an empty window and
+    never transmits, so callers filter once and nothing is re-filtered here.
+    The reference stays a separate function: it is the oracle this kernel is
+    checked against.  ``None`` when the destination is unreachable.
+    """
+    neighbours: Dict[ObjectId, List[ContactRecord]] = defaultdict(list)
+    for record in records:
+        neighbours[record[0]].append(record)
+        neighbours[record[1]].append(record)
+    arrival: Dict[ObjectId, TimeInstant] = {source: start}
+    settled: Set[ObjectId] = set()
+    heap: List[Tuple[TimeInstant, ObjectId]] = [(start, source)]
+    while heap:
+        now, carrier = heappop(heap)
+        if carrier in settled:
+            continue  # a stale entry superseded by an earlier arrival
+        if carrier == destination:
+            return now
+        settled.add(carrier)
+        for first, second, lo, hi in neighbours.get(carrier, ()):
+            receiver = second if first == carrier else first
+            if receiver in settled:
+                continue
+            # ``now >= start``, so max(lo, start, now) is max(lo, now).
+            transmit = lo if lo > now else now
+            if transmit > hi or transmit > end:
+                continue
+            best = arrival.get(receiver)
+            if best is None or transmit < best:
+                arrival[receiver] = transmit
+                heappush(heap, (transmit, receiver))
+    return None
+
 
 _BLOOM_MIX_A = 0x9E3779B97F4A7C15
 _BLOOM_MIX_B = 0xC2B2AE3D27D4EB4F
@@ -166,30 +237,32 @@ class SnapshotArtifacts:
 
 
 class DeltaGraph:
-    """In-memory buffer of contact edges accumulated since the last merge."""
+    """In-memory buffer of the contact records accumulated since the last merge."""
 
     def __init__(self) -> None:
-        self._contacts: List[Contact] = []
+        self._records: List[ContactRecord] = []
 
-    def add(self, contact: Contact) -> None:
-        """Append one contact edge to the delta."""
-        self._contacts.append(contact)
+    def add(self, record: ContactRecord) -> None:
+        """Append one ``(first, second, start, end)`` record to the delta."""
+        self._records.append(record)
 
-    def contacts_overlapping(self, interval: TimeInterval) -> List[Contact]:
-        """Delta contacts whose validity overlaps ``interval``."""
-        return [c for c in self._contacts if c.validity.overlaps(interval)]
+    def records_overlapping(
+        self, start: TimeInstant, end: TimeInstant
+    ) -> List[ContactRecord]:
+        """Delta records whose validity overlaps ``[start, end]``."""
+        return [r for r in self._records if r[2] <= end and r[3] >= start]
 
     def clear(self) -> None:
-        """Drop every buffered contact (called after a merge)."""
-        self._contacts.clear()
+        """Drop every buffered record (called after a merge)."""
+        self._records.clear()
 
     @property
-    def contacts(self) -> List[Contact]:
-        """All buffered contacts, in arrival order."""
-        return list(self._contacts)
+    def records(self) -> List[ContactRecord]:
+        """All buffered records, in arrival order."""
+        return list(self._records)
 
     def __len__(self) -> int:
-        return len(self._contacts)
+        return len(self._records)
 
 
 class _SnapshotRun:
@@ -503,9 +576,13 @@ class ContactSnapshotStore:
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
-    def read_overlapping(self, interval: TimeInterval) -> List[Contact]:
-        """Read (and charge IO for) the snapshot contacts overlapping ``interval``."""
-        contacts: List[Contact] = []
+    def read_overlapping(self, interval: TimeInterval) -> List[ContactRecord]:
+        """Read (and charge IO for) the snapshot records overlapping ``interval``.
+
+        Records come back as stored, ``(first, second, start, end)``.
+        """
+        lo, hi = interval.start, interval.end
+        records: List[ContactRecord] = []
         for run in self._runs:
             if run.disjoint_from(interval):
                 # The run's zone map proves its whole time span misses the
@@ -514,16 +591,14 @@ class ContactSnapshotStore:
                 self._blocks_skipped += run.file.num_blocks
                 continue
             for index in run.file.extent_keys():
-                extent_start = self._origin + index * self._rt
-                if extent_start > interval.end:
+                if self._origin + index * self._rt > hi:
                     break  # later extents only hold later-starting contacts
-                if run.max_end[index] < interval.start:
+                if run.max_end[index] < lo:
                     continue  # provably disjoint: skip without IO
-                for first, second, start, end in run.file.read_extent(index):
-                    validity = TimeInterval(start, end)
-                    if validity.overlaps(interval):
-                        contacts.append(Contact(first, second, validity))
-        return contacts
+                records += [
+                    r for r in run.file.read_extent(index) if r[2] <= hi and r[3] >= lo
+                ]
+        return records
 
     # ------------------------------------------------------------------
     # persistence
@@ -641,9 +716,11 @@ class ReachGraphDeltaOverlay:
     # ------------------------------------------------------------------
     def add_contact(self, contact: Contact) -> None:
         """Buffer a newly closed contact, clipped past the snapshot watermark."""
-        clipped = self._clip_past_snapshot(contact)
-        if clipped is not None:
-            self._delta.add(clipped)
+        start, end = contact.validity.start, contact.validity.end
+        if self._snapshot_watermark is not None and start <= self._snapshot_watermark:
+            start = self._snapshot_watermark + 1
+        if start <= end:  # else entirely covered by the snapshot
+            self._delta.add((contact.first, contact.second, start, end))
 
     def _clip_past_snapshot(self, contact: Contact) -> Optional[Contact]:
         if self._snapshot_watermark is None:
@@ -877,11 +954,11 @@ class ReachGraphDeltaOverlay:
         self._store = store
         self._snapshot_watermark = watermark
 
-    def restore_delta(self, contacts: Iterable[Contact]) -> None:
-        """Replace the delta with persisted contacts (they are already clipped)."""
+    def restore_delta(self, records: Iterable[ContactRecord]) -> None:
+        """Replace the delta with persisted records (they are already clipped)."""
         self._delta.clear()
-        for contact in contacts:
-            self._delta.add(contact)
+        for record in records:
+            self._delta.add(record)
 
     def graph_catalog(self) -> Optional[Dict[str, object]]:
         """Manifest fragment describing the persisted graph fast path.
@@ -919,9 +996,9 @@ class ReachGraphDeltaOverlay:
         return len(self._delta)
 
     @property
-    def delta_contacts(self) -> List[Contact]:
-        """The buffered delta contacts, in arrival order."""
-        return self._delta.contacts
+    def delta_records(self) -> List[ContactRecord]:
+        """The buffered delta records, in arrival order."""
+        return self._delta.records
 
     @property
     def snapshot_size(self) -> int:
@@ -1066,121 +1143,125 @@ class ReachGraphDeltaOverlay:
     # ------------------------------------------------------------------
     # query evaluation
     # ------------------------------------------------------------------
-    def collect_contacts(
-        self, interval: TimeInterval, open_contacts: Sequence[Contact] = ()
-    ) -> List[Contact]:
-        """Every snapshot ∪ delta ∪ open contact overlapping ``interval``.
+    def _recent_records(
+        self,
+        start: TimeInstant,
+        end: TimeInstant,
+        open_runs: Optional[OpenRunView],
+    ) -> List[ContactRecord]:
+        """Delta and open records overlapping ``[start, end]``, in one pass each.
 
-        Snapshot contacts are read from disk (IO charged to this overlay's
-        storage system); ``open_contacts`` are clipped past the snapshot
-        watermark so nothing is counted twice.  The sharded coordinator unions
-        the result across shard overlays before running the arrival sweep.
+        Open runs become records clipped past the snapshot watermark (and at
+        the bound their view reports) inline, so nothing is counted twice.
         """
-        contacts: List[Contact] = []
+        records = self._delta.records_overlapping(start, end)
+        if open_runs is None:
+            return records
+        runs, bound = open_runs()
+        if bound is None or bound < start:
+            return records
+        floor = 0 if self._snapshot_watermark is None else self._snapshot_watermark + 1
+        limit = min(bound, end)
+        for (first, second), opened in runs:
+            if opened < floor:
+                opened = floor
+            if opened <= limit:
+                records.append((first, second, opened, bound))
+        return records
+
+    def collect_records(
+        self, interval: TimeInterval, open_runs: Optional[OpenRunView] = None
+    ) -> List[ContactRecord]:
+        """Every snapshot ∪ delta ∪ open record overlapping ``interval``.
+
+        Snapshot records are read from disk (IO charged to this overlay's
+        storage system).  The sharded coordinators union the result across
+        shard overlays before running :func:`earliest_arrival_time`.
+        """
+        records = self._recent_records(interval.start, interval.end, open_runs)
         if self._store is not None:
-            contacts.extend(self._store.read_overlapping(interval))
-        contacts.extend(self._delta.contacts_overlapping(interval))
-        for contact in open_contacts:
-            clipped = self._clip_past_snapshot(contact)
-            if clipped is not None and clipped.validity.overlaps(interval):
-                contacts.append(clipped)
-        return contacts
+            records.extend(self._store.read_overlapping(interval))
+        return records
 
     def evaluate(
-        self, query: ReachabilityQuery, open_contacts: Sequence[Contact] = ()
+        self, query: ReachabilityQuery, open_runs: Optional[OpenRunView] = None
     ) -> QueryResult:
         """Answer ``query`` over snapshot ∪ delta ∪ open contacts.
 
-        ``open_contacts`` are the ingestor's still-open runs clipped to the
-        current watermark; they are clipped again past the snapshot watermark
-        here so nothing is counted twice.
+        The one place a query's route is decided, in this order:
+
+        1. a self-query is reachable at ``interval.start``, nothing read;
+        2. *watermark route* — delta and open records all start past the
+           snapshot watermark, so an interval ending at or before it needs
+           neither (``open_runs`` is not even called);
+        3. otherwise the delta and open runs are filtered once, as records;
+        4. nothing recent overlaps and the graph domain applies → BM-BFS;
+        5. Bloom reject — an endpoint provably touches no record;
+        6. union path — snapshot records plus the recent ones, through
+           :func:`earliest_arrival_time`.
+
+        ``open_runs`` is the caller's lazy view of its still-open runs (for
+        example :meth:`~repro.streaming.ingest.StreamIngestor.open_runs`).
         """
         interval = query.interval
-        delta_relevant = self._delta.contacts_overlapping(interval)
-        open_relevant: List[Contact] = []
-        for contact in open_contacts:
-            clipped = self._clip_past_snapshot(contact)
-            if clipped is not None and clipped.validity.overlaps(interval):
-                open_relevant.append(clipped)
+        if query.source == query.destination:
+            return QueryResult(reachable=True, earliest_time=interval.start)
+        watermark = self._snapshot_watermark
+        if watermark is not None and interval.end <= watermark:
+            records: List[ContactRecord] = []
+        else:
+            records = self._recent_records(interval.start, interval.end, open_runs)
 
         if (
             self._processor is not None
-            and not delta_relevant
-            and not open_relevant
+            and not records
             and self._fast_path_applicable(query)
         ):
             return self._processor.evaluate(query)
 
-        if query.source != query.destination and self._bloom_rejects(
-            query, delta_relevant, open_relevant
-        ):
+        if self._bloom_rejects(query, records):
             # Sound negative: some endpoint appears in no snapshot run (the
-            # Bloom filters prove it) and in no relevant delta/open contact,
+            # Bloom filters prove it) and in no relevant delta/open record,
             # so no temporal path can start (or end) at it — answer without
             # reading a single snapshot block.
             self._bloom_rejections += 1
-            return QueryResult(
-                reachable=False,
-                earliest_time=None,
-                io=0.0,
-                random_ios=0,
-                sequential_ios=0,
-                cpu_seconds=0.0,
-                visited=0,
-            )
+            return QueryResult(reachable=False)
 
         cpu_started = time.process_time()
         self._storage.reset_for_query()
         io_before = self._storage.snapshot()
-        contacts = self.collect_contacts(interval, open_contacts=open_contacts)
-
-        if query.source == query.destination:
-            reachable, earliest = True, interval.start
-        else:
-            arrival = earliest_arrival(
-                contacts, query.source, interval, destination=query.destination
-            )
-            earliest = arrival.get(query.destination)
-            reachable = earliest is not None
-
+        if self._store is not None:
+            records.extend(self._store.read_overlapping(interval))
+        earliest = earliest_arrival_time(
+            records, query.source, query.destination, interval.start, interval.end
+        )
         io_delta = self._storage.charge_since(io_before)
         return QueryResult(
-            reachable=reachable,
+            reachable=earliest is not None,
             earliest_time=earliest,
             io=io_delta.normalized(self._storage.config.sequential_cost),
             random_ios=io_delta.random_reads,
             sequential_ios=io_delta.sequential_reads,
             cpu_seconds=time.process_time() - cpu_started,
-            visited=len(contacts),
+            visited=len(records),
         )
 
     def _bloom_rejects(
-        self,
-        query: ReachabilityQuery,
-        delta_relevant: Sequence[Contact],
-        open_relevant: Sequence[Contact],
+        self, query: ReachabilityQuery, recent: Sequence[ContactRecord]
     ) -> bool:
-        """True when an endpoint provably touches no contact the union path sees.
+        """True when an endpoint provably touches no record the union path sees.
 
         A temporal path must leave the source through a contact involving it
-        (and likewise arrive at the destination), and every contact the union
-        path consults lives in the snapshot store, the relevant delta slice,
-        or the relevant open slice.  Bloom ``False`` answers are exact, so
-        this rejection never flips a reachable query; false positives just
-        fall through to the normal read path.
+        (and likewise arrive at the destination), and every record the union
+        path consults lives in the snapshot store or in ``recent``, the
+        relevant delta/open slice.  Bloom ``False`` answers are exact, so this
+        rejection never flips a reachable query; false positives just fall
+        through to the normal read path.
         """
         for endpoint in (query.source, query.destination):
             if self._store is not None and self._store.may_contain(endpoint):
                 continue
-            if any(
-                contact.first == endpoint or contact.second == endpoint
-                for contact in delta_relevant
-            ):
-                continue
-            if any(
-                contact.first == endpoint or contact.second == endpoint
-                for contact in open_relevant
-            ):
+            if any(r[0] == endpoint or r[1] == endpoint for r in recent):
                 continue
             return True
         return False

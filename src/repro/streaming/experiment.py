@@ -965,16 +965,20 @@ def query_latency_replay(
             blocks_skipped = store.blocks_skipped
             horizon = dataset.horizon
             probes = 0
+            records = 0
             started = time.perf_counter()
             for start in range(horizon.start, horizon.end, max(1, batch_ticks)):
-                store.read_overlapping(
-                    TimeInterval(start, min(start + 1, horizon.end))
+                records += len(
+                    store.read_overlapping(
+                        TimeInterval(start, min(start + 1, horizon.end))
+                    )
                 )
                 probes += 1
             probe_seconds = time.perf_counter() - started
             result.add_note(
                 f"{name}: zone-map probe — {probes} one-tick reads over "
-                f"{store.num_runs} snapshot run(s) skipped "
+                f"{store.num_runs} snapshot run(s) returned {records} "
+                f"record(s) and skipped "
                 f"{store.runs_skipped - runs_skipped} run(s) / "
                 f"{store.blocks_skipped - blocks_skipped} block(s) without IO "
                 f"({1_000 * probe_seconds / probes:.3f} ms/read)."

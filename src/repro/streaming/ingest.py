@@ -37,6 +37,7 @@ from ..reachgrid.cells import CellKey, SpatialGrid
 from ..storage import StorageSystem
 from ..testing.faults import crash_point
 from ..trajectory.model import Trajectory, TrajectoryDataset
+from .delta import OpenRun
 from .events import SampleEvent, StreamBatch
 
 __all__ = ["StreamIngestor"]
@@ -508,6 +509,15 @@ class StreamIngestor:
             for pair, start in self._open.items()
             if start <= bound
         ]
+
+    def open_runs(self) -> Tuple[Iterable[OpenRun], Optional[TimeInstant]]:
+        """The still-open runs as ``(pair, opened)``, and the watermark bounding them.
+
+        A live view, nothing copied or built: what a query hands the
+        overlay's route, which calls it only for intervals past the
+        snapshot watermark.
+        """
+        return self._open.items(), self._watermark
 
     def contacts_through_watermark(self) -> List[Contact]:
         """Every contact observed so far (closed plus open-clipped).

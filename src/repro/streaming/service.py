@@ -20,7 +20,7 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
 
 from ..core.config import (
     ContactConfig,
@@ -35,7 +35,12 @@ from ..contacts.network import Contact, ContactNetwork
 from ..storage import BACKEND_FILE_SUFFIX, StorageSystem
 from ..testing.faults import crash_point
 from ..trajectory.model import TrajectoryDataset
-from .delta import ContactSnapshotStore, ReachGraphDeltaOverlay, SnapshotArtifacts
+from .delta import (
+    ContactSnapshotStore,
+    OpenRun,
+    ReachGraphDeltaOverlay,
+    SnapshotArtifacts,
+)
 from .events import SampleEvent, StreamBatch
 from .ingest import StreamIngestor
 from .policy import MergeContext, make_policy
@@ -773,9 +778,7 @@ class StreamingReachabilityService:
         cached = self._cache.get(query)
         if cached is not None:
             return cached
-        result = self._overlay.evaluate(
-            query, open_contacts=self._ingestor.open_contacts()
-        )
+        result = self._overlay.evaluate(query, open_runs=self._ingestor.open_runs)
         self._cache.put(query, result)
         return result
 
@@ -783,19 +786,18 @@ class StreamingReachabilityService:
     # durability (persistent backends)
     # ------------------------------------------------------------------
     def _overlay_manifest(self) -> dict:
-        def records(contacts: Iterable[Contact]) -> List[Tuple[int, int, int, int]]:
-            return [
-                (c.first, c.second, c.validity.start, c.validity.end)
-                for c in contacts
-            ]
-
         store = self._overlay.snapshot_store
+        runs, bound = self._ingestor.open_runs()
         return {
             "watermark": self._ingestor.watermark,
             "snapshot_watermark": self._overlay.snapshot_watermark,
             "store": None if store is None else store.manifest(),
-            "delta": records(self._overlay.delta_contacts),
-            "open": records(self._ingestor.open_contacts()),
+            "delta": self._overlay.delta_records,
+            "open": (
+                []
+                if bound is None
+                else [(a, b, start, bound) for (a, b), start in runs if start <= bound]
+            ),
             "graph": self._overlay.graph_catalog(),
         }
 
@@ -1050,12 +1052,12 @@ class SnapshotQueryService:
         self,
         storage: StorageSystem,
         overlay: ReachGraphDeltaOverlay,
-        open_contacts: Sequence[Contact],
+        open_runs: Sequence[OpenRun],
         watermark: Optional[TimeInstant],
     ) -> None:
         self._storage = storage
         self._overlay = overlay
-        self._open_contacts = list(open_contacts)
+        self._open_runs = list(open_runs)
         self._watermark = watermark
         self._queries = 0
 
@@ -1101,14 +1103,10 @@ class SnapshotQueryService:
             if manifest["store"] is not None:
                 store = ContactSnapshotStore.restore(storage, manifest["store"])
             overlay.attach_snapshot_store(store, manifest["snapshot_watermark"])
-            overlay.restore_delta(
-                Contact(first, second, TimeInterval(start, end))
-                for first, second, start, end in manifest["delta"]
-            )
-            open_contacts = [
-                Contact(first, second, TimeInterval(start, end))
-                for first, second, start, end in manifest["open"]
-            ]
+            overlay.restore_delta(manifest["delta"])
+            # Every open record was written clipped at the manifest's
+            # watermark, so the runs keep only the pair and the opening tick.
+            open_runs = [((a, b), start) for a, b, start, _ in manifest["open"]]
             graph = manifest.get("graph")
             if graph is not None:
                 from ..reachgraph import ReachGraphIndex, ReachGraphQueryProcessor
@@ -1127,7 +1125,7 @@ class SnapshotQueryService:
                     TimeInterval(store.origin, manifest["snapshot_watermark"]),
                 )
                 overlay.attach_graph(ReachGraphQueryProcessor(index), graph["version"])
-            return cls(storage, overlay, open_contacts, manifest["watermark"])
+            return cls(storage, overlay, open_runs, manifest["watermark"])
         except BaseException:
             storage.release()
             raise
@@ -1135,17 +1133,16 @@ class SnapshotQueryService:
     def query(self, query: ReachabilityQuery) -> QueryResult:
         """Answer a query over the persisted prefix (union path, IO charged)."""
         self._queries += 1
-        return self._overlay.evaluate(query, open_contacts=self._open_contacts)
+        return self._overlay.evaluate(query, open_runs=self.open_runs)
 
     @property
     def watermark(self) -> Optional[TimeInstant]:
         """The watermark the persisted state answers through."""
         return self._watermark
 
-    @property
-    def open_contacts(self) -> List[Contact]:
-        """The restored still-open contact runs (clipped at the watermark)."""
-        return list(self._open_contacts)
+    def open_runs(self) -> Tuple[Iterable[OpenRun], Optional[TimeInstant]]:
+        """The restored still-open runs as ``(pair, opened)``, and their bound."""
+        return self._open_runs, self._watermark
 
     @property
     def overlay(self) -> ReachGraphDeltaOverlay:

@@ -23,6 +23,7 @@ import pytest
 
 from equivalence import (
     EQUIVALENCE_LABEL_MODES,
+    CallCounter,
     assert_methods_agree,
     assert_reopened_matches_prefix,
     backend_storage_config,
@@ -34,20 +35,24 @@ from repro.core import (
     StreamingConfig,
     TimeInterval,
 )
+from repro.contacts.network import Contact
 from repro.reachgraph import (
     ContactDag,
     DagPatch,
     PartitionCache,
+    ReachGraphQueryProcessor,
     ReachLabelIndex,
     reduce_contact_network,
 )
 from repro.streaming import (
     DatasetReplaySource,
+    ShardedReachabilityService,
     SnapshotQueryService,
+    StreamIngestor,
     StreamingReachabilityService,
     build_merge,
 )
-from repro.streaming.delta import ObjectBloomFilter
+from repro.streaming.delta import DeltaGraph, ObjectBloomFilter
 from repro.workloads.queries import random_queries
 
 TINY_THRESHOLD = 30.0
@@ -410,14 +415,10 @@ class TestRunPruning:
         pruned = store.read_overlapping(narrow)
         assert store.runs_skipped > skipped_runs_before
         assert store.blocks_skipped > skipped_blocks_before
-        expected = [
-            contact for contact in everything if contact.validity.overlaps(narrow)
-        ]
-        assert sorted(
-            (c.first, c.second, c.validity.start, c.validity.end) for c in pruned
-        ) == sorted(
-            (c.first, c.second, c.validity.start, c.validity.end) for c in expected
-        ), "pruning must never change the contacts a read returns"
+        expected = [r for r in everything if r[2] <= narrow.end and r[3] >= narrow.start]
+        assert sorted(pruned) == sorted(expected), (
+            "pruning must never change the records a read returns"
+        )
         service.close()
 
     def test_zone_maps_survive_close_reopen(
@@ -682,3 +683,132 @@ class TestFastPathEquivalence:
             "the label layer must prune something on a negative-heavy mix"
         )
         service.close()
+
+
+# ----------------------------------------------------------------------
+# the union path's count gates (calls and IOs, never clocks)
+# ----------------------------------------------------------------------
+#: ``(visited, random_ios, sequential_ios)`` of every query of
+#: :func:`_union_workload` on the drained tiny stream (no final merge), as
+#: the union path read them when it still built a ``Contact`` per record:
+#: moving it to plain records must read exactly the same blocks.
+UNION_PATH_GOLDEN = [
+    (10, 0, 0), (20, 0, 0), (29, 0, 0), (35, 1, 1),
+    (48, 1, 1), (56, 1, 3), (67, 1, 3), (78, 1, 3),
+    (83, 1, 4), (90, 1, 4), (99, 2, 4), (109, 2, 5),
+    (113, 2, 5), (120, 2, 5), (128, 2, 7), (136, 2, 7),
+]
+
+#: The same workload on a 4-shard coordinator (``max_delta_contacts=12``).
+SHARDED_UNION_PATH_GOLDEN = [
+    (10, 1, 0), (20, 1, 0), (29, 1, 1), (33, 1, 1),
+    (46, 2, 1), (54, 2, 3), (65, 2, 3), (76, 2, 3),
+    (81, 2, 3), (88, 2, 4), (93, 2, 4), (103, 2, 4),
+    (107, 2, 4), (114, 2, 5), (122, 2, 7), (130, 2, 7),
+]
+
+
+def _union_workload(dataset, watermark):
+    """Queries ending at ``watermark``, their starts spread back over the stream."""
+    return [
+        ReachabilityQuery(
+            query.source, query.destination, TimeInterval(watermark - 3 - 7 * i, watermark)
+        )
+        for i, query in enumerate(random_queries(dataset, count=16, seed=61))
+    ]
+
+
+class TestUnionPathCounts:
+    @staticmethod
+    def _drained(dataset, contact_config, graph_labels):
+        service = _service(dataset, contact_config, graph_labels=graph_labels)
+        service.drain(dataset)  # no final merge: the tail stays in delta/open
+        assert service.watermark > service.overlay.snapshot_watermark
+        return service
+
+    def test_union_path_builds_nothing_per_record(
+        self, monkeypatch, graph_labels, tiny_dataset, tiny_contact_config
+    ):
+        """A union-path query reading N snapshot records builds no
+        ``TimeInterval`` and no ``Contact`` per record."""
+        service = self._drained(tiny_dataset, tiny_contact_config, graph_labels)
+        counter = CallCounter(
+            monkeypatch,
+            (TimeInterval, "__post_init__"),
+            (Contact, "__post_init__"),
+            (ReachGraphQueryProcessor, "evaluate"),
+        )
+        for query in _union_workload(tiny_dataset, service.watermark):
+            counter.reset()
+            result = service.query(query)
+            built = (
+                counter.calls["TimeInterval.__post_init__"]
+                + counter.calls["Contact.__post_init__"]
+            )
+            assert counter.calls["ReachGraphQueryProcessor.evaluate"] == 0
+            assert built <= 1, (
+                f"{query}: {built} intervals/contacts built for "
+                f"{result.visited} records"
+            )
+        assert result.visited > 100, "the widest query must read many records"
+        service.close()
+
+    def test_watermark_route_scans_nothing_recent(
+        self, monkeypatch, graph_labels, tiny_dataset, tiny_contact_config
+    ):
+        """An interval ending at or before the snapshot watermark goes
+        straight to BM-BFS: no open-run view, no delta filter."""
+        service = self._drained(tiny_dataset, tiny_contact_config, graph_labels)
+        frozen = service.overlay.snapshot_watermark
+        counter = CallCounter(
+            monkeypatch,
+            (StreamIngestor, "open_contacts"),
+            (StreamIngestor, "open_runs"),
+            (DeltaGraph, "records_overlapping"),
+            (ReachGraphQueryProcessor, "evaluate"),
+        )
+        early = [
+            ReachabilityQuery(
+                query.source, query.destination, TimeInterval(2 * i, frozen - i)
+            )
+            for i, query in enumerate(random_queries(tiny_dataset, count=12, seed=73))
+        ]
+        for query in early:
+            service.query(query)
+        assert counter.calls == {
+            "StreamIngestor.open_contacts": 0,
+            "StreamIngestor.open_runs": 0,
+            "DeltaGraph.records_overlapping": 0,
+            "ReachGraphQueryProcessor.evaluate": len(early),
+        }
+        # One tick past the watermark the recent records are scanned, once.
+        counter.reset()
+        source, destination = early[0].source, early[0].destination
+        service.query(ReachabilityQuery(source, destination, TimeInterval(0, frozen + 1)))
+        assert counter.calls["StreamIngestor.open_runs"] == 1
+        assert counter.calls["DeltaGraph.records_overlapping"] == 1
+        assert counter.calls["StreamIngestor.open_contacts"] == 0
+        service.close()
+
+    def test_union_path_reads_match_golden(
+        self, graph_labels, tiny_dataset, tiny_contact_config
+    ):
+        service = self._drained(tiny_dataset, tiny_contact_config, graph_labels)
+        workload = _union_workload(tiny_dataset, service.watermark)
+        assert [
+            (r.visited, r.random_ios, r.sequential_ios)
+            for r in map(service.query, workload)
+        ] == UNION_PATH_GOLDEN
+        service.close()
+        sharded = ShardedReachabilityService.for_dataset(
+            tiny_dataset,
+            contact_config=tiny_contact_config,
+            streaming_config=StreamingConfig(shards=4, max_delta_contacts=12),
+        )
+        sharded.drain(tiny_dataset)
+        workload = _union_workload(tiny_dataset, sharded.low_watermark)
+        assert [
+            (r.visited, r.random_ios, r.sequential_ios)
+            for r in map(sharded.query, workload)
+        ] == SHARDED_UNION_PATH_GOLDEN
+        sharded.close()

@@ -499,10 +499,8 @@ class TestMergeEdgeCases:
         bound = watermark - 15
         service.merge(through=bound)
         assert service.overlay.snapshot_watermark == bound
-        for contact in service.overlay._delta.contacts:
-            assert contact.validity.start == bound + 1 or (
-                contact.validity.start > bound
-            )
+        for _, _, start, _ in service.overlay.delta_records:
+            assert start > bound
         assert_methods_agree(
             reference_evaluator(
                 prefix_network(tiny_dataset, TINY_THRESHOLD, through=watermark)
@@ -540,8 +538,8 @@ class TestMergeEdgeCases:
         assert ingestor.closed_contacts_since(0) == head + tail
         # The delta only ever holds coverage past the snapshot watermark.
         snapshot_watermark = service.overlay.snapshot_watermark
-        for contact in service.overlay._delta.contacts:
-            assert contact.validity.end > snapshot_watermark
+        for _, _, _, end in service.overlay.delta_records:
+            assert end > snapshot_watermark
 
 
 # ----------------------------------------------------------------------
@@ -1175,9 +1173,9 @@ class TestMergeRestageRegression:
         horizon = tiny_dataset.horizon
         interval = TimeInterval(horizon.start, horizon.end)
         covered = set()
-        for contact in service.overlay.collect_contacts(interval, open_contacts=()):
-            pair = (contact.first, contact.second)
-            for tick in range(contact.validity.start, contact.validity.end + 1):
+        for first, second, start, end in service.overlay.collect_records(interval):
+            pair = (first, second)
+            for tick in range(start, end + 1):
                 assert (pair, tick) not in covered, (
                     f"contact {pair} double-covered at tick {tick}: the merge "
                     f"restaged a contact the snapshot already holds"
@@ -1200,12 +1198,11 @@ class TestMergeRestageRegression:
             frozen = service.overlay.snapshot_watermark
             if frozen is None:
                 continue
-            horizon = tiny_dataset.horizon
-            for contact in service.overlay._delta.contacts_overlapping(
-                TimeInterval(horizon.start, horizon.end)
-            ):
-                assert contact.validity.end > frozen, (
-                    f"delta holds {contact} entirely at or before the "
+            # Every delta record starts past the watermark — what lets the
+            # overlay route an interval ending by it without a delta scan.
+            for record in service.overlay.delta_records:
+                assert record[2] > frozen, (
+                    f"delta holds {record} starting at or before the "
                     f"snapshot watermark {frozen}"
                 )
 
