@@ -233,7 +233,7 @@ class GrailIndex:
         # Extents hold a fixed number of vertices in id order, so a vertex is
         # addressed inside its extent; nothing is done per record read.
         per_extent = self._records_per_extent
-        extents: Dict[int, List[_GrailVertexRecord]] = {}
+        extents: Dict[int, Sequence[_GrailVertexRecord]] = {}
 
         def fetch(node_id: int) -> _GrailVertexRecord:
             extent_key, slot = divmod(node_id, per_extent)

@@ -865,7 +865,7 @@ class ReachGraphIndex:
         partition_members: Dict[int, List[int]] = {}
         records: List[VertexRecord] = []
         for key in self._partitions_file.extent_keys():
-            extent_records: List[VertexRecord] = self._partitions_file.read_extent(key)
+            extent_records: Sequence[VertexRecord] = self._partitions_file.read_extent(key)
             partition_members[int(key)] = [record[0] for record in extent_records]
             records.extend(extent_records)
         records.sort(key=itemgetter(0))
@@ -1009,16 +1009,19 @@ class ReachGraphIndex:
         """
         return self._partition_of_vertex[node_id], self._slot_of_vertex[node_id]
 
-    def read_partition(self, partition_id: int) -> List[VertexRecord]:
+    def read_partition(self, partition_id: int) -> Sequence[VertexRecord]:
         """Read every vertex record of one partition from disk (charged IO).
 
         The records come back in member order, so a :meth:`locate` slot
         indexes them directly; an extent holding another number of records
         than the partition has members is refused rather than mis-addressed.
+        The whole extent is charged here; a block of it is decoded when one
+        of its records is first indexed (a block holding another number of
+        records than the directory places there is refused then).
         """
         self._require_built()
         assert self._partitions_file is not None and self.partitioning is not None
-        records: List[VertexRecord] = self._partitions_file.read_extent(partition_id)
+        records = self._partitions_file.read_extent(partition_id)
         expected = len(self.partitioning.members[partition_id])
         if len(records) != expected:
             raise IndexConstructionError(

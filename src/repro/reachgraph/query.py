@@ -39,7 +39,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict, deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.errors import QueryError, UnknownObjectError
 from ..core.types import ObjectId, QueryResult, ReachabilityQuery, TimeInstant, TimeInterval
@@ -62,8 +62,10 @@ class PartitionCache:
     underlying graph mutates (merge adoption, frontier repack, rebuild swap).
     Lookups are not keyed by generation: queries and adoption run on the
     same owning thread, so none spans an invalidation; the counter is the
-    witness that one happened.  Entries are the record lists
-    :meth:`ReachGraphIndex.read_partition` returned, shared read-only.
+    witness that one happened.  Entries are the record sequences
+    :meth:`ReachGraphIndex.read_partition` returned, shared read-only: a
+    block of one decodes when a query first indexes a record in it, and stays
+    decoded for every later query that hits the entry.
     Thread-safe; a capacity of ``0`` disables caching (every lookup misses).
     """
 
@@ -71,7 +73,7 @@ class PartitionCache:
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.capacity = capacity
-        self._entries: "OrderedDict[int, List[VertexRecord]]" = OrderedDict()
+        self._entries: "OrderedDict[int, Sequence[VertexRecord]]" = OrderedDict()
         self._lock = threading.Lock()
         self._generation = 1
         self.hits = 0
@@ -82,7 +84,7 @@ class PartitionCache:
         """The current cache generation (bumped by :meth:`invalidate`)."""
         return self._generation
 
-    def lookup(self, partition_id: int) -> Optional[List[VertexRecord]]:
+    def lookup(self, partition_id: int) -> Optional[Sequence[VertexRecord]]:
         """The cached records of a partition (shared: read-only), or ``None``."""
         with self._lock:
             records = self._entries.get(partition_id)
@@ -93,7 +95,7 @@ class PartitionCache:
             self.hits += 1
             return records
 
-    def insert(self, partition_id: int, records: List[VertexRecord]) -> None:
+    def insert(self, partition_id: int, records: Sequence[VertexRecord]) -> None:
         """Remember a partition's records, evicting the LRU entry when full."""
         if self.capacity == 0:
             return
@@ -121,7 +123,8 @@ class _VertexCache:
     (:meth:`ReachGraphIndex.locate`), so loading a partition — from the
     shared :class:`PartitionCache` when one is attached and holds it, from
     disk otherwise (then published back so later queries skip the IO) —
-    costs nothing per record the traversal never asks for.
+    costs nothing per record, and decodes no block, the traversal never asks
+    for.
     """
 
     def __init__(
@@ -129,7 +132,7 @@ class _VertexCache:
     ) -> None:
         self._index = index
         self._shared = shared
-        self._partitions: Dict[int, List[VertexRecord]] = {}
+        self._partitions: Dict[int, Sequence[VertexRecord]] = {}
 
     def get(self, node_id: int) -> VertexRecord:
         partition_id, slot = self._index.locate(node_id)
@@ -138,7 +141,7 @@ class _VertexCache:
             records = self._load(partition_id)
         return records[slot]
 
-    def _load(self, partition_id: int) -> List[VertexRecord]:
+    def _load(self, partition_id: int) -> Sequence[VertexRecord]:
         shared = self._shared
         records = shared.lookup(partition_id) if shared is not None else None
         if records is None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..core.config import ContactConfig, ReachGridConfig, StorageConfig
 from ..core.errors import IndexConstructionError, IndexNotBuiltError
@@ -171,7 +171,7 @@ class ReachGridIndex:
         self._require_built()
         return self._cells_file.has_extent(key)
 
-    def read_cell(self, key: CellKey) -> List[SampleRecord]:
+    def read_cell(self, key: CellKey) -> Sequence[SampleRecord]:
         """Read every sample record of cell ``key`` from disk (charged IO)."""
         self._require_built()
         return self._cells_file.read_extent(key)

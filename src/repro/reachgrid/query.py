@@ -114,8 +114,9 @@ class _LoadedWindow:
                 continue
             self.cells_read += 1
             # A cell's records are ordered by timestamp: cut the window's run
-            # out of them and file each tick's records in one update.
-            records = index.read_cell(key)
+            # out of them and file each tick's records in one update.  The
+            # cell is read whole, so its blocks are decoded into one list.
+            records = list(index.read_cell(key))
             lo = bisect_left(records, first, key=_RECORD_TIME)
             hi = bisect_right(records, last, key=_RECORD_TIME)
             for t, group in groupby(records[lo:hi], _RECORD_TIME):

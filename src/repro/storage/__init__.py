@@ -46,7 +46,7 @@ from .backends import (
     StorageBackend,
     make_backend,
 )
-from .blockfile import BlockFile, Extent
+from .blockfile import BlockFile, Extent, ExtentRecords
 from .buffer import BufferPool
 from .disk import SimulatedDisk
 from .hashtable import ExternalHashTable
@@ -63,6 +63,7 @@ __all__ = [
     "BufferPool",
     "BlockFile",
     "Extent",
+    "ExtentRecords",
     "ExternalHashTable",
     "IOStats",
     "IOSnapshot",

@@ -15,6 +15,12 @@ bookkeeping, bounds checks, IO accounting, and lifecycle guards from
 :class:`StorageBackend`.  Blocks hold arbitrary picklable Python payloads
 (one payload per block); record packing into fixed-capacity blocks happens
 one level up, in :mod:`repro.storage.blockfile`.
+
+A persistent device hands a read block back as an :class:`EncodedBlock`:
+the bytes the read was charged for, captured at read time and decoded the
+first time its payload is asked for.  :meth:`StorageBackend.read` returns
+the payload; :meth:`StorageBackend.read_run` returns the blocks, so a
+reader of a run decodes only the blocks it uses.
 """
 
 from __future__ import annotations
@@ -28,7 +34,9 @@ from ...core.errors import BlockOutOfRangeError, StorageError
 from ..stats import IOStats
 
 __all__ = [
+    "EncodedBlock",
     "StorageBackend",
+    "block_payload",
     "decode_payload",
     "encode_payload",
     "load_manifest_sidecar",
@@ -49,6 +57,45 @@ def encode_payload(payload: Any) -> bytes:
 def decode_payload(blob: bytes | memoryview) -> Any:
     """Rebuild the payload :func:`encode_payload` serialized into ``blob``."""
     return pickle.loads(blob)
+
+
+class EncodedBlock:
+    """One block's device bytes, captured when its read was charged.
+
+    :meth:`payload` decodes them through :func:`decode_payload` on its first
+    call, keeps the payload and drops the bytes.  The bytes are the block's
+    own copy, so no later device write, remap, reclaim or close changes what
+    it decodes to; two threads racing on the first call store equal payloads.
+    A block compares equal to its payload.
+    """
+
+    __slots__ = ("_blob", "_payload")
+
+    def __init__(self, blob: bytes) -> None:
+        self._blob: Optional[bytes] = blob
+        self._payload: Any = None
+
+    def payload(self) -> Any:
+        """The decoded payload (decoded on the first call)."""
+        # The bytes are read first: once they are gone the payload is set.
+        blob = self._blob
+        if blob is None:
+            return self._payload
+        payload = decode_payload(blob)
+        self._payload = payload
+        self._blob = None
+        return payload
+
+    def __eq__(self, other: object) -> bool:
+        return self.payload() == block_payload(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+def block_payload(block: Any) -> Any:
+    """The payload of a block a read handed back (an :class:`EncodedBlock`
+    is decoded; any other block already is its payload)."""
+    return block.payload() if type(block) is EncodedBlock else block
 
 
 def write_manifest_sidecar(path: str, manifest: Dict[str, Any]) -> None:
@@ -154,14 +201,16 @@ class StorageBackend(ABC):
 
     @abstractmethod
     def _load(self, block_id: int) -> Any:
-        """Return the payload of allocated block ``block_id`` (``None`` when
-        the block was allocated but never written)."""
+        """Return allocated block ``block_id``: its payload, or an
+        :class:`EncodedBlock` of the bytes holding it (``None`` when the
+        block was allocated but never written)."""
 
     def _load_run(self, first_block: int, num_blocks: int) -> List[Any]:
-        """Payloads of ``num_blocks`` consecutive allocated blocks, in order.
+        """The blocks (as :meth:`_load` returns them) of ``num_blocks``
+        consecutive allocated blocks, in order.
 
         Defaults to one :meth:`_load` per block, which keeps a backend's
-        decode cache in per-block order; a backend whose blocks are already
+        page cache in per-block order; a backend whose blocks are already
         Python objects overrides it with a single bulk operation.
         """
         return [
@@ -240,14 +289,15 @@ class StorageBackend(ABC):
         self._ensure_open()
         self._check(block_id)
         self.stats.record_read(block_id)
-        return self._load(block_id)
+        return block_payload(self._load(block_id))
 
     def read_run(self, first_block: int, num_blocks: int) -> List[Any]:
         """Read ``num_blocks`` consecutive blocks starting at ``first_block``.
 
-        Returns the payloads :meth:`read` would return for the same blocks in
-        ascending order and charges the same IO, through one open check, one
-        range check of both ends, and one
+        Returns the blocks in ascending order — each the payload :meth:`read`
+        would return, or an :class:`EncodedBlock` that decodes to it — and
+        charges the same IO as :meth:`read` over them, through one open
+        check, one range check of both ends, and one
         :meth:`~repro.storage.stats.IOStats.record_read_run`.  A run reaching
         past the device raises before anything is charged.
         """
@@ -267,7 +317,7 @@ class StorageBackend(ABC):
         """
         self._ensure_open()
         self._check(block_id)
-        return self._load(block_id)
+        return block_payload(self._load(block_id))
 
     # ------------------------------------------------------------------
     # durability

@@ -7,10 +7,13 @@ The on-disk layout is a log of self-describing records::
 Writes only ever append — rewriting a block appends a new version and moves
 the in-memory directory pointer, exactly the write pattern the interval-
 ordered index placement produces (later intervals land after earlier ones).
-An explicit LRU page cache holds recently *deserialized* payloads so repeated
-reads of a hot block do not pay pickle decoding again; physical IO accounting
-is unaffected (the charge is recorded before the cache is consulted — the
-buffer pool one level up is the component that models IO-free re-reads).
+An explicit LRU page cache holds recently read or written blocks — a written
+payload, or the :class:`~repro.storage.backends.base.EncodedBlock` a log read
+returned, which keeps its payload once decoded — so repeated reads of a hot
+block pay neither the log read nor pickle decoding again; physical IO
+accounting is unaffected (the charge is recorded before the cache is
+consulted — the buffer pool one level up is the component that models
+IO-free re-reads).
 
 Durability contract: :meth:`~StorageBackend.flush` fsyncs the log and then
 atomically replaces the manifest sidecar (``<path>.manifest``) holding the
@@ -30,8 +33,8 @@ from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple
 from ...core.errors import StorageError
 from ...testing.faults import crash_point
 from .base import (
+    EncodedBlock,
     StorageBackend,
-    decode_payload,
     encode_payload,
     load_manifest_sidecar,
     redo_reclaim_swap,
@@ -106,14 +109,14 @@ class FileBackend(StorageBackend):
             return None  # allocated but never written
         offset, length = located
         self._handle.seek(offset)
-        payload = decode_payload(self._handle.read(length))
-        self._cache_put(block_id, payload)
-        return payload
+        block = EncodedBlock(self._handle.read(length))
+        self._cache_put(block_id, block)
+        return block
 
-    def _cache_put(self, block_id: int, payload: Any) -> None:
+    def _cache_put(self, block_id: int, block: Any) -> None:
         if self._cache_capacity <= 0:
             return
-        self._page_cache[block_id] = payload
+        self._page_cache[block_id] = block
         self._page_cache.move_to_end(block_id)
         while len(self._page_cache) > self._cache_capacity:
             self._page_cache.popitem(last=False)

@@ -27,8 +27,8 @@ from typing import Any, ClassVar, Dict, Mapping, Optional
 from ...core.errors import StorageError
 from ...testing.faults import crash_point
 from .base import (
+    EncodedBlock,
     StorageBackend,
-    decode_payload,
     encode_payload,
     load_manifest_sidecar,
     redo_reclaim_swap,
@@ -144,12 +144,11 @@ class MmapBackend(StorageBackend):
                     "slot capacity and its overflow payload was lost — the "
                     "device was not flushed before reopening"
                 )
-            return decode_payload(blob)
+            return EncodedBlock(blob)
         start = offset + _SLOT_HEADER.size
-        # Decode straight out of the mapping (no copy of the slot); the views
-        # are released before returning so the map can still grow or close.
-        with memoryview(self._map) as mapped, mapped[start : start + length] as blob:
-            return decode_payload(blob)
+        # A copy of the slot, not a view: the block must decode the same after
+        # an in-place write, a remap by _grow or reclaim, or close.
+        return EncodedBlock(self._map[start : start + length])
 
     # ------------------------------------------------------------------
     # durability

@@ -6,20 +6,23 @@ ReachGraph partition).  A :class:`BlockFile` packs records into blocks of a
 configured capacity and remembers which block range each named *extent*
 occupies, so that an index can later read back exactly the records of one
 cell/partition while the IO accountant observes the real block access pattern
-(consecutive block ids → sequential IOs).
+(consecutive block ids → sequential IOs).  A read hands the records back as an
+:class:`ExtentRecords` sequence: the whole run is charged when it is read,
+each block is decoded when one of its records is first used.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Dict, Iterator, List, Sequence
 
 from ..core.errors import StorageError
-from .backends.base import StorageBackend
+from .backends.base import StorageBackend, block_payload
 from .buffer import BufferPool
 
-__all__ = ["BlockFile", "Extent"]
+__all__ = ["BlockFile", "Extent", "ExtentRecords"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,6 +48,84 @@ class Extent:
     def block_ids(self) -> range:
         """The block ids covered by this extent, in order."""
         return range(self.first_block, self.first_block + self.num_blocks)
+
+
+#: Stands in for each record of a block not decoded yet.
+_UNDECODED = object()
+
+
+class ExtentRecords(SequenceABC):
+    """The records of one extent, read and charged as one run of blocks.
+
+    Read-only.  A block is decoded once, the first time one of its records is
+    used: indexing a record decodes its block and writes its records into one
+    flat list, so indexing a decoded record costs one list lookup; iterating
+    or slicing decodes every block and chains their records at C speed.
+    ``len()`` is the directory's record count; a block holding
+    another number of records than the directory places in it raises
+    :class:`~repro.core.errors.StorageError` when first used, never
+    mis-addressed.  A slice is a plain list; the sequence compares equal to
+    the list of its records.  Safe to share between threads: decoding a
+    block twice stores equal records.
+    """
+
+    __slots__ = ("_key", "_blocks", "_records", "_per_block")
+
+    def __init__(
+        self, key: Any, blocks: List[Any], records_per_block: int, num_records: int
+    ) -> None:
+        self._key = key
+        self._blocks = blocks
+        self._records: List[Any] = [_UNDECODED] * num_records
+        self._per_block = records_per_block
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, index: Any) -> Any:
+        if index.__class__ is slice:
+            return list(self)[index]
+        record = self._records[index]
+        if record is _UNDECODED:
+            self._decode((index % len(self._records)) // self._per_block)
+            record = self._records[index]
+        return record
+
+    def __iter__(self) -> Iterator[Any]:
+        return chain.from_iterable(self._payloads())
+
+    def _payloads(self) -> List[Any]:
+        """Every block's records, decoded and their counts checked in one
+        pass over the blocks (a block decoded earlier is not decoded again)."""
+        payloads = list(map(block_payload, self._blocks))
+        expected = [self._per_block] * len(payloads)
+        expected[-1] = len(self._records) - self._per_block * (len(payloads) - 1)
+        try:
+            counts = list(map(len, payloads))
+        except TypeError:  # a block that was never written
+            counts = []
+        if counts != expected:
+            for position in range(len(payloads)):
+                self._decode(position)  # raises at the first bad block
+        return payloads
+
+    def _decode(self, position: int) -> None:
+        payload = block_payload(self._blocks[position])
+        start = position * self._per_block
+        expected = min(self._per_block, len(self._records) - start)
+        if payload is None or len(payload) != expected:
+            raise StorageError(
+                f"block {position} of extent {self._key!r} does not hold "
+                f"the {expected} records its directory places there"
+            )
+        self._records[start : start + expected] = payload
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, ExtentRecords)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 class BlockFile:
@@ -200,11 +281,15 @@ class BlockFile:
         """True when an extent named ``key`` exists."""
         return key in self._extents
 
-    def read_extent(self, key: Any) -> List[Any]:
-        """Read every record of extent ``key`` (charges IO for all its blocks)."""
+    def read_extent(self, key: Any) -> ExtentRecords:
+        """Read every record of extent ``key`` (charges IO for all its blocks).
+
+        The charge is made here, once; the returned sequence decodes a block
+        when one of its records is first used (see :class:`ExtentRecords`).
+        """
         extent = self.extent(key)
         blocks = self._buffer.read_run(extent.first_block, extent.num_blocks)
-        return list(chain.from_iterable(blocks))
+        return ExtentRecords(key, blocks, self._records_per_block, extent.num_records)
 
     def iter_extent_records(self, key: Any) -> Iterator[Any]:
         """Yield the records of extent ``key`` block by block.

@@ -6,7 +6,10 @@ ReachGraph buffers whole partitions so that future vertices in the same
 partition are served from memory.  The buffer pool implements the standard
 database pattern — fixed capacity, least-recently-used eviction — and routes
 misses to the underlying :class:`~repro.storage.backends.StorageBackend`,
-which is where the IO accounting happens.
+which is where the IO accounting happens.  A frame holds the block the device
+handed back — on a persistent device an
+:class:`~repro.storage.backends.base.EncodedBlock` that decodes on first use —
+so a run read through the pool decodes nothing until a reader asks.
 
 Writes staged through :meth:`BufferPool.write` follow the classic write-back
 discipline: the frame is marked dirty and the device write is deferred until
@@ -22,7 +25,7 @@ from collections import OrderedDict
 from typing import Any, List, Optional, Set
 
 from ..core.errors import BufferPoolError
-from .backends.base import StorageBackend
+from .backends.base import StorageBackend, block_payload
 from .stats import IOStats
 
 __all__ = ["BufferPool"]
@@ -86,33 +89,35 @@ class BufferPool:
             self._frames.move_to_end(block_id)
             self.hits += 1
             self._disk.stats.record_buffer_hit(block_id)
-            return self._frames[block_id]
+            return block_payload(self._frames[block_id])
         payload = self._disk.read(block_id)
         self.misses += 1
         self._insert(block_id, payload)
         return payload
 
     def read_run(self, first_block: int, num_blocks: int) -> List[Any]:
-        """Payloads of ``num_blocks`` consecutive blocks from ``first_block``.
+        """Blocks of ``num_blocks`` consecutive ids from ``first_block``.
 
         Equivalent to :meth:`read` over the same blocks in ascending order —
-        same payloads, IO charges, hit/miss counts, LRU order and evictions.
-        When no frame is dirty and no block of the run is resident (every
-        block misses and every eviction is a plain drop — the state of any
-        query after ``reset_for_query()``) that equivalence is immediate, so
-        the whole run is fetched with one device call; otherwise the blocks
-        are read one by one.
+        same payloads (a block is the payload or an
+        :class:`~repro.storage.backends.base.EncodedBlock` decoding to it),
+        IO charges, hit/miss counts, LRU order and evictions.  When no frame
+        is dirty and no block of the run is resident (every block misses and
+        every eviction is a plain drop — the state of any query after
+        ``reset_for_query()``) that equivalence is immediate, so the whole
+        run is fetched with one device call and nothing is decoded;
+        otherwise the blocks are read one by one.
         """
         run = range(first_block, first_block + num_blocks)
         frames = self._frames
         if self._dirty or not frames.keys().isdisjoint(run):
             return [self.read(block_id) for block_id in run]
-        payloads = self._disk.read_run(first_block, num_blocks)
-        self.misses += len(payloads)
-        frames.update(zip(run, payloads))
+        blocks = self._disk.read_run(first_block, num_blocks)
+        self.misses += len(blocks)
+        frames.update(zip(run, blocks))
         for _ in range(len(frames) - self._capacity):
             frames.popitem(last=False)
-        return payloads
+        return blocks
 
     def write(self, block_id: int, payload: Any) -> None:
         """Stage a write: the frame turns dirty, the device write is deferred.

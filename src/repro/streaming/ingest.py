@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from itertools import chain
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.config import ContactConfig, ReachGridConfig, StorageConfig
 from ..core.errors import StreamingError, WatermarkRegressionError
@@ -596,7 +596,7 @@ class StreamIngestor:
         """Keys of the flushed cells in disk-placement order."""
         return self._cells_file.extent_keys()
 
-    def read_cell(self, key: CellKey) -> List[SampleRecord]:
+    def read_cell(self, key: CellKey) -> Sequence[SampleRecord]:
         """Read one flushed cell's records back from the simulated disk."""
         return self._cells_file.read_extent(key)
 

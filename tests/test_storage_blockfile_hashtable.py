@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import StorageConfig, StorageError
-from repro.storage import BlockFile, StorageSystem
+from repro.storage import STORAGE_BACKENDS, BlockFile, StorageSystem
 
 
 @pytest.fixture()
@@ -14,6 +14,22 @@ def storage():
 
 
 class TestBlockFile:
+    @pytest.fixture(params=STORAGE_BACKENDS)
+    def storage(self, request, tmp_path):
+        """Every backend; the ``file`` page cache is off so its reads decode
+        the log bytes, as the ``mmap`` ones decode the slot bytes."""
+        system = StorageSystem(
+            StorageConfig(
+                block_size=4,
+                buffer_blocks=8,
+                backend=request.param,
+                storage_dir=str(tmp_path),
+                page_cache_blocks=0,
+            )
+        )
+        yield system
+        system.close()
+
     def test_extent_block_count_matches_record_count(self, storage):
         blockfile = storage.new_blockfile("data", records_per_block=4)
         extent = blockfile.append_extent("a", list(range(10)))
