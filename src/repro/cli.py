@@ -6,14 +6,13 @@ Usage::
     python -m repro.cli figure13             # run one experiment
     python -m repro.cli all --output out.txt # run everything, save the report
     python -m repro.cli figure14 --quick     # smaller workloads, faster run
-    python -m repro.cli stream --quick       # streaming ingest vs batch rebuild
+    python -m repro.cli stream --quick       # streaming ingest vs batch reference
     python -m repro.cli stream --shards 4    # ... on 4 ingestion shards
     python -m repro.cli stream --storage-backend file  # ... on a real block file
     python -m repro.cli stream-sharded       # shard-count scaling curve
     python -m repro.cli stream-async --concurrency 8  # sync vs asyncio serving
     python -m repro.cli stream-disk          # sim vs file vs mmap comparison
     python -m repro.cli stream-space         # GC: live vs device blocks
-    python -m repro.cli stream-graph         # incremental vs rebuild graph merges
     python -m repro.cli stream-parallel      # merge-executor scaling curve
     python -m repro.cli stream --merge-executor process --merge-workers 4
     python -m repro.cli table5 --json out.json  # machine-readable results too
@@ -32,7 +31,7 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from .core.config import GRAPH_MODES, MERGE_EXECUTORS, STORAGE_BACKENDS
+from .core.config import MERGE_EXECUTORS, STORAGE_BACKENDS
 from .experiments.figures import EXPERIMENTS
 from .experiments.report import format_result, format_results_json
 
@@ -57,7 +56,6 @@ _QUICK_OVERRIDES = {
     "stream-async": {"dataset_names": ("rwp-tiny",), "num_queries": 6, "queries_per_batch": 2},
     "stream-disk": {"dataset_names": ("rwp-tiny",), "num_queries": 6},
     "stream-space": {"dataset_names": ("rwp-tiny",), "num_queries": 6, "max_delta_contacts": 24},
-    "stream-graph": {"dataset_names": ("rwp-tiny",), "num_queries": 6, "max_delta_contacts": 24},
     "stream-query": {"dataset_names": ("rwp-tiny",), "num_queries": 8, "max_delta_contacts": 24},
     "stream-parallel": {
         "dataset_names": ("rwp-tiny",),
@@ -84,7 +82,6 @@ _STORAGE_BACKEND_KWARGS = {
     "stream-async": lambda backend: {"storage_backend": backend},
     "stream-disk": lambda backend: {"backends": (backend,)},
     "stream-space": lambda backend: {"backends": (backend,)},
-    "stream-graph": lambda backend: {"storage_backend": backend},
     "stream-parallel": lambda backend: {"storage_backend": backend},
     "stream-query": lambda backend: {"storage_backend": backend},
 }
@@ -93,13 +90,6 @@ _STORAGE_BACKEND_KWARGS = {
 #: concurrently with ingestion.
 _CONCURRENCY_KWARGS = {
     "stream-async": lambda concurrency: {"concurrency": concurrency},
-}
-
-#: How --graph-mode MODE is injected, per experiment whose streaming service
-#: maintains a ReachGraph fast path across merges.
-_GRAPH_MODE_KWARGS = {
-    "stream": lambda mode: {"graph_mode": mode},
-    "stream-graph": lambda mode: {"graph_modes": (mode,)},
 }
 
 #: How --merge-executor KIND (and --merge-workers N) are injected, per
@@ -170,15 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "issue N concurrent queries against the asyncio serving front-end "
             f"(applies to: {', '.join(sorted(_CONCURRENCY_KWARGS))})"
-        ),
-    )
-    parser.add_argument(
-        "--graph-mode",
-        choices=GRAPH_MODES,
-        default=None,
-        help=(
-            "maintain the streaming ReachGraph incrementally or rebuild it "
-            f"per merge (applies to: {', '.join(sorted(_GRAPH_MODE_KWARGS))})"
         ),
     )
     parser.add_argument(
@@ -292,7 +273,6 @@ def _run_one(
     shards: Optional[int] = None,
     concurrency: Optional[int] = None,
     storage_backend: Optional[str] = None,
-    graph_mode: Optional[str] = None,
     merge_executor: Optional[str] = None,
     merge_workers: Optional[int] = None,
 ):
@@ -304,8 +284,6 @@ def _run_one(
         kwargs.update(_CONCURRENCY_KWARGS[name](concurrency))
     if storage_backend is not None and name in _STORAGE_BACKEND_KWARGS:
         kwargs.update(_STORAGE_BACKEND_KWARGS[name](storage_backend))
-    if graph_mode is not None and name in _GRAPH_MODE_KWARGS:
-        kwargs.update(_GRAPH_MODE_KWARGS[name](graph_mode))
     if merge_executor is not None and name in _MERGE_EXECUTOR_KWARGS:
         kwargs.update(_MERGE_EXECUTOR_KWARGS[name](merge_executor))
     if merge_workers is not None and name in _MERGE_WORKERS_KWARGS:
@@ -354,7 +332,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 shards=args.shards,
                 concurrency=args.concurrency,
                 storage_backend=args.storage_backend,
-                graph_mode=args.graph_mode,
                 merge_executor=args.merge_executor,
                 merge_workers=args.merge_workers,
             )

@@ -25,11 +25,9 @@ __all__ = [
     "GrailConfig",
     "ContactConfig",
     "StreamingConfig",
-    "GRAPH_MODES",
     "MERGE_EXECUTORS",
     "MERGE_POLICIES",
     "SHARD_ROUTERS",
-    "SNAPSHOT_MODES",
     "STORAGE_BACKENDS",
     "DEFAULT_RESOLUTIONS",
 ]
@@ -242,22 +240,6 @@ MERGE_POLICIES: Tuple[str, ...] = ("delta-size", "elapsed-intervals", "amplifica
 #: the spatial grid cell it was first observed in.
 SHARD_ROUTERS: Tuple[str, ...] = ("hash", "spatial")
 
-#: How a streaming merge writes the new snapshot's contact extents (see
-#: :mod:`repro.streaming.delta`): ``lsm`` appends only the freshly frozen
-#: contacts as a new run and folds runs with a background compaction, while
-#: ``rebuild`` rewrites the complete prefix from scratch on every merge (the
-#: pre-LSM behaviour, kept for write-amplification comparisons).
-SNAPSHOT_MODES: Tuple[str, ...] = ("lsm", "rebuild")
-
-#: How a streaming merge advances the snapshot's ReachGraph fast path (see
-#: :mod:`repro.reachgraph.index`): ``incremental`` patches the reduced DAG in
-#: place — appending contacts at the frontier extends or splits open component
-#: vertices, newly complete augmentation windows add their long edges, and
-#: only dirty partitions are rewritten — while ``rebuild`` reduces, augments,
-#: partitions, and writes the whole graph from scratch on every merge (the
-#: pre-incremental behaviour, kept for write-amplification comparisons).
-GRAPH_MODES: Tuple[str, ...] = ("incremental", "rebuild")
-
 #: Where the pure build phase of a streaming merge executes (see
 #: :mod:`repro.streaming.parallel`): ``inline`` builds on the calling thread
 #: (the historical behaviour), ``thread`` on a thread pool (overlaps builds
@@ -294,10 +276,11 @@ class StreamingConfig:
         Capacity of the service's LRU query-result cache (``0`` disables it);
         the cache is invalidated whenever the watermark advances.
     build_reachgraph_on_merge:
-        Whether a merge also rebuilds a ReachGraph index over the new
-        snapshot, giving post-merge queries the paper's fast path.  Ignored by
-        the sharded service, whose per-shard snapshots are never individually
-        authoritative (cross-shard contacts live outside every shard).
+        Whether a merge also builds (first merge) or patches (every later
+        one) a ReachGraph index over the new snapshot, giving post-merge
+        queries the paper's fast path.  Ignored by the sharded service,
+        whose per-shard snapshots are never individually authoritative
+        (cross-shard contacts live outside every shard).
     shards:
         Number of ingestion shards.  ``1`` keeps the single
         :class:`~repro.streaming.service.StreamingReachabilityService`;
@@ -313,17 +296,12 @@ class StreamingConfig:
         front-end (:class:`~repro.streaming.async_service.AsyncReachabilityService`,
         ``engine.streaming(async_mode=True)``).  A full queue backpressures
         ``await ingest(...)`` until the shard's ingest loop catches up.
-    snapshot_mode:
-        One of :data:`SNAPSHOT_MODES` — ``lsm`` (default) appends each merge's
-        freshly frozen contacts as a new snapshot run and compacts runs in the
-        background, ``rebuild`` rewrites the complete snapshot from scratch on
-        every merge (the pre-LSM write path, kept for comparisons).
     compaction_max_runs:
         Per-level fanout of the LSM path's size-ratio leveled compaction:
         once a merge leaves more than this many live runs on one level, a
         compaction folds that level's runs into a single run one level up
         (cascading if the next level overflows in turn), superseding the old
-        extents.  Ignored in ``rebuild`` mode.
+        extents.
     gc_trigger_ratio:
         Device garbage fraction past which the service runs
         :meth:`~repro.storage.StorageSystem.reclaim` on its devices after a
@@ -337,16 +315,6 @@ class StreamingConfig:
         under-filled frontier partitions, they are repacked into
         depth-``dp``-sized extents to restore read locality.  ``0`` (the
         default) disables repacking.
-    graph_mode:
-        One of :data:`GRAPH_MODES` — how a merge advances the snapshot's
-        ReachGraph index.  ``incremental`` (default) computes a DAG patch over
-        the freshly frozen ticks and applies it to the live index, rewriting
-        only dirty partitions; ``rebuild`` constructs a fresh index over the
-        full prefix on every merge.  Only meaningful with
-        ``snapshot_mode="lsm"`` and ``build_reachgraph_on_merge=True`` (the
-        overlay-rebuild snapshot mode replaces the whole overlay, index
-        included, and services that skip the fast path have no graph to
-        maintain).
     merge_executor:
         One of :data:`MERGE_EXECUTORS` — where the pure build phase of a
         merge runs (see :mod:`repro.streaming.parallel`).  ``inline``
@@ -373,7 +341,7 @@ class StreamingConfig:
         Capacity (in graph partitions) of the cross-query partition cache
         shared by the sync, async, and parallel query paths.  The cache is
         generation-stamped and invalidated whenever the graph mutates (merge
-        adoption, repack, rebuild swap).  ``0`` disables it, restoring the
+        adoption, repack).  ``0`` disables it, restoring the
         per-query-only caching of earlier versions.
     """
 
@@ -387,11 +355,9 @@ class StreamingConfig:
     shards: int = 1
     router: str = "hash"
     async_queue_depth: int = 4
-    snapshot_mode: str = "lsm"
     compaction_max_runs: int = 4
     gc_trigger_ratio: float = 0.0
     graph_repack_min_partitions: int = 0
-    graph_mode: str = "incremental"
     merge_executor: str = "inline"
     merge_workers: int = 2
     graph_labels: bool = True
@@ -423,11 +389,6 @@ class StreamingConfig:
             )
         if self.async_queue_depth <= 0:
             raise ConfigurationError("async_queue_depth must be positive")
-        if self.snapshot_mode not in SNAPSHOT_MODES:
-            raise ConfigurationError(
-                f"unknown snapshot mode {self.snapshot_mode!r}; "
-                f"choose one of {', '.join(SNAPSHOT_MODES)}"
-            )
         if self.compaction_max_runs <= 0:
             raise ConfigurationError("compaction_max_runs must be positive")
         if not 0.0 <= self.gc_trigger_ratio < 1.0:
@@ -438,11 +399,6 @@ class StreamingConfig:
             raise ConfigurationError(
                 "graph_repack_min_partitions must be 0 (disabled) or >= 2 "
                 "(folding a single partition is pure write amplification)"
-            )
-        if self.graph_mode not in GRAPH_MODES:
-            raise ConfigurationError(
-                f"unknown graph mode {self.graph_mode!r}; "
-                f"choose one of {', '.join(GRAPH_MODES)}"
             )
         if self.merge_executor not in MERGE_EXECUTORS:
             raise ConfigurationError(
@@ -459,10 +415,6 @@ class StreamingConfig:
     def with_merge_policy(self, policy: str) -> "StreamingConfig":
         """Copy of this config with a different merge policy."""
         return replace(self, merge_policy=policy)
-
-    def with_graph_mode(self, graph_mode: str) -> "StreamingConfig":
-        """Copy of this config with a different ReachGraph merge mode."""
-        return replace(self, graph_mode=graph_mode)
 
     def with_shards(self, shards: int, router: str | None = None) -> "StreamingConfig":
         """Copy of this config with a different shard count (and router)."""

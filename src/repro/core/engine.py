@@ -153,7 +153,6 @@ class ReachabilityEngine:
         async_mode: bool = False,
         storage_backend: str | None = None,
         storage_dir: str | None = None,
-        graph_mode: str | None = None,
         merge_executor: str | None = None,
         merge_workers: int | None = None,
     ):
@@ -190,11 +189,6 @@ class ReachabilityEngine:
         :meth:`repro.streaming.StreamingReachabilityService.open` resumes
         *ingesting* an unsharded stream from its journaled checkpoint.
 
-        ``graph_mode`` selects how merges advance the snapshot's ReachGraph
-        fast path (one of ``GRAPH_MODES``): ``incremental`` patches the
-        reduced DAG in place so merge cost tracks the delta, ``rebuild``
-        reconstructs it from scratch every merge (kept for comparisons).
-
         ``merge_executor`` selects where the pure build phase of merges runs
         (one of ``MERGE_EXECUTORS``): ``inline`` on the calling thread,
         ``thread`` on a thread pool, ``process`` on a
@@ -207,8 +201,6 @@ class ReachabilityEngine:
             config = config.with_shards(
                 config.shards if shards is None else shards, router=router
             )
-        if graph_mode is not None:
-            config = config.with_graph_mode(graph_mode)
         if merge_executor is not None or merge_workers is not None:
             config = config.with_merge_executor(
                 merge_executor or config.merge_executor, merge_workers

@@ -700,13 +700,6 @@ def _space_replay(**kwargs) -> ExperimentResult:
     return space_replay(**kwargs)
 
 
-def _graph_merge_replay(**kwargs) -> ExperimentResult:
-    """ReachGraph merge cost: patch the reduced DAG vs rebuild it every merge."""
-    from ..streaming.experiment import graph_merge_replay
-
-    return graph_merge_replay(**kwargs)
-
-
 def _parallel_merge_replay(**kwargs) -> ExperimentResult:
     """Merge-executor scaling: drain cost and build overlap per executor."""
     from ..streaming.experiment import parallel_merge_replay
@@ -740,7 +733,6 @@ EXPERIMENTS = {
     "stream-async": _async_stream_replay,
     "stream-disk": _disk_backend_replay,
     "stream-space": _space_replay,
-    "stream-graph": _graph_merge_replay,
     "stream-parallel": _parallel_merge_replay,
     "stream-query": _query_latency_replay,
 }

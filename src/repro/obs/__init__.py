@@ -29,8 +29,7 @@ class MergeTiming:
     """One completed merge-build phase, as observed by its executor.
 
     ``executor`` is the executor kind that ran the build (``inline`` /
-    ``thread`` / ``process``), ``mode`` the snapshot write path of the inputs
-    (``lsm`` / ``rebuild``), ``queued_seconds`` the time the build spent
+    ``thread`` / ``process``), ``queued_seconds`` the time the build spent
     waiting for a worker slot, and ``build_seconds`` the wall time of the
     pure build itself.  ``overlapped`` is True when at least one other build
     was in flight on the same executor at any point of this build — the
@@ -39,7 +38,6 @@ class MergeTiming:
     """
 
     executor: str
-    mode: str
     queued_seconds: float
     build_seconds: float
     overlapped: bool

@@ -27,7 +27,7 @@ subpackage keeps the indexes queryable *while* data arrives:
   :class:`~repro.streaming.async_service.AsyncReachabilityService` runs one
   ingest loop per shard behind bounded queues (``await ingest`` backpressures
   when full), executes merges as background tasks over the frozen prefix, and
-  swaps snapshots in atomically so ``await query`` never blocks on a rebuild
+  swaps snapshots in atomically so ``await query`` never blocks on a merge build
   (``engine.streaming(async_mode=True)``);
 * :mod:`~repro.streaming.parallel` — true multi-core execution: the
   :class:`~repro.streaming.parallel.MergeExecutor` abstraction runs the pure
@@ -82,15 +82,12 @@ from .policy import (
 )
 from .router import HashRouter, ShardRouter, SpatialCellRouter, make_router
 from .service import (
-    MergeBuild,
     MergeInputs,
     QueryResultCache,
     SnapshotQueryService,
     StreamingReachabilityService,
     StreamingStats,
     build_merge,
-    build_snapshot_artifacts,
-    build_snapshot_overlay,
 )
 from .sharding import CrossShardContactTracker, ShardedStreamIngestor
 from .source import DatasetReplaySource, GeneratorReplaySource, StreamSource, replay
@@ -125,7 +122,6 @@ __all__ = [
     "ShardedSnapshotQueryService",
     "ShardedStats",
     "InlineMergeExecutor",
-    "MergeBuild",
     "MergeExecutor",
     "MergeInputs",
     "ParallelQueryService",
@@ -137,8 +133,6 @@ __all__ = [
     "StreamingReachabilityService",
     "StreamingStats",
     "build_merge",
-    "build_snapshot_artifacts",
-    "build_snapshot_overlay",
     "stream_replay",
     "sharded_stream_replay",
     "async_stream_replay",

@@ -2,10 +2,10 @@
 
 The paper's target scenarios (contact tracing, vehicle surveillance) are
 online services, and the synchronous facades stall every query behind every
-merge: folding a delta into a fresh snapshot rebuilds contact extents and —
-on the single-shard path — a whole ReachGraph, during which ``ingest`` and
-``query`` are simply blocked.  :class:`AsyncReachabilityService` removes that
-stall with three moves:
+merge: folding a delta into the snapshot writes contact extents and — on
+the single-shard path — builds or patches a ReachGraph, during which
+``ingest`` and ``query`` are simply blocked.
+:class:`AsyncReachabilityService` removes that stall with three moves:
 
 * **per-shard ingest loops** — ``await ingest(batch)`` routes the batch into
   per-shard sub-batches and enqueues each on a *bounded* :class:`asyncio.Queue`
@@ -14,17 +14,16 @@ stall with three moves:
   One asyncio task per shard drains its queue in FIFO order, so each shard
   still sees a watermark-ordered stream;
 * **background merges** — the build half of a merge is a pure function of the
-  ingestor's frozen prefix (see :func:`~repro.streaming.service.build_merge`),
-  so when a shard's merge policy fires the loop captures the prefix
-  synchronously, builds the new snapshot structures in a worker thread via
-  :func:`asyncio.to_thread` (a complete overlay in rebuild mode, just the
-  query-side artifacts in LSM mode), and only then
+  ingestor's frozen slice (see :func:`~repro.streaming.service.build_merge`),
+  so when a shard's merge policy fires the loop captures the slice
+  synchronously, builds the query-side artifacts in a worker thread via
+  :func:`asyncio.to_thread`, and only then
 * **adopts the result atomically** —
   :meth:`~repro.streaming.service.StreamingReachabilityService.adopt_merge`
-  (overlay swap, or LSM run append plus compaction) and the coordinator-cache
+  (run append plus compaction) and the coordinator-cache
   invalidation run without yielding control, so a concurrently awaited
   ``query(...)`` observes either the old snapshot or the fully adopted new
-  one, never a mixture, and never blocks on the rebuild.
+  one, never a mixture, and never blocks on the build.
 
 Queries always answer over the globally complete prefix clipped at the
 cross-shard low-watermark (the sharded evaluation path), which is what makes
@@ -102,7 +101,7 @@ class AsyncReachabilityService:
             result = await service.query(query)
 
     All coroutine methods must be awaited on the same running event loop; the
-    only work that leaves that loop is the pure snapshot rebuild, which runs
+    only work that leaves that loop is the pure merge build, which runs
     in a worker thread over inputs captured up front.
     """
 
@@ -117,7 +116,6 @@ class AsyncReachabilityService:
     ) -> None:
         self.streaming_config = streaming_config or StreamingConfig()
         self.name = name
-        self._storage_config = storage_config
         # shards=1 is served by the same coordinator: a one-shard sharded
         # service is bit-identical to the single service (the sharding suite
         # proves it), and it keeps the async choreography uniform.
@@ -301,12 +299,10 @@ class AsyncReachabilityService:
             # awaits their future.
             executor = self._service.merge_executor
             if executor.kind == "inline":
-                build = await asyncio.to_thread(
-                    build_merge, inputs, self._storage_config
-                )
+                build = await asyncio.to_thread(build_merge, inputs)
             else:
                 build = await asyncio.wrap_future(
-                    executor.submit(inputs, self._storage_config)
+                    executor.submit(inputs)
                 )
             # Atomic from here to the end of the invalidation: no await, so a
             # concurrent query sees the old snapshot or the new one, never a
@@ -370,7 +366,7 @@ class AsyncReachabilityService:
     async def query(self, query: ReachabilityQuery) -> QueryResult:
         """Answer a query over the globally complete prefix.
 
-        Never blocks on a rebuild: background merges run in worker threads
+        Never blocks on a merge build: background merges run in workers
         and only their atomic adoption touches the overlays this reads.
         Answers are clipped at the cross-shard low-watermark, exactly like
         the synchronous sharded service.

@@ -184,7 +184,7 @@ class ShardedReachabilityService:
         self.name = name
         # The asyncio front-end turns auto_merge off and schedules per-shard
         # merges as background tasks itself (same policy, same low-watermark
-        # bound) so that ingestion never stalls behind a rebuild.
+        # bound) so that ingestion never stalls behind a merge build.
         self.auto_merge = auto_merge
         num_shards = self.streaming_config.shards
         # Per-shard stacks: the coordinator owns the query cache and triggers
@@ -202,7 +202,6 @@ class ShardedReachabilityService:
         self._merge_executor = make_merge_executor(
             self.streaming_config.merge_executor, self.streaming_config.merge_workers
         )
-        self._storage_config = storage_config
         self._shards: List[StreamingReachabilityService] = [
             StreamingReachabilityService(
                 environment_size,
@@ -343,7 +342,7 @@ class ShardedReachabilityService:
             for shard_id in shard_ids
         ]
         submitted = [
-            (shard_id, inputs, self._merge_executor.submit(inputs, self._storage_config))
+            (shard_id, inputs, self._merge_executor.submit(inputs))
             for shard_id, inputs in prepared
         ]
         for shard_id, inputs, future in submitted:
@@ -386,8 +385,8 @@ class ShardedReachabilityService:
         """Force-merge every eligible shard at the current global low-watermark.
 
         Shards whose snapshot already sits at the low-watermark are skipped —
-        re-freezing an identical prefix would rebuild bit-identical contact
-        extents for nothing.
+        re-freezing an identical prefix would append an empty run for
+        nothing.
         """
         self._ensure_open()
         low = self._ingestor.low_watermark

@@ -4,7 +4,7 @@ Write-optimized staging in front of read-optimized indexes (the EMBANKS
 pattern): contacts observed since the last merge live in an in-memory
 :class:`DeltaGraph`; everything older sits in a frozen *snapshot* — a
 disk-placed :class:`ContactSnapshotStore` (interval-ordered contact extents
-with real IO accounting) plus, optionally, a ReachGraph index rebuilt over the
+with real IO accounting) plus, optionally, a ReachGraph index kept over the
 snapshot prefix for the paper's fast query path.
 
 A query is answered one of two ways, chosen in one place
@@ -50,13 +50,11 @@ from ..core.types import (
     TimeInstant,
     TimeInterval,
 )
-from ..contacts.network import Contact, ContactNetwork
+from ..contacts.network import Contact
 from ..storage import BlockFile, StorageSystem
 from ..testing.faults import crash_point
-from ..trajectory.model import TrajectoryDataset
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.config import ReachGraphConfig
     from ..reachgraph import (
         DagPatch,
         GraphFrontier,
@@ -216,22 +214,19 @@ class SnapshotArtifacts:
     """The query-side structures a merge builds for the frozen prefix.
 
     Produced purely from captured :class:`~repro.streaming.service.MergeInputs`
-    by :func:`~repro.streaming.service.build_snapshot_artifacts` (safe to run
+    by :func:`~repro.streaming.service.build_merge` (safe to run
     in a background thread) and adopted atomically by
     :meth:`ReachGraphDeltaOverlay.adopt_increment`.
 
-    Exactly one of ``processor`` / ``graph_patch`` / ``pending_index`` is set
-    when the merge carries a ReachGraph fast path: ``processor`` is a complete
-    freshly built and placed index, ``pending_index`` is its deferred-placement
-    variant — built in memory (graph-rebuild mode, or the very first merge)
-    and written onto the overlay's own device at adoption time so the graph
-    survives a close/reopen cycle — and ``graph_patch`` is the
-    incremental-mode alternative: a pure description of how the frozen ticks
-    extend the *live* index, applied in place at adoption time.  All three are
-    ``None`` for services that skip the fast path.
+    At most one field is set when the merge carries a ReachGraph fast path:
+    ``pending_index`` is the first build — made in memory, and written onto
+    the overlay's own device at adoption time so the graph survives a
+    close/reopen cycle — and ``graph_patch`` is every later merge's pure
+    description of how the frozen ticks extend the *live* index, applied in
+    place at adoption time.  Both are ``None`` for services that skip the
+    fast path.
     """
 
-    processor: Optional["ReachGraphQueryProcessor"]
     graph_patch: Optional["DagPatch"] = None
     pending_index: Optional["ReachGraphIndex"] = None
 
@@ -330,8 +325,7 @@ class ContactSnapshotStore:
     reclaimable garbage: :attr:`superseded_blocks` counts them until a
     device :meth:`~repro.storage.StorageSystem.reclaim` recycles them, and
     :attr:`records_written` / :attr:`level_records_written` are the
-    cumulative write-amplification ledgers the tests compare against the
-    rebuild-from-scratch path.
+    cumulative write-amplification ledgers.
     """
 
     def __init__(
@@ -340,7 +334,6 @@ class ContactSnapshotStore:
         origin: TimeInstant,
         temporal_resolution: int,
         name: str = "snapshot-contacts",
-        contacts: Iterable[Contact] = (),
     ) -> None:
         if temporal_resolution <= 0:
             raise StreamingError("temporal_resolution must be positive")
@@ -357,9 +350,6 @@ class ContactSnapshotStore:
         # Read-side zone-map ledgers (in-memory; reads are not durable state).
         self._runs_skipped = 0
         self._blocks_skipped = 0
-        initial = list(contacts)
-        if initial:
-            self.append_run(initial)
 
     # ------------------------------------------------------------------
     # writing
@@ -511,7 +501,7 @@ class ContactSnapshotStore:
 
     @property
     def num_runs(self) -> int:
-        """Live runs (1 right after a full fold or a full rebuild)."""
+        """Live runs (1 right after a full fold)."""
         return len(self._runs)
 
     @property
@@ -705,8 +695,8 @@ class ReachGraphDeltaOverlay:
         # ever attaches; invalidated whenever the graph mutates.  The serving
         # layer resizes it from StreamingConfig.partition_cache_size.
         self._partition_cache = PartitionCache()
-        # Query-path counters retired processors fold into (a rebuild-mode
-        # merge swaps the processor, which would otherwise reset them).
+        # Query-path counters retired processors fold into (retiring a
+        # processor would otherwise reset them).
         self._label_rejections_base = 0
         self._label_prunes_base = 0
         self._bloom_rejections = 0
@@ -731,59 +721,6 @@ class ReachGraphDeltaOverlay:
     # ------------------------------------------------------------------
     # merges
     # ------------------------------------------------------------------
-    def install_snapshot(
-        self,
-        dataset: TrajectoryDataset,
-        contacts: Sequence[Contact],
-        watermark: TimeInstant,
-        temporal_resolution: int,
-        distance_threshold: float,
-        build_reachgraph: bool = True,
-        graph_config: Optional["ReachGraphConfig"] = None,
-    ) -> None:
-        """Replace the snapshot with a fresh one over the full prefix.
-
-        ``contacts`` must be the complete contact set of the prefix (the
-        ingestor's closed plus open-clipped contacts); the delta is emptied
-        because everything it held is now part of the snapshot.
-
-        This is the *rebuild* write path: the entire prefix is rewritten as a
-        single fresh run.  The LSM path (:meth:`adopt_increment`) appends only
-        the freshly frozen contacts instead.
-        """
-        self._version += 1
-        self._store = ContactSnapshotStore(
-            self._storage,
-            origin=dataset.horizon.start,
-            temporal_resolution=temporal_resolution,
-            name=f"snapshot-contacts-v{self._version}",
-            contacts=contacts,
-        )
-        self._retire_processor()
-        if build_reachgraph:
-            from ..reachgraph import ReachGraphIndex, ReachGraphQueryProcessor
-
-            # Placed on this overlay's own storage system (versioned so
-            # successive installs never collide on a file name), which is
-            # what lets close/reopen restore the graph fast path.
-            self._graph_version += 1
-            index = ReachGraphIndex(
-                dataset,
-                config=graph_config,
-                contact_config=None,
-                contact_network=ContactNetwork(dataset, contacts, distance_threshold),
-                storage=self._storage,
-                name=f"graph-v{self._graph_version}",
-            ).build()
-            self._processor = ReachGraphQueryProcessor(
-                index, partition_cache=self._partition_cache
-            )
-            self._graph_records_written += index.records_written
-            self._graph_rebuilds += 1
-        self._partition_cache.invalidate()
-        self._snapshot_watermark = watermark
-        self._delta.clear()
-
     def adopt_increment(
         self,
         artifacts: "SnapshotArtifacts",
@@ -792,7 +729,7 @@ class ReachGraphDeltaOverlay:
         origin: TimeInstant,
         temporal_resolution: int,
     ) -> int:
-        """Advance the snapshot by appending one run (the LSM write path).
+        """Advance the snapshot by appending one run.
 
         ``new_contacts`` is the freshly frozen slice of the prefix — every
         contact of ``[origin, watermark]`` clipped past the current snapshot
@@ -802,8 +739,8 @@ class ReachGraphDeltaOverlay:
         :class:`~repro.reachgraph.DagPatch` for the live one), which is
         what keeps the expensive half of a merge off-thread-safe while this
         method — the only part touching live state — stays cheap: one run
-        append, a few assignments, and (in incremental graph mode) a patch
-        application proportional to the delta.  Returns the records written
+        append, a few assignments, and a patch application proportional to
+        the delta.  Returns the records written
         to the snapshot store.
         """
         # The graph half goes first: apply_increment validates the patch
@@ -823,7 +760,7 @@ class ReachGraphDeltaOverlay:
 
             # The deferred build ran off-thread against no storage; place it
             # on this overlay's device here, on the adopting thread, under a
-            # versioned name so successive graph rebuilds never collide.
+            # versioned name so it never collides with a graph it replaces.
             self._retire_processor()
             self._graph_version += 1
             artifacts.pending_index.place(
@@ -835,12 +772,10 @@ class ReachGraphDeltaOverlay:
             self._graph_records_written += artifacts.pending_index.records_written
             self._graph_rebuilds += 1
         else:
+            # No graph this merge (a service that skips the fast path): a
+            # graph restored from the device would no longer cover the
+            # snapshot, so it is retired.
             self._retire_processor()
-            self._processor = artifacts.processor
-            if artifacts.processor is not None:
-                artifacts.processor.partition_cache = self._partition_cache
-                self._graph_records_written += artifacts.processor.index.records_written
-                self._graph_rebuilds += 1
         # Whatever branch ran, the graph the cache was stamped against is
         # gone (patched in place or swapped): start a fresh generation.
         self._partition_cache.invalidate()
@@ -979,8 +914,8 @@ class ReachGraphDeltaOverlay:
     ) -> None:
         """Adopt a restored graph fast path (reopen path).
 
-        ``version`` resumes the graph file-name counter so later rebuilds
-        never collide on a name.
+        ``version`` resumes the graph file-name counter so a later build
+        never collides on a name.
         """
         self._processor = processor
         processor.partition_cache = self._partition_cache
@@ -1047,7 +982,7 @@ class ReachGraphDeltaOverlay:
 
     @property
     def graph_rebuilds(self) -> int:
-        """Full ReachGraph builds performed (incremental mode: just the first)."""
+        """Full ReachGraph builds performed: 0 or 1 (every later merge patches)."""
         return self._graph_rebuilds
 
     @property

@@ -1,4 +1,4 @@
-"""Experiment driver: streaming ingest vs batch rebuild.
+"""Experiment driver: streaming ingest vs the batch reference evaluator.
 
 Not a figure of the paper — the paper builds its indexes offline — but the
 natural online extension of its evaluation: replay a canned dataset through
@@ -9,7 +9,7 @@ throughput and a ground-truth equivalence count against the batch
 ``reference`` evaluator.  The ``stream-async`` driver replays the same script
 through the synchronous sharded service and the asyncio front-end, measuring
 what the async architecture actually buys: query latency while merges run
-(inline stalls vs background rebuilds).
+(inline stalls vs background merge builds).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..baselines.reference import evaluate_reachability
 from ..contacts.join import build_contact_network
-from ..core.config import GRAPH_MODES, STORAGE_BACKENDS, StorageConfig, StreamingConfig
+from ..core.config import STORAGE_BACKENDS, StorageConfig, StreamingConfig
 from ..core.types import QueryResult, ReachabilityQuery, TimeInterval
 from ..experiments.harness import ExperimentResult, run_workload
 from ..workloads.datasets import DATASETS
@@ -37,7 +37,6 @@ __all__ = [
     "async_stream_replay",
     "disk_backend_replay",
     "space_replay",
-    "graph_merge_replay",
     "parallel_merge_replay",
     "query_latency_replay",
 ]
@@ -80,7 +79,6 @@ def stream_replay(
     shards: int = 1,
     router: str = "hash",
     storage_backend: str = "sim",
-    graph_mode: str = "incremental",
     merge_executor: str = "inline",
     merge_workers: int = 2,
 ) -> ExperimentResult:
@@ -97,7 +95,6 @@ def stream_replay(
             merge_policy=merge_policy,
             shards=shards,
             router=router,
-            graph_mode=graph_mode,
             merge_executor=merge_executor,
             merge_workers=merge_workers,
         )
@@ -147,7 +144,7 @@ def stream_replay(
     result.add_note(
         f"merge policy: {merge_policy}; pre-merge queries consult the frozen "
         "snapshot plus the in-memory delta graph, post-merge queries run on "
-        "the rebuilt ReachGraph alone."
+        "the merged ReachGraph alone."
     )
     result.add_note(
         "matches count agreement with the batch reference evaluator over the "
@@ -157,8 +154,6 @@ def stream_replay(
         result.add_note(f"sharded ingestion: {shards} shards, {router} router.")
     if storage_backend != "sim":
         result.add_note(f"storage backend: {storage_backend}.")
-    if graph_mode != "incremental":
-        result.add_note(f"graph mode: {graph_mode}.")
     if merge_executor != "inline":
         result.add_note(
             f"merge executor: {merge_executor} ({merge_workers} workers)."
@@ -245,7 +240,7 @@ def _run_sync_script(
 
     Returns (wall seconds, per-query wall latencies, queries answered).  In
     the synchronous regime a query issued right after a batch that triggered
-    a merge pays the whole rebuild inline — that stall is the latency tail
+    a merge pays the whole merge build inline — that stall is the latency tail
     the async service removes.
     """
     latencies: List[float] = []
@@ -422,7 +417,7 @@ def async_stream_replay(
     result.add_note(
         "the async row runs ingestion through bounded per-shard queues with "
         "merges as background tasks, so its max_query_ms excludes the inline "
-        "rebuild stall the sync row pays."
+        "merge stall the sync row pays."
     )
     return result
 
@@ -645,100 +640,6 @@ def space_replay(
         "whole stream; matches re-answers the workload after GC against the "
         "batch reference evaluator (reclaim must move blocks, not answers)."
     )
-    return result
-
-
-# ----------------------------------------------------------------------
-# incremental vs rebuild ReachGraph maintenance
-# ----------------------------------------------------------------------
-def graph_merge_replay(
-    dataset_names: Sequence[str] = ("rwp-small",),
-    graph_modes: Sequence[str] = GRAPH_MODES,
-    batch_ticks: int = 8,
-    num_queries: int = 20,
-    max_delta_contacts: int = 64,
-    seed: int = 0,
-    storage_backend: str = "sim",
-) -> ExperimentResult:
-    """ReachGraph merge cost: patch the reduced DAG vs rebuild it every merge."""
-    result = ExperimentResult(
-        experiment="stream-graph",
-        description=(
-            "Incremental vs rebuild ReachGraph maintenance: graph write "
-            "amplification and merge-inclusive ingest cost over one stream"
-        ),
-    )
-    for name in dataset_names:
-        spec = DATASETS[name]
-        dataset = spec.generate()
-        workload = list(random_queries(dataset, count=num_queries, seed=seed))
-        network = build_contact_network(dataset, spec.contact_threshold)
-        truth = {
-            query: evaluate_reachability(network, query).reachable
-            for query in workload
-        }
-        for graph_mode in graph_modes:
-            streaming_config = StreamingConfig(
-                batch_ticks=batch_ticks,
-                max_delta_contacts=max_delta_contacts,
-                graph_mode=graph_mode,
-            )
-            service = StreamingReachabilityService.for_dataset(
-                dataset,
-                contact_config=spec.contact_config,
-                grid_config=spec.grid_config,
-                streaming_config=streaming_config,
-                storage_config=_storage_config(storage_backend),
-            )
-            started = time.perf_counter()
-            service.drain(DatasetReplaySource(dataset, batch_ticks=batch_ticks))
-            service.merge()  # freeze the tail so the final graph covers it all
-            drain_seconds = time.perf_counter() - started
-            query_results = {query: service.query(query) for query in workload}
-            aggregate = run_workload(
-                query_results.__getitem__, workload, method=f"graph-{graph_mode}"
-            )
-            matches = sum(
-                1
-                for query in workload
-                if query_results[query].reachable == truth[query]
-            )
-            stats = service.stats
-            result.add_row(
-                dataset=name,
-                graph_mode=graph_mode,
-                events=stats.events,
-                merges=stats.merges,
-                graph_records_written=stats.graph_records_written,
-                graph_rebuilds=stats.graph_rebuilds,
-                graph_superseded_blocks=stats.graph_superseded_blocks,
-                snapshot_records_written=stats.snapshot_records_written,
-                superseded_blocks=stats.superseded_blocks,
-                drain_seconds=round(drain_seconds, 4),
-                mean_query_io=round(aggregate.mean_io, 3),
-                matches=f"{matches}/{num_queries}",
-            )
-    result.add_note(
-        f"max_delta_contacts: {max_delta_contacts} (small, so many merges fire "
-        "over the stream); both modes drain the same replayed stream and must "
-        "answer the workload identically — only the graph write ledgers differ."
-    )
-    result.add_note(
-        "graph_records_written counts vertex records written by ReachGraph "
-        "builds and partition rewrites; rebuild mode rewrites every vertex on "
-        "every merge while incremental mode rewrites only the fresh and "
-        "dirtied partitions, at the price of the superseded partition blocks "
-        "counted by graph_superseded_blocks (on-device garbage until a "
-        "space-reclamation pass exists)."
-    )
-    result.add_note(
-        "mean_query_io may run higher in incremental mode: frontier vertices "
-        "join small per-merge partitions instead of the large depth-dp "
-        "partitions a from-scratch build carves, so reads touch more extents "
-        "— the classic write-vs-read amplification trade, surfaced here."
-    )
-    if storage_backend != "sim":
-        result.add_note(f"storage backend: {storage_backend}.")
     return result
 
 

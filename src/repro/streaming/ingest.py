@@ -612,7 +612,7 @@ class StreamIngestor:
 
         Requires every observed object to cover the full prefix
         ``[origin, watermark]`` (the replay sources guarantee this); the
-        merge path uses the result to rebuild snapshot indexes.  ``through``
+        first ReachGraph build reads the result.  ``through``
         bounds the materialized prefix at an earlier instant — the sharded
         coordinator merges each shard at the global low-watermark, which may
         trail this shard's own watermark.

@@ -10,7 +10,8 @@ paths:
   OS processes.  :class:`~repro.streaming.service.MergeInputs` is a frozen
   picklable dataclass and :func:`~repro.streaming.service.build_merge` a pure
   function of it, so shipping the inputs to a worker process and the built
-  :class:`~repro.streaming.service.MergeBuild` back is safe by construction;
+  :class:`~repro.streaming.delta.SnapshotArtifacts` back is safe by
+  construction;
   the *adopting* thread stays the one that owns the overlay.  Three kinds are
   selectable via :attr:`~repro.core.config.StreamingConfig.merge_executor`:
   ``inline`` (build on the calling thread — the historical behaviour),
@@ -29,11 +30,7 @@ paths:
   bit-identical to the batch reference evaluator over the committed prefix
   the generation promised.
 
-The process executor has one deliberate carve-out: ``rebuild``-mode merges
-build a complete overlay around a live :class:`~repro.storage.StorageSystem`
-whose device handles cannot cross a process boundary, so those builds run on
-a local thread instead (the LSM default ships to the pool).  See
-``docs/MERGE_PROTOCOL.md`` for why the protocol's phase split makes the rest
+See ``docs/MERGE_PROTOCOL.md`` for why the protocol's phase split makes this
 legal.
 """
 
@@ -48,7 +45,8 @@ from ..core.config import MERGE_EXECUTORS, StorageConfig
 from ..core.errors import ConfigurationError, StreamingError
 from ..core.types import QueryResult, ReachabilityQuery, TimeInstant
 from ..obs import Counters, MergeTiming, MergeTimings
-from .service import MergeBuild, MergeInputs, build_merge
+from .delta import SnapshotArtifacts
+from .service import MergeInputs, build_merge
 
 __all__ = [
     "InlineMergeExecutor",
@@ -60,10 +58,8 @@ __all__ = [
 
 
 def _timed_build(
-    inputs: MergeInputs,
-    storage_config: Optional[StorageConfig],
-    submitted_at: float,
-) -> Tuple[MergeBuild, float, float]:
+    inputs: MergeInputs, submitted_at: float
+) -> Tuple[SnapshotArtifacts, float, float]:
     """Run the pure build phase, measuring queue wait and build wall time.
 
     Module-level (not a closure) so the process pool can pickle it by
@@ -73,7 +69,7 @@ def _timed_build(
     """
     started = time.time()
     t0 = time.perf_counter()
-    build = build_merge(inputs, storage_config)
+    build = build_merge(inputs)
     return build, max(0.0, started - submitted_at), time.perf_counter() - t0
 
 
@@ -82,7 +78,7 @@ class MergeExecutor:
 
     ``submit`` hands captured :class:`~repro.streaming.service.MergeInputs`
     to the executor and returns a :class:`concurrent.futures.Future`
-    resolving to the :class:`~repro.streaming.service.MergeBuild`; the caller
+    resolving to the :class:`~repro.streaming.delta.SnapshotArtifacts`; the caller
     adopts the result on the thread that owns the overlay
     (:meth:`~repro.streaming.service.StreamingReachabilityService.adopt_merge`).
     Subclasses choose the execution vehicle; this base class keeps the shared
@@ -112,13 +108,12 @@ class MergeExecutor:
         return ticket
 
     def _finish(
-        self, ticket: int, mode: str, queued_seconds: float, build_seconds: float
+        self, ticket: int, queued_seconds: float, build_seconds: float
     ) -> None:
         overlapped = self._in_flight.pop(ticket, False)
         self.timings.record(
             MergeTiming(
                 executor=self.kind,
-                mode=mode,
                 queued_seconds=queued_seconds,
                 build_seconds=build_seconds,
                 overlapped=overlapped,
@@ -129,11 +124,7 @@ class MergeExecutor:
             self.counters.add("merge.overlapped_builds")
 
     # -- the interface subclasses implement ----------------------------
-    def submit(
-        self,
-        inputs: MergeInputs,
-        storage_config: Optional[StorageConfig] = None,
-    ) -> "Future[MergeBuild]":
+    def submit(self, inputs: MergeInputs) -> "Future[SnapshotArtifacts]":
         """Schedule one pure build; the future resolves to its result."""
         raise NotImplementedError
 
@@ -160,22 +151,18 @@ class InlineMergeExecutor(MergeExecutor):
 
     kind = "inline"
 
-    def submit(
-        self,
-        inputs: MergeInputs,
-        storage_config: Optional[StorageConfig] = None,
-    ) -> "Future[MergeBuild]":
+    def submit(self, inputs: MergeInputs) -> "Future[SnapshotArtifacts]":
         """Run :func:`build_merge` right here; the future is already done."""
         ticket = self._begin()
-        future: "Future[MergeBuild]" = Future()
+        future: "Future[SnapshotArtifacts]" = Future()
         t0 = time.perf_counter()
         try:
-            build = build_merge(inputs, storage_config)
+            build = build_merge(inputs)
         except BaseException as exc:
-            self._finish(ticket, inputs.mode, 0.0, time.perf_counter() - t0)
+            self._finish(ticket, 0.0, time.perf_counter() - t0)
             future.set_exception(exc)
             return future
-        self._finish(ticket, inputs.mode, 0.0, time.perf_counter() - t0)
+        self._finish(ticket, 0.0, time.perf_counter() - t0)
         future.set_result(build)
         return future
 
@@ -187,12 +174,6 @@ class PoolMergeExecutor(MergeExecutor):
     to the GIL); the process pool is the true multi-core path — inputs are
     pickled to worker processes, builds run concurrently on separate cores,
     and the built artifacts are pickled back for adoption.
-
-    ``rebuild``-mode inputs are the carve-out on the process pool: their
-    build allocates a live :class:`~repro.storage.StorageSystem` (device
-    handles, locks) that cannot cross the process boundary, so they run on a
-    lazily created sidecar thread instead — counted under
-    ``merge.rebuild_thread_fallback`` so the asymmetry is observable.
     """
 
     def __init__(self, kind: str, workers: int) -> None:
@@ -206,7 +187,6 @@ class PoolMergeExecutor(MergeExecutor):
         self.kind = kind
         self.workers = workers
         self._pool: Union[ThreadPoolExecutor, ProcessPoolExecutor, None] = None
-        self._fallback: Optional[ThreadPoolExecutor] = None
         self._closed = False
 
     def _ensure_pool(self) -> Union[ThreadPoolExecutor, ProcessPoolExecutor]:
@@ -221,44 +201,25 @@ class PoolMergeExecutor(MergeExecutor):
                 )
         return self._pool
 
-    def _ensure_fallback(self) -> ThreadPoolExecutor:
-        if self._closed:
-            raise StreamingError("merge executor is closed")
-        if self._fallback is None:
-            self._fallback = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="merge-rebuild"
-            )
-        return self._fallback
-
-    def submit(
-        self,
-        inputs: MergeInputs,
-        storage_config: Optional[StorageConfig] = None,
-    ) -> "Future[MergeBuild]":
-        """Ship the build to the pool (or the rebuild sidecar) and return a future."""
-        if self.kind == "process" and inputs.mode == "rebuild":
-            pool: Union[ThreadPoolExecutor, ProcessPoolExecutor] = (
-                self._ensure_fallback()
-            )
-            self.counters.add("merge.rebuild_thread_fallback")
-        else:
-            pool = self._ensure_pool()
+    def submit(self, inputs: MergeInputs) -> "Future[SnapshotArtifacts]":
+        """Ship the build to the pool and return a future."""
+        pool = self._ensure_pool()
         ticket = self._begin()
-        inner = pool.submit(_timed_build, inputs, storage_config, time.time())
-        future: "Future[MergeBuild]" = Future()
+        inner = pool.submit(_timed_build, inputs, time.time())
+        future: "Future[SnapshotArtifacts]" = Future()
 
-        def _unwrap(done: "Future[Tuple[MergeBuild, float, float]]") -> None:
+        def _unwrap(done: "Future[Tuple[SnapshotArtifacts, float, float]]") -> None:
             try:
                 build, queued, took = done.result()
             except BaseException as exc:
-                self._finish(ticket, inputs.mode, 0.0, 0.0)
+                self._finish(ticket, 0.0, 0.0)
                 # False means the caller already cancelled the outer future
                 # (the async service does on shutdown): drop the result —
                 # nothing was adopted, so the live overlay is untouched.
                 if future.set_running_or_notify_cancel():
                     future.set_exception(exc)
                 return
-            self._finish(ticket, inputs.mode, queued, took)
+            self._finish(ticket, queued, took)
             if future.set_running_or_notify_cancel():
                 future.set_result(build)
 
@@ -266,14 +227,11 @@ class PoolMergeExecutor(MergeExecutor):
         return future
 
     def close(self) -> None:
-        """Drain and shut down the pool (and sidecar); idempotent."""
+        """Drain and shut down the pool; idempotent."""
         self._closed = True
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if self._fallback is not None:
-            self._fallback.shutdown(wait=True)
-            self._fallback = None
 
 
 def make_merge_executor(kind: str, workers: int = 2) -> MergeExecutor:
@@ -604,4 +562,4 @@ class ParallelQueryService:
 
 #: Callable type of the build phase, re-exported for documentation purposes:
 #: every executor funnels through :func:`~repro.streaming.service.build_merge`.
-BuildFn = Callable[[MergeInputs, Optional[StorageConfig]], MergeBuild]
+BuildFn = Callable[[MergeInputs], SnapshotArtifacts]

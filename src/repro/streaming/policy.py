@@ -2,7 +2,7 @@
 
 The trade-off is the classic write/read amplification balance of staged
 storage designs: merging often keeps queries on the fast frozen indexes but
-pays repeated rebuild cost; merging rarely makes ingestion cheap but grows the
+pays repeated merge cost; merging rarely makes ingestion cheap but grows the
 in-memory delta every query must scan.  Three policies cover the usual
 operating points; all of them see the same :class:`MergeContext` after every
 ingested batch.

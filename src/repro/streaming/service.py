@@ -15,7 +15,6 @@ contact network of the ingested prefix.
 
 from __future__ import annotations
 
-import itertools
 import os
 import threading
 from collections import OrderedDict
@@ -51,24 +50,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .parallel import MergeExecutor
 
 __all__ = [
-    "MergeBuild",
     "MergeInputs",
     "QueryResultCache",
     "SnapshotQueryService",
     "StreamingReachabilityService",
     "StreamingStats",
     "build_merge",
-    "build_snapshot_artifacts",
-    "build_snapshot_overlay",
 ]
 
 #: Metadata key under which a service persists its overlay manifest.
 _OVERLAY_MANIFEST_KEY = "overlay-manifest"
-
-#: Distinguishes the storage-system names of successive rebuild-mode overlay
-#: builds, so two rebuilds against the same persistent ``storage_dir`` never
-#: collide on a backing file.
-_REBUILD_NAMES = itertools.count(1)
 
 
 class QueryResultCache:
@@ -143,25 +134,20 @@ class MergeInputs:
     does exactly that).
 
     ``new_contacts`` is the freshly frozen slice — the contacts of
-    ``(snapshot watermark, bound]`` — which is all the LSM write path appends
-    to the snapshot store and all a graph patch replays (empty in rebuild
-    mode, which rewrites the full prefix and never reads the slice).
-    ``prefix`` and ``contacts`` — the trajectories and the complete contact
-    set of ``[origin, bound]`` — are materialised only for a build that
-    starts from nothing: a rebuild-mode merge, or a ReachGraph build with no
-    frontier to patch (the first merge, or graph-rebuild mode); every other
-    merge carries ``None`` and ``()`` and costs what the increment costs.
-    ``mode`` records which write path the service's config selected when the
-    inputs were captured.
+    ``(snapshot watermark, bound]`` — which is all a merge appends to the
+    snapshot store (as one run) and all a graph patch replays.  ``prefix``
+    and ``contacts`` — the trajectories and the complete contact set of
+    ``[origin, bound]`` — are materialised only for the first ReachGraph
+    build, which has no frontier to patch; every other merge carries
+    ``None`` and ``()`` and costs what the increment costs.
 
-    ``graph_mode`` records the ReachGraph maintenance mode, and
-    ``graph_frontier`` carries the live index's captured resumable state when
-    the merge should *patch* the graph instead of rebuilding it — ``None``
-    when no index exists yet (the first merge builds one), when the config
-    asks for rebuilds, or when the service skips the fast path entirely.
-    ``graph_labels``/``label_dirty_ratio`` freeze the query-fast-path knobs
-    the built index must honour (captured alongside the prefix so a config
-    change between prepare and adopt cannot split-brain the build).
+    ``graph_frontier`` carries the live index's captured resumable state
+    when the merge should *patch* the graph — ``None`` when no index exists
+    yet (the first merge builds one) or when the service skips the fast path
+    entirely.  ``graph_labels``/``label_dirty_ratio`` freeze the
+    query-fast-path knobs the built index must honour (captured alongside
+    the prefix so a config change between prepare and adopt cannot
+    split-brain the build).
     """
 
     prefix: Optional[TrajectoryDataset]
@@ -172,76 +158,25 @@ class MergeInputs:
     temporal_resolution: int
     distance_threshold: float
     build_reachgraph: bool
-    mode: str
-    graph_mode: str = "incremental"
     graph_frontier: Optional["GraphFrontier"] = None
     graph_labels: bool = True
     label_dirty_ratio: float = 0.25
 
 
-@dataclass(frozen=True, slots=True)
-class MergeBuild:
-    """The off-thread-built half of a merge, ready for adoption.
-
-    Exactly one field is set: ``overlay`` for rebuild mode (a complete fresh
-    overlay whose snapshot store was rewritten from scratch), ``artifacts``
-    for LSM mode (just the rebuilt query-side structures; the snapshot store
-    is advanced in place by a cheap run append at adopt time).
-    """
-
-    overlay: Optional[ReachGraphDeltaOverlay]
-    artifacts: Optional[SnapshotArtifacts]
-
-
-def build_snapshot_overlay(
+def build_merge(
     inputs: MergeInputs, storage_config: StorageConfig | None = None
-) -> ReachGraphDeltaOverlay:
-    """Build a fresh snapshot overlay from captured merge inputs (rebuild mode).
+) -> SnapshotArtifacts:
+    """Run the pure build phase of a merge: build or patch the ReachGraph.
 
-    Pure function of ``inputs`` (plus the storage parameters): it allocates
-    its own :class:`~repro.storage.StorageSystem`, reads no live ingestor
-    state, and mutates nothing it did not create — safe to run off-thread
-    while ingestion and queries continue against the old overlay.  The result
-    becomes live only when
-    :meth:`StreamingReachabilityService.adopt_snapshot` swaps it in.
-    """
-    storage = StorageSystem(
-        storage_config, name=f"overlay-rebuild-{next(_REBUILD_NAMES)}", attach=False
-    )
-    overlay = ReachGraphDeltaOverlay(storage)
-    assert inputs.prefix is not None, "a rebuild-mode merge captures the prefix"
-    overlay.install_snapshot(
-        inputs.prefix,
-        inputs.contacts,
-        watermark=inputs.bound,
-        temporal_resolution=inputs.temporal_resolution,
-        distance_threshold=inputs.distance_threshold,
-        build_reachgraph=inputs.build_reachgraph,
-        graph_config=_graph_config(inputs),
-    )
-    return overlay
-
-
-def _graph_config(inputs: MergeInputs) -> ReachGraphConfig:
-    """The ReachGraph configuration frozen into a merge's inputs."""
-    return ReachGraphConfig(
-        interval_labels=inputs.graph_labels,
-        label_dirty_ratio=inputs.label_dirty_ratio,
-    )
-
-
-def build_snapshot_artifacts(inputs: MergeInputs) -> SnapshotArtifacts:
-    """Rebuild the query-side snapshot structures from captured merge inputs.
-
-    The pure (off-thread-safe) half of an LSM-mode merge: when configured,
-    the ReachGraph fast path.  In incremental graph mode (a
-    :attr:`MergeInputs.graph_frontier` was captured) the fast path is *not*
-    rebuilt — the frozen slice is replayed over the frontier into a
+    When a :attr:`MergeInputs.graph_frontier` was captured the fast path is
+    *not* rebuilt — the frozen slice is replayed over the frontier into a
     :class:`~repro.reachgraph.DagPatch` whose cost is proportional to the
-    appended ticks, and the live index is patched at adoption time; only a
-    build from nothing reads the whole prefix.  No storage the service owns
-    is touched here — the snapshot store append (and the patch application)
-    happen later, inside :meth:`StreamingReachabilityService.adopt_merge`.
+    appended ticks, and the live index is patched at adoption time; only the
+    first build, from nothing, reads the whole prefix.  No storage the
+    service owns is touched here — the snapshot run append (and the patch
+    application) happen later, inside
+    :meth:`StreamingReachabilityService.adopt_merge`.  ``storage_config`` is
+    accepted and unused: the build allocates no storage.
     """
     pending_index = None
     graph_patch = None
@@ -261,34 +196,17 @@ def build_snapshot_artifacts(inputs: MergeInputs) -> SnapshotArtifacts:
             # the overlay's own device, where close/reopen can find it.
             pending_index = ReachGraphIndex(
                 inputs.prefix,
-                config=_graph_config(inputs),
+                config=ReachGraphConfig(
+                    interval_labels=inputs.graph_labels,
+                    label_dirty_ratio=inputs.label_dirty_ratio,
+                ),
                 contact_config=None,
                 contact_network=ContactNetwork(
                     inputs.prefix, inputs.contacts, inputs.distance_threshold
                 ),
                 defer_placement=True,
             ).build()
-    return SnapshotArtifacts(
-        processor=None,
-        graph_patch=graph_patch,
-        pending_index=pending_index,
-    )
-
-
-def build_merge(
-    inputs: MergeInputs, storage_config: StorageConfig | None = None
-) -> MergeBuild:
-    """Run the pure build phase of a merge, honouring ``inputs.mode``.
-
-    Dispatches to :func:`build_snapshot_overlay` (rebuild) or
-    :func:`build_snapshot_artifacts` (lsm); either way the result is adopted
-    atomically by :meth:`StreamingReachabilityService.adopt_merge`.
-    """
-    if inputs.mode == "rebuild":
-        return MergeBuild(
-            overlay=build_snapshot_overlay(inputs, storage_config), artifacts=None
-        )
-    return MergeBuild(overlay=None, artifacts=build_snapshot_artifacts(inputs))
+    return SnapshotArtifacts(graph_patch=graph_patch, pending_index=pending_index)
 
 
 @dataclass(frozen=True, slots=True)
@@ -358,7 +276,6 @@ class StreamingReachabilityService:
         # The sharded coordinator turns auto_merge off and triggers per-shard
         # merges itself, bounded at the global low-watermark.
         self.auto_merge = auto_merge
-        self._storage_config = storage_config
         # ``ingestor``/``overlay`` are the resume path (see :meth:`open`):
         # constructing fresh ones here would attach with ``attach=False``,
         # which deletes any files the previous incarnation left behind.
@@ -391,22 +308,9 @@ class StreamingReachabilityService:
         self._compactions = 0
         self._snapshot_records_written = 0
         self._graph_records_written = 0
-        self._graph_rebuilds = 0
         self._graph_repacks = 0
         self._reclaims = 0
         self._reclaimed_blocks = 0
-        # Fast-path counter bases: rebuild-mode merges swap the overlay out
-        # wholesale, so the superseded overlay's query-side ledgers are folded
-        # in here to keep the service-lifetime stats monotonic.
-        self._label_rejections_base = 0
-        self._label_prunes_base = 0
-        self._label_relabels_base = 0
-        self._label_full_relabels_base = 0
-        self._bloom_rejections_base = 0
-        self._pcache_hits_base = 0
-        self._pcache_misses_base = 0
-        self._runs_skipped_base = 0
-        self._blocks_skipped_base = 0
         self._closed = False
         self._overlay.configure_partition_cache(
             self.streaming_config.partition_cache_size
@@ -568,17 +472,18 @@ class StreamingReachabilityService:
         coordinator passes the global low-watermark); closed contacts
         extending past the bound stay in the delta, clipped at the boundary.
 
-        The three phases — :meth:`prepare_merge` (capture the frozen prefix),
-        :func:`build_merge` (the pure build, rebuild- or LSM-mode), and
-        :meth:`adopt_merge` (atomic adoption) — are public so the asyncio
-        front-end and the sharded coordinator can schedule the middle phase
-        themselves; this method runs them back to back, routing the build
-        through the configured :class:`~repro.streaming.parallel.MergeExecutor`
+        The three phases — :meth:`prepare_merge` (capture the frozen slice),
+        :func:`build_merge` (the pure graph build or patch), and
+        :meth:`adopt_merge` (append a run, atomic adoption) — are public so
+        the asyncio front-end and the sharded coordinator can schedule the
+        middle phase themselves; this method runs them back to back, routing
+        the build through the configured
+        :class:`~repro.streaming.parallel.MergeExecutor`
         (``inline`` builds right here; ``thread``/``process`` build on a
         worker and this thread waits for the result before adopting).
         """
         inputs = self.prepare_merge(through=through)
-        build = self.merge_executor.submit(inputs, self._storage_config).result()
+        build = self.merge_executor.submit(inputs).result()
         crash_point("merge-pre-adopt")
         self.adopt_merge(build, inputs)
 
@@ -589,9 +494,10 @@ class StreamingReachabilityService:
         slice is read off the tail of the closed-contact list past the
         restage cursor (everything before it was frozen by an earlier merge)
         plus the open runs, so with a graph frontier to patch the capture
-        costs what the increment costs; only a build from nothing — rebuild
-        mode, or a ReachGraph build with no frontier yet — materialises the
-        prefix dataset and its complete contact set.  The returned
+        costs what the increment costs; only the first ReachGraph build
+        materialises the prefix dataset and its complete contact set.  A
+        bound below the snapshot watermark is raised to it: those ticks are
+        frozen already, so such a merge freezes nothing new.  The returned
         :class:`MergeInputs` shares no mutable state with the ingestor, so a
         :func:`build_merge` over it may run concurrently with further
         ingestion.
@@ -602,31 +508,27 @@ class StreamingReachabilityService:
         if watermark is None or origin is None:
             raise StreamingError("nothing to merge: no batch ingested yet")
         bound = watermark if through is None else min(through, watermark)
+        frozen_through = self._overlay.snapshot_watermark
+        if frozen_through is not None:
+            bound = max(bound, frozen_through)
         self._sync_delta()
         config = self.streaming_config
-        mode = config.snapshot_mode
-        new_contacts: Tuple[Contact, ...] = ()
-        graph_frontier = None
-        if mode != "rebuild":
-            new_contacts = tuple(
-                self._ingestor.contacts_through(
-                    bound,
-                    after=self._overlay.snapshot_watermark,
-                    closed_from=self._restage_cursor,
-                )
+        new_contacts = tuple(
+            self._ingestor.contacts_through(
+                bound, after=frozen_through, closed_from=self._restage_cursor
             )
-            if config.graph_mode == "incremental" and config.build_reachgraph_on_merge:
-                # Capture the live index's resumable state on this (owning)
-                # thread; None before the first fast-path build, which makes
-                # the first merge a full build and every later one a patch.
-                graph_frontier = self._overlay.graph_frontier()
+        )
+        graph_frontier = None
         prefix = None
         contacts: Tuple[Contact, ...] = ()
-        if mode == "rebuild" or (
-            config.build_reachgraph_on_merge and graph_frontier is None
-        ):
-            prefix = self._ingestor.prefix_dataset(through=bound)
-            contacts = tuple(self._ingestor.contacts_through(bound))
+        if config.build_reachgraph_on_merge:
+            # Capture the live index's resumable state on this (owning)
+            # thread; None before the first fast-path build, which makes the
+            # first merge a full build and every later one a patch.
+            graph_frontier = self._overlay.graph_frontier()
+            if graph_frontier is None:
+                prefix = self._ingestor.prefix_dataset(through=bound)
+                contacts = tuple(self._ingestor.contacts_through(bound))
         return MergeInputs(
             prefix=prefix,
             contacts=contacts,
@@ -636,33 +538,23 @@ class StreamingReachabilityService:
             temporal_resolution=self.grid_config.temporal_resolution,
             distance_threshold=self.contact_config.distance_threshold,
             build_reachgraph=config.build_reachgraph_on_merge,
-            mode=mode,
-            graph_mode=config.graph_mode,
             graph_frontier=graph_frontier,
             graph_labels=config.graph_labels,
             label_dirty_ratio=config.label_dirty_ratio,
         )
 
-    def adopt_merge(self, build: MergeBuild, inputs: MergeInputs) -> None:
+    def adopt_merge(self, build: SnapshotArtifacts, inputs: MergeInputs) -> None:
         """Atomically adopt the built half of a merge.
 
-        Rebuild mode swaps the complete fresh overlay in
-        (:meth:`adopt_snapshot`); LSM mode appends the frozen slice as one
-        snapshot run, installs the rebuilt query-side structures, and — once
-        the run count passes ``compaction_max_runs`` — folds the runs with a
-        compaction.  Either way, no step between the adoption and the cache
-        invalidation yields control, so concurrent queries see the old
-        snapshot or the fully adopted new one, never a mixture.
+        Installs or patches the ReachGraph, appends the frozen slice as one
+        snapshot run, and — once a level passes ``compaction_max_runs`` runs
+        — folds it with a compaction.  No step between the adoption and
+        the cache invalidation yields control, so concurrent queries see the
+        old snapshot or the fully adopted new one, never a mixture.
         """
-        if build.overlay is not None:
-            self.adopt_snapshot(build.overlay, inputs.bound)
-            self._maybe_reclaim()
-            return
-        assert build.artifacts is not None, "MergeBuild must carry one half"
         graph_written_before = self._overlay.graph_records_written
-        graph_rebuilds_before = self._overlay.graph_rebuilds
         self._snapshot_records_written += self._overlay.adopt_increment(
-            build.artifacts,
+            build,
             inputs.new_contacts,
             inputs.bound,
             origin=inputs.origin,
@@ -671,7 +563,6 @@ class StreamingReachabilityService:
         self._graph_records_written += (
             self._overlay.graph_records_written - graph_written_before
         )
-        self._graph_rebuilds += self._overlay.graph_rebuilds - graph_rebuilds_before
         self._finish_adopt(inputs.bound)
         # Compaction deliberately runs here, on the adopting thread, even in
         # the async service: it reads the live runs through the (non-thread-
@@ -715,45 +606,12 @@ class StreamingReachabilityService:
             # partition payloads may now describe stale block placements.
             self._overlay.note_graph_mutated()
 
-    def adopt_snapshot(
-        self, overlay: ReachGraphDeltaOverlay, bound: TimeInstant
-    ) -> None:
-        """Atomically swap a freshly built snapshot overlay in (rebuild mode).
-
-        Restages the unfrozen halves of every closed contact extending past
-        ``bound`` into the new overlay's delta (``add_contact`` clips them at
-        the snapshot watermark), so the swap is correct even when ingestion
-        advanced past the captured prefix while the overlay was being built.
-        The superseded overlay's storage system is destroyed: nothing
-        references it after the swap, and on persistent backends every
-        rebuild would otherwise leak an open device file (and its on-disk
-        bytes) into the storage directory.
-        """
-        previous = self._overlay
-        self._snapshot_records_written += overlay.snapshot_records_written
-        self._graph_records_written += overlay.graph_records_written
-        self._graph_rebuilds += overlay.graph_rebuilds
-        self._label_rejections_base += previous.label_rejections
-        self._label_prunes_base += previous.label_frontier_prunes
-        self._label_relabels_base += previous.label_relabels
-        self._label_full_relabels_base += previous.label_full_relabels
-        self._bloom_rejections_base += previous.bloom_rejections
-        self._pcache_hits_base += previous.partition_cache.hits
-        self._pcache_misses_base += previous.partition_cache.misses
-        self._runs_skipped_base += previous.snapshot_runs_skipped
-        self._blocks_skipped_base += previous.snapshot_blocks_skipped
-        overlay.configure_partition_cache(self.streaming_config.partition_cache_size)
-        self._overlay = overlay
-        self._finish_adopt(bound)
-        if previous is not overlay and previous.storage is not overlay.storage:
-            previous.storage.destroy()
-
     def _finish_adopt(self, bound: TimeInstant) -> None:
         # Closed contacts are produced with non-decreasing end instants, so
         # everything before the restage cursor is frozen below every bound a
         # later merge can use — only the tail needs rescanning.  (Restaging
-        # the full history here was quadratic on long streams and, in LSM
-        # mode, re-added contacts the snapshot store already held.)
+        # the full history here was quadratic on long streams and re-added
+        # contacts the snapshot store already held.)
         tail = self._ingestor.closed_contacts_since(self._restage_cursor)
         frozen = 0
         for contact in tail:
@@ -863,11 +721,7 @@ class StreamingReachabilityService:
 
         Afterwards the service must not ingest or answer queries; with a
         persistent backend and a real ``storage_dir``, the state reopens via
-        :meth:`SnapshotQueryService.open`.  Reopening targets the LSM write
-        path (the default ``snapshot_mode``), whose snapshot store lives on
-        the service's own ``<name>-overlay`` device for its whole life;
-        ``rebuild`` mode places each merge's snapshot on a fresh per-merge
-        device, which :meth:`SnapshotQueryService.open` does not chase.
+        :meth:`SnapshotQueryService.open`.
         """
         if self._closed:
             return
@@ -951,9 +805,8 @@ class StreamingReachabilityService:
     def snapshot_records_written(self) -> int:
         """Cumulative contact records written by merges and compactions.
 
-        The service-lifetime write-amplification ledger: rebuild-mode merges
-        add the complete prefix every time, LSM-mode merges add only the
-        freshly frozen slice (plus occasional compaction rewrites).
+        The service-lifetime write-amplification ledger: each merge adds
+        only its freshly frozen slice (plus occasional compaction rewrites).
         """
         return self._snapshot_records_written
 
@@ -961,9 +814,9 @@ class StreamingReachabilityService:
     def graph_records_written(self) -> int:
         """Cumulative ReachGraph vertex records written by merges.
 
-        The graph-side write-amplification ledger: graph-rebuild merges write
-        the complete vertex set every time, incremental merges write only the
-        fresh and dirtied partitions.
+        The graph-side write-amplification ledger: the first build writes
+        every vertex, each later merge only the fresh and dirtied partitions
+        (plus repack rewrites).
         """
         return self._graph_records_written
 
@@ -971,10 +824,10 @@ class StreamingReachabilityService:
     def graph_rebuilds(self) -> int:
         """Full ReachGraph builds performed by merges.
 
-        1 over the whole stream in incremental mode (the initial build);
-        one per fast-path merge in rebuild mode.
+        0 or 1: the first fast-path merge builds the index and every later
+        one patches it.
         """
-        return self._graph_rebuilds
+        return self._overlay.graph_rebuilds
 
     @property
     def stats(self) -> StreamingStats:
@@ -995,30 +848,22 @@ class StreamingReachabilityService:
             superseded_blocks=self._overlay.snapshot_superseded_blocks,
             compactions=self._compactions,
             graph_records_written=self._graph_records_written,
-            graph_rebuilds=self._graph_rebuilds,
+            graph_rebuilds=self._overlay.graph_rebuilds,
             graph_superseded_blocks=self._overlay.graph_superseded_blocks,
             flushed_intervals=self._ingestor.num_flushed_intervals,
             ingest_seconds=self._ingestor.ingest_seconds,
             reclaims=self._reclaims,
             reclaimed_blocks=self._reclaimed_blocks,
             graph_repacks=self._graph_repacks,
-            label_rejections=self._label_rejections_base
-            + self._overlay.label_rejections,
-            label_frontier_prunes=self._label_prunes_base
-            + self._overlay.label_frontier_prunes,
-            label_relabels=self._label_relabels_base + self._overlay.label_relabels,
-            label_full_relabels=self._label_full_relabels_base
-            + self._overlay.label_full_relabels,
-            bloom_rejections=self._bloom_rejections_base
-            + self._overlay.bloom_rejections,
-            partition_cache_hits=self._pcache_hits_base
-            + self._overlay.partition_cache.hits,
-            partition_cache_misses=self._pcache_misses_base
-            + self._overlay.partition_cache.misses,
-            snapshot_runs_skipped=self._runs_skipped_base
-            + self._overlay.snapshot_runs_skipped,
-            snapshot_blocks_skipped=self._blocks_skipped_base
-            + self._overlay.snapshot_blocks_skipped,
+            label_rejections=self._overlay.label_rejections,
+            label_frontier_prunes=self._overlay.label_frontier_prunes,
+            label_relabels=self._overlay.label_relabels,
+            label_full_relabels=self._overlay.label_full_relabels,
+            bloom_rejections=self._overlay.bloom_rejections,
+            partition_cache_hits=self._overlay.partition_cache.hits,
+            partition_cache_misses=self._overlay.partition_cache.misses,
+            snapshot_runs_skipped=self._overlay.snapshot_runs_skipped,
+            snapshot_blocks_skipped=self._overlay.snapshot_blocks_skipped,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

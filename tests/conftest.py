@@ -44,15 +44,6 @@ def pytest_addoption(parser):
         help="run sharding tests with this shard count only (default: all)",
     )
     parser.addoption(
-        "--graph-mode",
-        choices=("incremental", "rebuild"),
-        default=None,
-        help=(
-            "run graph-mode-parametrized streaming tests with this ReachGraph "
-            "maintenance mode only (default: both)"
-        ),
-    )
-    parser.addoption(
         "--labels",
         choices=("on", "off"),
         default=None,
@@ -79,16 +70,11 @@ def _disarm_fault_points():
 
 
 def pytest_generate_tests(metafunc):
-    """Parametrize every ``graph_mode`` test, honouring the --graph-mode flag.
+    """Parametrize every ``graph_labels`` test, honouring the --labels flag.
 
-    Lives here (not in one test module) so the flag pins the mode uniformly
-    across the streaming, sharding, and async suites — CI's graph-modes
-    matrix relies on that.
+    Lives here (not in one test module) so the flag pins the setting
+    uniformly across the suites that take it.
     """
-    if "graph_mode" in metafunc.fixturenames:
-        chosen = metafunc.config.getoption("graph_mode", default=None)
-        modes = (chosen,) if chosen else ("incremental", "rebuild")
-        metafunc.parametrize("graph_mode", modes)
     if "graph_labels" in metafunc.fixturenames:
         chosen = metafunc.config.getoption("labels", default=None)
         label_modes = (chosen == "on",) if chosen else (True, False)

@@ -22,7 +22,6 @@ from repro.baselines.reference import evaluate_reachability
 from repro.contacts import build_contact_network
 from repro.contacts.network import ContactNetwork
 from repro.core import (
-    GRAPH_MODES,
     MERGE_EXECUTORS,
     STORAGE_BACKENDS,
     QueryResult,
@@ -35,7 +34,6 @@ from repro.trajectory.model import TrajectoryDataset
 __all__ = [
     "CallCounter",
     "EQUIVALENCE_BACKENDS",
-    "EQUIVALENCE_GRAPH_MODES",
     "EQUIVALENCE_LABEL_MODES",
     "EQUIVALENCE_MERGE_EXECUTORS",
     "backend_storage_config",
@@ -51,11 +49,6 @@ Evaluator = Callable[[ReachabilityQuery], QueryResult]
 #: (streaming, sharded, async) must answer bit-identically no matter which
 #: block device its snapshot extents land on.
 EQUIVALENCE_BACKENDS = tuple(b for b in STORAGE_BACKENDS if b != "sim")
-
-#: The ReachGraph-maintenance axis: whether merges patch the reduced DAG in
-#: place or rebuild the index from scratch must never change an answer — at
-#: any watermark, on any service variant.
-EQUIVALENCE_GRAPH_MODES = GRAPH_MODES
 
 #: The merge-executor axis: where the pure build phase of a merge runs —
 #: the calling thread, a thread pool, or a worker process — must never change

@@ -277,7 +277,7 @@ class TestAsyncEquivalence:
                 assert tasks, "every started shard should have a merge to run"
                 assert service.merges_in_flight == len(tasks)
                 # The first await hands control to the merge tasks; these
-                # queries run concurrently with the snapshot rebuilds.
+                # queries run concurrently with the merge builds.
                 assert_methods_agree(
                     reference,
                     {"async-inflight": await collect_async_answers(service, workload)},
@@ -297,58 +297,6 @@ class TestAsyncEquivalence:
                     check_earliest=True,
                     require_earliest=True,
                     context=f"shards={shards}, merges adopted",
-                )
-
-        run(scenario())
-
-    def test_equivalence_per_graph_mode_mid_merge(self, dataset, graph_mode):
-        """The graph_mode axis through the async adoption path: answers must
-        be correct while background merges are in flight and after they
-        adopt, in both modes (the async shards skip the fast path, so the
-        modes must be indistinguishable plumbing here)."""
-
-        async def scenario():
-            service = make_async(
-                dataset,
-                2,
-                max_delta_contacts=1_000_000,
-                batch_ticks=6,
-                graph_mode=graph_mode,
-            )
-            workload = list(random_queries(dataset, count=8, seed=13))
-            reference = reference_evaluator(prefix_network(dataset, THRESHOLD))
-            async with service:
-                for batch in DatasetReplaySource(dataset, batch_ticks=6).batches():
-                    await service.ingest(batch)
-                await service.drain()
-                tasks = service.schedule_merge()
-                assert tasks
-                assert_methods_agree(
-                    reference,
-                    {
-                        f"async-{graph_mode}-inflight": await collect_async_answers(
-                            service, workload
-                        )
-                    },
-                    workload,
-                    check_earliest=True,
-                    require_earliest=True,
-                    context=f"graph_mode={graph_mode}, merges in flight",
-                )
-                await asyncio.gather(*tasks, return_exceptions=True)
-                await service.drain()
-                assert service.background_merges == len(tasks)
-                assert_methods_agree(
-                    reference,
-                    {
-                        f"async-{graph_mode}-adopted": await collect_async_answers(
-                            service, workload
-                        )
-                    },
-                    workload,
-                    check_earliest=True,
-                    require_earliest=True,
-                    context=f"graph_mode={graph_mode}, merges adopted",
                 )
 
         run(scenario())

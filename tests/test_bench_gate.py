@@ -17,7 +17,6 @@ import pytest
 
 from repro.cli import (
     _CONCURRENCY_KWARGS,
-    _GRAPH_MODE_KWARGS,
     _SHARD_KWARGS,
     build_parser,
 )
@@ -151,7 +150,6 @@ class TestGate:
             "test_sharded_scaling_curve",
             "test_async_vs_sync_serving",
             "test_storage_backend_comparison",
-            "test_graph_merge_cost",
             "test_space_reclamation",
             "test_parallel_merge_scaling",
             "test_query_latency",
@@ -164,14 +162,6 @@ class TestCliPlumbing:
         assert args.concurrency == 8
         assert build_parser().parse_args(["stream"]).concurrency is None
 
-    def test_graph_mode_flag_parses(self):
-        args = build_parser().parse_args(["stream-graph", "--graph-mode", "rebuild"])
-        assert args.graph_mode == "rebuild"
-        assert build_parser().parse_args(["stream-graph"]).graph_mode is None
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["stream-graph", "--graph-mode", "bogus"])
-
     def test_injection_tables_reference_known_experiments(self):
         assert set(_SHARD_KWARGS) <= set(EXPERIMENTS)
         assert set(_CONCURRENCY_KWARGS) <= set(EXPERIMENTS)
-        assert set(_GRAPH_MODE_KWARGS) <= set(EXPERIMENTS)

@@ -117,7 +117,6 @@ class TestExperimentDrivers:
             "stream-sharded",
             "stream-async",
             "stream-disk",
-            "stream-graph",
             "stream-space",
             "stream-parallel",
             "stream-query",

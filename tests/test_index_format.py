@@ -152,9 +152,7 @@ def make_service(dataset, contact_config, storage_config):
     service = StreamingReachabilityService.for_dataset(
         dataset,
         contact_config=contact_config,
-        streaming_config=StreamingConfig(
-            graph_mode="incremental", graph_repack_min_partitions=2
-        ),
+        streaming_config=StreamingConfig(graph_repack_min_partitions=2),
         storage_config=storage_config,
     )
     service.auto_merge = False

@@ -5,10 +5,9 @@ reads the flushed cell extents plus the memtable back, and the flush-time
 checkpoint carries only the unflushed memtable, the join state and the
 per-object horizon bounds.  This suite pins the prefix against the old
 in-memory buffer (``tests/ingest_reference.py``) and the dataset slice at
-every bound — across a device reclaim, a close/reopen, the sharded
-coordinator's low-watermark merges and rebuild-mode merges — plus the new
-completeness check and the resume paths for checkpoints written before the
-buffer was dropped.
+every bound — across a device reclaim, a close/reopen and the first
+ReachGraph build's merge — plus the new completeness check and the resume
+paths for checkpoints written before the buffer was dropped.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from repro.storage import StorageSystem
 from repro.streaming import (
     DatasetReplaySource,
     SampleEvent,
-    ShardedReachabilityService,
     StreamBatch,
     StreamIngestor,
     StreamingReachabilityService,
@@ -111,15 +109,12 @@ def assert_every_bound(ingestor, oracle, dataset):
 # the prefix equals the oracle at every bound
 # ----------------------------------------------------------------------
 class TestPrefixFromCells:
-    @pytest.mark.parametrize("snapshot_mode", ("lsm", "rebuild"))
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_every_bound_across_reclaim_and_reopen(
-        self, backend, snapshot_mode, tmp_path, dataset, merge_prefixes
+        self, backend, tmp_path, dataset, merge_prefixes
     ):
         storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
-        service = make_service(
-            dataset, storage_config, snapshot_mode=snapshot_mode, gc_trigger_ratio=0.0
-        )
+        service = make_service(dataset, storage_config, gc_trigger_ratio=0.0)
         oracle = ReferencePositionBuffer(dataset.environment_size)
         batches = list(DatasetReplaySource(dataset, batch_ticks=6).batches())
         half = len(batches) // 2
@@ -138,63 +133,21 @@ class TestPrefixFromCells:
             service.reclaim()
             assert service.ingestor.storage.reclaimed_blocks > 0
             assert_every_bound(service.ingestor, oracle, dataset)
-            # A rebuild-mode overlay lives under a generation name
-            # (``overlay-rebuild-<n>``), which a reopen by service name skips.
-            if storage_config is not None and snapshot_mode == "lsm":
+            if storage_config is not None:
                 service.close()
                 service = StreamingReachabilityService.open(
                     storage_config,
                     name=service.name,
-                    streaming_config=streaming_config(snapshot_mode=snapshot_mode),
+                    streaming_config=streaming_config(),
                 )
                 assert_every_bound(service.ingestor, oracle, dataset)
         assert service.watermark == dataset.horizon.end
         assert_every_bound(service.ingestor, oracle, dataset)
-        # Every prefix a merge materialised matched as well: the first build
-        # only in LSM mode (later merges patch), every merge in rebuild mode.
-        assert len(merge_prefixes) >= (3 if snapshot_mode == "rebuild" else 1)
+        # The one prefix a merge materialised (the first build; later merges
+        # patch) matched as well.
+        assert len(merge_prefixes) == 1
         for _, _, prefix in merge_prefixes:
             assert_prefix_matches(prefix, oracle, dataset)
-        service.close()
-
-    def test_sharded_rebuild_merges_at_the_low_watermark(
-        self, dataset, merge_prefixes
-    ):
-        """Skewed delivery keeps shard 1 two batches behind shard 0: every
-        rebuild-mode merge runs at the low-watermark, below shard 0's own."""
-        service = ShardedReachabilityService.for_dataset(
-            dataset,
-            contact_config=CONTACTS,
-            grid_config=GRID,
-            streaming_config=StreamingConfig(
-                shards=2, router="hash", snapshot_mode="rebuild", max_delta_contacts=12
-            ),
-        )
-        oracle = ReferencePositionBuffer(dataset.environment_size)
-        lagging = []
-        for batch in DatasetReplaySource(dataset, batch_ticks=4).batches():
-            oracle.ingest(batch)
-            ahead, behind = service.route_batch(batch)
-            service.ingest_shard(0, ahead, prevalidated=True)
-            lagging.append(behind)
-            if len(lagging) > 2:
-                service.ingest_shard(1, lagging.pop(0), prevalidated=True)
-        below = [bound for bound, watermark, _ in merge_prefixes if bound < watermark]
-        assert below, "no merge ran below the leading shard's watermark"
-        shard_objects = {
-            shard: {
-                obj
-                for obj in dataset.object_ids
-                if service.router.shard_of(obj) == shard
-            }
-            for shard in (0, 1)
-        }
-        for _, _, prefix in merge_prefixes:
-            got = assert_prefix_matches(prefix, oracle, dataset)
-            assert set(got) in shard_objects.values()
-        for behind in lagging:
-            service.ingest_shard(1, behind, prevalidated=True)
-        assert service.low_watermark == dataset.horizon.end
         service.close()
 
 

@@ -250,7 +250,6 @@ class TestLabelsInService:
         service = _service(
             tiny_dataset,
             tiny_contact_config,
-            graph_mode="incremental",
             label_dirty_ratio=1.0,
         )
         service.drain(tiny_dataset)
@@ -271,7 +270,7 @@ class TestLabelsInService:
     def test_default_ratio_falls_back_but_stays_exact(
         self, tiny_dataset, tiny_contact_config
     ):
-        service = _service(tiny_dataset, tiny_contact_config, graph_mode="incremental")
+        service = _service(tiny_dataset, tiny_contact_config)
         service.drain(tiny_dataset)
         service.merge()
         index = service.overlay.snapshot_processor.index
@@ -289,7 +288,6 @@ class TestLabelsInService:
         service = _service(
             tiny_dataset,
             tiny_contact_config,
-            graph_mode="incremental",
             graph_repack_min_partitions=2,
         )
         generation_log = set()
@@ -385,11 +383,10 @@ class TestObjectBloomFilter:
 class TestRunPruning:
     @staticmethod
     def _multi_run_service(dataset, contact_config):
-        """An LSM service whose snapshot holds several time-disjoint runs."""
+        """A service whose snapshot holds several time-disjoint runs."""
         service = _service(
             dataset,
             contact_config,
-            snapshot_mode="lsm",
             merge_policy="delta-size",
             max_delta_contacts=10_000,
             compaction_max_runs=64,  # keep the runs separate for the test
@@ -548,13 +545,10 @@ class TestPartitionCache:
 # ----------------------------------------------------------------------
 class TestFastPathEquivalence:
     def test_equivalence_at_every_watermark(
-        self, graph_labels, graph_mode, tiny_dataset, tiny_contact_config
+        self, graph_labels, tiny_dataset, tiny_contact_config
     ):
         service = _service(
-            tiny_dataset,
-            tiny_contact_config,
-            graph_labels=graph_labels,
-            graph_mode=graph_mode,
+            tiny_dataset, tiny_contact_config, graph_labels=graph_labels
         )
         workload = random_queries(tiny_dataset, count=12, seed=29)
         for position, batch in enumerate(
@@ -572,8 +566,7 @@ class TestFastPathEquivalence:
                 {f"labels-{graph_labels}": service.query},
                 workload,
                 context=(
-                    f"graph_labels={graph_labels}, graph_mode={graph_mode}, "
-                    f"watermark={service.watermark}"
+                    f"graph_labels={graph_labels}, watermark={service.watermark}"
                 ),
             )
         assert service.num_merges > 1
@@ -602,7 +595,7 @@ class TestFastPathEquivalence:
             prefix_network(tiny_dataset, TINY_THRESHOLD, through=service.watermark)
         )
         inputs = service.prepare_merge()
-        build = build_merge(inputs, None)
+        build = build_merge(inputs)
         assert_methods_agree(
             reference,
             {"mid-merge": service.query},

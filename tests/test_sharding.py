@@ -151,14 +151,12 @@ class TestShardedEquivalence:
             )
         assert sharded.num_merges > 0
 
-    def test_equivalence_per_graph_mode(self, dataset, shards, graph_mode):
-        """The graph_mode axis threads through the sharded merge path too.
-
-        Per-shard snapshots never build the ReachGraph fast path (they are
-        not individually authoritative), so both modes must be pure plumbing
-        here: identical answers at every watermark, zero graph writes."""
+    def test_equivalence_shards_build_no_graph(self, dataset, shards):
+        """Per-shard snapshots never build the ReachGraph fast path (they are
+        not individually authoritative): identical answers at every
+        watermark, zero graph writes."""
         # elapsed-intervals fires for every shard that flushes grid intervals,
-        # so merges definitely exercise the graph_mode plumbing.
+        # so merges definitely run on every shard.
         sharded = make_sharded(
             dataset,
             shards,
@@ -166,7 +164,6 @@ class TestShardedEquivalence:
             merge_policy="elapsed-intervals",
             max_elapsed_intervals=2,
             batch_ticks=12,
-            graph_mode=graph_mode,
         )
         workload = random_queries(dataset, count=8, seed=11)
         for batch in DatasetReplaySource(dataset, batch_ticks=12).batches():
@@ -174,16 +171,16 @@ class TestShardedEquivalence:
             low = sharded.low_watermark
             assert_methods_agree(
                 reference_evaluator(prefix_network(dataset, THRESHOLD, through=low)),
-                {f"sharded-{graph_mode}": sharded.query},
+                {"sharded": sharded.query},
                 workload,
                 check_earliest=True,
-                context=f"shards={shards}, graph_mode={graph_mode}, watermark={low}",
+                context=f"shards={shards}, watermark={low}",
             )
         assert sharded.num_merges > 0
         assert all(
             shard.graph_records_written == 0 and shard.graph_rebuilds == 0
             for shard in sharded.shard_services
-        ), "per-shard services must never build a graph, whatever the mode"
+        ), "per-shard services must never build a graph"
 
     @pytest.mark.slow
     @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)

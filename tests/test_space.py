@@ -113,21 +113,19 @@ def assert_no_stray_gc_files(storage_dir):
 
 
 # ----------------------------------------------------------------------
-# the randomized space bound (acceptance: every backend × graph mode)
+# the randomized space bound (acceptance: every backend)
 # ----------------------------------------------------------------------
 class TestSpaceBound:
     """Drain a randomized multi-merge stream with the whole reclamation
     pipeline armed, reclaim, and check the device-over-live bound plus
     answer fidelity (live and reopened)."""
 
-    # ``graph_mode`` is parametrized by the shared conftest hook (both
-    # maintenance modes, or the one CI's --graph-mode flag pins).
     @pytest.mark.parametrize("backend", SPACE_BACKENDS)
     def test_device_blocks_bounded_after_gc(
-        self, backend, graph_mode, tmp_path, dataset
+        self, backend, tmp_path, dataset
     ):
         storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
-        service = make_service(dataset, storage_config, graph_mode=graph_mode)
+        service = make_service(dataset, storage_config)
         stats = service.drain(DatasetReplaySource(dataset, batch_ticks=6))
         assert stats.events > 0
         assert service.num_merges >= 3, "the stream must force multiple merges"
@@ -137,7 +135,7 @@ class TestSpaceBound:
         device = device_blocks(service)
         assert live > 0
         assert device <= SPACE_BOUND * live, (
-            f"backend={backend}, graph_mode={graph_mode}: device={device} "
+            f"backend={backend}: device={device} "
             f"blocks exceeds {SPACE_BOUND}x live={live}"
         )
         # A dense copy-forward leaves no garbage at all right after the pass.
@@ -151,7 +149,7 @@ class TestSpaceBound:
             {"post-gc": service.query},
             workload,
             check_earliest=True,
-            context=f"post-GC, backend={backend}, graph_mode={graph_mode}",
+            context=f"post-GC, backend={backend}",
         )
 
         if storage_config is None:
@@ -165,7 +163,7 @@ class TestSpaceBound:
             dataset,
             THRESHOLD,
             workload,
-            context=f"reopen after GC, backend={backend}, graph_mode={graph_mode}",
+            context=f"reopen after GC, backend={backend}",
         )
         reopened.close()
 

@@ -14,7 +14,6 @@ import pytest
 from equivalence import (
     EQUIVALENCE_BACKENDS,
     CallCounter,
-    EQUIVALENCE_GRAPH_MODES,
     assert_methods_agree,
     backend_storage_config,
     prefix_network,
@@ -55,10 +54,28 @@ from repro.workloads.queries import random_queries
 # repo is collected in one pytest run).
 TINY_THRESHOLD = 30.0
 
-# The graph_mode axis itself is parametrized by tests/conftest.py's
-# pytest_generate_tests (honouring --graph-mode); this module only asserts
-# the canned axis matches the config's registered modes.
-assert EQUIVALENCE_GRAPH_MODES == ("incremental", "rebuild")
+
+def rebuild_per_merge_cost(monkeypatch, dataset):
+    """Tally what rebuilding the snapshot at every merge would have written.
+
+    Wraps ``adopt_merge``: after each adoption, adds the complete contact
+    count of the prefix through the merge's bound (a from-scratch snapshot
+    rewrites every one) and the live index's vertex count (a from-scratch
+    ReachGraph writes every vertex).  Returns the running totals.
+    """
+    cost = {"contacts": 0, "vertices": 0}
+    real_adopt = StreamingReachabilityService.adopt_merge
+
+    def adopt_merge(service, build, inputs):
+        real_adopt(service, build, inputs)
+        prefix = prefix_network(dataset, TINY_THRESHOLD, through=inputs.bound)
+        cost["contacts"] += len(prefix.contacts)
+        processor = service.overlay.snapshot_processor
+        if processor is not None:
+            cost["vertices"] += processor.index.num_vertices
+
+    monkeypatch.setattr(StreamingReachabilityService, "adopt_merge", adopt_merge)
+    return cost
 
 
 # ----------------------------------------------------------------------
@@ -453,7 +470,7 @@ class TestMergeEdgeCases:
         self, tiny_dataset, tiny_network, tiny_contact_config
     ):
         """Merging with an empty delta (back-to-back merges at the same
-        watermark) must rebuild an identical snapshot, not corrupt it."""
+        watermark) must leave the snapshot identical, not corrupt it."""
         service = self._drained_service(tiny_dataset, tiny_contact_config)
         service.merge()
         size_after_first = service.overlay.snapshot_size
@@ -540,6 +557,47 @@ class TestMergeEdgeCases:
         snapshot_watermark = service.overlay.snapshot_watermark
         for _, _, _, end in service.overlay.delta_records:
             assert end > snapshot_watermark
+
+
+    @pytest.mark.parametrize("build_reachgraph_on_merge", (False, True))
+    def test_merge_bounded_below_the_snapshot_watermark_freezes_nothing(
+        self, build_reachgraph_on_merge, tiny_dataset, tiny_contact_config
+    ):
+        """Regression: ``merge(through=b)`` with ``b`` below the snapshot
+        watermark moved the watermark back to ``b`` (without a graph), so
+        the next merge froze ``(b, old watermark]`` a second time; with a
+        graph the build refused to patch backwards.  Such a merge must be
+        the zero-new-ticks merge: the store ends up exactly as without it."""
+        batches = list(DatasetReplaySource(tiny_dataset, batch_ticks=8).batches())
+
+        def drain(backwards):
+            service = StreamingReachabilityService.for_dataset(
+                tiny_dataset,
+                contact_config=tiny_contact_config,
+                streaming_config=StreamingConfig(
+                    max_delta_contacts=10_000,
+                    build_reachgraph_on_merge=build_reachgraph_on_merge,
+                ),
+            )
+            watermarks = []
+            for position, batch in enumerate(batches):
+                service.ingest(batch)
+                if position == 7:
+                    service.merge()
+                    watermarks.append(service.overlay.snapshot_watermark)
+                    if backwards:
+                        service.merge(through=service.watermark - 20)
+                        watermarks.append(service.overlay.snapshot_watermark)
+            service.merge()
+            watermarks.append(service.overlay.snapshot_watermark)
+            assert watermarks == sorted(watermarks), watermarks
+            records = service.overlay.snapshot_store.read_overlapping(
+                tiny_dataset.horizon
+            )
+            coverage = sum(end - start + 1 for _, _, start, end in records)
+            return coverage, len(records), service.snapshot_records_written
+
+        assert drain(backwards=True) == drain(backwards=False)
 
 
 # ----------------------------------------------------------------------
@@ -680,43 +738,6 @@ class TestStorageBackendEquivalence:
             storage_backend="file", storage_dir=str(tmp_path)
         )
         assert service.overlay.storage.config.backend == "file"
-        service.close()
-
-    @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
-    def test_rebuild_mode_closes_superseded_overlay_devices(
-        self, backend, tmp_path, tiny_dataset, tiny_contact_config
-    ):
-        """Regression: every rebuild-mode merge swaps in a fresh overlay; the
-        superseded overlay's device must be closed, not left as an open file
-        handle for the life of the service."""
-        service = StreamingReachabilityService.for_dataset(
-            tiny_dataset,
-            contact_config=tiny_contact_config,
-            streaming_config=StreamingConfig(
-                max_delta_contacts=48,
-                snapshot_mode="rebuild",
-                build_reachgraph_on_merge=False,
-            ),
-            storage_config=backend_storage_config(backend, storage_dir=str(tmp_path)),
-        )
-        overlays = []
-        for batch in DatasetReplaySource(tiny_dataset, batch_ticks=12).batches():
-            if service.overlay not in overlays:
-                overlays.append(service.overlay)
-            service.ingest(batch)
-        assert service.num_merges > 1
-        for overlay in overlays:
-            if overlay is not service.overlay:
-                assert overlay.storage.disk.closed, "superseded device left open"
-        assert not service.overlay.storage.disk.closed
-        # ... and their backing files are gone: only the grid device and the
-        # one live overlay device may remain in the directory.
-        overlay_files = [
-            p for p in tmp_path.iterdir() if "overlay-rebuild" in p.name
-        ]
-        live = service.overlay.storage.path
-        assert live is not None
-        assert all(str(p).startswith(live) for p in overlay_files), overlay_files
         service.close()
 
     @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
@@ -867,54 +888,34 @@ class TestSnapshotCompaction:
             prefix_network(tiny_dataset, TINY_THRESHOLD, through=final).contacts
         )
 
-    def test_lsm_write_amplification_below_rebuild(
-        self, tiny_dataset, tiny_contact_config
+    def test_lsm_write_amplification_below_rebuild_cost(
+        self, monkeypatch, tiny_dataset, tiny_contact_config
     ):
         """The point of the LSM path: on a multi-merge workload it must write
-        strictly fewer snapshot records than rebuild-from-scratch."""
-        ledgers = {}
-        for mode in ("lsm", "rebuild"):
-            service = self._service(
-                tiny_dataset,
-                tiny_contact_config,
-                max_delta_contacts=16,
-                snapshot_mode=mode,
-                build_reachgraph_on_merge=False,
-            )
-            service.drain(tiny_dataset)
-            assert service.num_merges > 3
-            ledgers[mode] = service.snapshot_records_written
-        assert ledgers["lsm"] < ledgers["rebuild"], ledgers
-
-    def test_rebuild_mode_still_answers_identically(
-        self, tiny_dataset, tiny_network, tiny_contact_config
-    ):
+        strictly fewer snapshot records than rewriting the whole prefix at
+        every merge would."""
+        cost = rebuild_per_merge_cost(monkeypatch, tiny_dataset)
         service = self._service(
             tiny_dataset,
             tiny_contact_config,
-            max_delta_contacts=48,
-            snapshot_mode="rebuild",
+            max_delta_contacts=16,
+            build_reachgraph_on_merge=False,
         )
         service.drain(tiny_dataset)
-        assert service.num_merges > 0
-        assert_methods_agree(
-            reference_evaluator(tiny_network),
-            {"rebuild-mode": service.query},
-            random_queries(tiny_dataset, count=25, seed=43),
-            check_earliest=True,
-        )
+        assert service.num_merges > 3
+        assert service.snapshot_records_written < cost["contacts"], cost
 
 
 # ----------------------------------------------------------------------
-# incremental ReachGraph maintenance vs rebuild-per-merge
+# incremental ReachGraph maintenance vs a batch build
 # ----------------------------------------------------------------------
-class TestGraphModeMaintenance:
-    """The graph_mode axis: patching the reduced DAG must be invisible.
+class TestIncrementalGraphMaintenance:
+    """Patching the reduced DAG at every merge must be invisible.
 
-    Incremental and rebuild modes must answer bit-identically to each other
-    and to the batch reference at every watermark; the only permitted
-    difference is the write ledger (incremental strictly cheaper on a
-    multi-merge workload).
+    The patched index must answer like the batch reference at every
+    watermark and equal, structurally, an index the test builds from
+    scratch; its write ledger must stay below what a rebuild per merge
+    would pay.
     """
 
     @staticmethod
@@ -926,12 +927,8 @@ class TestGraphModeMaintenance:
             streaming_config=StreamingConfig(**overrides),
         )
 
-    def test_equivalence_at_every_watermark(
-        self, graph_mode, tiny_dataset, tiny_contact_config
-    ):
-        service = self._service(
-            tiny_dataset, tiny_contact_config, graph_mode=graph_mode
-        )
+    def test_equivalence_at_every_watermark(self, tiny_dataset, tiny_contact_config):
+        service = self._service(tiny_dataset, tiny_contact_config)
         workload = random_queries(tiny_dataset, count=12, seed=23)
         for position, batch in enumerate(
             DatasetReplaySource(tiny_dataset, batch_ticks=8).batches()
@@ -945,23 +942,18 @@ class TestGraphModeMaintenance:
                         tiny_dataset, TINY_THRESHOLD, through=service.watermark
                     )
                 ),
-                {f"graph-{graph_mode}": service.query},
+                {"patched-graph": service.query},
                 workload,
-                context=f"graph_mode={graph_mode}, watermark={service.watermark}",
+                context=f"watermark={service.watermark}",
             )
         assert service.num_merges > 1, "the workload must exercise several merges"
-        if graph_mode == "incremental":
-            assert service.graph_rebuilds == 1
-        else:
-            assert service.graph_rebuilds == service.num_merges
+        assert service.graph_rebuilds == 1
 
     def test_incremental_patches_one_live_index(
         self, tiny_dataset, tiny_contact_config
     ):
-        """Incremental mode keeps ONE index object and patches it in place."""
-        service = self._service(
-            tiny_dataset, tiny_contact_config, graph_mode="incremental"
-        )
+        """Merges keep ONE index object and patch it in place."""
+        service = self._service(tiny_dataset, tiny_contact_config)
         processors = set()
         for batch in DatasetReplaySource(tiny_dataset, batch_ticks=8).batches():
             service.ingest(batch)
@@ -977,21 +969,25 @@ class TestGraphModeMaintenance:
     def test_incremental_index_equals_batch_rebuild(
         self, tiny_dataset, tiny_contact_config
     ):
-        """After the same merges, the patched index must be structurally
-        identical to one rebuilt from scratch: same vertices (ids, intervals,
-        members), same DN_1 edges, same long-edge layers, same assignment
-        histories — partition placement is the only thing allowed to differ."""
-        services = {
-            mode: self._service(tiny_dataset, tiny_contact_config, graph_mode=mode)
-            for mode in ("incremental", "rebuild")
-        }
-        for batch in DatasetReplaySource(tiny_dataset, batch_ticks=8).batches():
-            for service in services.values():
-                service.ingest(batch)
-        for service in services.values():
-            service.merge()  # freeze the tail so both graphs cover everything
-        patched = services["incremental"].overlay.snapshot_processor.index
-        rebuilt = services["rebuild"].overlay.snapshot_processor.index
+        """After the merges, the patched index must be structurally identical
+        to one built from scratch over the same prefix: same vertices (ids,
+        intervals, members), same DN_1 edges, same long-edge layers, same
+        assignment histories — partition placement is the only thing allowed
+        to differ."""
+        from repro.reachgraph import ReachGraphIndex
+
+        service = self._service(tiny_dataset, tiny_contact_config)
+        service.drain(tiny_dataset)
+        service.merge()  # freeze the tail so the graph covers everything
+        patched = service.overlay.snapshot_processor.index
+        final = service.overlay.snapshot_watermark
+        prefix = tiny_dataset.restricted(final - tiny_dataset.horizon.start + 1)
+        rebuilt = ReachGraphIndex(
+            prefix,
+            contact_config=None,
+            contact_network=prefix_network(prefix, TINY_THRESHOLD, through=final),
+        ).build()
+        assert patched.num_increments > 0, "the index must have been patched"
         assert patched.dag.num_nodes == rebuilt.dag.num_nodes
         for mine, theirs in zip(patched.dag.nodes, rebuilt.dag.nodes):
             assert mine.node_id == theirs.node_id
@@ -1010,34 +1006,28 @@ class TestGraphModeMaintenance:
                 object_id, patched.dag.horizon.end
             ) == rebuilt.find_vertex_id(object_id, rebuilt.dag.horizon.end)
 
-    def test_graph_ledger_incremental_strictly_below_rebuild(
-        self, tiny_dataset, tiny_network, tiny_contact_config
+    def test_graph_ledger_below_rebuild_cost(
+        self, monkeypatch, tiny_dataset, tiny_network, tiny_contact_config
     ):
-        ledgers = {}
-        for mode in ("incremental", "rebuild"):
-            service = self._service(
-                tiny_dataset,
-                tiny_contact_config,
-                max_delta_contacts=16,
-                graph_mode=mode,
-            )
-            service.drain(tiny_dataset)
-            assert service.num_merges > 3
-            ledgers[mode] = service.graph_records_written
-            assert_methods_agree(
-                reference_evaluator(tiny_network),
-                {f"graph-{mode}": service.query},
-                random_queries(tiny_dataset, count=20, seed=29),
-                check_earliest=True,
-            )
-        assert ledgers["incremental"] < ledgers["rebuild"], ledgers
+        cost = rebuild_per_merge_cost(monkeypatch, tiny_dataset)
+        service = self._service(
+            tiny_dataset, tiny_contact_config, max_delta_contacts=16
+        )
+        service.drain(tiny_dataset)
+        assert service.num_merges > 3
+        assert service.graph_records_written < cost["vertices"], cost
+        assert service.snapshot_records_written < cost["contacts"], cost
+        assert_methods_agree(
+            reference_evaluator(tiny_network),
+            {"patched-graph": service.query},
+            random_queries(tiny_dataset, count=20, seed=29),
+            check_earliest=True,
+        )
 
     def test_forced_merge_at_same_bound_applies_empty_patch(
         self, tiny_dataset, tiny_network, tiny_contact_config
     ):
-        service = self._service(
-            tiny_dataset, tiny_contact_config, graph_mode="incremental"
-        )
+        service = self._service(tiny_dataset, tiny_contact_config)
         service.drain(tiny_dataset)
         service.merge()
         index = service.overlay.snapshot_processor.index
@@ -1062,9 +1052,7 @@ class TestGraphModeMaintenance:
         from repro.core import IndexConstructionError
         from repro.streaming.service import build_merge
 
-        service = self._service(
-            tiny_dataset, tiny_contact_config, graph_mode="incremental"
-        )
+        service = self._service(tiny_dataset, tiny_contact_config)
         batches = list(DatasetReplaySource(tiny_dataset, batch_ticks=8).batches())
         for batch in batches[:6]:
             service.ingest(batch)
@@ -1073,7 +1061,7 @@ class TestGraphModeMaintenance:
         for batch in batches[6:9]:
             service.ingest(batch)
         stale_inputs = service.prepare_merge()
-        stale_build = build_merge(stale_inputs, None)
+        stale_build = build_merge(stale_inputs)
         # ...then advance the live index past it with a real merge.
         service.merge()
         overlay = service.overlay
@@ -1088,19 +1076,17 @@ class TestGraphModeMaintenance:
         assert overlay.delta_size == delta_size
         assert overlay.snapshot_watermark == watermark
 
-    def test_close_reopen_answers_match_per_graph_mode(
-        self, graph_mode, tmp_path, tiny_dataset, tiny_contact_config
+    def test_close_reopen_answers_match(
+        self, tmp_path, tiny_dataset, tiny_contact_config
     ):
-        """The graph fast path is not persisted, but closing and reopening a
-        service must answer identically regardless of how the graph was
-        maintained while it was live."""
+        """The graph fast path is persisted with the overlay: closing and
+        reopening a service whose graph was patched at every merge must
+        answer identically."""
         storage_config = backend_storage_config("file", str(tmp_path))
         service = StreamingReachabilityService.for_dataset(
             tiny_dataset,
             contact_config=tiny_contact_config,
-            streaming_config=StreamingConfig(
-                max_delta_contacts=48, graph_mode=graph_mode
-            ),
+            streaming_config=StreamingConfig(max_delta_contacts=48),
             storage_config=storage_config,
         )
         service.drain(tiny_dataset)
@@ -1111,29 +1097,20 @@ class TestGraphModeMaintenance:
         service.close()
         reopened = SnapshotQueryService.open(storage_config, name=service.name)
         assert reopened.watermark == final
+        assert reopened.overlay.has_reachgraph
         assert_methods_agree(
             reference_evaluator(
                 prefix_network(tiny_dataset, TINY_THRESHOLD, through=final)
             ),
-            {f"reopened-{graph_mode}": reopened.query},
+            {"reopened": reopened.query},
             workload,
             check_earliest=True,
             require_earliest=True,
-            context=f"graph_mode={graph_mode}, reopened",
+            context="reopened",
         )
         for query in workload:
             assert bool(reopened.query(query).reachable) == bool(live[query])
         reopened.close()
-
-    def test_engine_streaming_accepts_graph_mode(self, tiny_dataset):
-        engine = ReachabilityEngine(tiny_dataset)
-        service = engine.streaming(graph_mode="rebuild")
-        assert service.streaming_config.graph_mode == "rebuild"
-        with pytest.raises(ConfigurationError):
-            engine.streaming(graph_mode="bogus")
-        with pytest.raises(ConfigurationError):
-            StreamingConfig(graph_mode="bogus")
-        assert StreamingConfig().with_graph_mode("rebuild").graph_mode == "rebuild"
 
 
 class TestStreamExperiment:
@@ -1152,7 +1129,7 @@ class TestStreamExperiment:
 class TestMergeRestageRegression:
     """Regression for the quadratic ``_finish_adopt`` restage.
 
-    After an LSM merge adopts, the rebuilt delta must contain only the closed
+    After a merge adopts, the rebuilt delta must contain only the closed
     contacts *past* the new snapshot watermark, each exactly once.  The old
     implementation restaged the ingestor's full closed-contact history on
     every merge — quadratic work that also re-added contacts the snapshot had
@@ -1233,7 +1210,7 @@ def checked_merges(monkeypatch):
 
     ``prepare_merge`` must capture it, and the same contacts in the same
     order must then reach ``compute_graph_patch`` (patch merges) and
-    ``ContactSnapshotStore.append_run`` (every LSM merge).  Adoptions follow
+    ``ContactSnapshotStore.append_run`` (every merge).  Adoptions follow
     preparations in order — also under the sharded coordinator, which
     prepares every due shard, builds, then adopts serially — so two queues
     pair them up.  Returns the list of ``MergeInputs`` checked.
@@ -1253,12 +1230,13 @@ def checked_merges(monkeypatch):
     def prepare_merge(service, through=None):
         watermark = service.ingestor.watermark
         bound = watermark if through is None else min(through, watermark)
+        if service.overlay.snapshot_watermark is not None:
+            bound = max(bound, service.overlay.snapshot_watermark)
         service._sync_delta()
         expected = whole_prefix_slice(
             service.ingestor, service.overlay.snapshot_watermark, bound
         )
         inputs = real_prepare(service, through=through)
-        assert inputs.mode == "lsm"
         assert inputs.new_contacts == expected
         assert inputs.origin == service.ingestor.origin
         if inputs.graph_frontier is not None:
@@ -1295,14 +1273,13 @@ class TestMergeCapturesTheIncrement:
 
     @pytest.mark.parametrize("backend", ("sim",) + EQUIVALENCE_BACKENDS)
     def test_slice_equals_the_whole_prefix_slice_at_every_merge(
-        self, backend, graph_mode, tmp_path, checked_merges, tiny_dataset,
-        tiny_network, tiny_contact_config,
+        self, backend, tmp_path, checked_merges, tiny_dataset, tiny_network,
+        tiny_contact_config,
     ):
         service = self._service(
             tiny_dataset,
             tiny_contact_config,
             backend_storage_config(backend, storage_dir=str(tmp_path)),
-            graph_mode=graph_mode,
         )
         batches = list(DatasetReplaySource(tiny_dataset, batch_ticks=6).batches())
         for position, batch in enumerate(batches):
@@ -1313,12 +1290,8 @@ class TestMergeCapturesTheIncrement:
         service.merge()
         patched = [inputs for inputs in checked_merges if inputs.graph_frontier]
         assert len(checked_merges) >= 6
-        if graph_mode == "incremental":
-            assert len(patched) == len(checked_merges) - 1, "only the first merge builds"
-            assert checked_merges[0].prefix is not None
-        else:
-            assert not patched
-            assert all(inputs.prefix is not None for inputs in checked_merges)
+        assert len(patched) == len(checked_merges) - 1, "only the first merge builds"
+        assert checked_merges[0].prefix is not None
         assert_methods_agree(
             reference_evaluator(tiny_network),
             {"service": service.query},
@@ -1410,7 +1383,7 @@ class TestMergeCapturesTheIncrement:
             budget = tail + len(ingestor.open_contacts())
             counter.reset()
             inputs = service.prepare_merge()
-            build = build_merge(inputs, None)
+            build = build_merge(inputs)
             if first:
                 assert calls["ContactNetwork.__init__"] == 1
                 assert calls["StreamIngestor.prefix_dataset"] == 1
