@@ -254,7 +254,7 @@ class TestAsyncEquivalence:
         ]
         assert len(overlay_manifests) == 2, "one durable manifest per shard"
 
-    @pytest.mark.parametrize("shards", (2, 4))
+    @pytest.mark.parametrize("shards", (1, 2, 4))
     def test_queries_while_merges_in_flight(self, dataset, shards):
         """Answers issued while background merges are building must already be
         correct, and stay correct after the merges adopt their snapshots."""

@@ -19,6 +19,7 @@ from repro.cli import (
     _CONCURRENCY_KWARGS,
     _SHARD_KWARGS,
     build_parser,
+    main,
 )
 from repro.experiments.figures import EXPERIMENTS
 
@@ -161,6 +162,15 @@ class TestCliPlumbing:
         args = build_parser().parse_args(["stream-async", "--concurrency", "8"])
         assert args.concurrency == 8
         assert build_parser().parse_args(["stream"]).concurrency is None
+
+    def test_graph_mode_flag_and_stream_graph_are_rejected(self):
+        # Merges have one shape: the flag that picked a rebuild per merge and
+        # the experiment comparing the two fail loudly instead of being ignored.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["stream", "--graph-mode", "rebuild"])
+        with pytest.raises(SystemExit):
+            main(["stream-graph"])
+        assert "stream-graph" not in EXPERIMENTS
 
     def test_injection_tables_reference_known_experiments(self):
         assert set(_SHARD_KWARGS) <= set(EXPERIMENTS)

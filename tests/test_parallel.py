@@ -162,27 +162,63 @@ class TestExecutorEquivalence:
             service.close()
 
     def test_process_executor_patches_the_graph(
-        self, tiny_dataset, tiny_contact_config
+        self, graph_labels, tiny_dataset, tiny_contact_config
     ):
-        # Graph patches built in a worker process and applied on the owning
-        # thread keep the answers reference-identical.
+        # Graph patches (and their label patches) built in a worker process
+        # and applied on the owning thread keep the answers
+        # reference-identical.
         service = _service(
             tiny_dataset,
             tiny_contact_config,
             merge_executor="process",
             merge_workers=2,
+            graph_labels=graph_labels,
         )
         try:
             service.drain(tiny_dataset)
             service.merge()
             assert service.num_merges > 1
             assert service.graph_rebuilds == 1
+            index = service.overlay.snapshot_processor.index
+            assert (index.labels is not None) == graph_labels
             assert_methods_agree(
                 reference_evaluator(prefix_network(tiny_dataset, TINY_THRESHOLD)),
                 {"streaming": service.query},
                 random_queries(tiny_dataset, count=10, seed=21),
                 check_earliest=True,
-                context="process executor",
+                context=f"process executor, graph_labels={graph_labels}",
+            )
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("executor", ("thread", "process"))
+    def test_pool_executor_runs_every_build(
+        self, executor, tiny_dataset, tiny_contact_config
+    ):
+        # Every merge — the first graph build as well as every patch — is
+        # shipped to the pool; no build falls back to the owning thread.
+        service = _service(
+            tiny_dataset,
+            tiny_contact_config,
+            merge_executor=executor,
+            merge_workers=2,
+        )
+        try:
+            service.drain(tiny_dataset)
+            service.merge()
+            pool = service.merge_executor
+            timings = pool.timings.timings
+            assert service.num_merges > 1
+            assert len(timings) == service.num_merges
+            assert pool.counters.get("merge.builds") == service.num_merges
+            assert {timing.executor for timing in timings} == {executor}
+            assert service.graph_rebuilds == 1
+            assert_methods_agree(
+                reference_evaluator(prefix_network(tiny_dataset, TINY_THRESHOLD)),
+                {"streaming": service.query},
+                random_queries(tiny_dataset, count=10, seed=5),
+                check_earliest=True,
+                context=f"executor={executor}",
             )
         finally:
             service.close()

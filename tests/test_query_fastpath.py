@@ -22,6 +22,7 @@ from __future__ import annotations
 import pytest
 
 from equivalence import (
+    EQUIVALENCE_BACKENDS,
     EQUIVALENCE_LABEL_MODES,
     CallCounter,
     assert_methods_agree,
@@ -234,12 +235,13 @@ class TestReachLabelIndex:
 # ----------------------------------------------------------------------
 # interval labels (maintained through the streaming service)
 # ----------------------------------------------------------------------
-def _service(dataset, contact_config, **overrides):
+def _service(dataset, contact_config, storage_config=None, **overrides):
     overrides.setdefault("max_delta_contacts", 48)
     return StreamingReachabilityService.for_dataset(
         dataset,
         contact_config=contact_config,
         streaming_config=StreamingConfig(**overrides),
+        storage_config=storage_config,
     )
 
 
@@ -544,11 +546,15 @@ class TestPartitionCache:
 # whole-path equivalence (the graph_labels axis)
 # ----------------------------------------------------------------------
 class TestFastPathEquivalence:
+    @pytest.mark.parametrize("backend", ("sim",) + EQUIVALENCE_BACKENDS)
     def test_equivalence_at_every_watermark(
-        self, graph_labels, tiny_dataset, tiny_contact_config
+        self, backend, graph_labels, tmp_path, tiny_dataset, tiny_contact_config
     ):
         service = _service(
-            tiny_dataset, tiny_contact_config, graph_labels=graph_labels
+            tiny_dataset,
+            tiny_contact_config,
+            backend_storage_config(backend, storage_dir=str(tmp_path)),
+            graph_labels=graph_labels,
         )
         workload = random_queries(tiny_dataset, count=12, seed=29)
         for position, batch in enumerate(
@@ -566,7 +572,8 @@ class TestFastPathEquivalence:
                 {f"labels-{graph_labels}": service.query},
                 workload,
                 context=(
-                    f"graph_labels={graph_labels}, watermark={service.watermark}"
+                    f"backend={backend}, graph_labels={graph_labels}, "
+                    f"watermark={service.watermark}"
                 ),
             )
         assert service.num_merges > 1

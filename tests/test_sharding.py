@@ -151,10 +151,13 @@ class TestShardedEquivalence:
             )
         assert sharded.num_merges > 0
 
-    def test_equivalence_shards_build_no_graph(self, dataset, shards):
+    @pytest.mark.parametrize("build_reachgraph_on_merge", (False, True))
+    def test_equivalence_shards_build_no_graph(
+        self, dataset, shards, build_reachgraph_on_merge
+    ):
         """Per-shard snapshots never build the ReachGraph fast path (they are
-        not individually authoritative): identical answers at every
-        watermark, zero graph writes."""
+        not individually authoritative), whatever the coordinator's config
+        asks for: identical answers at every watermark, zero graph writes."""
         # elapsed-intervals fires for every shard that flushes grid intervals,
         # so merges definitely run on every shard.
         sharded = make_sharded(
@@ -164,6 +167,7 @@ class TestShardedEquivalence:
             merge_policy="elapsed-intervals",
             max_elapsed_intervals=2,
             batch_ticks=12,
+            build_reachgraph_on_merge=build_reachgraph_on_merge,
         )
         workload = random_queries(dataset, count=8, seed=11)
         for batch in DatasetReplaySource(dataset, batch_ticks=12).batches():
@@ -178,7 +182,9 @@ class TestShardedEquivalence:
             )
         assert sharded.num_merges > 0
         assert all(
-            shard.graph_records_written == 0 and shard.graph_rebuilds == 0
+            shard.graph_records_written == 0
+            and shard.graph_rebuilds == 0
+            and not shard.overlay.has_reachgraph
             for shard in sharded.shard_services
         ), "per-shard services must never build a graph"
 

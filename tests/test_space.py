@@ -120,12 +120,15 @@ class TestSpaceBound:
     pipeline armed, reclaim, and check the device-over-live bound plus
     answer fidelity (live and reopened)."""
 
+    # ``graph_labels`` is parametrized by the shared conftest hook: the
+    # bound and the answers must hold whether or not the repacked, relocated
+    # graph carries interval labels.
     @pytest.mark.parametrize("backend", SPACE_BACKENDS)
     def test_device_blocks_bounded_after_gc(
-        self, backend, tmp_path, dataset
+        self, backend, graph_labels, tmp_path, dataset
     ):
         storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
-        service = make_service(dataset, storage_config)
+        service = make_service(dataset, storage_config, graph_labels=graph_labels)
         stats = service.drain(DatasetReplaySource(dataset, batch_ticks=6))
         assert stats.events > 0
         assert service.num_merges >= 3, "the stream must force multiple merges"
@@ -135,7 +138,7 @@ class TestSpaceBound:
         device = device_blocks(service)
         assert live > 0
         assert device <= SPACE_BOUND * live, (
-            f"backend={backend}: device={device} "
+            f"backend={backend}, graph_labels={graph_labels}: device={device} "
             f"blocks exceeds {SPACE_BOUND}x live={live}"
         )
         # A dense copy-forward leaves no garbage at all right after the pass.
@@ -149,7 +152,7 @@ class TestSpaceBound:
             {"post-gc": service.query},
             workload,
             check_earliest=True,
-            context=f"post-GC, backend={backend}",
+            context=f"post-GC, backend={backend}, graph_labels={graph_labels}",
         )
 
         if storage_config is None:
@@ -158,12 +161,14 @@ class TestSpaceBound:
         service.close()
         assert_no_stray_gc_files(tmp_path)
         reopened = SnapshotQueryService.open(storage_config, name=service.name)
+        index = reopened.overlay.snapshot_processor.index
+        assert (index.labels is not None) == graph_labels
         assert_reopened_matches_prefix(
             reopened,
             dataset,
             THRESHOLD,
             workload,
-            context=f"reopen after GC, backend={backend}",
+            context=f"reopen after GC, backend={backend}, graph_labels={graph_labels}",
         )
         reopened.close()
 

@@ -454,6 +454,18 @@ class TestStreamingService:
         assert stats.events == tiny_dataset.num_objects * tiny_dataset.num_instants
 
 
+    def test_removed_mode_knobs_are_rejected(self, tiny_dataset):
+        """Merges have one shape: the knobs that chose a rebuild per merge
+        are gone and fail loudly instead of being silently ignored."""
+        engine = ReachabilityEngine(tiny_dataset)
+        with pytest.raises(TypeError):
+            engine.streaming(graph_mode="rebuild")
+        with pytest.raises(TypeError):
+            StreamingConfig(snapshot_mode="rebuild")
+        with pytest.raises(TypeError):
+            StreamingConfig(graph_mode="incremental")
+        assert not hasattr(StreamingConfig(), "with_graph_mode")
+
 class TestMergeEdgeCases:
     """Edge cases of the snapshot/delta merge path (delta.py + policy.py)."""
 
@@ -558,16 +570,18 @@ class TestMergeEdgeCases:
         for _, _, _, end in service.overlay.delta_records:
             assert end > snapshot_watermark
 
-
     @pytest.mark.parametrize("build_reachgraph_on_merge", (False, True))
+    @pytest.mark.parametrize("backend", ("sim",) + EQUIVALENCE_BACKENDS)
     def test_merge_bounded_below_the_snapshot_watermark_freezes_nothing(
-        self, build_reachgraph_on_merge, tiny_dataset, tiny_contact_config
+        self, backend, build_reachgraph_on_merge, tmp_path, tiny_dataset,
+        tiny_contact_config,
     ):
         """Regression: ``merge(through=b)`` with ``b`` below the snapshot
         watermark moved the watermark back to ``b`` (without a graph), so
         the next merge froze ``(b, old watermark]`` a second time; with a
         graph the build refused to patch backwards.  Such a merge must be
-        the zero-new-ticks merge: the store ends up exactly as without it."""
+        the zero-new-ticks merge: the store ends up exactly as without it,
+        on every backend."""
         batches = list(DatasetReplaySource(tiny_dataset, batch_ticks=8).batches())
 
         def drain(backwards):
@@ -577,6 +591,9 @@ class TestMergeEdgeCases:
                 streaming_config=StreamingConfig(
                     max_delta_contacts=10_000,
                     build_reachgraph_on_merge=build_reachgraph_on_merge,
+                ),
+                storage_config=backend_storage_config(
+                    backend, storage_dir=str(tmp_path / f"backwards-{backwards}")
                 ),
             )
             watermarks = []
@@ -595,7 +612,9 @@ class TestMergeEdgeCases:
                 tiny_dataset.horizon
             )
             coverage = sum(end - start + 1 for _, _, start, end in records)
-            return coverage, len(records), service.snapshot_records_written
+            written = service.snapshot_records_written
+            service.close()
+            return coverage, len(records), written
 
         assert drain(backwards=True) == drain(backwards=False)
 
@@ -739,6 +758,45 @@ class TestStorageBackendEquivalence:
         )
         assert service.overlay.storage.config.backend == "file"
         service.close()
+
+    @pytest.mark.parametrize("build_reachgraph_on_merge", (False, True))
+    @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
+    def test_merges_keep_one_overlay_device(
+        self,
+        backend,
+        build_reachgraph_on_merge,
+        tmp_path,
+        tiny_dataset,
+        tiny_contact_config,
+    ):
+        """Every merge appends to the overlay the service opened: no merge
+        swaps the overlay or opens a second device, so no superseded file
+        handle or backing file outlives a merge."""
+        service = StreamingReachabilityService.for_dataset(
+            tiny_dataset,
+            contact_config=tiny_contact_config,
+            streaming_config=StreamingConfig(
+                max_delta_contacts=48,
+                build_reachgraph_on_merge=build_reachgraph_on_merge,
+            ),
+            storage_config=backend_storage_config(backend, storage_dir=str(tmp_path)),
+        )
+        overlay = service.overlay
+        device = overlay.storage.disk
+        for batch in DatasetReplaySource(tiny_dataset, batch_ticks=12).batches():
+            service.ingest(batch)
+            assert service.overlay is overlay, "a merge swapped the overlay"
+            assert overlay.storage.disk is device, "a merge opened a second device"
+        assert service.num_merges > 1
+        assert overlay.has_reachgraph == build_reachgraph_on_merge
+        assert not device.closed
+        # Only the grid device and the one overlay device live in the directory.
+        overlay_files = [p for p in tmp_path.iterdir() if "overlay" in p.name]
+        live = overlay.storage.path
+        assert overlay_files and live is not None
+        assert all(str(p).startswith(live) for p in overlay_files), overlay_files
+        service.close()
+        assert device.closed
 
     @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
     def test_open_with_wrong_name_neither_creates_files_nor_leaks(
@@ -927,8 +985,12 @@ class TestIncrementalGraphMaintenance:
             streaming_config=StreamingConfig(**overrides),
         )
 
-    def test_equivalence_at_every_watermark(self, tiny_dataset, tiny_contact_config):
-        service = self._service(tiny_dataset, tiny_contact_config)
+    def test_equivalence_at_every_watermark(
+        self, graph_labels, tiny_dataset, tiny_contact_config
+    ):
+        service = self._service(
+            tiny_dataset, tiny_contact_config, graph_labels=graph_labels
+        )
         workload = random_queries(tiny_dataset, count=12, seed=23)
         for position, batch in enumerate(
             DatasetReplaySource(tiny_dataset, batch_ticks=8).batches()
@@ -944,10 +1006,12 @@ class TestIncrementalGraphMaintenance:
                 ),
                 {"patched-graph": service.query},
                 workload,
-                context=f"watermark={service.watermark}",
+                context=f"graph_labels={graph_labels}, watermark={service.watermark}",
             )
         assert service.num_merges > 1, "the workload must exercise several merges"
         assert service.graph_rebuilds == 1
+        index = service.overlay.snapshot_processor.index
+        assert (index.labels is not None) == graph_labels
 
     def test_incremental_patches_one_live_index(
         self, tiny_dataset, tiny_contact_config
@@ -1076,17 +1140,20 @@ class TestIncrementalGraphMaintenance:
         assert overlay.delta_size == delta_size
         assert overlay.snapshot_watermark == watermark
 
+    @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
     def test_close_reopen_answers_match(
-        self, tmp_path, tiny_dataset, tiny_contact_config
+        self, backend, graph_labels, tmp_path, tiny_dataset, tiny_contact_config
     ):
         """The graph fast path is persisted with the overlay: closing and
         reopening a service whose graph was patched at every merge must
-        answer identically."""
-        storage_config = backend_storage_config("file", str(tmp_path))
+        answer identically, with or without its interval labels."""
+        storage_config = backend_storage_config(backend, str(tmp_path))
         service = StreamingReachabilityService.for_dataset(
             tiny_dataset,
             contact_config=tiny_contact_config,
-            streaming_config=StreamingConfig(max_delta_contacts=48),
+            streaming_config=StreamingConfig(
+                max_delta_contacts=48, graph_labels=graph_labels
+            ),
             storage_config=storage_config,
         )
         service.drain(tiny_dataset)
@@ -1098,6 +1165,8 @@ class TestIncrementalGraphMaintenance:
         reopened = SnapshotQueryService.open(storage_config, name=service.name)
         assert reopened.watermark == final
         assert reopened.overlay.has_reachgraph
+        restored = reopened.overlay.snapshot_processor.index
+        assert (restored.labels is not None) == graph_labels
         assert_methods_agree(
             reference_evaluator(
                 prefix_network(tiny_dataset, TINY_THRESHOLD, through=final)
@@ -1106,7 +1175,7 @@ class TestIncrementalGraphMaintenance:
             workload,
             check_earliest=True,
             require_earliest=True,
-            context="reopened",
+            context=f"reopened, backend={backend}, graph_labels={graph_labels}",
         )
         for query in workload:
             assert bool(reopened.query(query).reachable) == bool(live[query])
