@@ -10,8 +10,8 @@ answers never change:
 
 * GRAIL-style **interval labels** over the reduced DAG reject provably
   unreachable pairs in O(1) and prune hopeless branches of the BM-BFS
-  frontier; they are patched incrementally as streaming merges extend the
-  graph.
+  frontier; they are recomputed whenever a streaming merge adds vertices
+  to the graph.
 * Per-run **zone maps** (min/max contact time plus an object-id Bloom
   filter) let the LSM snapshot store skip whole runs on narrow reads, and
   let the overlay answer unknown-endpoint queries with zero IO.

@@ -14,7 +14,7 @@ that the benchmark harness can sweep them exactly as the paper does:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence, Tuple
+from typing import ClassVar, Sequence, Tuple
 
 from .errors import ConfigurationError
 
@@ -169,22 +169,18 @@ class ReachGraphConfig:
         DAG (see :mod:`repro.reachgraph.labels`).  Labels give queries O(1)
         negative rejection and frontier pruning; disabling them falls back
         to pure traversal.
-    label_dirty_ratio:
-        Bound on the incremental label-patch pass: when an increment dirties
-        more than this fraction of the vertex labels, the index relabels
-        from scratch instead (ledger-counted either way).
     """
 
     resolutions: Tuple[int, ...] = DEFAULT_RESOLUTIONS
     partition_depth: int = 32
     interval_labels: bool = True
-    label_dirty_ratio: float = 0.25
+    #: Unused and not settable: labels are always computed in full.  Kept
+    #: readable for callers that still pass it to ``ReachLabelIndex.build``.
+    label_dirty_ratio: ClassVar[float] = 0.25
 
     def __post_init__(self) -> None:
         if self.partition_depth <= 0:
             raise ConfigurationError("partition_depth must be positive")
-        if not 0.0 <= self.label_dirty_ratio <= 1.0:
-            raise ConfigurationError("label_dirty_ratio must be within [0, 1]")
         seen = set()
         for resolution in self.resolutions:
             if resolution <= 1:
@@ -204,30 +200,15 @@ class ReachGraphConfig:
 
     def with_resolutions(self, resolutions: Sequence[int]) -> "ReachGraphConfig":
         """Copy of this config with a different resolution set."""
-        return ReachGraphConfig(
-            resolutions=tuple(resolutions),
-            partition_depth=self.partition_depth,
-            interval_labels=self.interval_labels,
-            label_dirty_ratio=self.label_dirty_ratio,
-        )
+        return replace(self, resolutions=tuple(resolutions))
 
     def with_partition_depth(self, depth: int) -> "ReachGraphConfig":
         """Copy of this config with a different partition depth."""
-        return ReachGraphConfig(
-            resolutions=self.resolutions,
-            partition_depth=depth,
-            interval_labels=self.interval_labels,
-            label_dirty_ratio=self.label_dirty_ratio,
-        )
+        return replace(self, partition_depth=depth)
 
     def with_interval_labels(self, enabled: bool) -> "ReachGraphConfig":
         """Copy of this config with the label fast path toggled."""
-        return ReachGraphConfig(
-            resolutions=self.resolutions,
-            partition_depth=self.partition_depth,
-            interval_labels=enabled,
-            label_dirty_ratio=self.label_dirty_ratio,
-        )
+        return replace(self, interval_labels=enabled)
 
 
 #: Merge-policy names understood by :class:`StreamingConfig` and the
@@ -331,12 +312,8 @@ class StreamingConfig:
         Maintain GRAIL-style interval labels on the merge-built ReachGraph
         (see :mod:`repro.reachgraph.labels`): queries reject provable
         negatives in O(1) and prune traversal frontiers without IO.  Labels
-        are patched inside each incremental merge and persisted through the
-        overlay manifest; disabling them reverts to pure traversal.
-    label_dirty_ratio:
-        Bound on the incremental label patch: an increment dirtying more
-        than this fraction of the labels triggers a full relabel instead
-        (both outcomes ledger-counted in :class:`~repro.streaming.service.StreamingStats`).
+        are recomputed by every merge that adds a vertex and by every
+        reopen, never persisted; disabling them reverts to pure traversal.
     partition_cache_size:
         Capacity (in graph partitions) of the cross-query partition cache
         shared by the sync, async, and parallel query paths.  The cache is
@@ -361,7 +338,6 @@ class StreamingConfig:
     merge_executor: str = "inline"
     merge_workers: int = 2
     graph_labels: bool = True
-    label_dirty_ratio: float = 0.25
     partition_cache_size: int = 64
 
     def __post_init__(self) -> None:
@@ -407,8 +383,6 @@ class StreamingConfig:
             )
         if self.merge_workers <= 0:
             raise ConfigurationError("merge_workers must be positive")
-        if not 0.0 <= self.label_dirty_ratio <= 1.0:
-            raise ConfigurationError("label_dirty_ratio must be within [0, 1]")
         if self.partition_cache_size < 0:
             raise ConfigurationError("partition_cache_size must be non-negative")
 

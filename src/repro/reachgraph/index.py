@@ -326,8 +326,8 @@ class ReachGraphIndex:
         self.build_report: Optional[ReachGraphBuildReport] = None
         self._partition_of_vertex: Dict[int, int] = {}
         self._slot_of_vertex: Dict[int, int] = {}
-        # GRAIL-style interval labels (the query fast path); built alongside
-        # the graph when the config enables them and patched per increment.
+        # GRAIL-style interval labels (the query fast path); made from the
+        # DN_1 successor lists whenever the config enables them.
         self._labels: Optional[ReachLabelIndex] = None
 
         # Incremental-maintenance state and the write-amplification ledger.
@@ -413,9 +413,7 @@ class ReachGraphIndex:
             for resolution in self.config.sorted_resolutions
         }
         if self.config.interval_labels:
-            self._labels = ReachLabelIndex.build(
-                dag, dirty_ratio=self.config.label_dirty_ratio
-            )
+            self._labels = ReachLabelIndex.build(dag)
 
         if self._storage is not None:
             self._write_partitions()
@@ -635,10 +633,10 @@ class ReachGraphIndex:
                     dirty.add(source_id)
         self._window_cursors.update(dict(patch.window_cursors))
 
-        # 2b. Patch the interval labels over the grown DAG (long edges are
-        #     shortcuts over DN_1 paths, so labels only track DN_1).
-        if self._labels is not None:
-            self._labels.apply_patch(patch, dag)
+        # 2b. Relabel the grown DAG (long edges are shortcuts over DN_1
+        #     paths, so labels only track DN_1; an extension changes none).
+        if self._labels is not None and (patch.new_nodes or patch.new_edges):
+            self._labels.relabel(dag)
 
         # 3. Fresh vertices join fresh partitions (old extents are immutable
         #    in shape); write each new partition as one contiguous extent.
@@ -789,11 +787,11 @@ class ReachGraphIndex:
         """A picklable description sufficient to :meth:`restore` this index.
 
         Only what the partition extents cannot express is cataloged: the
-        configuration, the per-resolution window cursors (the augmentation
-        resumption points), the interval labels (ranks depend on the DFS
-        history, so they ride the catalog rather than being recomputed), and
-        the write-amplification ledger.  The graph itself is rebuilt from
-        the vertex records on the device.
+        configuration (``interval_labels`` says whether the index carries
+        labels), the per-resolution window cursors (the augmentation
+        resumption points), and the write-amplification ledger.  The graph
+        itself is rebuilt from the vertex records on the device, and so are
+        the labels, a pure function of the records' ``DN_1`` successors.
         """
         self._require_built()
         return {
@@ -806,7 +804,7 @@ class ReachGraphIndex:
             "increments": self._increments,
             "packed_partitions": sorted(self._packed_partitions),
             "repacks": self._repacks,
-            "labels": self._labels.catalog() if self._labels is not None else None,
+            "interval_labels": self._labels is not None,
         }
 
     @classmethod
@@ -843,8 +841,11 @@ class ReachGraphIndex:
         config = ReachGraphConfig(
             resolutions=resolutions,
             partition_depth=int(catalog["partition_depth"]),  # type: ignore[arg-type]
-            # A service that ran without labels catalogs None; keep it off.
-            interval_labels=catalog.get("labels") is not None,
+            # A catalog written before the labels left it holds ``"labels"``
+            # instead: the label state, or None for a service without them.
+            interval_labels=bool(
+                catalog.get("interval_labels", catalog.get("labels") is not None)
+            ),
         )
         index = cls(
             None, config=config, name=str(catalog["name"]), defer_placement=True
@@ -904,15 +905,8 @@ class ReachGraphIndex:
             for partition_id in catalog.get("packed_partitions", ())  # type: ignore[union-attr]
         }
         self._repacks = int(catalog.get("repacks", 0))  # type: ignore[arg-type]
-        labels_catalog = catalog.get("labels")
-        if labels_catalog is not None:
-            labels = ReachLabelIndex.restore(labels_catalog)  # type: ignore[arg-type]
-            if labels.num_labels != len(records):
-                raise IndexConstructionError(
-                    f"label catalog covers {labels.num_labels} vertices, "
-                    f"the partition extents hold {len(records)}"
-                )
-            self._labels = labels
+        if self.config.interval_labels:
+            self._labels = ReachLabelIndex([record[4] for record in records])
 
         # 3. Each object's assignment history as the records tell it: one
         #    ``(start, vertex)`` segment per vertex it belongs to, in vertex

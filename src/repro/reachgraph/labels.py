@@ -1,4 +1,4 @@
-"""GRAIL-style interval labels over the reduced DAG, patched across merges.
+"""GRAIL-style interval labels over the reduced DAG, a pure function of ``DN_1``.
 
 The :class:`ReachLabelIndex` assigns every DN vertex a label
 ``[low(v), rank(v)]`` where ``rank`` is a postorder DFS rank over ``DN_1``
@@ -10,25 +10,17 @@ path — whenever ``rank(v)`` falls outside ``[low(u), rank(u)]`` the target is
 one-sided: a rank inside the interval proves nothing, and the exact
 traversal remains the tie-breaker.
 
-Two facts about the reduced DAG make the labels cheap to maintain
-incrementally across streaming merges:
-
-* vertex creation order is a topological order (an edge always points from a
-  vertex that ends at ``t - 1`` to one that starts at ``t``), so vertex ids
-  themselves are a topological sort — ``reversed(range(num_nodes))`` is a
-  reverse-topological sweep;
-* a :class:`~repro.reachgraph.dag.DagPatch` only ever adds edges whose
-  *target* is a new vertex, so pre-existing vertices never gain new
-  descendants except through edges whose sources the patch names.
-
-Incremental maintenance therefore assigns each new vertex a fresh rank
-*below* every existing rank (a descending negative counter — new vertices
-are created later, hence downstream, hence must rank below their ancestors)
-and propagates the resulting ``low`` decreases up the predecessor closure.
-The propagation pass is bounded: when the dirtied ancestor set exceeds
-``dirty_ratio`` of the graph the index abandons the patch and relabels from
-scratch, which also restores tight postorder intervals.  Both outcomes are
-ledger-counted so experiments can report how often each path fired.
+The labels are made one way only: a deterministic postorder over the
+``DN_1`` successor lists — roots in id order, children in successor-list
+order, lows folded in reverse id order.  Vertex creation order is a
+topological order (an edge always points from a vertex that ends at
+``t - 1`` to one that starts at ``t``), so a vertex with a predecessor is
+always reached from a smaller root, and ``reversed(range(num_nodes))`` sees
+every successor before its predecessors.  The same successor lists give the
+same labels in any process, so labels are never persisted: a build labels
+the DAG it built, a merge that adds a vertex or a ``DN_1`` edge relabels the
+grown DAG, and a reopen labels the successor tuples of the vertex records
+it reads anyway.
 
 Long edges are shortcuts over ``DN_1`` paths, so reachability over ``DN_1``
 equals reachability over the hyper graph — the labels are computed on the
@@ -37,101 +29,76 @@ base DAG only and remain valid for pruning long-edge traversal too.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import List, Mapping, Sequence, Tuple, Union
 
-from .dag import ContactDag, DagPatch
+from .dag import ContactDag
 
 __all__ = ["ReachLabelIndex"]
 
-# Default bound on the incremental pass: relabel from scratch when the dirty
-# ancestor closure exceeds this fraction of the vertex count.
-DEFAULT_DIRTY_RATIO = 0.25
+#: ``successors[v]`` is the ``DN_1`` successor list of vertex ``v``, for every
+#: id in ``range(len(successors))``: a list of tuples (vertex records) or a
+#: DAG's id-keyed ``forward`` map.
+SuccessorLists = Union[Sequence[Sequence[int]], Mapping[int, Sequence[int]]]
+
+
+def _postorder_labels(successors: SuccessorLists) -> Tuple[List[int], List[int]]:
+    """The ``(ranks, lows)`` of the one deterministic postorder labelling."""
+    num_nodes = len(successors)
+    ranks = [0] * num_nodes
+    visited = [False] * num_nodes
+    counter = 0
+    for root in range(num_nodes):
+        if visited[root]:
+            continue
+        visited[root] = True
+        stack = [(root, iter(successors[root]))]
+        while stack:
+            node_id, children = stack[-1]
+            for child in children:
+                if not visited[child]:
+                    visited[child] = True
+                    stack.append((child, iter(successors[child])))
+                    break
+            else:
+                stack.pop()
+                counter += 1
+                ranks[node_id] = counter
+    lows = list(ranks)
+    for node_id in range(num_nodes - 1, -1, -1):
+        low = lows[node_id]
+        for child in successors[node_id]:
+            if lows[child] < low:
+                low = lows[child]
+        lows[node_id] = low
+    return ranks, lows
 
 
 class ReachLabelIndex:
-    """Min-postorder interval labels with bounded incremental patching.
+    """Min-postorder interval labels of the ``DN_1`` successor lists.
 
-    Built once from a :class:`~repro.reachgraph.dag.ContactDag` and then
-    patched by :meth:`apply_patch` whenever the owning index applies a
-    :class:`~repro.reachgraph.dag.DagPatch`.  All state is in memory; the
-    whole index serializes into the graph catalog via :meth:`catalog` and
-    comes back through :meth:`restore`, riding the same manifest commit
-    point as the rest of the graph.
+    :meth:`build` labels a :class:`~repro.reachgraph.dag.ContactDag`; the
+    constructor labels plain successor lists (a restore hands it the vertex
+    records' ``successors`` tuples); :meth:`relabel` labels a DAG that grew.
     """
 
-    def __init__(self, dirty_ratio: float = DEFAULT_DIRTY_RATIO) -> None:
-        if not 0.0 <= dirty_ratio <= 1.0:
-            raise ValueError("dirty_ratio must be within [0, 1]")
-        self.dirty_ratio = dirty_ratio
-        self._ranks: List[int] = []
-        self._lows: List[int] = []
-        # Next rank handed to an incrementally added vertex; always below
-        # every rank already assigned (full relabels use ranks 1..N).
-        self._next_new_rank = 0
+    def __init__(self, successors: SuccessorLists) -> None:
+        self._ranks, self._lows = _postorder_labels(successors)
         # Ledgers.
         self.full_relabels = 0
-        self.incremental_passes = 0
-        self.patched_labels = 0
         self.rejections = 0
 
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
     @classmethod
-    def build(
-        cls, dag: ContactDag, dirty_ratio: float = DEFAULT_DIRTY_RATIO
-    ) -> "ReachLabelIndex":
-        """Label every vertex of ``dag`` with a deterministic postorder DFS."""
-        index = cls(dirty_ratio=dirty_ratio)
-        index._relabel(dag)
-        index.full_relabels = 0  # the initial build is not a *re*-label
-        return index
+    def build(cls, dag: ContactDag, dirty_ratio: object = None) -> "ReachLabelIndex":
+        """Label every vertex of ``dag``.
 
-    def _relabel(self, dag: ContactDag) -> None:
-        """Recompute every label from scratch (deterministic postorder)."""
-        num_nodes = dag.num_nodes
-        ranks = [0] * num_nodes
-        visited = [False] * num_nodes
-        counter = 0
-        # Roots in id order; children in successor-list order.  The traversal
-        # is deterministic, so labels are reproducible across processes.
-        for root in range(num_nodes):
-            if visited[root] or dag.predecessors(root):
-                continue
-            stack: List[Tuple[int, int]] = [(root, 0)]
-            visited[root] = True
-            while stack:
-                node_id, child_index = stack[-1]
-                successors = dag.successors(node_id)
-                if child_index < len(successors):
-                    stack[-1] = (node_id, child_index + 1)
-                    child = successors[child_index]
-                    if not visited[child]:
-                        visited[child] = True
-                        stack.append((child, 0))
-                else:
-                    stack.pop()
-                    counter += 1
-                    ranks[node_id] = counter
-        # Isolated vertices that are their own root are covered above (no
-        # predecessors); anything still unvisited is unreachable from every
-        # root, which cannot happen in a DAG — but rank it defensively.
-        for node_id in range(num_nodes):
-            if not visited[node_id]:  # pragma: no cover - DAG invariant
-                counter += 1
-                ranks[node_id] = counter
-        # Fold lows bottom-up: vertex ids are a topological order, so a
-        # reversed id sweep sees every successor before its predecessors.
-        lows = list(ranks)
-        for node_id in range(num_nodes - 1, -1, -1):
-            low = lows[node_id]
-            for child in dag.successors(node_id):
-                if lows[child] < low:
-                    low = lows[child]
-            lows[node_id] = low
-        self._ranks = ranks
-        self._lows = lows
-        self._next_new_rank = 0
+        ``dirty_ratio`` is accepted and unused: labels are always computed
+        in full, and the keyword is kept for callers that still pass it.
+        """
+        return cls(dag.forward)
+
+    def relabel(self, dag: ContactDag) -> None:
+        """Recompute every label over ``dag`` (counted in ``full_relabels``)."""
+        self._ranks, self._lows = _postorder_labels(dag.forward)
         self.full_relabels += 1
 
     # ------------------------------------------------------------------
@@ -161,72 +128,7 @@ class ReachLabelIndex:
         return False
 
     # ------------------------------------------------------------------
-    # incremental maintenance
-    # ------------------------------------------------------------------
-    def apply_patch(self, patch: DagPatch, dag: ContactDag) -> None:
-        """Patch labels after ``patch`` has been applied to ``dag``.
-
-        New vertices receive fresh ranks below every existing rank (they are
-        downstream of everything that can reach them), then the ``low``
-        decreases propagate up the predecessor closure.  When the dirtied
-        ancestor set exceeds ``dirty_ratio`` of the graph the pass aborts and
-        the whole DAG is relabelled instead (ledger-counted either way).
-        """
-        if len(self._ranks) != patch.base_nodes:
-            raise ValueError(
-                f"label index covers {len(self._ranks)} vertices but the patch "
-                f"extends a base of {patch.base_nodes}"
-            )
-        if not patch.new_nodes and not patch.new_edges:
-            return
-        # Step 1: rank the new vertices.  Ids continue the base numbering in
-        # creation (= topological) order, so assigning a strictly decreasing
-        # rank per id keeps rank(target) < rank(source) for every edge.
-        for node_id, _, _, _ in patch.new_nodes:
-            if node_id != len(self._ranks):
-                raise ValueError("patch vertex ids must continue the numbering")
-            self._next_new_rank -= 1
-            self._ranks.append(self._next_new_rank)
-            self._lows.append(self._next_new_rank)
-        # Step 2: fold lows of the new suffix in reverse id (= reverse
-        # topological) order so every new vertex sees its successors first.
-        for node_id in range(dag.num_nodes - 1, patch.base_nodes - 1, -1):
-            low = self._lows[node_id]
-            for child in dag.successors(node_id):
-                if self._lows[child] < low:
-                    low = self._lows[child]
-            self._lows[node_id] = low
-        # Step 3: propagate low decreases into the pre-existing prefix.  Only
-        # patch edges whose source is an old vertex can change old labels.
-        max_dirty = max(16, int(self.dirty_ratio * dag.num_nodes))
-        worklist: List[int] = []
-        for source_id, target_id in patch.new_edges:
-            if source_id < patch.base_nodes:
-                if self._lows[target_id] < self._lows[source_id]:
-                    self._lows[source_id] = self._lows[target_id]
-                    worklist.append(source_id)
-        dirty = set(worklist)
-        patched = len(dirty)
-        while worklist:
-            node_id = worklist.pop()
-            low = self._lows[node_id]
-            for pred in dag.predecessors(node_id):
-                if low < self._lows[pred]:
-                    self._lows[pred] = low
-                    if pred not in dirty:
-                        dirty.add(pred)
-                        patched += 1
-                        if patched > max_dirty:
-                            # The closure is too large for a bounded pass:
-                            # relabel from scratch (also tightens intervals).
-                            self._relabel(dag)
-                            return
-                    worklist.append(pred)
-        self.incremental_passes += 1
-        self.patched_labels += len(patch.new_nodes) + patched
-
-    # ------------------------------------------------------------------
-    # verification and persistence
+    # verification
     # ------------------------------------------------------------------
     def check_consistency(self, dag: ContactDag) -> None:
         """Raise when any label violates the containment invariant.
@@ -250,32 +152,8 @@ class ReachLabelIndex:
                         f"edge {node_id}->{child} violates low containment"
                     )
 
-    def catalog(self) -> Dict[str, object]:
-        """Serializable state for the graph catalog (manifest commit path)."""
-        return {
-            "ranks": list(self._ranks),
-            "lows": list(self._lows),
-            "next_new_rank": self._next_new_rank,
-            "dirty_ratio": self.dirty_ratio,
-            "full_relabels": self.full_relabels,
-            "incremental_passes": self.incremental_passes,
-            "patched_labels": self.patched_labels,
-        }
-
-    @classmethod
-    def restore(cls, catalog: Mapping[str, Any]) -> "ReachLabelIndex":
-        """Rebuild a label index from :meth:`catalog` output."""
-        index = cls(dirty_ratio=float(catalog.get("dirty_ratio", DEFAULT_DIRTY_RATIO)))
-        index._ranks = [int(rank) for rank in catalog.get("ranks", ())]
-        index._lows = [int(low) for low in catalog.get("lows", ())]
-        index._next_new_rank = int(catalog.get("next_new_rank", 0))
-        index.full_relabels = int(catalog.get("full_relabels", 0))
-        index.incremental_passes = int(catalog.get("incremental_passes", 0))
-        index.patched_labels = int(catalog.get("patched_labels", 0))
-        return index
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ReachLabelIndex(labels={self.num_labels}, "
-            f"passes={self.incremental_passes}, relabels={self.full_relabels})"
+            f"relabels={self.full_relabels})"
         )

@@ -1019,21 +1019,11 @@ class ReachGraphDeltaOverlay:
         return self._label_prunes_base + current
 
     @property
-    def label_relabels(self) -> int:
-        """Incremental label-patch passes the live index has run."""
-        labels = self._live_labels()
-        return labels.incremental_passes if labels is not None else 0
-
-    @property
     def label_full_relabels(self) -> int:
-        """Full relabels forced by oversized dirty sets on the live index."""
-        labels = self._live_labels()
-        return labels.full_relabels if labels is not None else 0
-
-    def _live_labels(self):  # -> Optional[ReachLabelIndex]
-        if self._processor is None:
-            return None
-        return self._processor.index.labels
+        """Relabels the live index has run since it was built or restored."""
+        if self._processor is None or self._processor.index.labels is None:
+            return 0
+        return self._processor.index.labels.full_relabels
 
     @property
     def bloom_rejections(self) -> int:

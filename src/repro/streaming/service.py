@@ -144,10 +144,9 @@ class MergeInputs:
     ``graph_frontier`` carries the live index's captured resumable state
     when the merge should *patch* the graph — ``None`` when no index exists
     yet (the first merge builds one) or when the service skips the fast path
-    entirely.  ``graph_labels``/``label_dirty_ratio`` freeze the
-    query-fast-path knobs the built index must honour (captured alongside
-    the prefix so a config change between prepare and adopt cannot
-    split-brain the build).
+    entirely.  ``graph_labels`` freezes the query-fast-path knob the built
+    index must honour (captured alongside the prefix so a config change
+    between prepare and adopt cannot split-brain the build).
     """
 
     prefix: Optional[TrajectoryDataset]
@@ -160,7 +159,6 @@ class MergeInputs:
     build_reachgraph: bool
     graph_frontier: Optional["GraphFrontier"] = None
     graph_labels: bool = True
-    label_dirty_ratio: float = 0.25
 
 
 def build_merge(
@@ -196,10 +194,7 @@ def build_merge(
             # the overlay's own device, where close/reopen can find it.
             pending_index = ReachGraphIndex(
                 inputs.prefix,
-                config=ReachGraphConfig(
-                    interval_labels=inputs.graph_labels,
-                    label_dirty_ratio=inputs.label_dirty_ratio,
-                ),
+                config=ReachGraphConfig(interval_labels=inputs.graph_labels),
                 contact_config=None,
                 contact_network=ContactNetwork(
                     inputs.prefix, inputs.contacts, inputs.distance_threshold
@@ -237,6 +232,8 @@ class StreamingStats:
     graph_repacks: int = 0
     label_rejections: int = 0
     label_frontier_prunes: int = 0
+    # Always 0: labels are never patched, only recomputed in full
+    # (``label_full_relabels``).  Kept for readers of the old ledger.
     label_relabels: int = 0
     label_full_relabels: int = 0
     bloom_rejections: int = 0
@@ -540,7 +537,6 @@ class StreamingReachabilityService:
             build_reachgraph=config.build_reachgraph_on_merge,
             graph_frontier=graph_frontier,
             graph_labels=config.graph_labels,
-            label_dirty_ratio=config.label_dirty_ratio,
         )
 
     def adopt_merge(self, build: SnapshotArtifacts, inputs: MergeInputs) -> None:
@@ -857,7 +853,6 @@ class StreamingReachabilityService:
             graph_repacks=self._graph_repacks,
             label_rejections=self._overlay.label_rejections,
             label_frontier_prunes=self._overlay.label_frontier_prunes,
-            label_relabels=self._overlay.label_relabels,
             label_full_relabels=self._overlay.label_full_relabels,
             bloom_rejections=self._overlay.bloom_rejections,
             partition_cache_hits=self._overlay.partition_cache.hits,

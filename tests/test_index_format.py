@@ -7,8 +7,9 @@ are pinned here: a vertex record must stay a tuple that pickles without the
 must answer ``find_vertex_id`` exactly as a scan of the DAG's segments does at
 every stage of an index's life, the slot directory must address every vertex
 inside its partition extent at those same stages, restore must reconcile a
-bucket that got durably ahead of the graph, and a device in another format
-must be refused before a single partition is read.
+bucket that got durably ahead of the graph, a device in another format
+must be refused before a single partition is read, and a catalog written
+while the labels still rode in it must restore the same labels.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from array import array
 import pytest
 
 from equivalence import EQUIVALENCE_BACKENDS, backend_storage_config
+from labels_reference import legacy_catalog_entry
 from repro.core import (
     IndexConstructionError,
     ReachabilityQuery,
@@ -386,4 +388,49 @@ class TestFormatGate:
         assert f"format {found!r}" in str(error.value)
         assert "expected format 2" in str(error.value)
         assert storage.stats.total_reads == reads_before
+        storage.close()
+
+
+# ----------------------------------------------------------------------
+# a catalog that still carries the labels restores the same ones
+# ----------------------------------------------------------------------
+class TestLegacyLabelCatalog:
+    def test_catalog_names_whether_labels_are_on(
+        self, graph_labels, tiny_dataset, tiny_network, tiny_contact_config
+    ):
+        index = ReachGraphIndex(
+            tiny_dataset,
+            ReachGraphConfig(interval_labels=graph_labels),
+            tiny_contact_config,
+            contact_network=tiny_network,
+        ).build()
+        catalog = index.catalog()
+        assert catalog["interval_labels"] is graph_labels
+        assert "labels" not in catalog
+
+    def test_labels_entry_restores_labels_on_or_off_as_catalogued(
+        self, graph_labels, tmp_path, tiny_dataset, tiny_network, tiny_contact_config
+    ):
+        storage = StorageSystem(
+            StorageConfig(backend="file", storage_dir=str(tmp_path)), name="legacy"
+        )
+        index = ReachGraphIndex(
+            tiny_dataset,
+            ReachGraphConfig(interval_labels=graph_labels),
+            tiny_contact_config,
+            contact_network=tiny_network,
+            storage=storage,
+        ).build()
+        catalog = index.catalog()
+        del catalog["interval_labels"]
+        catalog["labels"] = legacy_catalog_entry(index.dag) if graph_labels else None
+        restored = ReachGraphIndex.restore(storage, catalog, tiny_dataset.horizon)
+        if graph_labels:
+            entry = catalog["labels"]
+            assert [
+                restored.labels.label(node_id)
+                for node_id in range(restored.num_vertices)
+            ] == list(zip(entry["lows"], entry["ranks"]))
+        else:
+            assert restored.labels is None
         storage.close()

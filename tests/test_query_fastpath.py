@@ -5,7 +5,7 @@ one-sided — a positive pruning verdict must be *provably* exact, a negative
 one falls through to the traversal that was always correct:
 
 * :class:`~repro.reachgraph.ReachLabelIndex` — GRAIL-style interval labels
-  over the reduced DAG, patched incrementally across streaming merges;
+  over the reduced DAG, recomputed by every merge that adds a vertex;
 * per-run zone maps on the LSM snapshot store (min/max contact time plus an
   object-id Bloom filter), skipping provably disjoint runs without IO;
 * the cross-query :class:`~repro.reachgraph.PartitionCache`, shared by every
@@ -31,6 +31,7 @@ from equivalence import (
     prefix_network,
     reference_evaluator,
 )
+from labels_reference import reference_labels
 from repro.core import (
     ReachabilityQuery,
     StreamingConfig,
@@ -39,7 +40,6 @@ from repro.core import (
 from repro.contacts.network import Contact
 from repro.reachgraph import (
     ContactDag,
-    DagPatch,
     PartitionCache,
     ReachGraphQueryProcessor,
     ReachLabelIndex,
@@ -101,26 +101,9 @@ def chain_dag(length: int) -> ContactDag:
     return dag
 
 
-def suffix_patch(dag: ContactDag, base_nodes: int) -> DagPatch:
-    """A patch describing how ``dag`` extends a ``base_nodes``-vertex prefix."""
-    return DagPatch(
-        base_end=dag.nodes[base_nodes - 1].interval.end,
-        base_nodes=base_nodes,
-        new_end=dag.horizon.end,
-        extensions=(),
-        new_nodes=tuple(
-            (node.node_id, node.interval.start, node.interval.end, tuple(node.members))
-            for node in dag.nodes[base_nodes:]
-        ),
-        new_edges=tuple(
-            (source, target)
-            for source in range(dag.num_nodes)
-            for target in dag.successors(source)
-            if target >= base_nodes
-        ),
-        new_long_edges=(),
-        window_cursors=(),
-    )
+def labels_of(labels: ReachLabelIndex) -> list:
+    """Every ``(low, rank)`` label, in vertex-id order."""
+    return [labels.label(node_id) for node_id in range(labels.num_labels)]
 
 
 # ----------------------------------------------------------------------
@@ -154,82 +137,37 @@ class TestReachLabelIndex:
         for node_id in range(figure1_dag.num_nodes):
             assert not labels.rejects(node_id, node_id)
 
-    def test_dirty_ratio_is_validated(self):
-        with pytest.raises(ValueError):
-            ReachLabelIndex(dirty_ratio=-0.1)
-        with pytest.raises(ValueError):
-            ReachLabelIndex(dirty_ratio=1.5)
+    def test_build_is_the_reference_postorder(self, figure1_dag, tiny_network):
+        """Bit for bit the labels an older writer put in the graph catalog."""
+        generated, _ = reduce_contact_network(tiny_network)
+        for dag in (figure1_dag, generated):
+            ranks, lows = reference_labels(dag)
+            assert labels_of(ReachLabelIndex.build(dag)) == list(zip(lows, ranks))
 
-    def test_patch_base_mismatch_is_rejected(self):
-        dag = chain_dag(6)
-        labels = ReachLabelIndex.build(dag)
-        with pytest.raises(ValueError):
-            labels.apply_patch(suffix_patch(dag, base_nodes=3), dag)
+    def test_successor_tuples_label_like_the_dag(self, tiny_network):
+        """A restore labels the records' successor tuples, not a DAG."""
+        dag, _ = reduce_contact_network(tiny_network)
+        records = [tuple(dag.successors(node_id)) for node_id in range(dag.num_nodes)]
+        assert labels_of(ReachLabelIndex(records)) == labels_of(
+            ReachLabelIndex.build(dag)
+        )
 
-    def test_incremental_patch_stays_exact(self):
+    def test_relabel_labels_the_grown_dag(self):
         dag = chain_dag(8)
-        # Branch the tail so the patch carries real fan-out, not just a path.
+        labels = ReachLabelIndex.build(dag)
+        assert labels.full_relabels == 0, "the initial build is not a relabel"
+        # Branch the tail so the growth carries real fan-out, not just a path.
         dag.add_node(TimeInterval(8, 8), frozenset({1, 2}))
         dag.add_node(TimeInterval(8, 9), frozenset({1, 2}))
         dag.add_edge(7, 8)
         dag.add_edge(7, 9)
         dag.add_node(TimeInterval(9, 9), frozenset({1, 2}))
         dag.add_edge(8, 10)
-
-        prefix = chain_dag(8)
-        labels = ReachLabelIndex.build(prefix)
-        labels.apply_patch(suffix_patch(dag, base_nodes=8), dag)
-        labels.check_consistency(dag)
-        assert labels.num_labels == dag.num_nodes
-        assert labels.incremental_passes == 1
-        assert labels.full_relabels == 0
-        assert labels.patched_labels > 0
-        assert_rejections_exact(labels, dag)
-
-    def test_overflowing_dirty_bound_falls_back_to_full_relabel(self):
-        # A 20-deep chain: one new frontier vertex dirties every ancestor,
-        # exceeding the floor bound of 16 when dirty_ratio pins it there.
-        dag = chain_dag(21)
-        prefix = chain_dag(20)
-        labels = ReachLabelIndex.build(prefix, dirty_ratio=0.0)
-        labels.apply_patch(suffix_patch(dag, base_nodes=20), dag)
+        labels.relabel(dag)
         assert labels.full_relabels == 1
-        assert labels.incremental_passes == 0
+        assert labels_of(labels) == labels_of(ReachLabelIndex.build(dag))
         labels.check_consistency(dag)
         assert_rejections_exact(labels, dag)
-        # The relabel restored tight positive postorder ranks throughout.
-        assert all(labels.label(n)[1] > 0 for n in range(dag.num_nodes))
-
-    def test_dirty_ratio_one_never_falls_back(self):
-        # With the bound at the whole vertex count the dirty closure can
-        # never exceed it — the incremental pass must always survive.
-        dag = chain_dag(21)
-        prefix = chain_dag(20)
-        labels = ReachLabelIndex.build(prefix, dirty_ratio=1.0)
-        labels.apply_patch(suffix_patch(dag, base_nodes=20), dag)
-        assert labels.incremental_passes == 1
-        assert labels.full_relabels == 0
-        labels.check_consistency(dag)
-        assert_rejections_exact(labels, dag)
-
-    def test_catalog_restore_roundtrip(self):
-        dag = chain_dag(10)
-        prefix = chain_dag(7)
-        labels = ReachLabelIndex.build(prefix, dirty_ratio=1.0)
-        labels.apply_patch(suffix_patch(dag, base_nodes=7), dag)
-        restored = ReachLabelIndex.restore(labels.catalog())
-        assert restored.num_labels == labels.num_labels
-        for node_id in range(dag.num_nodes):
-            assert restored.label(node_id) == labels.label(node_id)
-        assert restored.dirty_ratio == labels.dirty_ratio
-        assert restored.incremental_passes == labels.incremental_passes
-        assert restored.full_relabels == labels.full_relabels
-        # The negative-rank counter must survive the roundtrip, or the next
-        # patch after a reopen would hand out colliding ranks.
-        longer = chain_dag(12)
-        restored.apply_patch(suffix_patch(longer, base_nodes=10), longer)
-        restored.check_consistency(longer)
-        assert_rejections_exact(restored, longer)
 
 
 # ----------------------------------------------------------------------
@@ -246,30 +184,27 @@ def _service(dataset, contact_config, storage_config=None, **overrides):
 
 
 class TestLabelsInService:
-    def test_labels_are_patched_across_incremental_merges(
+    def test_labels_are_recomputed_across_incremental_merges(
         self, tiny_dataset, tiny_contact_config
     ):
-        service = _service(
-            tiny_dataset,
-            tiny_contact_config,
-            label_dirty_ratio=1.0,
-        )
+        service = _service(tiny_dataset, tiny_contact_config)
         service.drain(tiny_dataset)
         service.merge()
         assert service.num_merges > 1
         index = service.overlay.snapshot_processor.index
         labels = index.labels
         assert labels is not None
-        assert labels.num_labels == index.dag.num_nodes
-        # dirty_ratio=1.0 makes the fallback unreachable: every increment
-        # must have gone through the bounded incremental pass.
-        assert labels.incremental_passes == index.num_increments
-        assert labels.full_relabels == 0
+        assert labels_of(labels) == labels_of(ReachLabelIndex.build(index.dag))
+        # Every increment of this stream adds vertices, and each one
+        # relabels in full; nothing is ever patched.
+        stats = service.stats
+        assert stats.label_full_relabels == index.num_increments > 0
+        assert stats.label_relabels == 0
         labels.check_consistency(index.dag)
         assert_rejections_exact(labels, index.dag)
         service.close()
 
-    def test_default_ratio_falls_back_but_stays_exact(
+    def test_merge_without_new_vertices_keeps_the_labels(
         self, tiny_dataset, tiny_contact_config
     ):
         service = _service(tiny_dataset, tiny_contact_config)
@@ -277,13 +212,35 @@ class TestLabelsInService:
         service.merge()
         index = service.overlay.snapshot_processor.index
         labels = index.labels
-        assert labels is not None
-        stats = service.stats
-        assert (
-            stats.label_relabels + stats.label_full_relabels
-            == index.num_increments
-        ), "every increment must be ledger-counted, whichever path it took"
-        labels.check_consistency(index.dag)
+        relabels = labels.full_relabels
+        increments = index.num_increments
+        service.merge(through=service.watermark)  # zero new ticks
+        assert index.num_increments == increments + 1, "an empty patch was applied"
+        assert index.labels is labels
+        assert labels.full_relabels == relabels
+        assert labels_of(labels) == labels_of(ReachLabelIndex.build(index.dag))
+        service.close()
+
+    @pytest.mark.parametrize("backend", ("sim",) + EQUIVALENCE_BACKENDS)
+    def test_live_labels_equal_a_fresh_build_after_every_merge(
+        self, backend, tmp_path, tiny_dataset, tiny_contact_config
+    ):
+        service = _service(
+            tiny_dataset,
+            tiny_contact_config,
+            backend_storage_config(backend, storage_dir=str(tmp_path)),
+        )
+        merges_seen = 0
+        for batch in DatasetReplaySource(tiny_dataset, batch_ticks=8).batches():
+            service.ingest(batch)
+            if service.num_merges == merges_seen:
+                continue
+            merges_seen = service.num_merges
+            index = service.overlay.snapshot_processor.index
+            assert labels_of(index.labels) == labels_of(
+                ReachLabelIndex.build(index.dag)
+            ), f"backend={backend}, merge {merges_seen}"
+        assert merges_seen > 1, "the workload must exercise several merges"
         service.close()
 
     def test_labels_follow_frontier_repacks(self, tiny_dataset, tiny_contact_config):
@@ -350,6 +307,34 @@ class TestLabelsInService:
             context="labels restored",
         )
         reopened.close()
+
+    def test_resumed_service_counts_only_its_own_relabels(
+        self, tmp_path, tiny_dataset, tiny_contact_config
+    ):
+        """The relabel ledger starts at 0 on a reopen, as on a fresh build:
+        a resumed writer reports the relabels it ran, not its predecessor's."""
+        storage_config = backend_storage_config("file", storage_dir=str(tmp_path))
+        service = _service(tiny_dataset, tiny_contact_config, storage_config)
+        batches = list(DatasetReplaySource(tiny_dataset, batch_ticks=8).batches())
+        for batch in batches[: len(batches) // 2]:
+            service.ingest(batch)
+        service.merge()
+        assert service.stats.label_full_relabels > 0
+        service.close()
+
+        resumed = StreamingReachabilityService.open(
+            storage_config, name=service.name, auto_merge=False
+        )
+        assert resumed.stats.label_full_relabels == 0
+        vertices = resumed.overlay.snapshot_processor.index.num_vertices
+        for batch in batches[len(batches) // 2 :]:
+            resumed.ingest(batch)
+        resumed.merge()
+        index = resumed.overlay.snapshot_processor.index
+        assert index.num_vertices > vertices, "the merge must add vertices"
+        assert resumed.stats.label_full_relabels == 1
+        assert labels_of(index.labels) == labels_of(ReachLabelIndex.build(index.dag))
+        resumed.close()
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ from repro.core import (
     ConfigurationError,
     Point,
     ReachabilityQuery,
+    ReachGraphConfig,
     StreamingConfig,
     StreamingError,
     TimeInterval,
@@ -456,7 +457,8 @@ class TestStreamingService:
 
     def test_removed_mode_knobs_are_rejected(self, tiny_dataset):
         """Merges have one shape: the knobs that chose a rebuild per merge
-        are gone and fail loudly instead of being silently ignored."""
+        (and the label-patch bound) are gone and fail loudly instead of
+        being silently ignored."""
         engine = ReachabilityEngine(tiny_dataset)
         with pytest.raises(TypeError):
             engine.streaming(graph_mode="rebuild")
@@ -465,6 +467,11 @@ class TestStreamingService:
         with pytest.raises(TypeError):
             StreamingConfig(graph_mode="incremental")
         assert not hasattr(StreamingConfig(), "with_graph_mode")
+        # Labels are recomputed in full, never patched: no patch bound.
+        with pytest.raises(TypeError):
+            StreamingConfig(label_dirty_ratio=0.5)
+        with pytest.raises(TypeError):
+            ReachGraphConfig(label_dirty_ratio=0.5)
 
 class TestMergeEdgeCases:
     """Edge cases of the snapshot/delta merge path (delta.py + policy.py)."""
