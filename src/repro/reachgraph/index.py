@@ -31,7 +31,8 @@ rewritten on disk, with :attr:`~ReachGraphIndex.records_written` /
 What the index holds in memory is two things with two lifetimes.  The
 *serving state* is all a query reads: the catalog fields, the slot directory
 (:meth:`~ReachGraphIndex.locate`), the interval labels, the object index and
-the :class:`GraphDomain` (which objects, which ticks).
+the :class:`GraphDomain` (which objects, which ticks), and the vertex starts
+(:meth:`~ReachGraphIndex.vertices_starting_by`).
 :meth:`ReachGraphIndex.restore` rebuilds exactly that from the device.  The
 *maintenance graph* — ``dag`` and ``hypergraph`` — is only ever read by a
 writer (``frontier``, ``apply_increment``, ``repack_frontier``, record
@@ -326,6 +327,9 @@ class ReachGraphIndex:
         self.build_report: Optional[ReachGraphBuildReport] = None
         self._partition_of_vertex: Dict[int, int] = {}
         self._slot_of_vertex: Dict[int, int] = {}
+        # Vertex starts in id order: nondecreasing, because a vertex is
+        # numbered at the tick it starts (ReductionCursor.advance).
+        self._vertex_starts: "array[int]" = array("q")
         # GRAIL-style interval labels (the query fast path); made from the
         # DN_1 successor lists whenever the config enables them.
         self._labels: Optional[ReachLabelIndex] = None
@@ -404,6 +408,7 @@ class ReachGraphIndex:
             dag, self.config.sorted_resolutions
         )
         self._hypergraph = hypergraph
+        self._vertex_starts = array("q", [node.interval.start for node in dag.nodes])
         partitioning = partition_hypergraph(hypergraph, self.config.partition_depth)
         self._adopt_partitioning(partitioning)
         self._window_cursors = {
@@ -440,9 +445,8 @@ class ReachGraphIndex:
         The counterpart of ``defer_placement=True``: the in-memory build may
         run in a background thread, and the adopting (storage-owning) thread
         calls this to create the partition file and object index and write
-        them out.  ``name`` optionally renames the on-device files — the
-        streaming overlay versions them (``graph-v1``, ``graph-v2``, …) so
-        successive rebuild-mode graphs on one device never collide.
+        them out.  ``name`` optionally renames the on-device files, so two
+        graphs placed on one device never collide.
         """
         self._require_built()
         if self._storage is not None:
@@ -616,6 +620,7 @@ class ReachGraphIndex:
                 raise IndexConstructionError(
                     f"patch vertex {node_id} materialized as {node.node_id}"
                 )
+        self._vertex_starts.extend([start for _, start, _, _ in patch.new_nodes])
         for source_id, target_id in patch.new_edges:
             dag.add_edge(source_id, target_id)
             if source_id < patch.base_nodes:
@@ -860,7 +865,8 @@ class ReachGraphIndex:
         The extent key is the partition id and record order inside an extent
         is the member write order, so the extents are the authoritative
         partitioning too.  Vertex ids are dense (a vertex is numbered by
-        creation order), which is the check that no extent lost a record.
+        creation order), which is the check that no extent lost a record,
+        and in start order, which :meth:`vertices_starting_by` relies on.
         """
         assert self._partitions_file is not None
         partition_members: Dict[int, List[int]] = {}
@@ -874,6 +880,12 @@ class ReachGraphIndex:
             if record[0] != expected_id:
                 raise IndexConstructionError(
                     f"partition extents are missing vertex {expected_id}"
+                )
+            if expected_id and record[1] < records[expected_id - 1][1]:
+                raise IndexConstructionError(
+                    f"vertex {expected_id} starts at t={record[1]}, before "
+                    f"vertex {expected_id - 1} (t={records[expected_id - 1][1]}): "
+                    "vertex ids are not in start order"
                 )
         return partition_members, records
 
@@ -892,6 +904,7 @@ class ReachGraphIndex:
         for partition_id in range(max(partition_members, default=-1) + 1):
             partitioning.add_partition(partition_members.get(partition_id, []))
         self._adopt_partitioning(partitioning)
+        self._vertex_starts = array("q", [record[1] for record in records])
 
         # 2. Maintenance state and the write-amplification ledger.
         self._window_cursors = {
@@ -989,6 +1002,14 @@ class ReachGraphIndex:
                 f"object {object_id} has no component at time {t}"
             )
         return nodes[position - 1]
+
+    def vertices_starting_by(self, t: TimeInstant) -> int:
+        """How many vertices start at or before ``t`` (in memory, no IO).
+
+        Vertex ids are in start order (checked on restore), so vertex ``v``
+        starts by ``t`` exactly when ``v < vertices_starting_by(t)``.
+        """
+        return bisect_right(self._vertex_starts, t)
 
     def partition_of(self, node_id: int) -> int:
         """Partition holding vertex ``node_id`` (in-memory directory lookup)."""

@@ -18,8 +18,12 @@ Three traversal strategies over the same disk-resident hyper graph:
 Every strategy reads vertices through the partition extents written by
 :class:`~repro.reachgraph.index.ReachGraphIndex`; a retrieved partition is
 kept in a per-query cache (the buffer pool underneath also keeps its blocks),
-so vertices of the same partition cost no further IO.  Two read-side
-accelerations sit in front of the traversal:
+so vertices of the same partition cost no further IO.  The bidirectional
+strategies read only the vertices they visit: whether a neighbour lies on the
+right side of the interval midpoint is decided from its id alone (vertex ids
+are in start order, so a vertex starts by the midpoint exactly when its id is
+below :meth:`~repro.reachgraph.index.ReachGraphIndex.vertices_starting_by`).
+Two read-side accelerations sit in front of the traversal:
 
 * when the index carries a :class:`~repro.reachgraph.labels.ReachLabelIndex`,
   the bidirectional strategies consult it first — a label rejection proves
@@ -59,7 +63,7 @@ class PartitionCache:
     :class:`ReachGraphQueryProcessor` it creates, so sync, async, and
     parallel-worker queries against the same graph all share one cache.
     :meth:`invalidate` empties it and bumps :attr:`generation` whenever the
-    underlying graph mutates (merge adoption, frontier repack, rebuild swap).
+    underlying graph mutates (merge adoption, frontier repack).
     Lookups are not keyed by generation: queries and adoption run on the
     same owning thread, so none spans an invalidation; the counter is the
     witness that one happened.  Entries are the record sequences
@@ -245,6 +249,8 @@ class ReachGraphQueryProcessor:
         use_long_edges: bool,
     ) -> Tuple[bool, int]:
         mid = interval.midpoint
+        # Ids below this bound are exactly the vertices starting by ``mid``.
+        starts_by_mid = self.index.vertices_starting_by(mid)
         v1 = self.index.find_vertex_id(query.source, interval.start)
         v2 = self.index.find_vertex_id(query.destination, interval.end)
 
@@ -279,6 +285,7 @@ class ReachGraphQueryProcessor:
                     objects_backward,
                     cache,
                     mid,
+                    starts_by_mid,
                     use_long_edges,
                     visited,
                     labels,
@@ -310,6 +317,7 @@ class ReachGraphQueryProcessor:
         other_objects: Set[ObjectId],
         cache: _VertexCache,
         mid: TimeInstant,
+        starts_by_mid: int,
         use_long_edges: bool,
         visited: int,
         labels: Optional[ReachLabelIndex],
@@ -317,7 +325,7 @@ class ReachGraphQueryProcessor:
     ) -> Tuple[bool, int]:
         # One positional unpack per visit: namedtuple attribute reads are not
         # specialised by the interpreter and this is the traversal hot path.
-        _, start, end, members, successors, _, long_successors = cache.get(
+        _, start, _, members, successors, _, long_successors = cache.get(
             queue.popleft()
         )
         visited += 1
@@ -335,14 +343,9 @@ class ReachGraphQueryProcessor:
                 if start + resolution <= mid:
                     children.extend(targets)
                     break
-        long_targets = len(children)
         children.extend(successors)
-        # A DN_1 edge joins a vertex ending at ``t - 1`` to one starting at
-        # ``t`` (ReductionCursor.advance): every successor starts at
-        # ``end + 1``, so whether it lies past the midpoint needs no read.
-        successors_fit = end < mid
 
-        for position, target_id in enumerate(children):
+        for target_id in children:
             if target_id in seen:
                 continue
             # Every vertex of a v1→v2 path reaches v2, so a child the labels
@@ -351,13 +354,11 @@ class ReachGraphQueryProcessor:
             if labels is not None and labels.rejects(target_id, target_vertex):
                 self.label_frontier_prunes += 1
                 continue
-            if position < long_targets:
-                # A long edge lands anywhere inside its window; only the
-                # target's own record says where ([1] is ``start``) — the one
-                # neighbour test left that can be a charged partition read.
-                if cache.get(target_id)[1] > mid:
-                    continue
-            elif not successors_fit:
+            # A long edge lands anywhere inside its window and a DN_1
+            # successor starts at ``end + 1``; either way the child starts
+            # past the midpoint exactly when its id is past the bound, so
+            # the test reads no partition.
+            if target_id >= starts_by_mid:
                 continue
             seen.add(target_id)
             queue.append(target_id)

@@ -326,8 +326,8 @@ class StorageSystem:
     def destroy(self) -> None:
         """Release the device and delete its backing files.  Idempotent.
 
-        For storage systems nothing will ever reopen — a superseded
-        rebuild-mode overlay, a scratch build that failed: no final manifest
+        For storage systems nothing will ever reopen — a scratch copy of a
+        device, a scratch build that failed: no final manifest
         is written (the data is being abandoned) and the device files are
         removed so a long-lived owner does not grow its storage directory
         with unreachable state.

@@ -347,8 +347,8 @@ class StorageBackend(ABC):
     def discard(self) -> None:
         """Release the device *without* a final flush.  Idempotent.
 
-        For abandoning a device nothing will ever reopen (a superseded
-        rebuild-mode overlay, a failed construction): skipping the flush
+        For abandoning a device nothing will ever reopen (a destroyed storage
+        system, a simulated crash): skipping the flush
         avoids paying an fsync'd manifest write for data that is about to be
         deleted.  The caller owns removing the backing files.
         """

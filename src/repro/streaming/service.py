@@ -598,8 +598,9 @@ class StreamingReachabilityService:
         repacked = index.num_repacks - repacks_before
         self._graph_repacks += repacked
         if repacked:
-            # A repack rewrites partition extents in place; any cached
-            # partition payloads may now describe stale block placements.
+            # A repack appends one packed extent and tombstones the fragments
+            # it folds: cached entries of the retired fragment ids would
+            # never hit again, so the shared cache is emptied.
             self._overlay.note_graph_mutated()
 
     def _finish_adopt(self, bound: TimeInstant) -> None:

@@ -4,12 +4,14 @@ The two frontier loops of BM-BFS / B-BFS exactly as they ran before ISSUE 24:
 every neighbour that survives the ``seen`` and label checks is *read* — its
 partition loaded, at a charged IO when the query has not touched it yet —
 just to compare its interval against the midpoint.  The production
-:class:`~repro.reachgraph.ReachGraphQueryProcessor` reads only long-edge
-targets for that test and computes a DN_1 neighbour's bound from the record
-in hand (a DN_1 edge always joins a vertex ending at ``t - 1`` to one
-starting at ``t``).  Kept here, out of ``src/``, as the traversal the
-production one must equal: same answers, same ``visited``, same label
-ledgers, and a set of partitions read that contains the production one's.
+:class:`~repro.reachgraph.ReachGraphQueryProcessor` reads no neighbour for
+that test: a DN_1 successor starts at ``end + 1`` of the vertex in hand, a
+predecessor ends at ``start - 1``, and a forward child starts by the midpoint
+exactly when its id is below the index's ``vertices_starting_by(mid)``
+(vertex ids are in start order).  Kept here, out of ``src/``, as the
+traversal the production one must equal: same answers, same ``visited``,
+same label ledgers, and a set of partitions read that contains the
+production one's.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ class ReferenceReachGraphQueryProcessor(ReachGraphQueryProcessor):
         other_objects: Set[ObjectId],
         cache: _VertexCache,
         mid: TimeInstant,
+        starts_by_mid: int,  # unused: this loop reads each child's start
         use_long_edges: bool,
         visited: int,
         labels: Optional[ReachLabelIndex],

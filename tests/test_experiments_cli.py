@@ -254,8 +254,9 @@ class TestCli:
         experiment scale: long edges per resolution (augmentation), partitions
         and IO per depth (placement).  Captured before construction became
         per-window / per-vertex; a faster build must not move any of them.
-        ``mean_io`` was re-pinned once (ISSUE 24, docs/PERFORMANCE.md §5):
-        BM-BFS stopped reading a DN_1 neighbour just to reject it."""
+        ``mean_io`` was re-pinned twice (docs/PERFORMANCE.md §5 and §11):
+        BM-BFS stopped reading a DN_1 neighbour, then a long-edge target,
+        just to reject it."""
         import json
 
         rows = {}
@@ -272,7 +273,31 @@ class TestCli:
             "vn-tiny": [682, 603, 528, 552, 611],
         }
         assert [row["partitions"] for row in rows["figure12"]] == [448, 124, 42, 37]
-        assert [row["mean_io"] for row in rows["figure12"]] == [17.369, 11.338, 6.231, 5.344]
+        assert [row["mean_io"] for row in rows["figure12"]] == [8.775, 6.294, 5.756, 5.213]
+
+    def test_quick_strategy_columns_are_pinned(self, tmp_path, capsys):
+        """Figure 13's IOs and visits per query, per traversal strategy.
+        B-BFS and E-DFS were captured before BM-BFS stopped reading
+        long-edge targets to reject them, and that change must not move
+        them; it moved BM-BFS's ``mean_io`` on ``rwp-tiny`` only (5.344 ->
+        5.213, docs/PERFORMANCE.md §11), and no ``mean_visited``."""
+        import json
+
+        target = tmp_path / "figure13.json"
+        assert main(["figure13", "--quick", "--json", str(target)]) == 0
+        rows = json.loads(target.read_text())["results"][0]["rows"]
+        capsys.readouterr()
+        assert [
+            (row["dataset"], row["strategy"], row["mean_io"], row["mean_visited"])
+            for row in rows
+        ] == [
+            ("rwp-tiny", "bm-bfs", 5.213, 11.4),
+            ("rwp-tiny", "b-bfs", 5.075, 11.6),
+            ("rwp-tiny", "e-dfs", 5.575, 113.9),
+            ("vn-tiny", "bm-bfs", 4.05, 13.9),
+            ("vn-tiny", "b-bfs", 4.05, 12.6),
+            ("vn-tiny", "e-dfs", 4.306, 39.8),
+        ]
 
     def test_quick_reachgrid_columns_are_pinned(self, tmp_path, capsys):
         """The deterministic columns of the three ReachGrid experiments, at
@@ -280,8 +305,9 @@ class TestCli:
         SPJ, and against ReachGraph by interval length (figure 14).  Captured
         before Algorithm 1 became a frontier join and the join kernel was
         shared; a cheaper query must read exactly the same blocks.  Figure
-        14's ``reachgraph_mean_io`` column moved once, with figure 12's
-        (ISSUE 24); the ReachGrid and SPJ columns never have."""
+        14's ``reachgraph_mean_io`` column moved twice, with figure 12's
+        (docs/PERFORMANCE.md §5 and §11); the ReachGrid and SPJ columns never
+        have."""
         import json
 
         rows = {}
@@ -315,10 +341,10 @@ class TestCli:
         ] == [
             ("rwp-tiny", 50, 32.958, 3.958),
             ("rwp-tiny", 100, 25.658, 5.092),
-            ("rwp-tiny", 200, 71.208, 6.808),
+            ("rwp-tiny", 200, 71.208, 6.117),
             ("vn-tiny", 50, 7.667, 3.175),
             ("vn-tiny", 100, 10.975, 3.75),
-            ("vn-tiny", 200, 10.725, 5.133),
+            ("vn-tiny", 200, 10.725, 4.95),
         ]
 
     def test_json_dash_prints_to_stdout(self, capsys):

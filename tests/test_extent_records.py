@@ -191,14 +191,18 @@ def _serving_device(backend, directory):
 #: ``(reachable, random_ios, sequential_ios, visited, partition-cache hits,
 #: partition-cache misses, buffer-pool hits)`` of each query of
 #: :func:`_serving_device`'s reopened service, as the eager extent read
-#: charged and counted them; the same on ``file`` and ``mmap``.
+#: charged and counted them; the same on ``file`` and ``mmap``.  Re-pinned
+#: once since (docs/PERFORMANCE.md §11): BM-BFS stopped looking a long-edge
+#: target up just to reject it, which took one partition-cache hit off
+#: queries 4, 9 and 12; ``reachable``, ``visited`` and every IO column are
+#: as first captured.
 SERVE_REOPEN_GOLDEN = [
     (True, 7, 19, 21, 0, 5, 0), (False, 3, 0, 36, 2, 1, 0),
-    (True, 3, 1, 15, 2, 2, 0), (True, 2, 0, 12, 3, 1, 1),
+    (True, 3, 1, 15, 2, 2, 0), (True, 2, 0, 12, 2, 1, 1),
     (True, 2, 0, 5, 1, 1, 1), (True, 1, 0, 15, 4, 0, 1),
     (True, 1, 1, 35, 4, 0, 0), (True, 2, 0, 30, 3, 1, 1),
-    (True, 3, 1, 16, 3, 2, 0), (True, 2, 0, 18, 3, 0, 0),
-    (False, 2, 0, 67, 5, 0, 0), (True, 3, 0, 14, 3, 1, 0),
+    (True, 3, 1, 16, 2, 2, 0), (True, 2, 0, 18, 3, 0, 0),
+    (False, 2, 0, 67, 5, 0, 0), (True, 3, 0, 14, 2, 1, 0),
     (False, 1, 1, 9, 3, 0, 0), (True, 2, 0, 12, 3, 0, 0),
     (True, 1, 1, 11, 1, 0, 0), (True, 2, 0, 15, 5, 0, 0),
     (True, 2, 0, 30, 2, 1, 1), (True, 1, 0, 14, 3, 0, 1),
@@ -270,6 +274,11 @@ class TestServingDecodes:
                     stats.buffer_hits - pool_hits,
                 )
             )
+        # Read-side columns may move with the read path; answers and visits
+        # only with the traversal itself.
+        assert [(row[0], row[3]) for row in rows] == [
+            (row[0], row[3]) for row in SERVE_REOPEN_GOLDEN
+        ], "reachable or visited moved"
         assert rows == SERVE_REOPEN_GOLDEN
         service.close()
 

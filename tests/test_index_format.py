@@ -8,8 +8,11 @@ must answer ``find_vertex_id`` exactly as a scan of the DAG's segments does at
 every stage of an index's life, the slot directory must address every vertex
 inside its partition extent at those same stages, restore must reconcile a
 bucket that got durably ahead of the graph, a device in another format
-must be refused before a single partition is read, and a catalog written
-while the labels still rode in it must restore the same labels.
+must be refused before a single partition is read, a catalog written
+while the labels still rode in it must restore the same labels, and the
+in-memory vertex starts BM-BFS bounds its children with must count exactly
+what the records say, on a device whose ids are in start order — the only
+kind a restore accepts.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from repro.core import (
     IndexConstructionError,
     ReachabilityQuery,
     ReachGraphConfig,
+    STORAGE_BACKENDS,
     StorageConfig,
     StreamingConfig,
     TimeInterval,
@@ -146,6 +150,23 @@ def assert_slot_directory_matches_extents(
         )
 
 
+def assert_starts_match_records(index: ReachGraphIndex, context: str) -> None:
+    """``vertices_starting_by(t)`` against a count of the device's records
+    starting at or before ``t``, for every ``t`` of the horizon and one
+    tick either side."""
+    starts = [
+        record[1]
+        for partition_id, member_ids in enumerate(index.partitioning.members)
+        if member_ids
+        for record in index.read_partition(partition_id)
+    ]
+    assert len(starts) == index.num_vertices, context
+    horizon = index.domain.horizon
+    for t in range(horizon.start - 1, horizon.end + 2):
+        expected = sum(1 for start in starts if start <= t)
+        assert index.vertices_starting_by(t) == expected, f"{context}: t={t}"
+
+
 def live_index(service) -> ReachGraphIndex:
     return service.overlay.snapshot_processor.index
 
@@ -172,7 +193,7 @@ class TestPackedObjectIndex:
         )
         assert_object_index_matches_dag(tiny_reachgraph, "batch build")
 
-    @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
+    @pytest.mark.parametrize("backend", STORAGE_BACKENDS)
     def test_matches_the_dag_through_increments_repack_and_reopen(
         self, backend, tmp_path, tiny_dataset, tiny_contact_config
     ):
@@ -191,6 +212,7 @@ class TestPackedObjectIndex:
             context = f"backend={backend}, increments={index.num_increments}"
             assert_object_index_matches_dag(index, context)
             assert_slot_directory_matches_extents(index, member_orders, context)
+            assert_starts_match_records(index, context)
             if segments_after_build is None:
                 assert index.num_increments == 0
                 segments_after_build = {
@@ -212,7 +234,10 @@ class TestPackedObjectIndex:
         assert_slot_directory_matches_extents(
             index, member_orders, f"backend={backend}, final"
         )
+        assert_starts_match_records(index, f"backend={backend}, final")
         service.close()
+        if backend == "sim":  # nothing outlives the process to reopen
+            return
 
         reopened = SnapshotQueryService.open(storage_config, name=service.name)
         context = f"backend={backend}, reopened"
@@ -220,6 +245,7 @@ class TestPackedObjectIndex:
         assert_slot_directory_matches_extents(
             live_index(reopened), member_orders, context
         )
+        assert_starts_match_records(live_index(reopened), context)
         reopened.close()
 
     def test_increment_leaves_the_previous_arrays_untouched(
@@ -354,6 +380,50 @@ class TestSlotDirectory:
 
         with pytest.raises(IndexConstructionError, match=f"missing vertex {lost}$"):
             reopen(storage_config, name=service.name)
+
+
+# ----------------------------------------------------------------------
+# vertex ids are in start order, and the in-memory starts say so exactly
+# ----------------------------------------------------------------------
+class TestStartOrder:
+    def test_batch_build_counts_every_start(self, tiny_reachgraph):
+        assert_starts_match_records(tiny_reachgraph, "batch build")
+
+    @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
+    def test_a_start_out_of_id_order_is_refused_at_restore(
+        self, backend, tmp_path, tiny_dataset, tiny_contact_config
+    ):
+        """The midpoint test is exact only on start-ordered ids, so a device
+        whose record starts decrease with id is refused by the open, before
+        it can serve a query."""
+        storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
+        service = make_service(tiny_dataset, tiny_contact_config, storage_config)
+        service.drain(tiny_dataset)
+        service.merge()
+        index = live_index(service)
+        victim = next(
+            node_id
+            for node_id in range(1, index.num_vertices)
+            if index.dag.node(node_id - 1).interval.start > tiny_dataset.horizon.start
+        )
+        earlier = index.dag.node(victim - 1).interval.start - 1
+        partition_id = index.partition_of(victim)
+        service.close()
+
+        storage = StorageSystem(storage_config, name=f"{service.name}-overlay")
+        partitions = storage.blockfile(f"{index.name}-partitions")
+        records = list(partitions.read_extent(partition_id))
+        records = [
+            record._replace(start=earlier) if record.node_id == victim else record
+            for record in records
+        ]
+        partitions.replace_extent(partition_id, records)
+        storage.close()
+
+        with pytest.raises(
+            IndexConstructionError, match=f"^vertex {victim} starts at t={earlier}, "
+        ):
+            SnapshotQueryService.open(storage_config, name=service.name)
 
 
 # ----------------------------------------------------------------------

@@ -325,3 +325,43 @@ class TestNeighbourBoundsNeedNoRead:
             assert not result.reachable
             assert result.visited == 9  # both endpoints, then 6 + 1 pops
             assert len(read) == expected
+
+    def test_rejecting_a_long_edge_target_reads_nothing(self):
+        """Objects 0 and 1 are alone until they meet at tick 6, object 2 is
+        alone throughout: vertex 0 (object 0 over [0, 5]) has resolution-4
+        long edges to vertices 4 and 5, the two singletons starting at tick
+        7.  Asking 0 -> 2 over [0, 9] (midpoint 4) takes that long-edge group
+        (0 + 4 <= 4) and must reject both targets: the reading loops load
+        their partitions to learn their starts, production compares ids."""
+        dataset = TrajectoryDataset(
+            [Trajectory(object_id, [Point(0.0, 0.0)] * 10) for object_id in range(3)],
+            environment_size=(1.0, 1.0),
+        )
+        network = ContactNetwork(
+            dataset, [Contact(0, 1, TimeInterval(6, 6))], distance_threshold=1.0
+        )
+        index = ReachGraphIndex(
+            dataset,
+            ReachGraphConfig(resolutions=(4,), partition_depth=1),
+            contact_network=network,
+        ).build()
+        assert index.hypergraph.layer(4).forward[0] == [4, 5]
+        assert [index.dag.node(node_id).interval.start for node_id in (4, 5)] == [7, 7]
+        assert index.vertices_starting_by(4) == 3
+        query = ReachabilityQuery(0, 2, TimeInterval(0, 9))
+        endpoints = {index.partition_of(0), index.partition_of(2)}
+        # The DN_1 successor (vertex 3) shares vertex 0's partition, so the
+        # long-edge targets are the only other partitions a reader could load.
+        assert index.partition_of(3) == index.partition_of(0)
+        targets = {index.partition_of(4), index.partition_of(5)}
+        assert not targets & endpoints
+        for processor_class, expected in (
+            (ReachGraphQueryProcessor, endpoints),
+            (ReferenceReachGraphQueryProcessor, endpoints | targets),
+        ):
+            processor = _traced(processor_class, index, use_labels=False)
+            result, _, read = _evaluate_recording_reads(processor, query, "bm-bfs")
+            assert not result.reachable
+            assert result.visited == 4  # both endpoints, then one pop a side
+            assert set(read) == expected
+            assert len(read) == len(expected)
