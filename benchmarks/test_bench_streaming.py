@@ -1,13 +1,11 @@
-"""Benchmark: streaming ingestion vs post-merge querying, and shard scaling.
+"""Benchmark: streaming ingestion vs post-merge querying, backends, GC, queries.
 
 Replays a canned dataset through the streaming service and reports ingest
 throughput (events/sec) plus per-query IO in the two regimes the delta
 overlay creates: queries answered while the delta is live versus queries
 answered after a merge folded everything into the frozen ReachGraph.  The
-sharded benchmark drains the same stream through 1/2/4/8 ingestion shards and
-reports the scaling curve of events/sec and per-query cost; the async
-benchmark replays the same script through the synchronous sharded service and
-the asyncio front-end under concurrent query load.
+other benchmarks drain the same stream per storage backend, with space
+reclamation armed, and through the query fast path's layers.
 
 The committed ``BENCH_streaming.json`` pins the expected medians of this
 module; CI reruns it with ``--benchmark-json`` and
@@ -18,11 +16,8 @@ median slowdown.
 from __future__ import annotations
 
 from repro.streaming.experiment import (
-    async_stream_replay,
     disk_backend_replay,
-    parallel_merge_replay,
     query_latency_replay,
-    sharded_stream_replay,
     space_replay,
     stream_replay,
 )
@@ -46,52 +41,6 @@ def test_streaming_ingest_and_query(benchmark):
     # Streaming must agree with the batch reference evaluator in both regimes.
     assert row["premerge_matches"] == "12/12"
     assert row["postmerge_matches"] == "12/12"
-
-
-def test_sharded_scaling_curve(benchmark):
-    result = run_experiment(
-        benchmark,
-        sharded_stream_replay,
-        dataset_names=("rwp-small",),
-        shard_counts=(1, 2, 4, 8),
-        batch_ticks=8,
-        num_queries=12,
-    )
-    assert [row["shards"] for row in result.rows] == [1, 2, 4, 8]
-    events = {row["events"] for row in result.rows}
-    assert len(events) == 1, "every shard count must drain the same stream"
-    for row in result.rows:
-        assert row["ingest_events_per_sec"] > 0
-        assert row["mean_query_ms"] > 0
-        # Sharded answers must agree with the batch reference evaluator at
-        # every shard count (the cross-method equivalence contract).
-        assert row["matches"] == "12/12"
-
-
-def test_async_vs_sync_serving(benchmark):
-    result = run_experiment(
-        benchmark,
-        async_stream_replay,
-        dataset_names=("rwp-small",),
-        shards=2,
-        concurrency=4,
-        batch_ticks=8,
-        num_queries=12,
-        queries_per_batch=3,
-    )
-    assert [row["mode"] for row in result.rows] == ["sync", "async"]
-    by_mode = {row["mode"]: row for row in result.rows}
-    for row in result.rows:
-        assert row["ingest_events_per_sec"] > 0
-        assert row["queries_during_ingest"] > 0
-        assert row["wall_seconds"] > 0
-        # Both regimes must agree with the batch reference evaluator once
-        # drained (the async correctness contract).
-        assert row["matches"] == "12/12"
-    # Both regimes replay the same batches, so merges fire in both; the async
-    # ones ran as background tasks.
-    assert by_mode["async"]["merges"] > 0
-    assert by_mode["sync"]["merges"] > 0
 
 
 def test_storage_backend_comparison(benchmark):
@@ -158,48 +107,6 @@ def test_space_reclamation(benchmark):
         assert row["matches"] == "12/12"
     # The layout is backend-independent, so the post-GC footprint is too.
     assert len({row["device_blocks"] for row in result.rows}) == 1
-
-
-def test_parallel_merge_scaling(benchmark):
-    """The ``stream-parallel`` benchmark: cores vs merge throughput.
-
-    Drains one multi-merge sharded stream per (executor, workers) cell —
-    inline as the single-core baseline, then the process pool at 1/2/4
-    workers.  Every cell must agree with the batch reference evaluator;
-    the pool cells must show overlapped builds (the concurrency witness
-    that merges actually left the single inline lane).  The wall-clock
-    drain times stay in the printed table; a speedup is not asserted here
-    (a correctness gate must not fail on a host's core count or load).
-    """
-    result = run_experiment(
-        benchmark,
-        parallel_merge_replay,
-        dataset_names=("rwp-small",),
-        executors=("inline", "process"),
-        worker_counts=(1, 2, 4),
-        shards=4,
-        batch_ticks=8,
-        num_queries=12,
-        max_delta_contacts=64,
-    )
-    assert [(row["executor"], row["workers"]) for row in result.rows] == [
-        ("inline", 1),
-        ("process", 1),
-        ("process", 2),
-        ("process", 4),
-    ]
-    merges = {row["merges"] for row in result.rows}
-    assert len(merges) == 1, "every cell must replay the identical merge stream"
-    for row in result.rows:
-        assert row["matches"] == "12/12"
-        assert row["drain_seconds"] > 0
-    by_cell = {(row["executor"], row["workers"]): row for row in result.rows}
-    assert by_cell[("inline", 1)]["overlapped_builds"] == 0
-    for workers in (1, 2, 4):
-        assert by_cell[("process", workers)]["overlapped_builds"] > 0, (
-            "the coordinator submits all shard builds before adopting any, "
-            "so pool builds must overlap"
-        )
 
 
 def test_query_latency(benchmark):

@@ -1,23 +1,15 @@
-"""True multi-core execution: process-built merges and a query worker fleet.
+"""A query worker fleet over one disk-backed writer.
 
 Run with::
 
     python examples/parallel_execution.py
 
-The example exercises both halves of the parallel execution story on one
-sharded, disk-backed service:
-
-* **Write side** — the service is configured with
-  ``merge_executor="process"``: when merges fire, the coordinator captures a
-  frozen, picklable prefix per shard, ships the pure build phase to worker
-  *processes*, and adopts the results back on the owning thread.  The
-  executor's timing log shows builds of different shards overlapping.
-* **Read side** — a :class:`~repro.streaming.parallel.ParallelQueryService`
-  attaches to the live service: worker processes each reopen the flushed
-  state read-only and answer queries concurrently.  When a new merge is
-  adopted, the fleet notices the merge counter move, flushes, and bumps the
-  snapshot generation — every worker recycles its snapshot on its next task,
-  with no process restarted.
+One streaming service ingests and merges; a
+:class:`~repro.streaming.parallel.ParallelQueryService` attached to it
+answers queries on worker *processes*, each of which reopens the flushed
+state read-only.  When the writer adopts a new merge, the fleet notices the
+merge counter move, flushes, and bumps the snapshot generation — every
+worker recycles its snapshot on its next task, with no process restarted.
 
 Answers are checked two ways: mid-stream the fleet must agree bit-for-bit
 with the live service it mirrors, and after the full drain both must agree
@@ -40,27 +32,23 @@ def main() -> None:
     workload = list(random_queries(dataset, count=12, seed=5))
 
     with tempfile.TemporaryDirectory(prefix="repro-parallel-") as storage_dir:
-        # 1. Two shards, process-pool merge builds, disk-backed so the read
-        #    fleet has a committed state to reopen.
+        # 1. One writer, disk-backed so the read fleet has a committed state
+        #    to reopen.
         service = engine.streaming(
             streaming_config=StreamingConfig(
                 merge_policy="delta-size", max_delta_contacts=24
             ),
-            shards=2,
             storage_backend="file",
             storage_dir=storage_dir,
-            merge_executor="process",
-            merge_workers=2,
         )
         print(
             f"dataset: {dataset.name} — {dataset.num_objects} objects, "
-            f"{dataset.num_instants} time instances; {service.num_shards} shards, "
-            f"merge executor {service.merge_executor.kind!r}"
+            f"{dataset.num_instants} time instances"
         )
 
         batches = list(replay(dataset, batch_ticks=30).batches())
         try:
-            # 2. Ingest half the stream; merges fire through the process pool.
+            # 2. Ingest half the stream; the merge policy fires as it goes.
             for batch in batches[: len(batches) // 2]:
                 service.ingest(batch)
             service.merge()
@@ -96,15 +84,7 @@ def main() -> None:
                     expected = evaluate_reachability(engine.contact_network, query)
                     assert answer.reachable == expected.reachable
                 print(f"all {len(workload)} answers match the batch reference")
-
-                # 6. The executor's own evidence: builds of different shards
-                #    overlapped inside the shared process pool.
-                summary = service.merge_executor.timings.summary()
-                print(
-                    f"merge builds: {summary['builds']:.0f} total, "
-                    f"{summary['overlapped_builds']:.0f} overlapped, "
-                    f"mean build {summary['mean_build_seconds'] * 1000:.1f} ms"
-                )
+                print(f"writer merges: {service.num_merges}")
         finally:
             service.close()
 

@@ -63,7 +63,7 @@ from .generators import (
 )
 from .reachgraph import ReachGraphIndex, ReachGraphQueryProcessor
 from .reachgrid import ReachGridIndex, ReachGridQueryProcessor
-from .streaming import ShardedReachabilityService, StreamingReachabilityService
+from .streaming import StreamingReachabilityService
 from .trajectory import Trajectory, TrajectoryDataset, TrajectoryStore
 from .workloads import DATASETS, make_dataset, random_queries
 
@@ -121,7 +121,6 @@ __all__ = [
     "ReachGraphQueryProcessor",
     # streaming
     "StreamingReachabilityService",
-    "ShardedReachabilityService",
     # workloads
     "DATASETS",
     "make_dataset",

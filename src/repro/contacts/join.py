@@ -11,8 +11,8 @@ buckets.  The hash answers two questions:
 * :meth:`SpatialHash.pairs` — every unordered pair within ``dT`` (each pair of
   adjacent buckets visited once).  :func:`pairs_within_distance` wraps it for
   a ``{object: Point}`` snapshot and is the per-tick join of the offline
-  builder (:func:`build_contact_network`), of streaming ingest, of the
-  cross-shard join and of the SPJ baseline.
+  builder (:func:`build_contact_network`), of streaming ingest and of the
+  SPJ baseline.
 * :meth:`SpatialHash.within` — the objects within ``dT`` of one point (its
   3x3 buckets).  ReachGrid's query processor probes it from the seed frontier
   instead of enumerating every pair of a tick.

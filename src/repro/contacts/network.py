@@ -74,8 +74,8 @@ class Contact:
         Returns ``self`` when the window already covers the validity interval.
         Splitting or truncating a validity interval at any boundary is
         lossless for reachability (transmission happens at single instants),
-        which is the invariant the streaming subsystem's watermark clipping —
-        snapshot boundaries, global low-watermarks — relies on.
+        which is the invariant the streaming subsystem's watermark clipping
+        at snapshot boundaries relies on.
         """
         if hi < lo:
             return None

@@ -25,9 +25,7 @@ __all__ = [
     "GrailConfig",
     "ContactConfig",
     "StreamingConfig",
-    "MERGE_EXECUTORS",
     "MERGE_POLICIES",
-    "SHARD_ROUTERS",
     "STORAGE_BACKENDS",
     "DEFAULT_RESOLUTIONS",
 ]
@@ -215,21 +213,6 @@ class ReachGraphConfig:
 #: streaming subsystem (see :mod:`repro.streaming.policy`).
 MERGE_POLICIES: Tuple[str, ...] = ("delta-size", "elapsed-intervals", "amplification")
 
-#: Shard-router names understood by :class:`StreamingConfig` and the sharded
-#: ingestion layer (see :mod:`repro.streaming.router`): ``hash`` partitions
-#: the stream by object-id hash, ``spatial`` pins each object to the shard of
-#: the spatial grid cell it was first observed in.
-SHARD_ROUTERS: Tuple[str, ...] = ("hash", "spatial")
-
-#: Where the pure build phase of a streaming merge executes (see
-#: :mod:`repro.streaming.parallel`): ``inline`` builds on the calling thread
-#: (the historical behaviour), ``thread`` on a thread pool (overlaps builds
-#: with ingest IO but shares the GIL), ``process`` on a
-#: :class:`~concurrent.futures.ProcessPoolExecutor` — true multi-core builds,
-#: enabled by ``MergeInputs`` being picklable and ``build_merge`` pure.
-MERGE_EXECUTORS: Tuple[str, ...] = ("inline", "thread", "process")
-
-
 @dataclass(frozen=True, slots=True)
 class StreamingConfig:
     """Parameters of the streaming ingestion subsystem.
@@ -259,24 +242,7 @@ class StreamingConfig:
     build_reachgraph_on_merge:
         Whether a merge also builds (first merge) or patches (every later
         one) a ReachGraph index over the new snapshot, giving post-merge
-        queries the paper's fast path.  Ignored by the sharded service,
-        whose per-shard snapshots are never individually authoritative
-        (cross-shard contacts live outside every shard).
-    shards:
-        Number of ingestion shards.  ``1`` keeps the single
-        :class:`~repro.streaming.service.StreamingReachabilityService`;
-        anything larger makes :meth:`repro.ReachabilityEngine.streaming`
-        return a :class:`~repro.streaming.coordinator.ShardedReachabilityService`
-        partitioning the event stream across that many ingestors.
-    router:
-        One of :data:`SHARD_ROUTERS` — how sample events are partitioned
-        across shards (``hash``: by object-id hash; ``spatial``: sticky, by
-        the spatial grid cell of the object's first observed position).
-    async_queue_depth:
-        Capacity (in batches) of each per-shard ingest queue of the asyncio
-        front-end (:class:`~repro.streaming.async_service.AsyncReachabilityService`,
-        ``engine.streaming(async_mode=True)``).  A full queue backpressures
-        ``await ingest(...)`` until the shard's ingest loop catches up.
+        queries the paper's fast path.
     compaction_max_runs:
         Per-level fanout of the LSM path's size-ratio leveled compaction:
         once a merge leaves more than this many live runs on one level, a
@@ -296,18 +262,6 @@ class StreamingConfig:
         under-filled frontier partitions, they are repacked into
         depth-``dp``-sized extents to restore read locality.  ``0`` (the
         default) disables repacking.
-    merge_executor:
-        One of :data:`MERGE_EXECUTORS` — where the pure build phase of a
-        merge runs (see :mod:`repro.streaming.parallel`).  ``inline``
-        (default) builds on the calling thread; ``thread`` builds on a
-        thread pool; ``process`` ships the picklable
-        :class:`~repro.streaming.service.MergeInputs` to a process pool for
-        true multi-core builds.  Adoption always happens on the thread that
-        owns the overlay, so answers are bit-identical across executors.
-    merge_workers:
-        Pool size of the ``thread``/``process`` merge executors (ignored by
-        ``inline``).  The sharded coordinator shares one pool across all
-        shards, so this bounds machine-wide concurrent builds.
     graph_labels:
         Maintain GRAIL-style interval labels on the merge-built ReachGraph
         (see :mod:`repro.reachgraph.labels`): queries reject provable
@@ -316,7 +270,7 @@ class StreamingConfig:
         reopen, never persisted; disabling them reverts to pure traversal.
     partition_cache_size:
         Capacity (in graph partitions) of the cross-query partition cache
-        shared by the sync, async, and parallel query paths.  The cache is
+        the service's overlay keeps.  The cache is
         generation-stamped and invalidated whenever the graph mutates (merge
         adoption, repack).  ``0`` disables it, restoring the
         per-query-only caching of earlier versions.
@@ -329,14 +283,9 @@ class StreamingConfig:
     max_amplification: float = 0.5
     query_cache_size: int = 128
     build_reachgraph_on_merge: bool = True
-    shards: int = 1
-    router: str = "hash"
-    async_queue_depth: int = 4
     compaction_max_runs: int = 4
     gc_trigger_ratio: float = 0.0
     graph_repack_min_partitions: int = 0
-    merge_executor: str = "inline"
-    merge_workers: int = 2
     graph_labels: bool = True
     partition_cache_size: int = 64
 
@@ -356,15 +305,6 @@ class StreamingConfig:
             raise ConfigurationError("max_amplification must be positive")
         if self.query_cache_size < 0:
             raise ConfigurationError("query_cache_size must be non-negative")
-        if self.shards <= 0:
-            raise ConfigurationError("shards must be positive")
-        if self.router not in SHARD_ROUTERS:
-            raise ConfigurationError(
-                f"unknown shard router {self.router!r}; "
-                f"choose one of {', '.join(SHARD_ROUTERS)}"
-            )
-        if self.async_queue_depth <= 0:
-            raise ConfigurationError("async_queue_depth must be positive")
         if self.compaction_max_runs <= 0:
             raise ConfigurationError("compaction_max_runs must be positive")
         if not 0.0 <= self.gc_trigger_ratio < 1.0:
@@ -376,35 +316,12 @@ class StreamingConfig:
                 "graph_repack_min_partitions must be 0 (disabled) or >= 2 "
                 "(folding a single partition is pure write amplification)"
             )
-        if self.merge_executor not in MERGE_EXECUTORS:
-            raise ConfigurationError(
-                f"unknown merge executor {self.merge_executor!r}; "
-                f"choose one of {', '.join(MERGE_EXECUTORS)}"
-            )
-        if self.merge_workers <= 0:
-            raise ConfigurationError("merge_workers must be positive")
         if self.partition_cache_size < 0:
             raise ConfigurationError("partition_cache_size must be non-negative")
 
     def with_merge_policy(self, policy: str) -> "StreamingConfig":
         """Copy of this config with a different merge policy."""
         return replace(self, merge_policy=policy)
-
-    def with_shards(self, shards: int, router: str | None = None) -> "StreamingConfig":
-        """Copy of this config with a different shard count (and router)."""
-        if router is None:
-            return replace(self, shards=shards)
-        return replace(self, shards=shards, router=router)
-
-    def with_merge_executor(
-        self, merge_executor: str, merge_workers: int | None = None
-    ) -> "StreamingConfig":
-        """Copy of this config with a different merge executor (and pool size)."""
-        if merge_workers is None:
-            return replace(self, merge_executor=merge_executor)
-        return replace(
-            self, merge_executor=merge_executor, merge_workers=merge_workers
-        )
 
 
 @dataclass(frozen=True, slots=True)

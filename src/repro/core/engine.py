@@ -148,63 +148,28 @@ class ReachabilityEngine:
         self,
         streaming_config: StreamingConfig | None = None,
         grid_config: ReachGridConfig | None = None,
-        shards: int | None = None,
-        router: str | None = None,
-        async_mode: bool = False,
         storage_backend: str | None = None,
         storage_dir: str | None = None,
-        merge_executor: str | None = None,
-        merge_workers: int | None = None,
     ):
         """A streaming reachability service configured like this engine
         (same contact and storage parameters).
 
-        With one shard (the default) this is a
-        :class:`~repro.streaming.service.StreamingReachabilityService`; asking
-        for more — ``engine.streaming(shards=4)``, or a config with
-        ``shards > 1`` — returns a
-        :class:`~repro.streaming.coordinator.ShardedReachabilityService`
-        partitioning the stream across that many ingestors (``router`` picks
-        the partitioning, see ``SHARD_ROUTERS``).  Either way the service
-        starts empty; feed it with ``service.drain(engine.dataset)`` to replay
-        this engine's dataset as a stream, or ingest batches from any
+        Returns a :class:`~repro.streaming.service.StreamingReachabilityService`
+        that starts empty; feed it with ``service.drain(engine.dataset)`` to
+        replay this engine's dataset as a stream, or ingest batches from any
         :mod:`repro.streaming.source`.
-
-        ``async_mode=True`` instead returns an
-        :class:`~repro.streaming.async_service.AsyncReachabilityService`
-        (``await ingest`` / ``await query`` with per-shard ingest loops and
-        background merges) over the configured shard count; feed it with
-        ``await service.replay(engine.dataset)`` from a running event loop.
 
         ``storage_backend`` overrides this engine's block-device backend for
         the service (one of ``STORAGE_BACKENDS``: ``sim``, ``file``,
         ``mmap``), and ``storage_dir`` pins the persistent backends' files to
         a real directory so the service's queryable state survives
-        ``service.close()`` — or a crash.  Every service shape reopens:
-        :meth:`reopen_streaming` (or, directly,
-        :meth:`repro.streaming.SnapshotQueryService.open` /
-        :meth:`repro.streaming.ShardedSnapshotQueryService.open` /
-        :meth:`repro.streaming.AsyncReachabilityService.reopen`) restores the
-        committed prefix from the device files, and
+        ``service.close()`` — or a crash.  :meth:`reopen_streaming` (or,
+        directly, :meth:`repro.streaming.SnapshotQueryService.open`) restores
+        the committed prefix from the device files, and
         :meth:`repro.streaming.StreamingReachabilityService.open` resumes
-        *ingesting* an unsharded stream from its journaled checkpoint.
-
-        ``merge_executor`` selects where the pure build phase of merges runs
-        (one of ``MERGE_EXECUTORS``): ``inline`` on the calling thread,
-        ``thread`` on a thread pool, ``process`` on a
-        ``ProcessPoolExecutor`` of ``merge_workers`` processes — true
-        multi-core builds, with answers bit-identical across all three (see
-        :mod:`repro.streaming.parallel` and ``docs/MERGE_PROTOCOL.md``).
+        *ingesting* from the journaled checkpoint.
         """
         config = streaming_config or StreamingConfig()
-        if shards is not None or router is not None:
-            config = config.with_shards(
-                config.shards if shards is None else shards, router=router
-            )
-        if merge_executor is not None or merge_workers is not None:
-            config = config.with_merge_executor(
-                merge_executor or config.merge_executor, merge_workers
-            )
         storage_config = self.storage_config
         if storage_backend is not None or storage_dir is not None:
             effective = storage_backend or storage_config.backend
@@ -218,26 +183,6 @@ class ReachabilityEngine:
                 )
             storage_config = storage_config.with_backend(
                 effective, storage_dir=storage_dir
-            )
-        if async_mode:
-            from ..streaming.async_service import AsyncReachabilityService
-
-            return AsyncReachabilityService.for_dataset(
-                self.dataset,
-                contact_config=self.contact_config,
-                grid_config=grid_config,
-                streaming_config=config,
-                storage_config=storage_config,
-            )
-        if config.shards > 1:
-            from ..streaming.coordinator import ShardedReachabilityService
-
-            return ShardedReachabilityService.for_dataset(
-                self.dataset,
-                contact_config=self.contact_config,
-                grid_config=grid_config,
-                streaming_config=config,
-                storage_config=storage_config,
             )
         from ..streaming.service import StreamingReachabilityService
 
@@ -254,32 +199,23 @@ class ReachabilityEngine:
         storage_backend: str,
         storage_dir: str,
         name: str | None = None,
-        sharded: bool = False,
     ):
         """Reopen the durable state a streaming service left in ``storage_dir``.
 
         The counterpart of :meth:`streaming` after a ``close()`` — or after a
         crash: only what the service's last flush committed is restored, which
-        is exactly the recovery guarantee the services give.  Returns a
-        read-only query service over the committed prefix — a
-        :class:`~repro.streaming.service.SnapshotQueryService` for the
-        unsharded shape (answering through its restored ReachGraph index when
-        one was persisted), or, with ``sharded=True``, a
-        :class:`~repro.streaming.coordinator.ShardedSnapshotQueryService`
-        that restores every shard plus the cross-shard contact log and
-        answers at the committed global low-watermark (async services close
-        into this shape too — pass their name, default ``async-stream``).
+        is exactly the recovery guarantee the service gives.  Returns a
+        read-only :class:`~repro.streaming.service.SnapshotQueryService` over
+        the committed prefix, answering through its restored ReachGraph index
+        when one was persisted.
 
         ``name`` must match the name the state was written under.  Left
-        unset, it defaults to the shapes' constructor defaults (``stream``
-        unsharded, ``sharded-stream`` sharded) — but services created through
-        :meth:`streaming` (i.e. ``for_dataset``) persist under
-        ``<dataset>-stream`` / ``<dataset>-sharded`` / ``<dataset>-async``
-        instead; pass the service's ``.name``.  To *resume ingesting* an
-        unsharded stream instead of just querying it, use
+        unset, it defaults to the constructor default ``stream`` — but
+        services created through :meth:`streaming` (i.e. ``for_dataset``)
+        persist under ``<dataset>-stream`` instead; pass the service's
+        ``.name``.  To *resume ingesting* instead of just querying, use
         :meth:`repro.streaming.StreamingReachabilityService.open`.
         """
-        from ..streaming.coordinator import ShardedSnapshotQueryService
         from ..streaming.service import SnapshotQueryService
 
         if storage_backend == "sim":
@@ -291,10 +227,6 @@ class ReachabilityEngine:
         storage_config = StorageConfig(
             backend=storage_backend, storage_dir=storage_dir
         )
-        if sharded:
-            return ShardedSnapshotQueryService.open(
-                storage_config, name=name or "sharded-stream"
-            )
         return SnapshotQueryService.open(storage_config, name=name or "stream")
 
     def build_grail(self, config: GrailConfig | None = None):

@@ -23,7 +23,6 @@ __all__ = [
     "DatasetError",
     "StreamingError",
     "WatermarkRegressionError",
-    "ShardingError",
 ]
 
 
@@ -119,7 +118,3 @@ class WatermarkRegressionError(StreamingError):
         self.batch_watermark = batch_watermark
         self.current_watermark = current_watermark
 
-
-class ShardingError(StreamingError):
-    """The sharded ingestion contract was violated (bad shard id, a sample
-    routed to the wrong shard, inconsistent per-shard watermarks...)."""

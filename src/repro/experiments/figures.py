@@ -672,20 +672,6 @@ def _stream_replay(**kwargs) -> ExperimentResult:
     return stream_replay(**kwargs)
 
 
-def _sharded_stream_replay(**kwargs) -> ExperimentResult:
-    """Sharded streaming ingest: throughput and query IO vs shard count."""
-    from ..streaming.experiment import sharded_stream_replay
-
-    return sharded_stream_replay(**kwargs)
-
-
-def _async_stream_replay(**kwargs) -> ExperimentResult:
-    """Sync vs async serving: throughput and query latency under load."""
-    from ..streaming.experiment import async_stream_replay
-
-    return async_stream_replay(**kwargs)
-
-
 def _disk_backend_replay(**kwargs) -> ExperimentResult:
     """Storage backends: ingest/query cost and reopen fidelity per backend."""
     from ..streaming.experiment import disk_backend_replay
@@ -698,13 +684,6 @@ def _space_replay(**kwargs) -> ExperimentResult:
     from ..streaming.experiment import space_replay
 
     return space_replay(**kwargs)
-
-
-def _parallel_merge_replay(**kwargs) -> ExperimentResult:
-    """Merge-executor scaling: drain cost and build overlap per executor."""
-    from ..streaming.experiment import parallel_merge_replay
-
-    return parallel_merge_replay(**kwargs)
 
 
 def _query_latency_replay(**kwargs) -> ExperimentResult:
@@ -729,10 +708,7 @@ EXPERIMENTS = {
     "figure15": figure15_cpu_time,
     "table5": table5_grail_comparison,
     "stream": _stream_replay,
-    "stream-sharded": _sharded_stream_replay,
-    "stream-async": _async_stream_replay,
     "stream-disk": _disk_backend_replay,
     "stream-space": _space_replay,
-    "stream-parallel": _parallel_merge_replay,
     "stream-query": _query_latency_replay,
 }

@@ -60,8 +60,8 @@ class PartitionCache:
     """A cross-query LRU of partition records, shared by every query path.
 
     Owned by the serving layer (one per delta overlay) and handed to every
-    :class:`ReachGraphQueryProcessor` it creates, so sync, async, and
-    parallel-worker queries against the same graph all share one cache.
+    :class:`ReachGraphQueryProcessor` it creates, so every query against
+    the same graph shares one cache.
     :meth:`invalidate` empties it and bumps :attr:`generation` whenever the
     underlying graph mutates (merge adoption, frontier repack).
     Lookups are not keyed by generation: queries and adoption run on the

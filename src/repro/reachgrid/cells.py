@@ -9,8 +9,8 @@ rectangles to the set of cells they intersect.  No IO happens here.
 
 The spatial half is :class:`SpatialGrid` — the one definition of the
 column/row counts and of which cell a position falls in, shared by the batch
-:class:`GridGeometry`, the streaming ingestor and the spatial shard router, so
-the layouts can never diverge.
+:class:`GridGeometry` and the streaming ingestor, so the layouts can never
+diverge.
 """
 
 from __future__ import annotations

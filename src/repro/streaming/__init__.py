@@ -16,23 +16,7 @@ subpackage keeps the indexes queryable *while* data arrives:
   :class:`~repro.streaming.service.StreamingReachabilityService` facade
   (``ingest`` / ``query`` with an LRU result cache), also reachable through
   :meth:`repro.ReachabilityEngine.streaming`;
-* :mod:`~repro.streaming.router` / :mod:`~repro.streaming.sharding` /
-  :mod:`~repro.streaming.coordinator` — scale-out: pluggable shard routers,
-  the :class:`~repro.streaming.sharding.ShardedStreamIngestor` with per-shard
-  watermarks plus a global low-watermark and a cross-shard contact join, and
-  the :class:`~repro.streaming.coordinator.ShardedReachabilityService`
-  fanning queries out across shard overlays
-  (``engine.streaming(shards=N)``);
-* :mod:`~repro.streaming.async_service` — the asyncio serving front-end:
-  :class:`~repro.streaming.async_service.AsyncReachabilityService` runs one
-  ingest loop per shard behind bounded queues (``await ingest`` backpressures
-  when full), executes merges as background tasks over the frozen prefix, and
-  swaps snapshots in atomically so ``await query`` never blocks on a merge build
-  (``engine.streaming(async_mode=True)``);
-* :mod:`~repro.streaming.parallel` — true multi-core execution: the
-  :class:`~repro.streaming.parallel.MergeExecutor` abstraction runs the pure
-  build phase of merges inline, on a thread pool, or on a process pool
-  (``engine.streaming(merge_executor="process")``), and
+* :mod:`~repro.streaming.parallel` — read-side scale-out:
   :class:`~repro.streaming.parallel.ParallelQueryService` answers queries on
   a pool of worker processes over reopened read-only snapshots with
   generation-based invalidation.
@@ -50,12 +34,6 @@ True
 
 from __future__ import annotations
 
-from .async_service import AsyncReachabilityService, AsyncStats
-from .coordinator import (
-    ShardedReachabilityService,
-    ShardedSnapshotQueryService,
-    ShardedStats,
-)
 from .delta import (
     ContactSnapshotStore,
     DeltaGraph,
@@ -63,15 +41,9 @@ from .delta import (
     SnapshotArtifacts,
 )
 from .events import ContactEvent, SampleEvent, StreamBatch
-from .experiment import async_stream_replay, sharded_stream_replay, stream_replay
+from .experiment import stream_replay
 from .ingest import StreamIngestor
-from .parallel import (
-    InlineMergeExecutor,
-    MergeExecutor,
-    ParallelQueryService,
-    PoolMergeExecutor,
-    make_merge_executor,
-)
+from .parallel import ParallelQueryService
 from .policy import (
     AmplificationPolicy,
     DeltaSizePolicy,
@@ -80,7 +52,6 @@ from .policy import (
     MergePolicy,
     make_policy,
 )
-from .router import HashRouter, ShardRouter, SpatialCellRouter, make_router
 from .service import (
     MergeInputs,
     QueryResultCache,
@@ -89,12 +60,9 @@ from .service import (
     StreamingStats,
     build_merge,
 )
-from .sharding import CrossShardContactTracker, ShardedStreamIngestor
 from .source import DatasetReplaySource, GeneratorReplaySource, StreamSource, replay
 
 __all__ = [
-    "AsyncReachabilityService",
-    "AsyncStats",
     "SampleEvent",
     "ContactEvent",
     "StreamBatch",
@@ -112,28 +80,13 @@ __all__ = [
     "ElapsedIntervalsPolicy",
     "AmplificationPolicy",
     "make_policy",
-    "ShardRouter",
-    "HashRouter",
-    "SpatialCellRouter",
-    "make_router",
-    "CrossShardContactTracker",
-    "ShardedStreamIngestor",
-    "ShardedReachabilityService",
-    "ShardedSnapshotQueryService",
-    "ShardedStats",
-    "InlineMergeExecutor",
-    "MergeExecutor",
     "MergeInputs",
     "ParallelQueryService",
-    "PoolMergeExecutor",
     "QueryResultCache",
-    "make_merge_executor",
     "SnapshotArtifacts",
     "SnapshotQueryService",
     "StreamingReachabilityService",
     "StreamingStats",
     "build_merge",
     "stream_replay",
-    "sharded_stream_replay",
-    "async_stream_replay",
 ]

@@ -83,6 +83,11 @@ OpenRun = Tuple[Tuple[ObjectId, ObjectId], TimeInstant]
 #: (``None`` when nothing is open yet).
 OpenRunView = Callable[[], Tuple[Iterable[OpenRun], Optional[TimeInstant]]]
 
+#: Name the merge-built ReachGraph is placed under on the overlay's device.
+#: Only a merge with no live graph builds one, so nothing it could replace
+#: holds the name.
+_GRAPH_NAME = "graph-v1"
+
 
 def earliest_arrival_time(
     records: Iterable[ContactRecord],
@@ -214,8 +219,7 @@ class SnapshotArtifacts:
     """The query-side structures a merge builds for the frozen prefix.
 
     Produced purely from captured :class:`~repro.streaming.service.MergeInputs`
-    by :func:`~repro.streaming.service.build_merge` (safe to run
-    in a background thread) and adopted atomically by
+    by :func:`~repro.streaming.service.build_merge` and adopted by
     :meth:`ReachGraphDeltaOverlay.adopt_increment`.
 
     At most one field is set when the merge carries a ReachGraph fast path:
@@ -683,7 +687,6 @@ class ReachGraphDeltaOverlay:
         self._processor = None  # ReachGraphQueryProcessor over the snapshot
         self._snapshot_watermark: Optional[TimeInstant] = None
         self._version = 0
-        self._graph_version = 0
         # ReachGraph write-amplification ledger (mirrors the snapshot store's
         # records ledger): vertex records ever written by builds/increments,
         # full rebuilds performed, and partition blocks superseded by rewrites
@@ -736,12 +739,10 @@ class ReachGraphDeltaOverlay:
         watermark (clipping is re-applied here to defend the partition
         invariant).  ``artifacts`` carries the purely built query-side
         structures (either a fresh ReachGraph index or a
-        :class:`~repro.reachgraph.DagPatch` for the live one), which is
-        what keeps the expensive half of a merge off-thread-safe while this
+        :class:`~repro.reachgraph.DagPatch` for the live one), so this
         method — the only part touching live state — stays cheap: one run
         append, a few assignments, and a patch application proportional to
-        the delta.  Returns the records written
-        to the snapshot store.
+        the delta.  Returns the records written to the snapshot store.
         """
         # The graph half goes first: apply_increment validates the patch
         # against the live index (a stale patch raises) before anything else
@@ -758,14 +759,9 @@ class ReachGraphDeltaOverlay:
         elif artifacts.pending_index is not None:
             from ..reachgraph import ReachGraphQueryProcessor
 
-            # The deferred build ran off-thread against no storage; place it
-            # on this overlay's device here, on the adopting thread, under a
-            # versioned name so it never collides with a graph it replaces.
-            self._retire_processor()
-            self._graph_version += 1
-            artifacts.pending_index.place(
-                self._storage, name=f"graph-v{self._graph_version}"
-            )
+            # The deferred build ran against no storage; place it on this
+            # overlay's device here.
+            artifacts.pending_index.place(self._storage, name=_GRAPH_NAME)
             self._processor = ReachGraphQueryProcessor(
                 artifacts.pending_index, partition_cache=self._partition_cache
             )
@@ -826,10 +822,9 @@ class ReachGraphDeltaOverlay:
         """The live index's resumable maintenance state, or ``None``.
 
         ``None`` when no merge has installed a ReachGraph fast path yet — the
-        next merge then performs the initial full build.  Must be captured on
-        the thread that owns this overlay (the streaming service's
-        ``prepare_merge`` does), after which the pure patch computation may
-        run anywhere.
+        next merge then performs the initial full build.  The streaming
+        service's ``prepare_merge`` captures it; the pure patch computation
+        then reads nothing else of the overlay.
         """
         if self._processor is None:
             return None
@@ -907,20 +902,13 @@ class ReachGraphDeltaOverlay:
         index = self._processor.index
         if not index.is_placed or index.storage is not self._storage:
             return None
-        return {"index": index.catalog(), "version": self._graph_version}
+        return {"index": index.catalog()}
 
-    def attach_graph(
-        self, processor: "ReachGraphQueryProcessor", version: int
-    ) -> None:
-        """Adopt a restored graph fast path (reopen path).
-
-        ``version`` resumes the graph file-name counter so a later build
-        never collides on a name.
-        """
+    def attach_graph(self, processor: "ReachGraphQueryProcessor") -> None:
+        """Adopt a restored graph fast path (reopen path)."""
         self._processor = processor
         processor.partition_cache = self._partition_cache
         self._partition_cache.invalidate()
-        self._graph_version = version
 
     # ------------------------------------------------------------------
     # introspection (merge policies read these)
@@ -1092,20 +1080,6 @@ class ReachGraphDeltaOverlay:
                 opened = floor
             if opened <= limit:
                 records.append((first, second, opened, bound))
-        return records
-
-    def collect_records(
-        self, interval: TimeInterval, open_runs: Optional[OpenRunView] = None
-    ) -> List[ContactRecord]:
-        """Every snapshot ∪ delta ∪ open record overlapping ``interval``.
-
-        Snapshot records are read from disk (IO charged to this overlay's
-        storage system).  The sharded coordinators union the result across
-        shard overlays before running :func:`earliest_arrival_time`.
-        """
-        records = self._recent_records(interval.start, interval.end, open_runs)
-        if self._store is not None:
-            records.extend(self._store.read_overlapping(interval))
         return records
 
     def evaluate(

@@ -6,18 +6,14 @@ the streaming service, then compare per-query IO in the two regimes the delta
 overlay creates (queries answered while the delta is live vs queries answered
 after a merge folded everything into frozen indexes), alongside ingest
 throughput and a ground-truth equivalence count against the batch
-``reference`` evaluator.  The ``stream-async`` driver replays the same script
-through the synchronous sharded service and the asyncio front-end, measuring
-what the async architecture actually buys: query latency while merges run
-(inline stalls vs background merge builds).
+``reference`` evaluator.
 """
 
 from __future__ import annotations
 
-import asyncio
 import tempfile
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..baselines.reference import evaluate_reachability
 from ..contacts.join import build_contact_network
@@ -26,30 +22,20 @@ from ..core.types import QueryResult, ReachabilityQuery, TimeInterval
 from ..experiments.harness import ExperimentResult, run_workload
 from ..workloads.datasets import DATASETS
 from ..workloads.queries import random_queries
-from .async_service import AsyncReachabilityService
-from .coordinator import ShardedReachabilityService
 from .service import SnapshotQueryService, StreamingReachabilityService
 from .source import DatasetReplaySource
 
 __all__ = [
     "stream_replay",
-    "sharded_stream_replay",
-    "async_stream_replay",
     "disk_backend_replay",
     "space_replay",
-    "parallel_merge_replay",
     "query_latency_replay",
 ]
 
 
 def _make_service(dataset, spec, streaming_config, storage_config=None):
-    """The streaming service the config asks for (sharded when shards > 1)."""
-    cls = (
-        ShardedReachabilityService
-        if streaming_config.shards > 1
-        else StreamingReachabilityService
-    )
-    return cls.for_dataset(
+    """A streaming service for ``dataset`` configured from its spec."""
+    return StreamingReachabilityService.for_dataset(
         dataset,
         contact_config=spec.contact_config,
         grid_config=spec.grid_config,
@@ -76,11 +62,7 @@ def stream_replay(
     num_queries: int = 20,
     merge_policy: str = "delta-size",
     seed: int = 0,
-    shards: int = 1,
-    router: str = "hash",
     storage_backend: str = "sim",
-    merge_executor: str = "inline",
-    merge_workers: int = 2,
 ) -> ExperimentResult:
     """Streaming ingestion: throughput, and delta-query vs post-merge IO."""
     result = ExperimentResult(
@@ -91,12 +73,7 @@ def stream_replay(
         spec = DATASETS[name]
         dataset = spec.generate()
         streaming_config = StreamingConfig(
-            batch_ticks=batch_ticks,
-            merge_policy=merge_policy,
-            shards=shards,
-            router=router,
-            merge_executor=merge_executor,
-            merge_workers=merge_workers,
+            batch_ticks=batch_ticks, merge_policy=merge_policy
         )
         service = _make_service(
             dataset, spec, streaming_config, _storage_config(storage_backend)
@@ -140,7 +117,7 @@ def stream_replay(
             premerge_matches=f"{pre_matches}/{num_queries}",
             postmerge_matches=f"{post_matches}/{num_queries}",
         )
-        service.close()  # releases the merge-executor pool, if one was created
+        service.close()
     result.add_note(
         f"merge policy: {merge_policy}; pre-merge queries consult the frozen "
         "snapshot plus the in-memory delta graph, post-merge queries run on "
@@ -150,275 +127,8 @@ def stream_replay(
         "matches count agreement with the batch reference evaluator over the "
         "same data; both columns should always equal the workload size."
     )
-    if shards > 1:
-        result.add_note(f"sharded ingestion: {shards} shards, {router} router.")
     if storage_backend != "sim":
         result.add_note(f"storage backend: {storage_backend}.")
-    if merge_executor != "inline":
-        result.add_note(
-            f"merge executor: {merge_executor} ({merge_workers} workers)."
-        )
-    return result
-
-
-def sharded_stream_replay(
-    dataset_names: Sequence[str] = ("rwp-small",),
-    shard_counts: Sequence[int] = (1, 2, 4, 8),
-    router: str = "hash",
-    batch_ticks: int = 8,
-    num_queries: int = 20,
-    merge_policy: str = "delta-size",
-    seed: int = 0,
-    storage_backend: str = "sim",
-) -> ExperimentResult:
-    """Shard-count scaling: ingest throughput and query cost vs shards."""
-    result = ExperimentResult(
-        experiment="stream-sharded",
-        description="Sharded streaming ingest: throughput and query IO vs shard count",
-    )
-    for name in dataset_names:
-        spec = DATASETS[name]
-        dataset = spec.generate()
-        workload = random_queries(dataset, count=num_queries, seed=seed)
-        network = build_contact_network(dataset, spec.contact_threshold)
-        truth = {
-            query: evaluate_reachability(network, query).reachable
-            for query in workload
-        }
-        for shards in shard_counts:
-            streaming_config = StreamingConfig(
-                batch_ticks=batch_ticks,
-                merge_policy=merge_policy,
-                shards=shards,
-                router=router,
-            )
-            service = _make_service(
-                dataset, spec, streaming_config, _storage_config(storage_backend)
-            )
-            stats = service.drain(DatasetReplaySource(dataset, batch_ticks=batch_ticks))
-            query_results = {query: service.query(query) for query in workload}
-            aggregate = run_workload(
-                query_results.__getitem__, workload, method=f"shards-{shards}"
-            )
-            matches = sum(
-                1
-                for query in workload
-                if query_results[query].reachable == truth[query]
-            )
-            result.add_row(
-                dataset=name,
-                shards=shards,
-                events=stats.events,
-                ingest_events_per_sec=round(stats.events_per_second, 1),
-                merges=service.num_merges,
-                mean_query_io=round(aggregate.mean_io, 3),
-                mean_query_ms=round(aggregate.mean_cpu_seconds * 1000.0, 3),
-                matches=f"{matches}/{num_queries}",
-            )
-    result.add_note(
-        f"router: {router}; merge policy: {merge_policy}; each row drains the "
-        "same replayed stream through N ingestion shards and answers the same "
-        "workload by unioning shard overlays through the global low-watermark."
-    )
-    result.add_note(
-        "matches count agreement with the batch reference evaluator; the "
-        "column should always equal the workload size for every shard count."
-    )
-    return result
-
-
-# ----------------------------------------------------------------------
-# sync vs async serving under concurrent query load
-# ----------------------------------------------------------------------
-def _run_sync_script(
-    service: ShardedReachabilityService,
-    batches: Sequence,
-    workload: Sequence[ReachabilityQuery],
-    queries_per_batch: int,
-) -> Tuple[float, List[float], int]:
-    """Ingest every batch, answering queries after each; returns timings.
-
-    Returns (wall seconds, per-query wall latencies, queries answered).  In
-    the synchronous regime a query issued right after a batch that triggered
-    a merge pays the whole merge build inline — that stall is the latency tail
-    the async service removes.
-    """
-    latencies: List[float] = []
-    cursor = 0
-    started = time.perf_counter()
-    for batch in batches:
-        service.ingest(batch)
-        for _ in range(queries_per_batch):
-            query = workload[cursor % len(workload)]
-            cursor += 1
-            t0 = time.perf_counter()
-            service.query(query)
-            latencies.append(time.perf_counter() - t0)
-    return time.perf_counter() - started, latencies, cursor
-
-
-async def _run_async_script(
-    service: AsyncReachabilityService,
-    batches: Sequence,
-    workload: Sequence[ReachabilityQuery],
-    queries_per_batch: int,
-    concurrency: int,
-) -> Tuple[float, List[float], int]:
-    """The same script against the asyncio front-end, with concurrent queries.
-
-    Per batch: one producer awaits ``ingest`` (backpressured by the shard
-    queues) while ``concurrency``-wide waves of queries run concurrently on
-    the loop; background merges proceed in worker threads throughout.
-    """
-    latencies: List[float] = []
-    cursor = 0
-
-    async def timed_query(query: ReachabilityQuery) -> QueryResult:
-        t0 = time.perf_counter()
-        result = await service.query(query)
-        latencies.append(time.perf_counter() - t0)
-        return result
-
-    started = time.perf_counter()
-    for batch in batches:
-        ingest_future = asyncio.ensure_future(service.ingest(batch))
-        # Waves run one after another — at most ``concurrency`` queries are
-        # ever in flight at once — while the ingest future (and any merge it
-        # spawns) stays pending alongside them.
-        for wave_start in range(0, queries_per_batch, concurrency):
-            width = min(concurrency, queries_per_batch - wave_start)
-            wave = [workload[(cursor + i) % len(workload)] for i in range(width)]
-            cursor += width
-            await asyncio.gather(*(timed_query(q) for q in wave))
-        await ingest_future
-    await service.drain()
-    return time.perf_counter() - started, latencies, cursor
-
-
-def async_stream_replay(
-    dataset_names: Sequence[str] = ("rwp-small",),
-    shards: int = 2,
-    concurrency: int = 4,
-    batch_ticks: int = 8,
-    num_queries: int = 16,
-    queries_per_batch: int = 4,
-    merge_policy: str = "delta-size",
-    router: str = "hash",
-    seed: int = 0,
-    storage_backend: str = "sim",
-) -> ExperimentResult:
-    """Sync vs async serving: throughput and query latency under load."""
-    result = ExperimentResult(
-        experiment="stream-async",
-        description=(
-            "Synchronous vs asyncio serving: ingest throughput and query "
-            "latency while merges run"
-        ),
-    )
-    for name in dataset_names:
-        spec = DATASETS[name]
-        dataset = spec.generate()
-        streaming_config = StreamingConfig(
-            batch_ticks=batch_ticks,
-            merge_policy=merge_policy,
-            shards=shards,
-            router=router,
-        )
-        batches = list(DatasetReplaySource(dataset, batch_ticks=batch_ticks).batches())
-        workload = list(random_queries(dataset, count=num_queries, seed=seed))
-        network = build_contact_network(dataset, spec.contact_threshold)
-        truth: Dict[ReachabilityQuery, QueryResult] = {
-            query: evaluate_reachability(network, query) for query in workload
-        }
-
-        def final_matches(results: Dict[ReachabilityQuery, QueryResult]) -> int:
-            return sum(
-                1
-                for query in workload
-                if results[query].reachable == truth[query].reachable
-            )
-
-        # Synchronous regime: merges run inline, queries wait behind them.
-        sync_service = ShardedReachabilityService.for_dataset(
-            dataset,
-            contact_config=spec.contact_config,
-            grid_config=spec.grid_config,
-            streaming_config=streaming_config,
-            storage_config=_storage_config(storage_backend),
-        )
-        sync_wall, sync_latencies, sync_answered = _run_sync_script(
-            sync_service, batches, workload, queries_per_batch
-        )
-        sync_final = {query: sync_service.query(query) for query in workload}
-
-        # Async regime: background merges, concurrent queries.
-        async def drive():
-            service = AsyncReachabilityService.for_dataset(
-                dataset,
-                contact_config=spec.contact_config,
-                grid_config=spec.grid_config,
-                streaming_config=streaming_config,
-                storage_config=_storage_config(storage_backend),
-            )
-            async with service:
-                wall, latencies, answered = await _run_async_script(
-                    service, batches, workload, queries_per_batch, concurrency
-                )
-                final = {query: await service.query(query) for query in workload}
-                stats = service.stats
-            return wall, latencies, answered, final, stats
-
-        async_wall, async_latencies, async_answered, async_final, async_stats = (
-            asyncio.run(drive())
-        )
-
-        sync_stats = sync_service.stats
-        for mode, wall, latencies, answered, final, events_per_sec, merges in (
-            (
-                "sync",
-                sync_wall,
-                sync_latencies,
-                sync_answered,
-                sync_final,
-                sync_stats.events_per_second,
-                sync_stats.merges,
-            ),
-            (
-                "async",
-                async_wall,
-                async_latencies,
-                async_answered,
-                async_final,
-                async_stats.events_per_second,
-                async_stats.sharded.merges,
-            ),
-        ):
-            result.add_row(
-                dataset=name,
-                mode=mode,
-                shards=shards,
-                concurrency=concurrency if mode == "async" else 1,
-                wall_seconds=round(wall, 4),
-                ingest_events_per_sec=round(events_per_sec, 1),
-                merges=merges,
-                queries_during_ingest=answered,
-                mean_query_ms=round(
-                    1000.0 * sum(latencies) / max(1, len(latencies)), 3
-                ),
-                max_query_ms=round(1000.0 * max(latencies, default=0.0), 3),
-                matches=f"{final_matches(final)}/{num_queries}",
-            )
-    result.add_note(
-        f"merge policy: {merge_policy}; both modes replay the same batches and "
-        "answer the same per-batch query waves; 'matches' checks the post-drain "
-        "answers against the batch reference evaluator and should always equal "
-        "the workload size."
-    )
-    result.add_note(
-        "the async row runs ingestion through bounded per-shard queues with "
-        "merges as background tasks, so its max_query_ms excludes the inline "
-        "merge stall the sync row pays."
-    )
     return result
 
 
@@ -640,101 +350,6 @@ def space_replay(
         "whole stream; matches re-answers the workload after GC against the "
         "batch reference evaluator (reclaim must move blocks, not answers)."
     )
-    return result
-
-
-# ----------------------------------------------------------------------
-# multi-core merge execution: executor kind × worker count
-# ----------------------------------------------------------------------
-def parallel_merge_replay(
-    dataset_names: Sequence[str] = ("rwp-small",),
-    executors: Sequence[str] = ("inline", "thread", "process"),
-    worker_counts: Sequence[int] = (1, 2, 4),
-    shards: int = 4,
-    batch_ticks: int = 8,
-    num_queries: int = 12,
-    max_delta_contacts: int = 64,
-    seed: int = 0,
-    storage_backend: str = "sim",
-) -> ExperimentResult:
-    """Merge-executor scaling: drain cost and build overlap per executor.
-
-    Drains the same replayed stream through a sharded service once per
-    (executor kind, worker count) cell — the sharded coordinator shares one
-    :class:`~repro.streaming.parallel.MergeExecutor` across its shards, so a
-    thread/process pool overlaps the pure builds of different shards while
-    adoptions stay serial.  ``overlapped_builds`` (from the executor's
-    :class:`~repro.obs.MergeTimings`) is the direct witness of concurrency;
-    on a multi-core machine ``drain_seconds`` should fall as process workers
-    grow, while answers stay bit-identical to the batch reference.
-    """
-    result = ExperimentResult(
-        experiment="stream-parallel",
-        description=(
-            "Merge-executor scaling: drain wall time, build overlap, and "
-            "reference equivalence per executor kind and worker count"
-        ),
-    )
-    for name in dataset_names:
-        spec = DATASETS[name]
-        dataset = spec.generate()
-        workload = list(random_queries(dataset, count=num_queries, seed=seed))
-        network = build_contact_network(dataset, spec.contact_threshold)
-        truth = {
-            query: evaluate_reachability(network, query).reachable
-            for query in workload
-        }
-        for executor in executors:
-            counts = worker_counts if executor != "inline" else (1,)
-            for workers in counts:
-                streaming_config = StreamingConfig(
-                    batch_ticks=batch_ticks,
-                    max_delta_contacts=max_delta_contacts,
-                    shards=shards,
-                    merge_executor=executor,
-                    merge_workers=workers,
-                )
-                service = _make_service(
-                    dataset, spec, streaming_config, _storage_config(storage_backend)
-                )
-                started = time.perf_counter()
-                service.drain(DatasetReplaySource(dataset, batch_ticks=batch_ticks))
-                service.merge()  # freeze the tail so every cell covers it all
-                drain_seconds = time.perf_counter() - started
-                timings = service.merge_executor.timings.summary()
-                query_results = {query: service.query(query) for query in workload}
-                matches = sum(
-                    1
-                    for query in workload
-                    if query_results[query].reachable == truth[query]
-                )
-                merges = service.num_merges
-                service.close()
-                result.add_row(
-                    dataset=name,
-                    executor=executor,
-                    workers=workers,
-                    shards=shards,
-                    merges=merges,
-                    drain_seconds=round(drain_seconds, 4),
-                    build_seconds=round(timings["total_build_seconds"], 4),
-                    overlapped_builds=int(timings["overlapped_builds"]),
-                    matches=f"{matches}/{num_queries}",
-                )
-    result.add_note(
-        f"max_delta_contacts: {max_delta_contacts} (small, so many merges fire); "
-        "every cell drains the same replayed stream — only where the pure "
-        "build phase runs differs, so 'matches' must equal the workload size "
-        "in every row."
-    )
-    result.add_note(
-        "overlapped_builds counts builds that shared their executor with a "
-        "concurrent one: 0 for inline by construction, rising with workers "
-        "for the pools; drain_seconds only improves with process workers "
-        "when the machine actually has spare cores."
-    )
-    if storage_backend != "sim":
-        result.add_note(f"storage backend: {storage_backend}.")
     return result
 
 

@@ -125,7 +125,7 @@ class StreamIngestor:
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
-    def ingest(self, batch: StreamBatch, prevalidated: bool = False) -> int:
+    def ingest(self, batch: StreamBatch) -> int:
         """Consume one batch: buffer samples, advance the watermark.
 
         Returns the number of sample events ingested.  Batches must arrive in
@@ -134,14 +134,10 @@ class StreamIngestor:
         batch is validated before any state is touched, so a rejected batch
         (:class:`WatermarkRegressionError`, a late sample, a dense-horizon
         break) leaves the ingestor exactly as it was and can be corrected and
-        re-sent.  ``prevalidated`` promises the caller *just* ran
-        :meth:`validate_batch` on this batch (the sharded coordinator
-        validates every shard's sub-batch before feeding any shard) and skips
-        the re-check.
+        re-sent.
         """
         started = time.perf_counter()
-        if not prevalidated:
-            self.validate_batch(batch)
+        self.validate_batch(batch)
         if not self._replaying:
             # Journal the batch before mutating state: every accepted batch
             # is re-ingestable from the WAL once a checkpoint names it.
@@ -423,7 +419,7 @@ class StreamIngestor:
                     SampleEvent(object_id, t, Point(x, y))
                     for object_id, t, x, y in self._journal.read_extent(key)
                 )
-                self.ingest(StreamBatch(samples, watermark), prevalidated=True)
+                self.ingest(StreamBatch(samples, watermark))
         finally:
             self._replaying = False
             self._flushed_floor = 0
@@ -448,7 +444,7 @@ class StreamIngestor:
                     SampleEvent(object_id, t, Point(x, y))
                     for object_id, t, x, y in self._journal.read_extent(key)
                 )
-                self.ingest(StreamBatch(samples, watermark), prevalidated=True)
+                self.ingest(StreamBatch(samples, watermark))
                 self._journal_entries = seq + 1
         finally:
             self._replaying = False
@@ -494,16 +490,11 @@ class StreamIngestor:
         """
         return self._closed[start:]
 
-    def open_contacts(self, through: TimeInstant | None = None) -> List[Contact]:
-        """Contacts still open, clipped to the current watermark.
-
-        With ``through`` the clip bound is ``min(watermark, through)`` and
-        runs opening after ``through`` are dropped — the view a coordinator
-        needs when a global low-watermark trails this shard's watermark.
-        """
+    def open_contacts(self) -> List[Contact]:
+        """Contacts still open, clipped to the current watermark."""
         if self._watermark is None:
             return []
-        bound = self._watermark if through is None else min(self._watermark, through)
+        bound = self._watermark
         return [
             Contact(pair[0], pair[1], TimeInterval(start, bound))
             for pair, start in self._open.items()
@@ -553,7 +544,7 @@ class StreamIngestor:
         if self._origin is None:
             return []
         floor = self._origin if after is None else after + 1
-        candidates = self._closed[closed_from:] + self.open_contacts(through=through)
+        candidates = self._closed[closed_from:] + self.open_contacts()
         return [
             bounded
             for bounded in (contact.clipped(floor, through) for contact in candidates)
@@ -613,9 +604,8 @@ class StreamIngestor:
         Requires every observed object to cover the full prefix
         ``[origin, watermark]`` (the replay sources guarantee this); the
         first ReachGraph build reads the result.  ``through``
-        bounds the materialized prefix at an earlier instant — the sharded
-        coordinator merges each shard at the global low-watermark, which may
-        trail this shard's own watermark.
+        bounds the materialized prefix at an earlier instant than the
+        watermark.
 
         The samples are read back from the cells of every interval starting
         by the bound, plus the memtable; an ``(object, tick)`` of the prefix

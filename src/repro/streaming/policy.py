@@ -42,11 +42,6 @@ class MergeContext:
         the stream origin when no merge has happened yet).
     watermark / snapshot_watermark:
         Current stream watermark and the watermark of the last merge.
-    low_watermark:
-        In a sharded deployment, the global low-watermark (minimum over all
-        per-shard watermarks) bounding how far this shard's merge may freeze;
-        ``None`` in the single-shard service, where the shard's own watermark
-        is the bound.
     """
 
     delta_contacts: int
@@ -54,7 +49,6 @@ class MergeContext:
     intervals_since_merge: int
     watermark: Optional[int]
     snapshot_watermark: Optional[int]
-    low_watermark: Optional[int] = None
 
     @property
     def amplification(self) -> float:

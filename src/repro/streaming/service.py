@@ -47,7 +47,6 @@ from .source import replay
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..reachgraph import GraphFrontier
-    from .parallel import MergeExecutor
 
 __all__ = [
     "MergeInputs",
@@ -65,12 +64,10 @@ _OVERLAY_MANIFEST_KEY = "overlay-manifest"
 class QueryResultCache:
     """A small LRU cache of query results with hit/miss accounting.
 
-    Shared by the single-shard service, the sharded coordinator, and the
-    asyncio front-end; a ``capacity`` of 0 disables caching entirely (every
-    lookup is a miss that is not counted).  All mutating operations take an
-    internal lock, so an invalidation racing a lookup (a background merge
-    swapping a snapshot in while queries run) can never corrupt the LRU
-    structure or serve an entry that survived the invalidation.
+    A ``capacity`` of 0 disables caching entirely (every lookup is a miss
+    that is not counted).  All mutating operations take an internal lock, so
+    an invalidation racing a lookup can never corrupt the LRU structure or
+    serve an entry that survived the invalidation.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -127,13 +124,12 @@ class QueryResultCache:
 class MergeInputs:
     """The frozen prefix a merge folds into a new snapshot.
 
-    Captured synchronously by :meth:`StreamingReachabilityService.prepare_merge`
-    and then handed to :func:`build_merge`, which touches nothing but these
-    values — that purity is what makes it legal to run the build in a
-    background thread while the ingestor keeps moving (the asyncio service
-    does exactly that).
+    Captured by :meth:`StreamingReachabilityService.prepare_merge` and then
+    handed to :func:`build_merge`, which touches nothing but these values:
+    the build shares no mutable state with the live service.
 
-    ``new_contacts`` is the freshly frozen slice — the contacts of
+    ``bound`` is the watermark at capture time.  ``new_contacts`` is the
+    freshly frozen slice — the contacts of
     ``(snapshot watermark, bound]`` — which is all a merge appends to the
     snapshot store (as one run) and all a graph patch replays.  ``prefix``
     and ``contacts`` — the trajectories and the complete contact set of
@@ -189,9 +185,9 @@ def build_merge(
             from ..reachgraph import ReachGraphIndex
 
             assert inputs.prefix is not None, "a full build captures the prefix"
-            # Deferred placement: the build runs in memory (possibly on a
-            # background thread); the adopting thread later writes it onto
-            # the overlay's own device, where close/reopen can find it.
+            # Deferred placement: the build runs in memory; adoption later
+            # writes it onto the overlay's own device, where close/reopen
+            # can find it.
             pending_index = ReachGraphIndex(
                 inputs.prefix,
                 config=ReachGraphConfig(interval_labels=inputs.graph_labels),
@@ -264,14 +260,12 @@ class StreamingReachabilityService:
         auto_merge: bool = True,
         ingestor: StreamIngestor | None = None,
         overlay: ReachGraphDeltaOverlay | None = None,
-        merge_executor: "MergeExecutor | None" = None,
     ) -> None:
         self.contact_config = contact_config or ContactConfig()
         self.grid_config = grid_config or ReachGridConfig()
         self.streaming_config = streaming_config or StreamingConfig()
         self.name = name
-        # The sharded coordinator turns auto_merge off and triggers per-shard
-        # merges itself, bounded at the global low-watermark.
+        # With auto_merge off the caller schedules merges (see merge()).
         self.auto_merge = auto_merge
         # ``ingestor``/``overlay`` are the resume path (see :meth:`open`):
         # constructing fresh ones here would attach with ``attach=False``,
@@ -290,12 +284,6 @@ class StreamingReachabilityService:
         )
         self._policy = make_policy(self.streaming_config)
         self._cache = QueryResultCache(self.streaming_config.query_cache_size)
-        # A caller-supplied executor (the sharded coordinator shares one
-        # across its shards) is borrowed — its lifecycle stays with the
-        # caller; a config-selected one is created lazily and closed by
-        # :meth:`close`.
-        self._merge_executor = merge_executor
-        self._owns_executor = merge_executor is None
         self._consumed_closed = 0
         self._restage_cursor = 0
         self._intervals_at_merge = 0
@@ -399,18 +387,12 @@ class StreamingReachabilityService:
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
-    def ingest(
-        self,
-        events: StreamBatch | Iterable[SampleEvent],
-        prevalidated: bool = False,
-    ) -> int:
+    def ingest(self, events: StreamBatch | Iterable[SampleEvent]) -> int:
         """Ingest one batch (or a bare iterable of sample events).
 
         A bare iterable is wrapped into a batch whose watermark is its latest
         sample time.  Returns the number of events ingested; afterwards the
         service is immediately queryable at the new watermark.
-        ``prevalidated`` is forwarded to the ingestor (see
-        :meth:`StreamIngestor.ingest`).
         """
         self._ensure_open()
         batch = (
@@ -419,7 +401,7 @@ class StreamingReachabilityService:
             else StreamBatch.of(tuple(events))
         )
         before = self._ingestor.watermark
-        count = self._ingestor.ingest(batch, prevalidated=prevalidated)
+        count = self._ingestor.ingest(batch)
         self._batches += 1
         self._sync_delta()
         if self._ingestor.watermark != before:
@@ -441,7 +423,7 @@ class StreamingReachabilityService:
             self._overlay.add_contact(contact)
         self._consumed_closed = self._ingestor.num_closed_contacts
 
-    def merge_context(self, low_watermark: Optional[TimeInstant] = None) -> MergeContext:
+    def merge_context(self) -> MergeContext:
         """The :class:`MergeContext` a merge policy would see right now."""
         return MergeContext(
             delta_contacts=self._overlay.delta_size,
@@ -450,7 +432,6 @@ class StreamingReachabilityService:
             - self._intervals_at_merge,
             watermark=self._ingestor.watermark,
             snapshot_watermark=self._overlay.snapshot_watermark,
-            low_watermark=low_watermark,
         )
 
     def _maybe_merge(self) -> None:
@@ -460,54 +441,38 @@ class StreamingReachabilityService:
         if self._policy.should_merge(self.merge_context()):
             self.merge()
 
-    def merge(self, through: Optional[TimeInstant] = None) -> None:
+    def merge(self) -> None:
         """Fold the delta into the snapshot over the ingested prefix.
 
         Normally triggered by the merge policy; exposed so callers can force a
-        merge (e.g. before a read-heavy phase).  ``through`` bounds the frozen
-        prefix at an earlier instant than the watermark (the sharded
-        coordinator passes the global low-watermark); closed contacts
-        extending past the bound stay in the delta, clipped at the boundary.
-
-        The three phases — :meth:`prepare_merge` (capture the frozen slice),
+        merge (e.g. before a read-heavy phase).  Runs the three phases back to
+        back: :meth:`prepare_merge` (capture the frozen slice),
         :func:`build_merge` (the pure graph build or patch), and
-        :meth:`adopt_merge` (append a run, atomic adoption) — are public so
-        the asyncio front-end and the sharded coordinator can schedule the
-        middle phase themselves; this method runs them back to back, routing
-        the build through the configured
-        :class:`~repro.streaming.parallel.MergeExecutor`
-        (``inline`` builds right here; ``thread``/``process`` build on a
-        worker and this thread waits for the result before adopting).
+        :meth:`adopt_merge` (append a run, adopt the graph).  They are public
+        so a caller can time or schedule them one by one.
         """
-        inputs = self.prepare_merge(through=through)
-        build = self.merge_executor.submit(inputs).result()
+        inputs = self.prepare_merge()
+        build = build_merge(inputs)
         crash_point("merge-pre-adopt")
         self.adopt_merge(build, inputs)
 
-    def prepare_merge(self, through: Optional[TimeInstant] = None) -> MergeInputs:
-        """Capture what a merge through ``min(through, watermark)`` folds in.
+    def prepare_merge(self) -> MergeInputs:
+        """Capture what a merge through the current watermark folds in.
 
-        Synchronous and cheap relative to the build.  The freshly frozen
-        slice is read off the tail of the closed-contact list past the
-        restage cursor (everything before it was frozen by an earlier merge)
-        plus the open runs, so with a graph frontier to patch the capture
-        costs what the increment costs; only the first ReachGraph build
-        materialises the prefix dataset and its complete contact set.  A
-        bound below the snapshot watermark is raised to it: those ticks are
-        frozen already, so such a merge freezes nothing new.  The returned
-        :class:`MergeInputs` shares no mutable state with the ingestor, so a
-        :func:`build_merge` over it may run concurrently with further
-        ingestion.
+        Cheap relative to the build.  The freshly frozen slice is read off
+        the tail of the closed-contact list past the restage cursor
+        (everything before it was frozen by an earlier merge) plus the open
+        runs, so with a graph frontier to patch the capture costs what the
+        increment costs; only the first ReachGraph build materialises the
+        prefix dataset and its complete contact set.  The returned
+        :class:`MergeInputs` shares no mutable state with the ingestor.
         """
         self._ensure_open()
-        watermark = self._ingestor.watermark
+        bound = self._ingestor.watermark
         origin = self._ingestor.origin
-        if watermark is None or origin is None:
+        if bound is None or origin is None:
             raise StreamingError("nothing to merge: no batch ingested yet")
-        bound = watermark if through is None else min(through, watermark)
         frozen_through = self._overlay.snapshot_watermark
-        if frozen_through is not None:
-            bound = max(bound, frozen_through)
         self._sync_delta()
         config = self.streaming_config
         new_contacts = tuple(
@@ -519,12 +484,12 @@ class StreamingReachabilityService:
         prefix = None
         contacts: Tuple[Contact, ...] = ()
         if config.build_reachgraph_on_merge:
-            # Capture the live index's resumable state on this (owning)
-            # thread; None before the first fast-path build, which makes the
-            # first merge a full build and every later one a patch.
+            # The live index's resumable state; None before the first
+            # fast-path build, which makes the first merge a full build and
+            # every later one a patch.
             graph_frontier = self._overlay.graph_frontier()
             if graph_frontier is None:
-                prefix = self._ingestor.prefix_dataset(through=bound)
+                prefix = self._ingestor.prefix_dataset()
                 contacts = tuple(self._ingestor.contacts_through(bound))
         return MergeInputs(
             prefix=prefix,
@@ -544,9 +509,7 @@ class StreamingReachabilityService:
 
         Installs or patches the ReachGraph, appends the frozen slice as one
         snapshot run, and — once a level passes ``compaction_max_runs`` runs
-        — folds it with a compaction.  No step between the adoption and
-        the cache invalidation yields control, so concurrent queries see the
-        old snapshot or the fully adopted new one, never a mixture.
+        — folds it with a compaction.
         """
         graph_written_before = self._overlay.graph_records_written
         self._snapshot_records_written += self._overlay.adopt_increment(
@@ -560,12 +523,9 @@ class StreamingReachabilityService:
             self._overlay.graph_records_written - graph_written_before
         )
         self._finish_adopt(inputs.bound)
-        # Compaction deliberately runs here, on the adopting thread, even in
-        # the async service: it reads the live runs through the (non-thread-
-        # safe) buffer pool that concurrent queries also use, so moving it to
-        # a worker thread would race them.  The run append above is the cheap
-        # part; a level-``L`` fold is bounded by the level's size and fires
-        # only once per compaction_max_runs**(L+1) merges.
+        # The run append above is the cheap part; a level-``L`` fold is
+        # bounded by the level's size and fires only once per
+        # compaction_max_runs**(L+1) merges.
         compactions_before = self._overlay.snapshot_compactions
         compacted = self._overlay.maybe_compact(
             self.streaming_config.compaction_max_runs
@@ -579,10 +539,8 @@ class StreamingReachabilityService:
     def _maybe_repack(self) -> None:
         """Fold cold fragmented graph partitions when the config asks for it.
 
-        Runs on the adopting thread for the same reason compaction does: the
-        fold reads live partitions through the shared buffer pool.  Only an
-        index placed on the overlay's own device is repacked — one attached
-        out-of-band manages its own space.
+        Only an index placed on the overlay's own device is repacked — one
+        attached out-of-band manages its own space.
         """
         min_partitions = self.streaming_config.graph_repack_min_partitions
         if not min_partitions:
@@ -723,9 +681,6 @@ class StreamingReachabilityService:
         if self._closed:
             return
         self.flush()
-        if self._owns_executor and self._merge_executor is not None:
-            self._merge_executor.close()
-            self._merge_executor = None
         self._overlay.storage.close()
         self._ingestor.storage.close()
         self._cache.clear()  # a closed service must not serve stale answers
@@ -741,23 +696,6 @@ class StreamingReachabilityService:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @property
-    def merge_executor(self) -> "MergeExecutor":
-        """Where this service's merge builds run (see ``StreamingConfig``).
-
-        Created lazily from ``streaming_config.merge_executor`` /
-        ``merge_workers`` unless the constructor was handed a shared one
-        (the sharded coordinator does that, so one pool serves all shards).
-        """
-        if self._merge_executor is None:
-            from .parallel import make_merge_executor
-
-            self._merge_executor = make_merge_executor(
-                self.streaming_config.merge_executor,
-                self.streaming_config.merge_workers,
-            )
-        return self._merge_executor
-
     @property
     def watermark(self) -> Optional[TimeInstant]:
         """Last complete tick of the stream (``None`` before the first batch)."""
@@ -965,7 +903,7 @@ class SnapshotQueryService:
                     graph["index"],
                     TimeInterval(store.origin, manifest["snapshot_watermark"]),
                 )
-                overlay.attach_graph(ReachGraphQueryProcessor(index), graph["version"])
+                overlay.attach_graph(ReachGraphQueryProcessor(index))
             return cls(storage, overlay, open_runs, manifest["watermark"])
         except BaseException:
             storage.release()

@@ -2,8 +2,8 @@
 
 Production code calls :func:`crash_point` at the handful of places where a
 ``kill -9`` would be most damaging (between a manifest write and the device
-flush, between the build and adopt halves of a merge, mid-compaction, between
-per-shard closes).  The call is a dictionary-membership check when nothing is
+flush, between the build and adopt halves of a merge, mid-compaction,
+mid-reclaim).  The call is a dictionary-membership check when nothing is
 armed, so leaving the probes in shipped code costs nothing.
 
 Tests arm a point by name — optionally "after N hits" so a probe inside a
@@ -63,24 +63,12 @@ FAULT_POINT_DESCRIPTIONS: Dict[str, str] = {
         "Between a merge's build phase resolving and adopt_merge() starting — "
         "the built artifacts exist only in memory.  A crash abandons the "
         "build: the manifest still describes the pre-merge commit, and "
-        "recovery reopens pre-merge state.  The sharded coordinator fires "
-        "this before each shard's adoption."
+        "recovery reopens pre-merge state."
     ),
     "compaction-mid": (
         "Mid-compaction, after the merged run is staged but before the "
         "superseded runs are retired in the manifest.  Recovery must come up "
         "on the pre-compaction run set."
-    ),
-    "shard-close": (
-        "Between per-shard close() calls during a sharded shutdown — a prefix "
-        "of shards closed, the rest merely flushed.  Every shard flushed "
-        "before closing began, so recovery loses nothing."
-    ),
-    "sharded-flush-post-shards": (
-        "Inside the coordinator's flush(), after every shard flushed but "
-        "before the coordinator's own manifest commits — the shards are "
-        "durably ahead of the cross-shard state.  Recovery reconciles the "
-        "window from the older coordinator commit."
     ),
     "gc-post-copy": (
         "Inside a backend's copy-forward reclaim, after the compacted "

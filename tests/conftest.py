@@ -30,19 +30,12 @@ from repro.trajectory import Trajectory, TrajectoryDataset, TrajectoryStore
 
 
 def pytest_addoption(parser):
-    """Register --shards: restrict the sharding suite to one shard count.
+    """Register --labels: restrict label-parametrized tests to one setting.
 
-    CI runs ``pytest tests/test_sharding.py --shards N`` per matrix entry.
     The flag exists only when pytest targets a path inside ``tests/`` (this
     conftest must be *initial* to register options); a full-repo run simply
-    exercises every canned shard count.
+    exercises both settings.
     """
-    parser.addoption(
-        "--shards",
-        type=int,
-        default=None,
-        help="run sharding tests with this shard count only (default: all)",
-    )
     parser.addoption(
         "--labels",
         choices=("on", "off"),

@@ -8,8 +8,8 @@ it asserts that every method returns the reference verdict (and, when asked,
 the exact earliest reach time) on every query — collecting all disagreements
 before failing so a mismatch report shows the full picture.
 
-Used by ``test_streaming.py``, ``test_integration_equivalence.py``, and the
-sharded-ingestion property suite in ``test_sharding.py``.  ``CallCounter``,
+Used by ``test_streaming.py``, ``test_stream_equivalence.py``,
+``test_integration_equivalence.py`` and the recovery and union-path suites.  ``CallCounter``,
 the helper behind the suites' count gates (calls, never clocks), is shared
 from here too.
 """
@@ -22,7 +22,6 @@ from repro.baselines.reference import evaluate_reachability
 from repro.contacts import build_contact_network
 from repro.contacts.network import ContactNetwork
 from repro.core import (
-    MERGE_EXECUTORS,
     STORAGE_BACKENDS,
     QueryResult,
     ReachabilityQuery,
@@ -35,7 +34,6 @@ __all__ = [
     "CallCounter",
     "EQUIVALENCE_BACKENDS",
     "EQUIVALENCE_LABEL_MODES",
-    "EQUIVALENCE_MERGE_EXECUTORS",
     "backend_storage_config",
     "prefix_network",
     "reference_evaluator",
@@ -45,16 +43,10 @@ __all__ = [
 
 Evaluator = Callable[[ReachabilityQuery], QueryResult]
 
-#: The storage-backend axis of the equivalence suites: every service variant
-#: (streaming, sharded, async) must answer bit-identically no matter which
-#: block device its snapshot extents land on.
+#: The storage-backend axis of the equivalence suites: the streaming service
+#: must answer bit-identically no matter which block device its snapshot
+#: extents land on.
 EQUIVALENCE_BACKENDS = tuple(b for b in STORAGE_BACKENDS if b != "sim")
-
-#: The merge-executor axis: where the pure build phase of a merge runs —
-#: the calling thread, a thread pool, or a worker process — must never change
-#: an answer.  The adopt phase always runs on the owning thread, so every
-#: executor kind commits byte-identical snapshots.
-EQUIVALENCE_MERGE_EXECUTORS = MERGE_EXECUTORS
 
 #: The interval-label axis: whether the ReachGraph fast path consults the
 #: GRAIL-style label index (O(1) negative rejection + frontier pruning) or
@@ -114,7 +106,7 @@ def prefix_network(
 
     With ``through=None`` the full horizon is used.  This is the ground truth
     a streaming service must match after ingesting the prefix that ends at
-    ``through`` (its watermark, or a sharded service's low-watermark).
+    ``through`` (its watermark).
     """
     window = None
     if through is not None:
@@ -183,9 +175,9 @@ def assert_reopened_matches_prefix(
 ) -> None:
     """The close/reopen axis of the equivalence contract, in one call.
 
-    ``reopened`` is any read-only restored service (unsharded
-    ``SnapshotQueryService``, ``ShardedSnapshotQueryService``, or the result
-    of ``AsyncReachabilityService.reopen``): whatever watermark it reports is
+    ``reopened`` is a read-only restored service (a
+    ``SnapshotQueryService`` or a ``ParallelQueryService`` fleet): whatever
+    watermark it reports is
     the prefix it promised, and every answer must match the batch reference
     evaluator over exactly that prefix.  Earliest reach times are compared
     whenever the service reports them, but not *required* — a reopened

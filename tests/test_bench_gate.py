@@ -1,4 +1,4 @@
-"""Tests for the benchmark regression gate and the async CLI plumbing.
+"""Tests for the benchmark regression gate and the CLI plumbing.
 
 ``benchmarks/check_regression.py`` is CI's last line of defense against
 performance regressions; these tests pin its contract: distillation of full
@@ -15,12 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import (
-    _CONCURRENCY_KWARGS,
-    _SHARD_KWARGS,
-    build_parser,
-    main,
-)
+from repro.cli import _STORAGE_BACKEND_KWARGS, build_parser, main
 from repro.experiments.figures import EXPERIMENTS
 
 
@@ -148,20 +143,27 @@ class TestGate:
         baseline = checker.load_medians(checker.DEFAULT_BASELINE)
         assert set(baseline) == {
             "test_streaming_ingest_and_query",
-            "test_sharded_scaling_curve",
-            "test_async_vs_sync_serving",
             "test_storage_backend_comparison",
             "test_space_reclamation",
-            "test_parallel_merge_scaling",
             "test_query_latency",
         }
 
 
 class TestCliPlumbing:
-    def test_concurrency_flag_parses(self):
-        args = build_parser().parse_args(["stream-async", "--concurrency", "8"])
-        assert args.concurrency == 8
-        assert build_parser().parse_args(["stream"]).concurrency is None
+    def test_removed_service_shape_flags_are_rejected(self):
+        # One service shape: the flags that picked shards, concurrent async
+        # queries, merge executors or a sharded reopen fail loudly.
+        for flags in (
+            ["stream", "--shards", "2"],
+            ["stream-async", "--concurrency", "8"],
+            ["stream", "--merge-executor", "process"],
+            ["stream", "--merge-workers", "2"],
+            ["recover", "--storage-dir", ".", "--sharded"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(flags)
+        for name in ("stream-sharded", "stream-async", "stream-parallel"):
+            assert name not in EXPERIMENTS
 
     def test_graph_mode_flag_and_stream_graph_are_rejected(self):
         # Merges have one shape: the flag that picked a rebuild per merge and
@@ -173,5 +175,4 @@ class TestCliPlumbing:
         assert "stream-graph" not in EXPERIMENTS
 
     def test_injection_tables_reference_known_experiments(self):
-        assert set(_SHARD_KWARGS) <= set(EXPERIMENTS)
-        assert set(_CONCURRENCY_KWARGS) <= set(EXPERIMENTS)
+        assert set(_STORAGE_BACKEND_KWARGS) <= set(EXPERIMENTS)

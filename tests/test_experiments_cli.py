@@ -114,11 +114,8 @@ class TestExperimentDrivers:
             "figure15",
             "table5",
             "stream",
-            "stream-sharded",
-            "stream-async",
             "stream-disk",
             "stream-space",
-            "stream-parallel",
             "stream-query",
         }
 

@@ -9,7 +9,9 @@ every stage of an index's life, the slot directory must address every vertex
 inside its partition extent at those same stages, restore must reconcile a
 bucket that got durably ahead of the graph, a device in another format
 must be refused before a single partition is read, a catalog written
-while the labels still rode in it must restore the same labels, and the
+while the labels still rode in it must restore the same labels, the
+merge-built graph sits under one name whether or not its overlay catalog
+still carries the retired version counter, and the
 in-memory vertex starts BM-BFS bounds its children with must count exactly
 what the records say, on a device whose ids are in start order — the only
 kind a restore accepts.
@@ -24,7 +26,13 @@ from array import array
 
 import pytest
 
-from equivalence import EQUIVALENCE_BACKENDS, backend_storage_config
+from equivalence import (
+    EQUIVALENCE_BACKENDS,
+    assert_methods_agree,
+    backend_storage_config,
+    prefix_network,
+    reference_evaluator,
+)
 from labels_reference import legacy_catalog_entry
 from repro.core import (
     IndexConstructionError,
@@ -42,6 +50,7 @@ from repro.streaming import (
     SnapshotQueryService,
     StreamingReachabilityService,
 )
+from repro.workloads.queries import random_queries
 
 RECORD = VertexRecord(
     node_id=7,
@@ -504,3 +513,86 @@ class TestLegacyLabelCatalog:
         else:
             assert restored.labels is None
         storage.close()
+
+
+# ----------------------------------------------------------------------
+# the overlay's graph catalog: one name, no version counter
+# ----------------------------------------------------------------------
+OVERLAY_MANIFEST_KEY = "overlay-manifest"
+
+
+class TestOverlayGraphCatalog:
+    @staticmethod
+    def _graph_files(storage):
+        return sorted(
+            name for name in storage.blockfile_names() if name.startswith("graph-")
+        )
+
+    def test_merges_keep_the_graph_under_one_name(
+        self, tmp_path, tiny_dataset, tiny_contact_config
+    ):
+        storage_config = backend_storage_config("file", storage_dir=str(tmp_path))
+        service = make_service(tiny_dataset, tiny_contact_config, storage_config)
+        for position, batch in enumerate(
+            DatasetReplaySource(tiny_dataset, batch_ticks=20).batches()
+        ):
+            service.ingest(batch)
+            if position % 2:
+                service.merge()
+        service.merge()
+        assert service.graph_rebuilds == 1
+        assert self._graph_files(service.overlay.storage) == ["graph-v1-partitions"]
+        assert set(service.overlay.graph_catalog()) == {"index"}
+        service.close()
+
+    @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
+    def test_catalog_with_a_version_counter_still_reopens(
+        self, backend, tmp_path, tiny_dataset, tiny_network, tiny_contact_config
+    ):
+        """A device whose overlay catalog still names ``"version"`` (as
+        written before the counter was retired) reopens read-only and
+        resumes: the graph is restored, then patched, never rebuilt."""
+        storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
+        service = make_service(tiny_dataset, tiny_contact_config, storage_config)
+        batches = list(DatasetReplaySource(tiny_dataset, batch_ticks=20).batches())
+        half = len(batches) // 2
+        for batch in batches[:half]:
+            service.ingest(batch)
+        service.merge()
+        name = service.name
+        service.close()
+
+        overlay = StorageSystem(storage_config, name=f"{name}-overlay")
+        manifest = overlay.get_metadata(OVERLAY_MANIFEST_KEY)
+        manifest["graph"]["version"] = 1
+        overlay.put_metadata(OVERLAY_MANIFEST_KEY, manifest)
+        overlay.close()
+
+        workload = random_queries(tiny_dataset, count=12, seed=19)
+        reopened = SnapshotQueryService.open(storage_config, name=name)
+        assert reopened.overlay.has_reachgraph
+        assert_methods_agree(
+            reference_evaluator(
+                prefix_network(tiny_dataset, 30.0, through=reopened.watermark)
+            ),
+            {"reopened": reopened.query},
+            workload,
+            context=f"versioned catalog, read-only, {backend}",
+        )
+        reopened.close()
+
+        resumed = StreamingReachabilityService.open(
+            storage_config, name=name, auto_merge=False
+        )
+        for batch in batches[half:]:
+            resumed.ingest(batch)
+        resumed.merge()
+        assert resumed.graph_rebuilds == 0, "the restored graph is patched"
+        assert self._graph_files(resumed.overlay.storage) == ["graph-v1-partitions"]
+        assert_methods_agree(
+            reference_evaluator(tiny_network),
+            {"resumed": resumed.query},
+            workload,
+            context=f"versioned catalog, resumed, {backend}",
+        )
+        resumed.close()

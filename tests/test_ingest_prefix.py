@@ -5,9 +5,8 @@ reads the flushed cell extents plus the memtable back, and the flush-time
 checkpoint carries only the unflushed memtable, the join state and the
 per-object horizon bounds.  This suite pins the prefix against the old
 in-memory buffer (``tests/ingest_reference.py``) and the dataset slice at
-every bound — across a device reclaim, a close/reopen, the first
-ReachGraph build's merge and the sharded coordinator's low-watermark
-merges — plus the new completeness check and the resume
+every bound — across a device reclaim, a close/reopen and the first
+ReachGraph build's merge — plus the new completeness check and the resume
 paths for checkpoints written before the buffer was dropped.
 """
 
@@ -35,7 +34,6 @@ from repro.storage import StorageSystem
 from repro.streaming import (
     DatasetReplaySource,
     SampleEvent,
-    ShardedReachabilityService,
     StreamBatch,
     StreamIngestor,
     StreamingReachabilityService,
@@ -63,8 +61,8 @@ def merge_prefixes(monkeypatch):
     captured = []
     real = StreamingReachabilityService.prepare_merge
 
-    def capturing(self, through=None):
-        inputs = real(self, through=through)
+    def capturing(self):
+        inputs = real(self)
         if inputs.prefix is not None:
             captured.append((inputs.bound, self.ingestor.watermark, inputs.prefix))
         return inputs
@@ -150,56 +148,6 @@ class TestPrefixFromCells:
         assert len(merge_prefixes) == 1
         for _, _, prefix in merge_prefixes:
             assert_prefix_matches(prefix, oracle, dataset)
-        service.close()
-
-    def test_sharded_merges_at_the_low_watermark(self, monkeypatch, dataset):
-        """Skewed delivery keeps shard 1 two batches behind shard 0: merges
-        run at the low-watermark, below shard 0's own, and each shard's
-        cells still hold exactly its objects' samples at every bound."""
-        merges = []
-        real = StreamingReachabilityService.prepare_merge
-
-        def capturing(self, through=None):
-            inputs = real(self, through=through)
-            merges.append((inputs.bound, self.ingestor.watermark, inputs.prefix))
-            return inputs
-
-        monkeypatch.setattr(StreamingReachabilityService, "prepare_merge", capturing)
-        service = ShardedReachabilityService.for_dataset(
-            dataset,
-            contact_config=CONTACTS,
-            grid_config=GRID,
-            streaming_config=StreamingConfig(
-                shards=2, router="hash", max_delta_contacts=12
-            ),
-        )
-        oracle = ReferencePositionBuffer(dataset.environment_size)
-        lagging = []
-        for batch in DatasetReplaySource(dataset, batch_ticks=4).batches():
-            oracle.ingest(batch)
-            ahead, behind = service.route_batch(batch)
-            service.ingest_shard(0, ahead, prevalidated=True)
-            lagging.append(behind)
-            if len(lagging) > 2:
-                service.ingest_shard(1, lagging.pop(0), prevalidated=True)
-        assert any(bound < watermark for bound, watermark, _ in merges), (
-            "no merge ran below the leading shard's watermark"
-        )
-        # Shards keep no graph, so no shard merge materialises a prefix.
-        assert all(prefix is None for _, _, prefix in merges)
-        for behind in lagging:
-            service.ingest_shard(1, behind, prevalidated=True)
-        assert service.low_watermark == dataset.horizon.end
-        for shard, shard_service in enumerate(service.shard_services):
-            objects = {
-                obj
-                for obj in dataset.object_ids
-                if service.router.shard_of(obj) == shard
-            }
-            ingestor = shard_service.ingestor
-            for bound in range(ingestor.origin, ingestor.watermark + 1):
-                prefix = ingestor.prefix_dataset(through=bound)
-                assert set(assert_prefix_matches(prefix, oracle, dataset)) == objects
         service.close()
 
 

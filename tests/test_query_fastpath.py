@@ -47,7 +47,6 @@ from repro.reachgraph import (
 )
 from repro.streaming import (
     DatasetReplaySource,
-    ShardedReachabilityService,
     SnapshotQueryService,
     StreamIngestor,
     StreamingReachabilityService,
@@ -214,7 +213,7 @@ class TestLabelsInService:
         labels = index.labels
         relabels = labels.full_relabels
         increments = index.num_increments
-        service.merge(through=service.watermark)  # zero new ticks
+        service.merge()  # zero new ticks
         assert index.num_increments == increments + 1, "an empty patch was applied"
         assert index.labels is labels
         assert labels.full_relabels == relabels
@@ -684,15 +683,6 @@ UNION_PATH_GOLDEN = [
     (113, 2, 5), (120, 2, 5), (128, 2, 7), (136, 2, 7),
 ]
 
-#: The same workload on a 4-shard coordinator (``max_delta_contacts=12``).
-SHARDED_UNION_PATH_GOLDEN = [
-    (10, 1, 0), (20, 1, 0), (29, 1, 1), (33, 1, 1),
-    (46, 2, 1), (54, 2, 3), (65, 2, 3), (76, 2, 3),
-    (81, 2, 3), (88, 2, 4), (93, 2, 4), (103, 2, 4),
-    (107, 2, 4), (114, 2, 5), (122, 2, 7), (130, 2, 7),
-]
-
-
 def _union_workload(dataset, watermark):
     """Queries ending at ``watermark``, their starts spread back over the stream."""
     return [
@@ -785,15 +775,3 @@ class TestUnionPathCounts:
             for r in map(service.query, workload)
         ] == UNION_PATH_GOLDEN
         service.close()
-        sharded = ShardedReachabilityService.for_dataset(
-            tiny_dataset,
-            contact_config=tiny_contact_config,
-            streaming_config=StreamingConfig(shards=4, max_delta_contacts=12),
-        )
-        sharded.drain(tiny_dataset)
-        workload = _union_workload(tiny_dataset, sharded.low_watermark)
-        assert [
-            (r.visited, r.random_ios, r.sequential_ios)
-            for r in map(sharded.query, workload)
-        ] == SHARDED_UNION_PATH_GOLDEN
-        sharded.close()

@@ -38,10 +38,7 @@ from repro.generators import RandomWaypointGenerator
 from repro.reachgraph import ReachGraphIndex
 from repro.storage import StorageSystem
 from repro.streaming import (
-    AsyncReachabilityService,
     DatasetReplaySource,
-    ShardedReachabilityService,
-    ShardedSnapshotQueryService,
     SnapshotQueryService,
     StreamingReachabilityService,
 )
@@ -71,14 +68,8 @@ def make_service(dataset, storage_config, auto_merge=True, **config_overrides):
     )
 
 
-def kill_unsharded(service):
+def kill_service(service):
     simulate_kill(service.overlay.storage, service.ingestor.storage)
-
-
-def kill_sharded(service):
-    for shard in service.shard_services:
-        kill_unsharded(shard)
-    simulate_kill(service.storage)
 
 
 def open_fds():
@@ -108,11 +99,11 @@ class TestFaultRegistry:
         faults.crash_point("merge-pre-adopt")  # fired probes disarm themselves
 
     def test_after_counts_down_hits(self):
-        faults.arm("shard-close", after=2)
-        faults.crash_point("shard-close")
-        faults.crash_point("shard-close")
+        faults.arm("compaction-mid", after=2)
+        faults.crash_point("compaction-mid")
+        faults.crash_point("compaction-mid")
         with pytest.raises(SimulatedCrash):
-            faults.crash_point("shard-close")
+            faults.crash_point("compaction-mid")
 
     def test_simulated_crash_escapes_ordinary_cleanup(self):
         # Production code cleans up with ``except Exception``; a simulated
@@ -120,26 +111,15 @@ class TestFaultRegistry:
         assert not issubclass(SimulatedCrash, Exception)
 
     def test_every_known_point_is_compiled_into_production_code(self):
-        import repro.reachgraph.index as graph_index
-        import repro.storage.backends.file as file_backend
-        import repro.storage.backends.mmapfile as mmap_backend
-        import repro.streaming.coordinator as coordinator
-        import repro.streaming.delta as delta
-        import repro.streaming.ingest as ingest
-        import repro.streaming.service as service
-        import inspect
+        # Every module of the package is scanned, so deleting a module can
+        # never silently drop a point's only probe site.
+        from pathlib import Path
 
+        import repro
+
+        package = Path(repro.__file__).parent
         source = "".join(
-            inspect.getsource(module)
-            for module in (
-                coordinator,
-                delta,
-                service,
-                ingest,
-                graph_index,
-                file_backend,
-                mmap_backend,
-            )
+            path.read_text(encoding="utf-8") for path in sorted(package.rglob("*.py"))
         )
         for point in faults.KNOWN_FAULT_POINTS:
             assert f'crash_point("{point}")' in source, point
@@ -170,7 +150,7 @@ class TestFlushCommitPoint:
         faults.arm(point)
         with pytest.raises(SimulatedCrash):
             service.flush()
-        kill_unsharded(service)
+        kill_service(service)
 
         readonly = SnapshotQueryService.open(storage_config, name=service.name)
         assert readonly.watermark == committed, (
@@ -221,7 +201,7 @@ class TestCrashDuringMerge:
         faults.arm("merge-pre-adopt")
         with pytest.raises(SimulatedCrash):
             service.merge()
-        kill_unsharded(service)
+        kill_service(service)
 
         resumed = StreamingReachabilityService.open(
             storage_config, name=service.name, auto_merge=False
@@ -254,6 +234,37 @@ class TestCrashDuringMerge:
         )
         resumed.close()
 
+    def test_crash_between_build_and_adopt_leaves_the_live_service_consistent(
+        self, dataset
+    ):
+        # The pre-adopt probe fires after the build and before anything was
+        # adopted, so the service that survives the crash loses no answers
+        # and its next merge goes through.
+        service = make_service(dataset, None, max_delta_contacts=10_000)
+        workload = random_queries(dataset, count=10, seed=9)
+        service.drain(dataset)
+        before = service.num_merges
+        faults.arm("merge-pre-adopt")
+        with pytest.raises(SimulatedCrash):
+            service.merge()
+        assert service.num_merges == before, "nothing adopted"
+        assert_methods_agree(
+            reference_evaluator(prefix_network(dataset, THRESHOLD)),
+            {"streaming": service.query},
+            workload,
+            context="after aborted merge",
+        )
+        service.merge()  # disarmed: the merge path works again
+        assert service.num_merges == before + 1
+        assert_methods_agree(
+            reference_evaluator(prefix_network(dataset, THRESHOLD)),
+            {"streaming": service.query},
+            workload,
+            check_earliest=True,
+            context="after recovered merge",
+        )
+        service.close()
+
     def test_crash_mid_compaction_recovers_committed_state(self, tmp_path, dataset):
         storage_config = backend_storage_config("file", storage_dir=str(tmp_path))
         service = make_service(
@@ -272,7 +283,7 @@ class TestCrashDuringMerge:
         faults.arm("compaction-mid")
         with pytest.raises(SimulatedCrash):
             service.merge()  # run 2 appended, compaction rewrites... crash
-        kill_unsharded(service)
+        kill_service(service)
 
         readonly = SnapshotQueryService.open(storage_config, name=service.name)
         assert readonly.watermark == committed
@@ -373,41 +384,6 @@ class TestCorruptManifestRestore:
             reopen(storage_config, name=service.name)
         assert open_fds() == fds_before, "reopen failure leaked a device handle"
         assert sorted(p.name for p in tmp_path.iterdir()) == files_before
-
-    def test_sharded_open_with_wrong_name_neither_creates_files_nor_leaks(
-        self, tmp_path
-    ):
-        storage_config = backend_storage_config("file", storage_dir=str(tmp_path))
-        fds_before = open_fds()
-        with pytest.raises(StreamingError):
-            ShardedSnapshotQueryService.open(storage_config, name="no-such-service")
-        assert open_fds() == fds_before
-        assert list(tmp_path.iterdir()) == []
-
-    def test_sharded_open_with_missing_shard_closes_everything(
-        self, tmp_path, dataset
-    ):
-        """A coordinator manifest whose shard devices are gone (partial data
-        loss) must fail the reopen without leaking the handles opened before
-        the failure was noticed."""
-        storage_config = backend_storage_config("file", storage_dir=str(tmp_path))
-        sharded = ShardedReachabilityService.for_dataset(
-            dataset,
-            contact_config=CONTACTS,
-            grid_config=GRID,
-            streaming_config=StreamingConfig(shards=2),
-            storage_config=storage_config,
-        )
-        sharded.drain(dataset)
-        sharded.close()
-        for path in tmp_path.iterdir():
-            if "shard1-overlay" in path.name:
-                path.unlink()
-        fds_before = open_fds()
-        with pytest.raises(StreamingError):
-            ShardedSnapshotQueryService.open(storage_config, name=sharded.name)
-        assert open_fds() == fds_before, "partial sharded reopen leaked handles"
-
 
 # ----------------------------------------------------------------------
 # the restored ReachGraph fast path (tentpole: graph answers, not union)
@@ -690,198 +666,12 @@ class TestOverlayOnlyReopen:
 
 
 # ----------------------------------------------------------------------
-# sharded + async reopen (tentpole: every service shape recovers)
+# the kill matrix (acceptance: any point, any backend)
 # ----------------------------------------------------------------------
-class TestShardedRecovery:
-    def make_sharded(self, dataset, storage_config, shards=2, **config_overrides):
-        return ShardedReachabilityService.for_dataset(
-            dataset,
-            contact_config=CONTACTS,
-            grid_config=GRID,
-            streaming_config=StreamingConfig(shards=shards, **config_overrides),
-            storage_config=storage_config,
-        )
-
-    @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
-    def test_close_reopen_answers_at_the_global_low_watermark(
-        self, backend, tmp_path, dataset
-    ):
-        storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
-        sharded = self.make_sharded(
-            dataset, storage_config, max_delta_contacts=24, batch_ticks=8
-        )
-        sharded.drain(dataset)
-        sharded.merge()
-        sharded.close()
-
-        reopened = ShardedSnapshotQueryService.open(storage_config, name=sharded.name)
-        assert reopened.watermark == dataset.horizon.end
-        assert reopened.num_shards == 2
-        assert_reopened_matches_prefix(
-            reopened,
-            dataset,
-            THRESHOLD,
-            random_queries(dataset, count=25, seed=19),
-            context=f"backend={backend}, sharded reopen",
-        )
-        reopened.close()
-
-    def test_crash_between_shard_flushes_and_coordinator_manifest(
-        self, tmp_path, dataset
-    ):
-        """The coordinator manifest is the sharded commit point: a crash
-        after the shard flushes but before it leaves the shards durably
-        ahead; the reopen clips at the low-watermark the coordinator last
-        committed."""
-        storage_config = backend_storage_config("file", storage_dir=str(tmp_path))
-        sharded = self.make_sharded(dataset, storage_config, max_delta_contacts=24)
-        batches = list(DatasetReplaySource(dataset, batch_ticks=12).batches())
-        for batch in batches[:3]:
-            sharded.ingest(batch)
-        sharded.flush()
-        committed = sharded.low_watermark
-        for batch in batches[3:]:
-            sharded.ingest(batch)
-        faults.arm("sharded-flush-post-shards")
-        with pytest.raises(SimulatedCrash):
-            sharded.flush()
-        kill_sharded(sharded)
-
-        reopened = ShardedSnapshotQueryService.open(storage_config, name=sharded.name)
-        assert reopened.watermark == committed, (
-            "answers must clip at the committed low-watermark, not at "
-            "whatever the shards got ahead to"
-        )
-        assert_reopened_matches_prefix(
-            reopened,
-            dataset,
-            THRESHOLD,
-            random_queries(dataset, count=15, seed=23),
-            context="sharded flush crash",
-        )
-        reopened.close()
-
-    def test_crash_between_per_shard_closes_loses_nothing(self, tmp_path, dataset):
-        """close() makes everything durable before releasing any device, so a
-        kill landing between per-shard closes recovers the full prefix."""
-        storage_config = backend_storage_config("file", storage_dir=str(tmp_path))
-        sharded = self.make_sharded(dataset, storage_config, max_delta_contacts=24)
-        sharded.drain(dataset)
-        final = sharded.low_watermark
-        faults.arm("shard-close")  # fires right after shard 0's device closes
-        with pytest.raises(SimulatedCrash):
-            sharded.close()
-        kill_sharded(sharded)
-
-        reopened = ShardedSnapshotQueryService.open(storage_config, name=sharded.name)
-        assert reopened.watermark == final == dataset.horizon.end
-        assert_reopened_matches_prefix(
-            reopened,
-            dataset,
-            THRESHOLD,
-            random_queries(dataset, count=15, seed=29),
-            context="mid-close crash",
-        )
-        reopened.close()
-
-
-class TestAsyncRecovery:
-    def test_aclose_then_reopen_matches_reference(self, tmp_path, dataset):
-        import asyncio
-
-        storage_config = backend_storage_config("file", storage_dir=str(tmp_path))
-        service = AsyncReachabilityService.for_dataset(
-            dataset,
-            contact_config=CONTACTS,
-            grid_config=GRID,
-            streaming_config=StreamingConfig(
-                shards=2, merge_policy="elapsed-intervals", max_elapsed_intervals=2
-            ),
-            storage_config=storage_config,
-        )
-
-        async def scenario():
-            async with service:
-                for batch in DatasetReplaySource(dataset, batch_ticks=12).batches():
-                    await service.ingest(batch)
-                await service.drain()
-
-        asyncio.run(asyncio.wait_for(scenario(), timeout=120.0))
-
-        reopened = AsyncReachabilityService.reopen(storage_config, name=service.name)
-        assert reopened.watermark == dataset.horizon.end
-        assert_reopened_matches_prefix(
-            reopened,
-            dataset,
-            THRESHOLD,
-            random_queries(dataset, count=25, seed=31),
-            context="async reopen",
-        )
-        reopened.close()
-
-    def test_kill_behind_the_event_loops_recovers_the_committed_prefix(
-        self, tmp_path, dataset
-    ):
-        import asyncio
-
-        storage_config = backend_storage_config("file", storage_dir=str(tmp_path))
-        service = AsyncReachabilityService.for_dataset(
-            dataset,
-            contact_config=CONTACTS,
-            grid_config=GRID,
-            streaming_config=StreamingConfig(shards=2),
-            storage_config=storage_config,
-        )
-        batches = list(DatasetReplaySource(dataset, batch_ticks=12).batches())
-
-        async def scenario():
-            # Deliberately no ``async with``: a clean exit would aclose() and
-            # make everything durable.  The loop teardown cancels the shard
-            # ingest tasks exactly the way a dying process would.
-            await service.__aenter__()
-            for batch in batches[:3]:
-                await service.ingest(batch)
-            await service.drain()
-            service.service.flush()
-            committed = service.low_watermark
-            for batch in batches[3:]:
-                await service.ingest(batch)
-            await service.drain()
-            # A flush interrupted mid-way (the wrapped sharded service's
-            # commit protocol), then the process dies:
-            faults.arm("sharded-flush-post-shards")
-            with pytest.raises(SimulatedCrash):
-                service.service.flush()
-            return committed
-
-        committed = asyncio.run(asyncio.wait_for(scenario(), timeout=120.0))
-        kill_sharded(service.service)
-
-        reopened = AsyncReachabilityService.reopen(storage_config, name=service.name)
-        assert reopened.watermark == committed
-        assert_reopened_matches_prefix(
-            reopened,
-            dataset,
-            THRESHOLD,
-            random_queries(dataset, count=15, seed=37),
-            context="async kill recovery",
-        )
-        reopened.close()
-
-
-# ----------------------------------------------------------------------
-# the randomized kill matrix (acceptance: any point, any shape, any backend)
-# ----------------------------------------------------------------------
-UNSHARDED_POINTS = (
+KILL_POINTS = (
     "flush-post-ingestor",
     "flush-post-manifest",
     "merge-pre-adopt",
-)
-SHARDED_POINTS = (
-    "flush-post-ingestor",
-    "sharded-flush-post-shards",
-    "merge-pre-adopt",
-    "shard-close",
 )
 
 
@@ -897,153 +687,73 @@ class TestRandomizedKill:
         self, backend, seed, tmp_path, dataset
     ):
         rng = random.Random(seed)
-        point = rng.choice(UNSHARDED_POINTS)
-        storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
-        service = make_service(dataset, storage_config, max_delta_contacts=16)
-        batches = list(DatasetReplaySource(dataset, batch_ticks=8).batches())
-        arm_at = rng.randrange(1, len(batches) - 1)
-        crashed = False
-        for index, batch in enumerate(batches):
-            if index == arm_at:
-                faults.arm(point)
-            try:
-                service.ingest(batch)
-                service.flush()
-            except SimulatedCrash:
-                crashed = True
-                break
-        if crashed:
-            kill_unsharded(service)
-        else:
-            faults.clear()  # a late-armed merge point may never fire
-            service.close()
-
-        reopened = SnapshotQueryService.open(storage_config, name=service.name)
-        assert reopened.watermark is not None
-        assert_reopened_matches_prefix(
-            reopened,
-            dataset,
-            THRESHOLD,
-            random_queries(dataset, count=12, seed=41 + seed),
-            context=f"random kill: backend={backend}, seed={seed}, point={point}, "
-            f"crashed={crashed}",
+        point = rng.choice(KILL_POINTS)
+        kill_reopen_resume(
+            dataset, backend, tmp_path, point, rng, seed, must_crash=False
         )
-        reopened.close()
-
-        # ...and the full-resume path continues the stream to its horizon.
-        resumed = StreamingReachabilityService.open(storage_config, name=service.name)
-        recovered = resumed.watermark
-        assert recovered is not None
-        for batch in batches:
-            if batch.watermark > recovered:
-                resumed.ingest(batch)
-        assert resumed.watermark == dataset.horizon.end
-        assert_methods_agree(
-            reference_evaluator(prefix_network(dataset, THRESHOLD)),
-            {"resumed": resumed.query},
-            random_queries(dataset, count=12, seed=43 + seed),
-            check_earliest=True,
-            context=f"random kill resume: backend={backend}, seed={seed}, "
-            f"point={point}",
-        )
-        resumed.close()
 
     @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
-    @pytest.mark.parametrize("seed", (0, 1))
-    def test_async_random_kill_then_reopen(self, backend, seed, tmp_path, dataset):
-        import asyncio
+    @pytest.mark.parametrize("point", KILL_POINTS)
+    def test_kill_at_every_point_then_reopen_and_resume(
+        self, backend, point, tmp_path, dataset
+    ):
+        rng = random.Random(KILL_POINTS.index(point))
+        kill_reopen_resume(dataset, backend, tmp_path, point, rng, 7, must_crash=True)
 
-        rng = random.Random(200 + seed)
-        point = rng.choice(("flush-post-ingestor", "sharded-flush-post-shards"))
-        storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
-        service = AsyncReachabilityService.for_dataset(
-            dataset,
-            contact_config=CONTACTS,
-            grid_config=GRID,
-            streaming_config=StreamingConfig(shards=2, max_delta_contacts=16),
-            storage_config=storage_config,
-        )
-        batches = list(DatasetReplaySource(dataset, batch_ticks=8).batches())
-        arm_at = rng.randrange(1, len(batches) - 1)
 
-        async def scenario():
-            # No ``async with``: on a crash the process dies with the shard
-            # loops still running; the loop teardown cancels them like a kill.
-            await service.__aenter__()
-            for index, batch in enumerate(batches):
-                if index == arm_at:
-                    faults.arm(point)
-                try:
-                    await service.ingest(batch)
-                    await service.drain()
-                    service.service.flush()
-                except SimulatedCrash:
-                    return True
-            faults.clear()  # a late arm may never have fired
-            await service.aclose()
-            return False
+def kill_reopen_resume(dataset, backend, tmp_path, point, rng, seed, must_crash):
+    """Arm ``point`` at a random batch of a flushed-every-batch stream, kill
+    on the crash, then prove both the read-only reopen and the full resume
+    match the batch reference."""
+    storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
+    service = make_service(dataset, storage_config, max_delta_contacts=16)
+    batches = list(DatasetReplaySource(dataset, batch_ticks=8).batches())
+    arm_at = rng.randrange(1, len(batches) - 1)
+    crashed = False
+    for index, batch in enumerate(batches):
+        if index == arm_at:
+            faults.arm(point)
+        try:
+            service.ingest(batch)
+            service.flush()
+        except SimulatedCrash:
+            crashed = True
+            break
+    if crashed:
+        kill_service(service)
+    else:
+        faults.clear()  # a late-armed merge point may never fire
+        service.close()
+    assert crashed or not must_crash, f"{point} armed at batch {arm_at} never fired"
 
-        crashed = asyncio.run(asyncio.wait_for(scenario(), timeout=120.0))
-        if crashed:
-            kill_sharded(service.service)
+    reopened = SnapshotQueryService.open(storage_config, name=service.name)
+    assert reopened.watermark is not None
+    assert_reopened_matches_prefix(
+        reopened,
+        dataset,
+        THRESHOLD,
+        random_queries(dataset, count=12, seed=41 + seed),
+        context=f"kill: backend={backend}, seed={seed}, point={point}, "
+        f"crashed={crashed}",
+    )
+    reopened.close()
 
-        reopened = AsyncReachabilityService.reopen(storage_config, name=service.name)
-        assert reopened.watermark is not None
-        assert_reopened_matches_prefix(
-            reopened,
-            dataset,
-            THRESHOLD,
-            random_queries(dataset, count=12, seed=53 + seed),
-            context=f"random async kill: backend={backend}, seed={seed}, "
-            f"point={point}, crashed={crashed}",
-        )
-        reopened.close()
-
-    @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
-    @pytest.mark.parametrize("seed", (0, 1, 2))
-    def test_sharded_random_kill_then_reopen(self, backend, seed, tmp_path, dataset):
-        rng = random.Random(100 + seed)
-        point = rng.choice(SHARDED_POINTS)
-        storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
-        sharded = ShardedReachabilityService.for_dataset(
-            dataset,
-            contact_config=CONTACTS,
-            grid_config=GRID,
-            streaming_config=StreamingConfig(shards=2, max_delta_contacts=16),
-            storage_config=storage_config,
-        )
-        batches = list(DatasetReplaySource(dataset, batch_ticks=8).batches())
-        arm_at = rng.randrange(1, len(batches) - 1)
-        crashed = False
-        for index, batch in enumerate(batches):
-            if index == arm_at:
-                faults.arm(point)
-            try:
-                sharded.ingest(batch)
-                sharded.flush()
-            except SimulatedCrash:
-                crashed = True
-                break
-        if not crashed:
-            try:
-                sharded.close()  # "shard-close" can only fire here
-            except SimulatedCrash:
-                crashed = True
-            faults.clear()
-        if crashed:
-            kill_sharded(sharded)
-
-        reopened = ShardedSnapshotQueryService.open(storage_config, name=sharded.name)
-        assert reopened.watermark is not None
-        assert_reopened_matches_prefix(
-            reopened,
-            dataset,
-            THRESHOLD,
-            random_queries(dataset, count=12, seed=47 + seed),
-            context=f"random sharded kill: backend={backend}, seed={seed}, "
-            f"point={point}, crashed={crashed}",
-        )
-        reopened.close()
+    # ...and the full-resume path continues the stream to its horizon.
+    resumed = StreamingReachabilityService.open(storage_config, name=service.name)
+    recovered = resumed.watermark
+    assert recovered is not None
+    for batch in batches:
+        if batch.watermark > recovered:
+            resumed.ingest(batch)
+    assert resumed.watermark == dataset.horizon.end
+    assert_methods_agree(
+        reference_evaluator(prefix_network(dataset, THRESHOLD)),
+        {"resumed": resumed.query},
+        random_queries(dataset, count=12, seed=43 + seed),
+        check_earliest=True,
+        context=f"kill resume: backend={backend}, seed={seed}, point={point}",
+    )
+    resumed.close()
 
 
 # ----------------------------------------------------------------------
@@ -1096,7 +806,7 @@ class TestSpaceReclamationKill:
                 crashed = True
                 break
         if crashed:
-            kill_unsharded(service)
+            kill_service(service)
         else:
             faults.clear()  # the armed point may legitimately never fire
             service.close()
@@ -1167,7 +877,7 @@ class TestWalTruncation:
         faults.arm("wal-truncate-pre-commit")
         with pytest.raises(SimulatedCrash):
             service.flush()
-        kill_unsharded(service)
+        kill_service(service)
 
         resumed = StreamingReachabilityService.open(storage_config, name=service.name)
         assert resumed.watermark == committed, (

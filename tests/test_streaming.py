@@ -424,6 +424,40 @@ class TestStreamingService:
         assert service.ingest(events) == tiny_dataset.num_objects
         assert service.watermark == 0
 
+    def test_regressed_batch_is_rejected_and_the_service_keeps_answering(
+        self, tiny_dataset, tiny_contact_config
+    ):
+        service = StreamingReachabilityService.for_dataset(
+            tiny_dataset,
+            contact_config=tiny_contact_config,
+            streaming_config=StreamingConfig(max_delta_contacts=24),
+        )
+        batches = list(DatasetReplaySource(tiny_dataset, batch_ticks=10).batches())
+        for batch in batches[:4]:
+            service.ingest(batch)
+        watermark, stats = service.watermark, service.stats
+        with pytest.raises(WatermarkRegressionError):
+            service.ingest(batches[1])
+        assert service.watermark == watermark
+        assert service.stats == stats
+        workload = random_queries(tiny_dataset, count=10, seed=37)
+        assert_methods_agree(
+            reference_evaluator(
+                prefix_network(tiny_dataset, TINY_THRESHOLD, through=watermark)
+            ),
+            {"after-rejection": service.query},
+            workload,
+            check_earliest=True,
+        )
+        for batch in batches[4:]:
+            service.ingest(batch)
+        assert_methods_agree(
+            reference_evaluator(prefix_network(tiny_dataset, TINY_THRESHOLD)),
+            {"drained": service.query},
+            workload,
+            check_earliest=True,
+        )
+
     def test_merge_requires_data(self, tiny_dataset, tiny_contact_config):
         service = StreamingReachabilityService.for_dataset(
             tiny_dataset, contact_config=tiny_contact_config
@@ -472,6 +506,21 @@ class TestStreamingService:
             StreamingConfig(label_dirty_ratio=0.5)
         with pytest.raises(TypeError):
             ReachGraphConfig(label_dirty_ratio=0.5)
+        # One service shape with one merge path: no shards, routers, async
+        # queues or merge executors to select.
+        for knob in (
+            "shards", "router", "async_queue_depth", "merge_executor", "merge_workers"
+        ):
+            with pytest.raises(TypeError):
+                StreamingConfig(**{knob: 2})
+            with pytest.raises(TypeError):
+                engine.streaming(**{knob: 2})
+        with pytest.raises(TypeError):
+            engine.streaming(async_mode=True)
+        with pytest.raises(TypeError):
+            ReachabilityEngine.reopen_streaming("file", ".", sharded=True)
+        assert not hasattr(StreamingConfig(), "with_shards")
+        assert not hasattr(StreamingConfig(), "with_merge_executor")
 
 class TestMergeEdgeCases:
     """Edge cases of the snapshot/delta merge path (delta.py + policy.py)."""
@@ -524,28 +573,6 @@ class TestMergeEdgeCases:
         service.ingest(StreamBatch.of([], watermark=service.watermark))
         assert service.num_merges == merges, "boundary batch must not re-merge"
 
-    def test_merge_bounded_at_watermark_keeps_tail_in_delta(
-        self, tiny_dataset, tiny_contact_config
-    ):
-        """A merge bounded below the watermark (the sharded coordinator's
-        low-watermark) freezes only the bounded prefix; contact coverage past
-        the bound must survive in the delta, clipped at the boundary."""
-        service = self._drained_service(tiny_dataset, tiny_contact_config)
-        watermark = service.watermark
-        bound = watermark - 15
-        service.merge(through=bound)
-        assert service.overlay.snapshot_watermark == bound
-        for _, _, start, _ in service.overlay.delta_records:
-            assert start > bound
-        assert_methods_agree(
-            reference_evaluator(
-                prefix_network(tiny_dataset, TINY_THRESHOLD, through=watermark)
-            ),
-            {"bounded-merge": service.query},
-            random_queries(tiny_dataset, count=20, seed=29),
-            check_earliest=True,
-        )
-
     def test_closed_contacts_since_across_a_merge(
         self, tiny_dataset, tiny_contact_config
     ):
@@ -576,54 +603,6 @@ class TestMergeEdgeCases:
         snapshot_watermark = service.overlay.snapshot_watermark
         for _, _, _, end in service.overlay.delta_records:
             assert end > snapshot_watermark
-
-    @pytest.mark.parametrize("build_reachgraph_on_merge", (False, True))
-    @pytest.mark.parametrize("backend", ("sim",) + EQUIVALENCE_BACKENDS)
-    def test_merge_bounded_below_the_snapshot_watermark_freezes_nothing(
-        self, backend, build_reachgraph_on_merge, tmp_path, tiny_dataset,
-        tiny_contact_config,
-    ):
-        """Regression: ``merge(through=b)`` with ``b`` below the snapshot
-        watermark moved the watermark back to ``b`` (without a graph), so
-        the next merge froze ``(b, old watermark]`` a second time; with a
-        graph the build refused to patch backwards.  Such a merge must be
-        the zero-new-ticks merge: the store ends up exactly as without it,
-        on every backend."""
-        batches = list(DatasetReplaySource(tiny_dataset, batch_ticks=8).batches())
-
-        def drain(backwards):
-            service = StreamingReachabilityService.for_dataset(
-                tiny_dataset,
-                contact_config=tiny_contact_config,
-                streaming_config=StreamingConfig(
-                    max_delta_contacts=10_000,
-                    build_reachgraph_on_merge=build_reachgraph_on_merge,
-                ),
-                storage_config=backend_storage_config(
-                    backend, storage_dir=str(tmp_path / f"backwards-{backwards}")
-                ),
-            )
-            watermarks = []
-            for position, batch in enumerate(batches):
-                service.ingest(batch)
-                if position == 7:
-                    service.merge()
-                    watermarks.append(service.overlay.snapshot_watermark)
-                    if backwards:
-                        service.merge(through=service.watermark - 20)
-                        watermarks.append(service.overlay.snapshot_watermark)
-            service.merge()
-            watermarks.append(service.overlay.snapshot_watermark)
-            assert watermarks == sorted(watermarks), watermarks
-            records = service.overlay.snapshot_store.read_overlapping(
-                tiny_dataset.horizon
-            )
-            coverage = sum(end - start + 1 for _, _, start, end in records)
-            written = service.snapshot_records_written
-            service.close()
-            return coverage, len(records), written
-
-        assert drain(backwards=True) == drain(backwards=False)
 
 
 # ----------------------------------------------------------------------
@@ -1104,7 +1083,7 @@ class TestIncrementalGraphMaintenance:
         index = service.overlay.snapshot_processor.index
         vertices_before = index.num_vertices
         written_before = service.graph_records_written
-        service.merge(through=service.watermark)  # zero new ticks
+        service.merge()  # zero new ticks
         assert index.num_vertices == vertices_before
         assert service.graph_records_written == written_before
         assert_methods_agree(
@@ -1226,7 +1205,9 @@ class TestMergeRestageRegression:
         horizon = tiny_dataset.horizon
         interval = TimeInterval(horizon.start, horizon.end)
         covered = set()
-        for first, second, start, end in service.overlay.collect_records(interval):
+        overlay = service.overlay
+        records = overlay.delta_records + overlay.snapshot_store.read_overlapping(interval)
+        for first, second, start, end in records:
             pair = (first, second)
             for tick in range(start, end + 1):
                 assert (pair, tick) not in covered, (
@@ -1287,9 +1268,8 @@ def checked_merges(monkeypatch):
     ``prepare_merge`` must capture it, and the same contacts in the same
     order must then reach ``compute_graph_patch`` (patch merges) and
     ``ContactSnapshotStore.append_run`` (every merge).  Adoptions follow
-    preparations in order — also under the sharded coordinator, which
-    prepares every due shard, builds, then adopts serially — so two queues
-    pair them up.  Returns the list of ``MergeInputs`` checked.
+    preparations in order, so two queues pair them up.  Returns the list of
+    ``MergeInputs`` checked.
     """
     import collections
 
@@ -1303,16 +1283,14 @@ def checked_merges(monkeypatch):
     real_patch = repro.reachgraph.compute_graph_patch
     real_append = ContactSnapshotStore.append_run
 
-    def prepare_merge(service, through=None):
-        watermark = service.ingestor.watermark
-        bound = watermark if through is None else min(through, watermark)
-        if service.overlay.snapshot_watermark is not None:
-            bound = max(bound, service.overlay.snapshot_watermark)
+    def prepare_merge(service):
         service._sync_delta()
         expected = whole_prefix_slice(
-            service.ingestor, service.overlay.snapshot_watermark, bound
+            service.ingestor,
+            service.overlay.snapshot_watermark,
+            service.ingestor.watermark,
         )
-        inputs = real_prepare(service, through=through)
+        inputs = real_prepare(service)
         assert inputs.new_contacts == expected
         assert inputs.origin == service.ingestor.origin
         if inputs.graph_frontier is not None:
@@ -1361,8 +1339,7 @@ class TestMergeCapturesTheIncrement:
         for position, batch in enumerate(batches):
             service.ingest(batch)
             if position == len(batches) // 2:
-                # Bounded below the watermark, as the sharded coordinator merges.
-                service.merge(through=service.watermark - 4)
+                service.merge()  # forced, between two policy merges
         service.merge()
         patched = [inputs for inputs in checked_merges if inputs.graph_frontier]
         assert len(checked_merges) >= 6
@@ -1374,25 +1351,6 @@ class TestMergeCapturesTheIncrement:
             random_queries(tiny_dataset, count=15, seed=3),
         )
         service.close()
-
-    def test_sharded_coordinator_merges_at_the_low_watermark(
-        self, checked_merges, tiny_dataset, tiny_contact_config
-    ):
-        engine = ReachabilityEngine(tiny_dataset, contact_config=tiny_contact_config)
-        service = engine.streaming(
-            streaming_config=StreamingConfig(
-                shards=2, max_delta_contacts=12, batch_ticks=6
-            )
-        )
-        service.drain(tiny_dataset)
-        assert len(checked_merges) >= 4
-        # Shards keep no graph (the coordinator unions their contacts), so no
-        # shard merge has anything to build from the whole prefix.
-        assert all(
-            inputs.prefix is None and inputs.contacts == () for inputs in checked_merges
-        )
-        bounds = [inputs.bound for inputs in checked_merges]
-        assert min(bounds) < tiny_dataset.horizon.end, "a merge ran below the watermark"
 
     def test_first_merge_after_open(
         self, tmp_path, checked_merges, tiny_dataset, tiny_network, tiny_contact_config

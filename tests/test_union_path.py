@@ -1,15 +1,12 @@
 """The union path: snapshot ∪ delta ∪ open records through one kernel.
 
-Every query the ReachGraph fast path cannot answer — and every sharded
-query — runs :func:`~repro.streaming.delta.earliest_arrival_time` over plain
+Every query the ReachGraph fast path cannot answer runs
+:func:`~repro.streaming.delta.earliest_arrival_time` over plain
 ``(first, second, start, end)`` records.  This suite pins that kernel to the
 batch oracle (:func:`repro.baselines.reference.earliest_arrival`, which it
 must not be) on random record sets, pins the union path's earliest reach
-times at every watermark of a live service and a sharded coordinator, and
-pins self-queries at zero reads on every route.
-
-Run ``pytest tests/test_union_path.py --shards N`` to pin the coordinator's
-shard count (the CI sharding matrix does).
+times at every watermark of a live service, and pins self-queries at zero
+reads on every route.
 """
 
 from __future__ import annotations
@@ -35,8 +32,6 @@ from repro.core import (
 )
 from repro.streaming import (
     DatasetReplaySource,
-    ShardedReachabilityService,
-    ShardedSnapshotQueryService,
     SnapshotQueryService,
     StreamingReachabilityService,
 )
@@ -44,17 +39,10 @@ from repro.streaming.delta import ContactSnapshotStore, earliest_arrival_time
 from repro.workloads.queries import random_queries
 
 TINY_THRESHOLD = 30.0
-SHARD_COUNTS = (1, 4)
 
 #: Object ids the generated records draw from; ``ABSENT`` is in none of them.
 OBJECTS = 6
 ABSENT = OBJECTS
-
-
-def pytest_generate_tests(metafunc):
-    if "shards" in metafunc.fixturenames:
-        chosen = metafunc.config.getoption("shards", default=None)
-        metafunc.parametrize("shards", (chosen,) if chosen else SHARD_COUNTS)
 
 
 def reference_time(records, source, destination, start, end):
@@ -146,7 +134,7 @@ class TestKernelMatchesReference:
     def test_records_clipped_at_a_low_watermark(
         self, records, source, destination, window, low
     ):
-        """The coordinators' clip: records starting past ``low`` are dropped
+        """Clipping at a watermark: records starting past ``low`` are dropped
         and the kernel's window stops at ``low`` instead of clipping ends."""
         start, end = window
         clipped = [(a, b, s, min(e, low)) for a, b, s, e in records if s <= low]
@@ -221,34 +209,34 @@ class TestUnionPathEarliestTime:
         assert service.num_merges > 1
         service.close()
 
-    def test_sharded_coordinator_at_every_watermark(
-        self, shards, tiny_dataset, tiny_contact_config
+    def test_fine_grid_frequent_merges_at_every_watermark(
+        self, tiny_dataset, tiny_contact_config
     ):
-        service = ShardedReachabilityService.for_dataset(
+        """Short grid intervals and a small delta: many runs, many clips."""
+        service = StreamingReachabilityService.for_dataset(
             tiny_dataset,
             contact_config=tiny_contact_config,
             grid_config=ReachGridConfig(temporal_resolution=8, spatial_resolution=60.0),
             streaming_config=StreamingConfig(
-                shards=shards, max_delta_contacts=12, batch_ticks=10
+                max_delta_contacts=12, batch_ticks=10, build_reachgraph_on_merge=False
             ),
         )
         workload = random_queries(tiny_dataset, count=12, seed=71)
         for batch in DatasetReplaySource(tiny_dataset, batch_ticks=10).batches():
             service.ingest(batch)
-            low = service.low_watermark
-            if low is None:
-                continue
             assert_methods_agree(
                 reference_evaluator(
-                    prefix_network(tiny_dataset, TINY_THRESHOLD, through=low)
+                    prefix_network(
+                        tiny_dataset, TINY_THRESHOLD, through=service.watermark
+                    )
                 ),
-                {f"{shards}-shard": service.query},
+                {"union": service.query},
                 workload,
                 check_earliest=True,
                 require_earliest=True,
-                context=f"shards={shards}, low={low}",
+                context=f"watermark={service.watermark}",
             )
-        assert service.num_merges > 0
+        assert service.num_merges > 1
         service.close()
 
 
@@ -296,18 +284,6 @@ class TestSelfQueries:
         assert service.overlay.delta_size > 0
         return service
 
-    @staticmethod
-    def _sharded(dataset, contact_config, shards, storage_config):
-        service = ShardedReachabilityService.for_dataset(
-            dataset,
-            contact_config=contact_config,
-            streaming_config=StreamingConfig(shards=shards, max_delta_contacts=12),
-            storage_config=storage_config,
-        )
-        service.drain(dataset)
-        assert service.num_merges > 0
-        return service
-
     @pytest.mark.parametrize("backend", ("sim", "file"))
     def test_writer(
         self, monkeypatch, tmp_path, backend, tiny_dataset, tiny_contact_config
@@ -337,38 +313,5 @@ class TestSelfQueries:
             reopened,
             _self_queries(tiny_dataset, reopened.watermark),
             "snapshot reader",
-        )
-        reopened.close()
-
-    @pytest.mark.parametrize("backend", ("sim", "file"))
-    def test_sharded_writer(
-        self, monkeypatch, tmp_path, shards, backend, tiny_dataset, tiny_contact_config
-    ):
-        service = self._sharded(
-            tiny_dataset,
-            tiny_contact_config,
-            shards,
-            backend_storage_config(backend, storage_dir=str(tmp_path)),
-        )
-        _assert_self_queries_read_nothing(
-            monkeypatch,
-            service,
-            _self_queries(tiny_dataset, service.low_watermark),
-            f"{shards}-shard writer on {backend}",
-        )
-        service.close()
-
-    def test_sharded_reader(
-        self, monkeypatch, tmp_path, shards, tiny_dataset, tiny_contact_config
-    ):
-        config = backend_storage_config("file", storage_dir=str(tmp_path))
-        service = self._sharded(tiny_dataset, tiny_contact_config, shards, config)
-        service.close()
-        reopened = ShardedSnapshotQueryService.open(config, name=service.name)
-        _assert_self_queries_read_nothing(
-            monkeypatch,
-            reopened,
-            _self_queries(tiny_dataset, reopened.low_watermark),
-            f"{shards}-shard reader",
         )
         reopened.close()

@@ -27,11 +27,11 @@ from typing import Iterator, List, Tuple
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: The gated module set: the streaming subsystem (including the parallel
-#: executors), the storage substrate and the ReachGraph layer under it (the
-#: read path: ``read_run``, ``record_read_run``, ``locate``), ReachGrid and
-#: the contact join and trajectory model it shares its per-sample paths
-#: with, the engine facade, the observability hooks, and the fault registry
-#: whose point names double as recovery documentation.
+#: query workers), the storage substrate and the ReachGraph layer under it
+#: (the read path: ``read_run``, ``record_read_run``, ``locate``), ReachGrid
+#: and the contact join and trajectory model it shares its per-sample paths
+#: with, the engine facade, and the fault registry whose point names double
+#: as recovery documentation.
 DEFAULT_TARGETS = (
     "src/repro/streaming",
     "src/repro/storage",
@@ -41,7 +41,6 @@ DEFAULT_TARGETS = (
     "src/repro/trajectory/model.py",
     "src/repro/core/engine.py",
     "src/repro/core/config.py",
-    "src/repro/obs",
     "src/repro/testing",
 )
 
