@@ -29,9 +29,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory(prefix="repro-disk-backed-") as storage_dir:
         # 1. A file-backed service: same API, real files under storage_dir.
         service = engine.streaming(
-            streaming_config=StreamingConfig(
-                merge_policy="delta-size", max_delta_contacts=64
-            ),
+            streaming_config=StreamingConfig(max_delta_contacts=64),
             storage_backend="file",
             storage_dir=storage_dir,
         )

@@ -37,9 +37,7 @@ def main() -> None:
     engine = ReachabilityEngine.from_dataset_name("rwp-tiny")
     dataset = engine.dataset
     service = engine.streaming(
-        streaming_config=StreamingConfig(
-            merge_policy="delta-size", max_delta_contacts=24
-        )
+        streaming_config=StreamingConfig(max_delta_contacts=24)
     )
     for batch in replay(dataset, batch_ticks=8).batches():
         service.ingest(batch)

@@ -25,7 +25,7 @@ def main() -> None:
     engine = ReachabilityEngine.from_dataset_name("rwp-tiny")
     dataset = engine.dataset
     service = engine.streaming(
-        streaming_config=StreamingConfig(merge_policy="delta-size", max_delta_contacts=64)
+        streaming_config=StreamingConfig(max_delta_contacts=64)
     )
     print(f"dataset: {dataset.name} — {dataset.num_objects} objects, "
           f"{dataset.num_instants} time instances")

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from .core.config import (
     DEFAULT_RESOLUTIONS,
-    MERGE_POLICIES,
     ContactConfig,
     GrailConfig,
     ReachGraphConfig,
@@ -87,7 +86,6 @@ __all__ = [
     "ReachGraphConfig",
     "GrailConfig",
     "StreamingConfig",
-    "MERGE_POLICIES",
     "DEFAULT_RESOLUTIONS",
     # errors
     "ReproError",

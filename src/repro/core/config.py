@@ -25,7 +25,6 @@ __all__ = [
     "GrailConfig",
     "ContactConfig",
     "StreamingConfig",
-    "MERGE_POLICIES",
     "STORAGE_BACKENDS",
     "DEFAULT_RESOLUTIONS",
 ]
@@ -209,40 +208,29 @@ class ReachGraphConfig:
         return replace(self, interval_labels=enabled)
 
 
-#: Merge-policy names understood by :class:`StreamingConfig` and the
-#: streaming subsystem (see :mod:`repro.streaming.policy`).
-MERGE_POLICIES: Tuple[str, ...] = ("delta-size", "elapsed-intervals", "amplification")
-
 @dataclass(frozen=True, slots=True)
 class StreamingConfig:
     """Parameters of the streaming ingestion subsystem.
 
     Streaming ingestion stages new contacts in an in-memory delta overlay
-    consulted at query time alongside the frozen snapshot indexes; one of the
-    merge policies decides when the delta is folded into a fresh snapshot
-    (EMBANKS-style write-optimized staging in front of read-optimized
-    indexes).
+    consulted at query time alongside the frozen snapshot indexes; once the
+    delta holds ``max_delta_contacts`` contacts it is folded into a fresh
+    snapshot, and every merge builds (first merge) or patches (every later
+    one) the ReachGraph index over it, giving post-merge queries the paper's
+    fast path (EMBANKS-style write-optimized staging in front of
+    read-optimized indexes).
 
     Attributes
     ----------
     batch_ticks:
         How many time instances a replay source packs into one
         :class:`~repro.streaming.events.StreamBatch`.
-    merge_policy:
-        One of :data:`MERGE_POLICIES` — ``delta-size`` merges once the delta
-        holds ``max_delta_contacts`` contacts, ``elapsed-intervals`` merges
-        every ``max_elapsed_intervals`` temporal grid intervals, and
-        ``amplification`` merges when the delta grows past
-        ``max_amplification`` times the snapshot's contact count.
-    max_delta_contacts / max_elapsed_intervals / max_amplification:
-        Thresholds of the respective policies.
+    max_delta_contacts:
+        The merge threshold: the service merges once the delta holds at
+        least this many contacts.
     query_cache_size:
         Capacity of the service's LRU query-result cache (``0`` disables it);
         the cache is invalidated whenever the watermark advances.
-    build_reachgraph_on_merge:
-        Whether a merge also builds (first merge) or patches (every later
-        one) a ReachGraph index over the new snapshot, giving post-merge
-        queries the paper's fast path.
     compaction_max_runs:
         Per-level fanout of the LSM path's size-ratio leveled compaction:
         once a merge leaves more than this many live runs on one level, a
@@ -277,12 +265,8 @@ class StreamingConfig:
     """
 
     batch_ticks: int = 8
-    merge_policy: str = "delta-size"
     max_delta_contacts: int = 256
-    max_elapsed_intervals: int = 4
-    max_amplification: float = 0.5
     query_cache_size: int = 128
-    build_reachgraph_on_merge: bool = True
     compaction_max_runs: int = 4
     gc_trigger_ratio: float = 0.0
     graph_repack_min_partitions: int = 0
@@ -292,17 +276,8 @@ class StreamingConfig:
     def __post_init__(self) -> None:
         if self.batch_ticks <= 0:
             raise ConfigurationError("batch_ticks must be positive")
-        if self.merge_policy not in MERGE_POLICIES:
-            raise ConfigurationError(
-                f"unknown merge policy {self.merge_policy!r}; "
-                f"choose one of {', '.join(MERGE_POLICIES)}"
-            )
         if self.max_delta_contacts <= 0:
             raise ConfigurationError("max_delta_contacts must be positive")
-        if self.max_elapsed_intervals <= 0:
-            raise ConfigurationError("max_elapsed_intervals must be positive")
-        if self.max_amplification <= 0:
-            raise ConfigurationError("max_amplification must be positive")
         if self.query_cache_size < 0:
             raise ConfigurationError("query_cache_size must be non-negative")
         if self.compaction_max_runs <= 0:
@@ -318,10 +293,6 @@ class StreamingConfig:
             )
         if self.partition_cache_size < 0:
             raise ConfigurationError("partition_cache_size must be non-negative")
-
-    def with_merge_policy(self, policy: str) -> "StreamingConfig":
-        """Copy of this config with a different merge policy."""
-        return replace(self, merge_policy=policy)
 
 
 @dataclass(frozen=True, slots=True)

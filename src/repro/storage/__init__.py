@@ -311,11 +311,11 @@ class StorageSystem:
     def release(self) -> None:
         """Release the device *without* flushing; backing files are kept.
 
-        For read-only consumers (reopened snapshot services, parallel query
-        workers): they changed nothing worth persisting, and skipping the
-        final manifest rewrite means concurrent readers of the same storage
-        directory — worker processes reopening the same snapshot — never
-        race each other on the manifest sidecar.  Idempotent.
+        For read-only consumers (a reopened
+        :class:`~repro.streaming.service.SnapshotQueryService`): they changed
+        nothing worth persisting, and skipping the final manifest rewrite
+        means concurrent readers of the same storage directory never race
+        each other on the manifest sidecar.  Idempotent.
         """
         if not self.disk.closed:
             self.disk.discard()

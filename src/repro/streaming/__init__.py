@@ -10,16 +10,14 @@ subpackage keeps the indexes queryable *while* data arrives:
 * :mod:`~repro.streaming.ingest` — tail-append of samples into the current
   temporal interval's grid cells plus the incremental contact join;
 * :mod:`~repro.streaming.delta` / :mod:`~repro.streaming.policy` — the
-  snapshot + delta overlay consulted at query time, and the policies deciding
-  when the delta is merged into a fresh snapshot;
+  snapshot + delta overlay consulted at query time, and the delta-size
+  policy deciding when the delta is merged into a fresh snapshot (every
+  merge builds or patches the ReachGraph index);
 * :mod:`~repro.streaming.service` — the
   :class:`~repro.streaming.service.StreamingReachabilityService` facade
   (``ingest`` / ``query`` with an LRU result cache), also reachable through
-  :meth:`repro.ReachabilityEngine.streaming`;
-* :mod:`~repro.streaming.parallel` — read-side scale-out:
-  :class:`~repro.streaming.parallel.ParallelQueryService` answers queries on
-  a pool of worker processes over reopened read-only snapshots with
-  generation-based invalidation.
+  :meth:`repro.ReachabilityEngine.streaming`, and its read-only reopen,
+  :class:`~repro.streaming.service.SnapshotQueryService`.
 
 Quickstart
 ----------
@@ -43,15 +41,7 @@ from .delta import (
 from .events import ContactEvent, SampleEvent, StreamBatch
 from .experiment import stream_replay
 from .ingest import StreamIngestor
-from .parallel import ParallelQueryService
-from .policy import (
-    AmplificationPolicy,
-    DeltaSizePolicy,
-    ElapsedIntervalsPolicy,
-    MergeContext,
-    MergePolicy,
-    make_policy,
-)
+from .policy import DeltaSizePolicy, MergeContext, make_policy
 from .service import (
     MergeInputs,
     QueryResultCache,
@@ -75,13 +65,9 @@ __all__ = [
     "ContactSnapshotStore",
     "ReachGraphDeltaOverlay",
     "MergeContext",
-    "MergePolicy",
     "DeltaSizePolicy",
-    "ElapsedIntervalsPolicy",
-    "AmplificationPolicy",
     "make_policy",
     "MergeInputs",
-    "ParallelQueryService",
     "QueryResultCache",
     "SnapshotArtifacts",
     "SnapshotQueryService",

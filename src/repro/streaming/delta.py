@@ -222,13 +222,11 @@ class SnapshotArtifacts:
     by :func:`~repro.streaming.service.build_merge` and adopted by
     :meth:`ReachGraphDeltaOverlay.adopt_increment`.
 
-    At most one field is set when the merge carries a ReachGraph fast path:
-    ``pending_index`` is the first build — made in memory, and written onto
-    the overlay's own device at adoption time so the graph survives a
-    close/reopen cycle — and ``graph_patch`` is every later merge's pure
-    description of how the frozen ticks extend the *live* index, applied in
-    place at adoption time.  Both are ``None`` for services that skip the
-    fast path.
+    Exactly one field is set: ``pending_index`` is the first build — made
+    in memory, and written onto the overlay's own device at adoption time so
+    the graph survives a close/reopen cycle — and ``graph_patch`` is every
+    later merge's pure description of how the frozen ticks extend the *live*
+    index, applied in place at adoption time.
     """
 
     graph_patch: Optional["DagPatch"] = None
@@ -689,19 +687,13 @@ class ReachGraphDeltaOverlay:
         self._version = 0
         # ReachGraph write-amplification ledger (mirrors the snapshot store's
         # records ledger): vertex records ever written by builds/increments,
-        # full rebuilds performed, and partition blocks superseded by rewrites
-        # of indexes this overlay has since retired.
+        # and full builds performed.
         self._graph_records_written = 0
         self._graph_rebuilds = 0
-        self._graph_superseded_base = 0
         # Cross-query partition cache, shared by every processor this overlay
         # ever attaches; invalidated whenever the graph mutates.  The serving
         # layer resizes it from StreamingConfig.partition_cache_size.
         self._partition_cache = PartitionCache()
-        # Query-path counters retired processors fold into (retiring a
-        # processor would otherwise reset them).
-        self._label_rejections_base = 0
-        self._label_prunes_base = 0
         self._bloom_rejections = 0
 
     # ------------------------------------------------------------------
@@ -738,16 +730,19 @@ class ReachGraphDeltaOverlay:
         contact of ``[origin, watermark]`` clipped past the current snapshot
         watermark (clipping is re-applied here to defend the partition
         invariant).  ``artifacts`` carries the purely built query-side
-        structures (either a fresh ReachGraph index or a
+        structures (either the first ReachGraph index or a
         :class:`~repro.reachgraph.DagPatch` for the live one), so this
         method — the only part touching live state — stays cheap: one run
         append, a few assignments, and a patch application proportional to
         the delta.  Returns the records written to the snapshot store.
+        Artifacts that do not fit the live graph — neither field set, a patch
+        without an index, a second index — raise :class:`StreamingError`.
         """
         # The graph half goes first: apply_increment validates the patch
         # against the live index (a stale patch raises) before anything else
         # mutates, so a rejected adoption leaves the store, delta, and
-        # watermark exactly as they were.
+        # watermark exactly as they were.  An overlay holds at most one
+        # index: the first merge installs it, every later one patches it.
         if artifacts.graph_patch is not None:
             if self._processor is None:
                 raise StreamingError(
@@ -756,7 +751,7 @@ class ReachGraphDeltaOverlay:
                 )
             report = self._processor.index.apply_increment(artifacts.graph_patch)
             self._graph_records_written += report.records_written
-        elif artifacts.pending_index is not None:
+        elif artifacts.pending_index is not None and self._processor is None:
             from ..reachgraph import ReachGraphQueryProcessor
 
             # The deferred build ran against no storage; place it on this
@@ -768,12 +763,12 @@ class ReachGraphDeltaOverlay:
             self._graph_records_written += artifacts.pending_index.records_written
             self._graph_rebuilds += 1
         else:
-            # No graph this merge (a service that skips the fast path): a
-            # graph restored from the device would no longer cover the
-            # snapshot, so it is retired.
-            self._retire_processor()
-        # Whatever branch ran, the graph the cache was stamped against is
-        # gone (patched in place or swapped): start a fresh generation.
+            raise StreamingError(
+                "a merge must carry a patch for the live ReachGraph index, "
+                "or the first index when none exists"
+            )
+        # Either way, the graph the cache was stamped against is gone
+        # (patched in place or installed): start a fresh generation.
         self._partition_cache.invalidate()
         if self._store is None:
             self._version += 1
@@ -792,31 +787,6 @@ class ReachGraphDeltaOverlay:
         self._snapshot_watermark = watermark
         self._delta.clear()
         return appended
-
-    def _retire_processor(self) -> None:
-        """Fold the outgoing index's garbage counter into the overlay's base.
-
-        When the retired index lives on this overlay's own device, its
-        partition file and object index also leave the storage catalog: the
-        replacement index supersedes them completely, so keeping them
-        cataloged would pin their blocks as live forever and starve
-        :meth:`~repro.storage.StorageSystem.reclaim`.
-        """
-        if self._processor is not None:
-            index = self._processor.index
-            self._label_rejections_base += self._processor.label_rejections
-            self._label_prunes_base += self._processor.label_frontier_prunes
-            self._graph_superseded_base += index.superseded_blocks
-            if index.is_placed and index.storage is self._storage:
-                retired = 0
-                partitions = f"{index.name}-partitions"
-                if self._storage.has_blockfile(partitions):
-                    retired += self._storage.drop_blockfile(partitions)
-                table = f"{index.name}-object-index"
-                if self._storage.has_hashtable(table):
-                    retired += self._storage.drop_hashtable(table)
-                self._graph_superseded_base += retired
-        self._processor = None
 
     def graph_frontier(self) -> Optional["GraphFrontier"]:
         """The live index's resumable maintenance state, or ``None``.
@@ -844,14 +814,13 @@ class ReachGraphDeltaOverlay:
         """Zero the overlay-level superseded ledgers after a device reclaim.
 
         The garbage those ledgers counted no longer exists on the device:
-        the store's compaction ledger and the overlay's retired-graph base
-        reset so the next reclaim trigger measures only garbage created
-        *after* this one.  (The live index's own counter is the partition
-        file's ledger, which the reclaim's block remap already zeroed.)
+        the store's compaction ledger resets so the next reclaim trigger
+        measures only garbage created *after* this one.  (The index's own
+        counter is the partition file's ledger, which the reclaim's block
+        remap already zeroed.)
         """
         if self._store is not None:
             self._store.reset_superseded()
-        self._graph_superseded_base = 0
 
     def configure_partition_cache(self, capacity: int) -> None:
         """Resize the cross-query partition cache (the service applies config).
@@ -911,7 +880,7 @@ class ReachGraphDeltaOverlay:
         self._partition_cache.invalidate()
 
     # ------------------------------------------------------------------
-    # introspection (merge policies read these)
+    # introspection (the merge policy reads delta_size)
     # ------------------------------------------------------------------
     @property
     def delta_size(self) -> int:
@@ -976,12 +945,9 @@ class ReachGraphDeltaOverlay:
     @property
     def graph_superseded_blocks(self) -> int:
         """Partition blocks orphaned by increment rewrites (graph garbage)."""
-        current = (
-            self._processor.index.superseded_blocks
-            if self._processor is not None
-            else 0
-        )
-        return self._graph_superseded_base + current
+        if self._processor is None:
+            return 0
+        return self._processor.index.superseded_blocks
 
     @property
     def partition_cache(self) -> "PartitionCache":
@@ -991,20 +957,16 @@ class ReachGraphDeltaOverlay:
     @property
     def label_rejections(self) -> int:
         """Queries the label fast path answered unreachable without traversal."""
-        current = (
-            self._processor.label_rejections if self._processor is not None else 0
-        )
-        return self._label_rejections_base + current
+        if self._processor is None:
+            return 0
+        return self._processor.label_rejections
 
     @property
     def label_frontier_prunes(self) -> int:
         """Frontier expansions the labels let the traversal skip."""
-        current = (
-            self._processor.label_frontier_prunes
-            if self._processor is not None
-            else 0
-        )
-        return self._label_prunes_base + current
+        if self._processor is None:
+            return 0
+        return self._processor.label_frontier_prunes
 
     @property
     def label_full_relabels(self) -> int:
@@ -1029,11 +991,6 @@ class ReachGraphDeltaOverlay:
         return self._store.blocks_skipped if self._store is not None else 0
 
     @property
-    def amplification(self) -> float:
-        """Delta size relative to the snapshot size (the merge trigger ratio)."""
-        return self.delta_size / max(1, self.snapshot_size)
-
-    @property
     def has_reachgraph(self) -> bool:
         """True when the snapshot carries a ReachGraph fast path."""
         return self._processor is not None
@@ -1042,9 +999,8 @@ class ReachGraphDeltaOverlay:
     def snapshot_processor(self) -> Optional["ReachGraphQueryProcessor"]:
         """The ReachGraph fast-path processor (``None`` without one).
 
-        In incremental graph mode this is the *same* object across merges —
-        its index is patched in place — which is what the maintenance tests
-        pin down.
+        It is the *same* object across merges — its index is patched in
+        place — which is what the maintenance tests pin down.
         """
         return self._processor
 

@@ -60,7 +60,6 @@ def stream_replay(
     dataset_names: Sequence[str] = ("rwp-small", "vn-small"),
     batch_ticks: int = 8,
     num_queries: int = 20,
-    merge_policy: str = "delta-size",
     seed: int = 0,
     storage_backend: str = "sim",
 ) -> ExperimentResult:
@@ -72,9 +71,7 @@ def stream_replay(
     for name in dataset_names:
         spec = DATASETS[name]
         dataset = spec.generate()
-        streaming_config = StreamingConfig(
-            batch_ticks=batch_ticks, merge_policy=merge_policy
-        )
+        streaming_config = StreamingConfig(batch_ticks=batch_ticks)
         service = _make_service(
             dataset, spec, streaming_config, _storage_config(storage_backend)
         )
@@ -119,9 +116,8 @@ def stream_replay(
         )
         service.close()
     result.add_note(
-        f"merge policy: {merge_policy}; pre-merge queries consult the frozen "
-        "snapshot plus the in-memory delta graph, post-merge queries run on "
-        "the merged ReachGraph alone."
+        "pre-merge queries consult the frozen snapshot plus the in-memory "
+        "delta graph, post-merge queries run on the merged ReachGraph alone."
     )
     result.add_note(
         "matches count agreement with the batch reference evaluator over the "
@@ -140,7 +136,6 @@ def disk_backend_replay(
     backends: Sequence[str] = STORAGE_BACKENDS,
     batch_ticks: int = 8,
     num_queries: int = 20,
-    merge_policy: str = "delta-size",
     seed: int = 0,
 ) -> ExperimentResult:
     """Storage backends: ingest/query cost and reopen fidelity per backend."""
@@ -161,9 +156,7 @@ def disk_backend_replay(
         }
         for backend in backends:
             with tempfile.TemporaryDirectory(prefix="repro-stream-disk-") as scratch:
-                streaming_config = StreamingConfig(
-                    batch_ticks=batch_ticks, merge_policy=merge_policy
-                )
+                streaming_config = StreamingConfig(batch_ticks=batch_ticks)
                 storage_config = (
                     None
                     if backend == "sim"
@@ -216,13 +209,12 @@ def disk_backend_replay(
                     reopen_matches=reopen_matches,
                 )
     result.add_note(
-        f"merge policy: {merge_policy}; every backend drains the same replayed "
-        "stream behind the same StorageSystem interface, so IO counts are "
-        "directly comparable; snapshot_records_written / graph_records_written "
-        "are the LSM and ReachGraph write-amplification ledgers, and the "
-        "superseded_blocks columns count on-device garbage left by compactions "
-        "and partition rewrites — the baseline any space-reclamation work "
-        "must shrink."
+        "every backend drains the same replayed stream behind the same "
+        "StorageSystem interface, so IO counts are directly comparable; "
+        "snapshot_records_written / graph_records_written are the LSM and "
+        "ReachGraph write-amplification ledgers, and the superseded_blocks "
+        "columns count on-device garbage left by compactions and partition "
+        "rewrites — the baseline any space-reclamation work must shrink."
     )
     result.add_note(
         "reopen_matches re-answers the workload after close() through a "
@@ -277,7 +269,6 @@ def space_replay(
             ) as scratch:
                 streaming_config = StreamingConfig(
                     batch_ticks=batch_ticks,
-                    merge_policy="delta-size",
                     max_delta_contacts=max_delta_contacts,
                     gc_trigger_ratio=gc_trigger_ratio,
                     graph_repack_min_partitions=2,

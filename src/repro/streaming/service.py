@@ -4,8 +4,9 @@
 :class:`~repro.streaming.ingest.StreamIngestor` keeps grid cells and the
 incremental contact join current, a
 :class:`~repro.streaming.delta.ReachGraphDeltaOverlay` answers queries over
-snapshot ∪ delta, a merge policy decides when the delta is folded into a new
-snapshot, and an LRU query-result cache — invalidated whenever the watermark
+snapshot ∪ delta, the delta-size merge policy decides when the delta is
+folded into a new snapshot (every merge builds or patches the ReachGraph
+index), and an LRU query-result cache — invalidated whenever the watermark
 advances — absorbs repeated queries between arrivals.
 
 Correctness contract: at any point of the stream, ``query(q)`` returns the
@@ -137,12 +138,13 @@ class MergeInputs:
     build, which has no frontier to patch; every other merge carries
     ``None`` and ``()`` and costs what the increment costs.
 
-    ``graph_frontier`` carries the live index's captured resumable state
-    when the merge should *patch* the graph — ``None`` when no index exists
-    yet (the first merge builds one) or when the service skips the fast path
-    entirely.  ``graph_labels`` freezes the query-fast-path knob the built
-    index must honour (captured alongside the prefix so a config change
-    between prepare and adopt cannot split-brain the build).
+    Every merge builds or patches the ReachGraph index.  ``graph_frontier``
+    carries the live index's captured resumable state, which the merge
+    *patches*; it is ``None`` when no index exists yet, and the merge then
+    builds the first one from ``prefix``.  ``graph_labels`` freezes the
+    query-fast-path knob the built index must honour (captured alongside the
+    prefix so a config change between prepare and adopt cannot split-brain
+    the build).
     """
 
     prefix: Optional[TrajectoryDataset]
@@ -152,7 +154,6 @@ class MergeInputs:
     bound: TimeInstant
     temporal_resolution: int
     distance_threshold: float
-    build_reachgraph: bool
     graph_frontier: Optional["GraphFrontier"] = None
     graph_labels: bool = True
 
@@ -172,32 +173,29 @@ def build_merge(
     :meth:`StreamingReachabilityService.adopt_merge`.  ``storage_config`` is
     accepted and unused: the build allocates no storage.
     """
-    pending_index = None
-    graph_patch = None
-    if inputs.build_reachgraph:
-        if inputs.graph_frontier is not None:
-            from ..reachgraph import compute_graph_patch
+    if inputs.graph_frontier is not None:
+        from ..reachgraph import compute_graph_patch
 
-            graph_patch = compute_graph_patch(
+        return SnapshotArtifacts(
+            graph_patch=compute_graph_patch(
                 inputs.graph_frontier, inputs.new_contacts, inputs.bound
             )
-        else:
-            from ..reachgraph import ReachGraphIndex
+        )
+    from ..reachgraph import ReachGraphIndex
 
-            assert inputs.prefix is not None, "a full build captures the prefix"
-            # Deferred placement: the build runs in memory; adoption later
-            # writes it onto the overlay's own device, where close/reopen
-            # can find it.
-            pending_index = ReachGraphIndex(
-                inputs.prefix,
-                config=ReachGraphConfig(interval_labels=inputs.graph_labels),
-                contact_config=None,
-                contact_network=ContactNetwork(
-                    inputs.prefix, inputs.contacts, inputs.distance_threshold
-                ),
-                defer_placement=True,
-            ).build()
-    return SnapshotArtifacts(graph_patch=graph_patch, pending_index=pending_index)
+    assert inputs.prefix is not None, "a full build captures the prefix"
+    # Deferred placement: the build runs in memory; adoption later writes it
+    # onto the overlay's own device, where close/reopen can find it.
+    pending_index = ReachGraphIndex(
+        inputs.prefix,
+        config=ReachGraphConfig(interval_labels=inputs.graph_labels),
+        contact_config=None,
+        contact_network=ContactNetwork(
+            inputs.prefix, inputs.contacts, inputs.distance_threshold
+        ),
+        defer_placement=True,
+    ).build()
+    return SnapshotArtifacts(pending_index=pending_index)
 
 
 @dataclass(frozen=True, slots=True)
@@ -286,7 +284,6 @@ class StreamingReachabilityService:
         self._cache = QueryResultCache(self.streaming_config.query_cache_size)
         self._consumed_closed = 0
         self._restage_cursor = 0
-        self._intervals_at_merge = 0
         self._batches = 0
         self._merges = 0
         self._queries = 0
@@ -382,7 +379,6 @@ class StreamingReachabilityService:
             self._overlay.add_contact(contact)
         self._restage_cursor = frozen
         self._consumed_closed = len(closed)
-        self._intervals_at_merge = self._ingestor.num_flushed_intervals
 
     # ------------------------------------------------------------------
     # ingestion
@@ -424,12 +420,9 @@ class StreamingReachabilityService:
         self._consumed_closed = self._ingestor.num_closed_contacts
 
     def merge_context(self) -> MergeContext:
-        """The :class:`MergeContext` a merge policy would see right now."""
+        """The :class:`MergeContext` the merge policy would see right now."""
         return MergeContext(
             delta_contacts=self._overlay.delta_size,
-            snapshot_contacts=self._overlay.snapshot_size,
-            intervals_since_merge=self._ingestor.num_flushed_intervals
-            - self._intervals_at_merge,
             watermark=self._ingestor.watermark,
             snapshot_watermark=self._overlay.snapshot_watermark,
         )
@@ -474,23 +467,20 @@ class StreamingReachabilityService:
             raise StreamingError("nothing to merge: no batch ingested yet")
         frozen_through = self._overlay.snapshot_watermark
         self._sync_delta()
-        config = self.streaming_config
         new_contacts = tuple(
             self._ingestor.contacts_through(
                 bound, after=frozen_through, closed_from=self._restage_cursor
             )
         )
-        graph_frontier = None
+        # The live index's resumable state; None before the first graph
+        # build, which makes the first merge a full build and every later one
+        # a patch.
+        graph_frontier = self._overlay.graph_frontier()
         prefix = None
         contacts: Tuple[Contact, ...] = ()
-        if config.build_reachgraph_on_merge:
-            # The live index's resumable state; None before the first
-            # fast-path build, which makes the first merge a full build and
-            # every later one a patch.
-            graph_frontier = self._overlay.graph_frontier()
-            if graph_frontier is None:
-                prefix = self._ingestor.prefix_dataset()
-                contacts = tuple(self._ingestor.contacts_through(bound))
+        if graph_frontier is None:
+            prefix = self._ingestor.prefix_dataset()
+            contacts = tuple(self._ingestor.contacts_through(bound))
         return MergeInputs(
             prefix=prefix,
             contacts=contacts,
@@ -499,9 +489,8 @@ class StreamingReachabilityService:
             bound=bound,
             temporal_resolution=self.grid_config.temporal_resolution,
             distance_threshold=self.contact_config.distance_threshold,
-            build_reachgraph=config.build_reachgraph_on_merge,
             graph_frontier=graph_frontier,
-            graph_labels=config.graph_labels,
+            graph_labels=self.streaming_config.graph_labels,
         )
 
     def adopt_merge(self, build: SnapshotArtifacts, inputs: MergeInputs) -> None:
@@ -577,7 +566,6 @@ class StreamingReachabilityService:
         for contact in tail[frozen:]:
             self._overlay.add_contact(contact)
         self._consumed_closed = self._ingestor.num_closed_contacts
-        self._intervals_at_merge = self._ingestor.num_flushed_intervals
         self._merges += 1
         self._cache.clear()
 
@@ -937,8 +925,8 @@ class SnapshotQueryService:
         """Release the reopened device (the state stays on disk).
 
         Write-free: a read-only service has nothing to persist, and skipping
-        the final manifest rewrite lets many processes hold (and recycle)
-        snapshots of the same storage directory concurrently.
+        the final manifest rewrite lets several readers hold snapshots of the
+        same storage directory at once.
         """
         self._storage.release()
 

@@ -175,10 +175,8 @@ def assert_reopened_matches_prefix(
 ) -> None:
     """The close/reopen axis of the equivalence contract, in one call.
 
-    ``reopened`` is a read-only restored service (a
-    ``SnapshotQueryService`` or a ``ParallelQueryService`` fleet): whatever
-    watermark it reports is
-    the prefix it promised, and every answer must match the batch reference
+    ``reopened`` is a read-only restored ``SnapshotQueryService``: whatever
+    watermark it reports is the prefix it promised, and every answer must match the batch reference
     evaluator over exactly that prefix.  Earliest reach times are compared
     whenever the service reports them, but not *required* — a reopened
     service whose delta is empty answers through the restored ReachGraph

@@ -373,7 +373,6 @@ class TestRunPruning:
         service = _service(
             dataset,
             contact_config,
-            merge_policy="delta-size",
             max_delta_contacts=10_000,
             compaction_max_runs=64,  # keep the runs separate for the test
         )

@@ -3,14 +3,13 @@
 The contract under test (the strongest guarantee of the streaming subsystem):
 at any point of the stream, a :class:`StreamingReachabilityService` answers
 every reachability query exactly like the batch ``reference`` evaluator over
-the ingested prefix ``[origin, watermark]`` — for every merge policy firing
-mid-stream, every delivery granularity, arbitrary (per-object time-ordered)
+the ingested prefix ``[origin, watermark]`` — for every merge threshold
+firing mid-stream, every delivery granularity, arbitrary (per-object time-ordered)
 interleavings inside a batch, heartbeats, rejected batches, forced merges,
 both persistent devices and close/reopen/resume at any cut.
 
 Every case runs on a small random-waypoint dataset whose spatial grid is fine
-enough that ingestion flushes many grid intervals (so the elapsed-intervals
-policy merges often), and the structural half of the contract — snapshot ∪
+enough that ingestion flushes many grid intervals, and the structural half of the contract — snapshot ∪
 delta ∪ open contacts cover the batch contact network exactly once — is
 checked alongside the answers.
 """
@@ -48,7 +47,6 @@ from repro.streaming import (
 from repro.workloads.queries import random_queries
 
 THRESHOLD = 30.0
-POLICIES = ("delta-size", "elapsed-intervals", "amplification")
 
 #: A spatial resolution fine enough that the 400 m test environment spans
 #: several grid cells, and a temporal resolution that flushes a grid interval
@@ -56,14 +54,22 @@ POLICIES = ("delta-size", "elapsed-intervals", "amplification")
 GRID = ReachGridConfig(temporal_resolution=8, spatial_resolution=60.0)
 CONTACTS = ContactConfig(distance_threshold=THRESHOLD)
 
-#: Per-policy thresholds that make each policy merge several times on the
-#: module dataset.
-POLICY_OVERRIDES = {
-    "delta-size": dict(merge_policy="delta-size", max_delta_contacts=16),
-    "elapsed-intervals": dict(
-        merge_policy="elapsed-intervals", max_elapsed_intervals=2
-    ),
-    "amplification": dict(merge_policy="amplification", max_amplification=0.3),
+#: The merge-cadence axis: ``max_delta_contacts`` values that make the
+#: service merge every batch or two, a few times, or once per stream.
+MERGE_THRESHOLDS = (4, 16, 64)
+
+#: Merges the module dataset's replay yields, by ``(batch_ticks, threshold)``:
+#: the axis must keep the cadence varied, so the counts are pinned.
+THRESHOLD_MERGES = {
+    (1, 4): 10,
+    (1, 16): 3,
+    (1, 64): 1,
+    (6, 4): 7,
+    (6, 16): 3,
+    (6, 64): 1,
+    (12, 4): 5,
+    (12, 16): 2,
+    (12, 64): 1,
 }
 
 
@@ -183,49 +189,52 @@ class TestStreamEquivalence:
             context=f"batch_ticks={batch_ticks}, max_delta={max_delta_contacts}",
         )
 
-    @pytest.mark.parametrize("build_reachgraph_on_merge", (False, True))
-    @pytest.mark.parametrize("batch_ticks", (6, 12))
-    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("batch_ticks", (1, 6, 12))
+    @pytest.mark.parametrize("max_delta_contacts", MERGE_THRESHOLDS)
     def test_equivalence_at_every_watermark(
-        self, dataset, policy, batch_ticks, build_reachgraph_on_merge
+        self, dataset, max_delta_contacts, batch_ticks
     ):
         service = make_service(
-            dataset,
-            batch_ticks=batch_ticks,
-            build_reachgraph_on_merge=build_reachgraph_on_merge,
-            **POLICY_OVERRIDES[policy],
+            dataset, batch_ticks=batch_ticks, max_delta_contacts=max_delta_contacts
         )
         workload = random_queries(dataset, count=8, seed=3)
         for batch in DatasetReplaySource(dataset, batch_ticks=batch_ticks).batches():
             service.ingest(batch)
             assert service.watermark == batch.watermark
             assert_matches_prefix(
-                service, dataset, workload, f"policy={policy}, ticks={batch_ticks}"
+                service,
+                dataset,
+                workload,
+                f"max_delta={max_delta_contacts}, ticks={batch_ticks}",
             )
-        assert service.num_merges > 0
-        assert service.overlay.has_reachgraph == build_reachgraph_on_merge
-        if not build_reachgraph_on_merge:
-            assert service.graph_records_written == 0
-            assert service.graph_rebuilds == 0
+        assert service.num_merges == THRESHOLD_MERGES[(batch_ticks, max_delta_contacts)]
+        # The first merge builds the graph; every later one patches it.
+        assert service.overlay.has_reachgraph
+        assert service.graph_rebuilds == 1
 
-    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("max_delta_contacts", MERGE_THRESHOLDS)
     @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
-    def test_equivalence_on_persistent_backends(self, dataset, backend, policy):
+    def test_equivalence_on_persistent_backends(
+        self, dataset, backend, max_delta_contacts
+    ):
         """Snapshot extents on a real device: answers at every watermark stay
         bit-identical to the batch reference."""
         service = make_service(
             dataset,
             storage_config=backend_storage_config(backend),
             batch_ticks=12,
-            **POLICY_OVERRIDES[policy],
+            max_delta_contacts=max_delta_contacts,
         )
         workload = random_queries(dataset, count=8, seed=23)
         for batch in DatasetReplaySource(dataset, batch_ticks=12).batches():
             service.ingest(batch)
             assert_matches_prefix(
-                service, dataset, workload, f"backend={backend}, policy={policy}"
+                service,
+                dataset,
+                workload,
+                f"backend={backend}, max_delta={max_delta_contacts}",
             )
-        assert service.num_merges > 0, "merges must hit the real device"
+        assert service.num_merges == THRESHOLD_MERGES[(12, max_delta_contacts)]
         service.close()
 
     @pytest.mark.parametrize("seed", range(20))
@@ -259,9 +268,9 @@ class TestStreamEquivalence:
         )
 
     @pytest.mark.parametrize("seed", range(32))
-    def test_random_datasets_random_policies(self, seed):
-        """Seeded-random sweep: a fresh dataset, a random policy and batch
-        size, full-drain equivalence against the batch reference."""
+    def test_random_datasets_random_thresholds(self, seed):
+        """Seeded-random sweep: a fresh dataset, a random merge threshold and
+        batch size, full-drain equivalence against the batch reference."""
         rng = random.Random(7000 + seed)
         data = RandomWaypointGenerator(
             num_objects=rng.randint(10, 24),
@@ -269,50 +278,51 @@ class TestStreamEquivalence:
             environment_size=(350.0, 350.0),
             seed=seed,
         ).generate()
-        policy = rng.choice(POLICIES)
+        max_delta_contacts = rng.choice(MERGE_THRESHOLDS)
         service = make_service(
             data,
-            merge_policy=policy,
-            max_delta_contacts=rng.choice((8, 64)),
-            max_elapsed_intervals=rng.choice((2, 4)),
-            max_amplification=rng.choice((0.25, 1.0)),
+            max_delta_contacts=max_delta_contacts,
             batch_ticks=rng.choice((4, 9, 16)),
-            build_reachgraph_on_merge=rng.random() < 0.5,
         )
         service.drain(data)
         assert_matches_prefix(
             service,
             data,
             random_queries(data, count=15, seed=seed),
-            f"seed={seed}, policy={policy}",
+            f"seed={seed}, max_delta={max_delta_contacts}",
         )
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_label_modes_at_every_watermark(self, dataset, policy, graph_labels):
+    @pytest.mark.parametrize("max_delta_contacts", MERGE_THRESHOLDS)
+    def test_label_modes_at_every_watermark(
+        self, dataset, max_delta_contacts, graph_labels
+    ):
         service = make_service(
             dataset,
             batch_ticks=10,
             graph_labels=graph_labels,
-            **POLICY_OVERRIDES[policy],
+            max_delta_contacts=max_delta_contacts,
         )
         workload = random_queries(dataset, count=10, seed=61)
         for batch in DatasetReplaySource(dataset, batch_ticks=10).batches():
             service.ingest(batch)
             assert_matches_prefix(
-                service, dataset, workload, f"policy={policy}, labels={graph_labels}"
+                service,
+                dataset,
+                workload,
+                f"max_delta={max_delta_contacts}, labels={graph_labels}",
             )
         assert service.num_merges > 0
         index = service.overlay.snapshot_processor.index
         assert (index.labels is not None) == graph_labels
 
     @pytest.mark.parametrize("threshold", (15.0, 30.0, 60.0))
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_contact_thresholds(self, dataset, policy, threshold):
+    @pytest.mark.parametrize("max_delta_contacts", MERGE_THRESHOLDS)
+    def test_contact_thresholds(self, dataset, max_delta_contacts, threshold):
         service = make_service(
             dataset,
             contacts=ContactConfig(distance_threshold=threshold),
             batch_ticks=8,
-            **POLICY_OVERRIDES[policy],
+            max_delta_contacts=max_delta_contacts,
         )
         workload = random_queries(dataset, count=10, seed=71)
         for position, batch in enumerate(
@@ -324,7 +334,7 @@ class TestStreamEquivalence:
                     service,
                     dataset,
                     workload,
-                    f"policy={policy}, threshold={threshold}",
+                    f"max_delta={max_delta_contacts}, threshold={threshold}",
                     threshold=threshold,
                 )
         assert_matches_prefix(
@@ -334,8 +344,8 @@ class TestStreamEquivalence:
     @pytest.mark.parametrize("spatial_resolution", (30.0, 60.0, 150.0))
     @pytest.mark.parametrize("temporal_resolution", (4, 8, 16))
     def test_grid_resolutions(self, dataset, temporal_resolution, spatial_resolution):
-        """The ingestor's grid flushes drive the elapsed-intervals policy:
-        whatever the grid's resolution, answers stay exact."""
+        """Whatever the grid's resolution (and so however often the ingestor
+        flushes a grid interval between merges), answers stay exact."""
         service = make_service(
             dataset,
             grid=ReachGridConfig(
@@ -343,7 +353,7 @@ class TestStreamEquivalence:
                 spatial_resolution=spatial_resolution,
             ),
             batch_ticks=7,
-            **POLICY_OVERRIDES["elapsed-intervals"],
+            max_delta_contacts=16,
         )
         workload = random_queries(dataset, count=8, seed=83)
         for batch in DatasetReplaySource(dataset, batch_ticks=7).batches():
@@ -362,10 +372,10 @@ class TestStreamEquivalence:
 # the structural half: every contact tick held exactly once
 # ----------------------------------------------------------------------
 class TestContactCoverage:
-    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("max_delta_contacts", MERGE_THRESHOLDS)
     @pytest.mark.parametrize("batch_ticks", (1, 3, 7, 16))
     def test_snapshot_delta_and_open_contacts_cover_the_prefix(
-        self, dataset, batch_ticks, policy
+        self, dataset, batch_ticks, max_delta_contacts
     ):
         """Snapshot runs, the delta and the still-open contacts (past the
         snapshot watermark: a merge freezes an open contact's prefix) together
@@ -374,8 +384,7 @@ class TestContactCoverage:
         service = make_service(
             dataset,
             batch_ticks=batch_ticks,
-            build_reachgraph_on_merge=False,
-            **POLICY_OVERRIDES[policy],
+            max_delta_contacts=max_delta_contacts,
         )
         for batch in DatasetReplaySource(dataset, batch_ticks=batch_ticks).batches():
             service.ingest(batch)
@@ -430,7 +439,7 @@ class TestContractViolations:
         rejected whole: the watermark, the event count and every answer are
         as if the batch had never been offered, and the stream carries on."""
         rng = random.Random(seed)
-        service = make_service(dataset, **POLICY_OVERRIDES[rng.choice(POLICIES)])
+        service = make_service(dataset, max_delta_contacts=rng.choice(MERGE_THRESHOLDS))
         workload = list(random_queries(dataset, count=6, seed=seed + 90))
         previous = None
         rejected = 0
@@ -460,11 +469,7 @@ class TestCallerScheduledMerges:
         twice in a row at some, with no new ticks in between — never change
         an answer."""
         rng = random.Random(seed)
-        service = make_service(
-            dataset,
-            auto_merge=False,
-            build_reachgraph_on_merge=rng.random() < 0.5,
-        )
+        service = make_service(dataset, auto_merge=False)
         workload = list(random_queries(dataset, count=8, seed=seed + 120))
         for batch in DatasetReplaySource(dataset, batch_ticks=rng.choice((3, 6))).batches():
             service.ingest(batch)
@@ -478,15 +483,15 @@ class TestCallerScheduledMerges:
         assert service.num_merges > 0
 
     @pytest.mark.parametrize("cache_size", (0, 3, 64))
-    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("max_delta_contacts", MERGE_THRESHOLDS)
     def test_query_cache_never_serves_an_older_prefix(
-        self, dataset, policy, cache_size
+        self, dataset, max_delta_contacts, cache_size
     ):
         """Each watermark's workload is asked twice: the second pass hits a
         cache that holds the whole workload, and both passes answer over the
         current prefix only — whether the cache is off, thrashing or large."""
         service = make_service(
-            dataset, query_cache_size=cache_size, **POLICY_OVERRIDES[policy]
+            dataset, query_cache_size=cache_size, max_delta_contacts=max_delta_contacts
         )
         workload = list(random_queries(dataset, count=6, seed=7))
         for batch in DatasetReplaySource(dataset, batch_ticks=8).batches():
@@ -517,7 +522,7 @@ class TestCloseReopenEquivalence:
     ):
         storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
         service = make_service(
-            dataset, storage_config=storage_config, **POLICY_OVERRIDES["delta-size"]
+            dataset, storage_config=storage_config, max_delta_contacts=16
         )
         batches = list(DatasetReplaySource(dataset, batch_ticks=6).batches())
         for batch in batches[:cut]:
@@ -543,7 +548,7 @@ class TestCloseReopenEquivalence:
         """A service closed at the cut and resumed keeps ingesting: every
         later watermark answers over its prefix, as if never closed."""
         storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
-        config = POLICY_OVERRIDES["elapsed-intervals"]
+        config = dict(max_delta_contacts=4)
         service = make_service(dataset, storage_config=storage_config, **config)
         batches = list(DatasetReplaySource(dataset, batch_ticks=6).batches())
         for batch in batches[:cut]:

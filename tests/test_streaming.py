@@ -2,8 +2,8 @@
 
 The correctness bar (set by the issue that introduced the subsystem): after
 draining a replayed dataset, the streaming service must answer every query
-exactly like the batch ``reference`` evaluator over the same data — for all
-three merge policies, and also for queries issued mid-stream, where the answer
+exactly like the batch ``reference`` evaluator over the same data — at every
+merge threshold, and also for queries issued mid-stream, where the answer
 must reflect the ingested prefix.
 """
 
@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import pytest
 
+import repro
+import repro.core
+import repro.streaming
 from equivalence import (
     EQUIVALENCE_BACKENDS,
     CallCounter,
@@ -24,25 +27,28 @@ from repro.core import (
     Point,
     ReachabilityQuery,
     ReachGraphConfig,
+    StorageConfig,
     StreamingConfig,
     StreamingError,
     TimeInterval,
     WatermarkRegressionError,
 )
 from repro.core.engine import ReachabilityEngine
+from repro.storage import StorageSystem
 from repro.streaming import (
-    AmplificationPolicy,
     ContactEvent,
+    ContactSnapshotStore,
     DatasetReplaySource,
     DeltaSizePolicy,
-    ElapsedIntervalsPolicy,
     GeneratorReplaySource,
     MergeContext,
     SampleEvent,
+    SnapshotArtifacts,
     SnapshotQueryService,
     StreamBatch,
     StreamIngestor,
     StreamingReachabilityService,
+    build_merge,
     make_policy,
     replay,
     stream_replay,
@@ -249,17 +255,11 @@ class TestStreamIngestor:
 
 
 # ----------------------------------------------------------------------
-# merge policies
+# the merge policy
 # ----------------------------------------------------------------------
 class TestMergePolicies:
     def _context(self, **overrides):
-        base = dict(
-            delta_contacts=10,
-            snapshot_contacts=100,
-            intervals_since_merge=1,
-            watermark=50,
-            snapshot_watermark=20,
-        )
+        base = dict(delta_contacts=10, watermark=50, snapshot_watermark=20)
         base.update(overrides)
         return MergeContext(**base)
 
@@ -268,90 +268,57 @@ class TestMergePolicies:
         assert not policy.should_merge(self._context(delta_contacts=15))
         assert policy.should_merge(self._context(delta_contacts=16))
 
-    def test_elapsed_intervals_policy(self):
-        policy = ElapsedIntervalsPolicy(4)
-        assert not policy.should_merge(self._context(intervals_since_merge=3))
-        assert policy.should_merge(self._context(intervals_since_merge=4))
-
-    def test_amplification_policy(self):
-        policy = AmplificationPolicy(0.25)
-        assert not policy.should_merge(
-            self._context(delta_contacts=24, snapshot_contacts=100)
-        )
-        assert policy.should_merge(
-            self._context(delta_contacts=25, snapshot_contacts=100)
-        )
-        assert not policy.should_merge(self._context(delta_contacts=0))
-
     def test_make_policy_respects_config(self):
-        assert isinstance(
-            make_policy(StreamingConfig(merge_policy="delta-size")), DeltaSizePolicy
-        )
-        assert isinstance(
-            make_policy(StreamingConfig(merge_policy="elapsed-intervals")),
-            ElapsedIntervalsPolicy,
-        )
-        assert isinstance(
-            make_policy(StreamingConfig(merge_policy="amplification")),
-            AmplificationPolicy,
-        )
+        policy = make_policy(StreamingConfig(max_delta_contacts=7))
+        assert isinstance(policy, DeltaSizePolicy)
+        assert policy.max_delta_contacts == 7
 
     def test_streaming_config_validation(self):
         with pytest.raises(ConfigurationError):
-            StreamingConfig(merge_policy="nope")
+            StreamingConfig(max_delta_contacts=0)
         with pytest.raises(ConfigurationError):
             StreamingConfig(batch_ticks=0)
         with pytest.raises(ConfigurationError):
             StreamingConfig(query_cache_size=-1)
-        assert StreamingConfig().with_merge_policy("amplification").merge_policy == (
-            "amplification"
-        )
 
 
 # ----------------------------------------------------------------------
 # service: equivalence with the batch reference evaluator
 # ----------------------------------------------------------------------
-#: Policy configs tuned so every policy actually merges a few times on the
-#: tiny dataset (and the equivalence claim is exercised across merges).
-POLICY_CONFIGS = {
-    "delta-size": StreamingConfig(merge_policy="delta-size", max_delta_contacts=48),
-    "elapsed-intervals": StreamingConfig(
-        merge_policy="elapsed-intervals", max_elapsed_intervals=3
-    ),
-    "amplification": StreamingConfig(
-        merge_policy="amplification", max_amplification=0.3
-    ),
-}
+#: Merges a drain of the tiny dataset yields, by ``max_delta_contacts``: the
+#: thresholds span frequent, occasional and single merges, so the
+#: equivalence claim is exercised across merge cadences.
+THRESHOLD_MERGES = {16: 7, 48: 2, 96: 1}
 
 
 class TestStreamingEquivalence:
-    @pytest.mark.parametrize("policy", sorted(POLICY_CONFIGS))
+    @pytest.mark.parametrize("max_delta_contacts", sorted(THRESHOLD_MERGES))
     def test_drained_stream_matches_reference(
-        self, policy, tiny_dataset, tiny_network, tiny_contact_config
+        self, max_delta_contacts, tiny_dataset, tiny_network, tiny_contact_config
     ):
         service = StreamingReachabilityService.for_dataset(
             tiny_dataset,
             contact_config=tiny_contact_config,
-            streaming_config=POLICY_CONFIGS[policy],
+            streaming_config=StreamingConfig(max_delta_contacts=max_delta_contacts),
         )
         service.drain(tiny_dataset)
-        assert service.num_merges > 0, "policy thresholds should force merges"
+        assert service.num_merges == THRESHOLD_MERGES[max_delta_contacts]
         assert_methods_agree(
             reference_evaluator(tiny_network),
             {"streaming": service.query},
             random_queries(tiny_dataset, count=50, seed=17),
             check_earliest=True,
-            context=f"policy={policy}, drained",
+            context=f"max_delta={max_delta_contacts}, drained",
         )
 
-    @pytest.mark.parametrize("policy", sorted(POLICY_CONFIGS))
+    @pytest.mark.parametrize("max_delta_contacts", sorted(THRESHOLD_MERGES))
     def test_mid_stream_queries_answer_over_prefix(
-        self, policy, tiny_dataset, tiny_contact_config
+        self, max_delta_contacts, tiny_dataset, tiny_contact_config
     ):
         service = StreamingReachabilityService.for_dataset(
             tiny_dataset,
             contact_config=tiny_contact_config,
-            streaming_config=POLICY_CONFIGS[policy],
+            streaming_config=StreamingConfig(max_delta_contacts=max_delta_contacts),
         )
         workload = random_queries(tiny_dataset, count=12, seed=5)
         source = DatasetReplaySource(tiny_dataset, batch_ticks=8)
@@ -367,8 +334,52 @@ class TestStreamingEquivalence:
                 ),
                 {"streaming": service.query},
                 workload,
-                context=f"policy={policy}, watermark={service.watermark}",
+                context=f"max_delta={max_delta_contacts}, watermark={service.watermark}",
             )
+
+    @pytest.mark.parametrize("max_delta_contacts", sorted(THRESHOLD_MERGES))
+    def test_caller_driven_merges_match_auto_merge(
+        self, max_delta_contacts, tiny_dataset, tiny_contact_config
+    ):
+        """A caller that consults ``make_policy(config)`` on
+        ``merge_context()`` after each batch and runs the three merge phases
+        itself merges at exactly the watermarks ``auto_merge`` does, and
+        answers identically after each batch."""
+        config = StreamingConfig(max_delta_contacts=max_delta_contacts)
+        auto = StreamingReachabilityService.for_dataset(
+            tiny_dataset, contact_config=tiny_contact_config, streaming_config=config
+        )
+        driven = StreamingReachabilityService.for_dataset(
+            tiny_dataset, contact_config=tiny_contact_config, streaming_config=config
+        )
+        driven.auto_merge = False
+        policy = make_policy(config)
+        workload = random_queries(tiny_dataset, count=12, seed=29)
+        for batch in DatasetReplaySource(tiny_dataset, batch_ticks=8).batches():
+            auto.ingest(batch)
+            driven.ingest(batch)
+            context = driven.merge_context()
+            assert context.delta_contacts == driven.overlay.delta_size
+            assert context.watermark == driven.watermark
+            assert context.snapshot_watermark == driven.overlay.snapshot_watermark
+            if context.watermark != context.snapshot_watermark and (
+                policy.should_merge(context)
+            ):
+                inputs = driven.prepare_merge()
+                driven.adopt_merge(build_merge(inputs), inputs)
+            assert driven.num_merges == auto.num_merges
+            assert (
+                driven.overlay.snapshot_watermark == auto.overlay.snapshot_watermark
+            )
+            assert driven.overlay.delta_size == auto.overlay.delta_size
+            assert_methods_agree(
+                auto.query,
+                {"caller-driven": driven.query},
+                workload,
+                check_earliest=True,
+                context=f"max_delta={max_delta_contacts}, watermark={driven.watermark}",
+            )
+        assert driven.num_merges == THRESHOLD_MERGES[max_delta_contacts]
 
     def test_queries_before_any_ingest(self, tiny_dataset, tiny_contact_config):
         service = StreamingReachabilityService.for_dataset(
@@ -521,6 +532,23 @@ class TestStreamingService:
             ReachabilityEngine.reopen_streaming("file", ".", sharded=True)
         assert not hasattr(StreamingConfig(), "with_shards")
         assert not hasattr(StreamingConfig(), "with_merge_executor")
+        # One graph mode, one merge policy, one reader: every merge builds or
+        # patches the ReachGraph, the delta-size threshold is the only
+        # trigger, and there is no process read fleet.
+        for knob, value in (
+            ("merge_policy", "delta-size"),
+            ("max_elapsed_intervals", 4),
+            ("max_amplification", 0.5),
+            ("build_reachgraph_on_merge", False),
+        ):
+            with pytest.raises(TypeError):
+                StreamingConfig(**{knob: value})
+        assert not hasattr(StreamingConfig(), "with_merge_policy")
+        assert not hasattr(repro.streaming, "ParallelQueryService")
+        assert "ParallelQueryService" not in repro.streaming.__all__
+        assert not hasattr(repro, "MERGE_POLICIES")
+        assert "MERGE_POLICIES" not in repro.__all__
+        assert not hasattr(repro.core, "MERGE_POLICIES")
 
 class TestMergeEdgeCases:
     """Edge cases of the snapshot/delta merge path (delta.py + policy.py)."""
@@ -604,6 +632,194 @@ class TestMergeEdgeCases:
         for _, _, _, end in service.overlay.delta_records:
             assert end > snapshot_watermark
 
+
+    @pytest.mark.parametrize("backend", ("sim",) + EQUIVALENCE_BACKENDS)
+    def test_adopt_without_a_graph_raises_and_changes_nothing(
+        self, backend, tiny_dataset, tiny_contact_config
+    ):
+        """Every merge builds or patches the graph, so artifacts carrying
+        neither a patch nor the first index are a programming error: the
+        adoption raises before the store, the delta or the watermark moves,
+        on the simulated device and on both persistent ones.  A second index
+        for an overlay that already holds one is refused the same way."""
+        service = StreamingReachabilityService.for_dataset(
+            tiny_dataset,
+            contact_config=tiny_contact_config,
+            streaming_config=StreamingConfig(max_delta_contacts=10_000),
+            storage_config=backend_storage_config(backend),
+        )
+        batches = list(DatasetReplaySource(tiny_dataset, batch_ticks=12).batches())
+        midpoint = len(batches) // 2
+        for batch in batches[:midpoint]:
+            service.ingest(batch)
+        service.merge()
+        for batch in batches[midpoint:]:
+            service.ingest(batch)
+        overlay = service.overlay
+        store = overlay.snapshot_store
+        before = (
+            store.num_runs,
+            store.records_written,
+            overlay.snapshot_watermark,
+            list(overlay.delta_records),
+        )
+        assert before[3], "the delta must hold contacts the adoption could drop"
+        inputs = service.prepare_merge()
+        for artifacts in (SnapshotArtifacts(), SnapshotArtifacts(pending_index=object())):
+            with pytest.raises(StreamingError):
+                overlay.adopt_increment(
+                    artifacts,
+                    inputs.new_contacts,
+                    inputs.bound,
+                    origin=inputs.origin,
+                    temporal_resolution=inputs.temporal_resolution,
+                )
+            assert (
+                store.num_runs,
+                store.records_written,
+                overlay.snapshot_watermark,
+                list(overlay.delta_records),
+            ) == before
+        assert overlay.snapshot_store is store
+        assert service.num_merges == 1
+        service.close()
+
+
+# ----------------------------------------------------------------------
+# a device flushed without a graph still opens
+# ----------------------------------------------------------------------
+def flush_graphless_device(dataset, contact_config, storage_config, batches):
+    """Leave on disk the state of a service whose merges built no graph.
+
+    Older builds could merge without a ReachGraph: each merge appended one
+    snapshot run and restaged the unfrozen contacts, and the flushed overlay
+    manifest carried ``"graph": None``.  Two such merges are replayed here
+    through the store and overlay restore hooks, then the service is closed.
+    Returns the service name and the flushed watermark.
+    """
+    service = StreamingReachabilityService.for_dataset(
+        dataset, contact_config=contact_config, storage_config=storage_config
+    )
+    service.auto_merge = False
+    overlay, ingestor = service.overlay, service.ingestor
+    store = None
+    half = len(batches) // 2
+    for chunk in (batches[: half // 2], batches[half // 2 : half]):
+        for batch in chunk:
+            service.ingest(batch)
+        bound = service.watermark
+        frozen = ingestor.contacts_through(bound, after=overlay.snapshot_watermark)
+        if store is None:
+            store = ContactSnapshotStore(
+                overlay.storage,
+                origin=ingestor.origin,
+                temporal_resolution=service.grid_config.temporal_resolution,
+                name="snapshot-contacts-v1",
+            )
+        store.append_run(frozen)
+        overlay.attach_snapshot_store(store, bound)
+        overlay.restore_delta(())
+        for contact in ingestor.closed_contacts:
+            if contact.validity.end > bound:
+                overlay.add_contact(contact)
+    # One batch past the last merge, so the manifest carries a delta too.
+    service.ingest(batches[half])
+    watermark = service.watermark
+    service.close()
+    return service.name, watermark
+
+
+class TestGraphlessDevice:
+    """A device whose overlay manifest names no graph — written by an older
+    build whose merges could skip the ReachGraph — keeps working: it reopens
+    read-only through the union path, and a resumed service's first merge
+    builds the graph from the whole prefix."""
+
+    @staticmethod
+    def _flushed(backend, tmp_path, tiny_dataset, tiny_contact_config):
+        storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
+        batches = list(DatasetReplaySource(tiny_dataset, batch_ticks=10).batches())
+        name, watermark = flush_graphless_device(
+            tiny_dataset, tiny_contact_config, storage_config, batches
+        )
+        return storage_config, batches, name, watermark
+
+    @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
+    def test_reopens_read_only_through_the_union_path(
+        self, monkeypatch, backend, tmp_path, tiny_dataset, tiny_contact_config
+    ):
+        storage_config, _, name, watermark = self._flushed(
+            backend, tmp_path, tiny_dataset, tiny_contact_config
+        )
+        overlay_device = StorageSystem(storage_config, name=f"{name}-overlay")
+        manifest = overlay_device.get_metadata("overlay-manifest")
+        overlay_device.release()
+        assert manifest["graph"] is None
+        assert len(manifest["store"]["runs"]) == 2
+
+        counter = CallCounter(monkeypatch, (ContactSnapshotStore, "read_overlapping"))
+        reopened = SnapshotQueryService.open(storage_config, name)
+        try:
+            assert reopened.watermark == watermark
+            assert not reopened.overlay.has_reachgraph
+            assert reopened.overlay.snapshot_runs == 2
+            assert_methods_agree(
+                reference_evaluator(
+                    prefix_network(tiny_dataset, TINY_THRESHOLD, through=watermark)
+                ),
+                {"reopened": reopened.query},
+                random_queries(tiny_dataset, count=20, seed=91),
+                check_earliest=True,
+                require_earliest=True,
+                context=f"graph-less device, backend={backend}",
+            )
+        finally:
+            reopened.close()
+        assert counter.calls["ContactSnapshotStore.read_overlapping"] > 0
+
+    @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
+    def test_resumes_and_first_merge_builds_from_the_prefix(
+        self, monkeypatch, backend, tmp_path, tiny_dataset, tiny_contact_config
+    ):
+        storage_config, batches, name, watermark = self._flushed(
+            backend, tmp_path, tiny_dataset, tiny_contact_config
+        )
+        counter = CallCounter(monkeypatch, (StreamIngestor, "prefix_dataset"))
+        resumed = StreamingReachabilityService.open(
+            storage_config, name, streaming_config=StreamingConfig(max_delta_contacts=24)
+        )
+        try:
+            assert resumed.watermark == watermark
+            assert not resumed.overlay.has_reachgraph
+            assert resumed.overlay.snapshot_runs == 2
+            workload = random_queries(tiny_dataset, count=10, seed=93)
+            resume_at = next(
+                position
+                for position, batch in enumerate(batches)
+                if batch.watermark == watermark
+            )
+            for batch in batches[resume_at + 1 :]:
+                resumed.ingest(batch)
+                assert_methods_agree(
+                    reference_evaluator(
+                        prefix_network(
+                            tiny_dataset, TINY_THRESHOLD, through=resumed.watermark
+                        )
+                    ),
+                    {"resumed": resumed.query},
+                    workload,
+                    check_earliest=True,
+                    context=f"backend={backend}, watermark={resumed.watermark}",
+                )
+            assert resumed.watermark == tiny_dataset.horizon.end
+            assert resumed.num_merges > 1
+            # The first merge read the whole prefix once to build the graph;
+            # every later one patched it.
+            assert counter.calls["StreamIngestor.prefix_dataset"] == 1
+            assert resumed.graph_rebuilds == 1
+            assert resumed.overlay.has_reachgraph
+        finally:
+            resumed.close()
 
 # ----------------------------------------------------------------------
 # storage-backend axis: file/mmap answers ≡ sim answers ≡ reference
@@ -745,15 +961,9 @@ class TestStorageBackendEquivalence:
         assert service.overlay.storage.config.backend == "file"
         service.close()
 
-    @pytest.mark.parametrize("build_reachgraph_on_merge", (False, True))
     @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
     def test_merges_keep_one_overlay_device(
-        self,
-        backend,
-        build_reachgraph_on_merge,
-        tmp_path,
-        tiny_dataset,
-        tiny_contact_config,
+        self, backend, tmp_path, tiny_dataset, tiny_contact_config
     ):
         """Every merge appends to the overlay the service opened: no merge
         swaps the overlay or opens a second device, so no superseded file
@@ -761,10 +971,7 @@ class TestStorageBackendEquivalence:
         service = StreamingReachabilityService.for_dataset(
             tiny_dataset,
             contact_config=tiny_contact_config,
-            streaming_config=StreamingConfig(
-                max_delta_contacts=48,
-                build_reachgraph_on_merge=build_reachgraph_on_merge,
-            ),
+            streaming_config=StreamingConfig(max_delta_contacts=48),
             storage_config=backend_storage_config(backend, storage_dir=str(tmp_path)),
         )
         overlay = service.overlay
@@ -774,7 +981,7 @@ class TestStorageBackendEquivalence:
             assert service.overlay is overlay, "a merge swapped the overlay"
             assert overlay.storage.disk is device, "a merge opened a second device"
         assert service.num_merges > 1
-        assert overlay.has_reachgraph == build_reachgraph_on_merge
+        assert overlay.has_reachgraph
         assert not device.closed
         # Only the grid device and the one overlay device live in the directory.
         overlay_files = [p for p in tmp_path.iterdir() if "overlay" in p.name]
@@ -794,6 +1001,16 @@ class TestStorageBackendEquivalence:
         with pytest.raises(StreamingError):
             SnapshotQueryService.open(storage_config, name="no-such-service")
         assert list(tmp_path.iterdir()) == []
+
+    def test_read_only_open_needs_a_persistent_directory(self, tmp_path):
+        """A read-only open reads flushed files: the in-memory backend and a
+        persistent backend without a directory have none to read."""
+        with pytest.raises(StreamingError):
+            SnapshotQueryService.open(
+                StorageConfig(backend="sim", storage_dir=None), name="stream"
+            )
+        with pytest.raises(StreamingError):
+            SnapshotQueryService.open(StorageConfig(backend="file"), name="stream")
 
     def test_closed_service_rejects_use(self, tiny_dataset, tiny_contact_config):
         service = StreamingReachabilityService.for_dataset(
@@ -866,7 +1083,6 @@ class TestSnapshotCompaction:
             tiny_contact_config,
             max_delta_contacts=16,
             compaction_max_runs=2,
-            build_reachgraph_on_merge=False,
         )
         service.drain(tiny_dataset)
         stats = service.stats
@@ -906,7 +1122,6 @@ class TestSnapshotCompaction:
             tiny_contact_config,
             max_delta_contacts=16,
             compaction_max_runs=2,
-            build_reachgraph_on_merge=False,
         )
         batches = list(DatasetReplaySource(tiny_dataset, batch_ticks=10).batches())
         midpoint = len(batches) // 2
@@ -943,7 +1158,6 @@ class TestSnapshotCompaction:
             tiny_dataset,
             tiny_contact_config,
             max_delta_contacts=16,
-            build_reachgraph_on_merge=False,
         )
         service.drain(tiny_dataset)
         assert service.num_merges > 3
@@ -1196,9 +1410,7 @@ class TestMergeRestageRegression:
         service = StreamingReachabilityService.for_dataset(
             tiny_dataset,
             contact_config=tiny_contact_config,
-            streaming_config=StreamingConfig(
-                max_delta_contacts=16, build_reachgraph_on_merge=False
-            ),
+            streaming_config=StreamingConfig(max_delta_contacts=16),
         )
         service.drain(tiny_dataset)
         assert service.stats.merges > 3, "workload must force several merges"
@@ -1222,9 +1434,7 @@ class TestMergeRestageRegression:
         service = StreamingReachabilityService.for_dataset(
             tiny_dataset,
             contact_config=tiny_contact_config,
-            streaming_config=StreamingConfig(
-                max_delta_contacts=16, build_reachgraph_on_merge=False
-            ),
+            streaming_config=StreamingConfig(max_delta_contacts=16),
         )
         batches = list(DatasetReplaySource(tiny_dataset, batch_ticks=10).batches())
         for batch in batches:

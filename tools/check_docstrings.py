@@ -26,12 +26,12 @@ from typing import Iterator, List, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: The gated module set: the streaming subsystem (including the parallel
-#: query workers), the storage substrate and the ReachGraph layer under it
-#: (the read path: ``read_run``, ``record_read_run``, ``locate``), ReachGrid
-#: and the contact join and trajectory model it shares its per-sample paths
-#: with, the engine facade, and the fault registry whose point names double
-#: as recovery documentation.
+#: The gated module set: the streaming subsystem, the storage substrate and
+#: the ReachGraph layer under it (the read path: ``read_run``,
+#: ``record_read_run``, ``locate``), ReachGrid and the contact join and
+#: trajectory model it shares its per-sample paths with, the engine facade,
+#: and the fault registry whose point names double as recovery
+#: documentation.
 DEFAULT_TARGETS = (
     "src/repro/streaming",
     "src/repro/storage",
