@@ -86,17 +86,34 @@ __all__ = [
 
 #: On-device format of partition records and object-index buckets (cataloged;
 #: devices from before the key hold dataclass records and pair-tuple buckets).
+#: Format-2 devices written before records became plain tuples hold
+#: :class:`VertexRecord` rows and ``array('q')`` histories: the rows read
+#: positionally like tuples, and restore rewrites those buckets as ``bytes``.
 INDEX_FORMAT = 2
 
 #: Per-object assignment history stored in the object index: two parallel
-#: ``array('q')`` — segment start times (ascending) and the vertex of each.
-AssignmentHistory = Tuple["array[int]", "array[int]"]
+#: runs of native int64 as ``bytes`` — segment start times (ascending) and
+#: the vertex of each — so a bucket unpickles without a reduce call.
+AssignmentHistory = Tuple[bytes, bytes]
+
+#: A vertex record as stored and read: a plain tuple in :class:`VertexRecord`'s
+#: field order (``node_id, start, end, members, successors, predecessors,
+#: long_successors``).
+VertexRow = Tuple[
+    int,
+    TimeInstant,
+    TimeInstant,
+    Tuple[ObjectId, ...],
+    Tuple[int, ...],
+    Tuple[int, ...],
+    Tuple[Tuple[int, Tuple[int, ...]], ...],
+]
 
 
 def _pack_segments(segments: Iterable[Tuple[TimeInstant, int]]) -> AssignmentHistory:
     """Pack a non-empty run of ``(start, node)`` segments for the object index."""
     starts, nodes = zip(*segments)
-    return array("q", starts), array("q", nodes)
+    return array("q", starts).tobytes(), array("q", nodes).tobytes()
 
 
 class GraphDomain:
@@ -124,10 +141,13 @@ class GraphDomain:
 
 
 class VertexRecord(NamedTuple):
-    """The on-disk representation of one ``HN`` vertex.
+    """The field order of one ``HN`` vertex record (:data:`VertexRow`).
 
-    A tuple, so a block decodes without a Python-level call per record; the
-    query hot path unpacks it positionally (field order is a contract).
+    The index writes plain tuples in this order, so a partition block
+    unpickles with no reduce call at all, and every reader unpacks records
+    positionally (field order is a contract).  The class remains the type
+    of rows in blocks written before that, and ``VertexRecord._make(row)``
+    gives a row named fields and the helpers below.
     """
 
     node_id: int
@@ -473,25 +493,25 @@ class ReachGraphIndex:
             self._partitions_file.append_extent(partition_id, records)
             self._records_written += len(records)
 
-    def _make_records(self, node_ids: Sequence[int]) -> List[VertexRecord]:
+    def _make_records(self, node_ids: Sequence[int]) -> List[VertexRow]:
         hypergraph = self.hypergraph
         dag = hypergraph.dag
         layers = [
             (resolution, hypergraph.layer(resolution).forward)
             for resolution in hypergraph.resolutions
         ]
-        records: List[VertexRecord] = []
+        records: List[VertexRow] = []
         for node_id in node_ids:
             node = dag.node(node_id)
             records.append(
-                VertexRecord(
-                    node_id=node_id,
-                    start=node.interval.start,
-                    end=node.interval.end,
-                    members=tuple(sorted(node.members)),
-                    successors=tuple(dag.successors(node_id)),
-                    predecessors=tuple(dag.predecessors(node_id)),
-                    long_successors=tuple(
+                (
+                    node_id,
+                    node.interval.start,
+                    node.interval.end,
+                    tuple(sorted(node.members)),
+                    tuple(dag.successors(node_id)),
+                    tuple(dag.predecessors(node_id)),
+                    tuple(
                         (resolution, tuple(targets))
                         for resolution, forward in layers
                         if (targets := forward.get(node_id))
@@ -677,7 +697,7 @@ class ReachGraphIndex:
                     f"object {object_id} joined the stream mid-prefix; the "
                     "object index has no assignment history for it"
                 )
-            # ``+`` copies: holders of the previous bucket keep their arrays.
+            # ``bytes`` are immutable: holders of the previous bucket keep theirs.
             starts, nodes = existing
             new_starts, new_nodes = _pack_segments(segments)
             self._object_index.update(
@@ -859,7 +879,7 @@ class ReachGraphIndex:
         index._restore_serving_state(catalog, horizon)
         return index
 
-    def _read_graph_records(self) -> Tuple[Dict[int, List[int]], List[VertexRecord]]:
+    def _read_graph_records(self) -> Tuple[Dict[int, List[int]], List[VertexRow]]:
         """Every live extent read once: members per partition, records by id.
 
         The extent key is the partition id and record order inside an extent
@@ -870,9 +890,9 @@ class ReachGraphIndex:
         """
         assert self._partitions_file is not None
         partition_members: Dict[int, List[int]] = {}
-        records: List[VertexRecord] = []
+        records: List[VertexRow] = []
         for key in self._partitions_file.extent_keys():
-            extent_records: Sequence[VertexRecord] = self._partitions_file.read_extent(key)
+            extent_records: Sequence[VertexRow] = self._partitions_file.read_extent(key)
             partition_members[int(key)] = [record[0] for record in extent_records]
             records.extend(extent_records)
         records.sort(key=itemgetter(0))
@@ -956,21 +976,19 @@ class ReachGraphIndex:
         assert self.domain is not None
         _, records = self._read_graph_records()
         dag = ContactDag(self.domain.horizon, len(self.domain.object_ids))
-        for record in records:
-            dag.add_node(
-                TimeInterval(record.start, record.end), frozenset(record.members)
-            )
-        for record in records:
-            for successor_id in record.successors:
-                dag.add_edge(record.node_id, successor_id)
-        layers: List[LongEdgeLayer] = []
-        for resolution in self.config.sorted_resolutions:
-            layer = LongEdgeLayer(resolution)
-            for record in records:
-                for target_id in record.long_successors_at(resolution):
-                    layer.add_edge(record.node_id, target_id)
-            layers.append(layer)
-        return HyperGraph(dag, layers)
+        for _, start, end, members, _, _, _ in records:
+            dag.add_node(TimeInterval(start, end), frozenset(members))
+        layers = {
+            resolution: LongEdgeLayer(resolution)
+            for resolution in self.config.sorted_resolutions
+        }
+        for node_id, _, _, _, successors, _, long_successors in records:
+            for successor_id in successors:
+                dag.add_edge(node_id, successor_id)
+            for resolution, targets in long_successors:
+                for target_id in targets:
+                    layers[resolution].add_edge(node_id, target_id)
+        return HyperGraph(dag, list(layers.values()))
 
     # ------------------------------------------------------------------
     # state checks
@@ -996,12 +1014,12 @@ class ReachGraphIndex:
             raise UnknownObjectError(object_id)
         starts, nodes = history
         # The last segment starting at or before ``t``.
-        position = bisect_right(starts, t)
+        position = bisect_right(memoryview(starts).cast("q"), t)
         if position == 0:
             raise IndexConstructionError(
                 f"object {object_id} has no component at time {t}"
             )
-        return nodes[position - 1]
+        return memoryview(nodes).cast("q")[position - 1]
 
     def vertices_starting_by(self, t: TimeInstant) -> int:
         """How many vertices start at or before ``t`` (in memory, no IO).
@@ -1024,7 +1042,7 @@ class ReachGraphIndex:
         """
         return self._partition_of_vertex[node_id], self._slot_of_vertex[node_id]
 
-    def read_partition(self, partition_id: int) -> Sequence[VertexRecord]:
+    def read_partition(self, partition_id: int) -> Sequence[VertexRow]:
         """Read every vertex record of one partition from disk (charged IO).
 
         The records come back in member order, so a :meth:`locate` slot

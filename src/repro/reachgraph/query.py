@@ -40,14 +40,13 @@ Two read-side accelerations sit in front of the traversal:
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import OrderedDict, deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.errors import QueryError, UnknownObjectError
 from ..core.types import ObjectId, QueryResult, ReachabilityQuery, TimeInstant, TimeInterval
-from .index import ReachGraphIndex, VertexRecord
+from .index import ReachGraphIndex, VertexRow
 from .labels import ReachLabelIndex
 
 __all__ = ["PartitionCache", "ReachGraphQueryProcessor", "STRATEGIES"]
@@ -70,15 +69,15 @@ class PartitionCache:
     :meth:`ReachGraphIndex.read_partition` returned, shared read-only: a
     block of one decodes when a query first indexes a record in it, and stays
     decoded for every later query that hits the entry.
-    Thread-safe; a capacity of ``0`` disables caching (every lookup misses).
+    Single-threaded, like its owner: no lock guards it.  A capacity of ``0``
+    disables caching (every lookup misses).
     """
 
     def __init__(self, capacity: int = 64) -> None:
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.capacity = capacity
-        self._entries: "OrderedDict[int, Sequence[VertexRecord]]" = OrderedDict()
-        self._lock = threading.Lock()
+        self._entries: "OrderedDict[int, Sequence[VertexRow]]" = OrderedDict()
         self._generation = 1
         self.hits = 0
         self.misses = 0
@@ -88,36 +87,32 @@ class PartitionCache:
         """The current cache generation (bumped by :meth:`invalidate`)."""
         return self._generation
 
-    def lookup(self, partition_id: int) -> Optional[Sequence[VertexRecord]]:
+    def lookup(self, partition_id: int) -> Optional[Sequence[VertexRow]]:
         """The cached records of a partition (shared: read-only), or ``None``."""
-        with self._lock:
-            records = self._entries.get(partition_id)
-            if records is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(partition_id)
-            self.hits += 1
-            return records
+        records = self._entries.get(partition_id)
+        if records is None:
+            self.misses += 1
+            return None
+        self._entries.move_to_end(partition_id)
+        self.hits += 1
+        return records
 
-    def insert(self, partition_id: int, records: Sequence[VertexRecord]) -> None:
+    def insert(self, partition_id: int, records: Sequence[VertexRow]) -> None:
         """Remember a partition's records, evicting the LRU entry when full."""
         if self.capacity == 0:
             return
-        with self._lock:
-            self._entries[partition_id] = records
-            self._entries.move_to_end(partition_id)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+        self._entries[partition_id] = records
+        self._entries.move_to_end(partition_id)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
 
     def invalidate(self) -> None:
         """Drop every entry and bump the generation (graph mutated)."""
-        with self._lock:
-            self._entries.clear()
-            self._generation += 1
+        self._entries.clear()
+        self._generation += 1
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
 
 class _VertexCache:
@@ -136,16 +131,16 @@ class _VertexCache:
     ) -> None:
         self._index = index
         self._shared = shared
-        self._partitions: Dict[int, Sequence[VertexRecord]] = {}
+        self._partitions: Dict[int, Sequence[VertexRow]] = {}
 
-    def get(self, node_id: int) -> VertexRecord:
+    def get(self, node_id: int) -> VertexRow:
         partition_id, slot = self._index.locate(node_id)
         records = self._partitions.get(partition_id)
         if records is None:
             records = self._load(partition_id)
         return records[slot]
 
-    def _load(self, partition_id: int) -> Sequence[VertexRecord]:
+    def _load(self, partition_id: int) -> Sequence[VertexRow]:
         shared = self._shared
         records = shared.lookup(partition_id) if shared is not None else None
         if records is None:
@@ -263,10 +258,8 @@ class ReachGraphQueryProcessor:
             self.label_rejections += 1
             return False, 0
 
-        record1 = cache.get(v1)
-        record2 = cache.get(v2)
-        objects_forward: Set[ObjectId] = set(record1.members)
-        objects_backward: Set[ObjectId] = set(record2.members)
+        objects_forward: Set[ObjectId] = set(cache.get(v1)[3])
+        objects_backward: Set[ObjectId] = set(cache.get(v2)[3])
         visited = 2
         if objects_forward & objects_backward:
             return True, visited
@@ -323,8 +316,8 @@ class ReachGraphQueryProcessor:
         labels: Optional[ReachLabelIndex],
         target_vertex: int,
     ) -> Tuple[bool, int]:
-        # One positional unpack per visit: namedtuple attribute reads are not
-        # specialised by the interpreter and this is the traversal hot path.
+        # One positional unpack per visit (records are plain tuples in
+        # ``VertexRecord`` field order); this is the traversal hot path.
         _, start, _, members, successors, _, long_successors = cache.get(
             queue.popleft()
         )
@@ -423,15 +416,14 @@ class ReachGraphQueryProcessor:
         visited = 0
         while frontier:
             node_id = frontier.pop() if depth_first else frontier.popleft()
-            record = cache.get(node_id)
+            successors = cache.get(node_id)[4]
             visited += 1
             if node_id == v2:
                 return True, visited
-            for target_id in record.successors:
+            for target_id in successors:
                 if target_id in seen:
                     continue
-                target = cache.get(target_id)
-                if target.start > t2:
+                if cache.get(target_id)[1] > t2:
                     continue
                 seen.add(target_id)
                 frontier.append(target_id)

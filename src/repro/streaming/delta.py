@@ -684,7 +684,6 @@ class ReachGraphDeltaOverlay:
         self._store: Optional[ContactSnapshotStore] = None
         self._processor = None  # ReachGraphQueryProcessor over the snapshot
         self._snapshot_watermark: Optional[TimeInstant] = None
-        self._version = 0
         # ReachGraph write-amplification ledger (mirrors the snapshot store's
         # records ledger): vertex records ever written by builds/increments,
         # and full builds performed.
@@ -771,12 +770,13 @@ class ReachGraphDeltaOverlay:
         # (patched in place or installed): start a fresh generation.
         self._partition_cache.invalidate()
         if self._store is None:
-            self._version += 1
+            # One store per overlay, never replaced; the ``-v1`` suffix is
+            # the name devices already carry, so they reopen unchanged.
             self._store = ContactSnapshotStore(
                 self._storage,
                 origin=origin,
                 temporal_resolution=temporal_resolution,
-                name=f"snapshot-contacts-v{self._version}",
+                name="snapshot-contacts-v1",
             )
         frozen = [
             clipped

@@ -17,7 +17,6 @@ contact network of the ingested prefix.
 from __future__ import annotations
 
 import os
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
@@ -66,15 +65,14 @@ class QueryResultCache:
     """A small LRU cache of query results with hit/miss accounting.
 
     A ``capacity`` of 0 disables caching entirely (every lookup is a miss
-    that is not counted).  All mutating operations take an internal lock, so
-    an invalidation racing a lookup can never corrupt the LRU structure or
-    serve an entry that survived the invalidation.
+    that is not counted).  Single-threaded, like the service that owns it:
+    queries and the merge adoption that clears it run on one thread, so no
+    lock guards it.
     """
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
         self._entries: "OrderedDict[ReachabilityQuery, QueryResult]" = OrderedDict()
-        self._lock = threading.Lock()
         self._generation = 0
         self.hits = 0
         self.misses = 0
@@ -93,29 +91,26 @@ class QueryResultCache:
         """The cached result for ``query``, bumping its recency, or ``None``."""
         if not self.enabled:
             return None
-        with self._lock:
-            cached = self._entries.get(query)
-            if cached is not None:
-                self._entries.move_to_end(query)
-                self.hits += 1
-                return cached
-            self.misses += 1
-            return None
+        cached = self._entries.get(query)
+        if cached is not None:
+            self._entries.move_to_end(query)
+            self.hits += 1
+            return cached
+        self.misses += 1
+        return None
 
     def put(self, query: ReachabilityQuery, result: QueryResult) -> None:
         """Store a result, evicting least-recently-used entries past capacity."""
         if not self.enabled:
             return
-        with self._lock:
-            self._entries[query] = result
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+        self._entries[query] = result
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
 
     def clear(self) -> None:
         """Drop every entry (hit/miss counters are kept, the generation bumps)."""
-        with self._lock:
-            self._entries.clear()
-            self._generation += 1
+        self._entries.clear()
+        self._generation += 1
 
     def __len__(self) -> int:
         return len(self._entries)

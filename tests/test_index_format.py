@@ -2,8 +2,11 @@
 
 What a partition block and an object-index bucket hold is decided in
 :mod:`repro.reachgraph.index` and decoded by ``pickle`` alone, so the shapes
-are pinned here: a vertex record must stay a tuple that pickles without the
-``dataclasses`` slow path, the packed ``(starts, nodes)`` assignment history
+are pinned here: a vertex record is a plain tuple in ``VertexRecord`` field
+order and a history two ``bytes`` of native int64, so neither block pickles
+a reduce call or a global; a device written with the earlier ``VertexRecord``
+rows and ``array('q')`` histories still reopens, its buckets rewritten as
+``bytes``; the packed ``(starts, nodes)`` assignment history
 must answer ``find_vertex_id`` exactly as a scan of the DAG's segments does at
 every stage of an index's life, the slot directory must address every vertex
 inside its partition extent at those same stages, restore must reconcile a
@@ -44,7 +47,9 @@ from repro.core import (
     TimeInterval,
 )
 from repro.reachgraph import ReachGraphIndex, ReachGraphQueryProcessor, VertexRecord
+from repro.reachgraph import index as index_module
 from repro.storage import StorageSystem
+from repro.storage.backends.base import encode_payload
 from repro.streaming import (
     DatasetReplaySource,
     SnapshotQueryService,
@@ -63,11 +68,33 @@ RECORD = VertexRecord(
 )
 
 
+def history(pair) -> list:
+    """An object-index value as its ``(start, node)`` segments."""
+    starts, nodes = pair
+    return list(zip(memoryview(starts).cast("q"), memoryview(nodes).cast("q")))
+
+
 # ----------------------------------------------------------------------
 # record shape
 # ----------------------------------------------------------------------
 class TestVertexRecordShape:
+    def test_index_writes_plain_tuples_in_field_order(self, tiny_reachgraph):
+        dag = tiny_reachgraph.dag
+        for partition_id, member_ids in enumerate(tiny_reachgraph.partitioning.members):
+            rows = tiny_reachgraph.read_partition(partition_id)
+            assert [row[0] for row in rows] == member_ids
+            for row in rows:
+                assert type(row) is tuple and len(row) == len(VertexRecord._fields)
+                record = VertexRecord._make(row)
+                node = dag.node(record.node_id)
+                assert record.interval == node.interval
+                assert record.members == tuple(sorted(node.members))
+                assert record.successors == tuple(dag.successors(record.node_id))
+                assert record.predecessors == tuple(dag.predecessors(record.node_id))
+
     def test_round_trips_through_pickle_equal_and_hashable(self):
+        """Blocks written before records became plain tuples hold
+        ``VertexRecord`` rows; they must still decode, equal and hashable."""
         for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
             restored = pickle.loads(pickle.dumps(RECORD, protocol=protocol))
             assert type(restored) is VertexRecord
@@ -101,14 +128,65 @@ class TestVertexRecordShape:
         assert (RECORD.interval.start, RECORD.interval.end) == (3, 9)
         assert RECORD.long_successors_at(8) == (15, 16)
         assert RECORD.long_successors_at(2) == ()
+        assert VertexRecord._make(tuple(RECORD)) == RECORD
 
     def test_dumped_block_names_no_dataclasses_global(self):
+        """An earlier-shaped block names the class, never ``dataclasses``."""
         block = [RECORD._replace(node_id=node_id) for node_id in range(8)]
         blob = pickle.dumps(block, protocol=pickle.HIGHEST_PROTOCOL)
         listing = io.StringIO()
         pickletools.dis(blob, out=listing)
         assert "dataclasses" not in listing.getvalue()
         assert "VertexRecord" in listing.getvalue()
+
+
+# ----------------------------------------------------------------------
+# the codec: blocks decode to tuples, ints and bytes only
+# ----------------------------------------------------------------------
+#: Opcodes that make ``pickle`` look up a global or call it while decoding.
+CALLING_OPCODES = {"REDUCE", "NEWOBJ", "NEWOBJ_EX", "GLOBAL", "STACK_GLOBAL", "INST", "OBJ"}
+
+
+def calling_opcodes(payload) -> set:
+    return {
+        opcode.name
+        for opcode, _, _ in pickletools.genops(encode_payload(payload))
+    } & CALLING_OPCODES
+
+
+class TestCodec:
+    @staticmethod
+    def payloads(index, blocks):
+        disk = index.storage.disk
+        return [disk.read(block_id) for block_id in blocks]
+
+    def test_partition_blocks_pickle_no_call(self, tiny_reachgraph):
+        partitions = tiny_reachgraph._partitions_file
+        blocks = [
+            block_id
+            for key in partitions.extent_keys()
+            for block_id in partitions.extent(key).block_ids
+        ]
+        payloads = self.payloads(tiny_reachgraph, blocks)
+        assert payloads and all(payload for payload in payloads)
+        for payload in payloads:
+            assert calling_opcodes(payload) == set()
+
+    def test_buckets_pickle_no_call(self, tiny_reachgraph):
+        payloads = self.payloads(
+            tiny_reachgraph, tiny_reachgraph._object_index.bucket_blocks
+        )
+        assert any(payloads)
+        for bucket in payloads:
+            assert calling_opcodes(bucket) == set()
+            for starts, nodes in bucket.values():
+                assert type(starts) is bytes and type(nodes) is bytes
+
+    def test_the_earlier_shapes_did_call(self):
+        """The pin has teeth: the shapes written before this codec pickle
+        a call per record and per history array."""
+        assert calling_opcodes([RECORD]) >= {"REDUCE"}
+        assert calling_opcodes({1: (array("q", [0]), array("q", [3]))}) >= {"REDUCE"}
 
 
 # ----------------------------------------------------------------------
@@ -193,13 +271,15 @@ def make_service(dataset, contact_config, storage_config):
 
 class TestPackedObjectIndex:
     def test_batch_build_stores_parallel_int64_arrays(self, tiny_reachgraph):
+        """Two ``bytes`` of native int64, one entry per assignment segment."""
         object_id = tiny_reachgraph.dataset.object_ids[0]
-        starts, nodes = tiny_reachgraph._object_index.get(object_id)
-        assert isinstance(starts, array) and isinstance(nodes, array)
-        assert starts.typecode == nodes.typecode == "q"
-        assert list(zip(starts, nodes)) == tiny_reachgraph.dag.assignment_segments(
-            object_id
-        )
+        pair = tiny_reachgraph._object_index.get(object_id)
+        starts, nodes = pair
+        assert type(starts) is bytes and type(nodes) is bytes
+        segments = tiny_reachgraph.dag.assignment_segments(object_id)
+        assert len(starts) == len(nodes) == 8 * len(segments)
+        assert starts == array("q", [start for start, _ in segments]).tobytes()
+        assert history(pair) == segments
         assert_object_index_matches_dag(tiny_reachgraph, "batch build")
 
     @pytest.mark.parametrize("backend", STORAGE_BACKENDS)
@@ -261,7 +341,7 @@ class TestPackedObjectIndex:
         self, tiny_dataset, tiny_contact_config
     ):
         """The sim backend hands out the stored objects themselves, so an
-        increment must append to copies, never to the arrays a reader holds."""
+        increment must store new values, never change the ones a reader holds."""
         service = make_service(tiny_dataset, tiny_contact_config, None)
         batches = list(DatasetReplaySource(tiny_dataset, batch_ticks=8).batches())
         for batch in batches[:5]:
@@ -272,20 +352,17 @@ class TestPackedObjectIndex:
             object_id: index._object_index.get(object_id)
             for object_id in tiny_dataset.object_ids
         }
-        before = {
-            object_id: (list(starts), list(nodes))
-            for object_id, (starts, nodes) in held.items()
-        }
+        before = {object_id: history(pair) for object_id, pair in held.items()}
         for batch in batches[5:]:
             service.ingest(batch)
         service.merge()
         assert index.num_increments == 1
         assert any(
-            len(index._object_index.get(object_id)[0]) > len(before[object_id][0])
+            len(history(index._object_index.get(object_id))) > len(before[object_id])
             for object_id in tiny_dataset.object_ids
         )
-        for object_id, (starts, nodes) in held.items():
-            assert (list(starts), list(nodes)) == before[object_id]
+        for object_id, pair in held.items():
+            assert history(pair) == before[object_id]
 
     def test_restore_drops_a_phantom_trailing_segment(
         self, tmp_path, tiny_dataset, tiny_contact_config
@@ -307,21 +384,21 @@ class TestPackedObjectIndex:
         storage = StorageSystem(storage_config, name=f"{service.name}-overlay")
         table = storage.hashtable(table_name)
         starts, nodes = table.get(victim)
-        assert list(zip(starts, nodes)) == truth
+        assert history((starts, nodes)) == truth
         table.update(
             victim,
             (
-                starts + array("q", [tiny_dataset.horizon.end + 1]),
-                nodes + array("q", [phantom_node]),
+                starts + array("q", [tiny_dataset.horizon.end + 1]).tobytes(),
+                nodes + array("q", [phantom_node]).tobytes(),
             ),
         )
         storage.close()
 
         reopened = SnapshotQueryService.open(storage_config, name=service.name)
         restored = live_index(reopened)
-        starts, nodes = restored._object_index.get(victim)
-        assert list(zip(starts, nodes)) == truth
-        assert phantom_node not in nodes
+        segments = history(restored._object_index.get(victim))
+        assert segments == truth
+        assert phantom_node not in [node for _, node in segments]
         assert_object_index_matches_dag(restored, "after reconciliation")
         reopened.close()
 
@@ -350,7 +427,7 @@ class TestSlotDirectory:
         with pytest.raises(IndexConstructionError, match="records on the device"):
             index.read_partition(partition_id)
         # The same refusal reaches a query whose source vertex lives there.
-        victim = records[0]
+        victim = VertexRecord._make(records[0])
         source = victim.members[0]
         destination = next(o for o in tiny_dataset.object_ids if o != source)
         query = ReachabilityQuery(
@@ -423,7 +500,7 @@ class TestStartOrder:
         partitions = storage.blockfile(f"{index.name}-partitions")
         records = list(partitions.read_extent(partition_id))
         records = [
-            record._replace(start=earlier) if record.node_id == victim else record
+            (victim, earlier, *record[2:]) if record[0] == victim else record
             for record in records
         ]
         partitions.replace_extent(partition_id, records)
@@ -596,3 +673,127 @@ class TestOverlayGraphCatalog:
             context=f"versioned catalog, resumed, {backend}",
         )
         resumed.close()
+
+
+# ----------------------------------------------------------------------
+# a device written with the earlier payload shapes
+# ----------------------------------------------------------------------
+class TestEarlierPayloadShapes:
+    """Format 2 first stored ``VertexRecord`` rows and ``array('q')``
+    histories.  Such a device keeps ``"format": 2``: its rows read
+    positionally like the plain tuples written now, and restore's bucket
+    reconciliation (``stored != packed``) rewrites every history as
+    ``bytes``."""
+
+    @staticmethod
+    def write_earlier_shapes(monkeypatch, service, batches):
+        """Drive ``service`` while the index writes the earlier shapes."""
+        make_records = ReachGraphIndex._make_records
+
+        def records_as_named_tuples(self, node_ids):
+            return [VertexRecord._make(row) for row in make_records(self, node_ids)]
+
+        def segments_as_arrays(segments):
+            starts, nodes = zip(*segments)
+            return array("q", starts), array("q", nodes)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(ReachGraphIndex, "_make_records", records_as_named_tuples)
+            patched.setattr(index_module, "_pack_segments", segments_as_arrays)
+            for position, batch in enumerate(batches):
+                service.ingest(batch)
+                if position % 3 == 2:
+                    service.merge()
+            service.merge()
+            assert live_index(service).num_increments >= 1
+            service.close()
+
+    @staticmethod
+    def device_shapes(index):
+        """``({row types}, {history types})`` of every live block of ``index``."""
+        disk = index.storage.disk
+        partitions = index._partitions_file
+        row_types = {
+            type(row)
+            for key in partitions.extent_keys()
+            for block_id in partitions.extent(key).block_ids
+            for row in disk.read(block_id)
+        }
+        history_types = {
+            (type(starts), type(nodes))
+            for block_id in index._object_index.bucket_blocks
+            for starts, nodes in disk.read(block_id).values()
+        }
+        return row_types, history_types
+
+    @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
+    def test_reopens_reconciled_and_answers_as_the_reference(
+        self, backend, monkeypatch, tmp_path, tiny_dataset, tiny_network, tiny_contact_config
+    ):
+        storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
+        service = make_service(tiny_dataset, tiny_contact_config, storage_config)
+        batches = list(DatasetReplaySource(tiny_dataset, batch_ticks=8).batches())
+        half = len(batches) // 2
+        self.write_earlier_shapes(monkeypatch, service, batches[:half])
+        name = service.name
+        workload = random_queries(tiny_dataset, count=16, seed=23)
+
+        reopened = SnapshotQueryService.open(storage_config, name=name)
+        index = live_index(reopened)
+        assert index.catalog()["format"] == 2
+        rows, histories = self.device_shapes(index)
+        assert rows == {VertexRecord}, "the partition blocks keep the earlier rows"
+        assert histories == {(array, array)}, "the device holds the earlier buckets"
+        for object_id in index.domain.object_ids:
+            starts, nodes = index._object_index.get(object_id)
+            assert type(starts) is bytes and type(nodes) is bytes
+        assert_object_index_matches_dag(index, f"earlier shapes, {backend}")
+        prefix = reference_evaluator(
+            prefix_network(tiny_dataset, 30.0, through=reopened.watermark)
+        )
+        processor = ReachGraphQueryProcessor(index)
+        assert_methods_agree(
+            prefix,
+            {"reopened": reopened.query},
+            workload,
+            context=f"earlier shapes, read-only, {backend}",
+        )
+        horizon = index.domain.horizon
+        graph_queries = [
+            ReachabilityQuery(
+                query.source,
+                query.destination,
+                TimeInterval(query.interval.start, min(query.interval.end, horizon.end)),
+            )
+            for query in workload
+            if query.interval.start <= horizon.end
+        ]
+        assert len(graph_queries) >= 4
+        assert_methods_agree(
+            prefix,
+            {"bm-bfs": processor.evaluate},
+            graph_queries,
+            context=f"earlier shapes, BM-BFS, {backend}",
+        )
+        reopened.close()
+
+        resumed = StreamingReachabilityService.open(
+            storage_config, name=name, auto_merge=False
+        )
+        for batch in batches[half:]:
+            resumed.ingest(batch)
+        resumed.merge()
+        assert_methods_agree(
+            reference_evaluator(tiny_network),
+            {"resumed": resumed.query},
+            workload,
+            context=f"earlier shapes, resumed, {backend}",
+        )
+        resumed.close()
+
+        # The resumed writer flushed the reconciled buckets: durably bytes.
+        final = SnapshotQueryService.open(storage_config, name=name)
+        rows, histories = self.device_shapes(live_index(final))
+        assert tuple in rows, "rewritten partitions hold plain tuples"
+        assert histories == {(bytes, bytes)}
+        final.close()

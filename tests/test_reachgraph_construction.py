@@ -21,6 +21,7 @@ from repro.reachgraph import (
     ContactDag,
     LongEdgeLayer,
     ReachGraphIndex,
+    VertexRecord,
     WindowSweep,
     augment_dag,
     build_layer,
@@ -457,7 +458,7 @@ def _assert_dn1_edges_join_adjacent_ticks(index):
         record.node_id: record
         for partition_id, members in enumerate(index.partitioning.members)
         if members
-        for record in index.read_partition(partition_id)
+        for record in map(VertexRecord._make, index.read_partition(partition_id))
     }
     assert len(records) == index.num_vertices
     edges = 0

@@ -20,7 +20,12 @@ from repro.core import (
     UnknownObjectError,
 )
 from reachgraph_query_reference import ReferenceReachGraphQueryProcessor
-from repro.reachgraph import ReachGraphIndex, ReachGraphQueryProcessor, STRATEGIES
+from repro.reachgraph import (
+    ReachGraphIndex,
+    ReachGraphQueryProcessor,
+    STRATEGIES,
+    VertexRecord,
+)
 from repro.trajectory import Trajectory, TrajectoryDataset
 
 
@@ -68,7 +73,7 @@ class TestReachGraphIndexConstruction:
     def test_partition_records_round_trip(self, tiny_reachgraph):
         records = tiny_reachgraph.read_partition(0)
         assert records
-        for record in records:
+        for record in map(VertexRecord._make, records):
             assert tiny_reachgraph.partition_of(record.node_id) == 0
             node = tiny_reachgraph.dag.node(record.node_id)
             assert record.interval == node.interval
@@ -80,19 +85,23 @@ class TestReachGraphIndexConstruction:
     def test_vertex_records_store_reverse_edges(self, tiny_reachgraph):
         dag = tiny_reachgraph.dag
         for partition_id in range(min(3, tiny_reachgraph.num_partitions)):
-            for record in tiny_reachgraph.read_partition(partition_id):
+            for record in map(
+                VertexRecord._make, tiny_reachgraph.read_partition(partition_id)
+            ):
                 assert list(record.predecessors) == dag.predecessors(record.node_id)
 
     def test_long_successor_lookup(self, tiny_reachgraph):
         found_any = False
         for partition_id in range(tiny_reachgraph.num_partitions):
-            for record in tiny_reachgraph.read_partition(partition_id):
+            for record in map(
+                VertexRecord._make, tiny_reachgraph.read_partition(partition_id)
+            ):
                 for resolution, successors in record.long_successors:
                     found_any = True
                     assert record.long_successors_at(resolution) == successors
         assert found_any, "expected at least one long edge in the tiny dataset"
         # Unknown resolution yields the empty tuple.
-        record = tiny_reachgraph.read_partition(0)[0]
+        record = VertexRecord._make(tiny_reachgraph.read_partition(0)[0])
         assert record.long_successors_at(999) == ()
 
 

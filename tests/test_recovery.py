@@ -443,11 +443,9 @@ class TestGraphPathRestore:
         assert restored.num_vertices == fresh.num_vertices
         for partition_id in range(fresh.num_partitions):
             restored_records = sorted(
-                restored.read_partition(partition_id), key=lambda r: r.node_id
+                restored.read_partition(partition_id), key=lambda r: r[0]
             )
-            fresh_records = sorted(
-                fresh.read_partition(partition_id), key=lambda r: r.node_id
-            )
+            fresh_records = sorted(fresh.read_partition(partition_id), key=lambda r: r[0])
             assert restored_records == fresh_records, (
                 f"partition {partition_id} diverged after restore"
             )
@@ -481,11 +479,11 @@ def eagerly_restored_graph(index):
     record in id order into a fresh DAG, then the edges, then one layer per
     resolution — ``(nodes, forward, backward, assignments, layers)``."""
     from repro.core import TimeInterval
-    from repro.reachgraph import ContactDag, LongEdgeLayer
+    from repro.reachgraph import ContactDag, LongEdgeLayer, VertexRecord
 
     records = sorted(
         (
-            record
+            VertexRecord._make(record)
             for partition_id, members in enumerate(index.partitioning.members)
             if members
             for record in index.read_partition(partition_id)
@@ -654,7 +652,7 @@ class TestOverlayOnlyReopen:
         def normalised(records):
             # A restore re-derives predecessor lists in source-id order; a
             # writer that never closed keeps them in discovery order.
-            return [r._replace(predecessors=tuple(sorted(r.predecessors))) for r in records]
+            return [(*r[:5], tuple(sorted(r[5])), r[6]) for r in records]
 
         for partition_id, members in enumerate(mine.partitioning.members):
             if members:

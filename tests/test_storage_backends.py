@@ -26,7 +26,7 @@ from repro.core import (
     StorageError,
 )
 from repro.core.errors import BlockOutOfRangeError
-from repro.reachgraph import ReachGraphIndex, VertexRecord
+from repro.reachgraph import ReachGraphIndex
 from repro.reachgraph.query import _VertexCache
 from repro.storage import (
     STORAGE_BACKENDS,
@@ -380,25 +380,27 @@ class TestDecodeStaysInC:
 
     @staticmethod
     def records(count):
+        """Plain tuples in ``VertexRecord`` field order, as the index writes."""
         return [
-            VertexRecord(
-                node_id=node_id,
-                start=node_id,
-                end=node_id + 5,
-                members=(node_id, node_id + 1, node_id + 2),
-                successors=(node_id + 1, node_id + 2),
-                predecessors=(node_id - 1,),
-                long_successors=((8, (node_id + 9,)),),
+            (
+                node_id,
+                node_id,
+                node_id + 5,
+                (node_id, node_id + 1, node_id + 2),
+                (node_id + 1, node_id + 2),
+                (node_id - 1,),
+                ((8, (node_id + 9,)),),
             )
             for node_id in range(count)
         ]
 
     @staticmethod
     def bucket(count):
+        """Histories as two ``bytes`` of native int64, as the index writes."""
         return {
             object_id: (
-                array("q", range(0, 40, 2)),
-                array("q", range(object_id, object_id + 20)),
+                array("q", range(0, 40, 2)).tobytes(),
+                array("q", range(object_id, object_id + 20)).tobytes(),
             )
             for object_id in range(count)
         }
@@ -457,7 +459,7 @@ class TestReadsArePerExtent:
             partition_id = index.partitioning.add_partition(node_ids)
             index._partitions_file.append_extent(
                 partition_id,
-                [TestDecodeStaysInC.records(1)[0]._replace(node_id=n) for n in node_ids],
+                [(n, *TestDecodeStaysInC.records(1)[0][1:]) for n in node_ids],
             )
             return node_ids
 
@@ -465,7 +467,7 @@ class TestReadsArePerExtent:
             index.storage.reset_for_query()
             cache = _VertexCache(index)
             calls = python_level_calls(lambda: cache.get(node_ids[-1]))
-            assert cache.get(node_ids[0]).node_id == node_ids[0]
+            assert cache.get(node_ids[0])[0] == node_ids[0]
             return calls
 
         small = cold_lookup_calls(grow_partition(64))
