@@ -10,11 +10,14 @@ time horizon, together with the trajectory dataset they came from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..core.errors import ContactNetworkError
 from ..core.types import ObjectId, TimeInstant, TimeInterval
 from ..trajectory.model import TrajectoryDataset
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..reachgraph.index import GraphDomain
 
 __all__ = ["Contact", "ContactNetwork"]
 
@@ -99,11 +102,14 @@ class ContactNetwork:
     * by time instance — all contacts active at tick ``t`` (used to build the
       TEN snapshots and the per-snapshot connected components), and
     * by object — all contacts involving an object, sorted by start time.
+
+    ``dataset`` gives the objects and the horizon; no sample is read, so a
+    :class:`~repro.reachgraph.index.GraphDomain` serves as well.
     """
 
     def __init__(
         self,
-        dataset: TrajectoryDataset,
+        dataset: "TrajectoryDataset | GraphDomain",
         contacts: Iterable[Contact],
         distance_threshold: float,
     ) -> None:
@@ -206,6 +212,6 @@ class ContactNetwork:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"ContactNetwork(dataset={self.dataset.name!r}, "
+            f"ContactNetwork(objects={self.dataset.num_objects}, "
             f"contacts={len(self._contacts)}, dT={self.distance_threshold})"
         )

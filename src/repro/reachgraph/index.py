@@ -123,7 +123,9 @@ class GraphDomain:
     be ``in`` the domain and its interval must meet ``horizon``.  A batch
     build takes both from its dataset; a restored index reads the ids off
     its vertex records and is told the horizon its owner committed; an
-    increment moves ``horizon`` forward in place.
+    increment moves ``horizon`` forward in place.  A domain also stands in
+    for the dataset of a build over given contacts (a streaming service's
+    first merge), which reads no sample.
     """
 
     __slots__ = ("object_ids", "horizon", "_known")
@@ -132,6 +134,11 @@ class GraphDomain:
         self.object_ids: Tuple[ObjectId, ...] = tuple(sorted(object_ids))
         self.horizon = horizon
         self._known = frozenset(self.object_ids)
+
+    @property
+    def num_objects(self) -> int:
+        """Number of objects in the domain."""
+        return len(self.object_ids)
 
     def __contains__(self, object_id: object) -> bool:
         return object_id in self._known
@@ -294,7 +301,7 @@ class ReachGraphIndex:
 
     def __init__(
         self,
-        dataset: Optional[TrajectoryDataset],
+        dataset: Optional[TrajectoryDataset | GraphDomain],
         config: ReachGraphConfig | None = None,
         contact_config: ContactConfig | None = None,
         storage_config: StorageConfig | None = None,
@@ -305,7 +312,8 @@ class ReachGraphIndex:
     ) -> None:
         # ``dataset`` (and ``network`` below) are what :meth:`build` reduces;
         # ``None`` on a restored index, and released once increments grow the
-        # index past them — serving reads :attr:`domain` instead.
+        # index past them — serving reads :attr:`domain` instead.  A bare
+        # :class:`GraphDomain` builds too when ``contact_network`` is given.
         self.dataset = dataset
         self.domain: Optional[GraphDomain] = (
             GraphDomain(dataset.object_ids, dataset.horizon)

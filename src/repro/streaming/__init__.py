@@ -7,8 +7,8 @@ subpackage keeps the indexes queryable *while* data arrives:
 * :mod:`~repro.streaming.events` / :mod:`~repro.streaming.source` — the
   timestamped event model (samples, closed contacts, watermarked batches) and
   replay sources that turn any dataset or generator into a stream;
-* :mod:`~repro.streaming.ingest` — tail-append of samples into the current
-  temporal interval's grid cells plus the incremental contact join;
+* :mod:`~repro.streaming.ingest` — the ingest write-ahead log plus the
+  incremental contact join;
 * :mod:`~repro.streaming.delta` / :mod:`~repro.streaming.policy` — the
   snapshot + delta overlay consulted at query time, and the delta-size
   policy deciding when the delta is merged into a fresh snapshot (every

@@ -6,9 +6,8 @@ streaming layer models that arrival as an ordered sequence of
 :class:`StreamBatch` objects, each carrying the :class:`SampleEvent` position
 reports of a few ticks plus a *watermark*: the promise that every sample with
 a timestamp at or below the watermark has been delivered.  Watermarks are what
-let the ingestor close temporal grid intervals (flushing their cells to disk
-in interval order) and run the incremental contact join without ever looking
-at a tick twice.
+let the ingestor complete ticks and run the incremental contact join without
+ever looking at a tick twice.
 
 :class:`ContactEvent` is the *derived* event type: the incremental join emits
 one whenever a pair of objects separates, closing the contact's validity

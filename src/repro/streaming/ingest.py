@@ -1,14 +1,16 @@
-"""Incremental ingestion: grid appends and the online contact join.
+"""Incremental ingestion: the write-ahead log and the online contact join.
 
 :class:`StreamIngestor` consumes watermark-ordered batches of sample events
 and maintains, tick by tick:
 
-* **ReachGrid tail append** — samples are bucketed into the spatiotemporal
-  cells of the *current* temporal interval in an in-memory memtable; when the
-  watermark crosses an interval boundary the completed interval's cells are
-  flushed to the simulated disk in the same interval-ordered placement the
-  batch builder uses (Section 4.1's disk layout makes append-at-the-tail
-  natural: later intervals always land after earlier ones).
+* **The write-ahead log** — every accepted batch is journaled on the
+  ``<name>-grid`` device before any state moves, and :meth:`flush` replaces
+  the journaled prefix with a checkpoint of what is still unfrozen: the
+  pending ticks, the join state, the per-object horizon bounds and the
+  contacts closed past the floor the service's last committed overlay
+  manifest covers.  No sample is stored once its tick is joined: the join
+  reads only tick ``t``'s positions, and a merge reads only contacts, the
+  object ids and the horizon (:meth:`prefix_domain`).
 * **Incremental contact extraction** — the same grid-hash join the offline
   builder runs (:func:`repro.contacts.join.pairs_within_distance`), evaluated
   once per newly complete tick.  Runs of consecutive in-contact ticks are kept
@@ -25,18 +27,16 @@ keeps ingestion strictly append-only.
 from __future__ import annotations
 
 import time
-from itertools import chain
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.config import ContactConfig, ReachGridConfig, StorageConfig
 from ..core.errors import StreamingError, WatermarkRegressionError
 from ..core.types import ObjectId, Point, TimeInstant, TimeInterval
 from ..contacts.join import pairs_within_distance
 from ..contacts.network import Contact
-from ..reachgrid.cells import CellKey, SpatialGrid
+from ..reachgraph.index import GraphDomain
 from ..storage import StorageSystem
 from ..testing.faults import crash_point
-from ..trajectory.model import Trajectory, TrajectoryDataset
 from .delta import OpenRun
 from .events import SampleEvent, StreamBatch
 
@@ -45,13 +45,9 @@ __all__ = ["StreamIngestor"]
 #: Metadata key under which the ingestor checkpoints its WAL position.
 _INGEST_CHECKPOINT_KEY = "ingest-checkpoint"
 
-#: On-disk record of one streamed sample: (object_id, t, x, y) — identical to
-#: the batch ReachGrid record layout so readers need not care who wrote it.
-SampleRecord = Tuple[ObjectId, TimeInstant, float, float]
-
 
 class StreamIngestor:
-    """Consumes sample-event batches, maintaining grid cells and contacts."""
+    """Consumes sample-event batches, maintaining the WAL and the contacts."""
 
     def __init__(
         self,
@@ -67,29 +63,22 @@ class StreamIngestor:
         self.environment_size = (float(environment_size[0]), float(environment_size[1]))
         self.contact_config = contact_config or ContactConfig()
         self.grid_config = grid_config or ReachGridConfig()
-        self._grid = SpatialGrid(
-            self.environment_size, self.grid_config.spatial_resolution
-        )
         self.name = name
         if storage is not None:
             # The resume path (:meth:`restore`): reattach to the previous
             # incarnation's device and its cataloged files instead of
             # creating fresh ones (attach=False would delete them).
             self.storage = storage
-            self._cells_file = self.storage.blockfile(f"{name}-grid-cells")
             self._journal = self.storage.blockfile(f"{name}-journal")
         else:
             self.storage = StorageSystem(
                 storage_config, name=f"{name}-grid", attach=False
             )
-            self._cells_file = self.storage.new_blockfile(f"{name}-grid-cells")
             self._journal = self.storage.new_blockfile(f"{name}-journal")
 
-        # WAL position: batches journaled so far, and (during replay) how
-        # many grid intervals the previous incarnation already flushed.
+        # WAL position: batches journaled so far.
         self._journal_entries = 0
         self._replaying = False
-        self._flushed_floor = 0
 
         # Stream position: the origin tick (set by the first batch), the
         # watermark (last complete tick), and per-tick pending positions.
@@ -97,30 +86,19 @@ class StreamIngestor:
         self._watermark: Optional[TimeInstant] = None
         self._pending: Dict[TimeInstant, Dict[ObjectId, Point]] = {}
 
-        # Per-object dense horizons [start, next tick); samples live in the cells.
+        # Per-object dense horizons [start, next tick); no sample is kept.
         self._starts: Dict[ObjectId, TimeInstant] = {}
         self._next_time: Dict[ObjectId, TimeInstant] = {}
 
-        # Grid memtable: cells of temporal intervals not yet flushed.
-        self._memtable: Dict[int, Dict[Tuple[int, int], List[SampleRecord]]] = {}
-        self._flushed_intervals = 0
-
-        # Incremental join state.
+        # Incremental join state.  ``_closed`` holds the closed contacts from
+        # absolute position ``_closed_floor`` on (see :meth:`release_closed`).
         self._previous_pairs: Set[Tuple[ObjectId, ObjectId]] = set()
         self._open: Dict[Tuple[ObjectId, ObjectId], TimeInstant] = {}
         self._closed: List[Contact] = []
+        self._closed_floor = 0
 
         self._num_events = 0
         self._ingest_seconds = 0.0
-
-    # ------------------------------------------------------------------
-    # grid geometry (streaming variant: origin-anchored, horizon-free)
-    # ------------------------------------------------------------------
-    def temporal_index(self, t: TimeInstant) -> int:
-        """Index of the temporal grid interval containing tick ``t``."""
-        if self._origin is None:
-            raise StreamingError("no batch ingested yet; the grid has no origin")
-        return (t - self._origin) // self.grid_config.temporal_resolution
 
     # ------------------------------------------------------------------
     # ingestion
@@ -161,7 +139,7 @@ class StreamIngestor:
 
         Raises :class:`~repro.core.errors.WatermarkRegressionError` when the
         batch's watermark lies below the current watermark (accepting it would
-        corrupt the interval flushing already performed), and
+        corrupt the ticks already joined), and
         :class:`~repro.core.errors.StreamingError` for late samples or samples
         that break an object's dense horizon.  A batch that validates cleanly
         is guaranteed to be accepted in full by :meth:`ingest`.
@@ -210,21 +188,10 @@ class StreamIngestor:
                 self._process_tick(t)
         if self._watermark is None or watermark > self._watermark:
             self._watermark = watermark
-        self._flush_complete_intervals()
 
     def _process_tick(self, t: TimeInstant) -> None:
+        # The join reads tick t's positions once; nothing keeps them after.
         positions = self._pending.pop(t, {})
-        # Grid memtable append (current temporal interval's cells).
-        interval_index = self.temporal_index(t)
-        cells = self._memtable.setdefault(interval_index, {})
-        object_ids = sorted(positions)
-        ordered = [positions[object_id] for object_id in object_ids]
-        for object_id, position, col_row in zip(
-            object_ids, ordered, self._grid.cells_of(ordered)
-        ):
-            record: SampleRecord = (object_id, t, position.x, position.y)
-            cells.setdefault(col_row, []).append(record)
-        # Incremental contact join at tick t.
         current = set(pairs_within_distance(positions, self.contact_config.distance_threshold)) if positions else set()
         for pair in self._previous_pairs - current:
             start = self._open.pop(pair)
@@ -232,32 +199,6 @@ class StreamIngestor:
         for pair in current - self._previous_pairs:
             self._open[pair] = t
         self._previous_pairs = current
-
-    def _flush_complete_intervals(self) -> None:
-        """Write memtable cells of fully elapsed temporal intervals to disk."""
-        if self._watermark is None or self._origin is None:
-            return
-        rt = self.grid_config.temporal_resolution
-        for interval_index in sorted(self._memtable):
-            interval_end = self._origin + (interval_index + 1) * rt - 1
-            if interval_end > self._watermark:
-                break
-            cells = self._memtable.pop(interval_index)
-            if self._flushed_intervals < self._flushed_floor:
-                # Journal replay: this interval's cells are already cataloged
-                # on the device from the previous incarnation — re-appending
-                # would collide with the restored extents.
-                self._flushed_intervals += 1
-                continue
-            for col_row in sorted(cells):
-                records = sorted(cells[col_row], key=lambda r: (r[1], r[0]))
-                key: CellKey = (interval_index, col_row[0], col_row[1])
-                if self._replaying and self._cells_file.has_extent(key):
-                    # Tail replay past a snapshot: the previous incarnation
-                    # already placed this cell and the catalog kept it.
-                    continue
-                self._cells_file.append_extent(key, records)
-            self._flushed_intervals += 1
 
     # ------------------------------------------------------------------
     # durability (WAL checkpoint + replay)
@@ -270,7 +211,6 @@ class StreamIngestor:
             "temporal_resolution": self.grid_config.temporal_resolution,
             "spatial_resolution": self.grid_config.spatial_resolution,
             "journal_entries": self._journal_entries,
-            "flushed_intervals": self._flushed_intervals,
             "state": self._state_snapshot(),
         }
 
@@ -278,9 +218,10 @@ class StreamIngestor:
         """The in-memory ingest state, as plain picklable structures.
 
         What makes WAL truncation sound: once the checkpoint carries this,
-        :meth:`restore` no longer needs the journaled prefix — this plus the
-        grid cells flushed beside it *is* the replay result (flushed samples
-        live only in the cells) — so :meth:`flush` may drop every
+        :meth:`restore` no longer needs the journaled prefix — this *is* the
+        replay result, less the samples of joined ticks (no reader needs
+        them) and the contacts closed below the released floor (the owner's
+        committed snapshot holds them) — so :meth:`flush` may drop every
         checkpointed journal extent instead of letting the journal grow.
         """
         return {
@@ -292,12 +233,9 @@ class StreamIngestor:
             },
             "starts": dict(self._starts),
             "next_time": dict(self._next_time),
-            "memtable": {
-                interval: {col_row: list(records) for col_row, records in cells.items()}
-                for interval, cells in self._memtable.items()
-            },
             "previous_pairs": sorted(self._previous_pairs),
             "open": sorted(self._open.items()),
+            "closed_floor": self._closed_floor,
             "closed": [
                 (c.first, c.second, c.validity.start, c.validity.end)
                 for c in self._closed
@@ -307,7 +245,14 @@ class StreamIngestor:
         }
 
     def _load_state(self, state: Dict[str, Any]) -> None:
-        """Adopt a checkpointed state snapshot (restore path, no replay)."""
+        """Adopt a checkpointed state snapshot (restore path, no replay).
+
+        A state written while samples were still archived may carry a
+        ``memtable`` (samples of ticks already joined, ignored), a
+        ``positions`` history (read only for ``next_time``) and no
+        ``closed_floor`` (its closed list starts at the origin); the next
+        flush writes the current shape.
+        """
         self._origin = state["origin"]
         self._watermark = state["watermark"]
         self._pending = {
@@ -320,10 +265,6 @@ class StreamIngestor:
             obj: self._starts[obj] + len(positions)
             for obj, positions in state["positions"].items()
         }
-        self._memtable = {
-            interval: {col_row: list(records) for col_row, records in cells.items()}
-            for interval, cells in state["memtable"].items()
-        }
         self._previous_pairs = {
             (first, second) for first, second in state["previous_pairs"]
         }
@@ -331,6 +272,7 @@ class StreamIngestor:
             (first, second): start
             for (first, second), start in state["open"]
         }
+        self._closed_floor = state.get("closed_floor", 0)
         self._closed = [
             Contact(first, second, TimeInterval(start, end))
             for first, second, start, end in state["closed"]
@@ -341,16 +283,16 @@ class StreamIngestor:
     def flush(self) -> None:
         """Make everything ingested so far durable (no-op on the sim backend).
 
-        Writes the WAL checkpoint — the grid geometry, the journal/interval
-        counters, and the state snapshot — into the device metadata and
-        flushes the device.  Because snapshot and grid cells subsume the
-        journaled prefix, every journal extent is *dropped* first (WAL
-        truncation): the blocks become reclaimable garbage instead of growing
-        with the stream.  The truncation, the checkpoint, and the storage
-        catalog all land in the same atomic manifest write, so a crash on
-        either side is clean — before the commit the old manifest still names
-        the old journal extents and the old checkpoint replays them; after it
-        the new checkpoint and the cells it names stand alone.
+        Writes the WAL checkpoint — the join geometry, the journal counter,
+        and the state snapshot — into the device metadata and flushes the
+        device.  Because the snapshot subsumes the journaled prefix, every
+        journal extent is *dropped* first (WAL truncation): the blocks become
+        reclaimable garbage instead of growing with the stream.  The
+        truncation, the checkpoint, and the storage catalog all land in the
+        same atomic manifest write, so a crash on either side is clean —
+        before the commit the old manifest still names the old journal
+        extents and the old checkpoint replays them; after it the new
+        checkpoint stands alone.
         """
         for key in self._journal.extent_keys():
             self._journal.drop_extent(key)
@@ -366,10 +308,14 @@ class StreamIngestor:
 
         Reopens ``<name>-grid`` from ``storage_config``, reads the checkpoint
         written by :meth:`flush`, and re-ingests every journaled batch it
-        names — rebuilding the open-contact join state, the horizon bounds,
-        and the grid memtable exactly as they were at the checkpoint.  Raises
+        does not cover — rebuilding the open-contact join state and the
+        horizon bounds exactly as they were.  Raises
         :class:`~repro.core.errors.StreamingError` when no checkpoint exists
         (the service never flushed).
+
+        A device flushed while samples were still archived as grid cells
+        holds a ``<name>-grid-cells`` file: it is dropped here, so the next
+        flush commits its blocks as garbage and the next reclaim frees them.
         """
         storage = StorageSystem(storage_config, name=f"{name}-grid")
         try:
@@ -379,6 +325,9 @@ class StreamIngestor:
                     f"no ingest checkpoint found for service {name!r} "
                     "(was the service flushed?)"
                 )
+            archive = f"{name}-grid-cells"
+            if storage.has_blockfile(archive):
+                storage.drop_blockfile(archive)
             ingestor = cls(
                 tuple(checkpoint["environment_size"]),
                 contact_config=ContactConfig(
@@ -391,55 +340,41 @@ class StreamIngestor:
                 name=name,
                 storage=storage,
             )
+            entries = checkpoint["journal_entries"]
             state = checkpoint.get("state")
             if state is not None:
                 ingestor._load_state(state)
-                ingestor._journal_entries = checkpoint["journal_entries"]
-                ingestor._replay_tail(checkpoint["journal_entries"])
+                ingestor._journal_entries = entries
+                ingestor._replay(entries)
             else:
                 # Pre-truncation checkpoint: the journal still holds the full
                 # history, so rebuild the state by replaying it end to end.
-                ingestor._replay_journal(
-                    checkpoint["journal_entries"], checkpoint["flushed_intervals"]
-                )
+                ingestor._replay(0, stop=entries)
+                ingestor._journal_entries = entries
             return ingestor
         except BaseException:
             storage.close()
             raise
 
-    def _replay_journal(self, entries: int, flushed_intervals: int) -> None:
-        self._replaying = True
-        self._flushed_floor = flushed_intervals
-        try:
-            for key in self._journal.extent_keys():
-                seq, watermark = key
-                if seq >= entries:
-                    break  # past the checkpoint: not durably committed
-                samples = tuple(
-                    SampleEvent(object_id, t, Point(x, y))
-                    for object_id, t, x, y in self._journal.read_extent(key)
-                )
-                self.ingest(StreamBatch(samples, watermark))
-        finally:
-            self._replaying = False
-            self._flushed_floor = 0
-        self._journal_entries = entries
-
-    def _replay_tail(self, applied: int) -> None:
-        """Defensively replay cataloged journal extents past the snapshot.
+    def _replay(self, first: int, stop: Optional[int] = None) -> None:
+        """Re-ingest the cataloged journal extents numbered ``first`` on.
 
         With truncation the committed catalog normally holds *no* journal
-        extents (the same manifest that named the snapshot dropped them); a
-        cataloged extent with ``seq >= applied`` means a manifest paired a
-        snapshot with batches it does not cover — replay them on top so no
-        durably accepted batch is ever lost.
+        extents past the checkpoint (the same manifest that named the
+        snapshot dropped them); a cataloged extent with ``seq >= first``
+        means a manifest paired a snapshot with batches it does not cover —
+        replay them on top so no durably accepted batch is ever lost.
+        Extents from ``stop`` on were never named by a checkpoint and are
+        not durably committed.
         """
         self._replaying = True
         try:
             for key in self._journal.extent_keys():
                 seq, watermark = key
-                if seq < applied:
+                if seq < first:
                     continue  # covered by the snapshot already
+                if stop is not None and seq >= stop:
+                    break
                 samples = tuple(
                     SampleEvent(object_id, t, Point(x, y))
                     for object_id, t, x, y in self._journal.read_extent(key)
@@ -474,21 +409,46 @@ class StreamIngestor:
 
     @property
     def closed_contacts(self) -> List[Contact]:
-        """Contacts whose pairs have separated, in close order."""
+        """The closed contacts still held (from :attr:`closed_floor` on), in order."""
         return list(self._closed)
 
     @property
     def num_closed_contacts(self) -> int:
-        """Number of closed contacts emitted so far."""
-        return len(self._closed)
+        """Number of closed contacts emitted so far, released ones included."""
+        return self._closed_floor + len(self._closed)
+
+    @property
+    def closed_floor(self) -> int:
+        """Position of the first closed contact still held (:meth:`release_closed`)."""
+        return self._closed_floor
 
     def closed_contacts_since(self, start: int) -> List[Contact]:
         """Closed contacts from position ``start`` onward (in close order).
 
+        Positions count every contact ever closed, so they survive
+        :meth:`release_closed`; ``start`` must not lie below the floor.
         Lets incremental consumers (the service's delta sync) read only the
         new tail instead of copying the whole list after every batch.
         """
-        return self._closed[start:]
+        if start < self._closed_floor:
+            raise StreamingError(
+                f"closed contacts before position {self._closed_floor} were "
+                f"released; cannot read from {start}"
+            )
+        return self._closed[start - self._closed_floor :]
+
+    def release_closed(self, before: int) -> None:
+        """Forget the closed contacts at positions below ``before``.
+
+        The owner calls this once a durable snapshot holds them: the next
+        :meth:`flush` then checkpoints only the contacts from ``before`` on,
+        and memory holds no more.  Positions and :attr:`num_closed_contacts`
+        are unchanged; a ``before`` at or below the floor is a no-op.
+        """
+        drop = min(before, self.num_closed_contacts) - self._closed_floor
+        if drop > 0:
+            del self._closed[:drop]
+            self._closed_floor += drop
 
     def open_contacts(self) -> List[Contact]:
         """Contacts still open, clipped to the current watermark."""
@@ -510,59 +470,34 @@ class StreamIngestor:
         """
         return self._open.items(), self._watermark
 
-    def contacts_through_watermark(self) -> List[Contact]:
-        """Every contact observed so far (closed plus open-clipped).
-
-        Up to the lossless splitting of validity intervals, this equals the
-        contact network a batch build over the ingested prefix would produce.
-        """
-        return self._closed + self.open_contacts()
-
-    def contacts_through(
-        self,
-        through: TimeInstant,
-        after: TimeInstant | None = None,
-        closed_from: int = 0,
+    def contacts_through_watermark(
+        self, after: TimeInstant | None = None, closed_from: int | None = None
     ) -> List[Contact]:
-        """Every contact of the bounded prefix ``[origin, through]``.
+        """The contacts held through the watermark (closed plus open-clipped).
 
-        Like :meth:`contacts_through_watermark` but clipped at ``through``
-        (which may trail the watermark): closed contacts starting later are
-        dropped, ones straddling the bound are clipped, and open runs are
-        clipped to ``min(watermark, through)``.  Splitting at the bound is
-        lossless for reachability, so this equals the contact network of a
-        batch build over ``[origin, through]`` up to interval splitting.
+        Before any :meth:`release_closed`, and up to the lossless splitting
+        of validity intervals, this equals the contact network a batch build
+        over the ingested prefix would produce.
 
-        With ``after`` the result is the slice ``(after, through]`` of that
-        set, same order — what a merge at ``through`` freezes past a snapshot
-        at ``after``.  Closed contacts are emitted in non-decreasing end
-        order, so a caller that knows the first ``closed_from`` of them end
-        at or before ``after`` passes that position and only the tail is
-        looked at: the slice then costs what was closed since, plus the open
-        runs, whatever the length of the prefix.
+        With ``after`` the result is the slice ``(after, watermark]`` of that
+        set, same order — what a merge at the watermark freezes past a
+        snapshot at ``after``.  Closed contacts are emitted in non-decreasing
+        end order, so a caller that knows the contacts before position
+        ``closed_from`` end at or before ``after`` passes that position and
+        only the tail is looked at: the slice then costs what was closed
+        since, plus the open runs, whatever the length of the prefix.
         """
-        if self._origin is None:
-            return []
-        floor = self._origin if after is None else after + 1
-        candidates = self._closed[closed_from:] + self.open_contacts()
+        start = self._closed_floor if closed_from is None else closed_from
+        candidates = self.closed_contacts_since(start) + self.open_contacts()
+        if after is None or self._watermark is None:
+            return candidates
         return [
             bounded
-            for bounded in (contact.clipped(floor, through) for contact in candidates)
+            for bounded in (
+                contact.clipped(after + 1, self._watermark) for contact in candidates
+            )
             if bounded is not None
         ]
-
-    # ------------------------------------------------------------------
-    # grid introspection (used by tests and the benchmark)
-    # ------------------------------------------------------------------
-    @property
-    def num_flushed_intervals(self) -> int:
-        """Temporal grid intervals flushed from the memtable to disk."""
-        return self._flushed_intervals
-
-    @property
-    def num_flushed_cells(self) -> int:
-        """Grid cell extents written to the simulated disk so far."""
-        return self._cells_file.num_extents
 
     @property
     def journal_blocks(self) -> int:
@@ -574,47 +509,17 @@ class StreamIngestor:
         """
         return self._journal.num_blocks
 
-    @property
-    def memtable_records(self) -> int:
-        """Sample records still staged in the in-memory memtable."""
-        return sum(
-            len(records)
-            for cells in self._memtable.values()
-            for records in cells.values()
-        )
+    def prefix_domain(self) -> GraphDomain:
+        """The objects and ticks of the ingested prefix ``[origin, watermark]``.
 
-    def flushed_cell_keys(self) -> List[CellKey]:
-        """Keys of the flushed cells in disk-placement order."""
-        return self._cells_file.extent_keys()
-
-    def read_cell(self, key: CellKey) -> Sequence[SampleRecord]:
-        """Read one flushed cell's records back from the simulated disk."""
-        return self._cells_file.read_extent(key)
-
-    # ------------------------------------------------------------------
-    # prefix materialization (used by merges)
-    # ------------------------------------------------------------------
-    def prefix_dataset(
-        self,
-        name: str | None = None,
-        through: TimeInstant | None = None,
-    ) -> TrajectoryDataset:
-        """Materialize the ingested prefix as a frozen trajectory dataset.
-
-        Requires every observed object to cover the full prefix
-        ``[origin, watermark]`` (the replay sources guarantee this); the
-        first ReachGraph build reads the result.  ``through``
-        bounds the materialized prefix at an earlier instant than the
-        watermark.
-
-        The samples are read back from the cells of every interval starting
-        by the bound, plus the memtable; an ``(object, tick)`` of the prefix
-        no cell holds (a lost extent) raises :class:`StreamingError`.
+        What the first ReachGraph build needs besides the contacts — no
+        sample is read.  Requires every observed object to cover the whole
+        prefix (the replay sources guarantee this) and raises
+        :class:`StreamingError` naming the first object that does not.
         """
         if self._watermark is None or self._origin is None:
             raise StreamingError("cannot materialize an empty stream prefix")
-        origin = self._origin
-        end = self._watermark if through is None else min(self._watermark, through)
+        origin, end = self._origin, self._watermark
         if end < origin:
             raise StreamingError(
                 f"prefix bound {end} lies before the stream origin {origin}"
@@ -624,37 +529,11 @@ class StreamIngestor:
                 raise StreamingError(
                     f"object {object_id} does not cover the prefix [{origin}, {end}]"
                 )
-        # Raw (x, y) slots: a sample no cell holds stays None.
-        slots: Dict[ObjectId, List[Any]] = {
-            object_id: [None] * (end - origin + 1) for object_id in self._starts
-        }
-        last = self.temporal_index(end)
-        flushed = [key for key in self._cells_file.extent_keys() if key[0] <= last]
-        staged = (records for cells in self._memtable.values() for records in cells.values())
-        for records in chain(map(self.read_cell, flushed), staged):
-            for object_id, t, x, y in records:
-                if t <= end:
-                    slots[object_id][t - origin] = (x, y)
-        trajectories = []
-        for object_id in sorted(slots):
-            row = slots[object_id]
-            if None in row:
-                raise StreamingError(
-                    f"object {object_id} has no sample at t={origin + row.index(None)} "
-                    "in the grid cells"
-                )
-            trajectories.append(
-                Trajectory(object_id, [Point(x, y) for x, y in row], start_time=origin)
-            )
-        return TrajectoryDataset(
-            trajectories,
-            environment_size=self.environment_size,
-            name=name or f"{self.name}-prefix{end}",
-        )
+        return GraphDomain(self._starts, TimeInterval(origin, end))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"StreamIngestor(name={self.name!r}, events={self._num_events}, "
-            f"watermark={self._watermark}, closed={len(self._closed)}, "
+            f"watermark={self._watermark}, closed={self.num_closed_contacts}, "
             f"open={len(self._open)})"
         )

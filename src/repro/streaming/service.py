@@ -1,8 +1,8 @@
 """The queryable streaming facade: ``ingest(events)`` / ``query(q)``.
 
 :class:`StreamingReachabilityService` ties the subsystem together: a
-:class:`~repro.streaming.ingest.StreamIngestor` keeps grid cells and the
-incremental contact join current, a
+:class:`~repro.streaming.ingest.StreamIngestor` keeps the write-ahead log
+and the incremental contact join current, a
 :class:`~repro.streaming.delta.ReachGraphDeltaOverlay` answers queries over
 snapshot ∪ delta, the delta-size merge policy decides when the delta is
 folded into a new snapshot (every merge builds or patches the ReachGraph
@@ -31,6 +31,7 @@ from ..core.config import (
 from ..core.errors import StreamingError
 from ..core.types import QueryResult, ReachabilityQuery, TimeInstant, TimeInterval
 from ..contacts.network import Contact, ContactNetwork
+from ..reachgraph.index import GraphDomain
 from ..storage import BACKEND_FILE_SUFFIX, StorageSystem
 from ..testing.faults import crash_point
 from ..trajectory.model import TrajectoryDataset
@@ -127,22 +128,23 @@ class MergeInputs:
     ``bound`` is the watermark at capture time.  ``new_contacts`` is the
     freshly frozen slice — the contacts of
     ``(snapshot watermark, bound]`` — which is all a merge appends to the
-    snapshot store (as one run) and all a graph patch replays.  ``prefix``
-    and ``contacts`` — the trajectories and the complete contact set of
-    ``[origin, bound]`` — are materialised only for the first ReachGraph
-    build, which has no frontier to patch; every other merge carries
-    ``None`` and ``()`` and costs what the increment costs.
+    snapshot store (as one run) and all a graph patch replays.  ``domain``
+    and ``contacts`` — the object ids over ``[origin, bound]`` and the
+    complete contact set of that prefix — are captured only for the first
+    ReachGraph build, which has no frontier to patch and reads no sample;
+    every other merge carries ``None`` and ``()`` and costs what the
+    increment costs.
 
     Every merge builds or patches the ReachGraph index.  ``graph_frontier``
     carries the live index's captured resumable state, which the merge
     *patches*; it is ``None`` when no index exists yet, and the merge then
-    builds the first one from ``prefix``.  ``graph_labels`` freezes the
+    builds the first one over ``domain``.  ``graph_labels`` freezes the
     query-fast-path knob the built index must honour (captured alongside the
     prefix so a config change between prepare and adopt cannot split-brain
     the build).
     """
 
-    prefix: Optional[TrajectoryDataset]
+    domain: Optional[GraphDomain]
     contacts: Tuple[Contact, ...]
     new_contacts: Tuple[Contact, ...]
     origin: TimeInstant
@@ -162,9 +164,9 @@ def build_merge(
     *not* rebuilt — the frozen slice is replayed over the frontier into a
     :class:`~repro.reachgraph.DagPatch` whose cost is proportional to the
     appended ticks, and the live index is patched at adoption time; only the
-    first build, from nothing, reads the whole prefix.  No storage the
-    service owns is touched here — the snapshot run append (and the patch
-    application) happen later, inside
+    first build, from nothing, reads every contact of the prefix.  No
+    storage the service owns is touched here — the snapshot run append (and
+    the patch application) happen later, inside
     :meth:`StreamingReachabilityService.adopt_merge`.  ``storage_config`` is
     accepted and unused: the build allocates no storage.
     """
@@ -178,15 +180,15 @@ def build_merge(
         )
     from ..reachgraph import ReachGraphIndex
 
-    assert inputs.prefix is not None, "a full build captures the prefix"
+    assert inputs.domain is not None, "a full build captures the domain"
     # Deferred placement: the build runs in memory; adoption later writes it
     # onto the overlay's own device, where close/reopen can find it.
     pending_index = ReachGraphIndex(
-        inputs.prefix,
+        inputs.domain,
         config=ReachGraphConfig(interval_labels=inputs.graph_labels),
         contact_config=None,
         contact_network=ContactNetwork(
-            inputs.prefix, inputs.contacts, inputs.distance_threshold
+            inputs.domain, inputs.contacts, inputs.distance_threshold
         ),
         defer_placement=True,
     ).build()
@@ -214,7 +216,6 @@ class StreamingStats:
     graph_records_written: int
     graph_rebuilds: int
     graph_superseded_blocks: int
-    flushed_intervals: int
     ingest_seconds: float
     reclaims: int = 0
     reclaimed_blocks: int = 0
@@ -271,7 +272,7 @@ class StreamingReachabilityService:
             name=name,
         )
         # The overlay gets its own storage system so per-query IO accounting
-        # is not polluted by the ingestor's ongoing grid writes.
+        # is not polluted by the ingestor's ongoing WAL writes.
         self._overlay = overlay if overlay is not None else ReachGraphDeltaOverlay(
             StorageSystem(storage_config, name=f"{name}-overlay", attach=False)
         )
@@ -279,6 +280,9 @@ class StreamingReachabilityService:
         self._cache = QueryResultCache(self.streaming_config.query_cache_size)
         self._consumed_closed = 0
         self._restage_cursor = 0
+        # The restage cursor of the last overlay manifest made durable: the
+        # closed contacts before it are in a committed snapshot.
+        self._committed_cursor = 0
         self._batches = 0
         self._merges = 0
         self._queries = 0
@@ -328,9 +332,10 @@ class StreamingReachabilityService:
         The full-resume counterpart of the read-only
         :meth:`SnapshotQueryService.open`: the overlay (snapshot runs, graph
         fast path) is restored from the overlay device alone, the ingestor
-        is restored — once — from the grid device (checkpointed state plus
-        any WAL tail: the open-contact join, per-object horizon bounds, and
-        grid memtable) and the delta is rebuilt from its closed contacts, so the
+        is restored — once — from the ``<name>-grid`` device (checkpointed
+        state plus any WAL tail: the open-contact join, per-object horizon
+        bounds, and the closed contacts the durable snapshot may lack) and
+        the delta is rebuilt from those contacts, so the
         service continues ingesting and merging from the recovered
         watermark.  The graph's in-memory maintenance half is rebuilt by the
         first merge that needs it, not here.  The WAL is authoritative: a
@@ -360,7 +365,9 @@ class StreamingReachabilityService:
     def _resume_from_recovered_state(self) -> None:
         # The WAL-replayed ingestor is authoritative for everything unfrozen:
         # discard the manifest's delta (it may trail the WAL) and restage the
-        # closed contacts extending past the snapshot watermark.
+        # closed contacts extending past the snapshot watermark.  The
+        # checkpoint holds them from a floor at or below this manifest's
+        # restage cursor; positions stay absolute.
         bound = self._overlay.snapshot_watermark
         closed = self._ingestor.closed_contacts
         frozen = 0
@@ -372,8 +379,9 @@ class StreamingReachabilityService:
         self._overlay.restore_delta(())
         for contact in closed[frozen:]:
             self._overlay.add_contact(contact)
-        self._restage_cursor = frozen
-        self._consumed_closed = len(closed)
+        self._restage_cursor = self._ingestor.closed_floor + frozen
+        self._committed_cursor = self._releasable_cursor()
+        self._consumed_closed = self._ingestor.num_closed_contacts
 
     # ------------------------------------------------------------------
     # ingestion
@@ -451,8 +459,9 @@ class StreamingReachabilityService:
         the tail of the closed-contact list past the restage cursor
         (everything before it was frozen by an earlier merge) plus the open
         runs, so with a graph frontier to patch the capture costs what the
-        increment costs; only the first ReachGraph build materialises the
-        prefix dataset and its complete contact set.  The returned
+        increment costs; only the first ReachGraph build captures the
+        prefix's domain (object ids and horizon, no sample) and its complete
+        contact set.  The returned
         :class:`MergeInputs` shares no mutable state with the ingestor.
         """
         self._ensure_open()
@@ -463,21 +472,22 @@ class StreamingReachabilityService:
         frozen_through = self._overlay.snapshot_watermark
         self._sync_delta()
         new_contacts = tuple(
-            self._ingestor.contacts_through(
-                bound, after=frozen_through, closed_from=self._restage_cursor
+            self._ingestor.contacts_through_watermark(
+                after=frozen_through, closed_from=self._restage_cursor
             )
         )
         # The live index's resumable state; None before the first graph
         # build, which makes the first merge a full build and every later one
-        # a patch.
+        # a patch.  Until then no closed contact is released (see
+        # _releasable_cursor), so the full build sees them all.
         graph_frontier = self._overlay.graph_frontier()
-        prefix = None
+        domain = None
         contacts: Tuple[Contact, ...] = ()
         if graph_frontier is None:
-            prefix = self._ingestor.prefix_dataset()
-            contacts = tuple(self._ingestor.contacts_through(bound))
+            domain = self._ingestor.prefix_domain()
+            contacts = tuple(self._ingestor.contacts_through_watermark())
         return MergeInputs(
-            prefix=prefix,
+            domain=domain,
             contacts=contacts,
             new_contacts=new_contacts,
             origin=origin,
@@ -611,48 +621,81 @@ class StreamingReachabilityService:
         The overlay flush is the commit point: the ingestor's device (whose
         journal checkpoint the manifest's watermark leans on) is flushed
         *first*, so a crash between the two flushes leaves the ingestor
-        durably ahead of the manifest — recoverable — never behind it.
+        durably ahead of the manifest — recoverable — never behind it.  The
+        ingestor checkpoints only the closed contacts from the restage
+        cursor of the last manifest that *committed*: a crash before this
+        flush's manifest commits reopens that one, whose snapshot lacks
+        exactly those contacts.
         """
-        self._ingestor.flush()
+        self._flush_ingestor()
         crash_point("flush-post-ingestor")
+        cursor = self._releasable_cursor()
         self._overlay.storage.put_metadata(
             _OVERLAY_MANIFEST_KEY, self._overlay_manifest()
         )
         crash_point("flush-post-manifest")
         self._overlay.storage.flush()
+        self._committed_cursor = cursor
 
-    def reclaim(self) -> int:
-        """Copy-forward reclaim of both devices; returns the blocks freed.
+    def _flush_ingestor(self) -> None:
+        """Checkpoint the ingestor device alone (truncating its WAL)."""
+        self._ingestor.release_closed(self._committed_cursor)
+        self._ingestor.flush()
 
-        Flushes first: the reclaim's manifest commit carries whatever
-        metadata is current, so the durable overlay/grid manifests must
-        describe the *live* run directory and checkpoint before the catalog
-        is rewritten — otherwise a crash after the reclaim could reopen a
+    def _releasable_cursor(self) -> int:
+        """The closed-contact position a manifest written now lets go of.
+
+        Everything before the restage cursor is frozen in the snapshot — but
+        a first graph build reads every contact from the origin, so while
+        the overlay has no graph (a device written by a build whose merges
+        could skip it) nothing is released.
+        """
+        return self._restage_cursor if self._overlay.has_reachgraph else 0
+
+    def reclaim(self, trigger: float = 0.0) -> int:
+        """Copy-forward reclaim of each device whose garbage ratio reaches ``trigger``.
+
+        Returns the blocks freed.  The default, 0.0, reclaims both devices;
+        the ``gc_trigger_ratio`` policy passes its ratio, so a pass copies
+        only the device past it.
+
+        Flushes first, each device in its own commit order: a device's
+        reclaim commits whatever metadata is current, so the durable
+        manifest must describe the *live* files before the catalog is
+        rewritten — otherwise a crash after the reclaim could reopen a
         manifest naming run files the committed catalog no longer holds.
-        After the device-level reclaim the overlay's superseded ledgers
-        reset (the garbage they counted is gone).
+        Copying the overlay therefore takes a full :meth:`flush` (the
+        ingestor first); copying only the ingestor device needs only its own
+        checkpoint, which may run ahead of the overlay manifest.  After an
+        overlay reclaim the overlay's superseded ledgers reset (the garbage
+        they counted is gone).
         """
         self._ensure_open()
-        self.flush()
-        freed = self._overlay.storage.reclaim()
-        if freed:
-            self._overlay.note_device_reclaimed()
-        freed += self._ingestor.storage.reclaim()
+        copy_overlay = self._overlay.storage.garbage_ratio >= trigger
+        copy_ingestor = self._ingestor.storage.garbage_ratio >= trigger
+        if copy_overlay:
+            self.flush()
+        elif copy_ingestor:
+            self._flush_ingestor()
+        freed = 0
+        if copy_overlay:
+            freed = self._overlay.storage.reclaim()
+            if freed:
+                self._overlay.note_device_reclaimed()
+        if copy_ingestor:
+            freed += self._ingestor.storage.reclaim()
         if freed:
             self._reclaims += 1
             self._reclaimed_blocks += freed
         return freed
 
     def _maybe_reclaim(self) -> None:
-        """Reclaim when either device's garbage ratio passes the config knob."""
+        """Reclaim the devices whose garbage ratio passes the config knob."""
         ratio = self.streaming_config.gc_trigger_ratio
-        if ratio <= 0.0:
-            return
-        if (
-            self._overlay.storage.garbage_ratio >= ratio
-            or self._ingestor.storage.garbage_ratio >= ratio
+        if ratio > 0.0 and ratio <= max(
+            self._overlay.storage.garbage_ratio, self._ingestor.storage.garbage_ratio
         ):
-            self.reclaim()
+            self.reclaim(ratio)
 
     def close(self) -> None:
         """Flush and release both storage systems.  Idempotent.
@@ -686,7 +729,7 @@ class StreamingReachabilityService:
 
     @property
     def ingestor(self) -> StreamIngestor:
-        """The underlying ingestor (grid cells, contacts, counters)."""
+        """The underlying ingestor (WAL, contacts, counters)."""
         return self._ingestor
 
     @property
@@ -768,7 +811,6 @@ class StreamingReachabilityService:
             graph_records_written=self._graph_records_written,
             graph_rebuilds=self._overlay.graph_rebuilds,
             graph_superseded_blocks=self._overlay.graph_superseded_blocks,
-            flushed_intervals=self._ingestor.num_flushed_intervals,
             ingest_seconds=self._ingestor.ingest_seconds,
             reclaims=self._reclaims,
             reclaimed_blocks=self._reclaimed_blocks,

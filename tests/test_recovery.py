@@ -40,6 +40,7 @@ from repro.storage import StorageSystem
 from repro.streaming import (
     DatasetReplaySource,
     SnapshotQueryService,
+    StreamIngestor,
     StreamingReachabilityService,
 )
 from repro.testing import faults
@@ -133,8 +134,8 @@ class TestFlushCommitPoint:
     def test_crash_between_flush_halves_leaves_wal_ahead_never_behind(
         self, point, tmp_path, dataset
     ):
-        """The manifest write is the commit point: its dependents (ingestor
-        WAL, grid extents) flush first, so a crash anywhere inside flush()
+        """The manifest write is the commit point: its dependent (the ingestor
+        WAL and checkpoint) flushes first, so a crash anywhere inside flush()
         leaves the WAL at or past the manifest — the read-only reopen serves
         the last committed manifest, the full resume recovers the WAL tail."""
         storage_config = backend_storage_config("file", storage_dir=str(tmp_path))
@@ -179,6 +180,67 @@ class TestFlushCommitPoint:
             require_earliest=True,
             context=f"{point}, full resume",
         )
+        resumed.close()
+
+
+    @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
+    def test_merge_between_flushes_then_kill_after_the_ingestor_half(
+        self, backend, tmp_path, dataset
+    ):
+        """The checkpoint keeps the closed contacts the *committed* snapshot
+        lacks.  A merge between two flushes freezes contacts that only the
+        second flush's manifest would hold; killed after that flush's
+        ingestor half, the device reopens the first manifest, and the
+        checkpoint just written must still carry every contact past it."""
+        storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
+        service = make_service(dataset, storage_config, max_delta_contacts=10_000)
+        service.auto_merge = False
+        unkilled = StreamIngestor(
+            dataset.environment_size, contact_config=CONTACTS, grid_config=GRID
+        )
+        batches = list(DatasetReplaySource(dataset, batch_ticks=6).batches())
+
+        def ingest(chunk):
+            for batch in chunk:
+                service.ingest(batch)
+                unkilled.ingest(batch)
+
+        ingest(batches[:3])
+        service.merge()
+        service.flush()
+        committed = service.overlay.snapshot_watermark
+        ingest(batches[3:6])
+        service.merge()
+        ingest(batches[6:7])
+        faults.arm("flush-post-ingestor")
+        with pytest.raises(SimulatedCrash):
+            service.flush()
+        kill_service(service)
+
+        resumed = StreamingReachabilityService.open(
+            storage_config, name=service.name, auto_merge=False
+        )
+        assert resumed.overlay.snapshot_watermark == committed
+        assert resumed.watermark == batches[6].watermark
+        assert 0 < resumed.ingestor.closed_floor, "the second flush released nothing"
+        assert resumed.ingestor.num_closed_contacts == unkilled.num_closed_contacts
+        workload = random_queries(dataset, count=15, seed=17)
+        for chunk in (batches[7:8], batches[8:]):
+            for batch in chunk:
+                resumed.ingest(batch)
+                unkilled.ingest(batch)
+            resumed.merge()
+            assert_methods_agree(
+                reference_evaluator(
+                    prefix_network(dataset, THRESHOLD, through=resumed.watermark)
+                ),
+                {"resumed": resumed.query},
+                workload,
+                check_earliest=True,
+                context=f"{backend}, resumed at watermark {resumed.watermark}",
+            )
+        assert resumed.watermark == dataset.horizon.end
+        assert resumed.ingestor.num_closed_contacts == unkilled.num_closed_contacts
         resumed.close()
 
 

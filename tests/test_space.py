@@ -5,15 +5,18 @@ turn superseded snapshot runs and cold graph partitions into catalog garbage,
 WAL truncation keeps the ingest journal from growing with the stream, and
 copy-forward device GC (:meth:`StorageSystem.reclaim`, reached through
 ``StreamingReachabilityService.reclaim`` and the ``gc_trigger_ratio`` policy)
-recycles the garbage blocks.  The bound the whole PR promises: after a GC
-pass the device holds at most ``1.5×`` the blocks live structures reference —
-on every backend, in both graph-maintenance modes — while every answer stays
+recycles the garbage blocks.  The bound: after a GC pass each device holds
+at most ``1.5×`` the blocks its live structures reference — on every
+backend, with and without interval labels — while every answer stays
 bit-identical to the batch reference evaluator, including after close/reopen.
+The ingestor's device holds only the WAL and a checkpoint of what is
+unfrozen, so neither its blocks nor its manifest grow with the stream.
 """
 
 from __future__ import annotations
 
 import glob
+import os
 import random
 
 import pytest
@@ -93,18 +96,32 @@ def garbage_blocks(service):
     )
 
 
+def assert_each_device_bounded(service, context):
+    for system in (service.overlay.storage, service.ingestor.storage):
+        device, live = system.disk.num_blocks, system.live_blocks
+        assert device <= SPACE_BOUND * live, (
+            f"{context}: {system.name} holds {device} blocks, over "
+            f"{SPACE_BOUND}x its {live} live ones"
+        )
+
+
 def checkpoint_state(ingestor):
     return ingestor.storage.get_metadata("ingest-checkpoint")["state"]
 
 
-def checkpoint_samples(state):
-    """Sample records a checkpoint state carries: memtable, pending, history."""
-    memtable = sum(
-        len(records) for cells in state["memtable"].values() for records in cells.values()
-    )
-    pending = sum(len(samples) for samples in state["pending"].values())
-    history = sum(len(positions) for positions in state.get("positions", {}).values())
-    return memtable + pending + history
+def pending_samples(state):
+    return sum(len(samples) for samples in state["pending"].values())
+
+
+def closed_past(contacts, snapshot_watermark):
+    """How many of ``contacts`` closed after a merge at the watermark.
+
+    A contact closed at tick ``t`` ends at ``t - 1``, so those closed after
+    the merge are exactly those ending at or past its watermark.
+    """
+    if snapshot_watermark is None:
+        return len(contacts)
+    return sum(1 for contact in contacts if contact.validity.end >= snapshot_watermark)
 
 
 def assert_no_stray_gc_files(storage_dir):
@@ -134,12 +151,9 @@ class TestSpaceBound:
         assert service.num_merges >= 3, "the stream must force multiple merges"
         service.reclaim()
 
-        live = live_blocks(service)
-        device = device_blocks(service)
-        assert live > 0
-        assert device <= SPACE_BOUND * live, (
-            f"backend={backend}, graph_labels={graph_labels}: device={device} "
-            f"blocks exceeds {SPACE_BOUND}x live={live}"
+        assert live_blocks(service) > 0
+        assert_each_device_bounded(
+            service, f"backend={backend}, graph_labels={graph_labels}"
         )
         # A dense copy-forward leaves no garbage at all right after the pass.
         assert garbage_blocks(service) == 0
@@ -201,7 +215,7 @@ class TestSpaceBound:
                 service.reclaim()
                 reclaimed += 1
                 assert garbage_blocks(service) == 0
-                assert device_blocks(service) <= SPACE_BOUND * live_blocks(service)
+                assert_each_device_bounded(service, f"reclaim at {service.watermark}")
                 assert_methods_agree(
                     reference_evaluator(
                         prefix_network(dataset, THRESHOLD, through=service.watermark)
@@ -278,6 +292,48 @@ class TestReclaimLedgers:
         service.close()
 
 
+    def test_policy_gc_copies_only_the_device_past_its_trigger(
+        self, tmp_path, dataset
+    ):
+        """A policy pass copies each device whose garbage ratio reached the
+        trigger and leaves the other one alone; an explicit reclaim() still
+        copies both."""
+        storage_config = backend_storage_config("file", storage_dir=str(tmp_path))
+        service = make_service(dataset, storage_config, gc_trigger_ratio=0.35)
+        devices = {
+            "overlay": service.overlay.storage,
+            "ingestor": service.ingestor.storage,
+        }
+        passes = []
+        real_reclaim = service.reclaim
+
+        def reclaim(trigger=0.0):
+            due = {name for name, system in devices.items() if system.garbage_ratio >= trigger}
+            passes.append((due, set()))
+            return real_reclaim(trigger)
+
+        service.reclaim = reclaim
+        for name, system in devices.items():
+
+            def copy(real=system.reclaim, name=name):
+                passes[-1][1].add(name)
+                return real()
+
+            system.reclaim = copy
+        for index, batch in enumerate(DatasetReplaySource(dataset, batch_ticks=3).batches()):
+            service.ingest(batch)
+            if index % 4 == 3:
+                service.flush()  # truncated WAL extents: ingestor garbage
+        assert passes, "policy GC never fired"
+        for due, copied in passes:
+            assert copied == due
+        assert any(copied == {"ingestor"} for _, copied in passes)
+        assert any("overlay" in copied for _, copied in passes)
+        service.reclaim()
+        assert passes[-1][1] == set(devices)
+        service.close()
+
+
 # ----------------------------------------------------------------------
 # WAL truncation: the journal must not grow with the stream
 # ----------------------------------------------------------------------
@@ -311,41 +367,58 @@ class TestJournalBound:
         assert peak_between_flushes <= 4
         service.close()
 
-    def test_checkpoint_carries_only_unflushed_samples(self, tmp_path):
-        """Counts, not clocks: flushed samples live only in the grid cells.
+    def test_checkpoint_carries_only_what_is_unfrozen(self, tmp_path):
+        """Counts, not clocks: the checkpoint holds no sample of a joined tick
+        and no contact a committed snapshot holds.
 
         At every flush of a fifty-flush stream the checkpoint carries no
-        position history and at most a temporal interval plus a batch of
-        samples per object; a restore from it builds a ``Point`` only per
-        pending sample, and a resumed incremental-graph service never
-        materialises the prefix to merge.
+        position history and at most a batch of pending samples per object,
+        and its closed contacts are at most those closed after the merge
+        whose manifest the previous flush committed (a plain ingestor fed
+        the same batches counts them).  A restore builds a ``Point`` only per pending
+        sample, and a resumed service with a graph never captures the
+        prefix's domain to merge.
         """
         dataset = RandomWaypointGenerator(
             num_objects=8, horizon=60, environment_size=(300.0, 300.0), seed=9
         ).generate()
         storage_config = backend_storage_config("file", storage_dir=str(tmp_path))
-        service = make_service(dataset, storage_config)
+        service = make_service(dataset, storage_config, max_delta_contacts=4)
+        reference = StreamIngestor(
+            dataset.environment_size, contact_config=CONTACTS, grid_config=GRID
+        )
         batch_ticks = 1
-        bound = dataset.num_objects * (GRID.temporal_resolution + batch_ticks)
+        bound = dataset.num_objects * batch_ticks
         batches = list(DatasetReplaySource(dataset, batch_ticks=batch_ticks).batches())
+        committed = None
+        released = False
         for batch in batches[:50]:
             service.ingest(batch)
+            reference.ingest(batch)
             service.flush()
             state = checkpoint_state(service.ingestor)
-            assert "positions" not in state
-            assert checkpoint_samples(state) <= bound
-        service.merge()  # the graph exists: later merges patch it
+            assert "positions" not in state and "memtable" not in state
+            assert pending_samples(state) <= bound
+            assert len(state["closed"]) <= closed_past(
+                reference.closed_contacts, committed
+            )
+            assert state["closed_floor"] + len(state["closed"]) == (
+                reference.num_closed_contacts
+            )
+            released = released or state["closed_floor"] > 0
+            committed = service.overlay.snapshot_watermark
+        assert released, "no flush released a frozen contact"
         service.close()
 
         with pytest.MonkeyPatch.context() as patch:
             counter = CallCounter(patch, (Point, "__init__"))
             restored = StreamIngestor.restore(storage_config, service.name)
-        pending = sum(len(samples) for samples in checkpoint_state(restored)["pending"].values())
+        pending = pending_samples(checkpoint_state(restored))
         restored.storage.release()
         assert counter.calls["Point.__init__"] <= pending
 
         with pytest.MonkeyPatch.context() as patch:
-            counter = CallCounter(patch, (StreamIngestor, "prefix_dataset"))
+            counter = CallCounter(patch, (StreamIngestor, "prefix_domain"))
             resumed = StreamingReachabilityService.open(
                 storage_config,
                 name=service.name,
@@ -354,9 +427,11 @@ class TestJournalBound:
             merges = resumed.num_merges
             for batch in batches[50:]:
                 resumed.ingest(batch)
+                reference.ingest(batch)
             resumed.merge()
             assert resumed.num_merges > merges
-            assert counter.calls["StreamIngestor.prefix_dataset"] == 0
+            assert counter.calls["StreamIngestor.prefix_domain"] == 0
+        assert resumed.ingestor.num_closed_contacts == reference.num_closed_contacts
         resumed.close()
 
     def test_truncated_journal_blocks_are_reclaimable(self, tmp_path, dataset):
@@ -379,3 +454,55 @@ class TestJournalBound:
         assert ingest.garbage_blocks == 0
         assert ingest.disk.num_blocks < before
         service.close()
+
+
+# ----------------------------------------------------------------------
+# the writer's footprint does not grow with the stream
+# ----------------------------------------------------------------------
+class TestWriterStaysFlat:
+    """One world drained at 1x, 2x and 4x stream length, flushing every few
+    batches: what each flush writes to the ingestor device — the manifest
+    bytes and the checkpoint's closed contacts — stays flat, and the device
+    holds journal blocks only."""
+
+    LENGTHS = (40, 80, 160)
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        return RandomWaypointGenerator(
+            num_objects=16, horizon=max(self.LENGTHS), environment_size=(400.0, 400.0), seed=13
+        ).generate()
+
+    def _drain(self, world, ticks, storage_dir):
+        storage_config = backend_storage_config("file", storage_dir=storage_dir)
+        service = make_service(world.restricted(ticks), storage_config)
+        ingestor = service.ingestor
+        manifest = ingestor.storage.path + ".manifest"
+        manifest_bytes, closed = [], []
+        for index, batch in enumerate(
+            DatasetReplaySource(world.restricted(ticks), batch_ticks=4).batches()
+        ):
+            service.ingest(batch)
+            files = ingestor.storage.blockfile_names()
+            assert files == [f"{service.name}-journal"], files
+            assert ingestor.storage.live_blocks == ingestor.journal_blocks
+            if index % 3 == 2:
+                service.flush()
+                manifest_bytes.append(os.path.getsize(manifest))
+                closed.append(len(checkpoint_state(ingestor)["closed"]))
+        total = ingestor.num_closed_contacts
+        service.close()
+        return max(manifest_bytes), max(closed), total
+
+    def test_flush_footprint_is_flat_in_stream_length(self, world, tmp_path):
+        runs = {
+            ticks: self._drain(world, ticks, str(tmp_path / f"x{ticks}"))
+            for ticks in self.LENGTHS
+        }
+        short, longest = runs[self.LENGTHS[0]], runs[self.LENGTHS[-1]]
+        # The stream itself grows: four times the ticks close far more contacts.
+        assert longest[2] >= 3 * short[2]
+        # What a flush writes does not: its peak over the 4x stream stays
+        # within the short stream's plus half.
+        assert longest[0] <= 1.5 * short[0], runs
+        assert longest[1] <= 1.5 * short[1], runs

@@ -168,21 +168,19 @@ class TestStreamIngestor:
             tiny_network.contacts
         )
 
-    def test_prefix_dataset_roundtrips(self, drained, tiny_dataset):
-        prefix = drained.prefix_dataset()
-        assert prefix.num_objects == tiny_dataset.num_objects
-        assert prefix.horizon == tiny_dataset.horizon
-        t = tiny_dataset.horizon.midpoint
-        assert prefix.positions_at(t) == tiny_dataset.positions_at(t)
+    def test_prefix_domain_roundtrips(self, drained, tiny_dataset):
+        domain = drained.prefix_domain()
+        assert domain.object_ids == tuple(tiny_dataset.object_ids)
+        assert domain.horizon == tiny_dataset.horizon
 
-    def test_grid_cells_flushed_in_interval_order(self, drained):
-        keys = drained.flushed_cell_keys()
-        assert keys, "expected at least one flushed cell"
-        interval_indices = [key[0] for key in keys]
-        assert interval_indices == sorted(interval_indices)
-        records = drained.read_cell(keys[0])
-        times = [record[1] for record in records]
-        assert times == sorted(times)
+    def test_device_holds_only_the_journal(self, drained):
+        """No sample outlives its tick's join: the ingestor's device holds
+        the WAL and nothing else, and a flush leaves no live block."""
+        storage = drained.storage
+        assert storage.blockfile_names() == [f"{drained.name}-journal"]
+        assert drained.journal_blocks == storage.live_blocks > 0
+        drained.flush()
+        assert storage.live_blocks == 0
 
     def test_watermark_regression_rejected(self, tiny_dataset, tiny_contact_config):
         ingestor = StreamIngestor(
@@ -210,7 +208,7 @@ class TestStreamIngestor:
         ingestor.ingest(batches[0])
         events = ingestor.num_events
         watermark = ingestor.watermark
-        memtable = ingestor.memtable_records
+        journal = ingestor.journal_blocks
         # A batch whose *last* sample is late: everything before it is valid.
         good = list(batches[1].samples)
         poisoned = StreamBatch.of(
@@ -221,7 +219,7 @@ class TestStreamIngestor:
             ingestor.ingest(poisoned)
         assert ingestor.num_events == events
         assert ingestor.watermark == watermark
-        assert ingestor.memtable_records == memtable
+        assert ingestor.journal_blocks == journal
         # The corrected batch is accepted afterwards as if nothing happened.
         ingestor.ingest(batches[1])
         assert ingestor.watermark == batches[1].watermark
@@ -708,7 +706,7 @@ def flush_graphless_device(dataset, contact_config, storage_config, batches):
         for batch in chunk:
             service.ingest(batch)
         bound = service.watermark
-        frozen = ingestor.contacts_through(bound, after=overlay.snapshot_watermark)
+        frozen = ingestor.contacts_through_watermark(after=overlay.snapshot_watermark)
         if store is None:
             store = ContactSnapshotStore(
                 overlay.storage,
@@ -733,7 +731,7 @@ class TestGraphlessDevice:
     """A device whose overlay manifest names no graph — written by an older
     build whose merges could skip the ReachGraph — keeps working: it reopens
     read-only through the union path, and a resumed service's first merge
-    builds the graph from the whole prefix."""
+    builds the graph over the whole prefix's domain and contacts."""
 
     @staticmethod
     def _flushed(backend, tmp_path, tiny_dataset, tiny_contact_config):
@@ -784,7 +782,7 @@ class TestGraphlessDevice:
         storage_config, batches, name, watermark = self._flushed(
             backend, tmp_path, tiny_dataset, tiny_contact_config
         )
-        counter = CallCounter(monkeypatch, (StreamIngestor, "prefix_dataset"))
+        counter = CallCounter(monkeypatch, (StreamIngestor, "prefix_domain"))
         resumed = StreamingReachabilityService.open(
             storage_config, name, streaming_config=StreamingConfig(max_delta_contacts=24)
         )
@@ -813,11 +811,48 @@ class TestGraphlessDevice:
                 )
             assert resumed.watermark == tiny_dataset.horizon.end
             assert resumed.num_merges > 1
-            # The first merge read the whole prefix once to build the graph;
-            # every later one patched it.
-            assert counter.calls["StreamIngestor.prefix_dataset"] == 1
+            # The first merge captured the whole prefix's domain once to
+            # build the graph; every later one patched it.
+            assert counter.calls["StreamIngestor.prefix_domain"] == 1
             assert resumed.graph_rebuilds == 1
             assert resumed.overlay.has_reachgraph
+        finally:
+            resumed.close()
+
+    @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
+    def test_flushes_before_the_first_merge_release_nothing(
+        self, backend, tmp_path, tiny_dataset, tiny_contact_config
+    ):
+        """The first graph build reads every contact from the origin, so
+        while the overlay has no graph a flush releases no closed contact —
+        even though the snapshot store already holds some of them."""
+        storage_config, batches, name, watermark = self._flushed(
+            backend, tmp_path, tiny_dataset, tiny_contact_config
+        )
+        resumed = StreamingReachabilityService.open(
+            storage_config, name, auto_merge=False
+        )
+        try:
+            resume_at = next(
+                position
+                for position, batch in enumerate(batches)
+                if batch.watermark == watermark
+            )
+            for batch in batches[resume_at + 1 : resume_at + 3]:
+                resumed.ingest(batch)
+                resumed.flush()
+            assert resumed.ingestor.closed_floor == 0
+            resumed.merge()
+            assert resumed.overlay.has_reachgraph
+            assert_methods_agree(
+                reference_evaluator(
+                    prefix_network(tiny_dataset, TINY_THRESHOLD, through=resumed.watermark)
+                ),
+                {"resumed": resumed.query},
+                random_queries(tiny_dataset, count=15, seed=95),
+                check_earliest=True,
+                context=f"backend={backend}, first merge after flushes",
+            )
         finally:
             resumed.close()
 
@@ -1107,8 +1142,9 @@ class TestSnapshotCompaction:
     def test_compaction_preserves_contact_views_across_merge(
         self, tiny_dataset, tiny_contact_config
     ):
-        """``contacts_through`` coverage and the ``closed_contacts_since``
-        positions must be invariant under merges *and* compactions."""
+        """``contacts_through_watermark`` coverage and the
+        ``closed_contacts_since`` positions must be invariant under merges
+        *and* compactions."""
 
         def coverage(contacts):
             per_pair = {}
@@ -1129,11 +1165,19 @@ class TestSnapshotCompaction:
             service.ingest(batch)
         ingestor = service.ingestor
         watermark = service.watermark
-        before = coverage(ingestor.contacts_through(watermark))
+
+        def through_midpoint():
+            clipped = (
+                contact.clipped(ingestor.origin, watermark)
+                for contact in ingestor.contacts_through_watermark()
+            )
+            return coverage(contact for contact in clipped if contact is not None)
+
+        before = through_midpoint()
         seen = ingestor.num_closed_contacts
         head = ingestor.closed_contacts_since(0)
         service.merge()
-        assert coverage(ingestor.contacts_through(watermark)) == before
+        assert through_midpoint() == before
         assert ingestor.closed_contacts_since(0)[:seen] == head
         for batch in batches[midpoint:]:
             service.ingest(batch)
@@ -1142,8 +1186,8 @@ class TestSnapshotCompaction:
         assert service.num_compactions >= 1, "workload must trigger a compaction"
         assert ingestor.closed_contacts_since(0)[:seen] == head
         final = service.watermark
-        assert coverage(ingestor.contacts_through(watermark)) == before
-        assert coverage(service.ingestor.contacts_through(final)) == coverage(
+        assert through_midpoint() == before
+        assert coverage(ingestor.contacts_through_watermark()) == coverage(
             prefix_network(tiny_dataset, TINY_THRESHOLD, through=final).contacts
         )
 
@@ -1454,11 +1498,12 @@ class TestMergeRestageRegression:
 # ----------------------------------------------------------------------
 # a merge captures the increment, not the prefix (ISSUE 24)
 # ----------------------------------------------------------------------
-def whole_prefix_slice(ingestor, snapshot_watermark, bound):
-    """The frozen slice as it was computed before ISSUE 24: every contact of
-    ``[origin, bound]`` clipped at the bound, then clipped again past the
-    snapshot watermark."""
-    contacts = ingestor.contacts_through(bound)
+def whole_prefix_slice(ingestor, snapshot_watermark):
+    """The frozen slice computed the whole-prefix way: every contact held
+    through the watermark, clipped past the snapshot watermark.  (The
+    contacts an ingestor has released all end by a committed snapshot's
+    watermark, so they would clip away.)"""
+    contacts = ingestor.contacts_through_watermark()
     if snapshot_watermark is None:
         return tuple(contacts)
     return tuple(
@@ -1496,15 +1541,13 @@ def checked_merges(monkeypatch):
     def prepare_merge(service):
         service._sync_delta()
         expected = whole_prefix_slice(
-            service.ingestor,
-            service.overlay.snapshot_watermark,
-            service.ingestor.watermark,
+            service.ingestor, service.overlay.snapshot_watermark
         )
         inputs = real_prepare(service)
         assert inputs.new_contacts == expected
         assert inputs.origin == service.ingestor.origin
         if inputs.graph_frontier is not None:
-            assert inputs.prefix is None and inputs.contacts == ()
+            assert inputs.domain is None and inputs.contacts == ()
             awaiting_patch.append(expected)
         awaiting_append.append(expected)
         checked.append(inputs)
@@ -1554,7 +1597,7 @@ class TestMergeCapturesTheIncrement:
         patched = [inputs for inputs in checked_merges if inputs.graph_frontier]
         assert len(checked_merges) >= 6
         assert len(patched) == len(checked_merges) - 1, "only the first merge builds"
-        assert checked_merges[0].prefix is not None
+        assert checked_merges[0].domain is not None
         assert_methods_agree(
             reference_evaluator(tiny_network),
             {"service": service.query},
@@ -1599,7 +1642,7 @@ class TestMergeCapturesTheIncrement:
         """Counts, not clocks: with a frontier to patch, ``prepare_merge``
         clips the contacts closed since the last merge plus the open runs —
         however long the prefix — and neither it nor the build materialises
-        a prefix dataset or a contact network."""
+        a prefix domain or a contact network."""
         from repro.contacts.network import Contact, ContactNetwork
         from repro.streaming import build_merge
 
@@ -1609,7 +1652,7 @@ class TestMergeCapturesTheIncrement:
             monkeypatch,
             (Contact, "clipped"),
             (ContactNetwork, "__init__"),
-            (StreamIngestor, "prefix_dataset"),
+            (StreamIngestor, "prefix_domain"),
         )
         calls = counter.calls
 
@@ -1630,11 +1673,11 @@ class TestMergeCapturesTheIncrement:
             build = build_merge(inputs)
             if first:
                 assert calls["ContactNetwork.__init__"] == 1
-                assert calls["StreamIngestor.prefix_dataset"] == 1
+                assert calls["StreamIngestor.prefix_domain"] == 1
             else:
                 assert calls["Contact.clipped"] <= budget
                 assert calls["ContactNetwork.__init__"] == 0
-                assert calls["StreamIngestor.prefix_dataset"] == 0
+                assert calls["StreamIngestor.prefix_domain"] == 0
                 assert service._restage_cursor >= frozen_before
             frozen_before = service._restage_cursor
             service.adopt_merge(build, inputs)
