@@ -10,14 +10,11 @@ time horizon, together with the trajectory dataset they came from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..core.errors import ContactNetworkError
 from ..core.types import ObjectId, TimeInstant, TimeInterval
 from ..trajectory.model import TrajectoryDataset
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..reachgraph.index import GraphDomain
 
 __all__ = ["Contact", "ContactNetwork"]
 
@@ -103,13 +100,12 @@ class ContactNetwork:
       TEN snapshots and the per-snapshot connected components), and
     * by object — all contacts involving an object, sorted by start time.
 
-    ``dataset`` gives the objects and the horizon; no sample is read, so a
-    :class:`~repro.reachgraph.index.GraphDomain` serves as well.
+    ``dataset`` gives the objects and the horizon; no sample is read.
     """
 
     def __init__(
         self,
-        dataset: "TrajectoryDataset | GraphDomain",
+        dataset: TrajectoryDataset,
         contacts: Iterable[Contact],
         distance_threshold: float,
     ) -> None:

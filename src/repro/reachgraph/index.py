@@ -27,6 +27,10 @@ edges and newly complete augmentation windows are added, fresh vertices are
 partitioned, and only *dirty* partitions (those holding a changed record) are
 rewritten on disk, with :attr:`~ReachGraphIndex.records_written` /
 :attr:`~ReachGraphIndex.superseded_blocks` as the write-amplification ledger.
+A streaming service never calls :meth:`~ReachGraphIndex.build`: its first
+merge patches an empty index from :meth:`GraphFrontier.empty`, and that
+patch places every vertex, bucket and label exactly as the build would
+(``partition_hypergraph`` is ``extend_partitioning`` from nothing).
 
 What the index holds in memory is two things with two lifetimes.  The
 *serving state* is all a query reads: the catalog fields, the slot directory
@@ -121,11 +125,10 @@ class GraphDomain:
 
     Everything serving reads of the indexed prefix: a query's endpoints must
     be ``in`` the domain and its interval must meet ``horizon``.  A batch
-    build takes both from its dataset; a restored index reads the ids off
-    its vertex records and is told the horizon its owner committed; an
-    increment moves ``horizon`` forward in place.  A domain also stands in
-    for the dataset of a build over given contacts (a streaming service's
-    first merge), which reads no sample.
+    build takes both from its dataset; the first patch of an empty index and
+    a restored index read the ids off the vertices (at every tick each
+    object belongs to one) and take the horizon the patch reaches or the
+    owner committed; an increment moves ``horizon`` forward in place.
     """
 
     __slots__ = ("object_ids", "horizon", "_known")
@@ -134,11 +137,6 @@ class GraphDomain:
         self.object_ids: Tuple[ObjectId, ...] = tuple(sorted(object_ids))
         self.horizon = horizon
         self._known = frozenset(self.object_ids)
-
-    @property
-    def num_objects(self) -> int:
-        """Number of objects in the domain."""
-        return len(self.object_ids)
 
     def __contains__(self, object_id: object) -> bool:
         return object_id in self._known
@@ -212,6 +210,35 @@ class GraphFrontier:
     window_cursors: Tuple[Tuple[int, TimeInstant], ...]
     recent_nodes: Tuple[NodeView, ...]
     recent_edges: Tuple[Tuple[int, Tuple[int, ...]], ...]
+
+    @classmethod
+    def empty(
+        cls,
+        object_ids: Sequence[ObjectId],
+        origin: TimeInstant,
+        resolutions: Sequence[int],
+    ) -> "GraphFrontier":
+        """The frontier of an index with no tick yet, over ``object_ids``.
+
+        The reduction resumes at ``origin`` with no vertex and no
+        assignment, every window cursor sits at ``origin`` and nothing is
+        recent, so a patch through ``t`` replays the whole prefix
+        ``[origin, t]`` — the one forward pass of the batch build.  Its end,
+        ``origin - 1``, lives only here: no ``TimeInterval`` holds it.
+        """
+        return cls(
+            reduction=ReductionFrontier(
+                start=origin,
+                end=origin - 1,
+                num_nodes=0,
+                object_ids=tuple(object_ids),
+                assignments=(),
+                open_members=(),
+            ),
+            window_cursors=tuple((resolution, origin) for resolution in sorted(resolutions)),
+            recent_nodes=(),
+            recent_edges=(),
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -301,7 +328,7 @@ class ReachGraphIndex:
 
     def __init__(
         self,
-        dataset: Optional[TrajectoryDataset | GraphDomain],
+        dataset: Optional[TrajectoryDataset],
         config: ReachGraphConfig | None = None,
         contact_config: ContactConfig | None = None,
         storage_config: StorageConfig | None = None,
@@ -311,9 +338,9 @@ class ReachGraphIndex:
         defer_placement: bool = False,
     ) -> None:
         # ``dataset`` (and ``network`` below) are what :meth:`build` reduces;
-        # ``None`` on a restored index, and released once increments grow the
-        # index past them — serving reads :attr:`domain` instead.  A bare
-        # :class:`GraphDomain` builds too when ``contact_network`` is given.
+        # ``None`` on a restored index and on an empty one (whose first
+        # increment builds it), and released once increments grow the index
+        # past them — serving reads :attr:`domain` instead.
         self.dataset = dataset
         self.domain: Optional[GraphDomain] = (
             GraphDomain(dataset.object_ids, dataset.horizon)
@@ -331,9 +358,8 @@ class ReachGraphIndex:
         # ``storage`` injects the owner's device (a streaming overlay persists
         # its graph alongside the snapshot store); without it the index keeps
         # the historical behaviour of allocating its own system.
-        # ``defer_placement`` builds the in-memory structures only — a
-        # background thread can run the expensive half, after which
-        # :meth:`place` writes the partitions on the adopting thread.
+        # ``defer_placement`` attaches no files: :meth:`restore` attaches the
+        # existing ones, and a build without them stays in memory.
         self._storage: Optional[StorageSystem] = None
         self._partitions_file: Optional[BlockFile] = None
         self._object_index: Optional[ExternalHashTable] = None
@@ -385,9 +411,7 @@ class ReachGraphIndex:
     def storage(self) -> StorageSystem:
         """The storage system holding the placed index."""
         if self._storage is None:
-            raise IndexNotBuiltError(
-                "index was built with defer_placement=True; call place() first"
-            )
+            raise IndexNotBuiltError("index was built with defer_placement=True")
         return self._storage
 
     @property
@@ -466,24 +490,6 @@ class ReachGraphIndex:
         )
         self._built = True
         return self
-
-    def place(self, storage: StorageSystem, name: str | None = None) -> None:
-        """Write a deferred-placement build onto ``storage``.
-
-        The counterpart of ``defer_placement=True``: the in-memory build may
-        run in a background thread, and the adopting (storage-owning) thread
-        calls this to create the partition file and object index and write
-        them out.  ``name`` optionally renames the on-device files, so two
-        graphs placed on one device never collide.
-        """
-        self._require_built()
-        if self._storage is not None:
-            raise IndexConstructionError("index is already placed on a storage system")
-        if name is not None:
-            self.name = name
-        self._attach_files(storage, create=True)
-        self._write_partitions()
-        self._build_object_index()
 
     def _adopt_partitioning(self, partitioning: Partitioning) -> None:
         self.partitioning = partitioning
@@ -607,6 +613,27 @@ class ReachGraphIndex:
             recent_edges=recent_edges,
         )
 
+    def _start_graph(self, patch: DagPatch) -> None:
+        """Give an empty index the empty graph its first patch grows.
+
+        The horizon starts at the first patched tick, and the domain's
+        objects are the members of the patch's vertices: every object
+        belongs to one vertex at every tick (:meth:`restore` reads them the
+        same way).
+        """
+        object_ids = {member for _, _, _, members in patch.new_nodes for member in members}
+        horizon = TimeInterval(patch.base_end + 1, patch.new_end)
+        self.domain = GraphDomain(object_ids, horizon)
+        self._hypergraph = HyperGraph(
+            ContactDag(horizon, len(object_ids)),
+            [LongEdgeLayer(resolution) for resolution in self.config.sorted_resolutions],
+        )
+        self._adopt_partitioning(
+            Partitioning(
+                partition_of={}, slot_of={}, members=[], depth=self.config.partition_depth
+            )
+        )
+
     def apply_increment(self, patch: DagPatch) -> GraphIncrementReport:
         """Apply a :class:`DagPatch`, rewriting only what the patch dirtied.
 
@@ -623,14 +650,31 @@ class ReachGraphIndex:
         The patch alone says how far the index now reaches: the domain's
         horizon moves to ``patch.new_end``, and the dataset and network the
         index was built from — a shorter prefix from here on — are released.
+
+        On an empty index (placed, never built) the first patch — computed
+        over :meth:`GraphFrontier.empty` — is the build: the DAG starts at
+        ``patch.base_end + 1``, the domain is the objects of its vertices,
+        the labels are made and the object index is built in one pass, so
+        the device ends up as :meth:`build` would leave it.  It counts as no
+        increment.
         """
+        first = not self._built
+        if first:
+            if patch.base_nodes:
+                raise IndexConstructionError(
+                    f"stale patch: built against {patch.base_nodes} vertices, "
+                    "the index is empty"
+                )
+            self._start_graph(patch)
         hypergraph = self.hypergraph
         dag = hypergraph.dag
         assert self.partitioning is not None and self.domain is not None
         assert self._partitions_file is not None and self._object_index is not None
         started = time.perf_counter()
 
-        if dag.num_nodes != patch.base_nodes or dag.horizon.end != patch.base_end:
+        if not first and (
+            dag.num_nodes != patch.base_nodes or dag.horizon.end != patch.base_end
+        ):
             raise IndexConstructionError(
                 f"stale patch: built against {patch.base_nodes} vertices "
                 f"through t={patch.base_end}, index has {dag.num_nodes} "
@@ -666,9 +710,13 @@ class ReachGraphIndex:
                     dirty.add(source_id)
         self._window_cursors.update(dict(patch.window_cursors))
 
-        # 2b. Relabel the grown DAG (long edges are shortcuts over DN_1
-        #     paths, so labels only track DN_1; an extension changes none).
-        if self._labels is not None and (patch.new_nodes or patch.new_edges):
+        # 2b. Label the first DAG, relabel a grown one (long edges are
+        #     shortcuts over DN_1 paths, so labels only track DN_1; an
+        #     extension changes none).
+        if first:
+            if self.config.interval_labels:
+                self._labels = ReachLabelIndex.build(dag)
+        elif self._labels is not None and (patch.new_nodes or patch.new_edges):
             self._labels.relabel(dag)
 
         # 3. Fresh vertices join fresh partitions (old extents are immutable
@@ -694,10 +742,14 @@ class ReachGraphIndex:
 
         # 5. Patch the object index: objects assigned to fresh vertices gain
         #    assignment segments (extensions never change a segment start).
+        #    The first patch builds it whole, one write per bucket.
         appended: Dict[ObjectId, List[Tuple[TimeInstant, int]]] = {}
-        for node_id, start, _, members in patch.new_nodes:
-            for member in members:
-                appended.setdefault(member, []).append((start, node_id))
+        if first:
+            self._build_object_index()
+        else:
+            for node_id, start, _, members in patch.new_nodes:
+                for member in members:
+                    appended.setdefault(member, []).append((start, node_id))
         for object_id, segments in appended.items():
             existing = self._object_index.get(object_id)
             if existing is None:
@@ -716,7 +768,10 @@ class ReachGraphIndex:
         self.dataset = None
         self.network = None
         self._records_written += records_written
-        self._increments += 1
+        if first:
+            self._built = True
+        else:
+            self._increments += 1
         return GraphIncrementReport(
             new_nodes=len(patch.new_nodes),
             extended_nodes=len(patch.extensions),

@@ -20,9 +20,10 @@ factored as a *resumable* :class:`ReductionCursor`: each
 incremental operations (extend an open vertex, create a vertex, connect it)
 into a :class:`DagSink`.  Batch reduction (:func:`reduce_contact_network`)
 simply replays the whole horizon through a cursor writing straight into a
-:class:`~repro.reachgraph.dag.ContactDag`; the streaming merge path resumes a
-cursor from a captured :class:`ReductionFrontier` and records the same
-operations into a patch instead — one code path, two write targets.
+:class:`~repro.reachgraph.dag.ContactDag`; every streaming merge resumes a
+cursor from a captured :class:`ReductionFrontier` — the first one from an
+empty frontier at the stream's origin — and records the same operations
+into a patch instead — one code path, two write targets.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ subpackage keeps the indexes queryable *while* data arrives:
 * :mod:`~repro.streaming.delta` / :mod:`~repro.streaming.policy` — the
   snapshot + delta overlay consulted at query time, and the delta-size
   policy deciding when the delta is merged into a fresh snapshot (every
-  merge builds or patches the ReachGraph index);
+  merge patches the ReachGraph index, the first one an empty index);
 * :mod:`~repro.streaming.service` — the
   :class:`~repro.streaming.service.StreamingReachabilityService` facade
   (``ingest`` / ``query`` with an LRU result cache), also reachable through
@@ -36,7 +36,6 @@ from .delta import (
     ContactSnapshotStore,
     DeltaGraph,
     ReachGraphDeltaOverlay,
-    SnapshotArtifacts,
 )
 from .events import ContactEvent, SampleEvent, StreamBatch
 from .experiment import stream_replay
@@ -69,7 +68,6 @@ __all__ = [
     "make_policy",
     "MergeInputs",
     "QueryResultCache",
-    "SnapshotArtifacts",
     "SnapshotQueryService",
     "StreamingReachabilityService",
     "StreamingStats",

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import (
     TYPE_CHECKING,
@@ -42,6 +41,7 @@ from typing import (
     Tuple,
 )
 
+from ..core.config import ReachGraphConfig
 from ..core.errors import StreamingError
 from ..core.types import (
     ObjectId,
@@ -59,7 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
         DagPatch,
         GraphFrontier,
         PartitionCache,
-        ReachGraphIndex,
         ReachGraphQueryProcessor,
     )
 
@@ -68,7 +67,6 @@ __all__ = [
     "ContactSnapshotStore",
     "ObjectBloomFilter",
     "ReachGraphDeltaOverlay",
-    "SnapshotArtifacts",
     "earliest_arrival_time",
 ]
 
@@ -83,9 +81,8 @@ OpenRun = Tuple[Tuple[ObjectId, ObjectId], TimeInstant]
 #: (``None`` when nothing is open yet).
 OpenRunView = Callable[[], Tuple[Iterable[OpenRun], Optional[TimeInstant]]]
 
-#: Name the merge-built ReachGraph is placed under on the overlay's device.
-#: Only a merge with no live graph builds one, so nothing it could replace
-#: holds the name.
+#: Name the overlay's ReachGraph is placed under on its device.  Only a merge
+#: with no live graph creates one, so nothing it could replace holds the name.
 _GRAPH_NAME = "graph-v1"
 
 
@@ -212,25 +209,6 @@ class ObjectBloomFilter:
             num_hashes=int(manifest["num_hashes"]),  # type: ignore[arg-type]
             bits=int(manifest["bits"]),  # type: ignore[arg-type]
         )
-
-
-@dataclass(frozen=True, slots=True)
-class SnapshotArtifacts:
-    """The query-side structures a merge builds for the frozen prefix.
-
-    Produced purely from captured :class:`~repro.streaming.service.MergeInputs`
-    by :func:`~repro.streaming.service.build_merge` and adopted by
-    :meth:`ReachGraphDeltaOverlay.adopt_increment`.
-
-    Exactly one field is set: ``pending_index`` is the first build — made
-    in memory, and written onto the overlay's own device at adoption time so
-    the graph survives a close/reopen cycle — and ``graph_patch`` is every
-    later merge's pure description of how the frozen ticks extend the *live*
-    index, applied in place at adoption time.
-    """
-
-    graph_patch: Optional["DagPatch"] = None
-    pending_index: Optional["ReachGraphIndex"] = None
 
 
 class DeltaGraph:
@@ -685,10 +663,8 @@ class ReachGraphDeltaOverlay:
         self._processor = None  # ReachGraphQueryProcessor over the snapshot
         self._snapshot_watermark: Optional[TimeInstant] = None
         # ReachGraph write-amplification ledger (mirrors the snapshot store's
-        # records ledger): vertex records ever written by builds/increments,
-        # and full builds performed.
+        # records ledger): vertex records ever written by increments.
         self._graph_records_written = 0
-        self._graph_rebuilds = 0
         # Cross-query partition cache, shared by every processor this overlay
         # ever attaches; invalidated whenever the graph mutates.  The serving
         # layer resizes it from StreamingConfig.partition_cache_size.
@@ -717,57 +693,54 @@ class ReachGraphDeltaOverlay:
     # ------------------------------------------------------------------
     def adopt_increment(
         self,
-        artifacts: "SnapshotArtifacts",
+        patch: "DagPatch",
         new_contacts: Sequence[Contact],
         watermark: TimeInstant,
         origin: TimeInstant,
         temporal_resolution: int,
+        graph_config: ReachGraphConfig,
     ) -> int:
-        """Advance the snapshot by appending one run.
+        """Advance the snapshot: patch the ReachGraph and append one run.
 
-        ``new_contacts`` is the freshly frozen slice of the prefix — every
-        contact of ``[origin, watermark]`` clipped past the current snapshot
-        watermark (clipping is re-applied here to defend the partition
-        invariant).  ``artifacts`` carries the purely built query-side
-        structures (either the first ReachGraph index or a
-        :class:`~repro.reachgraph.DagPatch` for the live one), so this
-        method — the only part touching live state — stays cheap: one run
-        append, a few assignments, and a patch application proportional to
-        the delta.  Returns the records written to the snapshot store.
-        Artifacts that do not fit the live graph — neither field set, a patch
-        without an index, a second index — raise :class:`StreamingError`.
+        ``patch`` was computed purely over the frontier the service
+        captured.  Without a live index it must extend the empty frontier:
+        the overlay then makes an empty index over ``graph_config`` on its
+        own device, and the patch builds it.  The run appended is
+        ``new_contacts``, the slice the patch replayed, clipped past the
+        snapshot watermark.  So this method — the only part touching live
+        state — costs a run append and a patch application proportional to
+        the delta.  Returns the records written to the snapshot store.  A
+        patch that does not fit raises before anything moves:
+        :class:`StreamingError` when it extends an index this overlay does
+        not hold, :class:`~repro.core.errors.IndexConstructionError` when it
+        is stale.
         """
+        from ..reachgraph import ReachGraphIndex, ReachGraphQueryProcessor
+
         # The graph half goes first: apply_increment validates the patch
         # against the live index (a stale patch raises) before anything else
         # mutates, so a rejected adoption leaves the store, delta, and
         # watermark exactly as they were.  An overlay holds at most one
-        # index: the first merge installs it, every later one patches it.
-        if artifacts.graph_patch is not None:
-            if self._processor is None:
-                raise StreamingError(
-                    "a graph patch was built but no live ReachGraph index "
-                    "exists to apply it to"
-                )
-            report = self._processor.index.apply_increment(artifacts.graph_patch)
-            self._graph_records_written += report.records_written
-        elif artifacts.pending_index is not None and self._processor is None:
-            from ..reachgraph import ReachGraphQueryProcessor
-
-            # The deferred build ran against no storage; place it on this
-            # overlay's device here.
-            artifacts.pending_index.place(self._storage, name=_GRAPH_NAME)
-            self._processor = ReachGraphQueryProcessor(
-                artifacts.pending_index, partition_cache=self._partition_cache
-            )
-            self._graph_records_written += artifacts.pending_index.records_written
-            self._graph_rebuilds += 1
-        else:
+        # index: the first merge creates it, and every merge patches it.
+        if self._processor is not None:
+            index = self._processor.index
+        elif patch.base_nodes:
             raise StreamingError(
-                "a merge must carry a patch for the live ReachGraph index, "
-                "or the first index when none exists"
+                "a graph patch was built against a live ReachGraph index, "
+                "but none exists to apply it to"
             )
-        # Either way, the graph the cache was stamped against is gone
-        # (patched in place or installed): start a fresh generation.
+        else:
+            index = ReachGraphIndex(
+                None, config=graph_config, storage=self._storage, name=_GRAPH_NAME
+            )
+        report = index.apply_increment(patch)
+        self._graph_records_written += report.records_written
+        if self._processor is None:
+            self._processor = ReachGraphQueryProcessor(
+                index, partition_cache=self._partition_cache
+            )
+        # The graph the cache was stamped against is gone (patched in place
+        # or created): start a fresh generation.
         self._partition_cache.invalidate()
         if self._store is None:
             # One store per overlay, never replaced; the ``-v1`` suffix is
@@ -791,8 +764,8 @@ class ReachGraphDeltaOverlay:
     def graph_frontier(self) -> Optional["GraphFrontier"]:
         """The live index's resumable maintenance state, or ``None``.
 
-        ``None`` when no merge has installed a ReachGraph fast path yet — the
-        next merge then performs the initial full build.  The streaming
+        ``None`` when no merge has created a ReachGraph yet — the next merge
+        then patches :meth:`~repro.reachgraph.GraphFrontier.empty`.  The streaming
         service's ``prepare_merge`` captures it; the pure patch computation
         then reads nothing else of the overlay.
         """
@@ -936,11 +909,6 @@ class ReachGraphDeltaOverlay:
     def graph_records_written(self) -> int:
         """Vertex records the overlay's ReachGraph builds/patches ever wrote."""
         return self._graph_records_written
-
-    @property
-    def graph_rebuilds(self) -> int:
-        """Full ReachGraph builds performed: 0 or 1 (every later merge patches)."""
-        return self._graph_rebuilds
 
     @property
     def graph_superseded_blocks(self) -> int:

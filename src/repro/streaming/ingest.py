@@ -9,8 +9,8 @@ and maintains, tick by tick:
   pending ticks, the join state, the per-object horizon bounds and the
   contacts closed past the floor the service's last committed overlay
   manifest covers.  No sample is stored once its tick is joined: the join
-  reads only tick ``t``'s positions, and a merge reads only contacts, the
-  object ids and the horizon (:meth:`prefix_domain`).
+  reads only tick ``t``'s positions, and a merge reads only contacts and,
+  the first time, the object ids (:meth:`prefix_domain`).
 * **Incremental contact extraction** — the same grid-hash join the offline
   builder runs (:func:`repro.contacts.join.pairs_within_distance`), evaluated
   once per newly complete tick.  Runs of consecutive in-contact ticks are kept
@@ -512,9 +512,9 @@ class StreamIngestor:
     def prefix_domain(self) -> GraphDomain:
         """The objects and ticks of the ingested prefix ``[origin, watermark]``.
 
-        What the first ReachGraph build needs besides the contacts — no
-        sample is read.  Requires every observed object to cover the whole
-        prefix (the replay sources guarantee this) and raises
+        The first merge's empty graph frontier takes its object ids from
+        here — no sample is read.  Requires every observed object to cover
+        the whole prefix (the replay sources guarantee this) and raises
         :class:`StreamingError` naming the first object that does not.
         """
         if self._watermark is None or self._origin is None:

@@ -5,9 +5,9 @@
 and the incremental contact join current, a
 :class:`~repro.streaming.delta.ReachGraphDeltaOverlay` answers queries over
 snapshot ∪ delta, the delta-size merge policy decides when the delta is
-folded into a new snapshot (every merge builds or patches the ReachGraph
-index), and an LRU query-result cache — invalidated whenever the watermark
-advances — absorbs repeated queries between arrivals.
+folded into a new snapshot (every merge patches the ReachGraph index, the
+first one an empty index), and an LRU query-result cache — invalidated
+whenever the watermark advances — absorbs repeated queries between arrivals.
 
 Correctness contract: at any point of the stream, ``query(q)`` returns the
 same reachability verdict as the batch ``reference`` evaluator run over the
@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from ..core.config import (
     ContactConfig,
@@ -30,24 +30,17 @@ from ..core.config import (
 )
 from ..core.errors import StreamingError
 from ..core.types import QueryResult, ReachabilityQuery, TimeInstant, TimeInterval
-from ..contacts.network import Contact, ContactNetwork
-from ..reachgraph.index import GraphDomain
+from ..contacts.network import Contact
+from ..reachgraph.dag import DagPatch
+from ..reachgraph.index import GraphFrontier
 from ..storage import BACKEND_FILE_SUFFIX, StorageSystem
 from ..testing.faults import crash_point
 from ..trajectory.model import TrajectoryDataset
-from .delta import (
-    ContactSnapshotStore,
-    OpenRun,
-    ReachGraphDeltaOverlay,
-    SnapshotArtifacts,
-)
+from .delta import ContactSnapshotStore, OpenRun, ReachGraphDeltaOverlay
 from .events import SampleEvent, StreamBatch
 from .ingest import StreamIngestor
 from .policy import MergeContext, make_policy
 from .source import replay
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..reachgraph import GraphFrontier
 
 __all__ = [
     "MergeInputs",
@@ -125,74 +118,41 @@ class MergeInputs:
     handed to :func:`build_merge`, which touches nothing but these values:
     the build shares no mutable state with the live service.
 
-    ``bound`` is the watermark at capture time.  ``new_contacts`` is the
-    freshly frozen slice — the contacts of
-    ``(snapshot watermark, bound]`` — which is all a merge appends to the
-    snapshot store (as one run) and all a graph patch replays.  ``domain``
-    and ``contacts`` — the object ids over ``[origin, bound]`` and the
-    complete contact set of that prefix — are captured only for the first
-    ReachGraph build, which has no frontier to patch and reads no sample;
-    every other merge carries ``None`` and ``()`` and costs what the
-    increment costs.
-
-    Every merge builds or patches the ReachGraph index.  ``graph_frontier``
-    carries the live index's captured resumable state, which the merge
-    *patches*; it is ``None`` when no index exists yet, and the merge then
-    builds the first one over ``domain``.  ``graph_labels`` freezes the
-    query-fast-path knob the built index must honour (captured alongside the
-    prefix so a config change between prepare and adopt cannot split-brain
-    the build).
+    ``bound`` is the watermark at capture time.  ``graph_frontier`` is the
+    live index's resumable state, which the merge *patches* — before the
+    first merge, :meth:`~repro.reachgraph.GraphFrontier.empty` at
+    ``origin``.  ``new_contacts`` is the slice the patch replays, the
+    contacts of ``(frontier end, bound]``; clipped past the snapshot
+    watermark, it is also the one run the merge appends to the snapshot
+    store.  ``graph_config`` freezes the configuration a first merge
+    creates the index with, so a config change between prepare and adopt
+    cannot split-brain the build.
     """
 
-    domain: Optional[GraphDomain]
-    contacts: Tuple[Contact, ...]
     new_contacts: Tuple[Contact, ...]
     origin: TimeInstant
     bound: TimeInstant
     temporal_resolution: int
-    distance_threshold: float
-    graph_frontier: Optional["GraphFrontier"] = None
-    graph_labels: bool = True
+    graph_frontier: GraphFrontier
+    graph_config: ReachGraphConfig
 
 
 def build_merge(
     inputs: MergeInputs, storage_config: StorageConfig | None = None
-) -> SnapshotArtifacts:
-    """Run the pure build phase of a merge: build or patch the ReachGraph.
+) -> DagPatch:
+    """Run the pure build phase of a merge: patch the captured graph frontier.
 
-    When a :attr:`MergeInputs.graph_frontier` was captured the fast path is
-    *not* rebuilt — the frozen slice is replayed over the frontier into a
-    :class:`~repro.reachgraph.DagPatch` whose cost is proportional to the
-    appended ticks, and the live index is patched at adoption time; only the
-    first build, from nothing, reads every contact of the prefix.  No
+    The frozen slice is replayed over :attr:`MergeInputs.graph_frontier`
+    into a :class:`~repro.reachgraph.DagPatch` whose cost is proportional to
+    the appended ticks; the live index is patched at adoption time.  No
     storage the service owns is touched here — the snapshot run append (and
     the patch application) happen later, inside
     :meth:`StreamingReachabilityService.adopt_merge`.  ``storage_config`` is
     accepted and unused: the build allocates no storage.
     """
-    if inputs.graph_frontier is not None:
-        from ..reachgraph import compute_graph_patch
+    from ..reachgraph import compute_graph_patch
 
-        return SnapshotArtifacts(
-            graph_patch=compute_graph_patch(
-                inputs.graph_frontier, inputs.new_contacts, inputs.bound
-            )
-        )
-    from ..reachgraph import ReachGraphIndex
-
-    assert inputs.domain is not None, "a full build captures the domain"
-    # Deferred placement: the build runs in memory; adoption later writes it
-    # onto the overlay's own device, where close/reopen can find it.
-    pending_index = ReachGraphIndex(
-        inputs.domain,
-        config=ReachGraphConfig(interval_labels=inputs.graph_labels),
-        contact_config=None,
-        contact_network=ContactNetwork(
-            inputs.domain, inputs.contacts, inputs.distance_threshold
-        ),
-        defer_placement=True,
-    ).build()
-    return SnapshotArtifacts(pending_index=pending_index)
+    return compute_graph_patch(inputs.graph_frontier, inputs.new_contacts, inputs.bound)
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,7 +174,6 @@ class StreamingStats:
     superseded_blocks: int
     compactions: int
     graph_records_written: int
-    graph_rebuilds: int
     graph_superseded_blocks: int
     ingest_seconds: float
     reclaims: int = 0
@@ -443,8 +402,8 @@ class StreamingReachabilityService:
         Normally triggered by the merge policy; exposed so callers can force a
         merge (e.g. before a read-heavy phase).  Runs the three phases back to
         back: :meth:`prepare_merge` (capture the frozen slice),
-        :func:`build_merge` (the pure graph build or patch), and
-        :meth:`adopt_merge` (append a run, adopt the graph).  They are public
+        :func:`build_merge` (the pure graph patch), and
+        :meth:`adopt_merge` (patch the graph, append a run).  They are public
         so a caller can time or schedule them one by one.
         """
         inputs = self.prepare_merge()
@@ -458,52 +417,50 @@ class StreamingReachabilityService:
         Cheap relative to the build.  The freshly frozen slice is read off
         the tail of the closed-contact list past the restage cursor
         (everything before it was frozen by an earlier merge) plus the open
-        runs, so with a graph frontier to patch the capture costs what the
-        increment costs; only the first ReachGraph build captures the
-        prefix's domain (object ids and horizon, no sample) and its complete
-        contact set.  The returned
-        :class:`MergeInputs` shares no mutable state with the ingestor.
+        runs, so the capture costs what the increment costs.  Before the
+        first merge the frontier is empty, over the prefix's object ids
+        (:meth:`~repro.streaming.ingest.StreamIngestor.prefix_domain`, which
+        also checks every object covers the prefix), and the slice starts
+        at the origin: until the overlay holds a graph no closed contact is
+        released (see :meth:`_releasable_cursor`), so it reads them all from
+        the floor.  The returned :class:`MergeInputs` shares no mutable
+        state with the ingestor.
         """
         self._ensure_open()
         bound = self._ingestor.watermark
         origin = self._ingestor.origin
         if bound is None or origin is None:
             raise StreamingError("nothing to merge: no batch ingested yet")
-        frozen_through = self._overlay.snapshot_watermark
         self._sync_delta()
-        new_contacts = tuple(
-            self._ingestor.contacts_through_watermark(
-                after=frozen_through, closed_from=self._restage_cursor
-            )
-        )
-        # The live index's resumable state; None before the first graph
-        # build, which makes the first merge a full build and every later one
-        # a patch.  Until then no closed contact is released (see
-        # _releasable_cursor), so the full build sees them all.
+        graph_config = ReachGraphConfig(interval_labels=self.streaming_config.graph_labels)
         graph_frontier = self._overlay.graph_frontier()
-        domain = None
-        contacts: Tuple[Contact, ...] = ()
         if graph_frontier is None:
-            domain = self._ingestor.prefix_domain()
-            contacts = tuple(self._ingestor.contacts_through_watermark())
+            graph_frontier = GraphFrontier.empty(
+                self._ingestor.prefix_domain().object_ids,
+                origin,
+                graph_config.sorted_resolutions,
+            )
+            after, closed_from = None, None
+        else:
+            after, closed_from = self._overlay.snapshot_watermark, self._restage_cursor
+        new_contacts = tuple(
+            self._ingestor.contacts_through_watermark(after=after, closed_from=closed_from)
+        )
         return MergeInputs(
-            domain=domain,
-            contacts=contacts,
             new_contacts=new_contacts,
             origin=origin,
             bound=bound,
             temporal_resolution=self.grid_config.temporal_resolution,
-            distance_threshold=self.contact_config.distance_threshold,
             graph_frontier=graph_frontier,
-            graph_labels=self.streaming_config.graph_labels,
+            graph_config=graph_config,
         )
 
-    def adopt_merge(self, build: SnapshotArtifacts, inputs: MergeInputs) -> None:
+    def adopt_merge(self, build: DagPatch, inputs: MergeInputs) -> None:
         """Atomically adopt the built half of a merge.
 
-        Installs or patches the ReachGraph, appends the frozen slice as one
-        snapshot run, and — once a level passes ``compaction_max_runs`` runs
-        — folds it with a compaction.
+        Patches the ReachGraph (creating it on the first merge), appends the
+        frozen slice as one snapshot run, and — once a level passes
+        ``compaction_max_runs`` runs — folds it with a compaction.
         """
         graph_written_before = self._overlay.graph_records_written
         self._snapshot_records_written += self._overlay.adopt_increment(
@@ -512,6 +469,7 @@ class StreamingReachabilityService:
             inputs.bound,
             origin=inputs.origin,
             temporal_resolution=inputs.temporal_resolution,
+            graph_config=inputs.graph_config,
         )
         self._graph_records_written += (
             self._overlay.graph_records_written - graph_written_before
@@ -646,9 +604,9 @@ class StreamingReachabilityService:
         """The closed-contact position a manifest written now lets go of.
 
         Everything before the restage cursor is frozen in the snapshot — but
-        a first graph build reads every contact from the origin, so while
-        the overlay has no graph (a device written by a build whose merges
-        could skip it) nothing is released.
+        the first merge's patch replays every contact from the origin, so
+        while the overlay has no graph (a device written by a build whose
+        merges could skip it) nothing is released.
         """
         return self._restage_cursor if self._overlay.has_reachgraph else 0
 
@@ -775,20 +733,11 @@ class StreamingReachabilityService:
     def graph_records_written(self) -> int:
         """Cumulative ReachGraph vertex records written by merges.
 
-        The graph-side write-amplification ledger: the first build writes
+        The graph-side write-amplification ledger: the first merge writes
         every vertex, each later merge only the fresh and dirtied partitions
         (plus repack rewrites).
         """
         return self._graph_records_written
-
-    @property
-    def graph_rebuilds(self) -> int:
-        """Full ReachGraph builds performed by merges.
-
-        0 or 1: the first fast-path merge builds the index and every later
-        one patches it.
-        """
-        return self._overlay.graph_rebuilds
 
     @property
     def stats(self) -> StreamingStats:
@@ -809,7 +758,6 @@ class StreamingReachabilityService:
             superseded_blocks=self._overlay.snapshot_superseded_blocks,
             compactions=self._compactions,
             graph_records_written=self._graph_records_written,
-            graph_rebuilds=self._overlay.graph_rebuilds,
             graph_superseded_blocks=self._overlay.graph_superseded_blocks,
             ingest_seconds=self._ingestor.ingest_seconds,
             reclaims=self._reclaims,

@@ -617,7 +617,8 @@ class TestOverlayGraphCatalog:
             if position % 2:
                 service.merge()
         service.merge()
-        assert service.graph_rebuilds == 1
+        index = service.overlay.snapshot_processor.index
+        assert index.num_increments == service.num_merges - 1
         assert self._graph_files(service.overlay.storage) == ["graph-v1-partitions"]
         assert set(service.overlay.graph_catalog()) == {"index"}
         service.close()
@@ -661,10 +662,13 @@ class TestOverlayGraphCatalog:
         resumed = StreamingReachabilityService.open(
             storage_config, name=name, auto_merge=False
         )
+        restored = resumed.overlay.snapshot_processor.index
+        increments = restored.num_increments
         for batch in batches[half:]:
             resumed.ingest(batch)
         resumed.merge()
-        assert resumed.graph_rebuilds == 0, "the restored graph is patched"
+        assert resumed.overlay.snapshot_processor.index is restored
+        assert restored.num_increments == increments + 1, "the restored graph is patched"
         assert self._graph_files(resumed.overlay.storage) == ["graph-v1-partitions"]
         assert_methods_agree(
             reference_evaluator(tiny_network),

@@ -43,7 +43,6 @@ from repro.streaming import (
     GeneratorReplaySource,
     MergeContext,
     SampleEvent,
-    SnapshotArtifacts,
     SnapshotQueryService,
     StreamBatch,
     StreamIngestor,
@@ -632,14 +631,19 @@ class TestMergeEdgeCases:
 
 
     @pytest.mark.parametrize("backend", ("sim",) + EQUIVALENCE_BACKENDS)
-    def test_adopt_without_a_graph_raises_and_changes_nothing(
+    def test_adopt_of_a_patch_that_does_not_fit_raises_and_changes_nothing(
         self, backend, tiny_dataset, tiny_contact_config
     ):
-        """Every merge builds or patches the graph, so artifacts carrying
-        neither a patch nor the first index are a programming error: the
-        adoption raises before the store, the delta or the watermark moves,
-        on the simulated device and on both persistent ones.  A second index
-        for an overlay that already holds one is refused the same way."""
+        """Every merge patches the graph, so a patch that does not fit the
+        overlay is a programming error: the adoption raises before the store,
+        the delta or the watermark moves, on the simulated device and on
+        both persistent ones.  A patch from nothing on an overlay that holds
+        an index is stale; a patch of a live index on an overlay without one
+        is refused too."""
+        from repro.core import IndexConstructionError
+        from repro.reachgraph import GraphFrontier, compute_graph_patch
+        from repro.streaming import ReachGraphDeltaOverlay
+
         service = StreamingReachabilityService.for_dataset(
             tiny_dataset,
             contact_config=tiny_contact_config,
@@ -663,23 +667,41 @@ class TestMergeEdgeCases:
         )
         assert before[3], "the delta must hold contacts the adoption could drop"
         inputs = service.prepare_merge()
-        for artifacts in (SnapshotArtifacts(), SnapshotArtifacts(pending_index=object())):
-            with pytest.raises(StreamingError):
-                overlay.adopt_increment(
-                    artifacts,
-                    inputs.new_contacts,
-                    inputs.bound,
-                    origin=inputs.origin,
-                    temporal_resolution=inputs.temporal_resolution,
-                )
-            assert (
-                store.num_runs,
-                store.records_written,
-                overlay.snapshot_watermark,
-                list(overlay.delta_records),
-            ) == before
+        adopt = dict(
+            origin=inputs.origin,
+            temporal_resolution=inputs.temporal_resolution,
+            graph_config=inputs.graph_config,
+        )
+        from_nothing = compute_graph_patch(
+            GraphFrontier.empty(
+                service.ingestor.prefix_domain().object_ids,
+                inputs.origin,
+                inputs.graph_config.sorted_resolutions,
+            ),
+            tuple(service.ingestor.contacts_through_watermark()),
+            inputs.bound,
+        )
+        with pytest.raises(IndexConstructionError, match="stale patch"):
+            overlay.adopt_increment(
+                from_nothing, inputs.new_contacts, inputs.bound, **adopt
+            )
+        assert (
+            store.num_runs,
+            store.records_written,
+            overlay.snapshot_watermark,
+            list(overlay.delta_records),
+        ) == before
         assert overlay.snapshot_store is store
         assert service.num_merges == 1
+
+        bare = ReachGraphDeltaOverlay(StorageSystem())
+        with pytest.raises(StreamingError, match="none exists"):
+            bare.adopt_increment(
+                build_merge(inputs), inputs.new_contacts, inputs.bound, **adopt
+            )
+        assert not bare.has_reachgraph
+        assert bare.snapshot_store is None and bare.snapshot_watermark is None
+        assert bare.storage.blockfile_names() == []
         service.close()
 
 
@@ -811,11 +833,12 @@ class TestGraphlessDevice:
                 )
             assert resumed.watermark == tiny_dataset.horizon.end
             assert resumed.num_merges > 1
-            # The first merge captured the whole prefix's domain once to
-            # build the graph; every later one patched it.
+            # The first merge captured the prefix's object ids once, for the
+            # empty frontier it patched; every later one patched its result.
             assert counter.calls["StreamIngestor.prefix_domain"] == 1
-            assert resumed.graph_rebuilds == 1
             assert resumed.overlay.has_reachgraph
+            index = resumed.overlay.snapshot_processor.index
+            assert index.num_increments == resumed.num_merges - 1
         finally:
             resumed.close()
 
@@ -823,9 +846,9 @@ class TestGraphlessDevice:
     def test_flushes_before_the_first_merge_release_nothing(
         self, backend, tmp_path, tiny_dataset, tiny_contact_config
     ):
-        """The first graph build reads every contact from the origin, so
-        while the overlay has no graph a flush releases no closed contact —
-        even though the snapshot store already holds some of them."""
+        """The first merge's patch replays every contact from the origin,
+        so while the overlay has no graph a flush releases no closed contact
+        — even though the snapshot store already holds some of them."""
         storage_config, batches, name, watermark = self._flushed(
             backend, tmp_path, tiny_dataset, tiny_contact_config
         )
@@ -1253,8 +1276,8 @@ class TestIncrementalGraphMaintenance:
                 context=f"graph_labels={graph_labels}, watermark={service.watermark}",
             )
         assert service.num_merges > 1, "the workload must exercise several merges"
-        assert service.graph_rebuilds == 1
         index = service.overlay.snapshot_processor.index
+        assert index.num_increments == service.num_merges - 1
         assert (index.labels is not None) == graph_labels
 
     def test_incremental_patches_one_live_index(
@@ -1521,8 +1544,8 @@ def checked_merges(monkeypatch):
     """Hold every merge made while the fixture is live to the whole-prefix slice.
 
     ``prepare_merge`` must capture it, and the same contacts in the same
-    order must then reach ``compute_graph_patch`` (patch merges) and
-    ``ContactSnapshotStore.append_run`` (every merge).  Adoptions follow
+    order must then reach ``compute_graph_patch`` and
+    ``ContactSnapshotStore.append_run``.  Adoptions follow
     preparations in order, so two queues pair them up.  Returns the list of
     ``MergeInputs`` checked.
     """
@@ -1546,9 +1569,7 @@ def checked_merges(monkeypatch):
         inputs = real_prepare(service)
         assert inputs.new_contacts == expected
         assert inputs.origin == service.ingestor.origin
-        if inputs.graph_frontier is not None:
-            assert inputs.domain is None and inputs.contacts == ()
-            awaiting_patch.append(expected)
+        awaiting_patch.append(expected)
         awaiting_append.append(expected)
         checked.append(inputs)
         return inputs
@@ -1594,10 +1615,13 @@ class TestMergeCapturesTheIncrement:
             if position == len(batches) // 2:
                 service.merge()  # forced, between two policy merges
         service.merge()
-        patched = [inputs for inputs in checked_merges if inputs.graph_frontier]
         assert len(checked_merges) >= 6
-        assert len(patched) == len(checked_merges) - 1, "only the first merge builds"
-        assert checked_merges[0].domain is not None
+        # Only the first merge patches the empty frontier.
+        frontiers = [inputs.graph_frontier.reduction for inputs in checked_merges]
+        assert [frontier.num_nodes == 0 for frontier in frontiers] == [True] + [
+            False
+        ] * (len(frontiers) - 1)
+        assert frontiers[0].end == service.ingestor.origin - 1
         assert_methods_agree(
             reference_evaluator(tiny_network),
             {"service": service.query},
@@ -1625,7 +1649,7 @@ class TestMergeCapturesTheIncrement:
         )
         resumed.merge()
         first = checked_merges[before]
-        assert first.graph_frontier is not None and first.new_contacts
+        assert first.graph_frontier.reduction.num_nodes > 0 and first.new_contacts
         for batch in batches[half:]:
             resumed.ingest(batch)
         resumed.merge()
@@ -1641,8 +1665,8 @@ class TestMergeCapturesTheIncrement:
     ):
         """Counts, not clocks: with a frontier to patch, ``prepare_merge``
         clips the contacts closed since the last merge plus the open runs —
-        however long the prefix — and neither it nor the build materialises
-        a prefix domain or a contact network."""
+        however long the prefix — and materialises no prefix domain; no
+        merge, the first included, builds a contact network."""
         from repro.contacts.network import Contact, ContactNetwork
         from repro.streaming import build_merge
 
@@ -1671,12 +1695,11 @@ class TestMergeCapturesTheIncrement:
             counter.reset()
             inputs = service.prepare_merge()
             build = build_merge(inputs)
+            assert calls["ContactNetwork.__init__"] == 0
             if first:
-                assert calls["ContactNetwork.__init__"] == 1
                 assert calls["StreamIngestor.prefix_domain"] == 1
             else:
                 assert calls["Contact.clipped"] <= budget
-                assert calls["ContactNetwork.__init__"] == 0
                 assert calls["StreamIngestor.prefix_domain"] == 0
                 assert service._restage_cursor >= frozen_before
             frozen_before = service._restage_cursor
