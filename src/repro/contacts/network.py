@@ -167,10 +167,6 @@ class ContactNetwork:
         """Contacts whose validity interval contains ``t``."""
         return list(self._by_time.get(t, ()))
 
-    def contact_pairs_at(self, t: TimeInstant) -> List[Tuple[ObjectId, ObjectId]]:
-        """Pairs of objects in contact at tick ``t``."""
-        return [contact.objects for contact in self._by_time.get(t, ())]
-
     def snapshot_adjacency(self, t: TimeInstant) -> Dict[ObjectId, Set[ObjectId]]:
         """Adjacency lists of the snapshot graph ``G_t`` (contacts only)."""
         adjacency: Dict[ObjectId, Set[ObjectId]] = {}

@@ -203,9 +203,6 @@ class ReachGraphConfig:
         """Copy of this config with a different partition depth."""
         return replace(self, partition_depth=depth)
 
-    def with_interval_labels(self, enabled: bool) -> "ReachGraphConfig":
-        """Copy of this config with the label fast path toggled."""
-        return replace(self, interval_labels=enabled)
 
 
 @dataclass(frozen=True, slots=True)

@@ -82,11 +82,6 @@ class TimeInterval:
         return self.end - self.start + 1
 
     @property
-    def duration(self) -> int:
-        """``end - start``; the paper's ``|Tp|`` when used as a span."""
-        return self.end - self.start
-
-    @property
     def midpoint(self) -> TimeInstant:
         """The middle instant, used by bidirectional traversal."""
         return (self.start + self.end) // 2

@@ -93,12 +93,6 @@ class ContactDag:
             raise IndexConstructionError("cannot shrink a component interval")
         node.interval = TimeInterval(node.interval.start, new_end)
 
-    def extend_horizon(self, new_end: TimeInstant) -> None:
-        """Advance the horizon end (streamed ticks were appended at the frontier)."""
-        if new_end < self.horizon.end:
-            raise IndexConstructionError("cannot shrink the DAG horizon")
-        self.horizon = TimeInterval(self.horizon.start, new_end)
-
     def add_edge(self, source_id: int, target_id: int) -> None:
         """Add a DN_1 edge (deduplicated)."""
         if target_id not in self.forward[source_id]:

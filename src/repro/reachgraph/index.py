@@ -38,10 +38,21 @@ What the index holds in memory is two things with two lifetimes.  The
 the :class:`GraphDomain` (which objects, which ticks), and the vertex starts
 (:meth:`~ReachGraphIndex.vertices_starting_by`).
 :meth:`ReachGraphIndex.restore` rebuilds exactly that from the device.  The
-*maintenance graph* — ``dag`` and ``hypergraph`` — is only ever read by a
-writer (``frontier``, ``apply_increment``, ``repack_frontier``, record
-encoding); a restored index materialises it from its partition extents the
-first time one of those asks, so a read-only reopen never builds it.
+*working set* is what a writer holds between merges (:class:`_WorkingSet`):
+the vertex rows of every partition that still holds an unfrozen vertex, one
+``DN_1`` successor tuple per vertex (the labels and the partitioner read
+them), and each object's current vertex.  A vertex *freezes* once it has
+closed and every augmentation window cursor has passed its end: no later
+patch can touch its record, so a partition whose members have all frozen
+leaves the working set — once its packed extent is written, when its owner
+repacks.  :meth:`~ReachGraphIndex.frontier`,
+:meth:`~ReachGraphIndex.apply_increment` and
+:meth:`~ReachGraphIndex.repack_frontier` read and patch only the working
+set, and write extents from its rows.  A resumed writer builds it from the
+records its restore reads anyway; a read-only restore keeps none of it.  The
+whole graph in memory — ``dag`` and ``hypergraph`` — is the batch build's
+until its first increment, and otherwise materialises from the extents on
+demand (for tests and batch consumers, never on the writer's path).
 """
 
 from __future__ import annotations
@@ -50,8 +61,8 @@ import time
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from operator import itemgetter, ne
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..core.config import ContactConfig, ReachGraphConfig, StorageConfig
 from ..core.errors import IndexConstructionError, IndexNotBuiltError, UnknownObjectError
@@ -118,6 +129,31 @@ def _pack_segments(segments: Iterable[Tuple[TimeInstant, int]]) -> AssignmentHis
     """Pack a non-empty run of ``(start, node)`` segments for the object index."""
     starts, nodes = zip(*segments)
     return array("q", starts).tobytes(), array("q", nodes).tobytes()
+
+
+def _int64s(run: Any) -> memoryview:
+    """One run of an assignment history as int64 values, whatever its shape.
+
+    Histories are ``bytes``; buckets written earlier hold ``array('q')``.
+    """
+    view = memoryview(run)
+    return view if view.format == "q" else view.cast("q")
+
+
+@dataclass(slots=True)
+class _WorkingSet:
+    """What a writer holds of the graph between merges (module docstring).
+
+    ``rows`` maps a partition id to its vertex rows in member (= slot) order,
+    exactly as its extent was last written, for every partition holding an
+    unfrozen vertex; ``successors[v]`` is vertex ``v``'s ``DN_1`` successor
+    tuple, for every vertex; ``current`` maps each object to its vertex at
+    the horizon end.
+    """
+
+    rows: Dict[int, List[VertexRow]]
+    successors: List[Tuple[int, ...]]
+    current: Dict[ObjectId, int]
 
 
 class GraphDomain:
@@ -336,6 +372,7 @@ class ReachGraphIndex:
         storage: Optional[StorageSystem] = None,
         name: str = "reachgraph",
         defer_placement: bool = False,
+        repack_min_partitions: int = 2,
     ) -> None:
         # ``dataset`` (and ``network`` below) are what :meth:`build` reduces;
         # ``None`` on a restored index and on an empty one (whose first
@@ -373,10 +410,17 @@ class ReachGraphIndex:
         self._built = False
 
         # Populated by build().  ``_hypergraph`` (with its ``dag``) is the
-        # maintenance graph: read through :attr:`hypergraph` / :attr:`dag`,
-        # which materialise it on a restored index.
+        # whole graph in memory: the batch build's until its first increment,
+        # else materialised from the extents by :attr:`hypergraph` / :attr:`dag`
+        # and dropped at the next write.
         self.network: Optional[ContactNetwork] = None
         self._hypergraph: Optional[HyperGraph] = None
+        # The writer's working set (``None`` until a writer needs it, and on
+        # a read-only restore).  ``repack_min_partitions`` is the shortest run
+        # of cold partitions the owner's repacks fold (0: it never repacks):
+        # a cold partition's rows stay while such a repack may still fold it.
+        self._working: Optional[_WorkingSet] = None
+        self._repack_min_partitions = repack_min_partitions
         self.partitioning: Optional[Partitioning] = None
         self.build_report: Optional[ReachGraphBuildReport] = None
         self._partition_of_vertex: Dict[int, int] = {}
@@ -421,10 +465,11 @@ class ReachGraphIndex:
 
     @property
     def hypergraph(self) -> HyperGraph:
-        """``HN`` in memory: the maintenance graph (see the module docstring).
+        """``HN`` in memory (see the module docstring).
 
-        A built index holds it from the start; a restored one rebuilds it
-        here, once, from its partition extents (charged reads).
+        A batch build holds it until its first increment; otherwise it is
+        rebuilt here from the partition extents (charged reads) and kept
+        until the next write.  No writer path reads it.
         """
         if self._hypergraph is None:
             self._require_built()
@@ -474,7 +519,7 @@ class ReachGraphIndex:
 
         if self._storage is not None:
             self._write_partitions()
-            self._build_object_index()
+            self._build_object_index(dag.assignment_segments)
 
         self.build_report = ReachGraphBuildReport(
             reduction=reduction_report,
@@ -534,13 +579,14 @@ class ReachGraphIndex:
             )
         return records
 
-    def _build_object_index(self) -> None:
+    def _build_object_index(
+        self, segments_of: Callable[[ObjectId], Sequence[Tuple[TimeInstant, int]]]
+    ) -> None:
         """Build the external hash table: object → (start, vertex) assignment history."""
         assert self._object_index is not None and self.domain is not None
-        dag = self.dag
         entries: List[Tuple[ObjectId, AssignmentHistory]] = []
         for object_id in self.domain.object_ids:
-            segments = dag.assignment_segments(object_id)
+            segments = segments_of(object_id)
             if not segments:
                 raise IndexConstructionError(
                     f"object {object_id} received no component assignments"
@@ -551,6 +597,94 @@ class ReachGraphIndex:
     # ------------------------------------------------------------------
     # incremental maintenance
     # ------------------------------------------------------------------
+    def _working_set(self) -> _WorkingSet:
+        """The writer's working set, read from the extents if the index has none.
+
+        A streaming writer starts from an empty one or restores one; a batch
+        build (or an index restored read-only) reads its extents once here,
+        at its first write, as a resuming writer's restore does.  From then
+        on the whole graph only materialises on demand.
+        """
+        if self._working is None:
+            self._require_built()
+            self._hold_working_set(*self._read_graph_records())
+        self._hypergraph = None
+        return self._working
+
+    def _hold_working_set(
+        self, partition_members: Dict[int, List[int]], records: List[VertexRow]
+    ) -> None:
+        """Keep a writer's working set from every record (in id order).
+
+        The rows of unfrozen partitions stay, their predecessor tuples in
+        source-id order, as a graph rebuilt from the successor tuples holds
+        them; an object's current vertex is the last vertex it belongs to.
+        """
+        current: Dict[ObjectId, int] = {}
+        for node_id, _, _, members, _, _, _ in records:
+            for member in members:
+                current[member] = node_id
+        self._working = _WorkingSet(
+            rows={
+                partition_id: [records[node_id] for node_id in member_ids]
+                for partition_id, member_ids in partition_members.items()
+            },
+            successors=[record[4] for record in records],
+            current=current,
+        )
+        self._release_frozen()
+        for partition_rows in self._working.rows.values():
+            partition_rows[:] = [
+                (*row[:5], tuple(sorted(row[5])), row[6]) for row in partition_rows
+            ]
+
+    def _frozen_before(self) -> TimeInstant:
+        """Every vertex ending before this tick is frozen: it has closed (it
+        ends before the horizon end) and every window cursor has passed it."""
+        assert self.domain is not None
+        end = self.domain.horizon.end
+        return min(min(self._window_cursors.values(), default=end + 1), end)
+
+    def _release_frozen(self) -> None:
+        """Drop the rows of every partition whose members have all frozen.
+
+        No patch can dirty such a partition again.  While the owner repacks,
+        a cold partition stays until a repack can no longer fold it: runs
+        fold within a stretch of consecutive unpacked extents (in write
+        order) bounded by packed ones, which never fold again, so only a
+        bounded stretch shorter than a foldable run lets its rows go early.
+        """
+        assert self._working is not None and self._partitions_file is not None
+        rows = self._working.rows
+        ceiling = self._frozen_before()
+        foldable: Set[int] = set()
+        if self._repack_min_partitions:
+            stretch: List[int] = []
+            for key in self._partitions_file.extent_keys() + [None]:
+                if key is None or int(key) in self._packed_partitions:
+                    if len(stretch) >= self._repack_min_partitions or key is None:
+                        foldable.update(stretch)
+                    stretch = []
+                else:
+                    stretch.append(int(key))
+        for partition_id in [
+            partition_id
+            for partition_id, partition_rows in rows.items()
+            if partition_id not in foldable
+            and all(row[2] < ceiling for row in partition_rows)
+        ]:
+            del rows[partition_id]
+
+    def _row(self, node_id: int) -> VertexRow:
+        """The working-set row of an unfrozen vertex."""
+        assert self._working is not None
+        partition_rows = self._working.rows.get(self._partition_of_vertex[node_id])
+        if partition_rows is None:
+            raise IndexConstructionError(
+                f"vertex {node_id} is frozen: no patch can change its record"
+            )
+        return partition_rows[self._slot_of_vertex[node_id]]
+
     def frontier(self) -> GraphFrontier:
         """Capture the resumable maintenance state (cheap, live thread only).
 
@@ -558,53 +692,45 @@ class ReachGraphIndex:
         :func:`compute_graph_patch` over it may run off-thread while this
         index keeps answering queries, as long as no other increment is
         applied in between (application validates the base and refuses a
-        stale patch).
+        stale patch).  It reads the working set alone: open vertices and
+        recent ones are unfrozen, so their rows are held.
         """
+        working = self._working_set()
         assert self.domain is not None
-        dag = self.dag
-        horizon = dag.horizon
+        horizon = self.domain.horizon
         object_ids = self.domain.object_ids
-
-        assignments: List[Tuple[ObjectId, int]] = []
-        open_ids: List[int] = []
-        open_seen: Set[int] = set()
-        for object_id in object_ids:
-            node_id = dag.node_of(object_id, horizon.end)
-            assignments.append((object_id, node_id))
-            if node_id not in open_seen:
-                open_seen.add(node_id)
-                open_ids.append(node_id)
-        open_members = tuple(
-            (node_id, tuple(sorted(dag.node(node_id).members)))
-            for node_id in sorted(open_ids)
-        )
         reduction = ReductionFrontier(
             start=horizon.start,
             end=horizon.end,
-            num_nodes=dag.num_nodes,
+            num_nodes=len(self._vertex_starts),
             object_ids=object_ids,
-            assignments=tuple(assignments),
-            open_members=open_members,
+            assignments=tuple(
+                (object_id, working.current[object_id]) for object_id in object_ids
+            ),
+            open_members=tuple(
+                (node_id, self._row(node_id)[3])
+                for node_id in sorted(set(working.current.values()))
+            ),
         )
 
         # Vertices recent enough to matter to any unprocessed window: their
         # interval reaches the earliest per-resolution cursor.  Successors of
         # such vertices start strictly later, so the captured adjacency is
         # closed under the window sweep.
-        floor: TimeInstant = (
-            min(self._window_cursors.values())
-            if self._window_cursors
-            else horizon.end + 1
-        )
+        floor: TimeInstant = min(self._window_cursors.values(), default=horizon.end + 1)
         recent_nodes = tuple(
-            (node.node_id, node.interval.start, node.interval.end)
-            for node in dag.nodes
-            if node.interval.end >= floor
+            sorted(
+                (node_id, start, end)
+                for partition_rows in working.rows.values()
+                for node_id, start, end, _, _, _, _ in partition_rows
+                if end >= floor
+            )
         )
+        successors = working.successors
         recent_edges = tuple(
-            (node_id, tuple(dag.successors(node_id)))
+            (node_id, successors[node_id])
             for node_id, _, _ in recent_nodes
-            if dag.successors(node_id)
+            if successors[node_id]
         )
         return GraphFrontier(
             reduction=reduction,
@@ -622,12 +748,8 @@ class ReachGraphIndex:
         same way).
         """
         object_ids = {member for _, _, _, members in patch.new_nodes for member in members}
-        horizon = TimeInterval(patch.base_end + 1, patch.new_end)
-        self.domain = GraphDomain(object_ids, horizon)
-        self._hypergraph = HyperGraph(
-            ContactDag(horizon, len(object_ids)),
-            [LongEdgeLayer(resolution) for resolution in self.config.sorted_resolutions],
-        )
+        self.domain = GraphDomain(object_ids, TimeInterval(patch.base_end + 1, patch.new_end))
+        self._working = _WorkingSet(rows={}, successors=[], current={})
         self._adopt_partitioning(
             Partitioning(
                 partition_of={}, slot_of={}, members=[], depth=self.config.partition_depth
@@ -637,22 +759,26 @@ class ReachGraphIndex:
     def apply_increment(self, patch: DagPatch) -> GraphIncrementReport:
         """Apply a :class:`DagPatch`, rewriting only what the patch dirtied.
 
-        The in-place counterpart of a full rebuild: the DAG and hyper graph
+        The in-place counterpart of a full rebuild: the working set's rows
         are patched, fresh vertices are partitioned and written as new
         extents, partitions holding a changed record (an extended interval, a
         new successor or long edge) are rewritten — superseding their old
         extents on the append-only device — and the object index buckets of
-        reassigned objects are updated.  Everything runs on the caller's
-        thread against live structures; streaming services call it from their
-        atomic adoption step, where no concurrent reader can observe a
-        half-applied state.
+        reassigned objects are updated.  Every record a patch changes
+        belongs to an unfrozen vertex, so the working set holds it; the
+        partitions frozen by the patch then leave it.  Everything runs on
+        the caller's thread against live structures; streaming services call
+        it from their atomic adoption step, where no concurrent reader can
+        observe a half-applied state.  A patch that does not fit — a stale
+        one, or one naming an object the index has no history for — raises
+        before anything moves.
 
         The patch alone says how far the index now reaches: the domain's
         horizon moves to ``patch.new_end``, and the dataset and network the
         index was built from — a shorter prefix from here on — are released.
 
         On an empty index (placed, never built) the first patch — computed
-        over :meth:`GraphFrontier.empty` — is the build: the DAG starts at
+        over :meth:`GraphFrontier.empty` — is the build: the graph starts at
         ``patch.base_end + 1``, the domain is the objects of its vertices,
         the labels are made and the object index is built in one pass, so
         the device ends up as :meth:`build` would leave it.  It counts as no
@@ -666,105 +792,147 @@ class ReachGraphIndex:
                     "the index is empty"
                 )
             self._start_graph(patch)
-        hypergraph = self.hypergraph
-        dag = hypergraph.dag
+        working = self._working_set()
+        if not first:
+            assert self.domain is not None
+            num_nodes, end = len(self._vertex_starts), self.domain.horizon.end
+            if num_nodes != patch.base_nodes or end != patch.base_end:
+                raise IndexConstructionError(
+                    f"stale patch: built against {patch.base_nodes} vertices "
+                    f"through t={patch.base_end}, index has {num_nodes} "
+                    f"through t={end}"
+                )
+            for _, _, _, members in patch.new_nodes:
+                for member in members:
+                    if member not in self.domain:
+                        raise IndexConstructionError(
+                            f"object {member} joined the stream mid-prefix; the "
+                            "object index has no assignment history for it"
+                        )
         assert self.partitioning is not None and self.domain is not None
         assert self._partitions_file is not None and self._object_index is not None
         started = time.perf_counter()
 
-        if not first and (
-            dag.num_nodes != patch.base_nodes or dag.horizon.end != patch.base_end
-        ):
-            raise IndexConstructionError(
-                f"stale patch: built against {patch.base_nodes} vertices "
-                f"through t={patch.base_end}, index has {dag.num_nodes} "
-                f"through t={dag.horizon.end}"
-            )
-        dirty: Set[int] = set()
+        # 1. Reduction and augmentation operations, staged as mutable rows
+        #    ``[id, start, end, members, successors, predecessors,
+        #    {resolution: long successors}]`` of the vertices they touch.
+        staged: Dict[int, List[Any]] = {}
 
-        # 1. Reduction operations: extensions, fresh vertices, DN_1 edges.
+        def stage(node_id: int) -> List[Any]:
+            row = staged.get(node_id)
+            if row is None:
+                held = self._row(node_id)
+                row = staged[node_id] = [
+                    *held[:4],
+                    list(held[4]),
+                    list(held[5]),
+                    {resolution: list(targets) for resolution, targets in held[6]},
+                ]
+            return row
+
         for node_id, new_end in patch.extensions:
-            dag.extend_node(node_id, new_end)
-            dirty.add(node_id)
-        for node_id, start, end, members in patch.new_nodes:
-            node = dag.add_node(TimeInterval(start, end), frozenset(members))
-            if node.node_id != node_id:
+            stage(node_id)[2] = new_end
+        for expected_id, (node_id, start, end, members) in enumerate(
+            patch.new_nodes, start=patch.base_nodes
+        ):
+            if node_id != expected_id:
                 raise IndexConstructionError(
-                    f"patch vertex {node_id} materialized as {node.node_id}"
+                    f"patch vertex {node_id} materialized as {expected_id}"
                 )
-        self._vertex_starts.extend([start for _, start, _, _ in patch.new_nodes])
+            staged[node_id] = [node_id, start, end, members, [], [], {}]
         for source_id, target_id in patch.new_edges:
-            dag.add_edge(source_id, target_id)
-            if source_id < patch.base_nodes:
-                dirty.add(source_id)
-        dag.extend_horizon(patch.new_end)
-
-        # 2. Augmentation: long edges of the newly completed windows.
+            successors = stage(source_id)[4]
+            if target_id not in successors:
+                successors.append(target_id)
+                stage(target_id)[5].append(source_id)
         new_long_edges = 0
         for resolution, edges in patch.new_long_edges:
-            layer = hypergraph.layer(resolution)
             for source_id, target_id in edges:
-                layer.add_edge(source_id, target_id)
+                targets = stage(source_id)[6].setdefault(resolution, [])
+                if target_id not in targets:
+                    targets.append(target_id)
                 new_long_edges += 1
-                if source_id < patch.base_nodes:
-                    dirty.add(source_id)
+        rows: Dict[int, VertexRow] = {}
+        working.successors.extend(() for _ in patch.new_nodes)
+        for node_id, (_, start, end, members, successors, predecessors, long) in staged.items():
+            working.successors[node_id] = tuple(successors)
+            rows[node_id] = (
+                node_id,
+                start,
+                end,
+                members,
+                working.successors[node_id],
+                tuple(predecessors),
+                tuple(
+                    (resolution, tuple(long[resolution]))
+                    for resolution in sorted(long)
+                    if long[resolution]
+                ),
+            )
+        self._vertex_starts.extend([start for _, start, _, _ in patch.new_nodes])
+        self.domain.horizon = TimeInterval(self.domain.horizon.start, patch.new_end)
         self._window_cursors.update(dict(patch.window_cursors))
+        segments: Dict[ObjectId, List[Tuple[TimeInstant, int]]] = {}
+        for node_id, start, _, members in patch.new_nodes:
+            for member in members:
+                segments.setdefault(member, []).append((start, node_id))
+                working.current[member] = node_id
 
-        # 2b. Label the first DAG, relabel a grown one (long edges are
-        #     shortcuts over DN_1 paths, so labels only track DN_1; an
-        #     extension changes none).
+        # 2. Label the first DAG, relabel a grown one (long edges are
+        #    shortcuts over DN_1 paths, so labels only track DN_1; an
+        #    extension changes none).
         if first:
             if self.config.interval_labels:
-                self._labels = ReachLabelIndex.build(dag)
+                self._labels = ReachLabelIndex(working.successors)
         elif self._labels is not None and (patch.new_nodes or patch.new_edges):
-            self._labels.relabel(dag)
+            self._labels.relabel(working.successors)
 
         # 3. Fresh vertices join fresh partitions (old extents are immutable
         #    in shape); write each new partition as one contiguous extent.
-        new_node_ids = [node_id for node_id, _, _, _ in patch.new_nodes]
         new_partition_ids = extend_partitioning(
-            self.partitioning, dag, new_node_ids, self.config.partition_depth
+            self.partitioning,
+            working.successors,
+            [node_id for node_id, _, _, _ in patch.new_nodes],
+            self.config.partition_depth,
         )
         records_written = 0
         for partition_id in new_partition_ids:
-            records = self._make_records(self.partitioning.members[partition_id])
+            records = [rows[node_id] for node_id in self.partitioning.members[partition_id]]
+            working.rows[partition_id] = records
             self._partitions_file.append_extent(partition_id, records)
             records_written += len(records)
 
         # 4. Rewrite the partitions holding a record the patch changed.
         dirty_partitions = sorted(
-            {self._partition_of_vertex[node_id] for node_id in dirty}
+            {
+                self._partition_of_vertex[node_id]
+                for node_id in staged
+                if node_id < patch.base_nodes
+            }
         )
         for partition_id in dirty_partitions:
-            records = self._make_records(self.partitioning.members[partition_id])
+            records = working.rows[partition_id]
+            for node_id in self.partitioning.members[partition_id]:
+                if node_id in rows:
+                    records[self._slot_of_vertex[node_id]] = rows[node_id]
             self._partitions_file.replace_extent(partition_id, records)
             records_written += len(records)
 
         # 5. Patch the object index: objects assigned to fresh vertices gain
         #    assignment segments (extensions never change a segment start).
         #    The first patch builds it whole, one write per bucket.
-        appended: Dict[ObjectId, List[Tuple[TimeInstant, int]]] = {}
         if first:
-            self._build_object_index()
+            self._build_object_index(lambda object_id: segments.get(object_id, ()))
         else:
-            for node_id, start, _, members in patch.new_nodes:
-                for member in members:
-                    appended.setdefault(member, []).append((start, node_id))
-        for object_id, segments in appended.items():
-            existing = self._object_index.get(object_id)
-            if existing is None:
-                raise IndexConstructionError(
-                    f"object {object_id} joined the stream mid-prefix; the "
-                    "object index has no assignment history for it"
+            for object_id, appended in segments.items():
+                # ``bytes`` are immutable: holders of the previous bucket keep theirs.
+                starts, nodes = self._object_index.get(object_id)
+                new_starts, new_nodes = _pack_segments(appended)
+                self._object_index.update(
+                    object_id, (starts + new_starts, nodes + new_nodes)
                 )
-            # ``bytes`` are immutable: holders of the previous bucket keep theirs.
-            starts, nodes = existing
-            new_starts, new_nodes = _pack_segments(segments)
-            self._object_index.update(
-                object_id, (starts + new_starts, nodes + new_nodes)
-            )
 
-        self.domain.horizon = dag.horizon
+        self._release_frozen()
         self.dataset = None
         self.network = None
         self._records_written += records_written
@@ -791,19 +959,23 @@ class ReachGraphIndex:
         an old stretch of the stream pays one random IO per fragment.  This
         pass finds maximal runs of ``min_partitions``-or-more consecutive
         (in write order) *cold* partitions — partitions no future increment
-        can dirty: every member closed before the horizon end and before the
-        earliest unprocessed augmentation window — and rewrites each run as
-        one contiguous extent, exactly as a batch build would have placed
-        those vertices.
+        can dirty: every member frozen, closed before the horizon end and
+        before the earliest unprocessed augmentation window — and rewrites
+        each run as one contiguous extent, exactly as a batch build would
+        have placed those vertices.  The rows come from the working set,
+        which holds a cold partition while a run of at least the index's
+        ``repack_min_partitions`` may still fold it; folding a shorter run
+        than that raises.
 
         Vertex ids are untouched (the object index never changes); the old
         partition ids become tombstones and their extents on-device garbage
         for :meth:`~repro.storage.StorageSystem.reclaim`.  Partitions a
-        previous repack produced never fold again.  The ``repack-pre-adopt``
-        fault point sits between the packed extent's write and the
-        retirement of the fragments; crash-wise the durable catalog flips
-        from fragments to packed extent atomically at the owner's next
-        flush.  Returns the vertex records rewritten.
+        previous repack produced never fold again, so the packed rows leave
+        the working set once written.  The ``repack-pre-adopt`` fault point
+        sits between the packed extent's write and the retirement of the
+        fragments; crash-wise the durable catalog flips from fragments to
+        packed extent atomically at the owner's next flush.  Returns the
+        vertex records rewritten.
         """
         self._require_built()
         if min_partitions < 2:
@@ -814,26 +986,20 @@ class ReachGraphIndex:
         if self._storage is None:
             return 0
         assert self.partitioning is not None and self._partitions_file is not None
-        dag = self.dag
-        # A partition is cold when no member can be extended (closed before
-        # the horizon end) and none can still gain a long edge (closed
-        # before the earliest unprocessed window start).
-        ceiling = min(
-            min(self._window_cursors.values(), default=dag.horizon.end + 1),
-            dag.horizon.end,
-        )
+        working = self._working_set()
+        ceiling = self._frozen_before()
 
         runs: List[List[int]] = []
         current: List[int] = []
         for key in self._partitions_file.extent_keys():
             partition_id = int(key)
-            member_ids = self.partitioning.members[partition_id]
+            partition_rows = working.rows.get(partition_id)
             if (
-                member_ids
+                self.partitioning.members[partition_id]
                 and partition_id not in self._packed_partitions
-                and all(
-                    dag.node(node_id).interval.end < ceiling
-                    for node_id in member_ids
+                and (
+                    partition_rows is None
+                    or all(row[2] < ceiling for row in partition_rows)
                 )
             ):
                 current.append(partition_id)
@@ -846,13 +1012,18 @@ class ReachGraphIndex:
 
         records_written = 0
         for group in runs:
+            if not all(partition_id in working.rows for partition_id in group):
+                raise IndexConstructionError(
+                    f"cannot fold a run of {len(group)}: the working set holds "
+                    f"runs of {self._repack_min_partitions} or more"
+                )
             merged = [
                 node_id
                 for partition_id in group
                 for node_id in self.partitioning.members[partition_id]
             ]
             packed_id = len(self.partitioning.members)
-            records = self._make_records(merged)
+            records = [row for partition_id in group for row in working.rows[partition_id]]
             self._partitions_file.append_extent(packed_id, records)
             # The packed extent is written but the fragments are still the
             # cataloged truth: a crash here reopens through the previous
@@ -862,10 +1033,12 @@ class ReachGraphIndex:
             for partition_id in group:
                 self._partitions_file.drop_extent(partition_id)
                 self.partitioning.members[partition_id] = []
+                del working.rows[partition_id]
             self._packed_partitions.add(self.partitioning.add_partition(merged))
             self._records_written += len(records)
             records_written += len(records)
             self._repacks += 1
+        self._release_frozen()
         return records_written
 
     # ------------------------------------------------------------------
@@ -901,6 +1074,7 @@ class ReachGraphIndex:
         storage: StorageSystem,
         catalog: Dict[str, object],
         horizon: TimeInterval,
+        repack_min_partitions: Optional[int] = None,
     ) -> "ReachGraphIndex":
         """Reattach an index to its partition extents on a reopened device.
 
@@ -915,6 +1089,15 @@ class ReachGraphIndex:
         the cataloged graph (phantom trailing assignment segments);
         reconciliation restores the exact pairing.  A catalog naming another
         on-device format is refused before any read.
+
+        ``repack_min_partitions`` is ``None`` for a read-only restore, which
+        keeps no working set and repairs only buckets whose values disagree.
+        A resuming writer passes its owner's repack policy (``0``: it never
+        repacks): it keeps the working set from the records just read — the
+        rows of the unfrozen partitions (predecessors in source-id order, as
+        a rebuild of the graph derives them), the ``DN_1`` successor tuples
+        and each object's current vertex — and rewrites every bucket not
+        already stored as ``bytes``.
         """
         found = catalog.get("format")
         if found != INDEX_FORMAT:
@@ -936,10 +1119,14 @@ class ReachGraphIndex:
             ),
         )
         index = cls(
-            None, config=config, name=str(catalog["name"]), defer_placement=True
+            None,
+            config=config,
+            name=str(catalog["name"]),
+            defer_placement=True,
+            repack_min_partitions=repack_min_partitions or 0,
         )
         index._attach_files(storage, create=False)
-        index._restore_serving_state(catalog, horizon)
+        index._restore_serving_state(catalog, horizon, writer=repack_min_partitions is not None)
         return index
 
     def _read_graph_records(self) -> Tuple[Dict[int, List[int]], List[VertexRow]]:
@@ -973,7 +1160,7 @@ class ReachGraphIndex:
         return partition_members, records
 
     def _restore_serving_state(
-        self, catalog: Dict[str, object], horizon: TimeInterval
+        self, catalog: Dict[str, object], horizon: TimeInterval, writer: bool
     ) -> None:
         assert self._object_index is not None
         partition_members, records = self._read_graph_records()
@@ -1017,7 +1204,8 @@ class ReachGraphIndex:
 
         # 4. Reconcile the object-index buckets against that truth.  Doubles
         #    as the structural verification of the restored index: a bucket
-        #    that disagrees with the partition extents is rewritten from them.
+        #    that disagrees with the partition extents is rewritten from them
+        #    (and, by a writer, one stored in an earlier shape).
         for object_id in self.domain.object_ids:
             stored = self._object_index.get(object_id)
             if stored is None:
@@ -1025,32 +1213,38 @@ class ReachGraphIndex:
                     f"object {object_id} is missing from the restored object index"
                 )
             packed = _pack_segments(truth[object_id])
-            if stored != packed:
+            if writer:
+                stale = stored != packed
+            else:
+                stale = any(map(ne, map(_int64s, stored), map(_int64s, packed)))
+            if stale:
                 self._object_index.update(object_id, packed)
 
+        # 5. A writer's working set, from the records just read.
+        if writer:
+            self._hold_working_set(partition_members, records)
+
     def _materialize_graph(self) -> HyperGraph:
-        """Rebuild the maintenance graph of a restored index from its extents.
+        """Rebuild the whole graph in memory from the partition extents.
 
         Vertices are added in id order — reproducing vertex ids and each
-        object's assignment-segment order — then edges and long-edge layers
-        (predecessors are re-derived by ``add_edge``), so the result equals,
-        dict order included, the graph the writer held when it flushed.
+        object's assignment-segment order — and every adjacency list,
+        long-edge layers included, is taken in the order its record holds
+        it: the order the writer held when it wrote the record.
         """
         assert self.domain is not None
         _, records = self._read_graph_records()
         dag = ContactDag(self.domain.horizon, len(self.domain.object_ids))
-        for _, start, end, members, _, _, _ in records:
-            dag.add_node(TimeInterval(start, end), frozenset(members))
         layers = {
             resolution: LongEdgeLayer(resolution)
             for resolution in self.config.sorted_resolutions
         }
-        for node_id, _, _, _, successors, _, long_successors in records:
-            for successor_id in successors:
-                dag.add_edge(node_id, successor_id)
+        for node_id, start, end, members, successors, predecessors, long_successors in records:
+            dag.add_node(TimeInterval(start, end), frozenset(members))
+            dag.forward[node_id] = list(successors)
+            dag.backward[node_id] = list(predecessors)
             for resolution, targets in long_successors:
-                for target_id in targets:
-                    layers[resolution].add_edge(node_id, target_id)
+                layers[resolution].forward[node_id] = list(targets)
         return HyperGraph(dag, list(layers.values()))
 
     # ------------------------------------------------------------------
@@ -1077,12 +1271,12 @@ class ReachGraphIndex:
             raise UnknownObjectError(object_id)
         starts, nodes = history
         # The last segment starting at or before ``t``.
-        position = bisect_right(memoryview(starts).cast("q"), t)
+        position = bisect_right(_int64s(starts), t)
         if position == 0:
             raise IndexConstructionError(
                 f"object {object_id} has no component at time {t}"
             )
-        return memoryview(nodes).cast("q")[position - 1]
+        return _int64s(nodes)[position - 1]
 
     def vertices_starting_by(self, t: TimeInstant) -> int:
         """How many vertices start at or before ``t`` (in memory, no IO).

@@ -19,8 +19,8 @@ always reached from a smaller root, and ``reversed(range(num_nodes))`` sees
 every successor before its predecessors.  The same successor lists give the
 same labels in any process, so labels are never persisted: a build labels
 the DAG it built, a merge that adds a vertex or a ``DN_1`` edge relabels the
-grown DAG, and a reopen labels the successor tuples of the vertex records
-it reads anyway.
+grown successor lists, and a reopen labels the successor tuples of the vertex
+records it reads anyway.
 
 Long edges are shortcuts over ``DN_1`` paths, so reachability over ``DN_1``
 equals reachability over the hyper graph — the labels are computed on the
@@ -36,8 +36,8 @@ from .dag import ContactDag
 __all__ = ["ReachLabelIndex"]
 
 #: ``successors[v]`` is the ``DN_1`` successor list of vertex ``v``, for every
-#: id in ``range(len(successors))``: a list of tuples (vertex records) or a
-#: DAG's id-keyed ``forward`` map.
+#: id in ``range(len(successors))``: a list of tuples (vertex records, a
+#: writer's working set) or a DAG's id-keyed ``forward`` map.
 SuccessorLists = Union[Sequence[Sequence[int]], Mapping[int, Sequence[int]]]
 
 
@@ -78,7 +78,8 @@ class ReachLabelIndex:
 
     :meth:`build` labels a :class:`~repro.reachgraph.dag.ContactDag`; the
     constructor labels plain successor lists (a restore hands it the vertex
-    records' ``successors`` tuples); :meth:`relabel` labels a DAG that grew.
+    records' ``successors`` tuples, a writer its working set's);
+    :meth:`relabel` labels successor lists that grew.
     """
 
     def __init__(self, successors: SuccessorLists) -> None:
@@ -96,9 +97,10 @@ class ReachLabelIndex:
         """
         return cls(dag.forward)
 
-    def relabel(self, dag: ContactDag) -> None:
-        """Recompute every label over ``dag`` (counted in ``full_relabels``)."""
-        self._ranks, self._lows = _postorder_labels(dag.forward)
+    def relabel(self, successors: SuccessorLists) -> None:
+        """Recompute every label over grown successor lists (counted in
+        ``full_relabels``)."""
+        self._ranks, self._lows = _postorder_labels(successors)
         self.full_relabels += 1
 
     # ------------------------------------------------------------------

@@ -22,10 +22,10 @@ one another's neighbourhoods.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence, Union
 
 from ..core.errors import IndexConstructionError
-from .dag import ContactDag, HyperGraph
+from .dag import HyperGraph
 
 __all__ = ["Partitioning", "extend_partitioning", "partition_hypergraph"]
 
@@ -91,17 +91,20 @@ class Partitioning:
 def partition_hypergraph(graph: HyperGraph, depth: int) -> Partitioning:
     """Partition the hyper graph with the paper's depth-``dp`` scheme."""
     partitioning = Partitioning(partition_of={}, slot_of={}, members=[], depth=depth)
-    extend_partitioning(partitioning, graph.dag, graph.dag.topological_order(), depth)
+    extend_partitioning(partitioning, graph.dag.forward, graph.dag.topological_order(), depth)
     return partitioning
 
 
 def extend_partitioning(
     partitioning: Partitioning,
-    dag: ContactDag,
+    successors: Union[Mapping[int, Sequence[int]], Sequence[Sequence[int]]],
     new_node_ids: Sequence[int],
     depth: int,
 ) -> List[int]:
     """Assign freshly appended vertices to partitions, in place.
+
+    ``successors[v]`` is the ``DN_1`` successor list of vertex ``v`` (a
+    DAG's ``forward`` map, or a writer's per-vertex tuples).
 
     The paper's partitioning loop, resumed: every *unassigned* vertex visited
     in topological (= id) order roots a new partition collecting the
@@ -125,7 +128,7 @@ def extend_partitioning(
             created.append(
                 partitioning.add_partition(
                     _collect_unassigned_within_depth(
-                        dag.forward, root_id, depth, partitioning.partition_of, cleared
+                        successors, root_id, depth, partitioning.partition_of, cleared
                     )
                 )
             )
@@ -133,7 +136,7 @@ def extend_partitioning(
 
 
 def _collect_unassigned_within_depth(
-    forward: Mapping[int, Sequence[int]],
+    forward: Union[Mapping[int, Sequence[int]], Sequence[Sequence[int]]],
     root_id: int,
     depth: int,
     partition_of: Mapping[int, int],

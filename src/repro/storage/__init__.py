@@ -168,10 +168,6 @@ class StorageSystem:
         """True when a block file named ``name`` is registered."""
         return name in self._files
 
-    def has_hashtable(self, name: str) -> bool:
-        """True when a hash table named ``name`` is registered."""
-        return name in self._tables
-
     def blockfile_names(self) -> List[str]:
         """Names of every registered block file, in registration order."""
         return list(self._files)
@@ -188,13 +184,6 @@ class StorageSystem:
         if blockfile is None:
             raise StorageError(f"no block file {name!r} in {self.name!r}")
         return blockfile.num_blocks
-
-    def drop_hashtable(self, name: str) -> int:
-        """Unregister hash table ``name``: its bucket blocks become garbage."""
-        table = self._tables.pop(name, None)
-        if table is None:
-            raise StorageError(f"no hash table {name!r} in {self.name!r}")
-        return table.num_buckets
 
     # ------------------------------------------------------------------
     # durability

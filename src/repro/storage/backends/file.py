@@ -229,8 +229,3 @@ class FileBackend(StorageBackend):
     def page_cache_blocks(self) -> int:
         """Configured page-cache capacity (0 disables the cache)."""
         return self._cache_capacity
-
-    @property
-    def log_bytes(self) -> int:
-        """Bytes appended to the log so far (live and superseded versions)."""
-        return self._tail

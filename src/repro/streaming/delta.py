@@ -304,8 +304,8 @@ class ContactSnapshotStore:
     Retired run files leave the storage catalog, so their blocks become
     reclaimable garbage: :attr:`superseded_blocks` counts them until a
     device :meth:`~repro.storage.StorageSystem.reclaim` recycles them, and
-    :attr:`records_written` / :attr:`level_records_written` are the
-    cumulative write-amplification ledgers.
+    :attr:`records_written` is the cumulative write-amplification ledger
+    (the manifest also keeps it per level).
     """
 
     def __init__(
@@ -427,19 +427,6 @@ class ContactSnapshotStore:
         self._compactions += 1
         return folded.num_contacts
 
-    def compact(self) -> int:
-        """Fold every live run into one consolidated top-level run.
-
-        Returns the number of records rewritten (0 when fewer than two runs
-        are live — compacting a single run would be pure write amplification).
-        The old runs' extents are superseded and their files leave the
-        storage catalog, so the blocks they occupied are reclaimable.
-        """
-        if len(self._runs) <= 1:
-            return 0
-        top = max(run.level for run in self._runs) + 1
-        return self._fold(list(self._runs), top)
-
     def maybe_compact(self, fanout: int) -> int:
         """Run size-ratio leveled compaction with the given per-level fanout.
 
@@ -510,11 +497,6 @@ class ContactSnapshotStore:
     def compactions(self) -> int:
         """Number of compactions performed."""
         return self._compactions
-
-    @property
-    def level_records_written(self) -> Dict[int, int]:
-        """Cumulative records written per level (the write-amp breakdown)."""
-        return dict(self._level_records_written)
 
     def reset_superseded(self) -> None:
         """Zero the superseded ledger after a device reclaim recycled it."""
@@ -699,15 +681,17 @@ class ReachGraphDeltaOverlay:
         origin: TimeInstant,
         temporal_resolution: int,
         graph_config: ReachGraphConfig,
+        repack_min_partitions: int = 0,
     ) -> int:
         """Advance the snapshot: patch the ReachGraph and append one run.
 
         ``patch`` was computed purely over the frontier the service
         captured.  Without a live index it must extend the empty frontier:
         the overlay then makes an empty index over ``graph_config`` on its
-        own device, and the patch builds it.  The run appended is
-        ``new_contacts``, the slice the patch replayed, clipped past the
-        snapshot watermark.  So this method — the only part touching live
+        own device, whose working set holds cold partitions for the owner's
+        ``repack_min_partitions`` (0: none), and the patch builds it.  The
+        run appended is ``new_contacts``, the slice the patch replayed,
+        clipped past the snapshot watermark.  So this method — the only part touching live
         state — costs a run append and a patch application proportional to
         the delta.  Returns the records written to the snapshot store.  A
         patch that does not fit raises before anything moves:
@@ -731,7 +715,11 @@ class ReachGraphDeltaOverlay:
             )
         else:
             index = ReachGraphIndex(
-                None, config=graph_config, storage=self._storage, name=_GRAPH_NAME
+                None,
+                config=graph_config,
+                storage=self._storage,
+                name=_GRAPH_NAME,
+                repack_min_partitions=repack_min_partitions,
             )
         report = index.apply_increment(patch)
         self._graph_records_written += report.records_written
@@ -899,11 +887,6 @@ class ReachGraphDeltaOverlay:
     def snapshot_compactions(self) -> int:
         """Compactions the snapshot store has performed (0 before any merge)."""
         return self._store.compactions if self._store is not None else 0
-
-    @property
-    def snapshot_level_records(self) -> Dict[int, int]:
-        """Per-level records written by the store (empty before any merge)."""
-        return self._store.level_records_written if self._store is not None else {}
 
     @property
     def graph_records_written(self) -> int:

@@ -45,10 +45,6 @@ class SampleEvent:
         """Lift a stored trajectory sample into a stream event."""
         return SampleEvent(sample.object_id, sample.time, sample.position)
 
-    def to_sample(self) -> TrajectorySample:
-        """The equivalent stored trajectory sample."""
-        return TrajectorySample(self.object_id, self.time, self.position)
-
 
 @dataclass(frozen=True, slots=True)
 class ContactEvent:

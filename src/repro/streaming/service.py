@@ -296,12 +296,17 @@ class StreamingReachabilityService:
         bounds, and the closed contacts the durable snapshot may lack) and
         the delta is rebuilt from those contacts, so the
         service continues ingesting and merging from the recovered
-        watermark.  The graph's in-memory maintenance half is rebuilt by the
-        first merge that needs it, not here.  The WAL is authoritative: a
-        crash between the ingestor flush and the overlay (manifest) flush
-        leaves the WAL ahead, and resuming recovers those batches too.
+        watermark.  The graph keeps its writer's working set from the
+        records its restore reads, so no merge reads the extents again.
+        The WAL is authoritative: a crash between the ingestor flush and the
+        overlay (manifest) flush leaves the WAL ahead, and resuming recovers
+        those batches too.
         """
-        reopened = SnapshotQueryService.open(storage_config, name)
+        reopened = SnapshotQueryService._open(
+            storage_config,
+            name,
+            writer_repack=(streaming_config or StreamingConfig()).graph_repack_min_partitions,
+        )
         try:
             ingestor = StreamIngestor.restore(storage_config, name)
         except BaseException:
@@ -470,6 +475,7 @@ class StreamingReachabilityService:
             origin=inputs.origin,
             temporal_resolution=inputs.temporal_resolution,
             graph_config=inputs.graph_config,
+            repack_min_partitions=self.streaming_config.graph_repack_min_partitions,
         )
         self._graph_records_written += (
             self._overlay.graph_records_written - graph_written_before
@@ -617,14 +623,14 @@ class StreamingReachabilityService:
         the ``gc_trigger_ratio`` policy passes its ratio, so a pass copies
         only the device past it.
 
-        Flushes first, each device in its own commit order: a device's
-        reclaim commits whatever metadata is current, so the durable
-        manifest must describe the *live* files before the catalog is
-        rewritten — otherwise a crash after the reclaim could reopen a
-        manifest naming run files the committed catalog no longer holds.
-        Copying the overlay therefore takes a full :meth:`flush` (the
-        ingestor first); copying only the ingestor device needs only its own
-        checkpoint, which may run ahead of the overlay manifest.  After an
+        A device's reclaim commits whatever metadata is current, so the
+        durable overlay manifest must describe the *live* files before that
+        catalog is rewritten — otherwise a crash after the reclaim could
+        reopen a manifest naming run files the committed catalog no longer
+        holds.  Copying the overlay therefore takes a full :meth:`flush`
+        first (the ingestor first).  Copying only the ingestor device takes
+        no checkpoint: its reclaim commits the catalog with the journal tail
+        beside the previous checkpoint, which a restore replays.  After an
         overlay reclaim the overlay's superseded ledgers reset (the garbage
         they counted is gone).
         """
@@ -633,8 +639,6 @@ class StreamingReachabilityService:
         copy_ingestor = self._ingestor.storage.garbage_ratio >= trigger
         if copy_overlay:
             self.flush()
-        elif copy_ingestor:
-            self._flush_ingestor()
         freed = 0
         if copy_overlay:
             freed = self._overlay.storage.reclaim()
@@ -714,11 +718,6 @@ class StreamingReachabilityService:
     def reclaimed_blocks(self) -> int:
         """Total device blocks freed by reclaim passes."""
         return self._reclaimed_blocks
-
-    @property
-    def num_graph_repacks(self) -> int:
-        """Frontier repack folds performed on the graph fast path."""
-        return self._graph_repacks
 
     @property
     def snapshot_records_written(self) -> int:
@@ -824,6 +823,18 @@ class SnapshotQueryService:
         the original service's name (the overlay device is looked up as
         ``<name>-overlay``).
         """
+        return cls._open(storage_config, name, writer_repack=None)
+
+    @classmethod
+    def _open(
+        cls,
+        storage_config: StorageConfig,
+        name: str,
+        writer_repack: Optional[int],
+    ) -> "SnapshotQueryService":
+        """:meth:`open`; a resuming writer passes its repack policy as
+        ``writer_repack`` and its graph keeps the writer's working set
+        (:meth:`~repro.reachgraph.ReachGraphIndex.restore`)."""
         if storage_config.backend == "sim" or storage_config.storage_dir is None:
             raise StreamingError(
                 "reopening needs a persistent backend and a real storage_dir"
@@ -875,6 +886,7 @@ class SnapshotQueryService:
                     storage,
                     graph["index"],
                     TimeInterval(store.origin, manifest["snapshot_watermark"]),
+                    repack_min_partitions=writer_repack,
                 )
                 overlay.attach_graph(ReachGraphQueryProcessor(index))
             return cls(storage, overlay, open_runs, manifest["watermark"])

@@ -13,7 +13,6 @@ from .faults import (
     armed,
     clear,
     crash_point,
-    disarm,
     simulate_kill,
 )
 
@@ -24,6 +23,5 @@ __all__ = [
     "armed",
     "clear",
     "crash_point",
-    "disarm",
     "simulate_kill",
 ]

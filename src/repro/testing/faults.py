@@ -26,7 +26,6 @@ __all__ = [
     "armed",
     "clear",
     "crash_point",
-    "disarm",
     "simulate_kill",
 ]
 
@@ -115,11 +114,6 @@ def arm(point: str, after: int = 0) -> None:
     if after < 0:
         raise ValueError("after must be >= 0")
     _armed[point] = after
-
-
-def disarm(point: str) -> None:
-    """Disarm ``point`` if armed (no-op otherwise)."""
-    _armed.pop(point, None)
 
 
 def clear() -> None:

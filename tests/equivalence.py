@@ -190,3 +190,34 @@ def assert_reopened_matches_prefix(
         check_earliest=True,
         context=context or f"reopened at watermark {reopened.watermark}",
     )
+
+
+def graph_state(index):
+    """Everything a placed index holds on its device and in its directory."""
+    partitions = index._partitions_file
+    table = index._object_index
+    labels = index.labels
+    catalog = dict(index.catalog())
+    catalog.pop("name")
+    return {
+        "members": [list(members) for members in index.partitioning.members],
+        "extents": {
+            key: list(partitions.read_extent(key)) for key in partitions.extent_keys()
+        },
+        "extent_blocks": {
+            key: partitions.extent(key).block_ids for key in partitions.extent_keys()
+        },
+        "num_buckets": table.num_buckets,
+        "bucket_blocks": table.bucket_blocks,
+        "buckets": [
+            index.storage.buffer_pool.read(block_id) for block_id in table.bucket_blocks
+        ],
+        "labels": (
+            None
+            if labels is None
+            else [labels.label(node_id) for node_id in range(labels.num_labels)]
+        ),
+        "full_relabels": None if labels is None else labels.full_relabels,
+        "catalog": catalog,
+        "records_written": index.records_written,
+    }

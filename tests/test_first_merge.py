@@ -12,7 +12,12 @@ from __future__ import annotations
 
 import pytest
 
-from equivalence import EQUIVALENCE_BACKENDS, backend_storage_config, prefix_network
+from equivalence import (
+    EQUIVALENCE_BACKENDS,
+    backend_storage_config,
+    graph_state,
+    prefix_network,
+)
 from repro.core import IndexConstructionError, Point, StreamingConfig
 from repro.reachgraph import ReachGraphIndex
 from repro.streaming import (
@@ -25,37 +30,6 @@ from repro.streaming import (
 
 # The contact threshold of the shared tiny_* fixtures.
 TINY_THRESHOLD = 30.0
-
-
-def graph_state(index):
-    """Everything a placed index holds on its device and in its directory."""
-    partitions = index._partitions_file
-    table = index._object_index
-    labels = index.labels
-    catalog = dict(index.catalog())
-    catalog.pop("name")
-    return {
-        "members": [list(members) for members in index.partitioning.members],
-        "extents": {
-            key: list(partitions.read_extent(key)) for key in partitions.extent_keys()
-        },
-        "extent_blocks": {
-            key: partitions.extent(key).block_ids for key in partitions.extent_keys()
-        },
-        "num_buckets": table.num_buckets,
-        "bucket_blocks": table.bucket_blocks,
-        "buckets": [
-            index.storage.buffer_pool.read(block_id) for block_id in table.bucket_blocks
-        ],
-        "labels": (
-            None
-            if labels is None
-            else [labels.label(node_id) for node_id in range(labels.num_labels)]
-        ),
-        "full_relabels": None if labels is None else labels.full_relabels,
-        "catalog": catalog,
-        "records_written": index.records_written,
-    }
 
 
 @pytest.mark.parametrize("backend", ("sim",) + EQUIVALENCE_BACKENDS)
@@ -123,9 +97,29 @@ def test_an_object_first_seen_after_the_first_merge_is_refused(tiny_contact_conf
         service.ingest(batch(t, [(0, 0.0), (1, 90.0)]))
     service.merge()
     assert service.num_merges == 1
+    index = service.overlay.snapshot_processor.index
+
+    def held():
+        working = index._working
+        return (
+            index.num_vertices,
+            index.domain.horizon,
+            list(index._vertex_starts),
+            {key: list(rows) for key, rows in working.rows.items()},
+            list(working.successors),
+            dict(working.current),
+            graph_state(index),
+        )
+
+    before = held()
     for t in range(4, 8):
         # Object 2 appears next to object 0 and stays in contact with it.
         service.ingest(batch(t, [(0, 0.0), (1, 90.0), (2, 5.0)]))
-    with pytest.raises(IndexConstructionError, match="object 2 joined the stream mid-prefix"):
-        service.merge()
-    assert service.num_merges == 1
+    for _ in range(2):
+        # Refused before anything moves, so a retry is refused alike.
+        with pytest.raises(
+            IndexConstructionError, match="object 2 joined the stream mid-prefix"
+        ):
+            service.merge()
+        assert service.num_merges == 1
+        assert held() == before

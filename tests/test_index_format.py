@@ -31,6 +31,7 @@ import pytest
 
 from equivalence import (
     EQUIVALENCE_BACKENDS,
+    CallCounter,
     assert_methods_agree,
     backend_storage_config,
     prefix_network,
@@ -48,8 +49,8 @@ from repro.core import (
 )
 from repro.reachgraph import ReachGraphIndex, ReachGraphQueryProcessor, VertexRecord
 from repro.reachgraph import index as index_module
-from repro.storage import StorageSystem
-from repro.storage.backends.base import encode_payload
+from repro.storage import BlockFile, StorageSystem
+from repro.storage.backends.base import StorageBackend, encode_payload
 from repro.streaming import (
     DatasetReplaySource,
     SnapshotQueryService,
@@ -685,24 +686,32 @@ class TestOverlayGraphCatalog:
 class TestEarlierPayloadShapes:
     """Format 2 first stored ``VertexRecord`` rows and ``array('q')``
     histories.  Such a device keeps ``"format": 2``: its rows read
-    positionally like the plain tuples written now, and restore's bucket
-    reconciliation (``stored != packed``) rewrites every history as
-    ``bytes``."""
+    positionally like the plain tuples written now, its histories read as
+    int64 runs either way, a read-only open leaves both as they are (the
+    bucket values agree with the records), and a resumed writer rewrites
+    every history as ``bytes``."""
 
     @staticmethod
     def write_earlier_shapes(monkeypatch, service, batches):
         """Drive ``service`` while the index writes the earlier shapes."""
-        make_records = ReachGraphIndex._make_records
 
-        def records_as_named_tuples(self, node_ids):
-            return [VertexRecord._make(row) for row in make_records(self, node_ids)]
+        def rows_as_named_tuples(write):
+            def patched_write(blockfile, key, records):
+                if blockfile.name.endswith("-partitions"):
+                    records = [VertexRecord._make(row) for row in records]
+                return write(blockfile, key, records)
+
+            return patched_write
 
         def segments_as_arrays(segments):
             starts, nodes = zip(*segments)
             return array("q", starts), array("q", nodes)
 
         with monkeypatch.context() as patched:
-            patched.setattr(ReachGraphIndex, "_make_records", records_as_named_tuples)
+            for name in ("append_extent", "replace_extent"):
+                patched.setattr(
+                    BlockFile, name, rows_as_named_tuples(getattr(BlockFile, name))
+                )
             patched.setattr(index_module, "_pack_segments", segments_as_arrays)
             for position, batch in enumerate(batches):
                 service.ingest(batch)
@@ -745,12 +754,16 @@ class TestEarlierPayloadShapes:
         reopened = SnapshotQueryService.open(storage_config, name=name)
         index = live_index(reopened)
         assert index.catalog()["format"] == 2
+        # The read-only open found every bucket's values right: it dirtied
+        # none and the device took no write.
+        assert index.storage.buffer_pool.dirty_blocks == 0
+        assert index.storage.stats.writes == 0
         rows, histories = self.device_shapes(index)
         assert rows == {VertexRecord}, "the partition blocks keep the earlier rows"
         assert histories == {(array, array)}, "the device holds the earlier buckets"
         for object_id in index.domain.object_ids:
             starts, nodes = index._object_index.get(object_id)
-            assert type(starts) is bytes and type(nodes) is bytes
+            assert type(starts) is array and type(nodes) is array
         assert_object_index_matches_dag(index, f"earlier shapes, {backend}")
         prefix = reference_evaluator(
             prefix_network(tiny_dataset, 30.0, through=reopened.watermark)
@@ -773,12 +786,17 @@ class TestEarlierPayloadShapes:
             if query.interval.start <= horizon.end
         ]
         assert len(graph_queries) >= 4
+        # With no dirty frame, a partition read is one bulk device run.
+        bulk_runs = CallCounter(monkeypatch, (StorageBackend, "read_run"))
         assert_methods_agree(
             prefix,
             {"bm-bfs": processor.evaluate},
             graph_queries,
             context=f"earlier shapes, BM-BFS, {backend}",
         )
+        assert bulk_runs.calls["StorageBackend.read_run"] > 0
+        assert index.storage.buffer_pool.dirty_blocks == 0
+        assert index.storage.stats.writes == 0
         reopened.close()
 
         resumed = StreamingReachabilityService.open(

@@ -162,7 +162,7 @@ class TestReachLabelIndex:
         dag.add_edge(7, 9)
         dag.add_node(TimeInterval(9, 9), frozenset({1, 2}))
         dag.add_edge(8, 10)
-        labels.relabel(dag)
+        labels.relabel(dag.forward)
         assert labels.full_relabels == 1
         assert labels_of(labels) == labels_of(ReachLabelIndex.build(dag))
         labels.check_consistency(dag)

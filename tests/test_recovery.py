@@ -536,52 +536,6 @@ def maintenance_and_writer_calls(monkeypatch):
     )
 
 
-def eagerly_restored_graph(index):
-    """The maintenance graph as the restore built it before ISSUE 24: every
-    record in id order into a fresh DAG, then the edges, then one layer per
-    resolution — ``(nodes, forward, backward, assignments, layers)``."""
-    from repro.core import TimeInterval
-    from repro.reachgraph import ContactDag, LongEdgeLayer, VertexRecord
-
-    records = sorted(
-        (
-            VertexRecord._make(record)
-            for partition_id, members in enumerate(index.partitioning.members)
-            if members
-            for record in index.read_partition(partition_id)
-        ),
-        key=lambda record: record.node_id,
-    )
-    dag = ContactDag(index.domain.horizon, len(index.domain.object_ids))
-    for record in records:
-        node = dag.add_node(
-            TimeInterval(record.start, record.end), frozenset(record.members)
-        )
-        assert node.node_id == record.node_id
-    for record in records:
-        for successor_id in record.successors:
-            dag.add_edge(record.node_id, successor_id)
-    layers = []
-    for resolution in index.config.sorted_resolutions:
-        layer = LongEdgeLayer(resolution)
-        for record in records:
-            for target_id in record.long_successors_at(resolution):
-                layer.add_edge(record.node_id, target_id)
-        layers.append(layer)
-    return graph_shape(dag, layers, index.domain.object_ids)
-
-
-def graph_shape(dag, layers, object_ids):
-    """A graph as plain data, dict and list orders included."""
-    return (
-        [(node.node_id, node.interval, node.members) for node in dag.nodes],
-        list(dag.forward.items()),
-        list(dag.backward.items()),
-        [(object_id, dag.assignment_segments(object_id)) for object_id in object_ids],
-        [(layer.resolution, list(layer.forward.items())) for layer in layers],
-    )
-
-
 class TestOverlayOnlyReopen:
     def _closed_service(self, dataset, storage_config, **overrides):
         """A multi-merge incremental stream with a repack, drained and closed."""
@@ -630,6 +584,7 @@ class TestOverlayOnlyReopen:
         assert len(loads) <= reopened.storage.live_blocks
         index = reopened.overlay.snapshot_processor.index
         assert index._hypergraph is None, "a read-only open built the maintenance graph"
+        assert index._working is None, "a read-only open kept a writer's working set"
         assert index.dataset is None and index.network is None
         assert index.domain.object_ids == tuple(dataset.object_ids)
         assert index.domain.horizon.start == dataset.horizon.start
@@ -665,12 +620,13 @@ class TestOverlayOnlyReopen:
         resumed.close()
 
     @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
-    def test_first_merge_of_a_resumed_writer_materialises_the_eager_graph(
+    def test_a_resumed_writer_merges_from_the_working_set_its_restore_kept(
         self, backend, tmp_path, dataset, monkeypatch
     ):
-        """What the writer rebuilds lazily equals — node for node, dict order
-        for dict order — what the restore used to build up front; the merge
-        then grows it exactly as it grows a writer that never closed."""
+        """The resumed writer keeps its working set from the records its
+        restore reads: its frontier equals a writer's that never closed, no
+        merge materialises the graph or reads the extents again, and the
+        merges grow it exactly as they grow the writer that never closed."""
         storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
         batches = list(DatasetReplaySource(dataset, batch_ticks=8).batches())
         half = len(batches) // 2
@@ -687,24 +643,17 @@ class TestOverlayOnlyReopen:
             storage_config, name=service.name, streaming_config=StreamingConfig(**config)
         )
         index = resumed.overlay.snapshot_processor.index
-        expected = eagerly_restored_graph(index)
         assert index._hypergraph is None
         calls = maintenance_and_writer_calls(monkeypatch)
-        frontier = resumed.overlay.graph_frontier()
-        assert calls.calls["ContactDag.add_node"] == index.num_vertices
-        hypergraph = index.hypergraph
-        assert graph_shape(
-            hypergraph.dag,
-            [hypergraph.layer(r) for r in hypergraph.resolutions],
-            index.domain.object_ids,
-        ) == expected
-        assert frontier == twin.overlay.graph_frontier()
-
+        graph_reads = CallCounter(monkeypatch, (ReachGraphIndex, "_read_graph_records"))
+        assert resumed.overlay.graph_frontier() == twin.overlay.graph_frontier()
         for batch in batches[half:]:
             resumed.ingest(batch)
             twin.ingest(batch)
         resumed.merge()
         twin.merge()
+        assert calls.calls == dict.fromkeys(calls.calls, 0)
+        assert graph_reads.calls == {"ReachGraphIndex._read_graph_records": 0}
         mine = resumed.overlay.snapshot_processor.index
         theirs = twin.overlay.snapshot_processor.index
         assert mine is index, "the resumed index is patched in place"
@@ -712,7 +661,7 @@ class TestOverlayOnlyReopen:
         assert mine.catalog() == {**theirs.catalog(), "name": mine.name}
         assert mine.partitioning.members == theirs.partitioning.members
         def normalised(records):
-            # A restore re-derives predecessor lists in source-id order; a
+            # A resumed writer holds predecessor lists in source-id order; a
             # writer that never closed keeps them in discovery order.
             return [(*r[:5], tuple(sorted(r[5])), r[6]) for r in records]
 
@@ -911,6 +860,66 @@ class TestSpaceReclamationKill:
 
         strays = _glob.glob(f"{tmp_path}/*.gc")
         assert not strays, f"leftover GC scratch files: {strays}"
+
+
+class TestIngestorOnlyReclaim:
+    """A reclaim pass that copies only the ``<name>-grid`` device takes no
+    checkpoint of its own: the storage reclaim commits the catalog with the
+    journal tail beside the previous checkpoint, and a resume replays that
+    tail.  Killed inside the copy, on either side of its commit, the device
+    reopens as the old image or the reclaimed one, and the resumed service
+    answers as the reference does."""
+
+    @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
+    @pytest.mark.parametrize("point", ("gc-post-copy", "gc-pre-commit", None))
+    def test_grid_only_pass_killed_then_resumed(
+        self, backend, point, tmp_path, dataset, monkeypatch
+    ):
+        from repro.streaming import StreamIngestor
+
+        storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
+        service = make_service(dataset, storage_config, max_delta_contacts=16)
+        batches = list(DatasetReplaySource(dataset, batch_ticks=6).batches())
+        half = len(batches) // 2
+        for batch in batches[:half]:
+            service.ingest(batch)
+            service.flush()
+        # One batch past the last flush: its journal extent is the WAL tail.
+        service.ingest(batches[half])
+        overlay, ingest = service.overlay.storage, service.ingestor.storage
+        trigger = ingest.garbage_ratio
+        assert overlay.garbage_ratio < trigger, "the pass must copy the grid device alone"
+        checkpoint = ingest.get_metadata("ingest-checkpoint")
+        checkpoints = CallCounter(monkeypatch, (StreamIngestor, "flush"))
+        if point is None:
+            assert service.reclaim(trigger) > 0
+            assert ingest.garbage_blocks == 0
+        else:
+            faults.arm(point)
+            with pytest.raises(SimulatedCrash):
+                service.reclaim(trigger)
+        assert checkpoints.calls == {"StreamIngestor.flush": 0}
+        assert ingest.get_metadata("ingest-checkpoint") == checkpoint
+        kill_service(service)
+
+        resumed = StreamingReachabilityService.open(storage_config, name=service.name)
+        recovered = resumed.watermark
+        if point is None:
+            assert recovered == batches[half].watermark, "the reclaim committed the WAL tail"
+        else:
+            assert recovered in (batches[half - 1].watermark, batches[half].watermark)
+        for batch in batches:
+            if batch.watermark > recovered:
+                resumed.ingest(batch)
+        assert resumed.watermark == dataset.horizon.end
+        assert_methods_agree(
+            reference_evaluator(prefix_network(dataset, THRESHOLD)),
+            {"resumed": resumed.query},
+            random_queries(dataset, count=12, seed=73),
+            check_earliest=True,
+            context=f"grid-only reclaim kill: backend={backend}, point={point}",
+        )
+        resumed.close()
 
 
 class TestWalTruncation:

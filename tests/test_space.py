@@ -18,6 +18,7 @@ from __future__ import annotations
 import glob
 import os
 import random
+import sys
 
 import pytest
 
@@ -32,6 +33,7 @@ from equivalence import (
 )
 from repro.core import ContactConfig, Point, ReachGridConfig, StreamingConfig
 from repro.generators import RandomWaypointGenerator
+from repro.reachgraph import ContactDag, ReachGraphIndex
 from repro.streaming import (
     DatasetReplaySource,
     SnapshotQueryService,
@@ -463,9 +465,13 @@ class TestWriterStaysFlat:
     """One world drained at 1x, 2x and 4x stream length, flushing every few
     batches: what each flush writes to the ingestor device — the manifest
     bytes and the checkpoint's closed contacts — stays flat, and the device
-    holds journal blocks only."""
+    holds journal blocks only.  The graph half: the vertex rows the writer
+    holds per merge stay flat too, the ``DN_1`` successor tuples being the
+    one structure that grows with the stream, and no writer — draining or
+    resumed — materialises the whole graph."""
 
     LENGTHS = (40, 80, 160)
+    GRAPH_LENGTHS = (100, 200, 400)
 
     @pytest.fixture(scope="class")
     def world(self):
@@ -506,3 +512,90 @@ class TestWriterStaysFlat:
         # within the short stream's plus half.
         assert longest[0] <= 1.5 * short[0], runs
         assert longest[1] <= 1.5 * short[1], runs
+
+    @pytest.fixture(scope="class")
+    def graph_world(self):
+        return RandomWaypointGenerator(
+            num_objects=24,
+            horizon=max(self.GRAPH_LENGTHS),
+            environment_size=(400.0, 400.0),
+            seed=13,
+        ).generate()
+
+    @staticmethod
+    def _held_rows(service):
+        working = service.overlay.snapshot_processor.index._working
+        return sum(len(rows) for rows in working.rows.values())
+
+    def _drain_graph(self, world, ticks, repack):
+        stream = world.restricted(ticks)
+        service = make_service(
+            stream, None, max_delta_contacts=8, graph_repack_min_partitions=repack
+        )
+        held, merges = [], 0
+        for batch in DatasetReplaySource(stream, batch_ticks=4).batches():
+            service.ingest(batch)
+            if service.num_merges != merges:
+                merges = service.num_merges
+                held.append(self._held_rows(service))
+        index = service.overlay.snapshot_processor.index
+        successors = index._working.successors
+        assert len(successors) == index.num_vertices
+        size = sys.getsizeof(successors) + sum(map(sys.getsizeof, successors))
+        return max(held), index.num_vertices, size
+
+    @pytest.mark.parametrize("repack", (0, 2))
+    def test_graph_rows_held_are_flat_in_stream_length(
+        self, graph_world, repack, monkeypatch
+    ):
+        materialised = CallCounter(
+            monkeypatch,
+            (ReachGraphIndex, "_materialize_graph"),
+            (ContactDag, "add_node"),
+        )
+        runs = {
+            ticks: self._drain_graph(graph_world, ticks, repack)
+            for ticks in self.GRAPH_LENGTHS
+        }
+        short, longest = runs[self.GRAPH_LENGTHS[0]], runs[self.GRAPH_LENGTHS[-1]]
+        # The graph grows with the stream, and so do its successor tuples...
+        assert longest[1] >= 3 * short[1], runs
+        assert longest[2] >= 3 * short[2], runs
+        # ...but the rows a merge holds stay within the short stream's plus half.
+        assert longest[0] <= 1.5 * short[0], runs
+        assert longest[0] < longest[1] / 4, runs
+        assert materialised.calls == dict.fromkeys(materialised.calls, 0)
+
+    def test_a_resumed_writer_materialises_nothing(self, graph_world, tmp_path, monkeypatch):
+        stream = graph_world.restricted(self.GRAPH_LENGTHS[0])
+        storage_config = backend_storage_config("file", storage_dir=str(tmp_path))
+        service = make_service(stream, storage_config, max_delta_contacts=8)
+        batches = list(DatasetReplaySource(stream, batch_ticks=4).batches())
+        half = len(batches) // 2
+        for batch in batches[:half]:
+            service.ingest(batch)
+        service.close()
+        materialised = CallCounter(
+            monkeypatch,
+            (ReachGraphIndex, "_materialize_graph"),
+            (ReachGraphIndex, "_read_graph_records"),
+            (ContactDag, "add_node"),
+        )
+        resumed = StreamingReachabilityService.open(
+            storage_config,
+            name=service.name,
+            streaming_config=service.streaming_config,
+        )
+        # The restore reads every extent once; the merges read none again.
+        assert materialised.calls["ReachGraphIndex._read_graph_records"] == 1
+        merges = resumed.num_merges
+        for batch in batches[half:]:
+            resumed.ingest(batch)
+        assert resumed.num_merges > merges
+        assert self._held_rows(resumed) < resumed.overlay.snapshot_processor.index.num_vertices
+        assert materialised.calls == {
+            "ReachGraphIndex._materialize_graph": 0,
+            "ReachGraphIndex._read_graph_records": 1,
+            "ContactDag.add_node": 0,
+        }
+        resumed.close()
