@@ -20,10 +20,14 @@ Its cost is per *window*, not per graph: consecutive windows of a resolution
 carry the id-ordered list of vertices still alive forward, so a window touches
 the vertices whose interval intersects it (plus the ones that just ended) and
 nothing else — a vertex costs one visit per window it lives through, however
-long the horizon grows.  A ``(source, target)`` pair belongs to exactly one
-window of a resolution (the source ends before the target starts, which pins
-the one boundary pair they can straddle), so the sweep never emits a
-duplicate.
+long the horizon grows.  A vertex alive over a whole window is left out of
+its sweep: its predecessors end before the window and its successors start
+after it, so it neither relays a mask nor yields an edge.  A ``(source,
+target)`` pair belongs to exactly one window of a resolution (the source ends
+before the target starts, which pins the one boundary pair they can
+straddle), so the sweep never emits a duplicate — which is why layers (and a
+merge's staged rows) take its edges by plain appends, with no membership
+scan.  :func:`augment_dag` builds one sweep for all resolutions.
 
 Windows are strictly append-processed: a window is swept exactly once, when
 the horizon first reaches its end, and appended ticks can never change an
@@ -88,15 +92,7 @@ def next_window_start(
 
 def build_layer(dag: ContactDag, resolution: int) -> LongEdgeLayer:
     """Build the ``DN_L`` long-edge layer for one resolution ``L``."""
-    layer = LongEdgeLayer(resolution)
-    sweep = WindowSweep(
-        [(node.node_id, node.interval.start, node.interval.end) for node in dag.nodes],
-        dag.forward,
-    )
-    edges, _ = sweep.edges_through(resolution, dag.horizon.start, dag.horizon.end)
-    for source_id, target_id in edges:
-        layer.add_edge(source_id, target_id)
-    return layer
+    return _build_layers(dag, (resolution,))[0]
 
 
 def augment_dag(
@@ -104,7 +100,7 @@ def augment_dag(
 ) -> Tuple[HyperGraph, AugmentationReport]:
     """Build the hyper graph ``HN`` by augmenting ``dag`` with long edges."""
     started = time.perf_counter()
-    layers = [build_layer(dag, resolution) for resolution in sorted(set(resolutions))]
+    layers = _build_layers(dag, sorted(set(resolutions)))
     hypergraph = HyperGraph(dag, layers)
     report = AugmentationReport(
         resolutions=tuple(sorted(set(resolutions))),
@@ -117,6 +113,30 @@ def augment_dag(
         build_seconds=time.perf_counter() - started,
     )
     return hypergraph, report
+
+
+def _build_layers(dag: ContactDag, resolutions: Sequence[int]) -> List[LongEdgeLayer]:
+    """One layer per resolution, all swept by one :class:`WindowSweep`.
+
+    The sweep never emits a pair twice, so each layer's forward lists are
+    filled by plain appends, in sweep order.
+    """
+    sweep = WindowSweep(
+        [(node.node_id, node.interval.start, node.interval.end) for node in dag.nodes],
+        dag.forward,
+    )
+    start, end = dag.horizon.start, dag.horizon.end
+    layers: List[LongEdgeLayer] = []
+    for resolution in resolutions:
+        layer = LongEdgeLayer(resolution)
+        forward = layer.forward
+        for source_id, target_id in sweep.edges_through(resolution, start, end)[0]:
+            targets = forward.get(source_id)
+            if targets is None:
+                targets = forward[source_id] = []
+            targets.append(target_id)
+        layers.append(layer)
+    return layers
 
 
 class WindowSweep:
@@ -161,7 +181,12 @@ class WindowSweep:
             alive.extend(self._views[taken:started])
             taken = started
             alive = [view for view in alive if view[2] >= ta]
-            self._window_edges(alive, ta, tb, edges)
+            # A vertex spanning the whole window neither relays nor yields an
+            # edge: its predecessors end before ta, its successors start
+            # after tb.
+            self._window_edges(
+                [view for view in alive if view[1] > ta or view[2] < tb], ta, tb, edges
+            )
             ta = tb
         return edges, ta
 
@@ -175,9 +200,9 @@ class WindowSweep:
         """Append one window's edges: components at ``ta`` reaching ones at ``tb``.
 
         A forward sweep over ``alive`` — the vertices that intersect
-        ``[ta, tb]``, in creation = topological order — propagates, for every
-        vertex, the bitmask of window-start vertices that can reach it without
-        leaving the window.
+        ``[ta, tb]`` without spanning it, in creation = topological order —
+        propagates, for every vertex, the bitmask of window-start vertices
+        that can reach it without leaving the window.
         """
         start_nodes = [node_id for node_id, start, _ in alive if start <= ta]
         if not start_nodes:

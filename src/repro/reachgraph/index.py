@@ -326,6 +326,7 @@ def compute_graph_patch(
     cursor = ReductionCursor.resume(reduction, builder)
     for t in range(reduction.end + 1, through + 1):
         cursor.advance(t, adjacency_at.get(t, {}))
+    cursor.finish()
 
     # Merge the captured recent vertices (with their patched ends) and the
     # fresh ones into the id-ordered views the window sweep expects.
@@ -847,11 +848,18 @@ class ReachGraphIndex:
                 stage(target_id)[5].append(source_id)
         new_long_edges = 0
         for resolution, edges in patch.new_long_edges:
+            # The sweep emits each pair once, in its one window: every
+            # source's targets extend its row once, in sweep order.
+            by_source: Dict[int, List[int]] = {}
             for source_id, target_id in edges:
-                targets = stage(source_id)[6].setdefault(resolution, [])
-                if target_id not in targets:
+                targets = by_source.get(source_id)
+                if targets is None:
+                    by_source[source_id] = [target_id]
+                else:
                     targets.append(target_id)
-                new_long_edges += 1
+            for source_id, targets in by_source.items():
+                stage(source_id)[6].setdefault(resolution, []).extend(targets)
+            new_long_edges += len(edges)
         rows: Dict[int, VertexRow] = {}
         working.successors.extend(() for _ in patch.new_nodes)
         for node_id, (_, start, end, members, successors, predecessors, long) in staged.items():

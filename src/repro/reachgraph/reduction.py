@@ -17,13 +17,22 @@ Section 5.1.2.1 performs two lossless reduction steps:
 Both steps are one forward pass over the snapshots, and that pass is
 factored as a *resumable* :class:`ReductionCursor`: each
 :meth:`~ReductionCursor.advance` consumes one snapshot's adjacency and emits
-incremental operations (extend an open vertex, create a vertex, connect it)
-into a :class:`DagSink`.  Batch reduction (:func:`reduce_contact_network`)
-simply replays the whole horizon through a cursor writing straight into a
-:class:`~repro.reachgraph.dag.ContactDag`; every streaming merge resumes a
-cursor from a captured :class:`ReductionFrontier` — the first one from an
-empty frontier at the stream's origin — and records the same operations
-into a patch instead — one code path, two write targets.
+incremental operations (create a vertex, connect it, extend the vertices it
+closes) into a :class:`DagSink`, and :meth:`~ReductionCursor.finish` extends
+the vertices still open when the replay ends.  Batch reduction
+(:func:`reduce_contact_network`) simply replays the whole horizon through a
+cursor writing straight into a :class:`~repro.reachgraph.dag.ContactDag`;
+every streaming merge resumes a cursor from a captured
+:class:`ReductionFrontier` — the first one from an empty frontier at the
+stream's origin — and records the same operations into a patch instead —
+one code path, two write targets.
+
+A tick costs what changed, not the object count: the cursor compares each
+object's neighbour set with the previous tick's and recomputes only the
+components holding an object whose set differs (a component with no such
+member is the previous tick's, and its open vertex persists).  An open vertex
+is extended once — when it closes or when the replay ends — not every tick
+it persists.
 """
 
 from __future__ import annotations
@@ -81,6 +90,11 @@ class DagSink(Protocol):
     implicit: the cursor numbers vertices in creation order, and every sink
     must assign the same sequence (``ContactDag`` does — it numbers by
     ``len(nodes)``).
+
+    A vertex is created with the one-tick interval of its first tick and
+    extended at most once per replay: when it closes, or at
+    :meth:`ReductionCursor.finish`.  Until the caller finishes the replay,
+    the sink's ends of still-open vertices are stale.
     """
 
     def add_node(self, interval: TimeInterval, members: FrozenSet[ObjectId]) -> object:
@@ -88,7 +102,7 @@ class DagSink(Protocol):
         ...
 
     def extend_node(self, node_id: int, new_end: TimeInstant) -> None:
-        """Extend the persistence interval of an open vertex."""
+        """Extend the persistence interval of an open vertex (once per replay)."""
         ...
 
     def add_edge(self, source_id: int, target_id: int) -> None:
@@ -122,11 +136,21 @@ class ReductionCursor:
 
     ``advance(t, adjacency)`` consumes the snapshot graph ``G_t`` and emits
     the reduction's incremental operations into the sink: a component equal to
-    a currently open vertex extends it; anything else creates a vertex and
-    connects it to the previous vertices of its members.  The cursor owns all
-    cross-tick state (assignments, open member sets), so it never reads the
-    sink back — which is what lets the same code path drive both the batch
-    build (sink = the DAG) and the pure streaming patch (sink = a recorder).
+    a currently open vertex persists; anything else creates a vertex and
+    connects it to the previous vertices of its members, which close.  The
+    cursor owns all cross-tick state (assignments, open member sets), so it
+    never reads the sink back — which is what lets the same code path drive
+    both the batch build (sink = the DAG) and the pure streaming patch (sink =
+    a recorder).
+
+    A tick costs what changed since the previous one, not the object count:
+    only the components holding an object whose neighbour set differs from
+    the previous tick's are recomputed.  A component none of whose members
+    changed had the same neighbours at ``t - 1``, so it was a component
+    then too — the open vertex persists unchanged.  A fresh or resumed cursor
+    has no previous tick and recomputes every component once.  An open vertex
+    extends once, when it closes or at :meth:`finish`, so the sink's view of
+    open vertices' ends lags until the caller finishes the replay.
     """
 
     def __init__(
@@ -139,11 +163,18 @@ class ReductionCursor:
         open_members: Optional[Mapping[int, FrozenSet[ObjectId]]] = None,
     ) -> None:
         self._object_ids: Tuple[ObjectId, ...] = tuple(object_ids)
+        self._position: Dict[ObjectId, int] = {
+            object_id: position for position, object_id in enumerate(self._object_ids)
+        }
         self._sink = sink
         self._next_node_id = next_node_id
         self._next_tick = next_tick
         self._assignments: Dict[ObjectId, int] = dict(assignments or {})
         self._open_members: Dict[int, FrozenSet[ObjectId]] = dict(open_members or {})
+        # The end the sink holds for each open vertex (filled on the first tick).
+        self._sink_ends: Dict[int, TimeInstant] = {}
+        # The previous tick's adjacency; ``None`` until a tick was consumed.
+        self._adjacency: Optional[Mapping[ObjectId, Set[ObjectId]]] = None
 
     @classmethod
     def resume(cls, frontier: ReductionFrontier, sink: DagSink) -> "ReductionCursor":
@@ -171,32 +202,93 @@ class ReductionCursor:
             raise IndexConstructionError(
                 f"reduction cursor expected tick {self._next_tick}, got {t}"
             )
-        current: Dict[ObjectId, int] = {}
-        current_open: Dict[int, FrozenSet[ObjectId]] = {}
-        for members in snapshot_components(self._object_ids, adjacency):
-            node_id = self._match_open_vertex(members)
-            if node_id is not None:
-                # The same component persisted from t-1: extend its interval.
-                self._sink.extend_node(node_id, t)
-            else:
-                node_id = self._next_node_id
-                self._next_node_id += 1
-                self._sink.add_node(TimeInterval(t, t), members)
-                # Edges from the previous vertices of every member (the TEN
-                # holding edges collapse to component-to-component edges).
-                sources: Set[int] = set()
-                for member in members:
-                    prev = self._assignments.get(member)
-                    if prev is not None and prev != node_id:
-                        sources.add(prev)
-                for source in sources:
-                    self._sink.add_edge(source, node_id)
-            current_open[node_id] = members
+        previous = self._adjacency
+        if previous is None:
+            # Vertices open before the first tick end where the sink has them.
+            self._sink_ends = dict.fromkeys(self._open_members, t - 1)
+            components = snapshot_components(self._object_ids, adjacency)
+        else:
+            changed = [
+                object_id
+                for object_id, neighbours in adjacency.items()
+                if neighbours != previous.get(object_id)
+            ]
+            changed.extend(object_id for object_id in previous if object_id not in adjacency)
+            components = self._components_of(changed, adjacency)
+        assignments = self._assignments
+        for members in components:
+            if self._match_open_vertex(members) is not None:
+                continue  # the same component persisted from t-1
+            node_id = self._next_node_id
+            self._next_node_id += 1
+            self._sink.add_node(TimeInterval(t, t), members)
+            # Edges from the previous vertices of every member (the TEN
+            # holding edges collapse to component-to-component edges); those
+            # vertices close at t - 1.
+            sources: Set[int] = set()
             for member in members:
-                current[member] = node_id
-        self._assignments = current
-        self._open_members = current_open
+                prev = assignments.get(member)
+                if prev is not None:
+                    sources.add(prev)
+                assignments[member] = node_id
+            for source in sources:
+                self._close(source, t - 1)
+                self._sink.add_edge(source, node_id)
+            self._open_members[node_id] = members
+            self._sink_ends[node_id] = t
+        self._adjacency = adjacency
         self._next_tick = t + 1
+
+    def finish(self) -> None:
+        """Extend every open vertex through the last consumed tick.
+
+        Call once the replay is over (more ticks may follow): until then the
+        sink holds an open vertex's end as of its creation, or of the last
+        :meth:`finish`.
+        """
+        if self._next_tick is None:
+            return
+        last = self._next_tick - 1
+        sink_ends = self._sink_ends
+        for node_id, end in sink_ends.items():
+            if end < last:
+                self._sink.extend_node(node_id, last)
+                sink_ends[node_id] = last
+
+    def _close(self, node_id: int, last: TimeInstant) -> None:
+        """Close an open vertex whose component lived through ``last``."""
+        if self._open_members.pop(node_id, None) is None:
+            return  # already closed by another component of this tick
+        if self._sink_ends.pop(node_id) < last:
+            self._sink.extend_node(node_id, last)
+
+    def _components_of(
+        self, changed: List[ObjectId], adjacency: Mapping[ObjectId, Set[ObjectId]]
+    ) -> List[FrozenSet[ObjectId]]:
+        """The components of ``G_t`` holding a changed object, in first-member order.
+
+        Each is rebuilt by the BFS :func:`snapshot_components` runs from its
+        first member, so member sets (and their iteration order) are the ones
+        a full recomputation would produce.  A component with no member in
+        ``object_ids`` is skipped, as the full recomputation never reaches it.
+        """
+        position = self._position
+        firsts: List[Tuple[int, ObjectId, Optional[Set[ObjectId]]]] = []
+        seen: Set[ObjectId] = set()
+        for object_id in changed:
+            if object_id in seen:
+                continue
+            members = _component(object_id, adjacency)
+            seen.update(members)
+            known = [(position[member], member) for member in members if member in position]
+            if known:
+                rank, first = min(known)
+                firsts.append((rank, first, members if first == object_id else None))
+        firsts.sort(key=lambda entry: entry[0])
+        return [
+            frozenset(held if held is not None else _component(root, adjacency))
+            for _, root, held in firsts
+        ]
 
     def _match_open_vertex(self, members: FrozenSet[ObjectId]) -> Optional[int]:
         """The id of an open vertex identical to ``members``, or ``None``.
@@ -249,6 +341,7 @@ def reduce_contact_network(
     cursor = ReductionCursor(network.object_ids, dag)
     for t in horizon.instants():
         cursor.advance(t, network.snapshot_adjacency(t))
+    cursor.finish()
 
     ten_vertices = network.dataset.num_objects * horizon.length
     ten_edges = network.dataset.num_objects * (horizon.length - 1) + sum(
@@ -289,19 +382,24 @@ def snapshot_components(
     for object_id in object_ids:
         if object_id in seen:
             continue
-        if object_id not in adjacency:
-            seen.add(object_id)
-            components.append(frozenset((object_id,)))
-            continue
-        members: Set[ObjectId] = {object_id}
-        frontier = [object_id]
-        seen.add(object_id)
-        while frontier:
-            current = frontier.pop()
-            for neighbour in adjacency.get(current, set()):
-                if neighbour not in members:
-                    members.add(neighbour)
-                    seen.add(neighbour)
-                    frontier.append(neighbour)
+        members = _component(object_id, adjacency)
+        seen.update(members)
         components.append(frozenset(members))
     return components
+
+
+def _component(
+    root: ObjectId, adjacency: Mapping[ObjectId, Set[ObjectId]]
+) -> Set[ObjectId]:
+    """The members of ``root``'s component, in the insertion order of a BFS from it."""
+    members: Set[ObjectId] = {root}
+    if root not in adjacency:
+        return members
+    frontier = [root]
+    while frontier:
+        current = frontier.pop()
+        for neighbour in adjacency.get(current, ()):
+            if neighbour not in members:
+                members.add(neighbour)
+                frontier.append(neighbour)
+    return members

@@ -241,7 +241,6 @@ class StreamIngestor:
                 for c in self._closed
             ],
             "num_events": self._num_events,
-            "ingest_seconds": self._ingest_seconds,
         }
 
     def _load_state(self, state: Dict[str, Any]) -> None:
@@ -251,7 +250,10 @@ class StreamIngestor:
         ``memtable`` (samples of ticks already joined, ignored), a
         ``positions`` history (read only for ``next_time``) and no
         ``closed_floor`` (its closed list starts at the origin); the next
-        flush writes the current shape.
+        flush writes the current shape.  Wall-clock time is no state: the
+        checkpoint carries none (an ``ingest_seconds`` an earlier one carries
+        is ignored), so two ingestors fed the same batches write the same
+        bytes, and a restored ingestor counts its own time from 0.
         """
         self._origin = state["origin"]
         self._watermark = state["watermark"]
@@ -278,7 +280,6 @@ class StreamIngestor:
             for first, second, start, end in state["closed"]
         ]
         self._num_events = state["num_events"]
-        self._ingest_seconds = state["ingest_seconds"]
 
     def flush(self) -> None:
         """Make everything ingested so far durable (no-op on the sim backend).
@@ -404,7 +405,10 @@ class StreamIngestor:
 
     @property
     def ingest_seconds(self) -> float:
-        """Wall-clock seconds spent inside :meth:`ingest`."""
+        """Wall-clock seconds this ingestor object spent inside :meth:`ingest`.
+
+        Not checkpointed: a restored ingestor counts from 0.
+        """
         return self._ingest_seconds
 
     @property

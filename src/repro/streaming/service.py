@@ -193,7 +193,12 @@ class StreamingStats:
 
     @property
     def events_per_second(self) -> float:
-        """Ingest throughput over the life of the service."""
+        """Ingest throughput: ``events`` over ``ingest_seconds``.
+
+        ``ingest_seconds`` is not checkpointed, so after a resume it counts
+        only the resumed process's ingest calls while ``events`` counts the
+        whole stream: the rate is that of a service never resumed.
+        """
         if self.ingest_seconds <= 0:
             return 0.0
         return self.events / self.ingest_seconds

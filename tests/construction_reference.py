@@ -3,19 +3,36 @@
 The per-window sweep and the per-root placement search exactly as the build
 ran them before construction became per-window / per-vertex (ISSUE 19): each
 window rescans every vertex view, each root re-walks its whole depth-``dp``
-neighbourhood.  Kept here, out of ``src/``, as the implementations the
-production :class:`~repro.reachgraph.WindowSweep` and
-:func:`~repro.reachgraph.extend_partitioning` must equal bit for bit — edge
-order and member order included.
+neighbourhood.  And the reduction cursor as it ran before it became
+change-driven: every tick recomputes every component and extends every
+persisting vertex.  Kept here, out of ``src/``, as the implementations the
+production :class:`~repro.reachgraph.WindowSweep`,
+:func:`~repro.reachgraph.extend_partitioning` and
+:class:`~repro.reachgraph.ReductionCursor` must equal bit for bit — edge
+order, member order and vertex numbering included.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Container, Dict, Iterable, List, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Container,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from repro.core.types import TimeInstant
-from repro.reachgraph import ContactDag
+from repro.core.errors import IndexConstructionError
+from repro.core.types import ObjectId, TimeInstant, TimeInterval
+from repro.reachgraph import ContactDag, ReductionFrontier
+from repro.reachgraph.reduction import DagSink
 
 NodeView = Tuple[int, TimeInstant, TimeInstant]
 
@@ -141,3 +158,133 @@ def place(
             assigned.update(members)
             created.append(members)
     return created
+
+
+def snapshot_components(
+    object_ids: Sequence[ObjectId],
+    adjacency: Mapping[ObjectId, Set[ObjectId]],
+) -> List[FrozenSet[ObjectId]]:
+    """Connected components of one snapshot graph (singletons included).
+
+    Components are enumerated in first-member order over ``object_ids``, which
+    is what makes vertex numbering deterministic across the batch build and
+    the incremental replay of the same snapshots.
+    """
+    components: List[FrozenSet[ObjectId]] = []
+    seen: Set[ObjectId] = set()
+    for object_id in object_ids:
+        if object_id in seen:
+            continue
+        if object_id not in adjacency:
+            seen.add(object_id)
+            components.append(frozenset((object_id,)))
+            continue
+        members: Set[ObjectId] = {object_id}
+        frontier = [object_id]
+        seen.add(object_id)
+        while frontier:
+            current = frontier.pop()
+            for neighbour in adjacency.get(current, set()):
+                if neighbour not in members:
+                    members.add(neighbour)
+                    seen.add(neighbour)
+                    frontier.append(neighbour)
+        components.append(frozenset(members))
+    return components
+
+
+class ReductionCursor:
+    """The paper's one-pass reduction, reformulated as resumable per-tick ops.
+
+    ``advance(t, adjacency)`` consumes the snapshot graph ``G_t`` and emits
+    the reduction's incremental operations into the sink: a component equal to
+    a currently open vertex extends it; anything else creates a vertex and
+    connects it to the previous vertices of its members.  The cursor owns all
+    cross-tick state (assignments, open member sets), so it never reads the
+    sink back — which is what lets the same code path drive both the batch
+    build (sink = the DAG) and the pure streaming patch (sink = a recorder).
+    """
+
+    def __init__(
+        self,
+        object_ids: Sequence[ObjectId],
+        sink: DagSink,
+        next_node_id: int = 0,
+        next_tick: Optional[TimeInstant] = None,
+        assignments: Optional[Mapping[ObjectId, int]] = None,
+        open_members: Optional[Mapping[int, FrozenSet[ObjectId]]] = None,
+    ) -> None:
+        self._object_ids: Tuple[ObjectId, ...] = tuple(object_ids)
+        self._sink = sink
+        self._next_node_id = next_node_id
+        self._next_tick = next_tick
+        self._assignments: Dict[ObjectId, int] = dict(assignments or {})
+        self._open_members: Dict[int, FrozenSet[ObjectId]] = dict(open_members or {})
+
+    @classmethod
+    def resume(cls, frontier: ReductionFrontier, sink: DagSink) -> "ReductionCursor":
+        """A cursor continuing a frozen reduction at ``frontier.end + 1``."""
+        return cls(
+            frontier.object_ids,
+            sink,
+            next_node_id=frontier.num_nodes,
+            next_tick=frontier.end + 1,
+            assignments=dict(frontier.assignments),
+            open_members={
+                node_id: frozenset(members)
+                for node_id, members in frontier.open_members
+            },
+        )
+
+    @property
+    def next_node_id(self) -> int:
+        """Id the next created vertex will receive."""
+        return self._next_node_id
+
+    def advance(self, t: TimeInstant, adjacency: Mapping[ObjectId, Set[ObjectId]]) -> None:
+        """Consume snapshot ``G_t`` (its contact adjacency), emit the ops."""
+        if self._next_tick is not None and t != self._next_tick:
+            raise IndexConstructionError(
+                f"reduction cursor expected tick {self._next_tick}, got {t}"
+            )
+        current: Dict[ObjectId, int] = {}
+        current_open: Dict[int, FrozenSet[ObjectId]] = {}
+        for members in snapshot_components(self._object_ids, adjacency):
+            node_id = self._match_open_vertex(members)
+            if node_id is not None:
+                # The same component persisted from t-1: extend its interval.
+                self._sink.extend_node(node_id, t)
+            else:
+                node_id = self._next_node_id
+                self._next_node_id += 1
+                self._sink.add_node(TimeInterval(t, t), members)
+                # Edges from the previous vertices of every member (the TEN
+                # holding edges collapse to component-to-component edges).
+                sources: Set[int] = set()
+                for member in members:
+                    prev = self._assignments.get(member)
+                    if prev is not None and prev != node_id:
+                        sources.add(prev)
+                for source in sources:
+                    self._sink.add_edge(source, node_id)
+            current_open[node_id] = members
+            for member in members:
+                current[member] = node_id
+        self._assignments = current
+        self._open_members = current_open
+        self._next_tick = t + 1
+
+    def _match_open_vertex(self, members: FrozenSet[ObjectId]) -> Optional[int]:
+        """The id of an open vertex identical to ``members``, or ``None``.
+
+        A vertex can be extended only when it is still open (it survived the
+        previous tick) and has exactly the same member set; any member serves
+        as the probe because an identical match implies every member carried
+        the same assignment.
+        """
+        candidate = self._assignments.get(next(iter(members)))
+        if candidate is None:
+            return None
+        if self._open_members.get(candidate) != members:
+            return None
+        return candidate

@@ -5,10 +5,10 @@ domain (``StreamIngestor.prefix_domain`` — object ids and horizon), never a
 position.  This suite pins the domain's coverage checks and the resume of
 devices written while every elapsed interval's samples were still archived as
 ``<name>-grid-cells`` extents: the cells are dropped and freed by the next
-reclaim, a ``memtable`` or ``positions`` in the checkpoint is read past, a
-full closed-contact list resumes, and a checkpoint from before WAL truncation
-replays its journal — with answers equal to the reference evaluator on every
-persistent backend.
+reclaim, a ``memtable``, ``positions`` or ``ingest_seconds`` in the
+checkpoint is read past, a full closed-contact list resumes, and a checkpoint
+from before WAL truncation replays its journal — with answers equal to the
+reference evaluator on every persistent backend.
 """
 
 from __future__ import annotations
@@ -241,6 +241,27 @@ class TestArchivedDevices:
         resumed.flush()
         rewritten = resumed.ingestor.storage.get_metadata(CHECKPOINT_KEY)["state"]
         assert "positions" not in rewritten
+        resumed.close()
+
+    def test_checkpoint_ingest_seconds_is_ignored(self, backend, tmp_path, dataset):
+        """A checkpoint carrying the wall-clock ``ingest_seconds`` (what
+        earlier ingestors wrote) resumes; the resumed ingestor counts its own
+        time from 0, and its next checkpoint carries no time."""
+        storage_config, name, batches, unkilled = self._half_drained(
+            backend, tmp_path, dataset
+        )
+
+        def timed(grid, checkpoint):
+            checkpoint["state"]["ingest_seconds"] = 1e6
+
+        rewrite_checkpoint(storage_config, name, timed)
+        resumed = resume_and_finish(
+            storage_config, name, dataset, batches, unkilled, f"timed, {backend}"
+        )
+        assert 0.0 < resumed.ingestor.ingest_seconds < 1e6
+        resumed.flush()
+        rewritten = resumed.ingestor.storage.get_metadata(CHECKPOINT_KEY)["state"]
+        assert "ingest_seconds" not in rewritten
         resumed.close()
 
     def test_checkpoint_without_state_replays_the_journal(

@@ -19,8 +19,11 @@ from repro.core import IndexConstructionError, Point, ReachGraphConfig, TimeInte
 from repro.generators import RandomWaypointGenerator
 from repro.reachgraph import (
     ContactDag,
+    GraphFrontier,
     LongEdgeLayer,
     ReachGraphIndex,
+    ReductionCursor,
+    ReductionFrontier,
     VertexRecord,
     WindowSweep,
     augment_dag,
@@ -421,6 +424,197 @@ class TestWindowSweepOracle:
         assert accesses(swept, once) <= 3 * len(once) * 5
         # The pin discriminates: the rescanning sweep fails it.
         assert accesses(rescanned, twice) > 3.5 * accesses(rescanned, once)
+
+
+class TestSweepEmitsNoDuplicate:
+    """No ``(source, target)`` pair is emitted twice per resolution, however
+    the windows are cut into calls: layers and ``apply_increment`` append the
+    sweep's pairs with no membership scan."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(contact_worlds(), st.data())
+    def test_across_window_cursors(self, world, data):
+        dag, _ = reduce_contact_network(_network(*world))
+        horizon = dag.horizon
+        sweep = WindowSweep(_views(dag), dag.forward)
+        for resolution in SWEEP_RESOLUTIONS:
+            cuts = data.draw(
+                st.lists(st.integers(horizon.start, horizon.end), max_size=4), label="cuts"
+            )
+            ta, pieces = horizon.start, []
+            for through in sorted(cuts) + [horizon.end]:
+                edges, ta = sweep.edges_through(resolution, ta, through)
+                pieces.extend(edges)
+            whole, _ = sweep.edges_through(resolution, horizon.start, horizon.end)
+            assert pieces == whole
+            assert len(set(pieces)) == len(pieces)
+            # The layer holds each source's targets in sweep order.
+            grouped = {}
+            for source_id, target_id in whole:
+                grouped.setdefault(source_id, []).append(target_id)
+            assert build_layer(dag, resolution).forward == grouped
+
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.data_too_large]
+    )
+    @given(contact_worlds(min_ticks=8), st.data())
+    def test_across_merges(self, world, data):
+        """Patches from an empty index through >= 3 merges: every window's
+        pairs arrive once, and together they are the batch layers."""
+        dataset, contacts = world
+        ticks = dataset.num_instants
+        cuts = sorted(
+            data.draw(
+                st.sets(st.integers(min_value=1, max_value=ticks - 1), min_size=2, max_size=5),
+                label="merge bounds",
+            )
+        )
+        index = ReachGraphIndex(
+            None, ReachGraphConfig(resolutions=SWEEP_RESOLUTIONS, partition_depth=4)
+        )
+        frontier = GraphFrontier.empty(
+            dataset.object_ids, dataset.horizon.start, SWEEP_RESOLUTIONS
+        )
+        pairs = {resolution: [] for resolution in SWEEP_RESOLUTIONS}
+        for through in cuts + [dataset.horizon.end]:
+            patch = compute_graph_patch(frontier, contacts, through)
+            for resolution, edges in patch.new_long_edges:
+                pairs[resolution].extend(edges)
+            index.apply_increment(patch)
+            frontier = index.frontier()
+        batch, _ = augment_dag(
+            reduce_contact_network(_network(*world))[0], SWEEP_RESOLUTIONS
+        )
+        for resolution, emitted in pairs.items():
+            assert len(set(emitted)) == len(emitted)
+            layer = batch.layer(resolution)
+            assert sorted(emitted) == sorted(
+                (source_id, target_id)
+                for source_id, targets in layer.forward.items()
+                for target_id in targets
+            )
+            assert index.hypergraph.layer(resolution).forward == layer.forward
+
+
+# ----------------------------------------------------------------------
+# Reduction oracle: the change-driven cursor against the full-recompute
+# cursor kept in construction_reference.py.
+# ----------------------------------------------------------------------
+class RecordingSink:
+    """A ``DagSink`` recording vertices, DN_1 edges in order, and extensions."""
+
+    def __init__(self, base_nodes=0):
+        self.base_nodes = base_nodes
+        self.nodes = []  # [node_id, start, end, members in iteration order]
+        self.edges = []
+        self.extensions = {}  # pre-existing vertex -> its last extended end
+        self.extend_calls = 0
+
+    def add_node(self, interval, members):
+        self.nodes.append(
+            [self.base_nodes + len(self.nodes), interval.start, interval.end, tuple(members)]
+        )
+
+    def extend_node(self, node_id, new_end):
+        self.extend_calls += 1
+        if node_id >= self.base_nodes:
+            self.nodes[node_id - self.base_nodes][2] = new_end
+        else:
+            self.extensions[node_id] = new_end
+
+    def add_edge(self, source_id, target_id):
+        self.edges.append((source_id, target_id))
+
+
+def _replay(cursor_type, object_ids, snapshots, frontier=None):
+    """Replay ``(t, adjacency)`` snapshots through a fresh or resumed cursor."""
+    if frontier is None:
+        sink = RecordingSink()
+        cursor = cursor_type(object_ids, sink)
+    else:
+        sink = RecordingSink(frontier.num_nodes)
+        cursor = cursor_type.resume(frontier, sink)
+    for t, adjacency in snapshots:
+        cursor.advance(t, adjacency)
+    if cursor_type is ReductionCursor:
+        cursor.finish()
+    return sink
+
+
+def _frontier_at(nodes, object_ids, start, end):
+    """The reduction frontier after tick ``end`` of a recorded batch replay."""
+    alive = [(node_id, members) for node_id, first, last, members in nodes if first <= end <= last]
+    return ReductionFrontier(
+        start=start,
+        end=end,
+        num_nodes=sum(1 for _, first, _, _ in nodes if first <= end),
+        object_ids=tuple(object_ids),
+        assignments=tuple(
+            (member, node_id) for node_id, members in alive for member in members
+        ),
+        open_members=tuple(alive),
+    )
+
+
+def _assert_cursor_matches_the_reference(network):
+    """Batch, and resumed from a frontier at every tick: the same vertices
+    (ids, intervals, member order), DN_1 edges in order and final extensions,
+    with one ``extend_node`` per vertex that outlives its first tick."""
+    horizon = network.horizon
+    object_ids = network.object_ids
+    snapshots = [(t, network.snapshot_adjacency(t)) for t in horizon.instants()]
+    expected = _replay(reference.ReductionCursor, object_ids, snapshots)
+    actual = _replay(ReductionCursor, object_ids, snapshots)
+    assert actual.nodes == expected.nodes
+    assert actual.edges == expected.edges
+    assert actual.extend_calls == sum(1 for _, first, last, _ in actual.nodes if last > first)
+    for position, (end, _) in enumerate(snapshots):
+        frontier = _frontier_at(expected.nodes, object_ids, horizon.start, end)
+        rest = snapshots[position + 1 :]
+        expected_rest = _replay(reference.ReductionCursor, object_ids, rest, frontier)
+        actual_rest = _replay(ReductionCursor, object_ids, rest, frontier)
+        assert actual_rest.nodes == expected_rest.nodes
+        assert actual_rest.edges == expected_rest.edges
+        assert actual_rest.extensions == expected_rest.extensions
+        assert actual_rest.extend_calls == len(actual_rest.extensions) + sum(
+            1 for _, first, last, _ in actual_rest.nodes if last > first
+        )
+
+
+class TestReductionCursorOracle:
+    def test_random_waypoint_world(self, tiny_network):
+        _assert_cursor_matches_the_reference(tiny_network)
+
+    def test_vehicle_network_world(self, vn_tiny_network):
+        _assert_cursor_matches_the_reference(vn_tiny_network)
+
+    @settings(max_examples=60, deadline=None)
+    @given(contact_worlds())
+    def test_drawn_worlds(self, world):
+        _assert_cursor_matches_the_reference(_network(*world))
+
+    def test_dag_equals_the_reference_replay(self, tiny_network):
+        """The batch DAG through the sink ``reduce_contact_network`` uses."""
+        dag, _ = reduce_contact_network(tiny_network)
+        expected = ContactDag(tiny_network.horizon, tiny_network.dataset.num_objects)
+        cursor = reference.ReductionCursor(tiny_network.object_ids, expected)
+        for t in tiny_network.horizon.instants():
+            cursor.advance(t, tiny_network.snapshot_adjacency(t))
+        assert [
+            (node.node_id, node.interval, tuple(node.members)) for node in dag.nodes
+        ] == [(node.node_id, node.interval, tuple(node.members)) for node in expected.nodes]
+        assert dag.forward == expected.forward and dag.backward == expected.backward
+
+    def test_extensions_are_once_per_vertex_not_per_tick(self, tiny_network):
+        """The reference extends on every tick a vertex persists; the cursor once."""
+        snapshots = [
+            (t, tiny_network.snapshot_adjacency(t)) for t in tiny_network.horizon.instants()
+        ]
+        expected = _replay(reference.ReductionCursor, tiny_network.object_ids, snapshots)
+        actual = _replay(ReductionCursor, tiny_network.object_ids, snapshots)
+        persisted = sum(last - first for _, first, last, _ in expected.nodes)
+        assert expected.extend_calls == persisted
+        assert actual.extend_calls < persisted / 2
 
 
 def _grow_index(world, data, partition_depth):

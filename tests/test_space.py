@@ -466,9 +466,9 @@ class TestWriterStaysFlat:
     batches: what each flush writes to the ingestor device — the manifest
     bytes and the checkpoint's closed contacts — stays flat, and the device
     holds journal blocks only.  The graph half: the vertex rows the writer
-    holds per merge stay flat too, the ``DN_1`` successor tuples being the
-    one structure that grows with the stream, and no writer — draining or
-    resumed — materialises the whole graph."""
+    holds and the records it writes per merge stay flat too, the ``DN_1``
+    successor tuples being the one structure that grows with the stream, and
+    no writer — draining or resumed — materialises the whole graph."""
 
     LENGTHS = (40, 80, 160)
     GRAPH_LENGTHS = (100, 200, 400)
@@ -542,7 +542,7 @@ class TestWriterStaysFlat:
         successors = index._working.successors
         assert len(successors) == index.num_vertices
         size = sys.getsizeof(successors) + sum(map(sys.getsizeof, successors))
-        return max(held), index.num_vertices, size
+        return max(held), index.num_vertices, size, index.records_written / merges
 
     @pytest.mark.parametrize("repack", (0, 2))
     def test_graph_rows_held_are_flat_in_stream_length(
@@ -561,9 +561,14 @@ class TestWriterStaysFlat:
         # The graph grows with the stream, and so do its successor tuples...
         assert longest[1] >= 3 * short[1], runs
         assert longest[2] >= 3 * short[2], runs
-        # ...but the rows a merge holds stay within the short stream's plus half.
+        # ...but the rows a merge holds stay within the short stream's plus half,
         assert longest[0] <= 1.5 * short[0], runs
         assert longest[0] < longest[1] / 4, runs
+        # and so do the records a merge writes, repacks included (mean per
+        # merge at 100 / 200 / 400 ticks: 92 / 108 / 113 with repack off,
+        # 107 / 127 / 139 with it).
+        for ticks in self.GRAPH_LENGTHS[1:]:
+            assert runs[ticks][3] <= 1.5 * short[3], runs
         assert materialised.calls == dict.fromkeys(materialised.calls, 0)
 
     def test_a_resumed_writer_materialises_nothing(self, graph_world, tmp_path, monkeypatch):

@@ -7,8 +7,8 @@ writer beside one running the resident-DAG writer it replaced
 (``resident_dag_reference.py``) and pin, at every merge, that both leave the
 same extent records and block ids, object-index buckets, catalog and labels
 — on every backend, across the merge-size axis, with repack on and off, and
-across a kill and resume.  On a persistent backend the two overlay devices
-end byte for byte equal.  They also pin what the writer holds: no whole
+across a kill and resume.  On a persistent backend the two overlay devices,
+and the two grid devices, end byte for byte equal.  They also pin what the writer holds: no whole
 graph, only the rows a patch can still touch.
 """
 
@@ -120,15 +120,16 @@ def storage_configs(backend, tmp_path):
 
 
 def assert_same_devices(tmp_path):
-    """The overlay device files the two services left are byte for byte
-    the same (the ingestor's checkpoint records ingest wall time)."""
+    """The overlay and grid device files the two services left are byte for
+    byte the same (the ingestor's checkpoint carries no wall-clock time)."""
     names = sorted(os.listdir(tmp_path / "mine"))
     assert names == sorted(os.listdir(tmp_path / "theirs"))
-    overlay = [name for name in names if "-overlay" in name]
-    assert overlay
-    for name in overlay:
-        mine = (tmp_path / "mine" / name).read_bytes()
-        assert mine == (tmp_path / "theirs" / name).read_bytes(), name
+    for device in ("-overlay", "-grid"):
+        files = [name for name in names if device in name]
+        assert files, device
+        for name in files:
+            mine = (tmp_path / "mine" / name).read_bytes()
+            assert mine == (tmp_path / "theirs" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("backend", ("sim",) + EQUIVALENCE_BACKENDS)
