@@ -237,7 +237,7 @@ class StreamingConfig:
     gc_trigger_ratio:
         Device garbage fraction past which the service runs
         :meth:`~repro.storage.StorageSystem.reclaim` on its devices after a
-        merge adoption or flush.  ``0.0`` (the default) disables automatic
+        merge adoption.  ``0.0`` (the default) disables automatic
         GC — garbage is still measured by the superseded-block ledgers and
         can be reclaimed explicitly via
         :meth:`~repro.streaming.service.StreamingReachabilityService.reclaim`.
@@ -256,8 +256,9 @@ class StreamingConfig:
     partition_cache_size:
         Capacity (in graph partitions) of the cross-query partition cache
         the service's overlay keeps.  The cache is
-        generation-stamped and invalidated whenever the graph mutates (merge
-        adoption, repack).  ``0`` disables it, restoring the
+        generation-stamped; a merge adoption drops the partitions it
+        rewrote and a repack the ones it retired.  ``0`` disables it,
+        restoring the
         per-query-only caching of earlier versions.
     """
 

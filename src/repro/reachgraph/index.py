@@ -37,22 +37,30 @@ What the index holds in memory is two things with two lifetimes.  The
 (:meth:`~ReachGraphIndex.locate`), the interval labels, the object index and
 the :class:`GraphDomain` (which objects, which ticks), and the vertex starts
 (:meth:`~ReachGraphIndex.vertices_starting_by`).
-:meth:`ReachGraphIndex.restore` rebuilds exactly that from the device.  The
-*working set* is what a writer holds between merges (:class:`_WorkingSet`):
-the vertex rows of every partition that still holds an unfrozen vertex, one
-``DN_1`` successor tuple per vertex (the labels and the partitioner read
-them), and each object's current vertex.  A vertex *freezes* once it has
-closed and every augmentation window cursor has passed its end: no later
-patch can touch its record, so a partition whose members have all frozen
-leaves the working set — once its packed extent is written, when its owner
-repacks.  :meth:`~ReachGraphIndex.frontier`,
+:meth:`ReachGraphIndex.restore` rebuilds exactly that from the graph's
+*directory*, an append-only ``<graph>-directory`` block file beside the
+partition extents: every write that changes the graph — :meth:`build`, every
+:meth:`~ReachGraphIndex.apply_increment` (the first patch included) and every
+:meth:`~ReachGraphIndex.repack_frontier` — appends one chunk of packed ints
+saying what changed (new vertices' starts, ends and members, extended ends,
+the ``DN_1`` edges in the order they joined successor lists, new partitions'
+members, retired partition ids), so a reopen replays the chunks and decodes
+no vertex record.  The *working set* is what a writer holds between merges
+(:class:`_WorkingSet`): the vertex rows of every partition that still holds
+an unfrozen vertex, one ``DN_1`` successor tuple per vertex (the labels and
+the partitioner read them), and each object's current vertex.  A vertex
+*freezes* once it has closed and every augmentation window cursor has passed
+its end: no later patch can touch its record, so a partition whose members
+have all frozen leaves the working set — once its packed extent is written,
+when its owner repacks.  :meth:`~ReachGraphIndex.frontier`,
 :meth:`~ReachGraphIndex.apply_increment` and
 :meth:`~ReachGraphIndex.repack_frontier` read and patch only the working
 set, and write extents from its rows.  A resumed writer builds it from the
-records its restore reads anyway; a read-only restore keeps none of it.  The
-whole graph in memory — ``dag`` and ``hypergraph`` — is the batch build's
-until its first increment, and otherwise materialises from the extents on
-demand (for tests and batch consumers, never on the writer's path).
+directory and the extents of its unfrozen partitions alone; a read-only
+restore keeps none of it.  The whole graph in memory — ``dag`` and
+``hypergraph`` — is the batch build's until its first increment, and
+otherwise materialises from the extents on demand (for tests and batch
+consumers, never on the writer's path).
 """
 
 from __future__ import annotations
@@ -61,7 +69,8 @@ import time
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter, ne
+from itertools import accumulate, chain, islice, repeat
+from operator import itemgetter, le, ne
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..core.config import ContactConfig, ReachGraphConfig, StorageConfig
@@ -138,6 +147,240 @@ def _int64s(run: Any) -> memoryview:
     """
     view = memoryview(run)
     return view if view.format == "q" else view.cast("q")
+
+
+#: Bytes of a directory block per record slot of the partition file.  A
+#: partition block is one page of ``records_per_block`` slots (the paper's
+#: 4 KiB page at the default 16); a directory block holds at most that
+#: page's bytes of a chunk, less room for the block's own framing (so it
+#: fits an ``mmap`` slot), and its read is charged as one block like any
+#: other.
+_DIRECTORY_BYTES_PER_SLOT = 240
+
+#: The sections of a directory chunk, in order, with their int width:
+#: ``q`` (int64) for times and object ids, ``i`` (int32) for vertex and
+#: partition ids and counts.  The chunk header holds each section's length.
+_CHUNK_SECTIONS = (
+    ("starts", "q"),  # of the new vertices, ids from the header's first
+    ("ends", "q"),
+    ("member_counts", "i"),
+    ("members", "q"),  # every new vertex's sorted members, concatenated
+    ("extended", "i"),  # vertices whose end moved ...
+    ("extended_to", "q"),  # ... and their new ends
+    ("edge_sources", "i"),  # DN_1 edges in the order they joined ...
+    ("edge_targets", "i"),  # ... their source's successor list
+    ("partitions", "i"),  # new partition ids ...
+    ("partition_sizes", "i"),
+    ("partition_members", "i"),  # ... and their members in slot order
+    ("retired", "i"),  # partition ids a repack folded
+)
+
+
+def _pack_chunk(
+    first_vertex: int,
+    starts: Iterable[TimeInstant] = (),
+    ends: Iterable[TimeInstant] = (),
+    member_counts: Iterable[int] = (),
+    members: Iterable[ObjectId] = (),
+    extensions: Sequence[Tuple[int, TimeInstant]] = (),
+    edge_sources: Iterable[int] = (),
+    edge_targets: Iterable[int] = (),
+    partitions: Sequence[Tuple[int, Sequence[int]]] = (),
+    retired: Iterable[int] = (),
+) -> bytes:
+    """One directory chunk: what a write changed, as packed ints.
+
+    ``starts``, ``ends``, ``member_counts`` and ``members`` (each vertex's
+    sorted members, concatenated) describe the new vertices, numbered from
+    ``first_vertex``; ``extensions`` are the ``(vertex, new
+    end)`` of older ones; ``edge_sources`` / ``edge_targets`` the ``DN_1``
+    edges in the order they joined their source's successor list;
+    ``partitions`` the new partitions with their members in slot order;
+    ``retired`` the partition ids a repack folded.
+    """
+    values = (
+        starts,
+        ends,
+        member_counts,
+        members,
+        [node_id for node_id, _ in extensions],
+        [end for _, end in extensions],
+        edge_sources,
+        edge_targets,
+        [partition_id for partition_id, _ in partitions],
+        [len(member_ids) for _, member_ids in partitions],
+        chain.from_iterable(member_ids for _, member_ids in partitions),
+        retired,
+    )
+    sections = [array(code, column) for (_, code), column in zip(_CHUNK_SECTIONS, values)]
+    header = array("q", [first_vertex, *map(len, sections)])
+    return header.tobytes() + b"".join(section.tobytes() for section in sections)
+
+
+class _Directory:
+    """The graph's directory in memory: what the serving state is built from.
+
+    Per vertex, in id order: its start, its end, its member count and its
+    ``DN_1`` successor list, and every vertex's sorted members concatenated
+    in id order; and every live partition's members in slot order.
+    :meth:`replay` folds in one chunk of the ``<graph>-directory`` file;
+    :meth:`from_records` derives the same from the vertex records of a
+    device written before the directory existed.
+    """
+
+    __slots__ = (
+        "starts",
+        "ends",
+        "member_counts",
+        "members",
+        "successors",
+        "partitions",
+        "_offsets",
+    )
+
+    def __init__(self) -> None:
+        self.starts: "array[int]" = array("q")
+        self.ends: "array[int]" = array("q")
+        self.member_counts: "array[int]" = array("i")
+        self.members: "array[int]" = array("q")
+        self.successors: List[List[int]] = []
+        self.partitions: Dict[int, List[int]] = {}
+        self._offsets: Optional["array[int]"] = None
+
+    def replay(self, chunk: bytes) -> None:
+        """Apply one chunk (:func:`_pack_chunk`) on top of the chunks before it."""
+        header = array("q")
+        header.frombytes(chunk[: 8 * (len(_CHUNK_SECTIONS) + 1)])
+        first_vertex, *lengths = header
+        offset = 8 * len(header)
+        sections: List["array[int]"] = []
+        for (_, code), length in zip(_CHUNK_SECTIONS, lengths):
+            values = array(code)
+            values.frombytes(chunk[offset : offset + values.itemsize * length])
+            offset += values.itemsize * length
+            sections.append(values)
+        if offset != len(chunk) or first_vertex != len(self.starts):
+            raise IndexConstructionError(
+                f"directory chunk of {len(chunk)} bytes from vertex "
+                f"{first_vertex} does not follow a directory of "
+                f"{len(self.starts)} vertices"
+            )
+        (starts, ends, counts, members, extended, extended_to, sources, targets,
+         partition_ids, sizes, partition_members, retired) = sections
+        self.starts.extend(starts)
+        self.ends.extend(ends)
+        self.member_counts.extend(counts)
+        self.members.extend(members)
+        self._offsets = None
+        self.successors.extend([] for _ in counts)
+        for node_id, end in zip(extended, extended_to):
+            self.ends[node_id] = end
+        successors = self.successors
+        for source_id, target_id in zip(sources, targets):
+            successors[source_id].append(target_id)
+        flat = iter(partition_members)
+        for partition_id, size in zip(partition_ids, sizes):
+            self.partitions[partition_id] = list(islice(flat, size))
+        for partition_id in retired:
+            del self.partitions[partition_id]
+
+    @classmethod
+    def from_records(
+        cls, partition_members: Dict[int, List[int]], records: Sequence[VertexRow]
+    ) -> "_Directory":
+        """The directory of a device written before it: the vertex records
+        (every one, in id order) and each extent's members say it all."""
+        directory = cls()
+        directory.starts = array("q", [record[1] for record in records])
+        directory.ends = array("q", [record[2] for record in records])
+        directory.member_counts = array("i", [len(record[3]) for record in records])
+        directory.members = array("q", chain.from_iterable(record[3] for record in records))
+        directory.successors = [list(record[4]) for record in records]
+        directory.partitions = dict(partition_members)
+        return directory
+
+    def _vertex_of_members(self) -> Iterable[int]:
+        """The vertex of each entry of :attr:`members`, in order."""
+        return chain.from_iterable(
+            map(repeat, range(len(self.member_counts)), self.member_counts)
+        )
+
+    def members_of(self, node_id: int) -> Tuple[ObjectId, ...]:
+        """Vertex ``node_id``'s sorted members."""
+        if self._offsets is None:
+            self._offsets = array("q", accumulate(self.member_counts, initial=0))
+        return tuple(self.members[self._offsets[node_id] : self._offsets[node_id + 1]])
+
+    def histories(self) -> Dict[ObjectId, List[int]]:
+        """Each object's vertices in id (= creation) order: its assignment
+        history, each segment starting where its vertex does."""
+        nodes_of: Dict[ObjectId, List[int]] = {}
+        for member, node_id in zip(self.members.tolist(), list(self._vertex_of_members())):
+            nodes = nodes_of.get(member)
+            if nodes is None:
+                nodes_of[member] = [node_id]
+            else:
+                nodes.append(node_id)
+        return nodes_of
+
+    def current(self) -> Dict[ObjectId, int]:
+        """Each object's last vertex: where it stands at the horizon end."""
+        return dict(zip(self.members, self._vertex_of_members()))
+
+    def chunk(self) -> bytes:
+        """The whole directory as one chunk (what a writer appends to a
+        device that has none)."""
+        return _pack_chunk(
+            0,
+            self.starts,
+            self.ends,
+            self.member_counts,
+            self.members,
+            (),
+            *_edges_of(self.successors),
+            partitions=sorted(self.partitions.items()),
+        )
+
+
+def _edges_of(successors: Sequence[Sequence[int]]) -> Tuple[Iterable[int], Iterable[int]]:
+    """The sources and the targets of every ``DN_1`` edge of whole
+    successor lists, in list order (for :func:`_pack_chunk`)."""
+    return (
+        chain.from_iterable(map(repeat, range(len(successors)), map(len, successors))),
+        chain.from_iterable(successors),
+    )
+
+
+def _check_extent_size(partition_id: int, num_records: int, member_ids: Sequence[int]) -> None:
+    """Refuse an extent holding another number of records than members."""
+    if num_records != len(member_ids):
+        raise IndexConstructionError(
+            f"partition {partition_id} holds {num_records} records on the "
+            f"device, its directory lists {len(member_ids)} members"
+        )
+
+
+def _check_rows(
+    partition_id: int,
+    records: Sequence[VertexRow],
+    member_ids: Sequence[int],
+    directory: _Directory,
+) -> None:
+    """Refuse a partition's records unless each is the directory's vertex
+    in that slot: the same id, start, end, members and successor order."""
+    _check_extent_size(partition_id, len(records), member_ids)
+    for slot, (node_id, row) in enumerate(zip(member_ids, records)):
+        if (
+            row[0] != node_id
+            or row[1] != directory.starts[node_id]
+            or row[2] != directory.ends[node_id]
+            or tuple(row[3]) != directory.members_of(node_id)
+            or list(row[4]) != directory.successors[node_id]
+        ):
+            raise IndexConstructionError(
+                f"slot {slot} of partition {partition_id} holds a record of "
+                f"vertex {row[0]} that is not the directory's vertex {node_id}"
+            )
 
 
 @dataclass(slots=True)
@@ -286,7 +529,8 @@ class GraphIncrementReport:
     new_edges: int
     new_long_edges: int
     new_partitions: int
-    rewritten_partitions: int
+    #: Ids of the partitions whose extents the patch rewrote.
+    rewritten_partitions: Tuple[int, ...]
     records_written: int
     apply_seconds: float
 
@@ -400,6 +644,9 @@ class ReachGraphIndex:
         # existing ones, and a build without them stays in memory.
         self._storage: Optional[StorageSystem] = None
         self._partitions_file: Optional[BlockFile] = None
+        # The append-only directory (module docstring); ``None`` on a
+        # device written before it, until a writer appends one.
+        self._directory_file: Optional[BlockFile] = None
         self._object_index: Optional[ExternalHashTable] = None
         if not defer_placement:
             self._attach_files(
@@ -448,9 +695,25 @@ class ReachGraphIndex:
         if create:
             self._partitions_file = storage.new_blockfile(f"{self.name}-partitions")
             self._object_index = storage.new_hashtable(f"{self.name}-object-index")
+            self._directory_file = self._new_directory_file()
         else:
             self._partitions_file = storage.blockfile(f"{self.name}-partitions")
             self._object_index = storage.hashtable(f"{self.name}-object-index")
+            if storage.has_blockfile(f"{self.name}-directory"):
+                self._directory_file = storage.blockfile(f"{self.name}-directory")
+
+    def _new_directory_file(self) -> BlockFile:
+        # One piece of a chunk per block (see _DIRECTORY_BYTES_PER_SLOT).
+        return self.storage.new_blockfile(f"{self.name}-directory", records_per_block=1)
+
+    def _append_chunk(self, chunk: bytes) -> None:
+        """Append one chunk (:func:`_pack_chunk`) to the directory."""
+        assert self._directory_file is not None and self._partitions_file is not None
+        size = self._partitions_file.records_per_block * _DIRECTORY_BYTES_PER_SLOT
+        self._directory_file.append_extent(
+            self._directory_file.num_extents,
+            [chunk[offset : offset + size] for offset in range(0, len(chunk), size)],
+        )
 
     @property
     def storage(self) -> StorageSystem:
@@ -520,6 +783,18 @@ class ReachGraphIndex:
 
         if self._storage is not None:
             self._write_partitions()
+            self._append_chunk(
+                _pack_chunk(
+                    0,
+                    self._vertex_starts,
+                    [node.interval.end for node in dag.nodes],
+                    [len(node.members) for node in dag.nodes],
+                    chain.from_iterable(sorted(node.members) for node in dag.nodes),
+                    (),
+                    *_edges_of([dag.successors(node_id) for node_id in range(dag.num_nodes)]),
+                    partitions=list(enumerate(partitioning.members)),
+                )
+            )
             self._build_object_index(dag.assignment_segments)
 
         self.build_report = ReachGraphBuildReport(
@@ -599,44 +874,51 @@ class ReachGraphIndex:
     # incremental maintenance
     # ------------------------------------------------------------------
     def _working_set(self) -> _WorkingSet:
-        """The writer's working set, read from the extents if the index has none.
+        """The writer's working set, read from the device if the index has none.
 
         A streaming writer starts from an empty one or restores one; a batch
-        build (or an index restored read-only) reads its extents once here,
-        at its first write, as a resuming writer's restore does.  From then
-        on the whole graph only materialises on demand.
+        build (or an index restored read-only) reads its directory and its
+        unfrozen extents once here, at its first write, as a resuming
+        writer's restore does.  From then on the whole graph only
+        materialises on demand.
         """
         if self._working is None:
             self._require_built()
-            self._hold_working_set(*self._read_graph_records())
+            self._hold_working_set(self._read_directory())
         self._hypergraph = None
         return self._working
 
-    def _hold_working_set(
-        self, partition_members: Dict[int, List[int]], records: List[VertexRow]
-    ) -> None:
-        """Keep a writer's working set from every record (in id order).
+    def _hold_working_set(self, directory: _Directory) -> None:
+        """Keep a writer's working set, reading only the extents it holds.
 
-        The rows of unfrozen partitions stay, their predecessor tuples in
-        source-id order, as a graph rebuilt from the successor tuples holds
-        them; an object's current vertex is the last vertex it belongs to.
+        The successor tuples and each object's current vertex (the last
+        vertex it belongs to) come from the directory; which partitions
+        are unfrozen is evaluated on the directory's ends, and only their
+        extents are read.  Every row read must say what the directory
+        says; predecessor tuples are held in source-id order, as a graph
+        rebuilt from the successor tuples holds them.
         """
-        current: Dict[ObjectId, int] = {}
-        for node_id, _, _, members, _, _, _ in records:
-            for member in members:
-                current[member] = node_id
+        assert self._partitions_file is not None
         self._working = _WorkingSet(
-            rows={
-                partition_id: [records[node_id] for node_id in member_ids]
-                for partition_id, member_ids in partition_members.items()
-            },
-            successors=[record[4] for record in records],
-            current=current,
+            rows={},
+            successors=[tuple(targets) for targets in directory.successors],
+            current=directory.current(),
         )
-        self._release_frozen()
-        for partition_rows in self._working.rows.values():
-            partition_rows[:] = [
-                (*row[:5], tuple(sorted(row[5])), row[6]) for row in partition_rows
+        ends = directory.ends
+        frozen = set(
+            self._frozen_partitions(
+                (partition_id, map(ends.__getitem__, member_ids))
+                for partition_id, member_ids in directory.partitions.items()
+            )
+        )
+        rows = self._working.rows
+        for partition_id, member_ids in directory.partitions.items():
+            if partition_id in frozen:
+                continue
+            records = self._partitions_file.read_extent(partition_id)
+            _check_rows(partition_id, records, member_ids, directory)
+            rows[partition_id] = [
+                (*row[:5], tuple(sorted(row[5])), row[6]) for row in records
             ]
 
     def _frozen_before(self) -> TimeInstant:
@@ -646,8 +928,11 @@ class ReachGraphIndex:
         end = self.domain.horizon.end
         return min(min(self._window_cursors.values(), default=end + 1), end)
 
-    def _release_frozen(self) -> None:
-        """Drop the rows of every partition whose members have all frozen.
+    def _frozen_partitions(
+        self, partition_ends: Iterable[Tuple[int, Iterable[TimeInstant]]]
+    ) -> List[int]:
+        """Which of the given partitions (each with its members' ends) a
+        writer lets go of: every member frozen, and no repack can fold it.
 
         No patch can dirty such a partition again.  While the owner repacks,
         a cold partition stays until a repack can no longer fold it: runs
@@ -655,8 +940,7 @@ class ReachGraphIndex:
         order) bounded by packed ones, which never fold again, so only a
         bounded stretch shorter than a foldable run lets its rows go early.
         """
-        assert self._working is not None and self._partitions_file is not None
-        rows = self._working.rows
+        assert self._partitions_file is not None
         ceiling = self._frozen_before()
         foldable: Set[int] = set()
         if self._repack_min_partitions:
@@ -668,12 +952,21 @@ class ReachGraphIndex:
                     stretch = []
                 else:
                     stretch.append(int(key))
-        for partition_id in [
+        return [
             partition_id
+            for partition_id, ends in partition_ends
+            if partition_id not in foldable and all(end < ceiling for end in ends)
+        ]
+
+    def _release_frozen(self) -> None:
+        """Drop the working-set rows of every partition a writer lets go of
+        (:meth:`_frozen_partitions`)."""
+        assert self._working is not None
+        rows = self._working.rows
+        for partition_id in self._frozen_partitions(
+            (partition_id, map(itemgetter(2), partition_rows))
             for partition_id, partition_rows in rows.items()
-            if partition_id not in foldable
-            and all(row[2] < ceiling for row in partition_rows)
-        ]:
+        ):
             del rows[partition_id]
 
     def _row(self, node_id: int) -> VertexRow:
@@ -841,11 +1134,13 @@ class ReachGraphIndex:
                     f"patch vertex {node_id} materialized as {expected_id}"
                 )
             staged[node_id] = [node_id, start, end, members, [], [], {}]
+        joined: List[Tuple[int, int]] = []
         for source_id, target_id in patch.new_edges:
             successors = stage(source_id)[4]
             if target_id not in successors:
                 successors.append(target_id)
                 stage(target_id)[5].append(source_id)
+                joined.append((source_id, target_id))
         new_long_edges = 0
         for resolution, edges in patch.new_long_edges:
             # The sweep emits each pair once, in its one window: every
@@ -925,6 +1220,22 @@ class ReachGraphIndex:
                     records[self._slot_of_vertex[node_id]] = rows[node_id]
             self._partitions_file.replace_extent(partition_id, records)
             records_written += len(records)
+        self._append_chunk(
+            _pack_chunk(
+                patch.base_nodes,
+                [start for _, start, _, _ in patch.new_nodes],
+                [end for _, _, end, _ in patch.new_nodes],
+                [len(members) for _, _, _, members in patch.new_nodes],
+                chain.from_iterable(members for _, _, _, members in patch.new_nodes),
+                patch.extensions,
+                [source_id for source_id, _ in joined],
+                [target_id for _, target_id in joined],
+                [
+                    (partition_id, self.partitioning.members[partition_id])
+                    for partition_id in new_partition_ids
+                ],
+            )
+        )
 
         # 5. Patch the object index: objects assigned to fresh vertices gain
         #    assignment segments (extensions never change a segment start).
@@ -954,12 +1265,12 @@ class ReachGraphIndex:
             new_edges=len(patch.new_edges),
             new_long_edges=new_long_edges,
             new_partitions=len(new_partition_ids),
-            rewritten_partitions=len(dirty_partitions),
+            rewritten_partitions=tuple(dirty_partitions),
             records_written=records_written,
             apply_seconds=time.perf_counter() - started,
         )
 
-    def repack_frontier(self, min_partitions: int = 2) -> int:
+    def repack_frontier(self, min_partitions: int = 2) -> Tuple[int, ...]:
         """Fold runs of cold fragmented partitions into single depth-``dp`` extents.
 
         Incremental merges fragment the partition file: each increment's
@@ -982,8 +1293,10 @@ class ReachGraphIndex:
         the working set once written.  The ``repack-pre-adopt`` fault point
         sits between the packed extent's write and the retirement of the
         fragments; crash-wise the durable catalog flips from fragments to
-        packed extent atomically at the owner's next flush.  Returns the
-        vertex records rewritten.
+        packed extent atomically at the owner's next flush, together with
+        the directory chunk naming the packed partitions and the retired
+        ids.  Returns the retired partition ids (the vertex records
+        rewritten join :attr:`records_written`).
         """
         self._require_built()
         if min_partitions < 2:
@@ -992,7 +1305,7 @@ class ReachGraphIndex:
                 "partition is pure write amplification"
             )
         if self._storage is None:
-            return 0
+            return ()
         assert self.partitioning is not None and self._partitions_file is not None
         working = self._working_set()
         ceiling = self._frozen_before()
@@ -1018,7 +1331,7 @@ class ReachGraphIndex:
         if len(current) >= min_partitions:
             runs.append(current)
 
-        records_written = 0
+        packed: List[Tuple[int, List[int]]] = []
         for group in runs:
             if not all(partition_id in working.rows for partition_id in group):
                 raise IndexConstructionError(
@@ -1043,11 +1356,16 @@ class ReachGraphIndex:
                 self.partitioning.members[partition_id] = []
                 del working.rows[partition_id]
             self._packed_partitions.add(self.partitioning.add_partition(merged))
+            packed.append((packed_id, merged))
             self._records_written += len(records)
-            records_written += len(records)
             self._repacks += 1
+        retired = tuple(chain.from_iterable(runs))
+        if packed:
+            self._append_chunk(
+                _pack_chunk(len(self._vertex_starts), partitions=packed, retired=retired)
+            )
         self._release_frozen()
-        return records_written
+        return retired
 
     # ------------------------------------------------------------------
     # persistence (crash-consistent reopen)
@@ -1058,9 +1376,9 @@ class ReachGraphIndex:
         Only what the partition extents cannot express is cataloged: the
         configuration (``interval_labels`` says whether the index carries
         labels), the per-resolution window cursors (the augmentation
-        resumption points), and the write-amplification ledger.  The graph
-        itself is rebuilt from the vertex records on the device, and so are
-        the labels, a pure function of the records' ``DN_1`` successors.
+        resumption points), and the write-amplification ledger.  The serving
+        state is rebuilt from the directory on the device, and so are the
+        labels, a pure function of its ``DN_1`` successor lists.
         """
         self._require_built()
         return {
@@ -1086,26 +1404,30 @@ class ReachGraphIndex:
     ) -> "ReachGraphIndex":
         """Reattach an index to its partition extents on a reopened device.
 
-        ``storage`` must already hold the cataloged block file and hash table
-        (the storage system's durable catalog restored them); ``horizon`` is
-        the prefix the index covered when the catalog was written.  Only the
-        serving state is rebuilt, all of it from this device: every extent is
-        read once — the slot directory is the extents' own record order, the
-        object ids are the records' members — and the object-index buckets
-        are *reconciled* against the records: bucket rewrites go through the
-        buffer pool in place, so a crash can leave a bucket durably ahead of
-        the cataloged graph (phantom trailing assignment segments);
-        reconciliation restores the exact pairing.  A catalog naming another
-        on-device format is refused before any read.
+        ``storage`` must already hold the cataloged block files and hash
+        table (the storage system's durable catalog restored them);
+        ``horizon`` is the prefix the index covered when the catalog was
+        written.  Only the serving state is rebuilt, all of it from this
+        device's *directory* (module docstring), checked against the
+        partition file's catalog — no vertex record is read.  The object-index
+        buckets are *reconciled* against the directory: bucket rewrites go
+        through the buffer pool in place, so a crash can leave a bucket
+        durably ahead of the cataloged graph (phantom trailing assignment
+        segments); reconciliation restores the exact pairing.  A device
+        written before the directory derives it from every vertex record
+        instead.  A catalog naming another on-device format is refused
+        before any read.
 
         ``repack_min_partitions`` is ``None`` for a read-only restore, which
         keeps no working set and repairs only buckets whose values disagree.
         A resuming writer passes its owner's repack policy (``0``: it never
-        repacks): it keeps the working set from the records just read — the
-        rows of the unfrozen partitions (predecessors in source-id order, as
-        a rebuild of the graph derives them), the ``DN_1`` successor tuples
-        and each object's current vertex — and rewrites every bucket not
-        already stored as ``bytes``.
+        repacks): it keeps the working set — the ``DN_1`` successor tuples
+        and each object's current vertex from the directory, and the rows of
+        the partitions still unfrozen by the directory's ends, the only
+        extents it reads, each row checked against the directory
+        (predecessors in source-id order, as a rebuild of the graph derives
+        them) — rewrites every bucket not already stored as ``bytes``, and
+        appends the whole directory as one chunk to a device that has none.
         """
         found = catalog.get("format")
         if found != INDEX_FORMAT:
@@ -1143,8 +1465,7 @@ class ReachGraphIndex:
         The extent key is the partition id and record order inside an extent
         is the member write order, so the extents are the authoritative
         partitioning too.  Vertex ids are dense (a vertex is numbered by
-        creation order), which is the check that no extent lost a record,
-        and in start order, which :meth:`vertices_starting_by` relies on.
+        creation order), which is the check that no extent lost a record.
         """
         assert self._partitions_file is not None
         partition_members: Dict[int, List[int]] = {}
@@ -1159,30 +1480,107 @@ class ReachGraphIndex:
                 raise IndexConstructionError(
                     f"partition extents are missing vertex {expected_id}"
                 )
-            if expected_id and record[1] < records[expected_id - 1][1]:
-                raise IndexConstructionError(
-                    f"vertex {expected_id} starts at t={record[1]}, before "
-                    f"vertex {expected_id - 1} (t={records[expected_id - 1][1]}): "
-                    "vertex ids are not in start order"
-                )
         return partition_members, records
+
+    def _read_directory(self) -> _Directory:
+        """The directory, checked against the partition file's catalog.
+
+        Its chunks are replayed in append order; a device written before
+        the directory derives the same from every vertex record.  Either way
+        the directory must list exactly the cataloged partitions, each with
+        as many members as its extent holds records, every vertex in one of
+        them, and vertex ids in start order — which
+        :meth:`vertices_starting_by` relies on.
+        """
+        assert self._partitions_file is not None
+        if self._directory_file is None:
+            directory = _Directory.from_records(*self._read_graph_records())
+        else:
+            directory = _Directory()
+            for key in self._directory_file.extent_keys():
+                directory.replay(b"".join(self._directory_file.read_extent(key)))
+        cataloged = {
+            int(key): self._partitions_file.extent(key).num_records
+            for key in self._partitions_file.extent_keys()
+        }
+        if cataloged.keys() != directory.partitions.keys():
+            raise IndexConstructionError(
+                f"the directory lists partitions {sorted(directory.partitions)}, "
+                f"the catalog holds extents {sorted(cataloged)}"
+            )
+        for partition_id, num_records in cataloged.items():
+            _check_extent_size(partition_id, num_records, directory.partitions[partition_id])
+        num_nodes = len(directory.starts)
+        placed = sorted(chain.from_iterable(directory.partitions.values()))
+        if placed != list(range(num_nodes)):
+            raise IndexConstructionError(
+                f"the directory's partitions do not place its {num_nodes} "
+                "vertices once each"
+            )
+        starts = directory.starts
+        if not all(map(le, starts, islice(starts, 1, None))):
+            node_id = next(i for i in range(1, num_nodes) if starts[i] < starts[i - 1])
+            raise IndexConstructionError(
+                f"vertex {node_id} starts at t={starts[node_id]}, before "
+                f"vertex {node_id - 1} (t={starts[node_id - 1]}): "
+                "vertex ids are not in start order"
+            )
+        return directory
+
+    def check_directory(self) -> int:
+        """Compare the directory with the partition extents; returns the
+        vertices checked.
+
+        Reads every extent and the directory, and raises
+        :class:`~repro.core.errors.IndexConstructionError` at the first
+        disagreement: a partition the catalog and the directory do not both
+        hold, a member count or member order that differs, or a vertex
+        record whose start, end, members or successor order is not the
+        directory's.  The in-memory serving state must be the directory's
+        too: the starts and every partition's members.
+        """
+        self._require_built()
+        assert self._partitions_file is not None and self.partitioning is not None
+        if self._directory_file is None:
+            raise IndexConstructionError(
+                f"index {self.name!r} has no directory on its device"
+            )
+        directory = self._read_directory()
+        for key in self._partitions_file.extent_keys():
+            partition_id = int(key)
+            _check_rows(
+                partition_id,
+                self._partitions_file.read_extent(key),
+                directory.partitions[partition_id],
+                directory,
+            )
+        live = {
+            partition_id: member_ids
+            for partition_id, member_ids in enumerate(self.partitioning.members)
+            if member_ids
+        }
+        if live != directory.partitions or self._vertex_starts != directory.starts:
+            raise IndexConstructionError(
+                "the in-memory partitions or vertex starts are not the directory's"
+            )
+        return len(directory.starts)
 
     def _restore_serving_state(
         self, catalog: Dict[str, object], horizon: TimeInterval, writer: bool
     ) -> None:
         assert self._object_index is not None
-        partition_members, records = self._read_graph_records()
+        directory = self._read_directory()
 
-        # 1. Partitioning from the extent directory.  Ids are append-ordered
-        #    but may be sparse — a frontier repack retires fragment ids,
-        #    leaving tombstones — so missing ids restore as empty lists.
+        # 1. Partitioning from the directory.  Ids are append-ordered but
+        #    may be sparse — a frontier repack retires fragment ids, leaving
+        #    tombstones — so missing ids restore as empty lists.
         partitioning = Partitioning(
             partition_of={}, slot_of={}, members=[], depth=self.config.partition_depth
         )
-        for partition_id in range(max(partition_members, default=-1) + 1):
-            partitioning.add_partition(partition_members.get(partition_id, []))
+        for partition_id in range(max(directory.partitions, default=-1) + 1):
+            partitioning.add_partition(directory.partitions.get(partition_id, []))
         self._adopt_partitioning(partitioning)
-        self._vertex_starts = array("q", [record[1] for record in records])
+        self._vertex_starts = directory.starts
 
         # 2. Maintenance state and the write-amplification ledger.
         self._window_cursors = {
@@ -1197,30 +1595,31 @@ class ReachGraphIndex:
         }
         self._repacks = int(catalog.get("repacks", 0))  # type: ignore[arg-type]
         if self.config.interval_labels:
-            self._labels = ReachLabelIndex([record[4] for record in records])
+            self._labels = ReachLabelIndex(directory.successors)
 
-        # 3. Each object's assignment history as the records tell it: one
-        #    ``(start, vertex)`` segment per vertex it belongs to, in vertex
-        #    (= creation) order.  Its keys are the domain's objects.
-        truth: Dict[ObjectId, List[Tuple[TimeInstant, int]]] = {}
-        for node_id, start, _, members, _, _, _ in records:
-            segment = (start, node_id)
-            for member in members:
-                truth.setdefault(member, []).append(segment)
-        self.domain = GraphDomain(truth, horizon)
+        # 3. Each object's assignment history as the directory tells it: the
+        #    vertices it belongs to in id (= creation) order, each segment
+        #    starting where its vertex does.  Its keys are the domain's objects.
+        nodes_of = directory.histories()
+        self.domain = GraphDomain(nodes_of, horizon)
         self._built = True
 
-        # 4. Reconcile the object-index buckets against that truth.  Doubles
-        #    as the structural verification of the restored index: a bucket
-        #    that disagrees with the partition extents is rewritten from them
+        # 4. Reconcile the object-index buckets against those histories.
+        #    Doubles as the structural verification of the restored index: a
+        #    bucket that disagrees with the directory is rewritten from it
         #    (and, by a writer, one stored in an earlier shape).
+        starts_at = directory.starts.__getitem__
         for object_id in self.domain.object_ids:
             stored = self._object_index.get(object_id)
             if stored is None:
                 raise IndexConstructionError(
                     f"object {object_id} is missing from the restored object index"
                 )
-            packed = _pack_segments(truth[object_id])
+            nodes = nodes_of[object_id]
+            packed = (
+                array("q", map(starts_at, nodes)).tobytes(),
+                array("q", nodes).tobytes(),
+            )
             if writer:
                 stale = stored != packed
             else:
@@ -1228,9 +1627,13 @@ class ReachGraphIndex:
             if stale:
                 self._object_index.update(object_id, packed)
 
-        # 5. A writer's working set, from the records just read.
+        # 5. A writer's working set, and the directory a device written
+        #    before it lacks (durable with the owner's next flush).
         if writer:
-            self._hold_working_set(partition_members, records)
+            if self._directory_file is None:
+                self._directory_file = self._new_directory_file()
+                self._append_chunk(directory.chunk())
+            self._hold_working_set(directory)
 
     def _materialize_graph(self) -> HyperGraph:
         """Rebuild the whole graph in memory from the partition extents.

@@ -22,6 +22,7 @@ one another's neighbourhoods.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, repeat
 from typing import Dict, List, Mapping, Sequence, Union
 
 from ..core.errors import IndexConstructionError
@@ -65,9 +66,8 @@ class Partitioning:
         order of an existing partition never changes.
         """
         partition_id = len(self.members)
-        for slot, node_id in enumerate(member_ids):
-            self.partition_of[node_id] = partition_id
-            self.slot_of[node_id] = slot
+        self.partition_of.update(zip(member_ids, repeat(partition_id)))
+        self.slot_of.update(zip(member_ids, count()))
         self.members.append(member_ids)
         return partition_id
 

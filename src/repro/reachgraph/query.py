@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict, deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.errors import QueryError, UnknownObjectError
 from ..core.types import ObjectId, QueryResult, ReachabilityQuery, TimeInstant, TimeInterval
@@ -61,8 +61,10 @@ class PartitionCache:
     Owned by the serving layer (one per delta overlay) and handed to every
     :class:`ReachGraphQueryProcessor` it creates, so every query against
     the same graph shares one cache.
-    :meth:`invalidate` empties it and bumps :attr:`generation` whenever the
-    underlying graph mutates (merge adoption, frontier repack).
+    :meth:`discard` drops the partitions a mutation rewrote (merge adoption)
+    or retired (frontier repack) and bumps :attr:`generation`; the rest stay,
+    since an extent no mutation rewrote holds the same records.
+    :meth:`invalidate` empties it when the graph is replaced (a reopen).
     Lookups are not keyed by generation: queries and adoption run on the
     same owning thread, so none spans an invalidation; the counter is the
     witness that one happened.  Entries are the record sequences
@@ -84,7 +86,8 @@ class PartitionCache:
 
     @property
     def generation(self) -> int:
-        """The current cache generation (bumped by :meth:`invalidate`)."""
+        """The current cache generation (bumped by :meth:`invalidate` and
+        :meth:`discard`)."""
         return self._generation
 
     def lookup(self, partition_id: int) -> Optional[Sequence[VertexRow]]:
@@ -107,8 +110,16 @@ class PartitionCache:
             self._entries.popitem(last=False)
 
     def invalidate(self) -> None:
-        """Drop every entry and bump the generation (graph mutated)."""
+        """Drop every entry and bump the generation (graph replaced)."""
         self._entries.clear()
+        self._generation += 1
+
+    def discard(self, partition_ids: Iterable[int]) -> None:
+        """Drop the entries of partitions a mutation rewrote or retired and
+        bump the generation; every other entry still holds its extent's
+        records."""
+        for partition_id in partition_ids:
+            self._entries.pop(partition_id, None)
         self._generation += 1
 
     def __len__(self) -> int:

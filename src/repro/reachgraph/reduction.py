@@ -344,18 +344,16 @@ def reduce_contact_network(
     cursor.finish()
 
     ten_vertices = network.dataset.num_objects * horizon.length
+    # One TEN edge per contact instant inside the window: each contact's
+    # clipped length (zero or less when it misses the window).
     ten_edges = network.dataset.num_objects * (horizon.length - 1) + sum(
-        1
-        for contact in network.contacts
-        for _ in range(
-            max(
-                0,
-                min(contact.validity.end, horizon.end)
-                - max(contact.validity.start, horizon.start)
-                + 1,
-            )
+        max(
+            0,
+            min(contact.validity.end, horizon.end)
+            - max(contact.validity.start, horizon.start)
+            + 1,
         )
-        if contact.validity.overlaps(horizon)
+        for contact in network.contacts
     )
     report = ReductionReport(
         ten_vertices=ten_vertices,

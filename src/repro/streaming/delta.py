@@ -648,7 +648,7 @@ class ReachGraphDeltaOverlay:
         # records ledger): vertex records ever written by increments.
         self._graph_records_written = 0
         # Cross-query partition cache, shared by every processor this overlay
-        # ever attaches; invalidated whenever the graph mutates.  The serving
+        # ever attaches; a mutation discards what it rewrote.  The serving
         # layer resizes it from StreamingConfig.partition_cache_size.
         self._partition_cache = PartitionCache()
         self._bloom_rejections = 0
@@ -727,9 +727,9 @@ class ReachGraphDeltaOverlay:
             self._processor = ReachGraphQueryProcessor(
                 index, partition_cache=self._partition_cache
             )
-        # The graph the cache was stamped against is gone (patched in place
-        # or created): start a fresh generation.
-        self._partition_cache.invalidate()
+        # Only the partitions the patch rewrote changed; every other cached
+        # extent still holds its records (new partitions are new ids).
+        self._partition_cache.discard(report.rewritten_partitions)
         if self._store is None:
             # One store per overlay, never replaced; the ``-v1`` suffix is
             # the name devices already carry, so they reopen unchanged.
@@ -795,14 +795,14 @@ class ReachGraphDeltaOverlay:
         if self._processor is not None:
             self._processor.partition_cache = self._partition_cache
 
-    def note_graph_mutated(self) -> None:
-        """Invalidate the partition cache after an out-of-band graph mutation.
+    def note_partitions_retired(self, partition_ids: Sequence[int]) -> None:
+        """Discard retired partitions from the partition cache.
 
-        Merge adoptions invalidate automatically; the service calls this
-        after maintenance that rewrites partitions without an adoption — a
-        frontier repack retires fragment partition ids in place.
+        Merge adoptions discard what they rewrote themselves; the service
+        calls this after a frontier repack, which retires fragment partition
+        ids without an adoption (the packed partition is a new id).
         """
-        self._partition_cache.invalidate()
+        self._partition_cache.discard(partition_ids)
 
     # ------------------------------------------------------------------
     # persistence (used by the service's close/reopen cycle)

@@ -515,14 +515,15 @@ class StreamingReachabilityService:
         if not index.is_placed or index.storage is not self._overlay.storage:
             return
         repacks_before = index.num_repacks
-        self._graph_records_written += index.repack_frontier(min_partitions)
-        repacked = index.num_repacks - repacks_before
-        self._graph_repacks += repacked
-        if repacked:
+        written_before = index.records_written
+        retired = index.repack_frontier(min_partitions)
+        self._graph_records_written += index.records_written - written_before
+        self._graph_repacks += index.num_repacks - repacks_before
+        if retired:
             # A repack appends one packed extent and tombstones the fragments
-            # it folds: cached entries of the retired fragment ids would
-            # never hit again, so the shared cache is emptied.
-            self._overlay.note_graph_mutated()
+            # it folds: cached entries of the retired ids would never hit
+            # again.
+            self._overlay.note_partitions_retired(retired)
 
     def _finish_adopt(self, bound: TimeInstant) -> None:
         # Closed contacts are produced with non-decreasing end instants, so
@@ -657,11 +658,19 @@ class StreamingReachabilityService:
         return freed
 
     def _maybe_reclaim(self) -> None:
-        """Reclaim the devices whose garbage ratio passes the config knob."""
+        """Reclaim the devices whose garbage ratio passes the config knob.
+
+        A pass due on the ``<name>-grid`` device alone checkpoints the
+        ingestor first, as :meth:`flush` does before its manifest: the WAL
+        truncation turns the journal into garbage, so the copy holds the
+        checkpoint alone, not a journal tail the next flush would drop
+        again.  (An explicit grid-only :meth:`reclaim` takes no checkpoint.)
+        """
         ratio = self.streaming_config.gc_trigger_ratio
-        if ratio > 0.0 and ratio <= max(
-            self._overlay.storage.garbage_ratio, self._ingestor.storage.garbage_ratio
-        ):
+        overlay = self._overlay.storage.garbage_ratio
+        if ratio > 0.0 and ratio <= max(overlay, self._ingestor.storage.garbage_ratio):
+            if overlay < ratio:
+                self._flush_ingestor()
             self.reclaim(ratio)
 
     def close(self) -> None:

@@ -9,7 +9,9 @@ persisting vertex.  Kept here, out of ``src/``, as the implementations the
 production :class:`~repro.reachgraph.WindowSweep`,
 :func:`~repro.reachgraph.extend_partitioning` and
 :class:`~repro.reachgraph.ReductionCursor` must equal bit for bit — edge
-order, member order and vertex numbering included.
+order, member order and vertex numbering included.  Also the reduction
+report's TEN edge count as it was taken before it became one subtraction per
+contact: one step per contact instant inside the window.
 """
 
 from __future__ import annotations
@@ -288,3 +290,21 @@ class ReductionCursor:
         if self._open_members.get(candidate) != members:
             return None
         return candidate
+
+
+def ten_edges(network, horizon: TimeInterval) -> int:
+    """TEN edges of ``network`` over ``horizon``: one per object per tick
+    transition, plus one per contact instant inside the window."""
+    return network.dataset.num_objects * (horizon.length - 1) + sum(
+        1
+        for contact in network.contacts
+        for _ in range(
+            max(
+                0,
+                min(contact.validity.end, horizon.end)
+                - max(contact.validity.start, horizon.start)
+                + 1,
+            )
+        )
+        if contact.validity.overlaps(horizon)
+    )

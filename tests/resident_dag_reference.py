@@ -4,8 +4,10 @@ Before the working set, a writer kept the whole ``ContactDag`` and every
 ``LongEdgeLayer`` in memory and made each record it wrote from them; a
 resumed writer first materialised that graph from every extent (deriving
 predecessor lists in source-id order).  :class:`ResidentDagIndex` is that
-writer, kept here verbatim but for the renamed helpers it calls, so tests
-can drive a service with it beside one running the library's writer and pin
+writer, kept here verbatim but for the renamed helpers it calls and the
+directory chunk each of its writes appends through the library's packer
+(the same chunk, at the same point, as the library's writer), so tests can
+drive a service with it beside one running the library's writer and pin
 that both leave the same bytes: the same extent records and block ids, the
 same object-index buckets, catalog and labels, at every merge.
 
@@ -27,6 +29,7 @@ from repro.reachgraph.index import (
     GraphDomain,
     GraphFrontier,
     GraphIncrementReport,
+    _pack_chunk,
     _pack_segments,
 )
 from repro.reachgraph.labels import ReachLabelIndex
@@ -155,7 +158,10 @@ class ResidentDagIndex(ReachGraphIndex):
             node = dag.add_node(TimeInterval(start, end), frozenset(members))
             assert node.node_id == node_id
         self._vertex_starts.extend([start for _, start, _, _ in patch.new_nodes])
+        joined: List[Tuple[int, int]] = []
         for source_id, target_id in patch.new_edges:
+            if target_id not in dag.successors(source_id):
+                joined.append((source_id, target_id))
             dag.add_edge(source_id, target_id)
             if source_id < patch.base_nodes:
                 dirty.add(source_id)
@@ -192,6 +198,22 @@ class ResidentDagIndex(ReachGraphIndex):
             records = self._make_records(self.partitioning.members[partition_id])
             self._partitions_file.replace_extent(partition_id, records)
             records_written += len(records)
+        self._append_chunk(
+            _pack_chunk(
+                patch.base_nodes,
+                [start for _, start, _, _ in patch.new_nodes],
+                [end for _, _, end, _ in patch.new_nodes],
+                [len(members) for _, _, _, members in patch.new_nodes],
+                [member for _, _, _, members in patch.new_nodes for member in members],
+                patch.extensions,
+                [source_id for source_id, _ in joined],
+                [target_id for _, target_id in joined],
+                [
+                    (partition_id, self.partitioning.members[partition_id])
+                    for partition_id in new_partition_ids
+                ],
+            )
+        )
 
         appended: Dict[int, List[Tuple[int, int]]] = {}
         if first:
@@ -225,7 +247,7 @@ class ResidentDagIndex(ReachGraphIndex):
             new_edges=len(patch.new_edges),
             new_long_edges=new_long_edges,
             new_partitions=len(new_partition_ids),
-            rewritten_partitions=len(dirty_partitions),
+            rewritten_partitions=tuple(dirty_partitions),
             records_written=records_written,
             apply_seconds=time.perf_counter() - started,
         )
@@ -233,7 +255,7 @@ class ResidentDagIndex(ReachGraphIndex):
     def repack_frontier(self, min_partitions: int = 2) -> int:
         self._require_built()
         if self._storage is None:
-            return 0
+            return ()
         dag = self.dag
         ceiling = min(
             min(self._window_cursors.values(), default=dag.horizon.end + 1),
@@ -257,7 +279,7 @@ class ResidentDagIndex(ReachGraphIndex):
         if len(current) >= min_partitions:
             runs.append(current)
 
-        records_written = 0
+        packed = []
         for group in runs:
             merged = [
                 node_id
@@ -272,7 +294,12 @@ class ResidentDagIndex(ReachGraphIndex):
                 self._partitions_file.drop_extent(partition_id)
                 self.partitioning.members[partition_id] = []
             self._packed_partitions.add(self.partitioning.add_partition(merged))
+            packed.append((packed_id, merged))
             self._records_written += len(records)
-            records_written += len(records)
             self._repacks += 1
-        return records_written
+        retired = tuple(partition_id for group in runs for partition_id in group)
+        if packed:
+            self._append_chunk(
+                _pack_chunk(self.dag.num_nodes, partitions=packed, retired=retired)
+            )
+        return retired

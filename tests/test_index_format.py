@@ -438,15 +438,18 @@ class TestSlotDirectory:
             ReachGraphQueryProcessor(index, use_labels=False).evaluate(query)
 
 
+    @pytest.mark.parametrize("directory", (True, False))
     @pytest.mark.parametrize(
         "reopen", [SnapshotQueryService.open, StreamingReachabilityService.open]
     )
     def test_truncated_extent_is_refused_at_restore_before_any_query(
-        self, reopen, tmp_path, tiny_dataset, tiny_contact_config
+        self, reopen, directory, tmp_path, tiny_dataset, tiny_contact_config
     ):
-        """The restore reads every extent once, and the dense vertex ids are
-        its proof that none lost a record: a reopen over a shortened extent
-        fails there, not at whichever query first lands on the partition."""
+        """A reopen over a shortened extent fails at the restore, not at
+        whichever query first lands on the partition: the directory's member
+        count disagrees with the extent's cataloged record count — or, on a
+        device without a directory, the dense vertex ids of the records the
+        restore reads are the proof that none was lost."""
         storage_config = backend_storage_config("file", storage_dir=str(tmp_path))
         service = make_service(tiny_dataset, tiny_contact_config, storage_config)
         service.drain(tiny_dataset)
@@ -462,10 +465,19 @@ class TestSlotDirectory:
 
         storage = StorageSystem(storage_config, name=f"{service.name}-overlay")
         partitions = storage.blockfile(f"{index.name}-partitions")
+        size = len(partitions.read_extent(partition_id))
         partitions.replace_extent(partition_id, partitions.read_extent(partition_id)[1:])
+        if not directory:
+            storage.drop_blockfile(f"{index.name}-directory")
         storage.close()
 
-        with pytest.raises(IndexConstructionError, match=f"missing vertex {lost}$"):
+        refusal = (
+            f"^partition {partition_id} holds {size - 1} records on the device, "
+            f"its directory lists {size} members$"
+            if directory
+            else f"missing vertex {lost}$"
+        )
+        with pytest.raises(IndexConstructionError, match=refusal):
             reopen(storage_config, name=service.name)
 
 
@@ -482,7 +494,9 @@ class TestStartOrder:
     ):
         """The midpoint test is exact only on start-ordered ids, so a device
         whose record starts decrease with id is refused by the open, before
-        it can serve a query."""
+        it can serve a query.  Here the device has no directory, so the open
+        derives the starts from the records; the directory's own starts are
+        checked the same way (``test_graph_directory.py``)."""
         storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
         service = make_service(tiny_dataset, tiny_contact_config, storage_config)
         service.drain(tiny_dataset)
@@ -505,6 +519,7 @@ class TestStartOrder:
             for record in records
         ]
         partitions.replace_extent(partition_id, records)
+        storage.drop_blockfile(f"{index.name}-directory")
         storage.close()
 
         with pytest.raises(
@@ -620,7 +635,10 @@ class TestOverlayGraphCatalog:
         service.merge()
         index = service.overlay.snapshot_processor.index
         assert index.num_increments == service.num_merges - 1
-        assert self._graph_files(service.overlay.storage) == ["graph-v1-partitions"]
+        assert self._graph_files(service.overlay.storage) == [
+            "graph-v1-directory",
+            "graph-v1-partitions",
+        ]
         assert set(service.overlay.graph_catalog()) == {"index"}
         service.close()
 
@@ -670,7 +688,10 @@ class TestOverlayGraphCatalog:
         resumed.merge()
         assert resumed.overlay.snapshot_processor.index is restored
         assert restored.num_increments == increments + 1, "the restored graph is patched"
-        assert self._graph_files(resumed.overlay.storage) == ["graph-v1-partitions"]
+        assert self._graph_files(resumed.overlay.storage) == [
+            "graph-v1-directory",
+            "graph-v1-partitions",
+        ]
         assert_methods_agree(
             reference_evaluator(tiny_network),
             {"resumed": resumed.query},

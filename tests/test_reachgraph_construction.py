@@ -617,6 +617,59 @@ class TestReductionCursorOracle:
         assert actual.extend_calls < persisted / 2
 
 
+def _assert_report_matches_the_reference(network):
+    """The whole horizon and two windows that clip it: the report's counts
+    equal the reference replay's DAG and the per-instant TEN edge count."""
+    horizon = network.horizon
+    windows = [
+        horizon,
+        TimeInterval(horizon.start + 1, horizon.end - 1),
+        TimeInterval(horizon.start, (horizon.start + horizon.end) // 2),
+    ]
+    for window in windows:
+        dag, report = reduce_contact_network(network, window=window)
+        expected = ContactDag(window, network.dataset.num_objects)
+        cursor = reference.ReductionCursor(network.object_ids, expected)
+        for t in window.instants():
+            cursor.advance(t, network.snapshot_adjacency(t))
+        assert (
+            report.ten_vertices,
+            report.ten_edges,
+            report.dag_vertices,
+            report.dag_edges,
+        ) == (
+            network.dataset.num_objects * window.length,
+            reference.ten_edges(network, window),
+            expected.num_nodes,
+            expected.num_edges,
+        )
+    return windows
+
+
+def _clips(network, window):
+    """True when some contact straddles an end of ``window``."""
+    return any(
+        contact.validity.overlaps(window)
+        and not (window.start <= contact.validity.start and contact.validity.end <= window.end)
+        for contact in network.contacts
+    )
+
+
+class TestReductionReport:
+    def test_random_waypoint_world(self, tiny_network):
+        windows = _assert_report_matches_the_reference(tiny_network)
+        assert _clips(tiny_network, windows[1])
+
+    def test_vehicle_network_world(self, vn_tiny_network):
+        windows = _assert_report_matches_the_reference(vn_tiny_network)
+        assert _clips(vn_tiny_network, windows[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(contact_worlds())
+    def test_drawn_worlds(self, world):
+        _assert_report_matches_the_reference(_network(*world))
+
+
 def _grow_index(world, data, partition_depth):
     """Build an index over a prefix, then grow it to the full horizon in >= 3 increments.
 

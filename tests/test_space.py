@@ -34,6 +34,7 @@ from equivalence import (
 from repro.core import ContactConfig, Point, ReachGridConfig, StreamingConfig
 from repro.generators import RandomWaypointGenerator
 from repro.reachgraph import ContactDag, ReachGraphIndex
+from repro.storage import BlockFile
 from repro.streaming import (
     DatasetReplaySource,
     SnapshotQueryService,
@@ -293,6 +294,30 @@ class TestReclaimLedgers:
             )
         service.close()
 
+
+    def test_a_policy_pass_on_the_grid_alone_copies_no_journal(self, tmp_path, dataset):
+        """A policy pass due on the ingestor device alone checkpoints it
+        first, so the copy holds the checkpoint and no journal extent that
+        the next flush's WAL truncation would drop again."""
+        storage_config = backend_storage_config("file", storage_dir=str(tmp_path))
+        service = make_service(dataset, storage_config, gc_trigger_ratio=0.35)
+        grid_only = []
+        real_reclaim = service.reclaim
+
+        def reclaim(trigger=0.0):
+            overlay_due = service.overlay.storage.garbage_ratio >= trigger
+            freed = real_reclaim(trigger)
+            if not overlay_due:
+                grid_only.append(
+                    (service.ingestor.journal_blocks, service.ingestor.storage.garbage_blocks)
+                )
+            return freed
+
+        service.reclaim = reclaim
+        service.drain(DatasetReplaySource(dataset, batch_ticks=6))
+        assert grid_only, "no policy pass copied the grid alone"
+        assert grid_only == [(0, 0)] * len(grid_only)
+        service.close()
 
     def test_policy_gc_copies_only_the_device_past_its_trigger(
         self, tmp_path, dataset
@@ -586,13 +611,26 @@ class TestWriterStaysFlat:
             (ReachGraphIndex, "_read_graph_records"),
             (ContactDag, "add_node"),
         )
+        extent_reads = []
+        read_extent = BlockFile.read_extent
+
+        def counted(blockfile, key):
+            if blockfile.name.endswith("-partitions"):
+                extent_reads.append(key)
+            return read_extent(blockfile, key)
+
+        monkeypatch.setattr(BlockFile, "read_extent", counted)
         resumed = StreamingReachabilityService.open(
             storage_config,
             name=service.name,
             streaming_config=service.streaming_config,
         )
-        # The restore reads every extent once; the merges read none again.
-        assert materialised.calls["ReachGraphIndex._read_graph_records"] == 1
+        # The restore reads the directory and the extents of the partitions
+        # the working set holds, nothing else; the merges read none again.
+        index = resumed.overlay.snapshot_processor.index
+        assert sorted(extent_reads) == sorted(index._working.rows)
+        assert len(extent_reads) < index.num_partitions
+        assert materialised.calls["ReachGraphIndex._read_graph_records"] == 0
         merges = resumed.num_merges
         for batch in batches[half:]:
             resumed.ingest(batch)
@@ -600,7 +638,7 @@ class TestWriterStaysFlat:
         assert self._held_rows(resumed) < resumed.overlay.snapshot_processor.index.num_vertices
         assert materialised.calls == {
             "ReachGraphIndex._materialize_graph": 0,
-            "ReachGraphIndex._read_graph_records": 1,
+            "ReachGraphIndex._read_graph_records": 0,
             "ContactDag.add_node": 0,
         }
         resumed.close()
