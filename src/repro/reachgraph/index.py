@@ -42,10 +42,12 @@ the :class:`GraphDomain` (which objects, which ticks), and the vertex starts
 partition extents: every write that changes the graph — :meth:`build`, every
 :meth:`~ReachGraphIndex.apply_increment` (the first patch included) and every
 :meth:`~ReachGraphIndex.repack_frontier` — appends one chunk of packed ints
-saying what changed (new vertices' starts, ends and members, extended ends,
-the ``DN_1`` edges in the order they joined successor lists, new partitions'
-members, retired partition ids), so a reopen replays the chunks and decodes
-no vertex record.  The *working set* is what a writer holds between merges
+saying what changed (new vertices' starts and ends, extended ends, the
+``DN_1`` edges in the order they joined successor lists, new partitions'
+members, retired partition ids, and once the domain's objects), so a reopen
+replays the chunks and decodes no vertex record.  Which object is in which
+vertex the directory does not say: the object-index buckets are the one
+copy of that, and a reopen reads each bucket block once.  The *working set* is what a writer holds between merges
 (:class:`_WorkingSet`): the vertex rows of every partition that still holds
 an unfrozen vertex, one ``DN_1`` successor tuple per vertex (the labels and
 the partitioner read them), and each object's current vertex.  A vertex
@@ -56,7 +58,7 @@ when its owner repacks.  :meth:`~ReachGraphIndex.frontier`,
 :meth:`~ReachGraphIndex.apply_increment` and
 :meth:`~ReachGraphIndex.repack_frontier` read and patch only the working
 set, and write extents from its rows.  A resumed writer builds it from the
-directory and the extents of its unfrozen partitions alone; a read-only
+directory, the buckets and the extents of its unfrozen partitions alone; a read-only
 restore keeps none of it.  The whole graph in memory — ``dag`` and
 ``hypergraph`` — is the batch build's until its first increment, and
 otherwise materialises from the extents on demand (for tests and batch
@@ -67,10 +69,10 @@ from __future__ import annotations
 
 import time
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, repeat
-from operator import itemgetter, le, ne
+from itertools import chain, islice, repeat
+from operator import itemgetter, le
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..core.config import ContactConfig, ReachGraphConfig, StorageConfig
@@ -159,12 +161,13 @@ _DIRECTORY_BYTES_PER_SLOT = 240
 
 #: The sections of a directory chunk, in order, with their int width:
 #: ``q`` (int64) for times and object ids, ``i`` (int32) for vertex and
-#: partition ids and counts.  The chunk header holds each section's length.
+#: partition ids and counts.  The chunk header holds :data:`_CHUNK_TAG`,
+#: the first new vertex's id and each section's length.  Which object is in
+#: which vertex is not among them: the object-index buckets hold it (one
+#: copy on the device), and the chunk that starts a graph names its objects.
 _CHUNK_SECTIONS = (
     ("starts", "q"),  # of the new vertices, ids from the header's first
     ("ends", "q"),
-    ("member_counts", "i"),
-    ("members", "q"),  # every new vertex's sorted members, concatenated
     ("extended", "i"),  # vertices whose end moved ...
     ("extended_to", "q"),  # ... and their new ends
     ("edge_sources", "i"),  # DN_1 edges in the order they joined ...
@@ -173,36 +176,51 @@ _CHUNK_SECTIONS = (
     ("partition_sizes", "i"),
     ("partition_members", "i"),  # ... and their members in slot order
     ("retired", "i"),  # partition ids a repack folded
+    ("objects", "q"),  # the domain's object ids, in the chunk from vertex 0
 )
+
+#: The sections of a chunk written while the directory still held every new
+#: vertex's members: no tag, and ``member_counts`` / ``members`` (each new
+#: vertex's sorted members, concatenated) after ``ends`` in place of
+#: ``objects``.  Such a directory still replays; a resuming writer rewrites
+#: it as one chunk in the current shape.
+_EARLIER_CHUNK_SECTIONS = (
+    ("starts", "q"),
+    ("ends", "q"),
+    ("member_counts", "i"),
+    ("members", "q"),
+    *_CHUNK_SECTIONS[2:-1],
+)
+
+#: First int64 of a chunk in the current shape; an earlier chunk starts with
+#: its first vertex id, never negative.
+_CHUNK_TAG = -2
 
 
 def _pack_chunk(
     first_vertex: int,
     starts: Iterable[TimeInstant] = (),
     ends: Iterable[TimeInstant] = (),
-    member_counts: Iterable[int] = (),
-    members: Iterable[ObjectId] = (),
     extensions: Sequence[Tuple[int, TimeInstant]] = (),
     edge_sources: Iterable[int] = (),
     edge_targets: Iterable[int] = (),
     partitions: Sequence[Tuple[int, Sequence[int]]] = (),
     retired: Iterable[int] = (),
+    objects: Iterable[ObjectId] = (),
 ) -> bytes:
     """One directory chunk: what a write changed, as packed ints.
 
-    ``starts``, ``ends``, ``member_counts`` and ``members`` (each vertex's
-    sorted members, concatenated) describe the new vertices, numbered from
-    ``first_vertex``; ``extensions`` are the ``(vertex, new
-    end)`` of older ones; ``edge_sources`` / ``edge_targets`` the ``DN_1``
-    edges in the order they joined their source's successor list;
-    ``partitions`` the new partitions with their members in slot order;
-    ``retired`` the partition ids a repack folded.
+    ``starts`` and ``ends`` describe the new vertices, numbered from
+    ``first_vertex``; ``extensions`` are the ``(vertex, new end)`` of older
+    ones; ``edge_sources`` / ``edge_targets`` the ``DN_1`` edges in the
+    order they joined their source's successor list; ``partitions`` the new
+    partitions with their members in slot order; ``retired`` the partition
+    ids a repack folded; ``objects`` the domain's object ids, given once, by
+    the write that starts the graph.
     """
     values = (
         starts,
         ends,
-        member_counts,
-        members,
         [node_id for node_id, _ in extensions],
         [end for _, end in extensions],
         edge_sources,
@@ -211,77 +229,72 @@ def _pack_chunk(
         [len(member_ids) for _, member_ids in partitions],
         chain.from_iterable(member_ids for _, member_ids in partitions),
         retired,
+        objects,
     )
     sections = [array(code, column) for (_, code), column in zip(_CHUNK_SECTIONS, values)]
-    header = array("q", [first_vertex, *map(len, sections)])
+    header = array("q", [_CHUNK_TAG, first_vertex, *map(len, sections)])
     return header.tobytes() + b"".join(section.tobytes() for section in sections)
 
 
 class _Directory:
     """The graph's directory in memory: what the serving state is built from.
 
-    Per vertex, in id order: its start, its end, its member count and its
-    ``DN_1`` successor list, and every vertex's sorted members concatenated
-    in id order; and every live partition's members in slot order.
-    :meth:`replay` folds in one chunk of the ``<graph>-directory`` file;
-    :meth:`from_records` derives the same from the vertex records of a
-    device written before the directory existed.
+    Per vertex, in id order: its start, its end and its ``DN_1`` successor
+    list; every live partition's members in slot order; and the domain's
+    object ids.  :meth:`replay` folds in one chunk of the
+    ``<graph>-directory`` file; :meth:`from_records` derives the same from
+    the vertex records of a device written before the directory existed.
+    ``earlier_shape`` says a chunk was in the shape that still held members
+    (or that there was no directory): a writer rewrites such a directory.
     """
 
-    __slots__ = (
-        "starts",
-        "ends",
-        "member_counts",
-        "members",
-        "successors",
-        "partitions",
-        "_offsets",
-    )
+    __slots__ = ("starts", "ends", "successors", "partitions", "object_ids", "earlier_shape")
 
     def __init__(self) -> None:
         self.starts: "array[int]" = array("q")
         self.ends: "array[int]" = array("q")
-        self.member_counts: "array[int]" = array("i")
-        self.members: "array[int]" = array("q")
         self.successors: List[List[int]] = []
         self.partitions: Dict[int, List[int]] = {}
-        self._offsets: Optional["array[int]"] = None
+        self.object_ids: Set[ObjectId] = set()
+        self.earlier_shape = False
 
     def replay(self, chunk: bytes) -> None:
-        """Apply one chunk (:func:`_pack_chunk`) on top of the chunks before it."""
+        """Apply one chunk (:func:`_pack_chunk`, or one in the earlier
+        shape) on top of the chunks before it."""
+        tagged = array("q", chunk[:8])[0] == _CHUNK_TAG
+        layout = _CHUNK_SECTIONS if tagged else _EARLIER_CHUNK_SECTIONS
+        offset = 8 if tagged else 0
+        self.earlier_shape |= not tagged
         header = array("q")
-        header.frombytes(chunk[: 8 * (len(_CHUNK_SECTIONS) + 1)])
+        header.frombytes(chunk[offset : offset + 8 * (len(layout) + 1)])
         first_vertex, *lengths = header
-        offset = 8 * len(header)
-        sections: List["array[int]"] = []
-        for (_, code), length in zip(_CHUNK_SECTIONS, lengths):
+        offset += 8 * len(header)
+        sections: Dict[str, "array[int]"] = {}
+        for (name, code), length in zip(layout, lengths):
             values = array(code)
             values.frombytes(chunk[offset : offset + values.itemsize * length])
             offset += values.itemsize * length
-            sections.append(values)
+            sections[name] = values
         if offset != len(chunk) or first_vertex != len(self.starts):
             raise IndexConstructionError(
                 f"directory chunk of {len(chunk)} bytes from vertex "
                 f"{first_vertex} does not follow a directory of "
                 f"{len(self.starts)} vertices"
             )
-        (starts, ends, counts, members, extended, extended_to, sources, targets,
-         partition_ids, sizes, partition_members, retired) = sections
+        starts = sections["starts"]
         self.starts.extend(starts)
-        self.ends.extend(ends)
-        self.member_counts.extend(counts)
-        self.members.extend(members)
-        self._offsets = None
-        self.successors.extend([] for _ in counts)
-        for node_id, end in zip(extended, extended_to):
+        self.ends.extend(sections["ends"])
+        self.successors.extend([] for _ in starts)
+        self.object_ids.update(sections["objects" if tagged else "members"])
+        for node_id, end in zip(sections["extended"], sections["extended_to"]):
             self.ends[node_id] = end
         successors = self.successors
-        for source_id, target_id in zip(sources, targets):
+        for source_id, target_id in zip(sections["edge_sources"], sections["edge_targets"]):
             successors[source_id].append(target_id)
-        flat = iter(partition_members)
-        for partition_id, size in zip(partition_ids, sizes):
+        flat = iter(sections["partition_members"])
+        for partition_id, size in zip(sections["partitions"], sections["partition_sizes"]):
             self.partitions[partition_id] = list(islice(flat, size))
-        for partition_id in retired:
+        for partition_id in sections["retired"]:
             del self.partitions[partition_id]
 
     @classmethod
@@ -293,52 +306,23 @@ class _Directory:
         directory = cls()
         directory.starts = array("q", [record[1] for record in records])
         directory.ends = array("q", [record[2] for record in records])
-        directory.member_counts = array("i", [len(record[3]) for record in records])
-        directory.members = array("q", chain.from_iterable(record[3] for record in records))
         directory.successors = [list(record[4]) for record in records]
         directory.partitions = dict(partition_members)
+        directory.object_ids = set(chain.from_iterable(record[3] for record in records))
+        directory.earlier_shape = True
         return directory
 
-    def _vertex_of_members(self) -> Iterable[int]:
-        """The vertex of each entry of :attr:`members`, in order."""
-        return chain.from_iterable(
-            map(repeat, range(len(self.member_counts)), self.member_counts)
-        )
-
-    def members_of(self, node_id: int) -> Tuple[ObjectId, ...]:
-        """Vertex ``node_id``'s sorted members."""
-        if self._offsets is None:
-            self._offsets = array("q", accumulate(self.member_counts, initial=0))
-        return tuple(self.members[self._offsets[node_id] : self._offsets[node_id + 1]])
-
-    def histories(self) -> Dict[ObjectId, List[int]]:
-        """Each object's vertices in id (= creation) order: its assignment
-        history, each segment starting where its vertex does."""
-        nodes_of: Dict[ObjectId, List[int]] = {}
-        for member, node_id in zip(self.members.tolist(), list(self._vertex_of_members())):
-            nodes = nodes_of.get(member)
-            if nodes is None:
-                nodes_of[member] = [node_id]
-            else:
-                nodes.append(node_id)
-        return nodes_of
-
-    def current(self) -> Dict[ObjectId, int]:
-        """Each object's last vertex: where it stands at the horizon end."""
-        return dict(zip(self.members, self._vertex_of_members()))
-
     def chunk(self) -> bytes:
-        """The whole directory as one chunk (what a writer appends to a
-        device that has none)."""
+        """The whole directory as one chunk (what a writer appends in place
+        of a directory in the earlier shape, or of none)."""
         return _pack_chunk(
             0,
             self.starts,
             self.ends,
-            self.member_counts,
-            self.members,
             (),
             *_edges_of(self.successors),
             partitions=sorted(self.partitions.items()),
+            objects=sorted(self.object_ids),
         )
 
 
@@ -367,14 +351,13 @@ def _check_rows(
     directory: _Directory,
 ) -> None:
     """Refuse a partition's records unless each is the directory's vertex
-    in that slot: the same id, start, end, members and successor order."""
+    in that slot: the same id, start, end and successor order."""
     _check_extent_size(partition_id, len(records), member_ids)
     for slot, (node_id, row) in enumerate(zip(member_ids, records)):
         if (
             row[0] != node_id
             or row[1] != directory.starts[node_id]
             or row[2] != directory.ends[node_id]
-            or tuple(row[3]) != directory.members_of(node_id)
             or list(row[4]) != directory.successors[node_id]
         ):
             raise IndexConstructionError(
@@ -404,10 +387,11 @@ class GraphDomain:
 
     Everything serving reads of the indexed prefix: a query's endpoints must
     be ``in`` the domain and its interval must meet ``horizon``.  A batch
-    build takes both from its dataset; the first patch of an empty index and
-    a restored index read the ids off the vertices (at every tick each
-    object belongs to one) and take the horizon the patch reaches or the
-    owner committed; an increment moves ``horizon`` forward in place.
+    build takes both from its dataset; the first patch of an empty index
+    reads the ids off its vertices (at every tick each object belongs to
+    one) and takes the horizon the patch reaches, and a restored index
+    reads the ids its directory names and takes the horizon the owner
+    committed; an increment moves ``horizon`` forward in place.
     """
 
     __slots__ = ("object_ids", "horizon", "_known")
@@ -782,17 +766,17 @@ class ReachGraphIndex:
             self._labels = ReachLabelIndex.build(dag)
 
         if self._storage is not None:
+            assert self.domain is not None
             self._write_partitions()
             self._append_chunk(
                 _pack_chunk(
                     0,
                     self._vertex_starts,
                     [node.interval.end for node in dag.nodes],
-                    [len(node.members) for node in dag.nodes],
-                    chain.from_iterable(sorted(node.members) for node in dag.nodes),
                     (),
                     *_edges_of([dag.successors(node_id) for node_id in range(dag.num_nodes)]),
                     partitions=list(enumerate(partitioning.members)),
+                    objects=self.domain.object_ids,
                 )
             )
             self._build_object_index(dag.assignment_segments)
@@ -884,25 +868,29 @@ class ReachGraphIndex:
         """
         if self._working is None:
             self._require_built()
-            self._hold_working_set(self._read_directory())
+            self._hold_working_set(self._read_directory(), self._object_histories(writer=True))
         self._hypergraph = None
         return self._working
 
-    def _hold_working_set(self, directory: _Directory) -> None:
+    def _hold_working_set(
+        self, directory: _Directory, histories: Dict[ObjectId, Sequence[int]]
+    ) -> None:
         """Keep a writer's working set, reading only the extents it holds.
 
-        The successor tuples and each object's current vertex (the last
-        vertex it belongs to) come from the directory; which partitions
-        are unfrozen is evaluated on the directory's ends, and only their
-        extents are read.  Every row read must say what the directory
-        says; predecessor tuples are held in source-id order, as a graph
-        rebuilt from the successor tuples holds them.
+        The successor tuples come from the directory and each object's
+        current vertex from its committed history (:meth:`_object_histories`:
+        the last vertex it belongs to); which partitions are unfrozen is
+        evaluated on the directory's ends, and only their extents are read.
+        Every row read must say what the directory says, and hold as members
+        exactly the objects whose histories name it; predecessor tuples are
+        held in source-id order, as a graph rebuilt from the successor
+        tuples holds them.
         """
         assert self._partitions_file is not None
         self._working = _WorkingSet(
             rows={},
             successors=[tuple(targets) for targets in directory.successors],
-            current=directory.current(),
+            current={object_id: nodes[-1] for object_id, nodes in histories.items()},
         )
         ends = directory.ends
         frozen = set(
@@ -920,6 +908,26 @@ class ReachGraphIndex:
             rows[partition_id] = [
                 (*row[:5], tuple(sorted(row[5])), row[6]) for row in records
             ]
+        # The held vertices' members, as the histories tell them: each
+        # history is in id order, so its walk back stops below the lowest.
+        members_of: Dict[int, List[ObjectId]] = {
+            row[0]: [] for partition_rows in rows.values() for row in partition_rows
+        }
+        lowest = min(members_of, default=len(directory.starts))
+        for object_id, nodes in sorted(histories.items()):
+            for node_id in reversed(nodes):
+                if node_id < lowest:
+                    break
+                members = members_of.get(node_id)
+                if members is not None:
+                    members.append(object_id)
+        for partition_rows in rows.values():
+            for row in partition_rows:
+                if tuple(row[3]) != tuple(members_of[row[0]]):
+                    raise IndexConstructionError(
+                        f"vertex {row[0]} holds members {tuple(row[3])}, the "
+                        f"object index places {tuple(members_of[row[0]])} there"
+                    )
 
     def _frozen_before(self) -> TimeInstant:
         """Every vertex ending before this tick is frozen: it has closed (it
@@ -1038,8 +1046,8 @@ class ReachGraphIndex:
 
         The horizon starts at the first patched tick, and the domain's
         objects are the members of the patch's vertices: every object
-        belongs to one vertex at every tick (:meth:`restore` reads them the
-        same way).
+        belongs to one vertex at every tick.  The chunk the patch appends
+        names them, for :meth:`restore`.
         """
         object_ids = {member for _, _, _, members in patch.new_nodes for member in members}
         self.domain = GraphDomain(object_ids, TimeInterval(patch.base_end + 1, patch.new_end))
@@ -1225,8 +1233,6 @@ class ReachGraphIndex:
                 patch.base_nodes,
                 [start for _, start, _, _ in patch.new_nodes],
                 [end for _, _, end, _ in patch.new_nodes],
-                [len(members) for _, _, _, members in patch.new_nodes],
-                chain.from_iterable(members for _, _, _, members in patch.new_nodes),
                 patch.extensions,
                 [source_id for source_id, _ in joined],
                 [target_id for _, target_id in joined],
@@ -1234,6 +1240,7 @@ class ReachGraphIndex:
                     (partition_id, self.partitioning.members[partition_id])
                     for partition_id in new_partition_ids
                 ],
+                objects=self.domain.object_ids if first else (),
             )
         )
 
@@ -1407,27 +1414,27 @@ class ReachGraphIndex:
         ``storage`` must already hold the cataloged block files and hash
         table (the storage system's durable catalog restored them);
         ``horizon`` is the prefix the index covered when the catalog was
-        written.  Only the serving state is rebuilt, all of it from this
-        device's *directory* (module docstring), checked against the
-        partition file's catalog — no vertex record is read.  The object-index
-        buckets are *reconciled* against the directory: bucket rewrites go
-        through the buffer pool in place, so a crash can leave a bucket
-        durably ahead of the cataloged graph (phantom trailing assignment
-        segments); reconciliation restores the exact pairing.  A device
-        written before the directory derives it from every vertex record
-        instead.  A catalog naming another on-device format is refused
-        before any read.
+        written.  Only the serving state is rebuilt, from this device's
+        *directory* (module docstring), checked against the partition file's
+        catalog — no vertex record is read — and from the object index, the
+        one copy of which object is in which vertex: its keys must be the
+        directory's objects, and the *phantom* trailing segments a crash can
+        leave in a bucket (:meth:`_object_histories`) are dropped, reading
+        each bucket block once.  A device written before the directory
+        derives it from every vertex record instead.  A catalog naming
+        another on-device format is refused before any read.
 
         ``repack_min_partitions`` is ``None`` for a read-only restore, which
-        keeps no working set and repairs only buckets whose values disagree.
-        A resuming writer passes its owner's repack policy (``0``: it never
-        repacks): it keeps the working set — the ``DN_1`` successor tuples
-        and each object's current vertex from the directory, and the rows of
-        the partitions still unfrozen by the directory's ends, the only
-        extents it reads, each row checked against the directory
-        (predecessors in source-id order, as a rebuild of the graph derives
-        them) — rewrites every bucket not already stored as ``bytes``, and
-        appends the whole directory as one chunk to a device that has none.
+        keeps no working set.  A resuming writer passes its owner's repack
+        policy (``0``: it never repacks): it keeps the working set — the
+        ``DN_1`` successor tuples from the directory, each object's current
+        vertex from its bucket, and the rows of the partitions still
+        unfrozen by the directory's ends, the only extents it reads, each
+        row checked against the directory and the buckets (predecessors in
+        source-id order, as a rebuild of the graph derives them) — rewrites
+        every bucket not already stored as ``bytes``, and writes the whole
+        directory as one chunk in place of one in the earlier shape, or of
+        none.
         """
         found = catalog.get("format")
         if found != INDEX_FORMAT:
@@ -1535,9 +1542,10 @@ class ReachGraphIndex:
         :class:`~repro.core.errors.IndexConstructionError` at the first
         disagreement: a partition the catalog and the directory do not both
         hold, a member count or member order that differs, or a vertex
-        record whose start, end, members or successor order is not the
-        directory's.  The in-memory serving state must be the directory's
-        too: the starts and every partition's members.
+        record whose start, end or successor order is not the directory's.
+        The in-memory serving state must be the directory's too: the starts,
+        every partition's members and the domain's objects.  Which objects a
+        vertex holds is the object index's to say (:meth:`check_object_index`).
         """
         self._require_built()
         assert self._partitions_file is not None and self.partitioning is not None
@@ -1559,9 +1567,14 @@ class ReachGraphIndex:
             for partition_id, member_ids in enumerate(self.partitioning.members)
             if member_ids
         }
-        if live != directory.partitions or self._vertex_starts != directory.starts:
+        assert self.domain is not None
+        if (
+            live != directory.partitions
+            or self._vertex_starts != directory.starts
+            or directory.object_ids != self.domain._known
+        ):
             raise IndexConstructionError(
-                "the in-memory partitions or vertex starts are not the directory's"
+                "the in-memory partitions, vertex starts or objects are not the directory's"
             )
         return len(directory.starts)
 
@@ -1597,43 +1610,99 @@ class ReachGraphIndex:
         if self.config.interval_labels:
             self._labels = ReachLabelIndex(directory.successors)
 
-        # 3. Each object's assignment history as the directory tells it: the
-        #    vertices it belongs to in id (= creation) order, each segment
-        #    starting where its vertex does.  Its keys are the domain's objects.
-        nodes_of = directory.histories()
-        self.domain = GraphDomain(nodes_of, horizon)
+        # 3. The domain is the directory's objects; the object index must
+        #    hold exactly them, each history ending in a committed vertex.
+        self.domain = GraphDomain(directory.object_ids, horizon)
         self._built = True
+        histories = self._object_histories(writer)
 
-        # 4. Reconcile the object-index buckets against those histories.
-        #    Doubles as the structural verification of the restored index: a
-        #    bucket that disagrees with the directory is rewritten from it
-        #    (and, by a writer, one stored in an earlier shape).
-        starts_at = directory.starts.__getitem__
-        for object_id in self.domain.object_ids:
-            stored = self._object_index.get(object_id)
-            if stored is None:
-                raise IndexConstructionError(
-                    f"object {object_id} is missing from the restored object index"
-                )
-            nodes = nodes_of[object_id]
-            packed = (
-                array("q", map(starts_at, nodes)).tobytes(),
-                array("q", nodes).tobytes(),
-            )
-            if writer:
-                stale = stored != packed
-            else:
-                stale = any(map(ne, map(_int64s, stored), map(_int64s, packed)))
-            if stale:
-                self._object_index.update(object_id, packed)
-
-        # 5. A writer's working set, and the directory a device written
-        #    before it lacks (durable with the owner's next flush).
+        # 4. A writer's working set, and the directory in the current shape
+        #    for a device holding an earlier one, or none (durable with the
+        #    owner's next flush; until then the manifest names the old one).
         if writer:
-            if self._directory_file is None:
+            if directory.earlier_shape:
+                if self._directory_file is not None:
+                    self.storage.drop_blockfile(self._directory_file.name)
                 self._directory_file = self._new_directory_file()
                 self._append_chunk(directory.chunk())
-            self._hold_working_set(directory)
+            self._hold_working_set(directory, histories)
+
+    def _object_histories(self, writer: bool) -> Dict[ObjectId, Sequence[int]]:
+        """Each object's committed vertices in id order, one read per bucket.
+
+        The object index is the one copy of which object is in which vertex.
+        Its keys must be the domain's objects.  A bucket rewrite goes through
+        the buffer pool in place, so a crash can leave a bucket durably ahead
+        of the committed graph: *phantom* trailing segments naming a vertex
+        at or past the committed vertex count (they start after the committed
+        horizon, so no query clipped to it selects them).  They are dropped,
+        and the last segment left must start where its vertex does — a
+        bucket is checked no further here (:meth:`check_object_index` reads
+        them all).  A trimmed bucket is rewritten as ``bytes`` in the buffer
+        pool (a read-only owner never flushes it); a ``writer`` also
+        rewrites every bucket stored in an earlier shape.
+        """
+        assert self._object_index is not None and self.domain is not None
+        vertex_starts = self._vertex_starts
+        num_nodes = len(vertex_starts)
+        histories: Dict[ObjectId, Sequence[int]] = {}
+        rewrites: List[Tuple[ObjectId, AssignmentHistory]] = []
+        for object_id, (starts, nodes) in self._object_index.items():
+            start_of, node_ids = _int64s(starts), _int64s(nodes)
+            count = len(node_ids)
+            if count and node_ids[-1] >= num_nodes:
+                count = bisect_left(node_ids, num_nodes)
+            if not count or start_of[count - 1] != vertex_starts[node_ids[count - 1]]:
+                raise IndexConstructionError(
+                    f"the object-index bucket of object {object_id} does not "
+                    f"end in a committed vertex of the {num_nodes}"
+                )
+            if count < len(node_ids) or (writer and (type(starts), type(nodes)) != (bytes, bytes)):
+                node_ids = node_ids[:count]
+                rewrites.append((object_id, (start_of[:count].tobytes(), node_ids.tobytes())))
+            histories[object_id] = node_ids
+        if histories.keys() != self.domain._known:
+            raise IndexConstructionError(
+                f"the object index holds objects {sorted(histories)}, the "
+                f"directory names {list(self.domain.object_ids)}"
+            )
+        for object_id, history in rewrites:
+            self._object_index.update(object_id, history)
+        return histories
+
+    def check_object_index(self) -> int:
+        """Compare every object-index bucket with the partition extents;
+        returns the objects checked.
+
+        Reads every extent and every bucket, and raises
+        :class:`~repro.core.errors.IndexConstructionError` at the first
+        disagreement: an object the buckets and the records' members do not
+        both hold, or a history that is not the vertices holding its object,
+        in id order, each segment starting where its vertex does.
+        """
+        self._require_built()
+        assert self._object_index is not None and self.domain is not None
+        _, records = self._read_graph_records()
+        truth: Dict[ObjectId, List[int]] = {}
+        for row in records:
+            for member in row[3]:
+                truth.setdefault(member, []).append(row[0])
+        buckets = dict(self._object_index.items())
+        if buckets.keys() != truth.keys() or truth.keys() != self.domain._known:
+            raise IndexConstructionError(
+                f"the object index holds objects {sorted(buckets)}, the "
+                f"records hold {sorted(truth)}"
+            )
+        for object_id, nodes in truth.items():
+            starts, stored = buckets[object_id]
+            if list(_int64s(stored)) != nodes or list(_int64s(starts)) != [
+                records[node_id][1] for node_id in nodes
+            ]:
+                raise IndexConstructionError(
+                    f"the object-index bucket of object {object_id} is not "
+                    f"the history of vertices {nodes}"
+                )
+        return len(truth)
 
     def _materialize_graph(self) -> HyperGraph:
         """Rebuild the whole graph in memory from the partition extents.

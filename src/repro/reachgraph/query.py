@@ -34,8 +34,10 @@ Two read-side accelerations sit in front of the traversal:
   reject provable negatives, so answers are bit-identical to pure
   traversal);
 * an optional cross-query :class:`PartitionCache` — a shared LRU owned by
-  the serving layer, emptied whenever the graph mutates — short-circuits
-  partition reads that an earlier query on the same graph already paid for.
+  the serving layer — short-circuits partition reads that an earlier query
+  on the same graph already paid for.  A merge or a repack discards only the
+  partitions it rewrote or retired (the rest still hold their extents'
+  records); only attaching another graph empties it.
 """
 
 from __future__ import annotations

@@ -10,9 +10,13 @@ the mapped page and rereads are served by the OS page cache.  Layout::
     [flag: u8][payload_bytes: u32][pickled payload ...]   one slot per block
 
 Payloads that pickle beyond the slot capacity spill into an overflow table
-(flag 2) carried by the manifest sidecar, so arbitrary payloads stay correct
-while the common case — record-packed index blocks sized to a few KiB — stays
-on the fast mapped path.  :meth:`~StorageBackend.flush` flushes the mapping
+carried by the manifest sidecar, so arbitrary payloads stay correct while the
+common case — record-packed index blocks sized to a few KiB — stays on the
+fast mapped path.  A block the overflow table holds is read from there,
+whatever its slot says.  A spill leaves the slot's inline payload in place
+(a never-written slot is flagged 2): an in-place write is durable before
+the manifest is, so overwriting the slot would leave a crash with a block
+whose committed payload is gone and whose spilled one was never committed.  :meth:`~StorageBackend.flush` flushes the mapping
 and atomically replaces the manifest (``<path>.manifest``) holding the block
 count, the metadata channel, and the overflow table.
 """
@@ -123,28 +127,29 @@ class MmapBackend(StorageBackend):
             start = offset + _SLOT_HEADER.size
             self._map[start : start + len(blob)] = blob
         else:
-            self._map[offset : offset + _SLOT_HEADER.size] = _SLOT_HEADER.pack(
-                _FLAG_OVERFLOW, 0
-            )
+            if self._map[offset] == _FLAG_EMPTY:
+                self._map[offset : offset + _SLOT_HEADER.size] = _SLOT_HEADER.pack(
+                    _FLAG_OVERFLOW, 0
+                )
             self._overflow[block_id] = blob
 
     def _load(self, block_id: int) -> Any:
+        blob = self._overflow.get(block_id)
+        if blob is not None:
+            return EncodedBlock(blob)
         offset = self._slot_offset(block_id)
         flag, length = _SLOT_HEADER.unpack_from(self._map, offset)
         if flag == _FLAG_EMPTY:
             return None  # allocated but never written
         if flag == _FLAG_OVERFLOW:
-            blob = self._overflow.get(block_id)
-            if blob is None:
-                # The slot says "spilled" but the overflow table (persisted
-                # only by flush()) does not have it: the device was reopened
-                # without its manifest.  Fail loudly instead of KeyError.
-                raise StorageError(
-                    f"block {block_id} of {self._path!r} spilled past the "
-                    "slot capacity and its overflow payload was lost — the "
-                    "device was not flushed before reopening"
-                )
-            return EncodedBlock(blob)
+            # The slot says "spilled" but the overflow table (persisted
+            # only by flush()) does not have it: the device was reopened
+            # without its manifest.  Fail loudly instead of KeyError.
+            raise StorageError(
+                f"block {block_id} of {self._path!r} spilled past the "
+                "slot capacity and its overflow payload was lost — the "
+                "device was not flushed before reopening"
+            )
         start = offset + _SLOT_HEADER.size
         # A copy of the slot, not a view: the block must decode the same after
         # an in-place write, a remap by _grow or reclaim, or close.
@@ -188,20 +193,20 @@ class MmapBackend(StorageBackend):
                 offset = self._slot_offset(old_id)
                 header = self._map[offset : offset + _SLOT_HEADER.size]
                 flag, length = _SLOT_HEADER.unpack(header)
-                if flag == _FLAG_EMPTY:
+                blob = self._overflow.get(old_id)
+                if flag == _FLAG_EMPTY and blob is None:
                     continue  # allocated but never written: stays empty
                 new_id = remap[old_id]
                 compacted.seek(_FILE_HEADER.size + new_id * self._slot_bytes)
-                if flag == _FLAG_OVERFLOW:
-                    blob = self._overflow.get(old_id)
-                    if blob is None:
-                        raise StorageError(
-                            f"block {old_id} of {self._path!r} spilled past "
-                            "the slot capacity and its overflow payload was "
-                            "lost — cannot reclaim an unflushed device"
-                        )
-                    compacted.write(header)
+                if blob is not None:
+                    compacted.write(_SLOT_HEADER.pack(_FLAG_OVERFLOW, 0))
                     overflow[new_id] = blob
+                elif flag == _FLAG_OVERFLOW:
+                    raise StorageError(
+                        f"block {old_id} of {self._path!r} spilled past "
+                        "the slot capacity and its overflow payload was "
+                        "lost — cannot reclaim an unflushed device"
+                    )
                 else:
                     compacted.write(
                         self._map[offset : offset + _SLOT_HEADER.size + length]

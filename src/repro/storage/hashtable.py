@@ -142,6 +142,20 @@ class ExternalHashTable:
         sentinel = object()
         return self.get(key, sentinel) is not sentinel
 
+    def items(self) -> List[Tuple[Hashable, Any]]:
+        """Every ``(key, value)`` entry, one block read per bucket.
+
+        What a scan of the whole table costs: each bucket once, in hash
+        order, where probing every key would read a bucket per key.
+        """
+        if not self._built:
+            raise StorageError(f"hash table {self.name!r} has not been built")
+        return [
+            entry
+            for block_id in self._bucket_blocks
+            for entry in self._buffer.read(block_id).items()
+        ]
+
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------

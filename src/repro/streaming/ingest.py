@@ -295,11 +295,19 @@ class StreamIngestor:
         extents and the old checkpoint replays them; after it the new
         checkpoint stands alone.
         """
-        for key in self._journal.extent_keys():
-            self._journal.drop_extent(key)
+        self.drop_journal()
         self.storage.put_metadata(_INGEST_CHECKPOINT_KEY, self._checkpoint())
         crash_point("wal-truncate-pre-commit")
         self.storage.flush()
+
+    def drop_journal(self) -> None:
+        """Drop every journal extent (WAL truncation): its blocks turn garbage.
+
+        :meth:`flush` does this before its checkpoint; an owner whose device
+        does not persist does it once nothing journaled is needed any more.
+        """
+        for key in self._journal.extent_keys():
+            self._journal.drop_extent(key)
 
     @classmethod
     def restore(

@@ -543,6 +543,12 @@ class StreamingReachabilityService:
         self._consumed_closed = self._ingestor.num_closed_contacts
         self._merges += 1
         self._cache.clear()
+        if not self._ingestor.storage.persistent:
+            # No manifest outlives the process, so none has to commit first:
+            # the snapshot now holds every contact before the restage cursor,
+            # and the journaled batches are in the ingestor's state.
+            self._ingestor.release_closed(self._releasable_cursor())
+            self._ingestor.drop_journal()
 
     # ------------------------------------------------------------------
     # querying

@@ -203,8 +203,6 @@ class ResidentDagIndex(ReachGraphIndex):
                 patch.base_nodes,
                 [start for _, start, _, _ in patch.new_nodes],
                 [end for _, _, end, _ in patch.new_nodes],
-                [len(members) for _, _, _, members in patch.new_nodes],
-                [member for _, _, _, members in patch.new_nodes for member in members],
                 patch.extensions,
                 [source_id for source_id, _ in joined],
                 [target_id for _, target_id in joined],
@@ -212,6 +210,7 @@ class ResidentDagIndex(ReachGraphIndex):
                     (partition_id, self.partitioning.members[partition_id])
                     for partition_id in new_partition_ids
                 ],
+                objects=self.domain.object_ids if first else (),
             )
         )
 

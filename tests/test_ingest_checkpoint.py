@@ -8,7 +8,10 @@ devices written while every elapsed interval's samples were still archived as
 reclaim, a ``memtable``, ``positions`` or ``ingest_seconds`` in the
 checkpoint is read past, a full closed-contact list resumes, and a checkpoint
 from before WAL truncation replays its journal — with answers equal to the
-reference evaluator on every persistent backend.
+reference evaluator on every persistent backend.  A service on a backend
+that does not persist never flushes, so each merge releases the closed
+contacts before its restage cursor and drops the journal; on a persistent
+backend only a flush does.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from repro.streaming import (
     StreamingReachabilityService,
 )
 from repro.testing.faults import simulate_kill
+from repro.workloads import DATASETS, make_dataset
 from repro.workloads.queries import random_queries
 
 THRESHOLD = 30.0
@@ -301,3 +305,55 @@ class TestArchivedDevices:
         assert restored.contacts_through_watermark() == live.contacts_through_watermark()
         assert restored.prefix_domain().object_ids == tuple(dataset.object_ids)
         restored.storage.close()
+
+
+class TestNonPersistentRelease:
+    """What an unflushed service holds after draining ``rwp-tiny``: 305
+    closed contacts, the restage cursor at 268 after the drain's merges,
+    and the journal of the two batches since the last one."""
+
+    @staticmethod
+    def drained(storage_config):
+        world = make_dataset("rwp-tiny")
+        threshold = DATASETS["rwp-tiny"].contact_threshold
+        service = StreamingReachabilityService.for_dataset(
+            world,
+            contact_config=ContactConfig(distance_threshold=threshold),
+            storage_config=storage_config,
+        )
+        service.drain(world)
+        return world, threshold, service
+
+    def test_sim_releases_at_every_merge(self):
+        world, threshold, service = self.drained(None)
+        ingestor = service.ingestor
+        assert not ingestor.storage.persistent
+        assert ingestor.num_closed_contacts == 305
+        assert ingestor.closed_floor == service._restage_cursor == 268
+        assert ingestor._journal.num_extents == 2
+        service.merge()
+        assert ingestor.closed_floor == service._restage_cursor == 305
+        assert ingestor.journal_blocks == 0
+        assert_methods_agree(
+            reference_evaluator(prefix_network(world, threshold)),
+            {"sim": service.query},
+            random_queries(world, count=16, seed=5),
+            check_earliest=True,
+            context="sim, released at every merge",
+        )
+        service.close()
+
+    def test_a_persistent_backend_releases_only_at_flush(self, tmp_path):
+        storage_config = backend_storage_config("file", storage_dir=str(tmp_path))
+        _, _, service = self.drained(storage_config)
+        ingestor = service.ingestor
+        service.merge()
+        assert ingestor.closed_floor == 0 and service._restage_cursor == 305
+        assert ingestor.journal_blocks > 0
+        # A flush releases what the manifest before it committed: the
+        # first one commits the cursor, the second lets the contacts go.
+        service.flush()
+        assert ingestor.closed_floor == 0 and ingestor.journal_blocks == 0
+        service.flush()
+        assert ingestor.closed_floor == 305
+        service.close()

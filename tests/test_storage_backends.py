@@ -306,6 +306,27 @@ class TestMmapBackendSpecifics:
         assert disk.read(block) == "now-small"
         disk.close()
 
+    def test_a_spill_over_a_committed_block_keeps_it_after_a_crash(self, tmp_path):
+        # A slot write reaches the file before any manifest does: spilling a
+        # rewrite must leave the committed inline payload in its slot, and
+        # the spilled one wins only once a flush commits it.
+        path = str(tmp_path / "spill.mmap")
+        disk = MmapBackend(path, slot_bytes=64)
+        block = disk.allocate("committed")
+        disk.flush()
+        disk.write(block, list(range(1000)))
+        assert disk.read(block) == list(range(1000))
+        disk._map.flush()  # mapped pages reach the file, manifest never does
+        del disk
+
+        reopened = MmapBackend(path, slot_bytes=64)
+        assert reopened.read(block) == "committed"
+        reopened.write(block, list(range(1000)))
+        reopened.reclaim({block: 0}, 1)
+        assert reopened.read(0) == list(range(1000))
+        reopened.close()
+        assert MmapBackend(path, slot_bytes=64).read(0) == list(range(1000))
+
     def test_rejects_degenerate_slot_size(self, tmp_path):
         with pytest.raises(StorageError):
             MmapBackend(str(tmp_path / "x.mmap"), slot_bytes=4)

@@ -602,11 +602,14 @@ class TestMergeEdgeCases:
         self, tiny_dataset, tiny_contact_config
     ):
         """The closed-contact log is append-only: a merge must not shift the
-        positions ``closed_contacts_since`` readers rely on."""
+        positions ``closed_contacts_since`` readers rely on.  (On a backend
+        that persists, as here, only a flush releases contacts: a ``sim``
+        service releases its snapshot's at every merge.)"""
         service = StreamingReachabilityService.for_dataset(
             tiny_dataset,
             contact_config=tiny_contact_config,
             streaming_config=StreamingConfig(max_delta_contacts=10_000),
+            storage_config=backend_storage_config("file"),
         )
         batches = list(DatasetReplaySource(tiny_dataset, batch_ticks=12).batches())
         midpoint = len(batches) // 2
@@ -1167,7 +1170,8 @@ class TestSnapshotCompaction:
     ):
         """``contacts_through_watermark`` coverage and the
         ``closed_contacts_since`` positions must be invariant under merges
-        *and* compactions."""
+        *and* compactions (on a backend that persists, where only a flush
+        releases contacts)."""
 
         def coverage(contacts):
             per_pair = {}
@@ -1176,11 +1180,11 @@ class TestSnapshotCompaction:
                 per_pair[key] = per_pair.get(key, 0) + contact.validity.length
             return per_pair
 
-        service = self._service(
+        service = StreamingReachabilityService.for_dataset(
             tiny_dataset,
-            tiny_contact_config,
-            max_delta_contacts=16,
-            compaction_max_runs=2,
+            contact_config=tiny_contact_config,
+            streaming_config=StreamingConfig(max_delta_contacts=16, compaction_max_runs=2),
+            storage_config=backend_storage_config("file"),
         )
         batches = list(DatasetReplaySource(tiny_dataset, batch_ticks=10).batches())
         midpoint = len(batches) // 2
