@@ -47,9 +47,9 @@ saying what changed (new vertices' starts and ends, extended ends, the
 members, retired partition ids, and once the domain's objects), so a reopen
 replays the chunks and decodes no vertex record.  Which object is in which
 vertex the directory does not say: the object-index buckets are the one
-copy of that, and a reopen reads each bucket block once.  The *working set* is what a writer holds between merges
-(:class:`_WorkingSet`): the vertex rows of every partition that still holds
-an unfrozen vertex, one ``DN_1`` successor tuple per vertex (the labels and
+copy of that, and a reopen reads each bucket block once.  The *working
+set* is what a writer holds between merges (:class:`_WorkingSet`): the
+vertex rows of every partition that still holds an unfrozen vertex, one ``DN_1`` successor tuple per vertex (the labels and
 the partitioner read them), and each object's current vertex.  A vertex
 *freezes* once it has closed and every augmentation window cursor has passed
 its end: no later patch can touch its record, so a partition whose members
@@ -58,8 +58,8 @@ when its owner repacks.  :meth:`~ReachGraphIndex.frontier`,
 :meth:`~ReachGraphIndex.apply_increment` and
 :meth:`~ReachGraphIndex.repack_frontier` read and patch only the working
 set, and write extents from its rows.  A resumed writer builds it from the
-directory, the buckets and the extents of its unfrozen partitions alone; a read-only
-restore keeps none of it.  The whole graph in memory — ``dag`` and
+directory, the buckets and the extents of its unfrozen partitions alone; a
+read-only restore keeps none of it.  The whole graph in memory — ``dag`` and
 ``hypergraph`` — is the batch build's until its first increment, and
 otherwise materialises from the extents on demand (for tests and batch
 consumers, never on the writer's path).

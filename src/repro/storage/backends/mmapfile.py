@@ -16,9 +16,10 @@ fast mapped path.  A block the overflow table holds is read from there,
 whatever its slot says.  A spill leaves the slot's inline payload in place
 (a never-written slot is flagged 2): an in-place write is durable before
 the manifest is, so overwriting the slot would leave a crash with a block
-whose committed payload is gone and whose spilled one was never committed.  :meth:`~StorageBackend.flush` flushes the mapping
-and atomically replaces the manifest (``<path>.manifest``) holding the block
-count, the metadata channel, and the overflow table.
+whose committed payload is gone and whose spilled one was never committed.
+:meth:`~StorageBackend.flush` flushes the mapping and atomically replaces
+the manifest (``<path>.manifest``) holding the block count, the metadata
+channel, and the overflow table.
 """
 
 from __future__ import annotations
