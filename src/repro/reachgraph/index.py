@@ -110,13 +110,6 @@ __all__ = [
     "compute_graph_patch",
 ]
 
-#: On-device format of partition records and object-index buckets (cataloged;
-#: devices from before the key hold dataclass records and pair-tuple buckets).
-#: Format-2 devices written before records became plain tuples hold
-#: :class:`VertexRecord` rows and ``array('q')`` histories: the rows read
-#: positionally like tuples, and restore rewrites those buckets as ``bytes``.
-INDEX_FORMAT = 2
-
 #: Per-object assignment history stored in the object index: two parallel
 #: runs of native int64 as ``bytes`` — segment start times (ascending) and
 #: the vertex of each — so a bucket unpickles without a reduce call.
@@ -142,13 +135,9 @@ def _pack_segments(segments: Iterable[Tuple[TimeInstant, int]]) -> AssignmentHis
     return array("q", starts).tobytes(), array("q", nodes).tobytes()
 
 
-def _int64s(run: Any) -> memoryview:
-    """One run of an assignment history as int64 values, whatever its shape.
-
-    Histories are ``bytes``; buckets written earlier hold ``array('q')``.
-    """
-    view = memoryview(run)
-    return view if view.format == "q" else view.cast("q")
+def _int64s(run: bytes) -> memoryview:
+    """One run of an assignment history (``bytes``) as int64 values."""
+    return memoryview(run).cast("q")
 
 
 #: Bytes of a directory block per record slot of the partition file.  A
@@ -161,10 +150,10 @@ _DIRECTORY_BYTES_PER_SLOT = 240
 
 #: The sections of a directory chunk, in order, with their int width:
 #: ``q`` (int64) for times and object ids, ``i`` (int32) for vertex and
-#: partition ids and counts.  The chunk header holds :data:`_CHUNK_TAG`,
-#: the first new vertex's id and each section's length.  Which object is in
-#: which vertex is not among them: the object-index buckets hold it (one
-#: copy on the device), and the chunk that starts a graph names its objects.
+#: partition ids and counts.  The chunk header holds the first new vertex's
+#: id and each section's length.  Which object is in which vertex is not
+#: among them: the object-index buckets hold it (one copy on the device), and
+#: the chunk that starts a graph names its objects.
 _CHUNK_SECTIONS = (
     ("starts", "q"),  # of the new vertices, ids from the header's first
     ("ends", "q"),
@@ -178,23 +167,6 @@ _CHUNK_SECTIONS = (
     ("retired", "i"),  # partition ids a repack folded
     ("objects", "q"),  # the domain's object ids, in the chunk from vertex 0
 )
-
-#: The sections of a chunk written while the directory still held every new
-#: vertex's members: no tag, and ``member_counts`` / ``members`` (each new
-#: vertex's sorted members, concatenated) after ``ends`` in place of
-#: ``objects``.  Such a directory still replays; a resuming writer rewrites
-#: it as one chunk in the current shape.
-_EARLIER_CHUNK_SECTIONS = (
-    ("starts", "q"),
-    ("ends", "q"),
-    ("member_counts", "i"),
-    ("members", "q"),
-    *_CHUNK_SECTIONS[2:-1],
-)
-
-#: First int64 of a chunk in the current shape; an earlier chunk starts with
-#: its first vertex id, never negative.
-_CHUNK_TAG = -2
 
 
 def _pack_chunk(
@@ -232,7 +204,7 @@ def _pack_chunk(
         objects,
     )
     sections = [array(code, column) for (_, code), column in zip(_CHUNK_SECTIONS, values)]
-    header = array("q", [_CHUNK_TAG, first_vertex, *map(len, sections)])
+    header = array("q", [first_vertex, *map(len, sections)])
     return header.tobytes() + b"".join(section.tobytes() for section in sections)
 
 
@@ -242,13 +214,10 @@ class _Directory:
     Per vertex, in id order: its start, its end and its ``DN_1`` successor
     list; every live partition's members in slot order; and the domain's
     object ids.  :meth:`replay` folds in one chunk of the
-    ``<graph>-directory`` file; :meth:`from_records` derives the same from
-    the vertex records of a device written before the directory existed.
-    ``earlier_shape`` says a chunk was in the shape that still held members
-    (or that there was no directory): a writer rewrites such a directory.
+    ``<graph>-directory`` file.
     """
 
-    __slots__ = ("starts", "ends", "successors", "partitions", "object_ids", "earlier_shape")
+    __slots__ = ("starts", "ends", "successors", "partitions", "object_ids")
 
     def __init__(self) -> None:
         self.starts: "array[int]" = array("q")
@@ -256,21 +225,15 @@ class _Directory:
         self.successors: List[List[int]] = []
         self.partitions: Dict[int, List[int]] = {}
         self.object_ids: Set[ObjectId] = set()
-        self.earlier_shape = False
 
     def replay(self, chunk: bytes) -> None:
-        """Apply one chunk (:func:`_pack_chunk`, or one in the earlier
-        shape) on top of the chunks before it."""
-        tagged = array("q", chunk[:8])[0] == _CHUNK_TAG
-        layout = _CHUNK_SECTIONS if tagged else _EARLIER_CHUNK_SECTIONS
-        offset = 8 if tagged else 0
-        self.earlier_shape |= not tagged
+        """Apply one chunk (:func:`_pack_chunk`) on top of the chunks before it."""
         header = array("q")
-        header.frombytes(chunk[offset : offset + 8 * (len(layout) + 1)])
+        header.frombytes(chunk[: 8 * (len(_CHUNK_SECTIONS) + 1)])
         first_vertex, *lengths = header
-        offset += 8 * len(header)
+        offset = 8 * len(header)
         sections: Dict[str, "array[int]"] = {}
-        for (name, code), length in zip(layout, lengths):
+        for (name, code), length in zip(_CHUNK_SECTIONS, lengths):
             values = array(code)
             values.frombytes(chunk[offset : offset + values.itemsize * length])
             offset += values.itemsize * length
@@ -285,7 +248,7 @@ class _Directory:
         self.starts.extend(starts)
         self.ends.extend(sections["ends"])
         self.successors.extend([] for _ in starts)
-        self.object_ids.update(sections["objects" if tagged else "members"])
+        self.object_ids.update(sections["objects"])
         for node_id, end in zip(sections["extended"], sections["extended_to"]):
             self.ends[node_id] = end
         successors = self.successors
@@ -296,34 +259,6 @@ class _Directory:
             self.partitions[partition_id] = list(islice(flat, size))
         for partition_id in sections["retired"]:
             del self.partitions[partition_id]
-
-    @classmethod
-    def from_records(
-        cls, partition_members: Dict[int, List[int]], records: Sequence[VertexRow]
-    ) -> "_Directory":
-        """The directory of a device written before it: the vertex records
-        (every one, in id order) and each extent's members say it all."""
-        directory = cls()
-        directory.starts = array("q", [record[1] for record in records])
-        directory.ends = array("q", [record[2] for record in records])
-        directory.successors = [list(record[4]) for record in records]
-        directory.partitions = dict(partition_members)
-        directory.object_ids = set(chain.from_iterable(record[3] for record in records))
-        directory.earlier_shape = True
-        return directory
-
-    def chunk(self) -> bytes:
-        """The whole directory as one chunk (what a writer appends in place
-        of a directory in the earlier shape, or of none)."""
-        return _pack_chunk(
-            0,
-            self.starts,
-            self.ends,
-            (),
-            *_edges_of(self.successors),
-            partitions=sorted(self.partitions.items()),
-            objects=sorted(self.object_ids),
-        )
 
 
 def _edges_of(successors: Sequence[Sequence[int]]) -> Tuple[Iterable[int], Iterable[int]]:
@@ -413,9 +348,8 @@ class VertexRecord(NamedTuple):
 
     The index writes plain tuples in this order, so a partition block
     unpickles with no reduce call at all, and every reader unpacks records
-    positionally (field order is a contract).  The class remains the type
-    of rows in blocks written before that, and ``VertexRecord._make(row)``
-    gives a row named fields and the helpers below.
+    positionally (field order is a contract).  ``VertexRecord._make(row)``
+    gives a row named fields.
     """
 
     node_id: int
@@ -425,23 +359,6 @@ class VertexRecord(NamedTuple):
     successors: Tuple[int, ...]
     predecessors: Tuple[int, ...]
     long_successors: Tuple[Tuple[int, Tuple[int, ...]], ...]
-
-    @property
-    def interval(self) -> TimeInterval:
-        """The persistence interval of the component."""
-        return TimeInterval(self.start, self.end)
-
-    def long_successors_at(self, resolution: int) -> Tuple[int, ...]:
-        """Long-edge successors at one resolution (empty when none)."""
-        for stored_resolution, successors in self.long_successors:
-            if stored_resolution == resolution:
-                return successors
-        return ()
-
-    def __reduce__(self) -> Tuple[Any, ...]:
-        # The default tuple-subclass reduce rebuilds through the class's
-        # Python-level ``__new__``; ``tuple.__new__`` keeps decoding in C.
-        return tuple.__new__, (VertexRecord, tuple(self))
 
 
 @dataclass(frozen=True, slots=True)
@@ -628,8 +545,7 @@ class ReachGraphIndex:
         # existing ones, and a build without them stays in memory.
         self._storage: Optional[StorageSystem] = None
         self._partitions_file: Optional[BlockFile] = None
-        # The append-only directory (module docstring); ``None`` on a
-        # device written before it, until a writer appends one.
+        # The append-only directory (module docstring).
         self._directory_file: Optional[BlockFile] = None
         self._object_index: Optional[ExternalHashTable] = None
         if not defer_placement:
@@ -679,16 +595,14 @@ class ReachGraphIndex:
         if create:
             self._partitions_file = storage.new_blockfile(f"{self.name}-partitions")
             self._object_index = storage.new_hashtable(f"{self.name}-object-index")
-            self._directory_file = self._new_directory_file()
+            # One piece of a chunk per block (see _DIRECTORY_BYTES_PER_SLOT).
+            self._directory_file = storage.new_blockfile(
+                f"{self.name}-directory", records_per_block=1
+            )
         else:
             self._partitions_file = storage.blockfile(f"{self.name}-partitions")
             self._object_index = storage.hashtable(f"{self.name}-object-index")
-            if storage.has_blockfile(f"{self.name}-directory"):
-                self._directory_file = storage.blockfile(f"{self.name}-directory")
-
-    def _new_directory_file(self) -> BlockFile:
-        # One piece of a chunk per block (see _DIRECTORY_BYTES_PER_SLOT).
-        return self.storage.new_blockfile(f"{self.name}-directory", records_per_block=1)
+            self._directory_file = storage.blockfile(f"{self.name}-directory")
 
     def _append_chunk(self, chunk: bytes) -> None:
         """Append one chunk (:func:`_pack_chunk`) to the directory."""
@@ -705,11 +619,6 @@ class ReachGraphIndex:
         if self._storage is None:
             raise IndexNotBuiltError("index was built with defer_placement=True")
         return self._storage
-
-    @property
-    def is_placed(self) -> bool:
-        """True once the index lives on a storage system."""
-        return self._storage is not None
 
     @property
     def hypergraph(self) -> HyperGraph:
@@ -868,7 +777,7 @@ class ReachGraphIndex:
         """
         if self._working is None:
             self._require_built()
-            self._hold_working_set(self._read_directory(), self._object_histories(writer=True))
+            self._hold_working_set(self._read_directory(), self._object_histories())
         self._hypergraph = None
         return self._working
 
@@ -1389,7 +1298,6 @@ class ReachGraphIndex:
         """
         self._require_built()
         return {
-            "format": INDEX_FORMAT,
             "name": self.name,
             "resolutions": list(self.config.sorted_resolutions),
             "partition_depth": self.config.partition_depth,
@@ -1420,9 +1328,10 @@ class ReachGraphIndex:
         one copy of which object is in which vertex: its keys must be the
         directory's objects, and the *phantom* trailing segments a crash can
         leave in a bucket (:meth:`_object_histories`) are dropped, reading
-        each bucket block once.  A device written before the directory
-        derives it from every vertex record instead.  A catalog naming
-        another on-device format is refused before any read.
+        each bucket block once.  The catalog names no format: the owner's
+        top metadata record carries the device's stamp
+        (:data:`repro.streaming.ingest.DEVICE_FORMAT`), checked before this
+        is called.
 
         ``repack_min_partitions`` is ``None`` for a read-only restore, which
         keeps no working set.  A resuming writer passes its owner's repack
@@ -1431,29 +1340,15 @@ class ReachGraphIndex:
         vertex from its bucket, and the rows of the partitions still
         unfrozen by the directory's ends, the only extents it reads, each
         row checked against the directory and the buckets (predecessors in
-        source-id order, as a rebuild of the graph derives them) — rewrites
-        every bucket not already stored as ``bytes``, and writes the whole
-        directory as one chunk in place of one in the earlier shape, or of
-        none.
+        source-id order, as a rebuild of the graph derives them).
         """
-        found = catalog.get("format")
-        if found != INDEX_FORMAT:
-            raise IndexConstructionError(
-                f"index {catalog.get('name')!r} is in on-device format "
-                f"{found!r}, expected format {INDEX_FORMAT}: it was written "
-                "by another version and must be rebuilt from its source"
-            )
         resolutions = tuple(
             int(resolution) for resolution in catalog["resolutions"]  # type: ignore[union-attr]
         )
         config = ReachGraphConfig(
             resolutions=resolutions,
             partition_depth=int(catalog["partition_depth"]),  # type: ignore[arg-type]
-            # A catalog written before the labels left it holds ``"labels"``
-            # instead: the label state, or None for a service without them.
-            interval_labels=bool(
-                catalog.get("interval_labels", catalog.get("labels") is not None)
-            ),
+            interval_labels=bool(catalog["interval_labels"]),
         )
         index = cls(
             None,
@@ -1466,46 +1361,36 @@ class ReachGraphIndex:
         index._restore_serving_state(catalog, horizon, writer=repack_min_partitions is not None)
         return index
 
-    def _read_graph_records(self) -> Tuple[Dict[int, List[int]], List[VertexRow]]:
-        """Every live extent read once: members per partition, records by id.
+    def _read_graph_records(self) -> List[VertexRow]:
+        """Every live extent read once: the records, by vertex id.
 
-        The extent key is the partition id and record order inside an extent
-        is the member write order, so the extents are the authoritative
-        partitioning too.  Vertex ids are dense (a vertex is numbered by
-        creation order), which is the check that no extent lost a record.
+        Vertex ids are dense (a vertex is numbered by creation order), which
+        is the check that no extent lost a record.
         """
         assert self._partitions_file is not None
-        partition_members: Dict[int, List[int]] = {}
         records: List[VertexRow] = []
         for key in self._partitions_file.extent_keys():
-            extent_records: Sequence[VertexRow] = self._partitions_file.read_extent(key)
-            partition_members[int(key)] = [record[0] for record in extent_records]
-            records.extend(extent_records)
+            records.extend(self._partitions_file.read_extent(key))
         records.sort(key=itemgetter(0))
         for expected_id, record in enumerate(records):
             if record[0] != expected_id:
                 raise IndexConstructionError(
                     f"partition extents are missing vertex {expected_id}"
                 )
-        return partition_members, records
+        return records
 
     def _read_directory(self) -> _Directory:
         """The directory, checked against the partition file's catalog.
 
-        Its chunks are replayed in append order; a device written before
-        the directory derives the same from every vertex record.  Either way
-        the directory must list exactly the cataloged partitions, each with
-        as many members as its extent holds records, every vertex in one of
-        them, and vertex ids in start order — which
-        :meth:`vertices_starting_by` relies on.
+        Its chunks are replayed in append order, and the directory must list
+        exactly the cataloged partitions, each with as many members as its
+        extent holds records, every vertex in one of them, and vertex ids in
+        start order — which :meth:`vertices_starting_by` relies on.
         """
-        assert self._partitions_file is not None
-        if self._directory_file is None:
-            directory = _Directory.from_records(*self._read_graph_records())
-        else:
-            directory = _Directory()
-            for key in self._directory_file.extent_keys():
-                directory.replay(b"".join(self._directory_file.read_extent(key)))
+        assert self._partitions_file is not None and self._directory_file is not None
+        directory = _Directory()
+        for key in self._directory_file.extent_keys():
+            directory.replay(b"".join(self._directory_file.read_extent(key)))
         cataloged = {
             int(key): self._partitions_file.extent(key).num_records
             for key in self._partitions_file.extent_keys()
@@ -1549,10 +1434,6 @@ class ReachGraphIndex:
         """
         self._require_built()
         assert self._partitions_file is not None and self.partitioning is not None
-        if self._directory_file is None:
-            raise IndexConstructionError(
-                f"index {self.name!r} has no directory on its device"
-            )
         directory = self._read_directory()
         for key in self._partitions_file.extent_keys():
             partition_id = int(key)
@@ -1604,9 +1485,9 @@ class ReachGraphIndex:
         self._increments = int(catalog["increments"])  # type: ignore[arg-type]
         self._packed_partitions = {
             int(partition_id)
-            for partition_id in catalog.get("packed_partitions", ())  # type: ignore[union-attr]
+            for partition_id in catalog["packed_partitions"]  # type: ignore[union-attr]
         }
-        self._repacks = int(catalog.get("repacks", 0))  # type: ignore[arg-type]
+        self._repacks = int(catalog["repacks"])  # type: ignore[arg-type]
         if self.config.interval_labels:
             self._labels = ReachLabelIndex(directory.successors)
 
@@ -1614,20 +1495,13 @@ class ReachGraphIndex:
         #    hold exactly them, each history ending in a committed vertex.
         self.domain = GraphDomain(directory.object_ids, horizon)
         self._built = True
-        histories = self._object_histories(writer)
+        histories = self._object_histories()
 
-        # 4. A writer's working set, and the directory in the current shape
-        #    for a device holding an earlier one, or none (durable with the
-        #    owner's next flush; until then the manifest names the old one).
+        # 4. A writer's working set.
         if writer:
-            if directory.earlier_shape:
-                if self._directory_file is not None:
-                    self.storage.drop_blockfile(self._directory_file.name)
-                self._directory_file = self._new_directory_file()
-                self._append_chunk(directory.chunk())
             self._hold_working_set(directory, histories)
 
-    def _object_histories(self, writer: bool) -> Dict[ObjectId, Sequence[int]]:
+    def _object_histories(self) -> Dict[ObjectId, Sequence[int]]:
         """Each object's committed vertices in id order, one read per bucket.
 
         The object index is the one copy of which object is in which vertex.
@@ -1638,9 +1512,8 @@ class ReachGraphIndex:
         horizon, so no query clipped to it selects them).  They are dropped,
         and the last segment left must start where its vertex does — a
         bucket is checked no further here (:meth:`check_object_index` reads
-        them all).  A trimmed bucket is rewritten as ``bytes`` in the buffer
-        pool (a read-only owner never flushes it); a ``writer`` also
-        rewrites every bucket stored in an earlier shape.
+        them all).  A trimmed bucket is rewritten in the buffer pool (a
+        read-only owner never flushes it).
         """
         assert self._object_index is not None and self.domain is not None
         vertex_starts = self._vertex_starts
@@ -1657,7 +1530,7 @@ class ReachGraphIndex:
                     f"the object-index bucket of object {object_id} does not "
                     f"end in a committed vertex of the {num_nodes}"
                 )
-            if count < len(node_ids) or (writer and (type(starts), type(nodes)) != (bytes, bytes)):
+            if count < len(node_ids):
                 node_ids = node_ids[:count]
                 rewrites.append((object_id, (start_of[:count].tobytes(), node_ids.tobytes())))
             histories[object_id] = node_ids
@@ -1682,7 +1555,7 @@ class ReachGraphIndex:
         """
         self._require_built()
         assert self._object_index is not None and self.domain is not None
-        _, records = self._read_graph_records()
+        records = self._read_graph_records()
         truth: Dict[ObjectId, List[int]] = {}
         for row in records:
             for member in row[3]:
@@ -1713,7 +1586,7 @@ class ReachGraphIndex:
         it: the order the writer held when it wrote the record.
         """
         assert self.domain is not None
-        _, records = self._read_graph_records()
+        records = self._read_graph_records()
         dag = ContactDag(self.domain.horizon, len(self.domain.object_ids))
         layers = {
             resolution: LongEdgeLayer(resolution)

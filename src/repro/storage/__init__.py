@@ -48,7 +48,6 @@ from .backends import (
 )
 from .blockfile import BlockFile, Extent, ExtentRecords
 from .buffer import BufferPool
-from .disk import SimulatedDisk
 from .hashtable import ExternalHashTable
 from .stats import IOSnapshot, IOStats
 
@@ -56,7 +55,6 @@ __all__ = [
     "STORAGE_BACKENDS",
     "StorageBackend",
     "SimulatedBackend",
-    "SimulatedDisk",
     "FileBackend",
     "MmapBackend",
     "make_backend",
@@ -163,10 +161,6 @@ class StorageSystem:
     def hashtable(self, name: str) -> ExternalHashTable:
         """Return a previously created hash table by name."""
         return self._tables[name]
-
-    def has_blockfile(self, name: str) -> bool:
-        """True when a block file named ``name`` is registered."""
-        return name in self._files
 
     def blockfile_names(self) -> List[str]:
         """Names of every registered block file, in registration order."""

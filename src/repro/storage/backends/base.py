@@ -3,10 +3,10 @@
 The paper's experiments measure index behaviour on a *block device*: what
 matters to every layer above (buffer pool, block files, hash tables, snapshot
 stores) is the block API — allocate / read / write — plus the random-vs-
-sequential IO accounting the evaluation normalizes with.  This module factors
-that contract out of the original in-memory ``SimulatedDisk`` so real
-persistent devices (an append-only block file, a memory-mapped block array)
-can slot in behind the same interface.
+sequential IO accounting the evaluation normalizes with.  This module states
+that contract once, so the in-memory device (``sim``) and the persistent ones
+(an append-only block file, a memory-mapped block array) slot in behind the
+same interface.
 
 Concrete backends implement four primitives — :meth:`_grow`,
 :meth:`_store`, :meth:`_load`, and (for persistent devices)

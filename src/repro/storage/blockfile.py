@@ -129,7 +129,7 @@ class ExtentRecords(SequenceABC):
 
 
 class BlockFile:
-    """A sequence of extents packed onto a :class:`SimulatedDisk`.
+    """A sequence of extents packed onto a storage backend's blocks.
 
     Writing is append-only and happens at index-construction time through
     :meth:`append_extent`.  Reading happens at query time through

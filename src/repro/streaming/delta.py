@@ -252,8 +252,7 @@ class _SnapshotRun:
     with the run and carried through the manifest: the time bounds let a
     read skip the whole run when its span is disjoint from the query
     interval, and the object-id Bloom filter lets the overlay prove an
-    object appears in no snapshot contact at all.  Runs restored from
-    manifests that predate zone maps carry ``None`` and are never skipped.
+    object appears in no snapshot contact at all.
     """
 
     __slots__ = ("file", "max_end", "num_contacts", "level", "min_time", "max_time", "bloom")
@@ -263,10 +262,10 @@ class _SnapshotRun:
         file: BlockFile,
         max_end: Dict[int, TimeInstant],
         num_contacts: int,
-        level: int = 0,
-        min_time: Optional[TimeInstant] = None,
-        max_time: Optional[TimeInstant] = None,
-        bloom: Optional[ObjectBloomFilter] = None,
+        level: int,
+        min_time: TimeInstant,
+        max_time: TimeInstant,
+        bloom: ObjectBloomFilter,
     ) -> None:
         self.file = file
         self.max_end = max_end
@@ -278,8 +277,6 @@ class _SnapshotRun:
 
     def disjoint_from(self, interval: TimeInterval) -> bool:
         """True when the zone map proves no contact overlaps ``interval``."""
-        if self.min_time is None or self.max_time is None:
-            return False
         return self.min_time > interval.end or self.max_time < interval.start
 
 
@@ -516,14 +513,9 @@ class ContactSnapshotStore:
         """Could any snapshot contact involve ``object_id``?
 
         ``False`` is exact — every live run's Bloom filter proves the object
-        absent, so no snapshot contact can involve it.  Runs restored from
-        pre-zone-map manifests have no filter and conservatively answer
-        ``True``.
+        absent, so no snapshot contact can involve it.
         """
-        for run in self._runs:
-            if run.bloom is None or run.bloom.may_contain(object_id):
-                return True
-        return False
+        return any(run.bloom.may_contain(object_id) for run in self._runs)
 
     # ------------------------------------------------------------------
     # reading
@@ -574,9 +566,7 @@ class ContactSnapshotStore:
                     "level": run.level,
                     "min_time": run.min_time,
                     "max_time": run.max_time,
-                    "bloom": (
-                        run.bloom.to_manifest() if run.bloom is not None else None
-                    ),
+                    "bloom": run.bloom.to_manifest(),
                 }
                 for run in self._runs
             ],
@@ -601,25 +591,20 @@ class ContactSnapshotStore:
         store._run_counter = manifest["run_counter"]  # type: ignore[assignment]
         store._records_written = manifest["records_written"]  # type: ignore[assignment]
         store._level_records_written = dict(
-            manifest.get("level_records_written", {})  # type: ignore[arg-type]
+            manifest["level_records_written"]  # type: ignore[arg-type]
         )
         store._superseded_blocks = manifest["superseded_blocks"]  # type: ignore[assignment]
         store._compactions = manifest["compactions"]  # type: ignore[assignment]
         for entry in manifest["runs"]:  # type: ignore[union-attr]
-            bloom_manifest = entry.get("bloom")
             store._runs.append(
                 _SnapshotRun(
                     storage.blockfile(entry["file"]),
                     dict(entry["max_end"]),
                     entry["num_contacts"],
-                    level=entry.get("level", 0),  # type: ignore[union-attr]
-                    min_time=entry.get("min_time"),
-                    max_time=entry.get("max_time"),
-                    bloom=(
-                        ObjectBloomFilter.from_manifest(bloom_manifest)
-                        if bloom_manifest is not None
-                        else None
-                    ),
+                    level=entry["level"],
+                    min_time=entry["min_time"],
+                    max_time=entry["max_time"],
+                    bloom=ObjectBloomFilter.from_manifest(entry["bloom"]),
                 )
             )
         # A crash between a fold's run write and the manifest commit leaves
@@ -823,16 +808,13 @@ class ReachGraphDeltaOverlay:
     def graph_catalog(self) -> Optional[Dict[str, object]]:
         """Manifest fragment describing the persisted graph fast path.
 
-        ``None`` when no fast path exists or when the live index sits on a
-        storage system other than this overlay's own (a processor someone
-        attached out-of-band cannot be reopened from this device).
+        ``None`` before the first merge.  The index lives on this overlay's
+        own device: the first merge places it there, and a reopen restores
+        it from there.
         """
         if self._processor is None:
             return None
-        index = self._processor.index
-        if not index.is_placed or index.storage is not self._storage:
-            return None
-        return {"index": index.catalog()}
+        return {"index": self._processor.index.catalog()}
 
     def attach_graph(self, processor: "ReachGraphQueryProcessor") -> None:
         """Adopt a restored graph fast path (reopen path)."""

@@ -45,6 +45,25 @@ __all__ = ["StreamIngestor"]
 #: Metadata key under which the ingestor checkpoints its WAL position.
 _INGEST_CHECKPOINT_KEY = "ingest-checkpoint"
 
+#: On-device format of a service's two devices, stamped on each one's top
+#: metadata record: the ``<name>-grid`` checkpoint (:meth:`StreamIngestor.flush`)
+#: and the ``<name>-overlay`` manifest (:mod:`repro.streaming.service`), which
+#: carries the ReachGraph catalog too.  There is one reader per record, for
+#: this format alone.
+DEVICE_FORMAT = 3
+
+
+def check_device_format(record: Dict[str, Any], what: str) -> None:
+    """Refuse a device whose top metadata ``record`` is not stamped
+    :data:`DEVICE_FORMAT`; called before any block of it is read."""
+    found = record.get("format")
+    if found != DEVICE_FORMAT:
+        raise StreamingError(
+            f"{what} is in on-device format {found!r}, expected format "
+            f"{DEVICE_FORMAT}: it was written by another version; rebuild it "
+            "from the source stream"
+        )
+
 
 class StreamIngestor:
     """Consumes sample-event batches, maintaining the WAL and the contacts."""
@@ -205,6 +224,7 @@ class StreamIngestor:
     # ------------------------------------------------------------------
     def _checkpoint(self) -> Dict[str, object]:
         return {
+            "format": DEVICE_FORMAT,
             "name": self.name,
             "environment_size": self.environment_size,
             "distance_threshold": self.contact_config.distance_threshold,
@@ -246,14 +266,9 @@ class StreamIngestor:
     def _load_state(self, state: Dict[str, Any]) -> None:
         """Adopt a checkpointed state snapshot (restore path, no replay).
 
-        A state written while samples were still archived may carry a
-        ``memtable`` (samples of ticks already joined, ignored), a
-        ``positions`` history (read only for ``next_time``) and no
-        ``closed_floor`` (its closed list starts at the origin); the next
-        flush writes the current shape.  Wall-clock time is no state: the
-        checkpoint carries none (an ``ingest_seconds`` an earlier one carries
-        is ignored), so two ingestors fed the same batches write the same
-        bytes, and a restored ingestor counts its own time from 0.
+        Wall-clock time is no state: the checkpoint carries none, so two
+        ingestors fed the same batches write the same bytes, and a restored
+        ingestor counts its own time from 0.
         """
         self._origin = state["origin"]
         self._watermark = state["watermark"]
@@ -262,11 +277,7 @@ class StreamIngestor:
             for t, positions in state["pending"].items()
         }
         self._starts = dict(state["starts"])
-        self._next_time = dict(state["next_time"]) if "next_time" in state else {
-            # a checkpoint written while the ingestor still buffered positions
-            obj: self._starts[obj] + len(positions)
-            for obj, positions in state["positions"].items()
-        }
+        self._next_time = dict(state["next_time"])
         self._previous_pairs = {
             (first, second) for first, second in state["previous_pairs"]
         }
@@ -274,7 +285,7 @@ class StreamIngestor:
             (first, second): start
             for (first, second), start in state["open"]
         }
-        self._closed_floor = state.get("closed_floor", 0)
+        self._closed_floor = state["closed_floor"]
         self._closed = [
             Contact(first, second, TimeInterval(start, end))
             for first, second, start, end in state["closed"]
@@ -320,11 +331,8 @@ class StreamIngestor:
         does not cover — rebuilding the open-contact join state and the
         horizon bounds exactly as they were.  Raises
         :class:`~repro.core.errors.StreamingError` when no checkpoint exists
-        (the service never flushed).
-
-        A device flushed while samples were still archived as grid cells
-        holds a ``<name>-grid-cells`` file: it is dropped here, so the next
-        flush commits its blocks as garbage and the next reclaim frees them.
+        (the service never flushed) or when it is not stamped
+        :data:`DEVICE_FORMAT`; either way the device is released unwritten.
         """
         storage = StorageSystem(storage_config, name=f"{name}-grid")
         try:
@@ -334,9 +342,7 @@ class StreamIngestor:
                     f"no ingest checkpoint found for service {name!r} "
                     "(was the service flushed?)"
                 )
-            archive = f"{name}-grid-cells"
-            if storage.has_blockfile(archive):
-                storage.drop_blockfile(archive)
+            check_device_format(checkpoint, f"the ingest checkpoint of {name!r}")
             ingestor = cls(
                 tuple(checkpoint["environment_size"]),
                 contact_config=ContactConfig(
@@ -350,22 +356,15 @@ class StreamIngestor:
                 storage=storage,
             )
             entries = checkpoint["journal_entries"]
-            state = checkpoint.get("state")
-            if state is not None:
-                ingestor._load_state(state)
-                ingestor._journal_entries = entries
-                ingestor._replay(entries)
-            else:
-                # Pre-truncation checkpoint: the journal still holds the full
-                # history, so rebuild the state by replaying it end to end.
-                ingestor._replay(0, stop=entries)
-                ingestor._journal_entries = entries
+            ingestor._load_state(checkpoint["state"])
+            ingestor._journal_entries = entries
+            ingestor._replay(entries)
             return ingestor
         except BaseException:
-            storage.close()
+            storage.release()
             raise
 
-    def _replay(self, first: int, stop: Optional[int] = None) -> None:
+    def _replay(self, first: int) -> None:
         """Re-ingest the cataloged journal extents numbered ``first`` on.
 
         With truncation the committed catalog normally holds *no* journal
@@ -373,8 +372,6 @@ class StreamIngestor:
         snapshot dropped them); a cataloged extent with ``seq >= first``
         means a manifest paired a snapshot with batches it does not cover —
         replay them on top so no durably accepted batch is ever lost.
-        Extents from ``stop`` on were never named by a checkpoint and are
-        not durably committed.
         """
         self._replaying = True
         try:
@@ -382,8 +379,6 @@ class StreamIngestor:
                 seq, watermark = key
                 if seq < first:
                     continue  # covered by the snapshot already
-                if stop is not None and seq >= stop:
-                    break
                 samples = tuple(
                     SampleEvent(object_id, t, Point(x, y))
                     for object_id, t, x, y in self._journal.read_extent(key)

@@ -38,7 +38,7 @@ from ..testing.faults import crash_point
 from ..trajectory.model import TrajectoryDataset
 from .delta import ContactSnapshotStore, OpenRun, ReachGraphDeltaOverlay
 from .events import SampleEvent, StreamBatch
-from .ingest import StreamIngestor
+from .ingest import DEVICE_FORMAT, StreamIngestor, check_device_format
 from .policy import MergeContext, make_policy
 from .source import replay
 
@@ -349,7 +349,7 @@ class StreamingReachabilityService:
         for contact in closed[frozen:]:
             self._overlay.add_contact(contact)
         self._restage_cursor = self._ingestor.closed_floor + frozen
-        self._committed_cursor = self._releasable_cursor()
+        self._committed_cursor = self._restage_cursor
         self._consumed_closed = self._ingestor.num_closed_contacts
 
     # ------------------------------------------------------------------
@@ -431,10 +431,9 @@ class StreamingReachabilityService:
         first merge the frontier is empty, over the prefix's object ids
         (:meth:`~repro.streaming.ingest.StreamIngestor.prefix_domain`, which
         also checks every object covers the prefix), and the slice starts
-        at the origin: until the overlay holds a graph no closed contact is
-        released (see :meth:`_releasable_cursor`), so it reads them all from
-        the floor.  The returned :class:`MergeInputs` shares no mutable
-        state with the ingestor.
+        at the origin: the restage cursor is still 0, so no closed contact
+        was released and it reads them all from the floor.  The returned
+        :class:`MergeInputs` shares no mutable state with the ingestor.
         """
         self._ensure_open()
         bound = self._ingestor.watermark
@@ -500,11 +499,7 @@ class StreamingReachabilityService:
         self._maybe_reclaim()
 
     def _maybe_repack(self) -> None:
-        """Fold cold fragmented graph partitions when the config asks for it.
-
-        Only an index placed on the overlay's own device is repacked — one
-        attached out-of-band manages its own space.
-        """
+        """Fold cold fragmented graph partitions when the config asks for it."""
         min_partitions = self.streaming_config.graph_repack_min_partitions
         if not min_partitions:
             return
@@ -512,8 +507,6 @@ class StreamingReachabilityService:
         if processor is None:
             return
         index = processor.index
-        if not index.is_placed or index.storage is not self._overlay.storage:
-            return
         repacks_before = index.num_repacks
         written_before = index.records_written
         retired = index.repack_frontier(min_partitions)
@@ -547,7 +540,7 @@ class StreamingReachabilityService:
             # No manifest outlives the process, so none has to commit first:
             # the snapshot now holds every contact before the restage cursor,
             # and the journaled batches are in the ingestor's state.
-            self._ingestor.release_closed(self._releasable_cursor())
+            self._ingestor.release_closed(self._restage_cursor)
             self._ingestor.drop_journal()
 
     # ------------------------------------------------------------------
@@ -571,6 +564,7 @@ class StreamingReachabilityService:
         store = self._overlay.snapshot_store
         runs, bound = self._ingestor.open_runs()
         return {
+            "format": DEVICE_FORMAT,
             "watermark": self._ingestor.watermark,
             "snapshot_watermark": self._overlay.snapshot_watermark,
             "store": None if store is None else store.manifest(),
@@ -605,7 +599,7 @@ class StreamingReachabilityService:
         """
         self._flush_ingestor()
         crash_point("flush-post-ingestor")
-        cursor = self._releasable_cursor()
+        cursor = self._restage_cursor
         self._overlay.storage.put_metadata(
             _OVERLAY_MANIFEST_KEY, self._overlay_manifest()
         )
@@ -617,16 +611,6 @@ class StreamingReachabilityService:
         """Checkpoint the ingestor device alone (truncating its WAL)."""
         self._ingestor.release_closed(self._committed_cursor)
         self._ingestor.flush()
-
-    def _releasable_cursor(self) -> int:
-        """The closed-contact position a manifest written now lets go of.
-
-        Everything before the restage cursor is frozen in the snapshot — but
-        the first merge's patch replays every contact from the origin, so
-        while the overlay has no graph (a device written by a build whose
-        merges could skip it) nothing is released.
-        """
-        return self._restage_cursor if self._overlay.has_reachgraph else 0
 
     def reclaim(self, trigger: float = 0.0) -> int:
         """Copy-forward reclaim of each device whose garbage ratio reaches ``trigger``.
@@ -841,7 +825,9 @@ class SnapshotQueryService:
         ``storage_config`` must use a persistent backend and the same
         ``storage_dir`` the original service wrote to; ``name`` must match
         the original service's name (the overlay device is looked up as
-        ``<name>-overlay``).
+        ``<name>-overlay``).  A manifest not stamped
+        :data:`~repro.streaming.ingest.DEVICE_FORMAT`, or naming only one of
+        a snapshot store and a graph, is refused before any block is read.
         """
         return cls._open(storage_config, name, writer_repack=None)
 
@@ -881,6 +867,13 @@ class SnapshotQueryService:
             manifest = storage.get_metadata(_OVERLAY_MANIFEST_KEY)
             if manifest is None:
                 raise missing
+            check_device_format(manifest, f"the overlay manifest of {name!r}")
+            # Every merge writes the snapshot store and the graph together.
+            if (manifest["store"] is None) != (manifest["graph"] is None):
+                raise StreamingError(
+                    f"the overlay manifest of {name!r} names one of a snapshot "
+                    f"store and a graph: format {DEVICE_FORMAT} names both or neither"
+                )
             overlay = ReachGraphDeltaOverlay(storage)
             store = None
             if manifest["store"] is not None:
@@ -890,21 +883,15 @@ class SnapshotQueryService:
             # Every open record was written clipped at the manifest's
             # watermark, so the runs keep only the pair and the opening tick.
             open_runs = [((a, b), start) for a, b, start, _ in manifest["open"]]
-            graph = manifest.get("graph")
-            if graph is not None:
+            if store is not None:
                 from ..reachgraph import ReachGraphIndex, ReachGraphQueryProcessor
 
                 # The graph rides the same commit as the store and the
                 # watermark, and those two say which ticks it covers: nothing
                 # outside this device is opened to serve from it.
-                if store is None:
-                    raise StreamingError(
-                        f"overlay manifest of {name!r} names a graph but no "
-                        "snapshot store"
-                    )
                 index = ReachGraphIndex.restore(
                     storage,
-                    graph["index"],
+                    manifest["graph"]["index"],
                     TimeInterval(store.origin, manifest["snapshot_watermark"]),
                     repack_min_partitions=writer_repack,
                 )

@@ -16,6 +16,7 @@ from here too.
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Iterable, Mapping, Optional
 
 from repro.baselines.reference import evaluate_reachability
@@ -28,6 +29,7 @@ from repro.core import (
     StorageConfig,
     TimeInterval,
 )
+from repro.reachgraph.index import _CHUNK_SECTIONS
 from repro.trajectory.model import TrajectoryDataset
 
 __all__ = [
@@ -221,3 +223,27 @@ def graph_state(index):
         "catalog": catalog,
         "records_written": index.records_written,
     }
+
+
+def rewrite_directory_start(storage, graph_name: str, victim: int, start: int) -> None:
+    """Set vertex ``victim``'s start in the directory of ``graph_name`` on
+    ``storage``: the chunk that added the vertex is rewritten in place, in
+    the same blocks of the same sizes."""
+    directory_file = storage.blockfile(f"{graph_name}-directory")
+    for key in directory_file.extent_keys():
+        pieces = list(directory_file.read_extent(key))
+        chunk = bytearray(b"".join(pieces))
+        first_vertex, num_starts = array("q", chunk[:16])
+        if first_vertex <= victim < first_vertex + num_starts:
+            break
+    else:
+        raise AssertionError(f"no directory chunk adds vertex {victim}")
+    # The header (the first vertex and each section's length), then the starts.
+    at = 8 * (len(_CHUNK_SECTIONS) + 1 + victim - first_vertex)
+    chunk[at : at + 8] = array("q", [start]).tobytes()
+    offsets = [0]
+    for piece in pieces:
+        offsets.append(offsets[-1] + len(piece))
+    directory_file.replace_extent(
+        key, [bytes(chunk[lo:hi]) for lo, hi in zip(offsets, offsets[1:])]
+    )

@@ -1,17 +1,16 @@
 """Reference interval labelling: the postorder the labels were first made by.
 
 Before the labels became a pure function of the successor lists they were
-also persisted in the graph catalog, as the ``"labels"`` entry this module
-reproduces.  :func:`reference_labels` is that labelling as it was written —
-roots are the vertices without predecessors, in id order; children in
-successor order; lows folded in reverse id order — so a test can hold
-:class:`~repro.reachgraph.ReachLabelIndex` to the labels an older writer
-catalogued, bit for bit.
+also persisted in the graph catalog.  :func:`reference_labels` is that
+labelling as it was written — roots are the vertices without predecessors,
+in id order; children in successor order; lows folded in reverse id order —
+so a test can hold :class:`~repro.reachgraph.ReachLabelIndex` to the labels
+an older writer catalogued, bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.reachgraph import ContactDag
 
@@ -46,19 +45,3 @@ def reference_labels(dag: ContactDag) -> Tuple[List[int], List[int]]:
         for child in dag.successors(node_id):
             lows[node_id] = min(lows[node_id], lows[child])
     return ranks, lows
-
-
-def legacy_catalog_entry(dag: ContactDag) -> Dict[str, object]:
-    """The ``"labels"`` entry an older writer put in the graph catalog.
-
-    Less its two per-patch ledger counters; a reader today looks only at
-    whether the entry is there.
-    """
-    ranks, lows = reference_labels(dag)
-    return {
-        "ranks": ranks,
-        "lows": lows,
-        "next_new_rank": 0,
-        "dirty_ratio": 0.25,
-        "full_relabels": 0,
-    }

@@ -8,8 +8,8 @@ the records' ``DN_1`` successor tuples, and each object's assignment history
 — the domain's objects — from the records' members.  :func:`record_state` is
 that restore, kept here verbatim but for returning what it built instead of
 installing it; :func:`serving_state` reads the same fields off a restored
-index, so tests can pin that a restore from the directory (or from a device
-without one) serves exactly what the records say.
+index, so tests can pin that a restore from the directory serves exactly
+what the records say.
 """
 
 from __future__ import annotations

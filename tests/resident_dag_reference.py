@@ -56,7 +56,7 @@ class ResidentDagIndex(ReachGraphIndex):
 
     def _materialize_graph(self) -> HyperGraph:
         assert self.domain is not None
-        _, records = self._read_graph_records()
+        records = self._read_graph_records()
         dag = ContactDag(self.domain.horizon, len(self.domain.object_ids))
         for _, start, end, members, _, _, _ in records:
             dag.add_node(TimeInterval(start, end), frozenset(members))

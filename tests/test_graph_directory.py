@@ -14,24 +14,18 @@ those chunks alone (``repro.reachgraph.index``).  These tests pin that:
 * the restored serving state — locate, starts, labels, object histories,
   domain — is the one the records say (``record_restore_reference.py``, the
   restore as it was before the directory), read-only and as a writer;
-* a device written before the directory opens by deriving it from the
-  records, to the same state, and a writer's next flush writes it as one
-  chunk; so does a device whose chunks still hold each vertex's members
-  (the earlier shape), read-only with no write;
 * a kill at any crash point of a merge, a repack or a reclaim reopens, read
   only and as a writer, to the reference's answers and a consistent
   directory;
 * the partition cache keeps, across a merge or a repack, every entry the
   mutation did not rewrite or retire;
 * a chunk holds packed ints and no pickled global, in blocks no larger than
-  the partition file's bound, and one in the earlier shape replays to the
-  same directory.
+  the partition file's bound, and replays to what it packs.
 """
 
 from __future__ import annotations
 
 import pickletools
-from array import array
 
 import pytest
 
@@ -42,6 +36,7 @@ from equivalence import (
     backend_storage_config,
     prefix_network,
     reference_evaluator,
+    rewrite_directory_start,
 )
 from record_restore_reference import record_state, serving_state
 from repro.core import (
@@ -52,14 +47,7 @@ from repro.core import (
 )
 from repro.generators import RandomWaypointGenerator
 from repro.reachgraph import ReachGraphIndex
-from repro.reachgraph.index import (
-    _CHUNK_SECTIONS,
-    _CHUNK_TAG,
-    _DIRECTORY_BYTES_PER_SLOT,
-    _EARLIER_CHUNK_SECTIONS,
-    _Directory,
-    _pack_chunk,
-)
+from repro.reachgraph.index import _DIRECTORY_BYTES_PER_SLOT, _Directory, _pack_chunk
 from repro.storage import StorageSystem
 from repro.storage.backends.base import encode_payload
 from repro.storage.buffer import BufferPool
@@ -121,13 +109,6 @@ def resume(storage_config, name):
     return StreamingReachabilityService.open(
         storage_config, name=name, streaming_config=StreamingConfig(**MAINTENANCE)
     )
-
-
-def drop_directory(storage_config, name):
-    """Make the device one written before the directory existed."""
-    storage = StorageSystem(storage_config, name=f"{name}-overlay")
-    storage.drop_blockfile("graph-v1-directory")
-    storage.close()
 
 
 # ----------------------------------------------------------------------
@@ -252,14 +233,7 @@ class TestCheckDirectory:
         service.close()
 
         storage = StorageSystem(storage_config, name=f"{service.name}-overlay")
-        directory_file = storage.blockfile("graph-v1-directory")
-        assert directory_file.extent_keys() == [0]
-        directory = _Directory()
-        directory.replay(b"".join(directory_file.read_extent(0)))
-        directory.starts[victim] = earlier
-        storage.drop_blockfile("graph-v1-directory")
-        rewritten = storage.new_blockfile("graph-v1-directory", records_per_block=1)
-        rewritten.append_extent(0, [directory.chunk()])
+        rewrite_directory_start(storage, index.name, victim, earlier)
         storage.close()
 
         with pytest.raises(
@@ -332,100 +306,6 @@ class TestOpen:
         resumed = resume(storage_config, name)
         assert serving_state(graph_of(resumed)) == live
         resumed.close()
-
-    @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
-    def test_a_device_without_a_directory_derives_the_same_state(
-        self, backend, tmp_path, world
-    ):
-        storage_config, name, live = streamed_device(world, tmp_path, backend)
-        drop_directory(storage_config, name)
-
-        reopened = SnapshotQueryService.open(storage_config, name=name)
-        assert not reopened.storage.has_blockfile("graph-v1-directory")
-        assert serving_state(graph_of(reopened)) == live
-        with pytest.raises(IndexConstructionError, match="has no directory"):
-            graph_of(reopened).check_directory()
-        reopened.close()
-
-        # A writer derives it too, and its next flush writes it as one chunk.
-        resumed = resume(storage_config, name)
-        assert serving_state(graph_of(resumed)) == live
-        resumed.flush()
-        directory_file = resumed.overlay.storage.blockfile("graph-v1-directory")
-        assert directory_file.num_extents == 1
-        graph_of(resumed).check_directory()
-        resumed.close()
-
-        reopened = SnapshotQueryService.open(storage_config, name=name)
-        assert serving_state(graph_of(reopened)) == live
-        graph_of(reopened).check_directory()
-        reopened.close()
-
-
-def rewrite_in_the_earlier_shape(storage_config, name):
-    """Make the device's directory one written while chunks held members:
-    every chunk, in the same extents, as the earlier writer packed it."""
-    storage = StorageSystem(storage_config, name=f"{name}-overlay")
-    partitions = storage.blockfile("graph-v1-partitions")
-    members_of = {
-        row[0]: row[3] for key in partitions.extent_keys() for row in partitions.read_extent(key)
-    }
-    directory_file = storage.blockfile("graph-v1-directory")
-    chunks = [b"".join(directory_file.read_extent(key)) for key in directory_file.extent_keys()]
-    storage.drop_blockfile("graph-v1-directory")
-    rewritten = storage.new_blockfile("graph-v1-directory", records_per_block=1)
-    size = partitions.records_per_block * _DIRECTORY_BYTES_PER_SLOT
-    for key, chunk in enumerate(chunks):
-        chunk = earlier_chunk(chunk, members_of)
-        rewritten.append_extent(key, [chunk[at : at + size] for at in range(0, len(chunk), size)])
-    storage.close()
-    return len(chunks)
-
-
-@pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
-def test_a_directory_in_the_earlier_shape_opens_and_resumes(backend, tmp_path, world):
-    storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
-    service = make_service(world, storage_config, **MAINTENANCE)
-    batches = batches_of(world)
-    half = len(batches) // 2
-    for batch in batches[:half]:
-        service.ingest(batch)
-    live = record_state(graph_of(service))
-    service.close()
-    assert rewrite_in_the_earlier_shape(storage_config, service.name) >= 2
-    queries = random_queries(world, count=12, length_range=(20, 60), seed=83)
-
-    reopened = SnapshotQueryService.open(storage_config, name=service.name)
-    index = graph_of(reopened)
-    assert serving_state(index) == live
-    assert index.check_directory() == index.num_vertices
-    assert index.check_object_index() == len(world.object_ids)
-    assert reopened.storage.stats.writes == 0
-    assert_reopened_matches_prefix(reopened, world, THRESHOLD, queries, context="earlier shape")
-    reopened.close()
-
-    # A writer rewrites the directory as one chunk in the current shape.
-    resumed = resume(storage_config, service.name)
-    assert serving_state(graph_of(resumed)) == live
-    resumed.flush()
-    directory_file = resumed.overlay.storage.blockfile("graph-v1-directory")
-    assert directory_file.extent_keys() == [0]
-    chunk = b"".join(directory_file.read_extent(0))
-    assert array("q", chunk[:8])[0] == _CHUNK_TAG
-    for batch in batches[half:]:
-        resumed.ingest(batch)
-    resumed.merge()
-    index = graph_of(resumed)
-    assert index.check_directory() == index.num_vertices
-    assert index.check_object_index() == len(world.object_ids)
-    assert_methods_agree(
-        reference_evaluator(prefix_network(world, THRESHOLD)),
-        {"resumed": resumed.query},
-        queries,
-        check_earliest=True,
-        context=f"earlier shape {backend} resumed",
-    )
-    resumed.close()
 
 
 # ----------------------------------------------------------------------
@@ -574,26 +454,6 @@ class TestPartitionCacheAcrossMutations:
 # ----------------------------------------------------------------------
 # the chunk codec
 # ----------------------------------------------------------------------
-def earlier_chunk(chunk, members_of):
-    """``chunk`` in the shape written before the directory shed its members:
-    no tag, and each new vertex's sorted members (``members_of[v]``) after
-    the ends, in place of the objects."""
-    header = array("q", chunk[: 8 * (len(_CHUNK_SECTIONS) + 2)])
-    tag, first_vertex, *lengths = header
-    assert tag == _CHUNK_TAG
-    offset, sections = 8 * len(header), {}
-    for (name, code), length in zip(_CHUNK_SECTIONS, lengths):
-        sections[name] = array(code, chunk[offset : offset + array(code).itemsize * length])
-        offset += sections[name].itemsize * length
-    new_ids = range(first_vertex, first_vertex + len(sections["starts"]))
-    sections["member_counts"] = array("i", [len(members_of[v]) for v in new_ids])
-    sections["members"] = array("q", [m for v in new_ids for m in members_of[v]])
-    columns = [sections[name] for name, _ in _EARLIER_CHUNK_SECTIONS]
-    return array("q", [first_vertex, *map(len, columns)]).tobytes() + b"".join(
-        column.tobytes() for column in columns
-    )
-
-
 class TestChunks:
     def test_a_chunk_replays_what_it_packs(self):
         first = _pack_chunk(
@@ -623,23 +483,8 @@ class TestChunks:
         assert directory.object_ids == {3, 5, 7, 1 << 40}
         assert directory.successors == [[2, 3], [2], [3], []]
         assert directory.partitions == {2: [3], 3: [0, 1, 2]}
-        assert not directory.earlier_shape
         with pytest.raises(IndexConstructionError, match="does not follow"):
             directory.replay(_pack_chunk(3, [6], [6]))
-
-        # The same writes in the earlier shape replay to the same directory,
-        # and its whole-directory chunk is in the current shape.
-        members_of = {0: [3, 1 << 40], 1: [5], 2: [5, 7], 3: [3, 5, 7]}
-        earlier = _Directory()
-        for chunk in (first, second):
-            earlier.replay(earlier_chunk(chunk, members_of))
-        assert earlier.earlier_shape
-        rewritten = _Directory()
-        rewritten.replay(earlier.chunk())
-        assert not rewritten.earlier_shape
-        for field in ("starts", "ends", "object_ids", "successors", "partitions"):
-            assert getattr(earlier, field) == getattr(directory, field), field
-            assert getattr(rewritten, field) == getattr(directory, field), field
 
     def test_blocks_hold_packed_ints_and_no_global(self, tmp_path, world):
         storage_config, name, _ = streamed_device(world, tmp_path, "file")

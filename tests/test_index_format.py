@@ -4,25 +4,20 @@ What a partition block and an object-index bucket hold is decided in
 :mod:`repro.reachgraph.index` and decoded by ``pickle`` alone, so the shapes
 are pinned here: a vertex record is a plain tuple in ``VertexRecord`` field
 order and a history two ``bytes`` of native int64, so neither block pickles
-a reduce call or a global; a device written with the earlier ``VertexRecord``
-rows and ``array('q')`` histories still reopens, its buckets rewritten as
-``bytes``; the packed ``(starts, nodes)`` assignment history
+a reduce call or a global; the packed ``(starts, nodes)`` assignment history
 must answer ``find_vertex_id`` exactly as a scan of the DAG's segments does at
 every stage of an index's life, the slot directory must address every vertex
 inside its partition extent at those same stages, restore must reconcile a
-bucket that got durably ahead of the graph, a device in another format
-must be refused before a single partition is read, a catalog written
-while the labels still rode in it must restore the same labels, the
-merge-built graph sits under one name whether or not its overlay catalog
-still carries the retired version counter, and the
+bucket that got durably ahead of the graph, the catalog says whether labels
+are on, the merge-built graph sits under one name, and the
 in-memory vertex starts BM-BFS bounds its children with must count exactly
-what the records say, on a device whose ids are in start order — the only
-kind a restore accepts.
+what the records say, on a device whose directory lists ids in start order —
+the only kind a restore accepts.  Which devices an open refuses before any
+read is pinned in ``test_recovery.py`` (``TestFormatGate``).
 """
 
 from __future__ import annotations
 
-import io
 import pickle
 import pickletools
 from array import array
@@ -31,32 +26,25 @@ import pytest
 
 from equivalence import (
     EQUIVALENCE_BACKENDS,
-    CallCounter,
-    assert_methods_agree,
     backend_storage_config,
-    prefix_network,
-    reference_evaluator,
+    rewrite_directory_start,
 )
-from labels_reference import legacy_catalog_entry
 from repro.core import (
     IndexConstructionError,
     ReachabilityQuery,
     ReachGraphConfig,
     STORAGE_BACKENDS,
-    StorageConfig,
     StreamingConfig,
     TimeInterval,
 )
 from repro.reachgraph import ReachGraphIndex, ReachGraphQueryProcessor, VertexRecord
-from repro.reachgraph import index as index_module
-from repro.storage import BlockFile, StorageSystem
-from repro.storage.backends.base import StorageBackend, encode_payload
+from repro.storage import StorageSystem
+from repro.storage.backends.base import encode_payload
 from repro.streaming import (
     DatasetReplaySource,
     SnapshotQueryService,
     StreamingReachabilityService,
 )
-from repro.workloads.queries import random_queries
 
 RECORD = VertexRecord(
     node_id=7,
@@ -88,14 +76,13 @@ class TestVertexRecordShape:
                 assert type(row) is tuple and len(row) == len(VertexRecord._fields)
                 record = VertexRecord._make(row)
                 node = dag.node(record.node_id)
-                assert record.interval == node.interval
+                assert (record.start, record.end) == (node.interval.start, node.interval.end)
                 assert record.members == tuple(sorted(node.members))
                 assert record.successors == tuple(dag.successors(record.node_id))
                 assert record.predecessors == tuple(dag.predecessors(record.node_id))
 
     def test_round_trips_through_pickle_equal_and_hashable(self):
-        """Blocks written before records became plain tuples hold
-        ``VertexRecord`` rows; they must still decode, equal and hashable."""
+        """The public field-order type pickles, equal and hashable."""
         for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
             restored = pickle.loads(pickle.dumps(RECORD, protocol=protocol))
             assert type(restored) is VertexRecord
@@ -125,20 +112,6 @@ class TestVertexRecordShape:
             7, 3, 9, (1, 4, 6), (8, 9), (2,), ((4, (11,)), (8, (15, 16)))
         )
 
-    def test_keeps_its_helpers(self):
-        assert (RECORD.interval.start, RECORD.interval.end) == (3, 9)
-        assert RECORD.long_successors_at(8) == (15, 16)
-        assert RECORD.long_successors_at(2) == ()
-        assert VertexRecord._make(tuple(RECORD)) == RECORD
-
-    def test_dumped_block_names_no_dataclasses_global(self):
-        """An earlier-shaped block names the class, never ``dataclasses``."""
-        block = [RECORD._replace(node_id=node_id) for node_id in range(8)]
-        blob = pickle.dumps(block, protocol=pickle.HIGHEST_PROTOCOL)
-        listing = io.StringIO()
-        pickletools.dis(blob, out=listing)
-        assert "dataclasses" not in listing.getvalue()
-        assert "VertexRecord" in listing.getvalue()
 
 
 # ----------------------------------------------------------------------
@@ -182,12 +155,6 @@ class TestCodec:
             assert calling_opcodes(bucket) == set()
             for starts, nodes in bucket.values():
                 assert type(starts) is bytes and type(nodes) is bytes
-
-    def test_the_earlier_shapes_did_call(self):
-        """The pin has teeth: the shapes written before this codec pickle
-        a call per record and per history array."""
-        assert calling_opcodes([RECORD]) >= {"REDUCE"}
-        assert calling_opcodes({1: (array("q", [0]), array("q", [3]))}) >= {"REDUCE"}
 
 
 # ----------------------------------------------------------------------
@@ -438,18 +405,15 @@ class TestSlotDirectory:
             ReachGraphQueryProcessor(index, use_labels=False).evaluate(query)
 
 
-    @pytest.mark.parametrize("directory", (True, False))
     @pytest.mark.parametrize(
         "reopen", [SnapshotQueryService.open, StreamingReachabilityService.open]
     )
     def test_truncated_extent_is_refused_at_restore_before_any_query(
-        self, reopen, directory, tmp_path, tiny_dataset, tiny_contact_config
+        self, reopen, tmp_path, tiny_dataset, tiny_contact_config
     ):
         """A reopen over a shortened extent fails at the restore, not at
         whichever query first lands on the partition: the directory's member
-        count disagrees with the extent's cataloged record count — or, on a
-        device without a directory, the dense vertex ids of the records the
-        restore reads are the proof that none was lost."""
+        count disagrees with the extent's cataloged record count."""
         storage_config = backend_storage_config("file", storage_dir=str(tmp_path))
         service = make_service(tiny_dataset, tiny_contact_config, storage_config)
         service.drain(tiny_dataset)
@@ -460,22 +424,17 @@ class TestSlotDirectory:
             for partition_id, ids in enumerate(index.partitioning.members)
             if len(ids) > 1
         )
-        lost = index.partitioning.members[partition_id][0]
         service.close()
 
         storage = StorageSystem(storage_config, name=f"{service.name}-overlay")
         partitions = storage.blockfile(f"{index.name}-partitions")
         size = len(partitions.read_extent(partition_id))
         partitions.replace_extent(partition_id, partitions.read_extent(partition_id)[1:])
-        if not directory:
-            storage.drop_blockfile(f"{index.name}-directory")
         storage.close()
 
         refusal = (
             f"^partition {partition_id} holds {size - 1} records on the device, "
             f"its directory lists {size} members$"
-            if directory
-            else f"missing vertex {lost}$"
         )
         with pytest.raises(IndexConstructionError, match=refusal):
             reopen(storage_config, name=service.name)
@@ -493,10 +452,8 @@ class TestStartOrder:
         self, backend, tmp_path, tiny_dataset, tiny_contact_config
     ):
         """The midpoint test is exact only on start-ordered ids, so a device
-        whose record starts decrease with id is refused by the open, before
-        it can serve a query.  Here the device has no directory, so the open
-        derives the starts from the records; the directory's own starts are
-        checked the same way (``test_graph_directory.py``)."""
+        whose directory's starts decrease with id is refused by the open,
+        before it can serve a query."""
         storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
         service = make_service(tiny_dataset, tiny_contact_config, storage_config)
         service.drain(tiny_dataset)
@@ -508,18 +465,10 @@ class TestStartOrder:
             if index.dag.node(node_id - 1).interval.start > tiny_dataset.horizon.start
         )
         earlier = index.dag.node(victim - 1).interval.start - 1
-        partition_id = index.partition_of(victim)
         service.close()
 
         storage = StorageSystem(storage_config, name=f"{service.name}-overlay")
-        partitions = storage.blockfile(f"{index.name}-partitions")
-        records = list(partitions.read_extent(partition_id))
-        records = [
-            (victim, earlier, *record[2:]) if record[0] == victim else record
-            for record in records
-        ]
-        partitions.replace_extent(partition_id, records)
-        storage.drop_blockfile(f"{index.name}-directory")
+        rewrite_directory_start(storage, index.name, victim, earlier)
         storage.close()
 
         with pytest.raises(
@@ -529,44 +478,9 @@ class TestStartOrder:
 
 
 # ----------------------------------------------------------------------
-# another on-device format is refused up front
+# the catalog says whether the labels are on
 # ----------------------------------------------------------------------
-class TestFormatGate:
-    def test_catalog_names_the_format(self, tiny_reachgraph):
-        assert tiny_reachgraph.catalog()["format"] == 2
-
-    @pytest.mark.parametrize("found", [None, 1, 3])
-    def test_restore_refuses_before_reading_any_block(
-        self, found, tmp_path, tiny_dataset, tiny_network, tiny_contact_config
-    ):
-        storage = StorageSystem(
-            StorageConfig(backend="file", storage_dir=str(tmp_path)), name="gate"
-        )
-        index = ReachGraphIndex(
-            tiny_dataset,
-            ReachGraphConfig(),
-            tiny_contact_config,
-            contact_network=tiny_network,
-            storage=storage,
-        ).build()
-        catalog = index.catalog()
-        if found is None:
-            del catalog["format"]
-        else:
-            catalog["format"] = found
-        reads_before = storage.stats.total_reads
-        with pytest.raises(IndexConstructionError) as error:
-            ReachGraphIndex.restore(storage, catalog, tiny_dataset.horizon)
-        assert f"format {found!r}" in str(error.value)
-        assert "expected format 2" in str(error.value)
-        assert storage.stats.total_reads == reads_before
-        storage.close()
-
-
-# ----------------------------------------------------------------------
-# a catalog that still carries the labels restores the same ones
-# ----------------------------------------------------------------------
-class TestLegacyLabelCatalog:
+class TestLabelCatalog:
     def test_catalog_names_whether_labels_are_on(
         self, graph_labels, tiny_dataset, tiny_network, tiny_contact_config
     ):
@@ -580,36 +494,9 @@ class TestLegacyLabelCatalog:
         assert catalog["interval_labels"] is graph_labels
         assert "labels" not in catalog
 
-    def test_labels_entry_restores_labels_on_or_off_as_catalogued(
-        self, graph_labels, tmp_path, tiny_dataset, tiny_network, tiny_contact_config
-    ):
-        storage = StorageSystem(
-            StorageConfig(backend="file", storage_dir=str(tmp_path)), name="legacy"
-        )
-        index = ReachGraphIndex(
-            tiny_dataset,
-            ReachGraphConfig(interval_labels=graph_labels),
-            tiny_contact_config,
-            contact_network=tiny_network,
-            storage=storage,
-        ).build()
-        catalog = index.catalog()
-        del catalog["interval_labels"]
-        catalog["labels"] = legacy_catalog_entry(index.dag) if graph_labels else None
-        restored = ReachGraphIndex.restore(storage, catalog, tiny_dataset.horizon)
-        if graph_labels:
-            entry = catalog["labels"]
-            assert [
-                restored.labels.label(node_id)
-                for node_id in range(restored.num_vertices)
-            ] == list(zip(entry["lows"], entry["ranks"]))
-        else:
-            assert restored.labels is None
-        storage.close()
-
 
 # ----------------------------------------------------------------------
-# the overlay's graph catalog: one name, no version counter
+# the overlay's graph catalog: one name
 # ----------------------------------------------------------------------
 OVERLAY_MANIFEST_KEY = "overlay-manifest"
 
@@ -641,202 +528,3 @@ class TestOverlayGraphCatalog:
         ]
         assert set(service.overlay.graph_catalog()) == {"index"}
         service.close()
-
-    @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
-    def test_catalog_with_a_version_counter_still_reopens(
-        self, backend, tmp_path, tiny_dataset, tiny_network, tiny_contact_config
-    ):
-        """A device whose overlay catalog still names ``"version"`` (as
-        written before the counter was retired) reopens read-only and
-        resumes: the graph is restored, then patched, never rebuilt."""
-        storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
-        service = make_service(tiny_dataset, tiny_contact_config, storage_config)
-        batches = list(DatasetReplaySource(tiny_dataset, batch_ticks=20).batches())
-        half = len(batches) // 2
-        for batch in batches[:half]:
-            service.ingest(batch)
-        service.merge()
-        name = service.name
-        service.close()
-
-        overlay = StorageSystem(storage_config, name=f"{name}-overlay")
-        manifest = overlay.get_metadata(OVERLAY_MANIFEST_KEY)
-        manifest["graph"]["version"] = 1
-        overlay.put_metadata(OVERLAY_MANIFEST_KEY, manifest)
-        overlay.close()
-
-        workload = random_queries(tiny_dataset, count=12, seed=19)
-        reopened = SnapshotQueryService.open(storage_config, name=name)
-        assert reopened.overlay.has_reachgraph
-        assert_methods_agree(
-            reference_evaluator(
-                prefix_network(tiny_dataset, 30.0, through=reopened.watermark)
-            ),
-            {"reopened": reopened.query},
-            workload,
-            context=f"versioned catalog, read-only, {backend}",
-        )
-        reopened.close()
-
-        resumed = StreamingReachabilityService.open(
-            storage_config, name=name, auto_merge=False
-        )
-        restored = resumed.overlay.snapshot_processor.index
-        increments = restored.num_increments
-        for batch in batches[half:]:
-            resumed.ingest(batch)
-        resumed.merge()
-        assert resumed.overlay.snapshot_processor.index is restored
-        assert restored.num_increments == increments + 1, "the restored graph is patched"
-        assert self._graph_files(resumed.overlay.storage) == [
-            "graph-v1-directory",
-            "graph-v1-partitions",
-        ]
-        assert_methods_agree(
-            reference_evaluator(tiny_network),
-            {"resumed": resumed.query},
-            workload,
-            context=f"versioned catalog, resumed, {backend}",
-        )
-        resumed.close()
-
-
-# ----------------------------------------------------------------------
-# a device written with the earlier payload shapes
-# ----------------------------------------------------------------------
-class TestEarlierPayloadShapes:
-    """Format 2 first stored ``VertexRecord`` rows and ``array('q')``
-    histories.  Such a device keeps ``"format": 2``: its rows read
-    positionally like the plain tuples written now, its histories read as
-    int64 runs either way, a read-only open leaves both as they are (the
-    bucket values agree with the records), and a resumed writer rewrites
-    every history as ``bytes``."""
-
-    @staticmethod
-    def write_earlier_shapes(monkeypatch, service, batches):
-        """Drive ``service`` while the index writes the earlier shapes."""
-
-        def rows_as_named_tuples(write):
-            def patched_write(blockfile, key, records):
-                if blockfile.name.endswith("-partitions"):
-                    records = [VertexRecord._make(row) for row in records]
-                return write(blockfile, key, records)
-
-            return patched_write
-
-        def segments_as_arrays(segments):
-            starts, nodes = zip(*segments)
-            return array("q", starts), array("q", nodes)
-
-        with monkeypatch.context() as patched:
-            for name in ("append_extent", "replace_extent"):
-                patched.setattr(
-                    BlockFile, name, rows_as_named_tuples(getattr(BlockFile, name))
-                )
-            patched.setattr(index_module, "_pack_segments", segments_as_arrays)
-            for position, batch in enumerate(batches):
-                service.ingest(batch)
-                if position % 3 == 2:
-                    service.merge()
-            service.merge()
-            assert live_index(service).num_increments >= 1
-            service.close()
-
-    @staticmethod
-    def device_shapes(index):
-        """``({row types}, {history types})`` of every live block of ``index``."""
-        disk = index.storage.disk
-        partitions = index._partitions_file
-        row_types = {
-            type(row)
-            for key in partitions.extent_keys()
-            for block_id in partitions.extent(key).block_ids
-            for row in disk.read(block_id)
-        }
-        history_types = {
-            (type(starts), type(nodes))
-            for block_id in index._object_index.bucket_blocks
-            for starts, nodes in disk.read(block_id).values()
-        }
-        return row_types, history_types
-
-    @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
-    def test_reopens_reconciled_and_answers_as_the_reference(
-        self, backend, monkeypatch, tmp_path, tiny_dataset, tiny_network, tiny_contact_config
-    ):
-        storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
-        service = make_service(tiny_dataset, tiny_contact_config, storage_config)
-        batches = list(DatasetReplaySource(tiny_dataset, batch_ticks=8).batches())
-        half = len(batches) // 2
-        self.write_earlier_shapes(monkeypatch, service, batches[:half])
-        name = service.name
-        workload = random_queries(tiny_dataset, count=16, seed=23)
-
-        reopened = SnapshotQueryService.open(storage_config, name=name)
-        index = live_index(reopened)
-        assert index.catalog()["format"] == 2
-        # The read-only open found every bucket's values right: it dirtied
-        # none and the device took no write.
-        assert index.storage.buffer_pool.dirty_blocks == 0
-        assert index.storage.stats.writes == 0
-        rows, histories = self.device_shapes(index)
-        assert rows == {VertexRecord}, "the partition blocks keep the earlier rows"
-        assert histories == {(array, array)}, "the device holds the earlier buckets"
-        for object_id in index.domain.object_ids:
-            starts, nodes = index._object_index.get(object_id)
-            assert type(starts) is array and type(nodes) is array
-        assert_object_index_matches_dag(index, f"earlier shapes, {backend}")
-        prefix = reference_evaluator(
-            prefix_network(tiny_dataset, 30.0, through=reopened.watermark)
-        )
-        processor = ReachGraphQueryProcessor(index)
-        assert_methods_agree(
-            prefix,
-            {"reopened": reopened.query},
-            workload,
-            context=f"earlier shapes, read-only, {backend}",
-        )
-        horizon = index.domain.horizon
-        graph_queries = [
-            ReachabilityQuery(
-                query.source,
-                query.destination,
-                TimeInterval(query.interval.start, min(query.interval.end, horizon.end)),
-            )
-            for query in workload
-            if query.interval.start <= horizon.end
-        ]
-        assert len(graph_queries) >= 4
-        # With no dirty frame, a partition read is one bulk device run.
-        bulk_runs = CallCounter(monkeypatch, (StorageBackend, "read_run"))
-        assert_methods_agree(
-            prefix,
-            {"bm-bfs": processor.evaluate},
-            graph_queries,
-            context=f"earlier shapes, BM-BFS, {backend}",
-        )
-        assert bulk_runs.calls["StorageBackend.read_run"] > 0
-        assert index.storage.buffer_pool.dirty_blocks == 0
-        assert index.storage.stats.writes == 0
-        reopened.close()
-
-        resumed = StreamingReachabilityService.open(
-            storage_config, name=name, auto_merge=False
-        )
-        for batch in batches[half:]:
-            resumed.ingest(batch)
-        resumed.merge()
-        assert_methods_agree(
-            reference_evaluator(tiny_network),
-            {"resumed": resumed.query},
-            workload,
-            context=f"earlier shapes, resumed, {backend}",
-        )
-        resumed.close()
-
-        # The resumed writer flushed the reconciled buckets: durably bytes.
-        final = SnapshotQueryService.open(storage_config, name=name)
-        rows, histories = self.device_shapes(live_index(final))
-        assert tuple in rows, "rewritten partitions hold plain tuples"
-        assert histories == {(bytes, bytes)}
-        final.close()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.contacts import Contact, build_contact_network, pairs_within_distance
 from repro.core import Point, TimeInterval
 from repro.baselines import earliest_arrival
-from repro.storage import BufferPool, SimulatedDisk
+from repro.storage import BufferPool, SimulatedBackend
 from repro.trajectory import MBR
 
 # ----------------------------------------------------------------------
@@ -168,7 +168,7 @@ class TestBufferPoolProperties:
     def test_buffer_pool_never_exceeds_capacity_and_serves_correct_data(
         self, accesses, capacity
     ):
-        disk = SimulatedDisk()
+        disk = SimulatedBackend()
         for value in range(40):
             disk.allocate(f"payload-{value}")
         pool = BufferPool(disk, capacity=capacity)

@@ -76,7 +76,7 @@ class TestReachGraphIndexConstruction:
         for record in map(VertexRecord._make, records):
             assert tiny_reachgraph.partition_of(record.node_id) == 0
             node = tiny_reachgraph.dag.node(record.node_id)
-            assert record.interval == node.interval
+            assert (record.start, record.end) == (node.interval.start, node.interval.end)
             assert set(record.members) == set(node.members)
             assert list(record.successors) == tiny_reachgraph.dag.successors(
                 record.node_id
@@ -91,18 +91,20 @@ class TestReachGraphIndexConstruction:
                 assert list(record.predecessors) == dag.predecessors(record.node_id)
 
     def test_long_successor_lookup(self, tiny_reachgraph):
+        """A record stores, per resolution with an edge, the layer's targets."""
+        hypergraph = tiny_reachgraph.hypergraph
         found_any = False
         for partition_id in range(tiny_reachgraph.num_partitions):
             for record in map(
                 VertexRecord._make, tiny_reachgraph.read_partition(partition_id)
             ):
-                for resolution, successors in record.long_successors:
-                    found_any = True
-                    assert record.long_successors_at(resolution) == successors
+                found_any |= bool(record.long_successors)
+                assert dict(record.long_successors) == {
+                    resolution: tuple(targets)
+                    for resolution in hypergraph.resolutions
+                    if (targets := hypergraph.layer(resolution).forward.get(record.node_id))
+                }
         assert found_any, "expected at least one long edge in the tiny dataset"
-        # Unknown resolution yields the empty tuple.
-        record = VertexRecord._make(tiny_reachgraph.read_partition(0)[0])
-        assert record.long_successors_at(999) == ()
 
 
 class TestFigure1Queries:

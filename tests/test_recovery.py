@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 
 import pytest
 
@@ -400,7 +401,8 @@ class TestCorruptManifestRestore:
     ):
         storage_config = backend_storage_config("file", storage_dir=str(tmp_path))
         broken = StorageSystem(storage_config, name="broken-overlay", attach=False)
-        broken.put_metadata("overlay-manifest", {"watermark": 3})  # keys missing
+        # Stamped, so past the format gate, but keys are missing.
+        broken.put_metadata("overlay-manifest", {"format": 3, "watermark": 3})
         broken.flush()
         broken.close()
         files_before = sorted(p.name for p in tmp_path.iterdir())
@@ -410,42 +412,126 @@ class TestCorruptManifestRestore:
         assert open_fds() == fds_before, "reopen failure leaked a device handle"
         assert sorted(p.name for p in tmp_path.iterdir()) == files_before
 
-    @pytest.mark.parametrize("found", [None, 1])
-    @pytest.mark.parametrize(
-        "reopen", [SnapshotQueryService.open, StreamingReachabilityService.open]
-    )
-    def test_graph_in_another_format_fails_loudly_and_closes_the_device(
-        self, reopen, found, tmp_path, dataset
-    ):
-        """A device flushed before the index format was cataloged (or under
-        another format) holds vertex records and buckets this build would
-        mis-decode: the reopen must name both formats instead, and release
-        every handle it probed."""
+
+# ----------------------------------------------------------------------
+# a device in another format is refused before any read (one format: 3)
+# ----------------------------------------------------------------------
+def unstamp(record):
+    del record["format"]
+
+
+def stamp_two(record):
+    record["format"] = 2
+
+
+def drop_graph(record):
+    record["graph"] = None
+
+
+#: ``(case, device, metadata key, edit, refusal)``: what an earlier version
+#: could have left on a device, and the refusal naming found and expected.
+EARLIER_DEVICES = [
+    (
+        "manifest-unstamped",
+        "overlay",
+        "overlay-manifest",
+        unstamp,
+        "^the overlay manifest of {name} is in on-device format None, expected format 3",
+    ),
+    (
+        "manifest-format-2",
+        "overlay",
+        "overlay-manifest",
+        stamp_two,
+        "^the overlay manifest of {name} is in on-device format 2, expected format 3",
+    ),
+    (
+        "checkpoint-unstamped",
+        "grid",
+        "ingest-checkpoint",
+        unstamp,
+        "^the ingest checkpoint of {name} is in on-device format None, expected format 3",
+    ),
+    (
+        "store-without-graph",
+        "overlay",
+        "overlay-manifest",
+        drop_graph,
+        "^the overlay manifest of {name} names one of a snapshot store and a "
+        "graph: format 3 names both or neither$",
+    ),
+]
+
+
+class TestFormatGate:
+    """Format 3 is the one on-device shape: each device's top metadata
+    record carries the stamp, and an open refuses a device without it (or
+    with another, or with a manifest naming a store and no graph) before
+    reading a block of it, naming the format it found and the one it
+    expects, and leaves no handle open and no file behind."""
+
+    def test_both_devices_are_stamped(self, tmp_path, dataset):
         storage_config = backend_storage_config("file", storage_dir=str(tmp_path))
-        service = make_service(dataset, storage_config, max_delta_contacts=10_000)
-        service.auto_merge = False
+        service = make_service(dataset, storage_config)
         service.drain(dataset)
-        service.merge()
         service.close()
+        for device, key in (("overlay", "overlay-manifest"), ("grid", "ingest-checkpoint")):
+            storage = StorageSystem(storage_config, name=f"{service.name}-{device}")
+            assert storage.get_metadata(key)["format"] == 3
+            storage.release()
 
-        overlay = StorageSystem(storage_config, name=f"{service.name}-overlay")
-        manifest = overlay.get_metadata("overlay-manifest")
-        assert manifest["graph"]["index"]["format"] == 2
-        if found is None:
-            del manifest["graph"]["index"]["format"]
-        else:
-            manifest["graph"]["index"]["format"] = found
-        overlay.put_metadata("overlay-manifest", manifest)
-        overlay.close()
+    @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
+    @pytest.mark.parametrize(
+        "reopen, device, key, edit, refusal",
+        [
+            pytest.param(reopen, *earlier, id=f"{mode}-{case}")
+            for case, *earlier in EARLIER_DEVICES
+            for mode, reopen in (
+                ("read-only", SnapshotQueryService.open),
+                ("resume", StreamingReachabilityService.open),
+            )
+            # A read-only open never opens the grid device.
+            if mode == "resume" or earlier[0] == "overlay"
+        ],
+    )
+    def test_an_earlier_device_is_refused_before_any_read(
+        self, reopen, device, key, edit, refusal, backend, tmp_path, dataset, monkeypatch
+    ):
+        storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
+        service = make_service(dataset, storage_config, max_delta_contacts=24)
+        batches = list(DatasetReplaySource(dataset, batch_ticks=6).batches())
+        for batch in batches[:-1]:
+            service.ingest(batch)
+        assert service.overlay.has_reachgraph
+        service.flush()
+        # Commit one journal extent past the checkpoint: resuming this
+        # device replays it, a grid read the refusal must come before.
+        service.ingest(batches[-1])
+        service.ingestor.storage.flush()
+        kill_service(service)
+        refused = StorageSystem(storage_config, name=f"{service.name}-{device}")
+        record = refused.get_metadata(key)
+        edit(record)
+        refused.put_metadata(key, record)
+        refused.close()
 
+        reads = {}
+        release = StorageSystem.release
+
+        def counted_release(storage):
+            reads.setdefault(storage.name, storage.stats.total_reads)
+            release(storage)
+
+        monkeypatch.setattr(StorageSystem, "release", counted_release)
         files_before = sorted(p.name for p in tmp_path.iterdir())
         fds_before = open_fds()
-        with pytest.raises(
-            IndexConstructionError, match=f"format {found!r}, expected format 2"
-        ):
+        refusal = refusal.format(name=re.escape(repr(service.name)))
+        with pytest.raises(StreamingError, match=refusal):
             reopen(storage_config, name=service.name)
+        assert reads[f"{service.name}-{device}"] == 0, "the refused device was read"
         assert open_fds() == fds_before, "reopen failure leaked a device handle"
         assert sorted(p.name for p in tmp_path.iterdir()) == files_before
+
 
 # ----------------------------------------------------------------------
 # the restored ReachGraph fast path (tentpole: graph answers, not union)

@@ -34,7 +34,6 @@ from repro.storage import (
     FileBackend,
     MmapBackend,
     SimulatedBackend,
-    SimulatedDisk,
     StorageSystem,
     make_backend,
 )
@@ -249,7 +248,6 @@ class TestPersistence:
 
     def test_sim_backend_is_not_persistent(self):
         assert SimulatedBackend.persistent is False
-        assert SimulatedDisk is SimulatedBackend
         assert FileBackend.persistent and MmapBackend.persistent
 
 

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from repro.core import StorageError
 from repro.core.errors import BlockOutOfRangeError, BufferPoolError
-from repro.storage import BufferPool, SimulatedDisk
+from repro.storage import BufferPool, SimulatedBackend
 
 
 @pytest.fixture()
 def disk_with_blocks():
-    disk = SimulatedDisk()
+    disk = SimulatedBackend()
     for value in range(10):
         disk.allocate(f"payload-{value}")
     return disk

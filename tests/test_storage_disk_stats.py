@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import StorageError
 from repro.core.errors import BlockOutOfRangeError
-from repro.storage import IOStats, SimulatedDisk
+from repro.storage import IOStats, SimulatedBackend
 
 
 class TestIOStats:
@@ -73,16 +73,16 @@ class TestIOStats:
         assert stats.buffer_hits == 0
 
 
-class TestSimulatedDisk:
+class TestSimulatedBackend:
     def test_allocate_returns_increasing_ids(self):
-        disk = SimulatedDisk()
+        disk = SimulatedBackend()
         first = disk.allocate("a")
         second = disk.allocate("b")
         assert (first, second) == (0, 1)
         assert disk.num_blocks == 2
 
     def test_read_returns_written_payload_and_charges_io(self):
-        disk = SimulatedDisk()
+        disk = SimulatedBackend()
         block = disk.allocate()
         disk.write(block, {"hello": 1})
         before_reads = disk.stats.total_reads
@@ -90,14 +90,14 @@ class TestSimulatedDisk:
         assert disk.stats.total_reads == before_reads + 1
 
     def test_peek_does_not_charge_io(self):
-        disk = SimulatedDisk()
+        disk = SimulatedBackend()
         block = disk.allocate("payload")
         reads_before = disk.stats.total_reads
         assert disk.peek(block) == "payload"
         assert disk.stats.total_reads == reads_before
 
     def test_out_of_range_access_raises(self):
-        disk = SimulatedDisk()
+        disk = SimulatedBackend()
         with pytest.raises(BlockOutOfRangeError):
             disk.read(0)
         disk.allocate()
@@ -105,7 +105,7 @@ class TestSimulatedDisk:
             disk.read(5)
 
     def test_allocate_many_is_contiguous(self):
-        disk = SimulatedDisk()
+        disk = SimulatedBackend()
         disk.allocate("x")
         blocks = disk.allocate_many(4)
         assert blocks == [1, 2, 3, 4]
@@ -113,10 +113,10 @@ class TestSimulatedDisk:
 
     def test_allocate_many_rejects_negative(self):
         with pytest.raises(StorageError):
-            SimulatedDisk().allocate_many(-1)
+            SimulatedBackend().allocate_many(-1)
 
     def test_sequential_scan_is_mostly_sequential_io(self):
-        disk = SimulatedDisk()
+        disk = SimulatedBackend()
         for value in range(50):
             disk.allocate(value)
         for block in range(50):

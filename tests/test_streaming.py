@@ -709,180 +709,6 @@ class TestMergeEdgeCases:
 
 
 # ----------------------------------------------------------------------
-# a device flushed without a graph still opens
-# ----------------------------------------------------------------------
-def flush_graphless_device(dataset, contact_config, storage_config, batches):
-    """Leave on disk the state of a service whose merges built no graph.
-
-    Older builds could merge without a ReachGraph: each merge appended one
-    snapshot run and restaged the unfrozen contacts, and the flushed overlay
-    manifest carried ``"graph": None``.  Two such merges are replayed here
-    through the store and overlay restore hooks, then the service is closed.
-    Returns the service name and the flushed watermark.
-    """
-    service = StreamingReachabilityService.for_dataset(
-        dataset, contact_config=contact_config, storage_config=storage_config
-    )
-    service.auto_merge = False
-    overlay, ingestor = service.overlay, service.ingestor
-    store = None
-    half = len(batches) // 2
-    for chunk in (batches[: half // 2], batches[half // 2 : half]):
-        for batch in chunk:
-            service.ingest(batch)
-        bound = service.watermark
-        frozen = ingestor.contacts_through_watermark(after=overlay.snapshot_watermark)
-        if store is None:
-            store = ContactSnapshotStore(
-                overlay.storage,
-                origin=ingestor.origin,
-                temporal_resolution=service.grid_config.temporal_resolution,
-                name="snapshot-contacts-v1",
-            )
-        store.append_run(frozen)
-        overlay.attach_snapshot_store(store, bound)
-        overlay.restore_delta(())
-        for contact in ingestor.closed_contacts:
-            if contact.validity.end > bound:
-                overlay.add_contact(contact)
-    # One batch past the last merge, so the manifest carries a delta too.
-    service.ingest(batches[half])
-    watermark = service.watermark
-    service.close()
-    return service.name, watermark
-
-
-class TestGraphlessDevice:
-    """A device whose overlay manifest names no graph — written by an older
-    build whose merges could skip the ReachGraph — keeps working: it reopens
-    read-only through the union path, and a resumed service's first merge
-    builds the graph over the whole prefix's domain and contacts."""
-
-    @staticmethod
-    def _flushed(backend, tmp_path, tiny_dataset, tiny_contact_config):
-        storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
-        batches = list(DatasetReplaySource(tiny_dataset, batch_ticks=10).batches())
-        name, watermark = flush_graphless_device(
-            tiny_dataset, tiny_contact_config, storage_config, batches
-        )
-        return storage_config, batches, name, watermark
-
-    @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
-    def test_reopens_read_only_through_the_union_path(
-        self, monkeypatch, backend, tmp_path, tiny_dataset, tiny_contact_config
-    ):
-        storage_config, _, name, watermark = self._flushed(
-            backend, tmp_path, tiny_dataset, tiny_contact_config
-        )
-        overlay_device = StorageSystem(storage_config, name=f"{name}-overlay")
-        manifest = overlay_device.get_metadata("overlay-manifest")
-        overlay_device.release()
-        assert manifest["graph"] is None
-        assert len(manifest["store"]["runs"]) == 2
-
-        counter = CallCounter(monkeypatch, (ContactSnapshotStore, "read_overlapping"))
-        reopened = SnapshotQueryService.open(storage_config, name)
-        try:
-            assert reopened.watermark == watermark
-            assert not reopened.overlay.has_reachgraph
-            assert reopened.overlay.snapshot_runs == 2
-            assert_methods_agree(
-                reference_evaluator(
-                    prefix_network(tiny_dataset, TINY_THRESHOLD, through=watermark)
-                ),
-                {"reopened": reopened.query},
-                random_queries(tiny_dataset, count=20, seed=91),
-                check_earliest=True,
-                require_earliest=True,
-                context=f"graph-less device, backend={backend}",
-            )
-        finally:
-            reopened.close()
-        assert counter.calls["ContactSnapshotStore.read_overlapping"] > 0
-
-    @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
-    def test_resumes_and_first_merge_builds_from_the_prefix(
-        self, monkeypatch, backend, tmp_path, tiny_dataset, tiny_contact_config
-    ):
-        storage_config, batches, name, watermark = self._flushed(
-            backend, tmp_path, tiny_dataset, tiny_contact_config
-        )
-        counter = CallCounter(monkeypatch, (StreamIngestor, "prefix_domain"))
-        resumed = StreamingReachabilityService.open(
-            storage_config, name, streaming_config=StreamingConfig(max_delta_contacts=24)
-        )
-        try:
-            assert resumed.watermark == watermark
-            assert not resumed.overlay.has_reachgraph
-            assert resumed.overlay.snapshot_runs == 2
-            workload = random_queries(tiny_dataset, count=10, seed=93)
-            resume_at = next(
-                position
-                for position, batch in enumerate(batches)
-                if batch.watermark == watermark
-            )
-            for batch in batches[resume_at + 1 :]:
-                resumed.ingest(batch)
-                assert_methods_agree(
-                    reference_evaluator(
-                        prefix_network(
-                            tiny_dataset, TINY_THRESHOLD, through=resumed.watermark
-                        )
-                    ),
-                    {"resumed": resumed.query},
-                    workload,
-                    check_earliest=True,
-                    context=f"backend={backend}, watermark={resumed.watermark}",
-                )
-            assert resumed.watermark == tiny_dataset.horizon.end
-            assert resumed.num_merges > 1
-            # The first merge captured the prefix's object ids once, for the
-            # empty frontier it patched; every later one patched its result.
-            assert counter.calls["StreamIngestor.prefix_domain"] == 1
-            assert resumed.overlay.has_reachgraph
-            index = resumed.overlay.snapshot_processor.index
-            assert index.num_increments == resumed.num_merges - 1
-        finally:
-            resumed.close()
-
-    @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
-    def test_flushes_before_the_first_merge_release_nothing(
-        self, backend, tmp_path, tiny_dataset, tiny_contact_config
-    ):
-        """The first merge's patch replays every contact from the origin,
-        so while the overlay has no graph a flush releases no closed contact
-        — even though the snapshot store already holds some of them."""
-        storage_config, batches, name, watermark = self._flushed(
-            backend, tmp_path, tiny_dataset, tiny_contact_config
-        )
-        resumed = StreamingReachabilityService.open(
-            storage_config, name, auto_merge=False
-        )
-        try:
-            resume_at = next(
-                position
-                for position, batch in enumerate(batches)
-                if batch.watermark == watermark
-            )
-            for batch in batches[resume_at + 1 : resume_at + 3]:
-                resumed.ingest(batch)
-                resumed.flush()
-            assert resumed.ingestor.closed_floor == 0
-            resumed.merge()
-            assert resumed.overlay.has_reachgraph
-            assert_methods_agree(
-                reference_evaluator(
-                    prefix_network(tiny_dataset, TINY_THRESHOLD, through=resumed.watermark)
-                ),
-                {"resumed": resumed.query},
-                random_queries(tiny_dataset, count=15, seed=95),
-                check_earliest=True,
-                context=f"backend={backend}, first merge after flushes",
-            )
-        finally:
-            resumed.close()
-
-# ----------------------------------------------------------------------
 # storage-backend axis: file/mmap answers ≡ sim answers ≡ reference
 # ----------------------------------------------------------------------
 class TestStorageBackendEquivalence:
