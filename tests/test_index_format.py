@@ -9,7 +9,8 @@ must answer ``find_vertex_id`` exactly as a scan of the DAG's segments does at
 every stage of an index's life, the slot directory must address every vertex
 inside its partition extent at those same stages, restore must reconcile a
 bucket that got durably ahead of the graph, the catalog says whether labels
-are on, the merge-built graph sits under one name, and the
+are on (a restore derives the same ones) and names no format of its own, the
+merge-built graph sits under one name, and the
 in-memory vertex starts BM-BFS bounds its children with must count exactly
 what the records say, on a device whose directory lists ids in start order —
 the only kind a restore accepts.  Which devices an open refuses before any
@@ -34,6 +35,7 @@ from repro.core import (
     ReachabilityQuery,
     ReachGraphConfig,
     STORAGE_BACKENDS,
+    StorageConfig,
     StreamingConfig,
     TimeInterval,
 )
@@ -405,16 +407,17 @@ class TestSlotDirectory:
             ReachGraphQueryProcessor(index, use_labels=False).evaluate(query)
 
 
+    @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
     @pytest.mark.parametrize(
         "reopen", [SnapshotQueryService.open, StreamingReachabilityService.open]
     )
     def test_truncated_extent_is_refused_at_restore_before_any_query(
-        self, reopen, tmp_path, tiny_dataset, tiny_contact_config
+        self, reopen, backend, tmp_path, tiny_dataset, tiny_contact_config
     ):
         """A reopen over a shortened extent fails at the restore, not at
         whichever query first lands on the partition: the directory's member
         count disagrees with the extent's cataloged record count."""
-        storage_config = backend_storage_config("file", storage_dir=str(tmp_path))
+        storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
         service = make_service(tiny_dataset, tiny_contact_config, storage_config)
         service.drain(tiny_dataset)
         service.merge()
@@ -493,6 +496,35 @@ class TestLabelCatalog:
         catalog = index.catalog()
         assert catalog["interval_labels"] is graph_labels
         assert "labels" not in catalog
+
+    def test_catalog_names_no_format_of_its_own(self, tiny_reachgraph):
+        """The overlay manifest's stamp covers the graph it catalogs."""
+        assert "format" not in tiny_reachgraph.catalog()
+
+    def test_restore_rebuilds_the_labels_on_or_off_as_catalogued(
+        self, graph_labels, tmp_path, tiny_dataset, tiny_network, tiny_contact_config
+    ):
+        """The labels are not stored: a restore derives them from the
+        directory's ``DN_1`` successor lists, equal to the built ones."""
+        storage = StorageSystem(
+            StorageConfig(backend="file", storage_dir=str(tmp_path)), name="labels"
+        )
+        index = ReachGraphIndex(
+            tiny_dataset,
+            ReachGraphConfig(interval_labels=graph_labels),
+            tiny_contact_config,
+            contact_network=tiny_network,
+            storage=storage,
+        ).build()
+        restored = ReachGraphIndex.restore(storage, index.catalog(), tiny_dataset.horizon)
+        assert restored.num_vertices == index.num_vertices
+        if graph_labels:
+            assert [restored.labels.label(v) for v in range(restored.num_vertices)] == [
+                index.labels.label(v) for v in range(index.num_vertices)
+            ]
+        else:
+            assert restored.labels is None
+        storage.close()
 
 
 # ----------------------------------------------------------------------

@@ -44,6 +44,7 @@ from repro.streaming import (
     StreamIngestor,
     StreamingReachabilityService,
 )
+from repro.streaming.ingest import DEVICE_FORMAT, check_device_format
 from repro.testing import faults
 from repro.testing.faults import SimulatedCrash, simulate_kill
 from repro.workloads.queries import random_queries
@@ -424,11 +425,19 @@ def stamp_two(record):
     record["format"] = 2
 
 
+def stamp_four(record):
+    record["format"] = 4
+
+
 def drop_graph(record):
     record["graph"] = None
 
 
-#: ``(case, device, metadata key, edit, refusal)``: what an earlier version
+def drop_store(record):
+    record["store"] = None
+
+
+#: ``(case, device, metadata key, edit, refusal)``: what another version
 #: could have left on a device, and the refusal naming found and expected.
 EARLIER_DEVICES = [
     (
@@ -460,14 +469,36 @@ EARLIER_DEVICES = [
         "^the overlay manifest of {name} names one of a snapshot store and a "
         "graph: format 3 names both or neither$",
     ),
+    (
+        "manifest-format-4",
+        "overlay",
+        "overlay-manifest",
+        stamp_four,
+        "^the overlay manifest of {name} is in on-device format 4, expected format 3",
+    ),
+    (
+        "checkpoint-format-2",
+        "grid",
+        "ingest-checkpoint",
+        stamp_two,
+        "^the ingest checkpoint of {name} is in on-device format 2, expected format 3",
+    ),
+    (
+        "graph-without-store",
+        "overlay",
+        "overlay-manifest",
+        drop_store,
+        "^the overlay manifest of {name} names one of a snapshot store and a "
+        "graph: format 3 names both or neither$",
+    ),
 ]
 
 
 class TestFormatGate:
     """Format 3 is the one on-device shape: each device's top metadata
     record carries the stamp, and an open refuses a device without it (or
-    with another, or with a manifest naming a store and no graph) before
-    reading a block of it, naming the format it found and the one it
+    with another, or with a manifest naming only one of a store and a graph)
+    before reading a block of it, naming the format it found and the one it
     expects, and leaves no handle open and no file behind."""
 
     def test_both_devices_are_stamped(self, tmp_path, dataset):
@@ -479,6 +510,25 @@ class TestFormatGate:
             storage = StorageSystem(storage_config, name=f"{service.name}-{device}")
             assert storage.get_metadata(key)["format"] == 3
             storage.release()
+
+    def test_the_check_passes_the_one_stamp(self):
+        assert DEVICE_FORMAT == 3
+        check_device_format({"format": DEVICE_FORMAT, "watermark": 3}, "the manifest")
+
+    @pytest.mark.parametrize("found", [None, 1, 2, 4, "3"])
+    def test_the_check_names_the_stamp_it_found_and_the_one_expected(self, found):
+        """A missing stamp reads as ``None``; the check compares exactly, so
+        neither another number nor the right one as text passes."""
+        record = {"watermark": 3} if found is None else {"format": found, "watermark": 3}
+        with pytest.raises(
+            StreamingError,
+            match=(
+                f"^the manifest is in on-device format {re.escape(repr(found))}, "
+                "expected format 3: it was written by another version; rebuild "
+                "it from the source stream$"
+            ),
+        ):
+            check_device_format(record, "the manifest")
 
     @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
     @pytest.mark.parametrize(

@@ -709,6 +709,103 @@ class TestMergeEdgeCases:
 
 
 # ----------------------------------------------------------------------
+# a device flushed before its first merge names neither store nor graph
+# ----------------------------------------------------------------------
+class TestUnmergedDevice:
+    """A service closed before any merge leaves a manifest naming neither a
+    snapshot store nor a graph — the one half-empty shape format 3 keeps.
+    It reopens read-only from the delta alone, and a resumed service's
+    first merge creates the graph over the whole prefix."""
+
+    @staticmethod
+    def _flushed(backend, tmp_path, tiny_dataset, tiny_contact_config):
+        storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
+        service = StreamingReachabilityService.for_dataset(
+            tiny_dataset,
+            contact_config=tiny_contact_config,
+            storage_config=storage_config,
+        )
+        service.auto_merge = False
+        batches = list(DatasetReplaySource(tiny_dataset, batch_ticks=10).batches())
+        half = len(batches) // 2
+        for batch in batches[:half]:
+            service.ingest(batch)
+        assert service.num_merges == 0
+        watermark = service.watermark
+        service.close()
+
+        overlay = StorageSystem(storage_config, name=f"{service.name}-overlay")
+        manifest = overlay.get_metadata("overlay-manifest")
+        overlay.release()
+        assert manifest["format"] == 3
+        assert manifest["store"] is None and manifest["graph"] is None
+        assert manifest["delta"], "the unmerged contacts ride in the manifest"
+        return storage_config, batches[half:], service.name, watermark
+
+    @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
+    def test_reopens_read_only_from_the_delta_alone(
+        self, backend, tmp_path, tiny_dataset, tiny_contact_config
+    ):
+        storage_config, _, name, watermark = self._flushed(
+            backend, tmp_path, tiny_dataset, tiny_contact_config
+        )
+        reopened = SnapshotQueryService.open(storage_config, name)
+        try:
+            assert reopened.watermark == watermark
+            assert not reopened.overlay.has_reachgraph
+            assert reopened.overlay.snapshot_runs == 0
+            assert reopened.storage.blockfile_names() == []
+            assert_methods_agree(
+                reference_evaluator(
+                    prefix_network(tiny_dataset, TINY_THRESHOLD, through=watermark)
+                ),
+                {"reopened": reopened.query},
+                random_queries(tiny_dataset, count=20, seed=91),
+                check_earliest=True,
+                require_earliest=True,
+                context=f"unmerged device, backend={backend}",
+            )
+        finally:
+            reopened.close()
+
+    @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
+    def test_resumes_and_first_merge_creates_the_graph(
+        self, backend, tmp_path, tiny_dataset, tiny_contact_config
+    ):
+        storage_config, rest, name, watermark = self._flushed(
+            backend, tmp_path, tiny_dataset, tiny_contact_config
+        )
+        resumed = StreamingReachabilityService.open(
+            storage_config, name, streaming_config=StreamingConfig(max_delta_contacts=24)
+        )
+        try:
+            assert resumed.watermark == watermark
+            assert not resumed.overlay.has_reachgraph
+            workload = random_queries(tiny_dataset, count=10, seed=93)
+            for batch in rest:
+                resumed.ingest(batch)
+                assert_methods_agree(
+                    reference_evaluator(
+                        prefix_network(
+                            tiny_dataset, TINY_THRESHOLD, through=resumed.watermark
+                        )
+                    ),
+                    {"resumed": resumed.query},
+                    workload,
+                    check_earliest=True,
+                    context=f"backend={backend}, watermark={resumed.watermark}",
+                )
+            assert resumed.watermark == tiny_dataset.horizon.end
+            assert resumed.num_merges >= 1
+            assert resumed.overlay.has_reachgraph
+            index = resumed.overlay.snapshot_processor.index
+            assert index.check_directory() == index.num_vertices
+            assert index.check_object_index() == len(tiny_dataset.object_ids)
+        finally:
+            resumed.close()
+
+
+# ----------------------------------------------------------------------
 # storage-backend axis: file/mmap answers ≡ sim answers ≡ reference
 # ----------------------------------------------------------------------
 class TestStorageBackendEquivalence:
